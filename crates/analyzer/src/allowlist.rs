@@ -7,13 +7,13 @@
 //! ```toml
 //! [[allow]]
 //! rule = "determinism"
-//! path = "crates/pilots/src/bin/bench_e11.rs"   # file or directory prefix
-//! contains = "Instant"                           # optional line substring
+//! path = "crates/pilots/src/bin/bench_obs.rs"   # file or directory prefix
+//! contains = "Instant"                          # optional line substring
 //! justification = "wall-clock bench harness; output never reaches EXPERIMENTS.md"
 //!
 //! [[allow]]
 //! rule = "hot-path-alloc"
-//! symbol = "Platform::rebuild_routes"            # qualified fn name scope
+//! symbol = "Platform::rebuild_routes"           # qualified fn name scope
 //! justification = "cold reconfiguration path, runs outside the pump loop"
 //! ```
 //!

@@ -5,35 +5,16 @@
 //! The rule bans the names themselves, so a revival fails CI in the same
 //! commit that writes it.
 //!
-//! Three shapes are policed, everywhere — library, binary and test code
+//! Two shapes are policed, everywhere — library, binary and test code
 //! alike (the removal left nothing for tests to pin):
 //!
-//! - **Constructors** (`Platform::new`, `FogSync::new`, removed in PR 7
-//!   after deprecation in PR 2): both types are builder-only; any
-//!   qualified `Type::new` path is flagged.
-//! - **String-keyed `Metrics` mutators** (`.incr(…)`, `.incr_by(…)`,
-//!   removed in PR 7 after deprecation in PR 4): the old registry hashed a
-//!   string key per event and silently minted counters on typos. The
-//!   explicit setters (`set_counter`/`set_gauge`/`set_summary`) remain for
-//!   building read-compat views; event-shaped mutation goes through typed
-//!   `swamp_obs::Obs` handles. `.observe(…)` / `.set_gauge(…)` are only
-//!   flagged on a receiver literally named `metrics`, since both names
-//!   also belong to the *new* API surface (`platform.observe()`,
-//!   snapshot-derived views).
-//! - **Removed getters** (`.sync_health(…)`, `.acks_refused(…)`,
-//!   `.metrics(…)`, removed in PR 7): superseded by the one observe
-//!   surface — `degraded_mode()` plus the typed `sync.*` gauges, the
-//!   `cloud.acks_refused` counter, and `observe()` /
-//!   `ObsSnapshot::to_metrics` respectively. No workspace type may grow
-//!   methods with these names again.
-//!
-//! A fourth shape is *deprecated* rather than removed — the raw store
-//! accessors superseded in PR 9 by the typed query surface
-//! (`Drive::query`): `.cloud_replica_mut(…)` on any receiver, and
-//! `.context(…)` / `.history(…)` on receivers conventionally naming a
-//! platform (`platform`, `p`, `shard`, `sp`). Existing call sites were
-//! migrated in the same PR; this rule keeps new ones from appearing
-//! during the deprecation window.
+//! - **Constructors** (`Platform::new`, `FogSync::new`): both types are
+//!   builder-only; any qualified `Type::new` path is flagged.
+//! - **Getters** (`.sync_health(…)`, `.acks_refused(…)`, `.metrics(…)`):
+//!   superseded by the one observe surface — `degraded_mode()` plus the
+//!   typed `sync.*` gauges, the `cloud.acks_refused` counter, and
+//!   `observe()` respectively. No workspace type may grow methods with
+//!   these names again.
 
 use crate::lexer::{is_ident, is_path2, is_punct};
 use crate::source::SourceFile;
@@ -57,14 +38,6 @@ const REMOVED_CONSTRUCTORS: &[(&str, &str, &str)] = &[
 /// the workspace, banned as `.method(` on any receiver.
 const REMOVED_ANY_RECEIVER: &[(&str, &str)] = &[
     (
-        "incr",
-        "register a typed Counter on `swamp_obs::Obs` and `inc` through it",
-    ),
-    (
-        "incr_by",
-        "register a typed Counter on `swamp_obs::Obs` and `inc_by` through it",
-    ),
-    (
         "sync_health",
         "`degraded_mode()` plus the `sync.pending` / `sync.in_flight` gauges in `observe()`",
     ),
@@ -72,45 +45,8 @@ const REMOVED_ANY_RECEIVER: &[(&str, &str)] = &[
         "acks_refused",
         "the `cloud.acks_refused` counter in `observe()`",
     ),
-    (
-        "metrics",
-        "`observe()` (use `ObsSnapshot::to_metrics` for a legacy `Metrics` view)",
-    ),
+    ("metrics", "`observe()`"),
 ];
-
-/// Removed `Metrics` mutators whose names collide with the new obs API;
-/// flagged only on a receiver literally named `metrics`.
-const REMOVED_METRICS_RECEIVER: &[&str] = &["observe", "set_gauge"];
-
-/// Raw read accessors deprecated in PR 9, superseded by the typed query
-/// surface (`Drive::query`). Unlike the removed shapes above they still
-/// exist — `#[deprecated]` covers compiled code — but this rule stops
-/// *new* call sites at CI before the next PR removes them.
-/// `cloud_replica_mut` is unambiguous workspace-wide and banned on any
-/// receiver.
-const DEPRECATED_QUERY_ANY_RECEIVER: &[(&str, &str)] = &[(
-    "cloud_replica_mut",
-    "`Drive::query(QueryRequest::ReplicaSeqs)` for reads; mutation belongs inside the platform",
-)];
-
-/// `context`/`history` also name live APIs (`CloudStore::history`,
-/// broker/query contexts), so — like the `metrics` receiver check — they
-/// are flagged only on receivers conventionally naming a platform.
-const DEPRECATED_PLATFORM_RECEIVER: &[(&str, &str)] = &[
-    (
-        "context",
-        "`Drive::query(QueryRequest::Last { … })`, or the platform's public `broker` surface",
-    ),
-    (
-        "history",
-        "`Drive::query(QueryRequest::Range / SeriesDump / …)`, or the public `history` field",
-    ),
-];
-
-/// Receiver idents the platform conventionally binds to in this
-/// workspace. `self` is deliberately absent: the defining impl in
-/// `crates/core/src/platform.rs` may keep delegating internally.
-const PLATFORM_RECEIVERS: &[&str] = &["platform", "p", "shard", "sp"];
 
 pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
     let tokens = &file.tokens;
@@ -132,7 +68,6 @@ pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
         if !is_punct(tokens, i, '.') || !is_punct(tokens, i + 2, '(') {
             continue;
         }
-        let line = tokens[i].line;
         if let Some((method, replacement)) = REMOVED_ANY_RECEIVER
             .iter()
             .find(|(m, _)| is_ident(tokens, i + 1, m))
@@ -140,62 +75,9 @@ pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
             out.push(Finding::at(
                 NAME,
                 file,
-                line,
+                tokens[i].line,
                 format!("removed method `.{method}(…)` must not come back: use {replacement}"),
             ));
-            continue;
-        }
-        let named = REMOVED_METRICS_RECEIVER
-            .iter()
-            .any(|m| is_ident(tokens, i + 1, m))
-            && i > 0
-            && is_ident(tokens, i - 1, "metrics");
-        if named {
-            out.push(Finding::at(
-                NAME,
-                file,
-                line,
-                "removed string-keyed `Metrics` mutation: register a typed \
-                 handle on `swamp_obs::Obs` and record through it; `Metrics` \
-                 is a read-compat view built by `ObsSnapshot::to_metrics`"
-                    .to_owned(),
-            ));
-            continue;
-        }
-        if let Some((method, replacement)) = DEPRECATED_QUERY_ANY_RECEIVER
-            .iter()
-            .find(|(m, _)| is_ident(tokens, i + 1, m))
-        {
-            out.push(Finding::at(
-                NAME,
-                file,
-                line,
-                format!(
-                    "deprecated raw accessor `.{method}(…)` must not gain new callers: \
-                     use {replacement}"
-                ),
-            ));
-            continue;
-        }
-        let on_platform = i > 0
-            && PLATFORM_RECEIVERS
-                .iter()
-                .any(|recv| is_ident(tokens, i - 1, recv));
-        if on_platform {
-            if let Some((method, replacement)) = DEPRECATED_PLATFORM_RECEIVER
-                .iter()
-                .find(|(m, _)| is_ident(tokens, i + 1, m))
-            {
-                out.push(Finding::at(
-                    NAME,
-                    file,
-                    line,
-                    format!(
-                        "deprecated raw accessor `.{method}(…)` must not gain new callers: \
-                         use {replacement}"
-                    ),
-                ));
-            }
         }
     }
 }

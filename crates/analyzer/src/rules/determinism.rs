@@ -6,9 +6,8 @@
 //!
 //! 1. **Wall-clock / entropy tokens** (per file). `Instant`, `SystemTime`,
 //!    `UNIX_EPOCH`, `thread_rng`, `from_entropy` are flagged in lib and bin
-//!    targets outside `#[cfg(test)]`. The `criterion` shim package is the
-//!    one sanctioned wall-clock site (benchmarks measure real time by
-//!    definition). Use `swamp_sim::SimTime` / seeded `SimRng` instead.
+//!    targets outside `#[cfg(test)]`. Use `swamp_sim::SimTime` / seeded
+//!    `SimRng` instead.
 //! 2. **Unordered iteration feeding serialization** (graph-scoped, PR 8).
 //!    Iterating a `HashMap`/`HashSet` local or field
 //!    (`.iter()`/`.keys()`/`.values()`/`.into_iter()`/`for … in`) is
@@ -77,10 +76,6 @@ pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
     if !matches!(file.kind, TargetKind::Lib | TargetKind::Bin) {
         return;
     }
-    // The criterion shim is the sanctioned wall-clock harness.
-    if file.package == "criterion" {
-        return;
-    }
     let tokens = &file.tokens;
     // A `use std::time::Instant` line and each call site all flag, which
     // is intentional — removal fixes every finding at once.
@@ -132,9 +127,6 @@ pub fn check_graph(ws: &Workspace, graph: &Graph, out: &mut Vec<Finding>) {
     for &idx in reach.parent.keys() {
         let node = &graph.nodes[idx];
         let source = &ws.files[node.file].source;
-        if source.package == "criterion" {
-            continue;
-        }
         let Some(body) = node.item.body.clone() else {
             continue;
         };

@@ -17,15 +17,13 @@ pub const NAME: &str = "layering";
 
 /// The architecture: substrate (sim/codec/crypto) → domain (net, agro,
 /// sensors) → services (irrigation, fog, security, views) → platform
-/// (core) → harness (pilots, bench). `criterion` is the in-tree bench shim;
-/// `swamp-analyzer` and the substrate depend on nothing. `swamp` is the
-/// root umbrella package.
+/// (core) → harness (pilots). `swamp-analyzer` and the substrate depend
+/// on nothing. `swamp` is the root umbrella package.
 pub const ALLOWED_DEPS: &[(&str, &[&str])] = &[
     ("swamp-sim", &[]),
     ("swamp-codec", &[]),
     ("swamp-crypto", &[]),
     ("swamp-analyzer", &[]),
-    ("criterion", &[]),
     ("swamp-obs", &["swamp-sim"]),
     ("swamp-net", &["swamp-sim", "swamp-obs"]),
     ("swamp-agro", &["swamp-sim"]),
@@ -95,25 +93,6 @@ pub const ALLOWED_DEPS: &[(&str, &[&str])] = &[
             "swamp-workload",
             "swamp-core",
             "swamp-shard",
-        ],
-    ),
-    (
-        "swamp-bench",
-        &[
-            "swamp-sim",
-            "swamp-obs",
-            "swamp-codec",
-            "swamp-crypto",
-            "swamp-net",
-            "swamp-agro",
-            "swamp-sensors",
-            "swamp-irrigation",
-            "swamp-fog",
-            "swamp-security",
-            "swamp-core",
-            "swamp-shard",
-            "swamp-pilots",
-            "criterion",
         ],
     ),
     (

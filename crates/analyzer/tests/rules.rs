@@ -37,7 +37,7 @@ fn determinism_flags_wall_clock_and_entropy() {
 }
 
 #[test]
-fn determinism_ignores_tests_benches_and_criterion() {
+fn determinism_ignores_tests_and_benches() {
     let in_test = r#"
         #[cfg(test)]
         mod tests {
@@ -52,14 +52,6 @@ fn determinism_ignores_tests_benches_and_criterion() {
         "swamp-x",
         TargetKind::Bench,
         "fn main() { let t = std::time::Instant::now(); }",
-    );
-    assert!(f.is_empty(), "{f:?}");
-    // The criterion shim is the sanctioned wall-clock site.
-    let f = analyze_str(
-        "crates/criterion-shim/src/lib.rs",
-        "criterion",
-        TargetKind::Lib,
-        "pub fn timer() -> std::time::Instant { std::time::Instant::now() }",
     );
     assert!(f.is_empty(), "{f:?}");
 }
@@ -303,9 +295,7 @@ fn deprecated_api_flags_removed_getters_on_any_receiver() {
         "fn t(p: &Platform) { let _ = p.sync_health(); }",
     );
     assert!(f.iter().any(|f| f.rule == "deprecated-api"), "{f:?}");
-    // Similar names stay legal: the snapshot-derived view constructor…
-    assert!(lib("pub fn f(s: &ObsSnapshot) -> Metrics { s.to_metrics() }").is_empty());
-    // …and a field access without a call.
+    // A field access without a call stays legal.
     assert!(lib("pub fn f(r: &Report) -> &Metrics { &r.metrics }").is_empty());
 }
 
@@ -313,104 +303,6 @@ fn deprecated_api_flags_removed_getters_on_any_receiver() {
 fn deprecated_api_ignores_other_types_new() {
     let good = "pub fn f() -> Network { Network::new(7) }";
     assert!(lib(good).is_empty(), "{:?}", lib(good));
-}
-
-#[test]
-fn deprecated_api_flags_metrics_mutators_in_lib_code() {
-    for bad in [
-        "pub fn f(m: &mut Metrics) { m.incr(\"x\"); }",
-        "pub fn f(m: &mut Metrics) { m.incr_by(\"x\", 3); }",
-        "pub fn f(metrics: &mut Metrics) { metrics.observe(\"lat\", 1.0); }",
-        "pub fn f(metrics: &mut Metrics) { metrics.set_gauge(\"depth\", 2.0); }",
-    ] {
-        let f = lib(bad);
-        assert!(
-            f.iter()
-                .any(|f| f.rule == "deprecated-api" && f.message.contains("typed")),
-            "expected a finding for {bad:?}: {f:?}"
-        );
-    }
-}
-
-#[test]
-fn deprecated_api_metrics_mutators_cover_tests_and_spare_the_new_obs_api() {
-    // Since PR 7 the mutators are removed, so test code is covered too —
-    // a `#[cfg(test)]` revival must fail CI like any other.
-    let f = analyze_str(
-        "crates/x/src/lib.rs",
-        "swamp-x",
-        TargetKind::Lib,
-        r#"
-        #[cfg(test)]
-        mod tests {
-            #[test]
-            fn shim_revival() { let mut m = Metrics::new(); m.incr("x"); }
-        }
-        "#,
-    );
-    assert!(f.iter().any(|f| f.rule == "deprecated-api"), "{f:?}");
-    // …and so is the former defining file: nothing is exempt anymore.
-    let f = analyze_str(
-        "crates/sim/src/metrics.rs",
-        "swamp-sim",
-        TargetKind::Lib,
-        "impl Metrics { pub fn incr(&mut self, name: &str) { self.incr_by(name, 1); } }",
-    );
-    assert!(f.iter().any(|f| f.rule == "deprecated-api"), "{f:?}");
-    // `observe` on any other receiver is the *new* snapshot API, and the
-    // explicit setters remain the sanctioned way to build compat views.
-    for good in [
-        "pub fn f(p: &Platform) -> ObsSnapshot { p.observe() }",
-        "pub fn f(m: &mut Metrics) { m.set_counter(\"x\", 4); }",
-        "pub fn f(m: &mut Metrics) { m.set_gauge(\"depth\", 2.0); }",
-        "pub fn f(b: &mut DetectorBank, t: SimTime) { b.observe_value(t, \"d\", \"q\", 1.0); }",
-    ] {
-        assert!(lib(good).is_empty(), "{good:?}: {:?}", lib(good));
-    }
-}
-
-#[test]
-fn deprecated_api_flags_query_superseded_accessors_for_new_callers() {
-    // `cloud_replica_mut` is unambiguous: banned on any receiver, tests
-    // included.
-    let f = lib("pub fn f(p: &mut Platform) { p.cloud_replica_mut().unwrap().apply(r); }");
-    assert!(
-        f.iter()
-            .any(|f| f.rule == "deprecated-api" && f.message.contains("cloud_replica_mut")),
-        "{f:?}"
-    );
-    let f = analyze_str(
-        "crates/x/tests/t.rs",
-        "swamp-x",
-        TargetKind::Test,
-        "fn t(sp: &mut ShardedPlatform) { let _ = sp.cloud_replica_mut(); }",
-    );
-    assert!(f.iter().any(|f| f.rule == "deprecated-api"), "{f:?}");
-    // `context`/`history` are banned only on platform-named receivers…
-    for bad in [
-        "pub fn f(platform: &Platform) -> Option<&Entity> { platform.context(\"d\") }",
-        "pub fn f(p: &Platform) -> &HistoryStore { p.history() }",
-        "pub fn f(shard: &Platform) -> u64 { shard.history().len() }",
-        "pub fn f(sp: &ShardedPlatform) -> u64 { sp.history().len() }",
-    ] {
-        let f = lib(bad);
-        assert!(
-            f.iter()
-                .any(|f| f.rule == "deprecated-api" && f.message.contains("Drive::query")),
-            "expected a finding for {bad:?}: {f:?}"
-        );
-    }
-    // …because the same names belong to live APIs on other receivers:
-    // `CloudStore::history`, field access, and the defining impl's
-    // internal `self.` delegation all stay legal.
-    for good in [
-        "pub fn f(store: &CloudStore) -> &[UpdateRecord] { store.history() }",
-        "pub fn f(replica: &CloudStore) -> usize { replica.history().len() }",
-        "pub fn f(p: &Platform) -> u64 { p.history.len() }",
-        "impl Platform { fn q(&mut self) -> &HistoryStore { self.history() } }",
-    ] {
-        assert!(lib(good).is_empty(), "{good:?}: {:?}", lib(good));
-    }
 }
 
 // ------------------------------------------------------------------ allowlist

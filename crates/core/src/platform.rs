@@ -682,41 +682,6 @@ impl Platform {
         self.cloud_store.as_ref()
     }
 
-    /// Mutable access to the cloud replica store (fog deployments only):
-    /// the scale-out tier drains each shard's newly applied records
-    /// ([`CloudStore::drain_new`]) and forwards them to the cross-shard
-    /// aggregation inbox.
-    #[deprecated(
-        since = "0.1.0",
-        note = "read through `Drive::query` (e.g. `QueryRequest::ReplicaSeqs`); \
-                handing out mutable store access lets callers race the \
-                platform's own drain cursors"
-    )]
-    pub fn cloud_replica_mut(&mut self) -> Option<&mut CloudStore> {
-        self.cloud_store.as_mut()
-    }
-
-    /// The fog-side context broker (current entity state).
-    #[deprecated(
-        since = "0.1.0",
-        note = "read through `Drive::query`, or use the public `context` \
-                field where direct broker access is genuinely needed"
-    )]
-    pub fn context(&self) -> &ContextBroker {
-        &self.context
-    }
-
-    /// The historical time-series store.
-    #[deprecated(
-        since = "0.1.0",
-        note = "read through `Drive::query` (`QueryRequest::Range` / \
-                `Aggregate` / `SeriesDump`), or use the public `history` \
-                field where direct store access is genuinely needed"
-    )]
-    pub fn history(&self) -> &HistoryStore {
-        &self.history
-    }
-
     /// Freezes every history series' mutable tail into a columnar
     /// segment now (see [`HistoryStore::compact`]); queries before and
     /// after are byte-identical. Returns the segments created.

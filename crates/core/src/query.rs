@@ -1,23 +1,18 @@
 //! The typed query API — **one read surface** for the whole platform.
 //!
-//! Before this module, every harness read a different raw accessor:
-//! `history()` for samples, `context()` for entity state,
-//! `cloud_replica_mut()` for replica records. Each accessor leaked a
-//! storage detail (and `cloud_replica_mut` leaked *mutable* storage), so
-//! the storage layer could not change shape without breaking every
-//! consumer — exactly the coupling the columnar-segment redesign had to
-//! remove. [`QueryRequest`]/[`QueryResponse`] replace them behind
-//! [`Drive::query`](crate::drive::Drive::query): a single-shard
-//! [`Platform`](crate::platform::Platform) answers from its own stores,
-//! and a `ShardedPlatform` answers the *same request* by fanning out to
-//! its shards in shard-id order and merging with
+//! [`QueryRequest`]/[`QueryResponse`] sit behind
+//! [`Drive::query`](crate::drive::Drive::query) so that no consumer sees
+//! a storage detail (sample layout, entity table, replica records) and
+//! the storage layer can change shape without breaking them: a
+//! single-shard [`Platform`](crate::platform::Platform) answers from its
+//! own stores, and a `ShardedPlatform` answers the *same request* by
+//! fanning out to its shards in shard-id order and merging with
 //! [`QueryResponse::merge`] — callers cannot tell the difference, which
 //! is the point.
 //!
 //! Responses serialize deterministically ([`QueryResponse::to_json`]):
 //! the compaction differential suite byte-compares serialized responses
-//! across segment cadences, and the E15 harness cross-checks compacted
-//! vs uncompacted platforms the same way.
+//! across segment cadences and layouts.
 
 use swamp_codec::json::Json;
 use swamp_sim::{SimDuration, SimTime};

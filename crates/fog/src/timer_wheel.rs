@@ -2,10 +2,10 @@
 //!
 //! The sync engine schedules one retry deadline per transmitted record.
 //! With deadlines kept in a flat map, finding the due ones costs a scan
-//! linear in the backlog — the quadratic drain BENCH_e14 exposed. The
-//! wheel makes `schedule` O(1) and `advance_into` O(slots crossed +
-//! entries fired): a sync round pays for the timers that actually fire,
-//! not for every record still waiting.
+//! linear in the backlog every round — a quadratic drain. The wheel
+//! makes `schedule` O(1) and `advance_into` O(slots crossed + entries
+//! fired): a sync round pays for the timers that actually fire, not for
+//! every record still waiting.
 //!
 //! ## Structure
 //!

@@ -1,12 +1,7 @@
 //! SWAMP observability substrate: one instrumentation API for the whole
 //! platform.
 //!
-//! Before this crate the workspace spoke three instrumentation dialects:
-//! the string-keyed [`swamp_sim::metrics::Metrics`] registry (a
-//! `BTreeMap<String, _>` lookup — and an allocation on every miss — per
-//! increment), ad-hoc struct counters (`CloudStore::acks_refused`,
-//! `SyncStats`), and the bespoke `SyncHealth` snapshot. [`Obs`] replaces
-//! all three:
+//! Every platform component records through one [`Obs`] registry:
 //!
 //! - **Typed handles** ([`Counter`], [`Gauge`], [`Hist`], [`Span`]) are
 //!   registered once at construction time into dense slabs; every hot-path
@@ -23,14 +18,11 @@
 //!   entries once full.
 //! - **Snapshots** ([`Obs::snapshot`] → [`ObsSnapshot`]) export everything
 //!   as sorted maps with a stable JSON form ([`ObsSnapshot::to_json_string`],
-//!   [`ObsReport`]) and a read-compat [`swamp_sim::metrics::Metrics`] view
-//!   ([`ObsSnapshot::to_metrics`]) so pre-migration report tables stay
-//!   bit-identical.
+//!   [`ObsReport`]).
 //!
-//! Unlike `Metrics::counter`, which silently returns 0 for a typo'd name,
-//! snapshot reads return [`Err`] for keys that were never registered —
-//! misspelled metric names in experiment harnesses fail loudly instead of
-//! reporting zeros.
+//! Snapshot reads return [`Err`] for names that were never registered, so
+//! a misspelled metric name in an experiment harness fails loudly instead
+//! of reporting zero.
 //!
 //! # Example
 //! ```
@@ -229,7 +221,7 @@ impl Obs {
 
     /// Creates a muted registry: registration works (handles stay valid)
     /// but every update is a no-op behind a single branch. Used to measure
-    /// the uninstrumented baseline in `BENCH_obs.json`.
+    /// the uninstrumented baseline (`bench_obs`).
     pub fn muted() -> Self {
         let mut obs = Obs::new();
         obs.enabled = false;

@@ -1,6 +1,5 @@
 //! Snapshot export: sorted maps, loud unknown-key reads, merging across
-//! components, a byte-stable JSON form and the read-compat
-//! [`Metrics`] view.
+//! components and a byte-stable JSON form.
 //!
 //! Determinism contract: for a fixed sequence of [`crate::Obs`] operations,
 //! [`ObsSnapshot::to_json_string`] (and therefore
@@ -13,15 +12,14 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use swamp_sim::metrics::Metrics;
 use swamp_sim::stats::{Histogram, OnlineStats};
 
 use crate::Level;
 
 /// Error for snapshot reads of names that were never registered.
 ///
-/// This is the fix for the old `Metrics::counter` footgun, where a typo'd
-/// key silently read as 0 and an experiment assertion could pass vacuously.
+/// A typo'd key must not read as 0 and let an experiment assertion pass
+/// vacuously.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ObsError {
     /// No counter with this name was ever registered.
@@ -219,8 +217,7 @@ impl ObsSnapshot {
 
     // ---- reads ---------------------------------------------------------
 
-    /// Reads a counter. Unlike `Metrics::counter`, an unregistered name is
-    /// an [`Err`], not a silent 0.
+    /// Reads a counter. An unregistered name is an [`Err`], not a silent 0.
     pub fn counter(&self, name: &str) -> Result<u64, ObsError> {
         self.counters
             .get(name)
@@ -270,27 +267,7 @@ impl ObsSnapshot {
         self.counters.iter().map(|(k, v)| (k.as_str(), *v))
     }
 
-    // ---- compat + JSON export ------------------------------------------
-
-    /// Builds the read-compat [`Metrics`] view: counters, set gauges and
-    /// histogram summaries land under the same names the pre-`swamp-obs`
-    /// code used, so existing `metrics().counter(…)` / `summary(…)` readers
-    /// (and the report tables built from them) see identical values.
-    pub fn to_metrics(&self) -> Metrics {
-        let mut m = Metrics::new();
-        for (name, value) in &self.counters {
-            m.set_counter(name, *value);
-        }
-        for (name, value) in &self.gauges {
-            if let Some(v) = value {
-                m.set_gauge(name, *v);
-            }
-        }
-        for (name, snap) in &self.summaries {
-            m.set_summary(name, snap.stats);
-        }
-        m
-    }
+    // ---- JSON export ---------------------------------------------------
 
     /// Renders the snapshot as pretty-printed JSON with a byte-stable
     /// layout: object keys sorted, events in order, floats via shortest
@@ -397,7 +374,7 @@ impl ObsSnapshot {
     }
 }
 
-/// A labelled snapshot the pilots harness writes next to `BENCH_*.json`.
+/// A labelled snapshot: one experiment cell's exported observability.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ObsReport {
     /// What produced the snapshot, e.g. `"e13/FarmFog/loss10"`.
@@ -600,8 +577,8 @@ mod tests {
         obs
     }
 
-    /// Regression test for the `Metrics::counter` silent-zero bug: a typo'd
-    /// key must be an error, while a registered-but-zero key reads Ok(0).
+    /// A typo'd key must be an error, while a registered-but-zero key
+    /// reads Ok(0).
     #[test]
     fn unknown_key_reads_are_errors_not_zero() {
         let mut obs = Obs::new();
@@ -644,17 +621,6 @@ mod tests {
         assert_eq!(lat.p50, None, "bucket-free merge cannot keep quantiles");
         assert_eq!(merged.events().len(), 2);
         assert_eq!(merged.ticks(), a.ticks() * 2);
-    }
-
-    #[test]
-    fn to_metrics_matches_old_dialect() {
-        let snap = sample_obs().snapshot();
-        let m = snap.to_metrics();
-        assert_eq!(m.counter("net.sent"), 6);
-        assert_eq!(m.gauge("sync.pending"), Some(2.0));
-        let s = m.summary("net.latency_ms").unwrap();
-        assert_eq!(s.count(), 2);
-        assert_eq!(s.mean(), 25.0);
     }
 
     #[test]

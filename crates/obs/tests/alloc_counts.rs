@@ -1,8 +1,8 @@
 //! Allocation-count proof for the instrumented hot path.
 //!
-//! The whole point of typed handles over the string-keyed `Metrics`
-//! registry is that a hot-path update is an indexed add: no `String`
-//! allocation per `BTreeMap` miss, no key hashing, nothing on the heap.
+//! The whole point of typed handles over a string-keyed registry is
+//! that a hot-path update is an indexed add: no `String` allocation per
+//! `BTreeMap` miss, no key hashing, nothing on the heap.
 //! A counting global allocator verifies that steady-state counter,
 //! gauge, histogram and span updates allocate exactly zero times.
 //!

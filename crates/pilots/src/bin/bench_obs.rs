@@ -41,9 +41,8 @@ impl Cell {
 }
 
 /// One timed sweep: `rounds` minute-spaced batches of `devices` updates
-/// through the post-validation ingest + pump path (the same hot path
-/// bench_e11 measures). Only ingest+pump are timed; batch construction is
-/// identical across variants and excluded.
+/// through the post-validation ingest + pump path. Only ingest+pump are
+/// timed; batch construction is identical across variants and excluded.
 fn run_variant(devices: usize, muted: bool) -> (u64, f64) {
     let mut platform = Platform::builder(DeploymentConfig::FarmFog).seed(7).build();
     platform.set_obs_enabled(!muted);

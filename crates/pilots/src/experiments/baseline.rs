@@ -13,17 +13,11 @@
 //! only judge. The scorecard is device-level precision/recall per
 //! pilot against the compiler's ground-truth labels.
 //!
-//! Two halves, same split as E11/E14/E15:
-//!
-//! 1. **Detection quality** (deterministic, in `run_all`):
-//!    [`e16_baseline_detection`] — per-pilot precision/recall at the
-//!    canonical scale, bit-reproducible per seed.
-//! 2. **Overhead** (wall clock, `bench_e16` binary):
-//!    [`e16_overhead_observed`] — the same workload timed against a
-//!    live bank and a muted one (`BehaviorBank::set_enabled(false)`,
-//!    a single branch); the `--check` gate bounds the live/muted
-//!    ratio. The caller injects the clock, so the library stays free
-//!    of ambient time sources.
+//! [`e16_baseline_detection`] is the per-pilot precision/recall table at
+//! the canonical scale, bit-reproducible per seed and part of `run_all`.
+//! What the live bank costs in wall-clock time is the reference
+//! benchmark's `storm_lossy` workload (`BENCHMARK.json`:
+//! `us_per_record_p50`, `security.baseline_us`).
 //!
 //! Shard invariance — the detector's verdict must not depend on how
 //! the fleet is partitioned or how many workers drive it — is proven
@@ -38,13 +32,12 @@ use swamp_codec::ngsi::Entity;
 use swamp_core::platform::{DeploymentConfig, Platform, PlatformBuilder};
 use swamp_core::Drive;
 use swamp_net::link::LinkSpec;
-use swamp_obs::ObsReport;
 use swamp_security::baseline::BaselineConfig;
 use swamp_shard::ShardedPlatform;
-use swamp_sim::{SimDuration, SimTime};
+use swamp_sim::SimDuration;
 use swamp_workload::{AttackOverlay, CompiledWorkload, Label, Pilot, WorkloadSpec};
 
-use crate::report::{fmt_f, fmt_pct, Report};
+use crate::report::{fmt_pct, Report};
 
 /// Canonical E16 fleet size (per pilot; Sybil identities come on top).
 pub const E16_DEVICES: usize = 32;
@@ -295,7 +288,7 @@ pub fn e16_run_pilot(seed: u64, pilot: Pilot, devices: usize, rounds: usize) -> 
     (score(&w, &predicted, &spec), p)
 }
 
-/// Runs E16 (deterministic half): all four pilots at the canonical
+/// Runs E16: all four pilots at the canonical
 /// scale, one precision/recall row each.
 pub fn e16_baseline_detection(seed: u64) -> E16Result {
     let rows = Pilot::all()
@@ -366,151 +359,6 @@ pub fn e16_shard_run(
     ((flags, counters), score(&w, &predicted, &spec))
 }
 
-/// One timed arm of the overhead measurement.
-#[derive(Clone, Debug)]
-pub struct E16OverheadRow {
-    /// `"muted"` (bank disabled — a single branch) or `"live"`.
-    pub arm: &'static str,
-    /// Records ingested in the timed region.
-    pub records: u64,
-    /// Best-of-reps wall-clock time for ingest + pump of the full
-    /// horizon.
-    pub elapsed_ms: f64,
-    /// Records ingested per wall-clock second.
-    pub records_per_s: f64,
-}
-
-/// E16 overhead results: live vs muted bank on the same workload.
-#[derive(Clone, Debug)]
-pub struct E16OverheadResult {
-    /// Fleet size of the timed workload.
-    pub devices: usize,
-    /// Horizon in rounds.
-    pub rounds: usize,
-    /// Records per run.
-    pub records: u64,
-    /// Interleaved repetitions (minima reported).
-    pub reps: usize,
-    /// The two timed arms.
-    pub rows: Vec<E16OverheadRow>,
-    /// `live / muted − 1` on the best-of-reps times.
-    pub overhead_frac: f64,
-}
-
-impl E16OverheadResult {
-    /// The live-vs-muted table.
-    pub fn report(&self) -> Report {
-        let mut r = Report::new(
-            format!(
-                "E16b: detector ingest overhead — live vs muted bank, {} devices x {} rounds \
-                 (best of {} interleaved reps, wall clock)",
-                self.devices, self.rounds, self.reps
-            ),
-            &["arm", "records", "elapsed_ms", "records_per_s", "overhead"],
-        );
-        for row in &self.rows {
-            let overhead = if row.arm == "live" {
-                fmt_pct(self.overhead_frac)
-            } else {
-                "-".to_owned()
-            };
-            r.push_row(vec![
-                row.arm.to_owned(),
-                row.records.to_string(),
-                fmt_f(row.elapsed_ms, 1),
-                fmt_f(row.records_per_s, 0),
-                overhead,
-            ]);
-        }
-        r
-    }
-}
-
-/// Runs the E16 wall-clock overhead measurement: the CBEC labeled
-/// workload (the densest pilot stream) is ingested and pumped through
-/// two platforms per repetition — one with the bank live in its phased
-/// configuration, one with the bank muted — interleaved, best times
-/// kept. The batches are compiled once and cloned per ingest in both
-/// arms, so the only difference between the arms is the detector.
-///
-/// The caller supplies the clock: `time_cell` receives one arm's body
-/// and returns the wall-clock seconds it took, and must run the body
-/// exactly once — only the `bench_e16` binary (and the unit test)
-/// touch `std::time::Instant`.
-pub fn e16_overhead_observed(
-    seed: u64,
-    devices: usize,
-    rounds: usize,
-    mut time_cell: impl FnMut(&mut dyn FnMut()) -> f64,
-) -> (E16OverheadResult, Vec<ObsReport>) {
-    const REPS: usize = 3;
-    let spec = e16_spec(Pilot::Cbec, seed, devices, rounds);
-    let w = spec.compile();
-    let batches: Vec<(SimTime, Vec<Entity>)> = w
-        .batches
-        .iter()
-        .map(|b| {
-            (
-                b.at,
-                b.records.iter().map(|rec| rec.entity.clone()).collect(),
-            )
-        })
-        .collect();
-    let records = w.generated;
-    let mut best = [f64::INFINITY; 2]; // [muted, live]
-    let mut reports = Vec::new();
-    for rep in 0..REPS {
-        for (slot, live) in [(0usize, false), (1, true)] {
-            let mut p = e16_builder(seed, e16_config(&spec)).build();
-            if !live {
-                p.behavior.set_enabled(false);
-            }
-            let secs = time_cell(&mut || {
-                for (at, entities) in &batches {
-                    if !entities.is_empty() {
-                        p.ingest(*at, entities.clone());
-                    }
-                    p.round(*at);
-                }
-            });
-            best[slot] = best[slot].min(secs);
-            if rep == 0 {
-                let label = format!(
-                    "e16/{}/{devices}x{rounds}",
-                    if live { "live" } else { "muted" }
-                );
-                reports.push(ObsReport::new(&label, seed, p.observe()));
-            }
-        }
-    }
-    let mk_row = |arm: &'static str, secs: f64| E16OverheadRow {
-        arm,
-        records,
-        elapsed_ms: secs * 1e3,
-        records_per_s: if secs > 0.0 {
-            records as f64 / secs
-        } else {
-            0.0
-        },
-    };
-    let overhead_frac = if best[0] > 0.0 {
-        best[1] / best[0] - 1.0
-    } else {
-        0.0
-    };
-    (
-        E16OverheadResult {
-            devices,
-            rounds,
-            records,
-            reps: REPS,
-            rows: vec![mk_row("muted", best[0]), mk_row("live", best[1])],
-            overhead_frac,
-        },
-        reports,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -548,24 +396,5 @@ mod tests {
         assert_eq!(a.flagged, b.flagged);
         assert_eq!(a.tp, b.tp);
         assert_eq!(a.fp, b.fp);
-    }
-
-    #[test]
-    fn e16_overhead_cells_complete() {
-        // Tiny workload: bench_e16 runs the real sweep.
-        let (r, reports) = e16_overhead_observed(42, 16, 48, |run| {
-            let start = std::time::Instant::now();
-            run();
-            start.elapsed().as_secs_f64()
-        });
-        assert_eq!(r.rows.len(), 2);
-        assert_eq!(r.rows[0].arm, "muted");
-        assert_eq!(r.rows[1].arm, "live");
-        for row in &r.rows {
-            assert!(row.records > 0);
-            assert!(row.records_per_s > 0.0);
-        }
-        assert_eq!(reports.len(), 2, "one obs report per arm");
-        assert!(r.report().to_string().contains("overhead"));
     }
 }

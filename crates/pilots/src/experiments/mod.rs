@@ -8,27 +8,20 @@
 pub mod attacks;
 pub mod baseline;
 pub mod platform;
-pub mod read_path;
 pub mod resilience;
 pub mod scale;
 pub mod water;
 
 pub use attacks::{e12_behavior, e2_dos, e3_tamper, e4_sybil};
 pub use baseline::{
-    e16_baseline_detection, e16_builder, e16_config, e16_overhead_observed, e16_run_pilot,
-    e16_shard_run, e16_spec, DetectorFingerprint, E16OverheadResult, E16OverheadRow, E16Result,
-    E16Row, E16_DEVICES, E16_ROUNDS,
+    e16_baseline_detection, e16_builder, e16_config, e16_run_pilot, e16_shard_run, e16_spec,
+    DetectorFingerprint, E16Result, E16Row, E16_DEVICES, E16_ROUNDS,
 };
 pub use platform::{
-    e11_broker_scale, e11_broker_scale_observed, e11_platform_scale, e5_fog_availability,
-    e6_partial_view, e7_auth, e8_crypto, e9_ledger, BrokerScaleRow, E11BrokerScaleResult,
+    e11_platform_scale, e5_fog_availability, e6_partial_view, e7_auth, e8_crypto, e9_ledger,
 };
-pub use read_path::{e15_read_path_observed, E15Result, E15Row};
 pub use resilience::{e13_resilience, e13_resilience_observed, E13Result, E13Row};
-pub use scale::{
-    e14_shard_scale, e14_shard_throughput_observed, E14Result, E14Row, E14ThroughputResult,
-    ShardScaleRow,
-};
+pub use scale::{e14_shard_scale, E14Result, E14Row};
 pub use water::{e10_distribution, e1_water_energy};
 
 use crate::report::Report;
@@ -36,17 +29,10 @@ use crate::report::Report;
 /// Runs every experiment and returns all reports in id order — the
 /// generator behind EXPERIMENTS.md and the `experiments` binary.
 ///
-/// E11c ([`e11_broker_scale`]) and E14b
-/// ([`e14_shard_throughput_observed`]) are deliberately not included: they
-/// measure wall-clock throughput, so their numbers are not bit-reproducible
-/// per seed. The `bench_e11` and `bench_e14` binaries run them and emit
-/// `BENCH_e11.json` / `BENCH_e14.json`. E15 ([`e15_read_path_observed`])
-/// is wall-clock for the same reason — `bench_e15` emits
-/// `BENCH_e15.json`, and its deterministic half lives in the compaction
-/// differential suite. E16's wall-clock half
-/// ([`e16_overhead_observed`]) likewise lives in `bench_e16`; its
-/// detection-quality half ([`e16_baseline_detection`]) is deterministic
-/// and included here.
+/// Everything here is bit-reproducible per seed. Wall-clock cost is not
+/// an experiment: it is measured by the reference benchmark
+/// (`BENCHMARK.json`, `benchmark/`), whose workloads carry the
+/// throughput, read-path and detector-overhead claims.
 pub fn run_all(seed: u64) -> Vec<Report> {
     let e1 = e1_water_energy(seed);
     let e2 = e2_dos(seed);

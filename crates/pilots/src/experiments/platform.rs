@@ -11,7 +11,6 @@ use swamp_fog::sync::{CloudStore, DropPolicy, FogSync};
 use swamp_net::link::LinkSpec;
 use swamp_net::lpwan::{LpwanConfig, LpwanRadio, TxDecision};
 use swamp_net::network::Network;
-use swamp_obs::ObsReport;
 use swamp_security::access::{Action, Pdp, Policy, Resource};
 use swamp_security::identity::IdentityProvider;
 use swamp_security::ledger::{Ledger, LifecycleEvent, LifecycleKind};
@@ -669,159 +668,6 @@ pub fn e11_platform_scale(seed: u64) -> E11Result {
     }
 }
 
-/// One devices×deployment cell of the E11c broker-throughput sweep.
-#[derive(Clone, Debug)]
-pub struct BrokerScaleRow {
-    /// `cloud_only` or `farm_fog`.
-    pub deployment: &'static str,
-    /// Fleet size.
-    pub devices: usize,
-    /// Entity updates pushed through ingestion.
-    pub updates: u64,
-    /// Wall-clock time spent in the timed region (ingest + pump + drain).
-    pub elapsed_ms: f64,
-    /// Updates per wall-clock second.
-    pub throughput_per_s: f64,
-    /// Mean wall-clock cost per update, microseconds.
-    pub mean_update_us: f64,
-}
-
-/// E11c results: wall-clock ingest throughput of the broker hot path.
-#[derive(Clone, Debug)]
-pub struct E11BrokerScaleResult {
-    /// One row per (deployment, fleet size).
-    pub rows: Vec<BrokerScaleRow>,
-}
-
-impl E11BrokerScaleResult {
-    /// The devices×deployment throughput/latency table.
-    pub fn report(&self) -> Report {
-        let mut r = Report::new(
-            "E11c: broker ingest throughput — post-validation hot path (wall clock, 1 fleet-wide subscriber)",
-            &["deployment", "devices", "updates", "elapsed_ms", "updates_per_s", "us_per_update"],
-        );
-        for row in &self.rows {
-            r.push_row(vec![
-                row.deployment.to_owned(),
-                row.devices.to_string(),
-                row.updates.to_string(),
-                fmt_f(row.elapsed_ms, 1),
-                fmt_f(row.throughput_per_s, 0),
-                fmt_f(row.mean_update_us, 2),
-            ]);
-        }
-        r
-    }
-}
-
-/// Runs E11c: fleets of {100, 1k, 10k} devices (or the given sizes) publish
-/// telemetry rounds into both deployment configurations; measures the
-/// wall-clock cost of the post-validation hot path — history appends,
-/// batched broker upsert with subscriber fan-out, fog replication enqueue,
-/// replication pump and notification drain. Radio/crypto are bypassed
-/// (`Platform::ingest_entities`) so the number isolates the storage and
-/// fan-out layers this PR optimizes, and 10k-device fleets stay feasible.
-///
-/// The caller supplies the clock: `time_round` receives one round's body
-/// and returns the wall-clock seconds it took, and must run the body
-/// exactly once. This keeps the library free of ambient time sources —
-/// only the `bench_e11` binary (and the unit test) touch
-/// `std::time::Instant`.
-///
-/// # Panics
-/// Panics if the fleet subscriber registered at the start of a cell
-/// disappears mid-run — impossible unless the broker drops subscriptions.
-pub fn e11_broker_scale(
-    device_counts: &[usize],
-    time_round: impl FnMut(&mut dyn FnMut()) -> f64,
-) -> E11BrokerScaleResult {
-    e11_broker_scale_observed(device_counts, time_round).0
-}
-
-/// Runs E11c and also returns one deterministic [`ObsReport`] per cell
-/// (labelled `e11/<deployment>/<devices>`). Wall-clock timing only feeds
-/// the bench rows; every instrumented quantity in the reports is sim-time
-/// driven, so the reports are byte-identical across runs regardless of
-/// machine speed.
-///
-/// # Panics
-/// Same as [`e11_broker_scale`].
-pub fn e11_broker_scale_observed(
-    device_counts: &[usize],
-    mut time_round: impl FnMut(&mut dyn FnMut()) -> f64,
-) -> (E11BrokerScaleResult, Vec<ObsReport>) {
-    use swamp_core::broker::SubscriptionFilter;
-    let mut rows = Vec::new();
-    let mut reports = Vec::new();
-    for (config, deployment) in [
-        (DeploymentConfig::CloudOnly, "cloud_only"),
-        (DeploymentConfig::FarmFog, "farm_fog"),
-    ] {
-        for &devices in device_counts {
-            if devices == 0 {
-                continue;
-            }
-            let mut platform = Platform::builder(config).seed(7).build();
-            // One fleet-wide subscriber stands in for the irrigation
-            // service: every update fans out to it and is drained each
-            // round, like `IrrigationService::absorb_notifications`.
-            let sub = platform.context.subscribe(SubscriptionFilter {
-                entity_type: Some("SoilProbe".into()),
-                id_prefix: None,
-                watched_attrs: vec![],
-            });
-            // ~100k updates per cell at the real fleet sizes; the round
-            // cap keeps tiny (test-sized) fleets cheap.
-            let rounds = (100_000 / devices).clamp(5, 1000);
-            let mut drained = Vec::new();
-            let mut updates = 0u64;
-            let mut secs = 0.0f64;
-            for round in 0..rounds {
-                let t = SimTime::from_secs(round as u64 * 60);
-                let batch: Vec<Entity> = (0..devices)
-                    .map(|i| {
-                        let mut e = Entity::new(format!("urn:swamp:device:probe-{i}"), "SoilProbe");
-                        e.set("moisture_vwc", 0.2 + (round % 100) as f64 * 0.001);
-                        e.set("seq", round as f64);
-                        e
-                    })
-                    .collect();
-                let mut batch = Some(batch);
-                secs += time_round(&mut || {
-                    if let Some(b) = batch.take() {
-                        updates += platform.ingest_entities(t, b) as u64;
-                    }
-                    platform.pump(t);
-                    platform
-                        .context
-                        .drain_notifications_into(sub, &mut drained)
-                        .expect("fleet subscriber stays registered");
-                });
-                drained.clear();
-            }
-            rows.push(BrokerScaleRow {
-                deployment,
-                devices,
-                updates,
-                elapsed_ms: secs * 1e3,
-                throughput_per_s: if secs > 0.0 {
-                    updates as f64 / secs
-                } else {
-                    0.0
-                },
-                mean_update_us: if updates > 0 {
-                    secs * 1e6 / updates as f64
-                } else {
-                    0.0
-                },
-            });
-            let label = format!("e11/{deployment}/{devices}");
-            reports.push(ObsReport::new(&label, 7, platform.observe()));
-        }
-    }
-    (E11BrokerScaleResult { rows }, reports)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -908,28 +754,6 @@ mod tests {
             assert_eq!(*per_device, 3);
             assert_eq!(*blocks, (devices / 10) as u64 + 1); // + genesis
         }
-    }
-
-    #[test]
-    fn e11_broker_scale_covers_both_deployments() {
-        // Tiny fleets keep the test fast; the bench_e11 binary runs the
-        // real 100/1k/10k sweep.
-        let r = e11_broker_scale(&[3, 7], |run| {
-            let start = std::time::Instant::now();
-            run();
-            start.elapsed().as_secs_f64()
-        });
-        assert_eq!(r.rows.len(), 4, "2 deployments x 2 fleet sizes");
-        for row in &r.rows {
-            let rounds = (100_000 / row.devices).clamp(5, 1000) as u64;
-            assert_eq!(row.updates, rounds * row.devices as u64);
-            assert!(row.throughput_per_s > 0.0);
-            assert!(row.mean_update_us > 0.0);
-        }
-        assert!(r.rows.iter().any(|r| r.deployment == "cloud_only"));
-        assert!(r.rows.iter().any(|r| r.deployment == "farm_fog"));
-        let table = r.report().to_string();
-        assert!(table.contains("updates_per_s"));
     }
 
     #[test]

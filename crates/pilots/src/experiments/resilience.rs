@@ -186,8 +186,7 @@ fn run_cell(seed: u64, config: DeploymentConfig, loss: f64) -> (E13Row, ObsRepor
     let snap = platform.observe();
     let (delivered, duplicate_applies, duplicates_discarded) = match config {
         DeploymentConfig::FarmFog => {
-            // Applied-record seqs come through the typed query surface
-            // (the deprecated raw accessors are banned for new callers);
+            // Applied-record seqs come through the typed query surface;
             // dedup/discard *counters* stay on the replica's own stats.
             let seqs = match platform.query(&QueryRequest::ReplicaSeqs) {
                 QueryResponse::Seqs(seqs) => seqs,
@@ -246,9 +245,9 @@ pub fn e13_resilience(seed: u64) -> E13Result {
 }
 
 /// Runs E13 and also returns one deterministic [`ObsReport`] per cell
-/// (labelled `e13/<deployment>/loss<pct>`), for export next to the bench
-/// artifacts. The reports are sim-time only: the same seed must serialize
-/// byte-identically.
+/// (labelled `e13/<deployment>/loss<pct>`). The reports are sim-time
+/// only: the same seed must serialize byte-identically
+/// (`crates/pilots/tests/obs_determinism.rs`).
 pub fn e13_resilience_observed(seed: u64) -> (E13Result, Vec<ObsReport>) {
     let mut rows = Vec::new();
     let mut reports = Vec::new();

@@ -2,19 +2,16 @@
 //!
 //! The paper runs one platform per pilot; the ROADMAP's north star demands
 //! scale-out. E14 partitions the deployment into per-farm shards
-//! ([`swamp_shard::ShardedPlatform`]) and asks two questions:
-//!
-//! 1. **Equivalence** (deterministic, in `run_all`): is sharding an
-//!    implementation detail? An N-shard run must produce the same merged
-//!    history, the same cloud-applied record set, the same summed
-//!    `ingest.*`/`sync.*`/`cloud.*`/`security.baseline.*` counters and
-//!    the same behavioral-baseline flag set as the 1-shard run of the
-//!    same workload. The full differential harness lives in
-//!    `crates/pilots/tests/shard_differential.rs`; the E14 table records
-//!    the equivalence verdict per cell.
-//! 2. **Throughput** (wall clock, `bench_e14` binary): how much faster
-//!    does the fleet replicate when the quadratic ack-scan backlog of a
-//!    single sync engine is divided N ways?
+//! ([`swamp_shard::ShardedPlatform`]) and asks whether sharding is an
+//! implementation detail: an N-shard run must produce the same merged
+//! history, the same cloud-applied record set, the same summed
+//! `ingest.*`/`sync.*`/`cloud.*`/`security.baseline.*` counters and the
+//! same behavioral-baseline flag set as the 1-shard run of the same
+//! workload. The full differential harness lives in
+//! `crates/pilots/tests/shard_differential.rs`; the E14 table records the
+//! equivalence verdict per cell. What sharding costs or buys in wall-clock
+//! time is the reference benchmark's `fleet_sharded` workload
+//! (`BENCHMARK.json`: `us_per_record_p50`, `shard.speedup_vs_wide`).
 //!
 //! The equivalence cells run a lossless datacenter uplink with a retry
 //! timeout longer than the ack round trip, so every `sync.*` counter is
@@ -29,7 +26,6 @@ use swamp_core::platform::{DeploymentConfig, Platform, PlatformBuilder};
 use swamp_core::query::{QueryRequest, QueryResponse};
 use swamp_core::shard::route_device;
 use swamp_net::link::LinkSpec;
-use swamp_obs::ObsReport;
 use swamp_shard::ShardedPlatform;
 use swamp_sim::{SimDuration, SimRng, SimTime};
 
@@ -123,8 +119,7 @@ pub fn e14_run_cell(
 /// Extracts the deterministic fingerprint of a settled run. Takes the
 /// platform mutably because the history read goes through the typed
 /// query surface ([`swamp_core::drive::Drive::query`] — instrumented,
-/// and the sharded implementation fans out/merges in shard-id order),
-/// not the deprecated raw store accessors.
+/// and the sharded implementation fans out/merges in shard-id order).
 pub fn fingerprint(sp: &mut ShardedPlatform) -> RunFingerprint {
     let mut history: BTreeMap<(String, String), Vec<(u64, u64)>> = BTreeMap::new();
     if let QueryResponse::Series(entries) = sp.query(&QueryRequest::SeriesDump) {
@@ -241,7 +236,7 @@ impl E14Result {
     }
 }
 
-/// Runs E14 (deterministic half): a 240-device, 5-round workload replayed
+/// Runs E14: a 240-device, 5-round workload replayed
 /// across shard counts {1, 4, 16} *and* worker-thread counts — the serial
 /// schedule plus genuinely parallel rounds at 2 and 8 workers. Every
 /// (shards, workers) fingerprint must equal the serial 1-shard baseline:
@@ -273,146 +268,6 @@ pub fn e14_shard_scale(seed: u64) -> E14Result {
     E14Result { rows }
 }
 
-/// One cell of the E14 wall-clock throughput sweep.
-#[derive(Clone, Debug)]
-pub struct ShardScaleRow {
-    /// Shard count.
-    pub shards: usize,
-    /// Worker threads driving the shard set.
-    pub workers: usize,
-    /// Fleet size (one update per device in the timed backlog).
-    pub devices: usize,
-    /// Updates fully replicated to the aggregate store.
-    pub updates: u64,
-    /// Pump rounds needed to drain the backlog.
-    pub pumps: u64,
-    /// Wall-clock time for ingest + drain + aggregation.
-    pub elapsed_ms: f64,
-    /// Updates fully replicated per wall-clock second.
-    pub throughput_per_s: f64,
-}
-
-/// E14 throughput results.
-#[derive(Clone, Debug)]
-pub struct E14ThroughputResult {
-    /// One row per (shards, devices).
-    pub rows: Vec<ShardScaleRow>,
-}
-
-impl E14ThroughputResult {
-    /// The shards×workers×devices throughput table.
-    pub fn report(&self) -> Report {
-        let mut r = Report::new(
-            "E14b: shard scale-out throughput — time to fully replicate one update per device (wall clock)",
-            &["shards", "workers", "devices", "updates", "pumps", "elapsed_ms", "updates_per_s"],
-        );
-        for row in &self.rows {
-            r.push_row(vec![
-                row.shards.to_string(),
-                row.workers.to_string(),
-                row.devices.to_string(),
-                row.updates.to_string(),
-                row.pumps.to_string(),
-                fmt_f(row.elapsed_ms, 1),
-                fmt_f(row.throughput_per_s, 0),
-            ]);
-        }
-        r
-    }
-
-    /// Throughput of the cell with the given coordinates, if present.
-    pub fn throughput(&self, shards: usize, workers: usize, devices: usize) -> Option<f64> {
-        self.rows
-            .iter()
-            .find(|r| r.shards == shards && r.workers == workers && r.devices == devices)
-            .map(|r| r.throughput_per_s)
-    }
-}
-
-/// Runs the E14 wall-clock sweep: for each (shards, devices) cell, one
-/// update per device is ingested and the platform is pumped until every
-/// record reaches the aggregate store. The timed region covers ingest,
-/// replication and cross-shard aggregation. The per-shard sync buffer is
-/// sized to the fleet so the drain — not the drop policy — is what gets
-/// measured. With the indexed sync engine each pump does O(transmissions)
-/// work, so total drain cost is linear in backlog at any shard count and
-/// single-threaded round-robin sharding yields ~1× speedup (the old
-/// quadratic engine's ~N× came from splitting B² into N·(B/N)²).
-///
-/// The caller supplies the clock: `time_cell` receives one cell's body and
-/// returns the wall-clock seconds it took, and must run the body exactly
-/// once — the library stays free of ambient time sources; only the
-/// `bench_e14` binary (and the unit test) touch `std::time::Instant`.
-pub fn e14_shard_throughput_observed(
-    shard_counts: &[usize],
-    worker_counts: &[usize],
-    device_counts: &[usize],
-    mut time_cell: impl FnMut(&mut dyn FnMut()) -> f64,
-) -> (E14ThroughputResult, Vec<ObsReport>) {
-    let mut rows = Vec::new();
-    let mut reports = Vec::new();
-    for &devices in device_counts {
-        if devices == 0 {
-            continue;
-        }
-        for &shards in shard_counts {
-            if shards == 0 {
-                continue;
-            }
-            for &workers in worker_counts {
-                if workers == 0 || (workers > 1 && workers > shards) {
-                    // More workers than shards would time idle threads.
-                    continue;
-                }
-                let mut sp = ShardedPlatform::build(
-                    &e14_builder(7, shards).sync_capacity(devices.max(100_000)),
-                );
-                sp.set_workers(workers);
-                let mut pumps = 0u64;
-                let mut replicated = 0u64;
-                let secs = time_cell(&mut || {
-                    let batch: Vec<Entity> = (0..devices)
-                        .map(|i| {
-                            let mut e =
-                                Entity::new(format!("urn:swamp:device:probe-{i}"), "SoilProbe");
-                            e.set("moisture_vwc", 0.2 + (i % 100) as f64 * 0.001);
-                            e.set("seq", 0.0);
-                            e
-                        })
-                        .collect();
-                    sp.ingest_entities(SimTime::from_secs(60), batch);
-                    let (now, drained) = crate::driver::run_until(
-                        &mut sp,
-                        SimTime::ZERO,
-                        SimDuration::from_secs(60),
-                        100_000,
-                        |sp| sp.aggregate_store().record_count() >= devices,
-                    );
-                    pumps = drained;
-                    sp.flush_aggregation(now);
-                    replicated = sp.aggregate_store().record_count() as u64;
-                });
-                rows.push(ShardScaleRow {
-                    shards,
-                    workers,
-                    devices,
-                    updates: replicated,
-                    pumps,
-                    elapsed_ms: secs * 1e3,
-                    throughput_per_s: if secs > 0.0 {
-                        replicated as f64 / secs
-                    } else {
-                        0.0
-                    },
-                });
-                let label = format!("e14/{shards}sh/{workers}w/{devices}");
-                reports.push(ObsReport::new(&label, 7, sp.observe()));
-            }
-        }
-    }
-    (E14ThroughputResult { rows }, reports)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -437,30 +292,5 @@ mod tests {
         let table = r.report().to_string();
         assert!(table.contains("matches_1shard"));
         assert!(table.contains("workers"));
-    }
-
-    #[test]
-    fn e14_throughput_cells_complete() {
-        // Tiny cells keep the test fast; bench_e14 runs the real sweep.
-        let (r, reports) = e14_shard_throughput_observed(&[1, 4], &[1, 2], &[64], |run| {
-            let start = std::time::Instant::now();
-            run();
-            start.elapsed().as_secs_f64()
-        });
-        // (1 shard, 2 workers) is skipped: workers > shards.
-        assert_eq!(r.rows.len(), 3);
-        for row in &r.rows {
-            assert_eq!(
-                row.updates, 64,
-                "{} shards / {} workers must fully replicate",
-                row.shards, row.workers
-            );
-            assert!(row.throughput_per_s > 0.0);
-        }
-        assert_eq!(reports.len(), 3);
-        assert!(r.throughput(1, 1, 64).is_some());
-        assert!(r.throughput(4, 2, 64).is_some());
-        assert!(r.throughput(1, 2, 64).is_none(), "idle-worker cell skipped");
-        assert!(r.throughput(2, 1, 64).is_none());
     }
 }

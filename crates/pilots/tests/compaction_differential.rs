@@ -49,12 +49,24 @@ enum Cadence {
     Every64,
 }
 
-/// Drives the seeded workload at one (cadence, shards) cell and returns
-/// `(fingerprint, frozen_segments_at_end)`. The fingerprint is the
-/// concatenated compact-JSON serialization of a fixed battery of query
-/// responses — dump, range, aggregate, downsample, extremes, last — with
-/// windows chosen to straddle segment boundaries.
-fn run_cell(seed: u64, shards: usize, cadence: Cadence) -> (String, usize) {
+/// What one (cadence, shards) cell produced.
+struct Cell {
+    /// Concatenated compact-JSON serialization of a fixed battery of
+    /// query responses — dump, range, aggregate, downsample, extremes,
+    /// last — with windows chosen to straddle segment boundaries.
+    doc: String,
+    /// Frozen segments at the end of the run, summed over shards.
+    segments: usize,
+    /// `query.segments_pruned` over the battery: frozen segments a
+    /// window skipped by summary without decoding.
+    pruned: u64,
+    /// `query.segments_summarized` over the battery: frozen segments an
+    /// envelope read answered from the summary alone.
+    summarized: u64,
+}
+
+/// Drives the seeded workload at one (cadence, shards) cell.
+fn run_cell(seed: u64, shards: usize, cadence: Cadence) -> Cell {
     let mut builder = e14_builder(seed, shards);
     if cadence == Cadence::Every64 {
         builder = builder.history_segment_threshold(Some(64));
@@ -68,11 +80,12 @@ fn run_cell(seed: u64, shards: usize, cadence: Cadence) -> (String, usize) {
         SimDuration::ZERO,
         ROUNDS,
         |sp, _round, t| {
-            // Each round every device reports BATCHES_PER_ROUND flow
-            // samples (deep series → multiple frozen segments) plus one
-            // in-order moisture sample. ~20% of flow samples carry an
+            // Each round every device reports BATCHES_PER_ROUND flow and
+            // level samples (deep series → multiple frozen segments) plus
+            // one in-order moisture sample. ~20% of flow samples carry an
             // out-of-order `observedAt` up to three rounds in the past —
-            // far enough behind the frozen watermark to force thaws.
+            // far enough behind the frozen watermark to force thaws; the
+            // level samples are always in order.
             for k in 0..BATCHES_PER_ROUND {
                 let batch: Vec<Entity> = (0..DEVICES)
                     .map(|i| {
@@ -86,6 +99,11 @@ fn run_cell(seed: u64, shards: usize, cadence: Cadence) -> (String, usize) {
                         e.set_attribute(
                             "water_flow",
                             Attribute::new(1.0 + rng.uniform_f64()).observed_at(at),
+                        );
+                        e.set_attribute(
+                            "canal_level",
+                            Attribute::new(0.5 + 0.01 * ((i as u64 + k) % 7) as f64)
+                                .observed_at(in_order),
                         );
                         if k == 0 {
                             e.set("moisture_vwc", 0.15 + rng.uniform_f64() * 0.2);
@@ -116,6 +134,7 @@ fn run_cell(seed: u64, shards: usize, cadence: Cadence) -> (String, usize) {
     );
     let probe = "urn:swamp:device:probe-3";
     let mid = SimTime::from_secs(60) + SimDuration::from_secs(3 * 60 + 7);
+    let end = SimTime::from_secs(60) + SimDuration::from_secs(ROUNDS * 60);
     let battery = [
         QueryRequest::SeriesDump,
         QueryRequest::Range {
@@ -140,7 +159,7 @@ fn run_cell(seed: u64, shards: usize, cadence: Cadence) -> (String, usize) {
             entity: probe.to_owned(),
             attr: "water_flow".to_owned(),
             from: SimTime::from_secs(60),
-            to: SimTime::from_secs(60) + SimDuration::from_secs(ROUNDS * 60),
+            to: end,
             bucket: SimDuration::from_secs(30),
         },
         // Wide envelope: summary-served on segmented layouts, a full
@@ -160,6 +179,23 @@ fn run_cell(seed: u64, shards: usize, cadence: Cadence) -> (String, usize) {
             from: mid,
             to: mid + SimDuration::from_secs(150),
         },
+        // The in-order series keeps its segments apart, so these two
+        // exercise what the thaw-merged flow series cannot: a recent
+        // window (the dashboard read) skips every earlier segment by
+        // summary, and a mid-run envelope folds interior segments
+        // undecoded.
+        QueryRequest::Aggregate {
+            entity: probe.to_owned(),
+            attr: "canal_level".to_owned(),
+            from: end - SimDuration::from_secs(60),
+            to: end,
+        },
+        QueryRequest::Extremes {
+            entity: probe.to_owned(),
+            attr: "canal_level".to_owned(),
+            from: mid,
+            to: mid + SimDuration::from_secs(150),
+        },
         QueryRequest::Last {
             entity: probe.to_owned(),
             attr: "moisture_vwc".to_owned(),
@@ -170,34 +206,50 @@ fn run_cell(seed: u64, shards: usize, cadence: Cadence) -> (String, usize) {
         doc.push_str(&sp.query(req).to_json().to_compact_string());
         doc.push('\n');
     }
-    let segments = sp.shards().map(|p| p.history.segment_count()).sum();
-    (doc, segments)
+    let snap = sp.observe();
+    Cell {
+        doc,
+        segments: sp.shards().map(|p| p.history.segment_count()).sum(),
+        pruned: snap
+            .counter("query.segments_pruned")
+            .expect("registered counter"),
+        summarized: snap
+            .counter("query.segments_summarized")
+            .expect("registered counter"),
+    }
 }
 
 #[test]
 fn compaction_cadence_and_shard_count_are_observationally_free() {
     let seed = diff_seed();
-    let (baseline, flat_segments) = run_cell(seed, 1, Cadence::Never);
-    assert_eq!(
-        flat_segments, 0,
-        "the never cadence must exercise the flat layout"
-    );
+    let baseline = run_cell(seed, 1, Cadence::Never).doc;
     assert!(
         baseline.contains("water_flow"),
         "the battery must actually read data back"
     );
     for shards in SHARD_COUNTS {
         for cadence in [Cadence::Never, Cadence::EveryRound, Cadence::Every64] {
-            let (doc, segments) = run_cell(seed, shards, cadence);
+            let cell = run_cell(seed, shards, cadence);
             assert_eq!(
-                doc, baseline,
+                cell.doc, baseline,
                 "seed {seed}: query battery diverged at {shards} shards / {cadence:?}"
             );
-            if cadence != Cadence::Never {
+            let at = format!("seed {seed}: {shards} shards / {cadence:?}");
+            if cadence == Cadence::Never {
+                // The flat layout has no segments to freeze, skip or
+                // answer from.
+                assert_eq!(cell.segments, 0, "{at}: flat layout froze segments");
+                assert_eq!(cell.pruned, 0, "{at}: flat layout pruned segments");
+                assert_eq!(cell.summarized, 0, "{at}: flat layout read summaries");
+            } else {
+                // The summary path must engage, or the differential is
+                // vacuous: windowed reads skip outside segments and
+                // envelope reads fold interior segments undecoded.
+                assert!(cell.segments > 0, "{at}: froze no segments");
+                assert!(cell.pruned > 0, "{at}: no window pruned a segment");
                 assert!(
-                    segments > 0,
-                    "seed {seed}: {shards} shards / {cadence:?} froze no segments — \
-                     the differential would be vacuous"
+                    cell.summarized > 0,
+                    "{at}: no Extremes read was served from a frozen summary"
                 );
             }
         }

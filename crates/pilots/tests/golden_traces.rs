@@ -119,9 +119,10 @@ fn golden_labeled_traces_match_the_committed_fixture() {
 
 #[test]
 fn golden_fixture_meets_the_shipped_quality_floors() {
-    // The fixture is not just pinned — it must pin a *good* detector.
-    // Same floors bench_e16 --check enforces, applied to the committed
-    // document so a bad regeneration cannot slip through.
+    // The fixture is not just pinned — it must pin a *good* detector:
+    // the shipped per-pilot floors (recall >= 0.75, precision >= 0.9),
+    // applied to the committed document so a bad regeneration cannot
+    // slip through.
     let committed = std::fs::read_to_string(fixture_path())
         .expect("golden fixture missing; regenerate with GOLDEN_REGEN=1");
     let doc = Json::parse(&committed).expect("fixture must parse");

@@ -324,7 +324,6 @@ impl BaselineInstruments {
 #[derive(Clone, Debug)]
 pub struct BehaviorBank {
     config: BaselineConfig,
-    enabled: bool,
     devices: BTreeMap<String, DeviceState>,
     flags: BTreeMap<String, BaselineFlag>,
     window: usize,
@@ -346,7 +345,6 @@ impl BehaviorBank {
         let window = config.window.clamp(2, MAX_WINDOW);
         BehaviorBank {
             config,
-            enabled: true,
             devices: BTreeMap::new(),
             flags: BTreeMap::new(),
             window,
@@ -364,17 +362,6 @@ impl BehaviorBank {
     /// default).
     pub fn signal_attr(&self) -> &str {
         &self.config.signal_attr
-    }
-
-    /// Disables (or re-enables) the whole bank. Disabled ingest is a
-    /// single branch — the muted baseline for overhead measurement.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
-    /// Whether the bank is processing observations.
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Snapshot of the `security.baseline.*` instruments.
@@ -423,9 +410,6 @@ impl BehaviorBank {
     /// timestamps (per device) are counted and skipped, so a deduped
     /// or replayed record can never double-alert.
     pub fn ingest(&mut self, at: SimTime, device: &str, value: f64) -> BaselineVerdict {
-        if !self.enabled {
-            return BaselineVerdict::Skipped;
-        }
         self.obs.inc(self.ins.observed);
         if !self.devices.contains_key(device) {
             self.admit(at, device);
@@ -667,26 +651,12 @@ mod tests {
     }
 
     #[test]
-    fn disabled_bank_is_inert_and_default_is_passive() {
+    fn default_bank_is_passive() {
         let mut bank = BehaviorBank::default();
         // Default config trains forever: never flags.
         let mut rng = SimRng::seed_from(4);
         drive_cycle(&mut bank, "p", 0, 200, &mut rng);
         assert!(bank.flags().is_empty());
-        let mut muted = BehaviorBank::new(phased());
-        muted.set_enabled(false);
-        assert_eq!(
-            muted.ingest(SimTime::ZERO, "p", 0.2),
-            BaselineVerdict::Skipped
-        );
-        assert_eq!(muted.device_count(), 0);
-        assert_eq!(
-            muted
-                .observe()
-                .counter("security.baseline.observed")
-                .unwrap(),
-            0
-        );
     }
 
     #[test]

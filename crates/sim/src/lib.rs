@@ -12,8 +12,6 @@
 //!   stable FIFO ordering among simultaneous events.
 //! - [`stats`] — online statistics (Welford mean/variance, EWMA, histograms,
 //!   quantile estimation) used by detectors and by the experiment harnesses.
-//! - [`metrics`] — a tiny metric registry for counters/gauges shared by the
-//!   platform components and printed by the experiment harnesses.
 //!
 //! Everything is deterministic given a seed: repeated runs of any SWAMP
 //! experiment with the same seed produce identical output.
@@ -36,7 +34,6 @@
 //! ```
 
 pub mod event;
-pub mod metrics;
 pub mod rng;
 pub mod stats;
 pub mod time;

@@ -16,7 +16,7 @@ use swamp::sim::{SimDuration, SimRng, SimTime};
 /// context `upsert_batch`, replication enqueue) with a scheduled uplink
 /// partition: every update enqueued during the outage must still reach
 /// the cloud replica once the uplink returns. Asserted entirely through
-/// `Platform::observe()` — no deprecated metric getters.
+/// `Platform::observe()`.
 #[test]
 fn batched_ingest_survives_scheduled_partition() {
     let seed = 42u64;
