@@ -8,8 +8,8 @@
 //! - `crates/fog/src/timer_wheel.rs` (slot math feeding the sync
 //!   scheduler),
 //! - the `UpdateRecord` codec functions in `crates/fog/src/sync.rs`
-//!   (`encode_record`/`decode_record`/`encode_acks`/`decode_acks` and the
-//!   `UpdateRecord::encode/decode` methods), located via the item graph.
+//!   (`encode_record`/`decode_record`/`encode_acks`/`decode_acks`),
+//!   located via the item graph.
 //!
 //! In-scope code (outside test lines) must not use numeric `as` casts —
 //! use `From`/`Into` widening (`u64::from`, `usize::from`) where lossless,
@@ -33,8 +33,6 @@ const PATH_SCOPES: &[&str] = &["crates/codec/src/", "crates/fog/src/timer_wheel.
 
 /// Qualified fn names that are wire/codec scope wherever they live.
 const FN_SCOPES: &[&str] = &[
-    "UpdateRecord::encode",
-    "UpdateRecord::decode",
     "encode_record",
     "decode_record",
     "encode_acks",

@@ -44,7 +44,6 @@ pub const FAMILIES: &[&str] = &[
     "platform.",
     "security.",
     "shard.",
-    "shardfwd.",
 ];
 
 const METHODS: &[&str] = &["counter", "gauge", "hist", "span"];

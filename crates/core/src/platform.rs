@@ -30,7 +30,7 @@ use swamp_codec::ngsi::Entity;
 use swamp_crypto::aead::NonceSequence;
 use swamp_crypto::keystore::Keystore;
 use swamp_fog::availability::{OutageSchedule, ServedBy};
-use swamp_fog::sync::{CloudStore, DegradedMode, DropPolicy, FogSync, ACK_TOPIC, SYNC_TOPIC};
+use swamp_fog::sync::{CloudStore, DegradedMode, FogSync, ACK_TOPIC, SYNC_TOPIC};
 use swamp_net::fault::FaultPlan;
 use swamp_net::link::LinkSpec;
 use swamp_net::message::{Delivery, Message, NodeId};
@@ -43,7 +43,7 @@ use swamp_security::identity::{AuthError, IdentityProvider, Token};
 use swamp_security::pipeline::{DetectorBank, Recommendation};
 use swamp_sensors::device::DeviceKind;
 use swamp_sim::{SimDuration, SimTime};
-use swamp_views::{ViewConfig, ViewIndexer};
+use swamp_views::ViewIndexer;
 
 use crate::broker::ContextBroker;
 use crate::error::Error;
@@ -134,23 +134,18 @@ pub struct Platform {
     auto_quarantine: bool,
     seq: SeqMonitor,
     device_nonces: std::collections::BTreeMap<String, NonceSequence>,
-    fog_sync: Option<FogSync>,
-    cloud_store: Option<CloudStore>,
-    /// Cloud-side context mirror (FarmFog): replicated records drained from
-    /// the [`CloudStore`] are batch-upserted here, so cloud dashboards can
-    /// query broker state even though decisions run at the fog.
-    cloud_context: Option<ContextBroker>,
-    /// CloudOnly: the gateway's store-and-forward engine toward the cloud.
-    /// Deliberately not exposed through [`Platform::cloud_replica`] — it
-    /// carries sealed frames in transit, not replicated context.
-    relay_sync: Option<FogSync>,
-    /// CloudOnly: cloud-side receiver/deduplicator for relayed frames.
-    relay_store: Option<CloudStore>,
+    /// The one store-and-forward engine over the farm↔cloud uplink; its
+    /// role follows `config`: fog→cloud replication of accepted context
+    /// (FarmFog), or the gateway relaying sealed frames (CloudOnly).
+    uplink: FogSync,
+    /// The cloud-side receiver for `uplink`: the replica of applied
+    /// context (FarmFog, exposed by [`Platform::cloud_replica`]), or the
+    /// in-order deduplicator of relayed frames (CloudOnly — sealed frames
+    /// in transit, not replicated context, so never exposed).
+    cloud_store: CloudStore,
     /// Incremental materialized views (farm rollups, top-K, alerts):
-    /// tails the cloud replica's applied-record run behind its own cursor
-    /// — never `drain_new`, whose read position belongs to
-    /// [`Platform::cloud_context`]'s mirror. Caught up lazily on
-    /// [`Platform::query`].
+    /// tails the cloud replica's applied-record run behind its own
+    /// cursor. Caught up lazily on [`Platform::query`].
     views: ViewIndexer,
     obs: Obs,
     ins: PlatformInstruments,
@@ -222,8 +217,7 @@ pub mod nodes {
 }
 
 /// Assembles a [`Platform`] with named, defaulted knobs: seed, uplink
-/// retry/backoff tuning, auto-quarantine, and deterministic fault
-/// injection.
+/// retry/backoff tuning, and deterministic fault injection.
 ///
 /// # Example
 /// ```
@@ -242,20 +236,16 @@ pub struct PlatformBuilder {
     seed: u64,
     config: DeploymentConfig,
     sync_capacity: usize,
-    sync_policy: DropPolicy,
     sync_base_timeout: SimDuration,
     sync_backoff_factor: f64,
     sync_max_backoff: SimDuration,
     sync_jitter: f64,
-    sync_max_in_flight: usize,
-    auto_quarantine: bool,
     fault_plan: Option<FaultPlan>,
     uplink_outages: Vec<(SimTime, SimTime)>,
     uplink_spec: Option<LinkSpec>,
     shards: usize,
     workers: usize,
     history_segment_threshold: Option<usize>,
-    view_config: ViewConfig,
     baseline: BaselineConfig,
 }
 
@@ -265,20 +255,16 @@ impl PlatformBuilder {
             seed: 0,
             config,
             sync_capacity: 100_000,
-            sync_policy: DropPolicy::Oldest,
             sync_base_timeout: SimDuration::from_secs(60),
             sync_backoff_factor: 2.0,
             sync_max_backoff: SimDuration::from_secs(480),
             sync_jitter: 0.1,
-            sync_max_in_flight: 1024,
-            auto_quarantine: false,
             fault_plan: None,
             uplink_outages: Vec::new(),
             uplink_spec: None,
             shards: 1,
             workers: 1,
             history_segment_threshold: None,
-            view_config: ViewConfig::default(),
             baseline: BaselineConfig::default(),
         }
     }
@@ -302,13 +288,6 @@ impl PlatformBuilder {
         self
     }
 
-    /// Configures the materialized views (consumption attribute, alert
-    /// floor, top-K size); defaults to [`ViewConfig::default`].
-    pub fn view_config(mut self, config: ViewConfig) -> Self {
-        self.view_config = config;
-        self
-    }
-
     /// Seeds every stochastic process (network, fault plan, retry jitter).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -318,12 +297,6 @@ impl PlatformBuilder {
     /// Capacity of the uplink store-and-forward buffer.
     pub fn sync_capacity(mut self, capacity: usize) -> Self {
         self.sync_capacity = capacity;
-        self
-    }
-
-    /// What the uplink buffer drops when full.
-    pub fn sync_drop_policy(mut self, policy: DropPolicy) -> Self {
-        self.sync_policy = policy;
         self
     }
 
@@ -343,19 +316,6 @@ impl PlatformBuilder {
     /// Jitter fraction applied to uplink retry timers (`[0, 1]`).
     pub fn sync_jitter(mut self, fraction: f64) -> Self {
         self.sync_jitter = fraction;
-        self
-    }
-
-    /// Maximum unacknowledged records in flight on the uplink.
-    pub fn sync_max_in_flight(mut self, window: usize) -> Self {
-        self.sync_max_in_flight = window;
-        self
-    }
-
-    /// Enables automatic quarantine of devices the detection pipeline
-    /// flags (see [`Platform::set_auto_quarantine`]).
-    pub fn auto_quarantine(mut self, on: bool) -> Self {
-        self.auto_quarantine = on;
         self
     }
 
@@ -440,13 +400,10 @@ impl PlatformBuilder {
             seed,
             config,
             sync_capacity,
-            sync_policy,
             sync_base_timeout,
             sync_backoff_factor,
             sync_max_backoff,
             sync_jitter,
-            sync_max_in_flight,
-            auto_quarantine,
             mut fault_plan,
             uplink_outages,
             uplink_spec,
@@ -456,7 +413,6 @@ impl PlatformBuilder {
             shards: _,
             workers: _,
             history_segment_threshold,
-            view_config,
             baseline,
         } = self;
 
@@ -482,41 +438,26 @@ impl PlatformBuilder {
             net.install_fault_plan(plan);
         }
 
-        let uplink_engine = |node: &str| {
-            FogSync::builder(node, nodes::CLOUD)
-                .capacity(sync_capacity)
-                .drop_policy(sync_policy)
-                .base_timeout(sync_base_timeout)
-                .backoff(sync_backoff_factor, sync_max_backoff)
-                .jitter(sync_jitter)
-                .max_in_flight(sync_max_in_flight)
-                .seed(seed ^ 0x73796e635f656e67) // "sync_eng"
-                .build()
-        };
-        let (fog_sync, cloud_store, relay_sync, relay_store) = match config {
-            DeploymentConfig::FarmFog => (
-                Some(uplink_engine(nodes::FOG)),
-                Some(CloudStore::new(nodes::CLOUD)),
-                None,
-                None,
-            ),
-            DeploymentConfig::CloudOnly => (
-                None,
-                None,
-                Some(uplink_engine(nodes::GATEWAY)),
-                // In-order release: relayed frames feed the per-device
-                // sequence monitor, which rejects any frame that arrives
-                // behind one it has already seen — and retransmissions on
-                // a lossy uplink reorder freely. The hold cap only kicks
-                // in for seqs the gateway's bounded buffer dropped before
-                // transmitting (everything else retries until acked), so
-                // a generous hour bounds the stall without ever rejecting
-                // a live record.
-                Some(CloudStore::in_order(
-                    nodes::CLOUD,
-                    SimDuration::from_hours(1),
-                )),
-            ),
+        let uplink = FogSync::builder(farm, nodes::CLOUD)
+            .capacity(sync_capacity)
+            .base_timeout(sync_base_timeout)
+            .backoff(sync_backoff_factor, sync_max_backoff)
+            .jitter(sync_jitter)
+            .seed(seed ^ 0x73796e635f656e67) // "sync_eng"
+            .build();
+        let cloud_store = match config {
+            DeploymentConfig::FarmFog => CloudStore::new(nodes::CLOUD),
+            // In-order release: relayed frames feed the per-device
+            // sequence monitor, which rejects any frame that arrives
+            // behind one it has already seen — and retransmissions on
+            // a lossy uplink reorder freely. The hold cap only kicks
+            // in for seqs the gateway's bounded buffer dropped before
+            // transmitting (everything else retries until acked), so
+            // a generous hour bounds the stall without ever rejecting
+            // a live record.
+            DeploymentConfig::CloudOnly => {
+                CloudStore::in_order(nodes::CLOUD, SimDuration::from_hours(1))
+            }
         };
 
         let mut detectors = DetectorBank::new();
@@ -540,15 +481,12 @@ impl PlatformBuilder {
             pdp: Pdp::new(),
             detectors,
             behavior: BehaviorBank::new(baseline),
-            auto_quarantine,
+            auto_quarantine: false,
             seq: SeqMonitor::new(),
             device_nonces: std::collections::BTreeMap::new(),
-            cloud_context: fog_sync.as_ref().map(|_| ContextBroker::new()),
-            fog_sync,
+            uplink,
             cloud_store,
-            relay_sync,
-            relay_store,
-            views: ViewIndexer::with_config(view_config),
+            views: ViewIndexer::new(),
             obs,
             ins,
         }
@@ -610,11 +548,6 @@ impl Platform {
         self.net.set_namespace(namespace);
     }
 
-    /// The network fabric's namespace label, if one was set.
-    pub fn net_namespace(&self) -> Option<&str> {
-        self.net.namespace()
-    }
-
     /// The node where ingestion and decisions run.
     pub fn platform_node(&self) -> NodeId {
         match self.config {
@@ -642,12 +575,8 @@ impl Platform {
     pub fn observe(&self) -> ObsSnapshot {
         let mut snap = self.obs.snapshot();
         snap.merge(&self.net.observe());
-        if let Some(engine) = self.uplink_engine() {
-            snap.merge(&engine.observe());
-        }
-        if let Some(store) = self.cloud_store.as_ref().or(self.relay_store.as_ref()) {
-            snap.merge(&store.observe());
-        }
+        snap.merge(&self.uplink.observe());
+        snap.merge(&self.cloud_store.observe());
         snap.merge(&self.detectors.observe());
         snap.merge(&self.behavior.observe());
         snap
@@ -658,18 +587,8 @@ impl Platform {
     pub fn set_obs_enabled(&mut self, enabled: bool) {
         self.obs.set_enabled(enabled);
         self.net.set_obs_enabled(enabled);
-        if let Some(s) = &mut self.fog_sync {
-            s.set_obs_enabled(enabled);
-        }
-        if let Some(s) = &mut self.relay_sync {
-            s.set_obs_enabled(enabled);
-        }
-        if let Some(s) = &mut self.cloud_store {
-            s.set_obs_enabled(enabled);
-        }
-        if let Some(s) = &mut self.relay_store {
-            s.set_obs_enabled(enabled);
-        }
+        self.uplink.set_obs_enabled(enabled);
+        self.cloud_store.set_obs_enabled(enabled);
         self.detectors.set_obs_enabled(enabled);
         self.behavior.set_obs_enabled(enabled);
     }
@@ -679,7 +598,10 @@ impl Platform {
     /// frames in transit, not replicated context, so it is not exposed
     /// here.)
     pub fn cloud_replica(&self) -> Option<&CloudStore> {
-        self.cloud_store.as_ref()
+        match self.config {
+            DeploymentConfig::FarmFog => Some(&self.cloud_store),
+            DeploymentConfig::CloudOnly => None,
+        }
     }
 
     /// Freezes every history series' mutable tail into a columnar
@@ -740,17 +662,15 @@ impl Platform {
                     .collect(),
             ),
             QueryRequest::ReplicaSeqs => QueryResponse::Seqs(
-                self.cloud_store
-                    .as_ref()
+                self.cloud_replica()
                     .map(|s| s.history().iter().map(|r| r.seq).collect())
                     .unwrap_or_default(),
             ),
             QueryRequest::Views => {
-                let run = self
-                    .cloud_store
-                    .as_ref()
-                    .map(|s| s.history())
-                    .unwrap_or(&[]);
+                let run = match self.config {
+                    DeploymentConfig::FarmFog => self.cloud_store.history(),
+                    DeploymentConfig::CloudOnly => &[],
+                };
                 let applied = self.views.catch_up(run);
                 self.obs.add(self.ins.view_applied, applied as u64);
                 QueryResponse::Views(self.views.snapshot())
@@ -769,23 +689,9 @@ impl Platform {
         resp
     }
 
-    /// The cloud-side context mirror, if this is a fog deployment: broker
-    /// state rebuilt from replicated records, queryable like the fog's own
-    /// [`ContextBroker`] (and independently subscribable).
-    pub fn cloud_context(&self) -> Option<&ContextBroker> {
-        self.cloud_context.as_ref()
-    }
-
-    /// The uplink store-and-forward engine: fog→cloud replication
-    /// (FarmFog) or the gateway relay (CloudOnly).
-    fn uplink_engine(&self) -> Option<&FogSync> {
-        self.fog_sync.as_ref().or(self.relay_sync.as_ref())
-    }
-
-    /// The uplink engine's degraded-mode state (`Connected` if the
-    /// deployment has no uplink engine).
+    /// The uplink engine's degraded-mode state.
     pub fn degraded_mode(&self) -> DegradedMode {
-        self.uplink_engine().map(FogSync::mode).unwrap_or_default()
+        self.uplink.mode()
     }
 
     /// The fallback behavior currently active, if the uplink engine has
@@ -885,25 +791,28 @@ impl Platform {
     fn pump_inner(&mut self, now: SimTime) -> usize {
         self.net.advance_to(now);
 
+        let fog = self.config == DeploymentConfig::FarmFog;
+
         // CloudOnly: the gateway store-and-forwards farm traffic to the
         // cloud through the retry/ack engine (the old fire-and-forget
         // relay lost frames to uplink loss with no retransmission).
-        if let Some(relay) = &mut self.relay_sync {
+        if !fog {
             let gw: NodeId = nodes::GATEWAY.into();
             for d in self.net.drain(&gw) {
                 if d.message.topic == ACK_TOPIC {
-                    if relay.process_ack(now, &d.message.payload).is_err() {
+                    if self.uplink.process_ack(now, &d.message.payload).is_err() {
                         self.obs.inc(self.ins.relay_malformed_ack);
                     }
                 } else if d.message.topic != SYNC_TOPIC
-                    && relay
+                    && self
+                        .uplink
                         .enqueue(now, &d.message.topic, d.message.payload)
                         .is_err()
                 {
                     self.obs.inc(self.ins.relay_refused);
                 }
             }
-            relay.sync_round(&mut self.net, now, 256);
+            self.uplink.sync_round(&mut self.net, now, 256);
             self.net.advance_to(now);
         }
 
@@ -925,18 +834,18 @@ impl Platform {
                 }
             } else if d.message.topic == SYNC_TOPIC {
                 relayed.push(d);
-            } else if d.message.topic == ACK_TOPIC {
-                if let Some(sync) = &mut self.fog_sync {
-                    if sync.process_ack(now, &d.message.payload).is_err() {
-                        self.obs.inc(self.ins.sync_malformed_ack);
-                    }
-                }
+            } else if d.message.topic == ACK_TOPIC
+                && fog
+                && self.uplink.process_ack(now, &d.message.payload).is_err()
+            {
+                self.obs.inc(self.ins.sync_malformed_ack);
             }
         }
 
         // CloudOnly: store/dedup the relayed records, ack the gateway, and
         // ingest the sealed frames they carry.
-        if let Some(store) = &mut self.relay_store {
+        if !fog {
+            let store = &mut self.cloud_store;
             let dup_before = store.duplicates();
             store.process_deliveries(&mut self.net, now, relayed);
             let dup_delta = store.duplicates() - dup_before;
@@ -961,22 +870,14 @@ impl Platform {
 
         let ingested = self.ingest_entities(now, batch);
 
-        // Fog→cloud replication; newly accepted records are batch-applied
-        // to the cloud-side context mirror.
-        if let (Some(sync), Some(store)) = (&mut self.fog_sync, &mut self.cloud_store) {
-            sync.sync_round(&mut self.net, now, 256);
+        // Fog→cloud replication: one round out, the cloud applies and
+        // acks, the acks come back.
+        if fog {
+            self.uplink.sync_round(&mut self.net, now, 256);
             self.net.advance_to(now);
-            store.process(&mut self.net, now);
+            self.cloud_store.process(&mut self.net, now);
             self.net.advance_to(now);
-            sync.poll_acks(&mut self.net, now);
-            if let Some(cloud_ctx) = &mut self.cloud_context {
-                let replicated = store.drain_new().iter().filter_map(|r| {
-                    let text = std::str::from_utf8(&r.payload).ok()?;
-                    let json = Json::parse(text).ok()?;
-                    Entity::from_json(&json).ok()
-                });
-                cloud_ctx.upsert_batch(now, replicated);
-            }
+            self.uplink.poll_acks(&mut self.net, now);
         }
         ingested
     }
@@ -1111,8 +1012,8 @@ impl Platform {
         // Fog deployments replicate the accepted updates to the cloud.
         // Entity ids are far below the sync key-length limit, so a refusal
         // here is a policy outcome worth a metric, never a lost batch.
-        if let Some(sync) = &mut self.fog_sync {
-            let enqueued = sync.enqueue_batch(
+        if self.config == DeploymentConfig::FarmFog {
+            let enqueued = self.uplink.enqueue_batch(
                 now,
                 batch.iter().map(|e| {
                     (
@@ -1388,12 +1289,17 @@ mod tests {
         }
         let replica = p.cloud_replica().unwrap();
         assert_eq!(replica.record_count(), 1);
-        assert!(replica.latest("urn:swamp:device:probe-1").is_some());
-        // The replicated record is also applied to the cloud-side context
-        // mirror, so cloud consumers see a queryable entity, not raw bytes.
-        let mirror = p.cloud_context().unwrap();
-        let e = mirror.entity(&"urn:swamp:device:probe-1".into()).unwrap();
-        assert_eq!(e.number("moisture_vwc"), Some(0.31));
+        // The cloud holds a decodable latest state: the replicated payload
+        // parses back into the very entity the fog's context serves.
+        let latest = replica.latest("urn:swamp:device:probe-1").unwrap();
+        let json = Json::parse(std::str::from_utf8(&latest.payload).unwrap()).unwrap();
+        let at_cloud = Entity::from_json(&json).unwrap();
+        let at_fog = p
+            .context
+            .entity(&"urn:swamp:device:probe-1".into())
+            .unwrap();
+        assert_eq!(&at_cloud, at_fog);
+        assert_eq!(at_cloud.number("moisture_vwc"), Some(0.31));
         // The ack made it back to the fog engine (regression: acks used to
         // be discarded by the pump's telemetry filter, so every record
         // retransmitted forever).
@@ -1404,11 +1310,10 @@ mod tests {
     }
 
     #[test]
-    fn cloud_only_deployment_has_no_mirror_context() {
+    fn cloud_only_deployment_exposes_no_replica() {
         let p = Platform::builder(DeploymentConfig::CloudOnly)
             .seed(7)
             .build();
-        assert!(p.cloud_context().is_none());
         assert!(p.cloud_replica().is_none());
         // It still has an uplink engine (the gateway relay): its sync.*
         // instruments show up in the merged snapshot.

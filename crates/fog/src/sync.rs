@@ -180,25 +180,6 @@ pub struct UpdateRecord {
     pub created_at: SimTime,
 }
 
-impl UpdateRecord {
-    /// Encodes this record into the [`SYNC_TOPIC`] wire format — the same
-    /// bytes [`FogSync`] transmits, so re-encoded records are
-    /// indistinguishable from first-hand ones. Exposed for the scale-out
-    /// tier, which drains per-shard replicas and forwards the records
-    /// through a second [`CloudStore::process_deliveries`] inbox. Keys
-    /// longer than [`MAX_KEY_LEN`] are truncated by the 16-bit length
-    /// prefix (enqueue paths validate the bound up front).
-    pub fn encode(&self) -> Vec<u8> {
-        encode_record(self)
-    }
-
-    /// Decodes a [`SYNC_TOPIC`] payload; `None` if truncated or the key is
-    /// not UTF-8.
-    pub fn decode(bytes: &[u8]) -> Option<UpdateRecord> {
-        decode_record(bytes)
-    }
-}
-
 /// What to drop when the fog buffer is full.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DropPolicy {
@@ -1087,10 +1068,10 @@ impl CloudStore {
     }
 
     /// Records accepted since the last `drain_new` call, advancing the
-    /// apply cursor. Downstream appliers (e.g. the platform's cloud-side
-    /// context mirror, which batch-upserts these into a broker) call this
-    /// after [`CloudStore::process`] to replicate exactly-once without
-    /// copying records.
+    /// store's one built-in read cursor — [`CloudStore::drain_ready`] on a
+    /// plain store is this call. Readers that must not disturb that
+    /// cursor (view indexers, the scale-out tier's shard merge) keep
+    /// their own position into [`CloudStore::history`] instead.
     pub fn drain_new(&mut self) -> &[UpdateRecord] {
         let from = self.drained;
         self.drained = self.history.len();
@@ -1169,25 +1150,8 @@ impl CloudStore {
             }
             if let Some(record) = decode_record(&d.message.payload) {
                 acks.entry(d.src.clone()).or_default().push(record.seq);
-                if self
-                    .seen_seqs
-                    .entry(d.src.clone())
-                    .or_default()
-                    .insert(record.seq)
-                {
-                    self.latest.insert(record.key.clone(), record.clone());
-                    if let Some(reorder) = &mut self.reorder {
-                        reorder
-                            .held
-                            .entry(d.src.clone())
-                            .or_default()
-                            .insert(record.seq, (record.clone(), now));
-                    }
-                    self.history.push(record);
-                    self.obs.inc(self.ins.accepted);
+                if self.apply_record(now, &d.src, record) {
                     accepted += 1;
-                } else {
-                    self.obs.inc(self.ins.duplicates);
                 }
             }
         }
@@ -1207,6 +1171,36 @@ impl CloudStore {
             }
         }
         accepted
+    }
+
+    /// Applies one already-decoded record from `source`: deduplicated by
+    /// that source's sequence numbers, then stored (counted on
+    /// `cloud.accepted`, or `cloud.duplicates` when seen before). Returns
+    /// whether the record was new. This is the storage half of
+    /// [`CloudStore::process_deliveries`], for appliers that already hold
+    /// records in process — the scale-out tier appending shard replicas
+    /// into its aggregate store — and so have nothing to decode or ack.
+    pub fn apply_record(&mut self, now: SimTime, source: &NodeId, record: UpdateRecord) -> bool {
+        if !self
+            .seen_seqs
+            .entry(source.clone())
+            .or_default()
+            .insert(record.seq)
+        {
+            self.obs.inc(self.ins.duplicates);
+            return false;
+        }
+        self.latest.insert(record.key.clone(), record.clone());
+        if let Some(reorder) = &mut self.reorder {
+            reorder
+                .held
+                .entry(source.clone())
+                .or_default()
+                .insert(record.seq, (record.clone(), now));
+        }
+        self.history.push(record);
+        self.obs.inc(self.ins.accepted);
+        true
     }
 }
 

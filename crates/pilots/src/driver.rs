@@ -47,8 +47,7 @@ pub fn run_rounds<D: Drive + ?Sized>(
 /// Drains a deployment: repeatedly checks `done`, and while it holds
 /// false, advances the clock one `step` and pumps. Returns the clock at
 /// the last pump (or `start` if `done` held immediately) and the number
-/// of pump rounds spent, so callers can settle follow-up work
-/// (`flush_aggregation`) at the right instant.
+/// of pump rounds spent.
 ///
 /// The check-then-pump order means a drain that is already complete
 /// costs zero rounds, and `max_rounds` bounds the loop for workloads

@@ -317,8 +317,11 @@ pub fn e16_shard_run(
 ) -> (DetectorFingerprint, E16Row) {
     let spec = e16_spec(pilot, seed, devices, rounds);
     let w = spec.compile();
-    let mut sp = ShardedPlatform::build(&e16_builder(seed, e16_config(&spec)).shards(shards));
-    sp.set_workers(workers);
+    let mut sp = ShardedPlatform::build(
+        &e16_builder(seed, e16_config(&spec))
+            .shards(shards)
+            .workers(workers),
+    );
     crate::driver::run_rounds(
         &mut sp,
         spec.start,

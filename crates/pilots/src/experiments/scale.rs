@@ -79,8 +79,7 @@ pub fn e14_run_cell(
     rounds: usize,
     workers: usize,
 ) -> (RunFingerprint, ShardedPlatform) {
-    let mut sp = ShardedPlatform::build(&e14_builder(seed, shards));
-    sp.set_workers(workers);
+    let mut sp = ShardedPlatform::build(&e14_builder(seed, shards).workers(workers));
     let mut rng = SimRng::seed_from(seed).split("e14-workload");
     crate::driver::run_rounds(
         &mut sp,
@@ -101,8 +100,12 @@ pub fn e14_run_cell(
         },
         |_, _, _| {},
     );
-    // Drain the replication backlog (window-limited), then settle the
-    // aggregation fabric.
+    // Drain the replication backlog (window-limited); every pump ends
+    // with an aggregation pass, so the aggregate store is current. The
+    // pump that fills it leaves that round's acks in flight: one more
+    // round brings them home, so the fingerprint's `sync.*` counters are
+    // settled rather than cut mid-handshake at a shard-count-dependent
+    // point.
     let expected = (devices * rounds) as u64;
     let last_round = SimTime::ZERO + SimDuration::from_secs(60) * rounds as u64;
     let (now, _) = crate::driver::run_until(
@@ -112,7 +115,7 @@ pub fn e14_run_cell(
         10_000,
         |sp| sp.aggregate_store().record_count() as u64 >= expected,
     );
-    sp.flush_aggregation(now);
+    sp.pump(now.saturating_add(SimDuration::from_secs(60)));
     (fingerprint(&mut sp), sp)
 }
 

@@ -130,8 +130,7 @@ fn cloud_dedup_is_workload_determined() {
 /// byte-exact observability document, driving the deployment through the
 /// shared driver on `workers` threads.
 fn labelled_export(seed: u64, workers: usize) -> String {
-    let mut sp = ShardedPlatform::build(&e14_builder(seed, 3));
-    sp.set_workers(workers);
+    let mut sp = ShardedPlatform::build(&e14_builder(seed, 3).workers(workers));
     let mut rng = SimRng::seed_from(seed).split("diff-export");
     run_rounds(
         &mut sp,
@@ -152,14 +151,13 @@ fn labelled_export(seed: u64, workers: usize) -> String {
         },
         |_, _, _| {},
     );
-    let (now, _) = run_until(
+    run_until(
         &mut sp,
         SimTime::from_secs(5 * 60),
         SimDuration::from_secs(60),
         20,
         |_| false,
     );
-    sp.flush_aggregation(now);
     ObsReport::array_to_json_string(&sp.observe_labelled("diff"))
 }
 

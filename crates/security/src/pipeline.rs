@@ -3,21 +3,21 @@
 //!
 //! The paper's security architecture needs more than isolated detectors —
 //! "mechanisms to avoid fake data" must combine evidence (a value can be in
-//! range yet spatially inconsistent; a rate can be normal while the
-//! sequence is impossible) and decide *what to do*: log, alert the
+//! range yet statistically abnormal, or drifting too slowly for any one
+//! sample to stand out) and decide *what to do*: log, alert the
 //! operator, or quarantine the device. [`DetectorBank`] wires the point
 //! detectors from [`crate::detect`] per quantity, per device, aggregates
 //! their findings into [`Alert`]s with per-device severity scoring, and
-//! turns the score into a [`Recommendation`].
+//! turns the score into a [`Recommendation`]. Frame sequence numbers are
+//! not evidence here: the platform's ingest path owns the one
+//! [`crate::detect::SeqMonitor`] and rejects replays outright.
 
 use std::collections::BTreeMap;
 
 use swamp_obs::{Counter, Level, Obs, ObsSnapshot};
 use swamp_sim::SimTime;
 
-use crate::detect::{
-    CusumDetector, RangeValidator, SeqEvent, SeqMonitor, Severity, Verdict, ZScoreDetector,
-};
+use crate::detect::{CusumDetector, RangeValidator, Severity, Verdict, ZScoreDetector};
 
 /// Evidence type an alert is based on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -28,10 +28,6 @@ pub enum Evidence {
     PointAnomaly,
     /// Accumulated drift (CUSUM).
     Drift,
-    /// Replayed or duplicated frame.
-    Replay,
-    /// Large sequence gap (message loss or reset).
-    SequenceGap,
 }
 
 /// One alert raised by the pipeline.
@@ -39,7 +35,7 @@ pub enum Evidence {
 pub struct Alert {
     /// Device the alert concerns.
     pub device: String,
-    /// Measured quantity ("moisture_vwc"…), empty for frame-level evidence.
+    /// Measured quantity ("moisture_vwc"…).
     pub quantity: String,
     /// Evidence class.
     pub evidence: Evidence,
@@ -89,7 +85,6 @@ pub struct DetectorBank {
     /// Physical ranges per quantity name.
     ranges: BTreeMap<String, RangeValidator>,
     streams: BTreeMap<(String, String), StreamDetectors>,
-    seq: SeqMonitor,
     alerts: Vec<Alert>,
     /// Rolling per-device alert weights (warning = 1, alert = 3).
     device_score: BTreeMap<String, u32>,
@@ -104,8 +99,6 @@ struct BankInstruments {
     out_of_range: Counter,
     point_anomaly: Counter,
     drift: Counter,
-    replay: Counter,
-    sequence_gap: Counter,
 }
 
 impl BankInstruments {
@@ -115,8 +108,6 @@ impl BankInstruments {
             out_of_range: obs.counter("security.out_of_range"),
             point_anomaly: obs.counter("security.point_anomaly"),
             drift: obs.counter("security.drift"),
-            replay: obs.counter("security.replay"),
-            sequence_gap: obs.counter("security.sequence_gap"),
         }
     }
 }
@@ -135,7 +126,6 @@ impl DetectorBank {
         DetectorBank {
             ranges: BTreeMap::new(),
             streams: BTreeMap::new(),
-            seq: SeqMonitor::new(),
             alerts: Vec::new(),
             device_score: BTreeMap::new(),
             obs,
@@ -215,8 +205,6 @@ impl DetectorBank {
             Evidence::OutOfRange => self.ins.out_of_range,
             Evidence::PointAnomaly => self.ins.point_anomaly,
             Evidence::Drift => self.ins.drift,
-            Evidence::Replay => self.ins.replay,
-            Evidence::SequenceGap => self.ins.sequence_gap,
         };
         self.obs.inc(evidence_counter);
         let level = match severity {
@@ -287,31 +275,6 @@ impl DetectorBank {
         }
         verdict
     }
-
-    /// Feeds a frame's sequence number through the replay/gap monitor.
-    pub fn observe_sequence(&mut self, at: SimTime, device: &str, seq: u64) -> SeqEvent {
-        let event = self.seq.observe(device, seq);
-        match event {
-            SeqEvent::ReplayOrDuplicate => self.raise(
-                at,
-                device,
-                "",
-                Evidence::Replay,
-                Severity::Alert,
-                Some(seq as f64),
-            ),
-            SeqEvent::Gap(n) if n > 10 => self.raise(
-                at,
-                device,
-                "",
-                Evidence::SequenceGap,
-                Severity::Warning,
-                Some(n as f64),
-            ),
-            _ => {}
-        }
-        event
-    }
 }
 
 #[cfg(test)]
@@ -332,7 +295,6 @@ mod tests {
         for i in 0..200 {
             let v = 0.25 + rng.normal_with(0.0, 0.005);
             b.observe_value(SimTime::from_secs(i), "p", "moisture_vwc", v);
-            b.observe_sequence(SimTime::from_secs(i), "p", i);
         }
         assert_eq!(b.recommendation("p"), Recommendation::Trust);
         assert!(b.alerts().is_empty());
@@ -415,31 +377,6 @@ mod tests {
             .alerts()
             .iter()
             .any(|a| a.evidence == Evidence::Drift || a.evidence == Evidence::PointAnomaly));
-    }
-
-    #[test]
-    fn replay_raises_alert() {
-        let mut b = bank();
-        b.observe_sequence(SimTime::ZERO, "p", 5);
-        b.observe_sequence(SimTime::ZERO, "p", 6);
-        let e = b.observe_sequence(SimTime::ZERO, "p", 6);
-        assert_eq!(e, SeqEvent::ReplayOrDuplicate);
-        assert_eq!(b.recommendation("p"), Recommendation::Quarantine);
-        assert_eq!(b.alerts().last().unwrap().evidence, Evidence::Replay);
-    }
-
-    #[test]
-    fn large_gap_is_a_warning_only() {
-        let mut b = bank();
-        b.observe_sequence(SimTime::ZERO, "p", 0);
-        b.observe_sequence(SimTime::ZERO, "p", 100);
-        assert_eq!(b.recommendation("p"), Recommendation::Watch);
-        assert_eq!(b.alerts()[0].evidence, Evidence::SequenceGap);
-        // Small gaps (radio loss) are not even warnings.
-        let mut b2 = bank();
-        b2.observe_sequence(SimTime::ZERO, "q", 0);
-        b2.observe_sequence(SimTime::ZERO, "q", 3);
-        assert_eq!(b2.recommendation("q"), Recommendation::Trust);
     }
 
     #[test]

@@ -13,20 +13,19 @@
 //!   FNV-1a hash of the device id picks the shard, so assignment survives
 //!   re-registration and restart, and a device's telemetry entities
 //!   ([`swamp_core::shard::route_entity`]) follow it.
-//! - **Deterministic scheduling**: with one worker
-//!   ([`PlatformBuilder::workers`]), shards are pumped in the
-//!   [`ShardScheduler`]'s seeded round-robin rotation — tick-based, no
-//!   wall clock. With more workers, each shard advances its round on a
-//!   scoped worker thread ([`pool`]) and the scope join is a barrier
-//!   before aggregation. Because shards are fully isolated, both
-//!   schedules produce byte-identical state; a sharded run replays
+//! - **One schedule**: each round, every shard advances on the worker
+//!   pool ([`pool`]; [`PlatformBuilder::workers`] threads, one meaning
+//!   shard-index order on the calling thread) and the scope join is a
+//!   barrier before aggregation. Because shards are fully isolated, no
+//!   pump order or interleaving is observable; a sharded run replays
 //!   bit-for-bit from its seed at any worker count.
-//! - **Cross-shard aggregation**: after the round barrier, every shard's
-//!   cloud replica drains — *in shard-id order* — into a dedicated
-//!   aggregation fabric and a global [`CloudStore`] inbox via the
-//!   *existing* [`CloudStore::process_deliveries`] wire path (records
-//!   are re-encoded with [`UpdateRecord::encode`], so the aggregate store
-//!   dedups and acks exactly as a first-hand cloud would).
+//! - **Cross-shard aggregation**: after the round barrier, every shard
+//!   replica's newly applied records are appended — *in shard-id order*,
+//!   each shard's suffix in its own apply order — to one aggregate
+//!   [`CloudStore`] through [`CloudStore::apply_record`], the same
+//!   per-source dedup and `cloud.accepted` accounting a first-hand cloud
+//!   applies to arrivals off the wire. The stores share a process, so
+//!   there is nothing to encode, deliver or ack in between.
 //!
 //! The headline correctness property — proven by the differential harness
 //! in `crates/pilots/tests/shard_differential.rs` — is that **sharding is
@@ -39,9 +38,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
 
 pub mod pool;
-pub mod scheduler;
 
-pub use scheduler::ShardScheduler;
 pub use swamp_core::shard::shard_seed;
 
 use swamp_codec::ngsi::Entity;
@@ -50,27 +47,14 @@ use swamp_core::platform::{DeploymentConfig, Platform, PlatformBuilder};
 use swamp_core::query::{QueryRequest, QueryResponse};
 use swamp_core::shard::{route_device, route_entity, ShardIndex};
 use swamp_core::Error;
-use swamp_fog::sync::{CloudStore, UpdateRecord, SYNC_TOPIC};
-use swamp_net::link::LinkSpec;
-use swamp_net::message::{Message, NodeId};
-use swamp_net::network::Network;
+use swamp_fog::sync::CloudStore;
+use swamp_net::message::NodeId;
 use swamp_obs::{Counter, Gauge, Obs, ObsReport, ObsSnapshot};
 use swamp_sensors::device::DeviceKind;
-use swamp_sim::{SimDuration, SimTime};
-
-/// Node name of shard `i`'s uplink proxy on the aggregation fabric.
-fn shard_proxy(i: ShardIndex) -> String {
-    format!("shard{i}")
-}
-
-/// Node name of the aggregate cloud inbox on the aggregation fabric.
-const AGG_NODE: &str = "cloud-agg";
+use swamp_sim::SimTime;
 
 /// Typed handles for the tier's own instruments.
 struct ShardInstruments {
-    forwarded: Counter,
-    acked: Counter,
-    send_refused: Counter,
     query_fanout: Counter,
     shard_count: Gauge,
 }
@@ -78,9 +62,6 @@ struct ShardInstruments {
 impl ShardInstruments {
     fn register(obs: &mut Obs) -> ShardInstruments {
         ShardInstruments {
-            forwarded: obs.counter("shardfwd.records"),
-            acked: obs.counter("shardfwd.acked"),
-            send_refused: obs.counter("shardfwd.send_refused"),
             query_fanout: obs.counter("query.fanout"),
             shard_count: obs.gauge("shard.count"),
         }
@@ -117,14 +98,13 @@ pub struct ShardedPlatform {
     /// milliseconds to delay each shard's parallel pump by (never
     /// observable in exported state). Empty in production.
     stagger_ms: Vec<u64>,
-    scheduler: ShardScheduler,
-    agg_net: Network,
     agg_store: CloudStore,
-    agg_node: NodeId,
-    proxies: Vec<NodeId>,
-    /// Per-shard forward cursor into the replica's append-only applied
-    /// history (`drain_new` is owned by the shard's own cloud-context
-    /// mirror, so the tier keeps its own read position).
+    /// Shard `i`'s identity as a record source in the aggregate store
+    /// (every shard's engine numbers its records from 0, so the dedup
+    /// must be per shard).
+    sources: Vec<NodeId>,
+    /// Per-shard cursor into the replica's append-only applied history:
+    /// records before it are already in the aggregate store.
     forwarded_upto: Vec<usize>,
     obs: Obs,
     ins: ShardInstruments,
@@ -154,20 +134,6 @@ impl ShardedPlatform {
             seeds.push(shard_seed(base_seed, i));
         }
 
-        // The aggregation fabric: one zero-loss datacenter link per shard
-        // proxy into the global inbox. Faults never apply here — shard
-        // uplinks already modelled them; this tier models the cloud's own
-        // backbone.
-        let mut agg_net = Network::new(base_seed ^ 0x0061_6767_5f6e_6574); // "agg_net"
-        agg_net.set_namespace("agg");
-        let agg_node = agg_net.add_node(AGG_NODE);
-        let mut proxies = Vec::with_capacity(n);
-        for i in 0..n {
-            let proxy = agg_net.add_node(shard_proxy(i).as_str());
-            agg_net.connect(proxy.clone(), agg_node.clone(), LinkSpec::cloud_backbone());
-            proxies.push(proxy);
-        }
-
         let mut obs = Obs::new();
         let ins = ShardInstruments::register(&mut obs);
         obs.set(ins.shard_count, n as f64);
@@ -177,11 +143,8 @@ impl ShardedPlatform {
             seeds,
             workers: builder.worker_count(),
             stagger_ms: Vec::new(),
-            scheduler: ShardScheduler::new(base_seed, n),
-            agg_net,
-            agg_store: CloudStore::new(AGG_NODE),
-            agg_node,
-            proxies,
+            agg_store: CloudStore::new("cloud-agg"),
+            sources: (0..n).map(|i| NodeId::new(format!("shard{i}"))).collect(),
             forwarded_upto: vec![0; n],
             obs,
             ins,
@@ -195,18 +158,10 @@ impl ShardedPlatform {
         self.shards.len()
     }
 
-    /// Number of worker threads rounds run on (1 = the serial scheduler;
+    /// Number of worker threads rounds run on (1 = the calling thread;
     /// see [`PlatformBuilder::workers`]).
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// Overrides the worker-thread count on a built deployment. The
-    /// schedule is behavior-invariant (serial ≡ parallel, proven by the
-    /// shard differential suite), so this only trades wall-clock for
-    /// cores — benches flip it between timed cells without rebuilding.
-    pub fn set_workers(&mut self, n: usize) {
-        self.workers = n.max(1);
     }
 
     /// Test seam for the merge-barrier ordering test: delays shard `i`'s
@@ -243,11 +198,6 @@ impl ShardedPlatform {
     /// Iterates the shards in index order.
     pub fn shards(&self) -> impl Iterator<Item = &Platform> {
         self.shards.iter()
-    }
-
-    /// The scheduler's completed round count.
-    pub fn rounds(&self) -> u64 {
-        self.scheduler.ticks()
     }
 
     /// Registers a device on the shard its id routes to, returning that
@@ -288,9 +238,9 @@ impl ShardedPlatform {
     /// each entity's shard by [`route_entity`] (device URNs follow their
     /// device). Returns the number of updates applied.
     ///
-    /// With more than one worker configured, the per-shard batches apply
-    /// across the worker pool — shards are disjoint, so the applied count
-    /// and every shard's state are identical to the serial order.
+    /// The per-shard batches apply across the worker pool — shards are
+    /// disjoint, so the applied count and every shard's state are the
+    /// same at any worker count.
     pub fn ingest_entities(
         &mut self,
         now: SimTime,
@@ -301,110 +251,48 @@ impl ShardedPlatform {
         for entity in entities {
             per_shard[route_entity(entity.id().as_str(), n)].push(entity);
         }
-        if self.workers > 1 && n > 1 {
-            return pool::ingest_round(&mut self.shards, self.workers, now, per_shard);
-        }
-        let mut applied = 0;
-        for (idx, batch) in per_shard.into_iter().enumerate() {
-            if !batch.is_empty() {
-                applied += self.shards[idx].ingest_entities(now, batch);
-            }
-        }
-        applied
+        pool::ingest_round(&mut self.shards, self.workers, now, per_shard)
     }
 
     /// Advances every shard one round, then runs one aggregation pass.
     /// Returns the number of entity updates ingested across all shards.
     ///
-    /// With one worker, shards pump serially in this round's scheduler
-    /// rotation. With more, each shard's round runs on a worker thread
-    /// ([`pool`]) and the scope join is the merge barrier; the rotation
-    /// still ticks so [`ShardedPlatform::rounds`] counts identically.
-    /// Either way the aggregation pass that follows merges applied-record
-    /// batches in shard-id order, so both schedules produce byte-identical
-    /// fingerprints and obs exports.
+    /// Each shard's round runs on the worker pool ([`pool`]) and the
+    /// scope join is the merge barrier; the aggregation pass that follows
+    /// appends applied-record batches in shard-id order, so every worker
+    /// count produces byte-identical fingerprints and obs exports.
     pub fn pump(&mut self, now: SimTime) -> usize {
-        let order = self.scheduler.next_round();
-        let ingested = if self.workers > 1 && self.shards.len() > 1 {
-            pool::pump_round(&mut self.shards, self.workers, now, &self.stagger_ms)
-        } else {
-            let mut sum = 0;
-            for idx in order {
-                sum += self.shards[idx].pump(now);
-            }
-            sum
-        };
+        let ingested = pool::pump_round(&mut self.shards, self.workers, now, &self.stagger_ms);
         self.aggregate(now);
         ingested
     }
 
-    /// One aggregation pass: drains each shard replica's newly applied
-    /// records, re-encodes them onto the aggregation fabric, and feeds
-    /// everything that has arrived into the global [`CloudStore`] inbox.
-    /// Records sent this pass arrive one backbone latency later (next
-    /// pass); [`ShardedPlatform::flush_aggregation`] settles the tail.
+    /// One aggregation pass: appends each shard replica's newly applied
+    /// records to the aggregate [`CloudStore`], shard by shard in shard-id
+    /// order. The replica's applied history is append-only, so a cursor
+    /// per shard picks up exactly the records applied since the last
+    /// pass; when the pass returns the aggregate holds everything the
+    /// shards have applied.
     pub fn aggregate(&mut self, now: SimTime) {
-        // Forward phase: per-shard replica → aggregation fabric. The
-        // replica's applied history is append-only, so a cursor per shard
-        // picks up exactly the records applied since the last pass
-        // (without stealing `drain_new` from the shard's own
-        // cloud-context mirror).
-        for idx in 0..self.shards.len() {
-            let records: Vec<UpdateRecord> = match self.shards[idx].cloud_replica() {
-                Some(replica) => {
-                    let history = replica.history();
-                    let new = history[self.forwarded_upto[idx].min(history.len())..].to_vec();
-                    self.forwarded_upto[idx] = history.len();
-                    new
-                }
-                None => Vec::new(),
+        for (idx, shard) in self.shards.iter().enumerate() {
+            let Some(replica) = shard.cloud_replica() else {
+                continue;
             };
-            for record in records {
-                let ok = self
-                    .agg_net
-                    .send(
-                        now,
-                        self.proxies[idx].clone(),
-                        self.agg_node.clone(),
-                        Message::new(SYNC_TOPIC, record.encode()),
-                    )
-                    .is_ok();
-                if ok {
-                    self.obs.inc(self.ins.forwarded);
-                } else {
-                    // Zero-loss backbone: refusals mean a config bug, but
-                    // the tier degrades to a counter rather than a panic.
-                    self.obs.inc(self.ins.send_refused);
-                }
+            let history = replica.history();
+            for record in &history[self.forwarded_upto[idx].min(history.len())..] {
+                self.agg_store
+                    .apply_record(now, &self.sources[idx], record.clone());
             }
-        }
-        // Delivery phase: whatever the backbone has delivered by `now`.
-        self.agg_net.advance_to(now);
-        let deliveries = self.agg_net.drain(&self.agg_node.clone());
-        self.agg_store
-            .process_deliveries(&mut self.agg_net, now, deliveries);
-        // The store acks each proxy; drain those acks so inboxes stay
-        // bounded (the proxies have no retry engine to feed them to).
-        for proxy in self.proxies.clone() {
-            let acked = self.agg_net.drain(&proxy).len() as u64;
-            self.obs.add(self.ins.acked, acked);
+            self.forwarded_upto[idx] = history.len();
         }
     }
 
-    /// Settles the aggregation fabric: advances simulated time in 1-second
-    /// steps until no message is in flight, processing arrivals each step.
-    /// Returns the horizon reached. Call after the last
-    /// [`ShardedPlatform::pump`] to make the aggregate store reflect every
-    /// record the shards have applied.
+    /// One [`ShardedPlatform::aggregate`] pass at `now`, returning `now`:
+    /// aggregation has no transit to settle, so this exists for callers
+    /// that flush after their last round without pumping again.
     pub fn flush_aggregation(&mut self, now: SimTime) -> SimTime {
-        let mut horizon = now;
-        loop {
-            self.aggregate(horizon);
-            if self.agg_net.in_flight() == 0 {
-                return horizon;
-            }
-            horizon = horizon.saturating_add(SimDuration::from_secs(1));
-        }
+        self.aggregate(now);
+        now
     }
 
     /// The aggregate cloud store built from every shard's replicated
@@ -439,15 +327,14 @@ impl ShardedPlatform {
 
     /// One merged snapshot across the whole tier: every shard's
     /// [`Platform::observe`] (counters add, so `ingest.*`/`sync.*` totals
-    /// are fleet-wide), the aggregation fabric and store, and the tier's
-    /// own `shardfwd.*`/`shard.count` instruments. Byte-stable: shards
+    /// are fleet-wide), the aggregate store, and the tier's own
+    /// `query.fanout`/`shard.count` instruments. Byte-stable: shards
     /// merge in index order and [`ObsSnapshot`] serialization is sorted.
     pub fn observe(&self) -> ObsSnapshot {
         let mut snap = self.obs.snapshot();
         for shard in &self.shards {
             snap.merge(&shard.observe());
         }
-        snap.merge(&self.agg_net.observe());
         snap.merge(&self.agg_store.observe());
         snap
     }
@@ -502,7 +389,6 @@ impl std::fmt::Debug for ShardedPlatform {
         f.debug_struct("ShardedPlatform")
             .field("shards", &self.shards.len())
             .field("config", &self.config)
-            .field("rounds", &self.scheduler.ticks())
             .finish()
     }
 }
@@ -510,6 +396,7 @@ impl std::fmt::Debug for ShardedPlatform {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swamp_sim::SimDuration;
 
     fn build(n: usize, seed: u64) -> ShardedPlatform {
         ShardedPlatform::build(
@@ -554,13 +441,12 @@ mod tests {
         // Per-shard history totals sum to the batch (2 samples per update).
         let total: u64 = sp.shards().map(|s| s.history.len()).sum();
         assert_eq!(total, 60);
-        // Pump until replication lands, then settle aggregation.
+        // Pump until replication lands.
         let mut now = SimTime::from_secs(1);
         for _ in 0..50 {
             now = now.saturating_add(SimDuration::from_secs(60));
             sp.pump(now);
         }
-        sp.flush_aggregation(now);
         assert_eq!(sp.aggregate_store().history().len(), 30);
         let snap = sp.observe();
         assert_eq!(
@@ -568,8 +454,6 @@ mod tests {
             60,
             "30 per-shard + 30 agg"
         );
-        assert_eq!(snap.counter("shardfwd.records").unwrap(), 30);
-        assert_eq!(snap.counter("shardfwd.send_refused").unwrap(), 0);
     }
 
     #[test]
@@ -618,10 +502,7 @@ mod tests {
                 .shards(2)
                 .workers(0),
         );
-        assert_eq!(sp.workers(), 1, "workers(0) clamps to the serial schedule");
-        let mut sp = build(2, 1);
-        sp.set_workers(8);
-        assert_eq!(sp.workers(), 8);
+        assert_eq!(sp.workers(), 1, "workers(0) clamps to the calling thread");
     }
 
     #[test]
@@ -635,7 +516,6 @@ mod tests {
                 now = now.saturating_add(SimDuration::from_secs(60));
                 sp.pump(now);
             }
-            sp.flush_aggregation(now);
             ObsReport::array_to_json_string(&sp.observe_labelled("t"))
         };
         assert_eq!(

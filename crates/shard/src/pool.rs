@@ -68,8 +68,8 @@ pub(crate) fn pump_round(
 
 /// Applies pre-partitioned entity batches (`batches[i]` targets shard `i`)
 /// across the worker pool, returning the summed applied count. Empty
-/// batches are skipped without entering the shard's ingest span, exactly
-/// like the serial path.
+/// batches are skipped without entering the shard's ingest span, at any
+/// worker count.
 pub(crate) fn ingest_round(
     shards: &mut [Platform],
     workers: usize,

@@ -9,10 +9,9 @@
 //! incrementally maintained** instead, in the cometindex style: an
 //! indexer owns a *cursor* over the cloud store's append-only run of
 //! applied [`UpdateRecord`]s and folds only the records it has not seen
-//! yet. Critically it **tails** [`CloudStore::history`] — it never calls
-//! [`CloudStore::drain_new`], whose read position belongs to the
-//! platform's cloud context mirror (the same discipline the scale-out
-//! tier's `forwarded_upto` cursor follows).
+//! yet. It **tails** [`CloudStore::history`] behind a cursor of its own
+//! (as the scale-out tier's `forwarded_upto` does), so any number of
+//! readers follow the same run without disturbing one another.
 //!
 //! ## Determinism across shards
 //!
@@ -28,7 +27,6 @@
 //! `merge(shard views) == single-shard view` byte-for-byte.
 //!
 //! [`CloudStore::history`]: swamp_fog::sync::CloudStore::history
-//! [`CloudStore::drain_new`]: swamp_fog::sync::CloudStore::drain_new
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
 
