@@ -58,35 +58,10 @@ cargo test -q
 echo "== bench-guard: obs overhead <= 5% (bench_obs --check)"
 cargo run --release -q -p swamp-pilots --bin bench_obs -- --check 100 1000 > /dev/null
 
+# Includes the three differential suites (shard, detector, compaction),
+# each of which runs its grid at seeds 42 and 1337.
 echo "== cargo test --workspace -q"
 cargo test --workspace -q
-
-# Shard ≡ single-shard, serial ≡ parallel: the differential harness
-# quantifies over the seed AND the scheduler (worker counts {1, 2, 8}
-# inside the suite), so run it twice with different seeds — equivalence
-# must hold as a property of the seed family and of the thread count,
-# not one lucky constant or one lucky interleaving. Uses the test
-# binary already built by the workspace test step.
-echo "== shard-differential: N-shard/parallel == 1-shard/serial at seeds 42 and 1337"
-SHARD_DIFF_SEED=42 cargo test -q -p swamp-pilots --test shard_differential
-SHARD_DIFF_SEED=1337 cargo test -q -p swamp-pilots --test shard_differential
-
-# Detector verdicts are part of the same contract: the flag set, the
-# summed security.baseline.* counters and the precision/recall
-# scorecard must be invariant across shards {1, 3, 8} x workers
-# {1, 2, 8}, again at two seeds.
-echo "== detector-differential: baseline verdicts invariant across shards/workers at seeds 42 and 1337"
-SHARD_DIFF_SEED=42 cargo test -q -p swamp-pilots --test detector_differential
-SHARD_DIFF_SEED=1337 cargo test -q -p swamp-pilots --test detector_differential
-
-# Segment compaction is a representation change only: the query battery
-# must serialize byte-identically across cadences {never, every round,
-# every 64} x shards {1, 3, 8}, with the summary path engaged (segments
-# pruned and summary-served) on every segmented cell and idle on the
-# flat ones — again at two seeds.
-echo "== compaction-differential: layouts/cadences/shards answer identically at seeds 42 and 1337"
-SHARD_DIFF_SEED=42 cargo test -q -p swamp-pilots --test compaction_differential
-SHARD_DIFF_SEED=1337 cargo test -q -p swamp-pilots --test compaction_differential
 
 # Wall-clock cost has one instrument: the reference benchmark
 # (BENCHMARK.json, benchmark/). check.sh lints and unit-tests the harness;

@@ -86,8 +86,8 @@ mod tests {
         assert!(e.to_string().contains("replayed"));
         let e: Error = SendError::Denied.into();
         assert!(e.to_string().contains("denied"));
-        let e: Error = SyncError::BufferFull { capacity: 3 }.into();
-        assert!(e.to_string().contains("capacity 3"));
+        let e: Error = SyncError::KeyTooLong { len: 70_000 }.into();
+        assert!(e.to_string().contains("70000 bytes"));
         let e: Error = RegistryError::Unknown("x".into()).into();
         assert!(e.to_string().contains("unknown device"));
     }

@@ -227,7 +227,7 @@ pub mod nodes {
 /// let p = Platform::builder(DeploymentConfig::FarmFog)
 ///     .seed(42)
 ///     .sync_base_timeout(SimDuration::from_secs(30))
-///     .sync_backoff(2.0, SimDuration::from_secs(240))
+///     .sync_jitter(0.0)
 ///     .build();
 /// assert_eq!(p.config(), DeploymentConfig::FarmFog);
 /// ```
@@ -237,8 +237,6 @@ pub struct PlatformBuilder {
     config: DeploymentConfig,
     sync_capacity: usize,
     sync_base_timeout: SimDuration,
-    sync_backoff_factor: f64,
-    sync_max_backoff: SimDuration,
     sync_jitter: f64,
     fault_plan: Option<FaultPlan>,
     uplink_outages: Vec<(SimTime, SimTime)>,
@@ -256,8 +254,6 @@ impl PlatformBuilder {
             config,
             sync_capacity: 100_000,
             sync_base_timeout: SimDuration::from_secs(60),
-            sync_backoff_factor: 2.0,
-            sync_max_backoff: SimDuration::from_secs(480),
             sync_jitter: 0.1,
             fault_plan: None,
             uplink_outages: Vec::new(),
@@ -303,13 +299,6 @@ impl PlatformBuilder {
     /// First-retransmission timeout of the uplink engine.
     pub fn sync_base_timeout(mut self, timeout: SimDuration) -> Self {
         self.sync_base_timeout = timeout;
-        self
-    }
-
-    /// Exponential backoff multiplier and cap for uplink retries.
-    pub fn sync_backoff(mut self, factor: f64, cap: SimDuration) -> Self {
-        self.sync_backoff_factor = factor;
-        self.sync_max_backoff = cap;
         self
     }
 
@@ -401,8 +390,6 @@ impl PlatformBuilder {
             config,
             sync_capacity,
             sync_base_timeout,
-            sync_backoff_factor,
-            sync_max_backoff,
             sync_jitter,
             mut fault_plan,
             uplink_outages,
@@ -441,7 +428,6 @@ impl PlatformBuilder {
         let uplink = FogSync::builder(farm, nodes::CLOUD)
             .capacity(sync_capacity)
             .base_timeout(sync_base_timeout)
-            .backoff(sync_backoff_factor, sync_max_backoff)
             .jitter(sync_jitter)
             .seed(seed ^ 0x73796e635f656e67) // "sync_eng"
             .build();
@@ -510,9 +496,7 @@ impl PlatformBuilder {
     /// partitions.
     pub fn build_shard(&self, shard: crate::shard::ShardIndex) -> Platform {
         let seed = crate::shard::shard_seed(self.seed, shard);
-        let mut platform = self.clone().seed(seed).build();
-        platform.set_net_namespace(format!("shard{shard}"));
-        platform
+        self.clone().seed(seed).build()
     }
 }
 
@@ -538,14 +522,6 @@ impl Platform {
     /// rejected until an operator re-enables it.
     pub fn set_auto_quarantine(&mut self, on: bool) {
         self.auto_quarantine = on;
-    }
-
-    /// Labels this platform's network fabric (see
-    /// [`Network::set_namespace`]); the scale-out tier tags each shard's
-    /// fabric `shard<i>` so diagnostics from parallel fabrics stay
-    /// distinguishable.
-    pub fn set_net_namespace(&mut self, namespace: impl Into<String>) {
-        self.net.set_namespace(namespace);
     }
 
     /// The node where ingestion and decisions run.
@@ -870,14 +846,13 @@ impl Platform {
 
         let ingested = self.ingest_entities(now, batch);
 
-        // Fog→cloud replication: one round out, the cloud applies and
-        // acks, the acks come back.
+        // Fog→cloud replication: one round out, and the cloud applies and
+        // acks what earlier rounds delivered. Every link has latency, so
+        // nothing sent at `now` arrives at `now`: the acks come back
+        // through the topic router above on a later pump.
         if fog {
             self.uplink.sync_round(&mut self.net, now, 256);
-            self.net.advance_to(now);
             self.cloud_store.process(&mut self.net, now);
-            self.net.advance_to(now);
-            self.uplink.poll_acks(&mut self.net, now);
         }
         ingested
     }

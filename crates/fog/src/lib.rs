@@ -20,12 +20,11 @@
 //! ## Example: buffering through an outage
 //!
 //! ```
-//! use swamp_fog::sync::{DropPolicy, FogSync};
+//! use swamp_fog::sync::FogSync;
 //! use swamp_sim::{SimDuration, SimTime};
 //!
 //! let mut sync = FogSync::builder("farm-fog", "cloud")
 //!     .capacity(10_000)
-//!     .drop_policy(DropPolicy::Oldest)
 //!     .base_timeout(SimDuration::from_secs(30))
 //!     .build();
 //! // Uplink down: updates keep accumulating locally.
@@ -48,5 +47,5 @@ pub mod timer_wheel;
 pub use availability::{AvailabilityTracker, OutageSchedule, ServedBy};
 pub use mobile::{ContactPlan, MobileLinkDriver};
 pub use sync::{
-    AckOutcome, CloudStore, DegradedMode, DropPolicy, FogSync, FogSyncBuilder, SyncError, SyncStats,
+    AckOutcome, CloudStore, DegradedMode, FogSync, FogSyncBuilder, SyncError, SyncStats,
 };

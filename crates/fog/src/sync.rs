@@ -26,7 +26,7 @@
 //! under a silent partition:
 //!
 //! ```text
-//!            strikes ≥ degraded_after        strikes ≥ offline_after
+//!                  strikes ≥ 2                     strikes ≥ 6
 //! Connected ─────────────────────────▶ Degraded ─────────────────────▶ Offline
 //!     ▲                                   │                               │
 //!     └────────────── any ack ────────────┴───────────── any ack ─────────┘
@@ -68,14 +68,14 @@ pub const ACK_TOPIC: &str = "fog/sync/ack";
 /// length prefix).
 pub const MAX_KEY_LEN: usize = u16::MAX as usize;
 
+/// Consecutive strike rounds before the uplink is graded `Degraded`.
+const DEGRADED_AFTER: u32 = 2;
+/// Consecutive strike rounds before the uplink is graded `Offline`.
+const OFFLINE_AFTER: u32 = 6;
+
 /// Why a sync operation was refused.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SyncError {
-    /// The bounded buffer is full and the drop policy refuses new records.
-    BufferFull {
-        /// Configured buffer capacity.
-        capacity: usize,
-    },
     /// The record key exceeds [`MAX_KEY_LEN`] and cannot be encoded.
     KeyTooLong {
         /// Actual key length in bytes.
@@ -93,9 +93,6 @@ pub enum SyncError {
 impl std::fmt::Display for SyncError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SyncError::BufferFull { capacity } => {
-                write!(f, "sync buffer full (capacity {capacity})")
-            }
             SyncError::KeyTooLong { len } => {
                 write!(f, "record key of {len} bytes exceeds {MAX_KEY_LEN}")
             }
@@ -152,7 +149,7 @@ pub struct AckOutcome {
     /// Acks for records already released (suppressed).
     pub duplicate: usize,
     /// Acks for sequence numbers this engine never had in its buffer
-    /// (e.g. records evicted by the drop policy before their ack arrived).
+    /// (e.g. records evicted from a full buffer before their ack arrived).
     pub unknown: usize,
     /// Ack messages whose payload failed to decode (inbox drains only).
     pub malformed: usize,
@@ -178,15 +175,6 @@ pub struct UpdateRecord {
     pub payload: Vec<u8>,
     /// When the update was created at the fog.
     pub created_at: SimTime,
-}
-
-/// What to drop when the fog buffer is full.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DropPolicy {
-    /// Drop the oldest buffered update (favor fresh state).
-    Oldest,
-    /// Refuse the new update (favor history completeness).
-    Newest,
 }
 
 /// Counters for a sync endpoint.
@@ -288,12 +276,11 @@ struct PendingRecord {
 ///
 /// # Example
 /// ```
-/// use swamp_fog::sync::{DropPolicy, FogSync};
+/// use swamp_fog::sync::FogSync;
 /// use swamp_sim::SimDuration;
 ///
 /// let sync = FogSync::builder("fog", "cloud")
 ///     .capacity(10_000)
-///     .drop_policy(DropPolicy::Oldest)
 ///     .base_timeout(SimDuration::from_secs(10))
 ///     .backoff(2.0, SimDuration::from_secs(120))
 ///     .jitter(0.1)
@@ -306,14 +293,11 @@ pub struct FogSyncBuilder {
     node: NodeId,
     cloud: NodeId,
     capacity: usize,
-    policy: DropPolicy,
     base_timeout: SimDuration,
     backoff_factor: f64,
     max_backoff: SimDuration,
     jitter: f64,
     max_in_flight: usize,
-    degraded_after: u32,
-    offline_after: u32,
     seed: u64,
 }
 
@@ -323,14 +307,11 @@ impl FogSyncBuilder {
             node,
             cloud,
             capacity: 100_000,
-            policy: DropPolicy::Oldest,
             base_timeout: SimDuration::from_secs(30),
             backoff_factor: 2.0,
             max_backoff: SimDuration::from_secs(480),
             jitter: 0.1,
             max_in_flight: 1024,
-            degraded_after: 2,
-            offline_after: 6,
             seed: 0x666f675f73796e63, // "fog_sync"
         }
     }
@@ -338,12 +319,6 @@ impl FogSyncBuilder {
     /// Buffer capacity in records (clamped to ≥ 1). Default 100 000.
     pub fn capacity(mut self, capacity: usize) -> Self {
         self.capacity = capacity.max(1);
-        self
-    }
-
-    /// What to drop when the buffer is full. Default [`DropPolicy::Oldest`].
-    pub fn drop_policy(mut self, policy: DropPolicy) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -386,15 +361,6 @@ impl FogSyncBuilder {
         self
     }
 
-    /// Strike thresholds for the degraded-mode state machine: the number of
-    /// consecutive timeout rounds before entering `Degraded` and `Offline`
-    /// (each clamped to ≥ 1, `offline` to ≥ `degraded`). Default 2 and 6.
-    pub fn degraded_thresholds(mut self, degraded: u32, offline: u32) -> Self {
-        self.degraded_after = degraded.max(1);
-        self.offline_after = offline.max(self.degraded_after);
-        self
-    }
-
     /// Seed for the jitter RNG stream. Defaults to a fixed engine seed, so
     /// set this when running multiple engines that must not synchronize.
     pub fn seed(mut self, seed: u64) -> Self {
@@ -411,14 +377,11 @@ impl FogSyncBuilder {
             node: self.node,
             cloud: self.cloud,
             capacity: self.capacity,
-            policy: self.policy,
             base_timeout: self.base_timeout,
             backoff_factor: self.backoff_factor,
             max_backoff: self.max_backoff,
             jitter: self.jitter,
             max_in_flight: self.max_in_flight,
-            degraded_after: self.degraded_after,
-            offline_after: self.offline_after,
             rng: SimRng::seed_from(self.seed),
             records: BTreeMap::new(),
             ready: VecDeque::new(),
@@ -455,14 +418,11 @@ pub struct FogSync {
     node: NodeId,
     cloud: NodeId,
     capacity: usize,
-    policy: DropPolicy,
     base_timeout: SimDuration,
     backoff_factor: f64,
     max_backoff: SimDuration,
     jitter: f64,
     max_in_flight: usize,
-    degraded_after: u32,
-    offline_after: u32,
     rng: SimRng,
     /// Backlog, keyed by seq (ascending iteration = enqueue order); release
     /// by ack is a keyed remove.
@@ -549,35 +509,25 @@ impl FogSync {
         self.mode_since
     }
 
-    /// Queues one update, applying the drop policy when full.
+    /// Queues one update. A full buffer evicts its oldest record (counted
+    /// in [`SyncStats::dropped`]) to favor fresh state.
     ///
     /// # Errors
     /// [`SyncError::KeyTooLong`] if the key cannot be encoded (nothing is
-    /// enqueued); [`SyncError::BufferFull`] if the buffer is full under
-    /// [`DropPolicy::Newest`] (the update is refused and counted dropped).
+    /// enqueued).
     pub fn enqueue(&mut self, now: SimTime, key: &str, payload: Vec<u8>) -> Result<u64, SyncError> {
         if key.len() > MAX_KEY_LEN {
             return Err(SyncError::KeyTooLong { len: key.len() });
         }
         if self.records.len() >= self.capacity {
-            match self.policy {
-                DropPolicy::Oldest => {
-                    // Evict the oldest (lowest-seq) record. Its ready-queue
-                    // or timer-wheel entry goes stale and is dropped lazily
-                    // the next time it surfaces.
-                    if let Some((_, old)) = self.records.pop_first() {
-                        if old.flight.is_some() {
-                            self.in_flight_count -= 1;
-                        }
-                        self.obs.inc(self.ins.dropped);
-                    }
+            // Evict the oldest (lowest-seq) record. Its ready-queue or
+            // timer-wheel entry goes stale and is dropped lazily the next
+            // time it surfaces.
+            if let Some((_, old)) = self.records.pop_first() {
+                if old.flight.is_some() {
+                    self.in_flight_count -= 1;
                 }
-                DropPolicy::Newest => {
-                    self.obs.inc(self.ins.dropped);
-                    return Err(SyncError::BufferFull {
-                        capacity: self.capacity,
-                    });
-                }
+                self.obs.inc(self.ins.dropped);
             }
         }
         let seq = self.next_seq;
@@ -601,10 +551,9 @@ impl FogSync {
 
     /// Queues a batch of `(key, payload)` updates — the bulk mirror of
     /// [`FogSync::enqueue`], used by the platform's batched ingestion path.
-    /// Validates every key before enqueuing anything, then applies the drop
-    /// policy per record. Returns how many were accepted; refusals under
-    /// [`DropPolicy::Newest`] are a policy outcome (counted in
-    /// [`SyncStats::dropped`]), not an error.
+    /// Validates every key before enqueuing anything. Returns how many
+    /// were enqueued — all of them: overflow evicts the oldest records
+    /// (counted in [`SyncStats::dropped`]) rather than refusing new ones.
     ///
     /// # Errors
     /// [`SyncError::KeyTooLong`] if any key cannot be encoded — in that
@@ -618,13 +567,9 @@ impl FogSync {
         if let Some(&(key, _)) = items.iter().find(|(k, _)| k.len() > MAX_KEY_LEN) {
             return Err(SyncError::KeyTooLong { len: key.len() });
         }
-        let mut accepted = 0;
+        let accepted = items.len();
         for (key, payload) in items {
-            match self.enqueue(now, key, payload) {
-                Ok(_) => accepted += 1,
-                Err(SyncError::BufferFull { .. }) => {}
-                Err(other) => return Err(other), // unreachable post-validation
-            }
+            self.enqueue(now, key, payload)?;
         }
         Ok(accepted)
     }
@@ -814,9 +759,9 @@ impl FogSync {
 
         if expired > 0 || refused {
             self.strikes = self.strikes.saturating_add(1);
-            let mode = if self.strikes >= self.offline_after {
+            let mode = if self.strikes >= OFFLINE_AFTER {
                 DegradedMode::Offline
-            } else if self.strikes >= self.degraded_after {
+            } else if self.strikes >= DEGRADED_AFTER {
                 DegradedMode::Degraded
             } else {
                 self.mode
@@ -1288,7 +1233,6 @@ mod tests {
         );
         let sync = FogSync::builder("fog", "cloud")
             .capacity(1000)
-            .drop_policy(DropPolicy::Oldest)
             .base_timeout(SimDuration::from_secs(5))
             .backoff(2.0, SimDuration::from_secs(60))
             .jitter(0.0)
@@ -1544,15 +1488,13 @@ mod tests {
 
     #[test]
     fn bounded_buffer_drop_oldest() {
-        let mut sync = FogSync::builder("fog", "cloud")
-            .capacity(3)
-            .drop_policy(DropPolicy::Oldest)
-            .build();
-        for i in 0..5 {
-            assert!(sync
-                .enqueue(SimTime::ZERO, &format!("k{i}"), vec![])
-                .is_ok());
+        let mut sync = FogSync::builder("fog", "cloud").capacity(3).build();
+        // Two singles, then a batch that overflows: same eviction either way.
+        for key in ["k0", "k1"] {
+            assert!(sync.enqueue(SimTime::ZERO, key, vec![]).is_ok());
         }
+        let batch = ["k2", "k3", "k4"].map(|k| (k, vec![]));
+        assert_eq!(sync.enqueue_batch(SimTime::ZERO, batch), Ok(3));
         assert_eq!(sync.pending(), 3);
         assert_eq!(sync.stats().dropped, 2);
         // Oldest (k0, k1) gone; k2..k4 retained.
@@ -1610,22 +1552,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_buffer_drop_newest() {
-        let mut sync = FogSync::builder("fog", "cloud")
-            .capacity(2)
-            .drop_policy(DropPolicy::Newest)
-            .build();
-        assert!(sync.enqueue(SimTime::ZERO, "k0", vec![]).is_ok());
-        assert!(sync.enqueue(SimTime::ZERO, "k1", vec![]).is_ok());
-        assert_eq!(
-            sync.enqueue(SimTime::ZERO, "k2", vec![]),
-            Err(SyncError::BufferFull { capacity: 2 })
-        );
-        assert_eq!(sync.pending(), 2);
-        assert_eq!(sync.stats().dropped, 1);
-    }
-
-    #[test]
     fn latest_reflects_newest_record_per_key() {
         let (mut net, mut sync, mut cloud) = setup(0.0);
         sync.enqueue(SimTime::ZERO, "probe", b"old".to_vec())
@@ -1636,19 +1562,6 @@ mod tests {
         assert_eq!(cloud.latest("probe").unwrap().payload, b"new");
         assert_eq!(cloud.record_count(), 2);
         assert_eq!(cloud.history().len(), 2);
-    }
-
-    #[test]
-    fn enqueue_batch_matches_loop_and_applies_drop_policy() {
-        let mut sync = FogSync::builder("fog", "cloud")
-            .capacity(3)
-            .drop_policy(DropPolicy::Newest)
-            .build();
-        let items: Vec<(&str, Vec<u8>)> = (0..5).map(|i| ("k", vec![i as u8])).collect();
-        let accepted = sync.enqueue_batch(SimTime::ZERO, items).unwrap();
-        assert_eq!(accepted, 3, "capacity 3, Newest policy refuses overflow");
-        assert_eq!(sync.pending(), 3);
-        assert_eq!(sync.stats().dropped, 2);
     }
 
     #[test]
@@ -1775,7 +1688,6 @@ mod tests {
             .base_timeout(SimDuration::from_secs(5))
             .backoff(1.0, SimDuration::from_secs(5))
             .jitter(0.0)
-            .degraded_thresholds(2, 4)
             .build();
         net.set_link_up(&"fog".into(), &"cloud".into(), false);
         sync.enqueue(SimTime::ZERO, "k", vec![]).unwrap();
@@ -1797,10 +1709,13 @@ mod tests {
         assert_eq!(sync.mode(), DegradedMode::Degraded);
         let degraded_since = sync.mode_since();
         assert_eq!(degraded_since, now);
-        for _ in 0..2 {
+        for _ in 0..3 {
             now += SimDuration::from_secs(6);
             sync.sync_round(&mut net, now, 8);
         }
+        assert_eq!(sync.mode(), DegradedMode::Degraded, "five strikes");
+        now += SimDuration::from_secs(6);
+        sync.sync_round(&mut net, now, 8);
         assert_eq!(sync.mode(), DegradedMode::Offline);
 
         // Heal: one delivered+acked record restores Connected.
@@ -1847,9 +1762,8 @@ mod tests {
             .backoff(0.5, SimDuration::from_secs(10))
             .jitter(7.0)
             .max_in_flight(0)
-            .degraded_thresholds(0, 0)
             .build();
-        // Capacity clamped to 1: a second record evicts under Oldest.
+        // Capacity clamped to 1: a second record evicts the first.
         sync.enqueue(SimTime::ZERO, "a", vec![]).unwrap();
         sync.enqueue(SimTime::ZERO, "b", vec![]).unwrap();
         assert_eq!(sync.pending(), 1);

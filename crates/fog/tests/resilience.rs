@@ -2,12 +2,11 @@
 //! loss, duplication, reordering and scheduled partitions, every enqueued
 //! record must reach the cloud store **exactly once** (eventual delivery,
 //! idempotent apply), and the engine must end reconnected with an empty
-//! buffer. This is the always-on twin of the `proptest-tests` suite — it
-//! runs in plain CI, where the offline build cannot resolve proptest.
+//! buffer.
 
 use std::collections::BTreeSet;
 
-use swamp_fog::sync::{CloudStore, DegradedMode, DropPolicy, FogSync};
+use swamp_fog::sync::{CloudStore, DegradedMode, FogSync};
 use swamp_net::link::LinkSpec;
 use swamp_net::network::Network;
 use swamp_net::{FaultPlan, FaultSpec};
@@ -52,7 +51,6 @@ fn run_scenario(seed: u64, uplink: LinkSpec, fault_rate: f64, with_partition: bo
 
     let mut sync = FogSync::builder("fog", "cloud")
         .capacity(10_000)
-        .drop_policy(DropPolicy::Oldest)
         .base_timeout(SimDuration::from_secs(20))
         .backoff(2.0, SimDuration::from_secs(120))
         .jitter(0.2)

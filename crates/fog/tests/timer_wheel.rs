@@ -1,9 +1,7 @@
 //! Seeded differential suite for the hierarchical timer wheel: against a
 //! naive scan-everything model, the wheel must fire exactly the same
 //! (deadline, id) multiset at every advance, for random deadline sets
-//! spanning every level, the overflow region and [`SimTime::MAX`]. This
-//! is the always-on twin of the `proptest-tests` suite — it runs in plain
-//! CI, where the offline build cannot resolve proptest.
+//! spanning every level, the overflow region and [`SimTime::MAX`].
 
 use swamp_fog::timer_wheel::TimerWheel;
 use swamp_sim::{SimRng, SimTime};

@@ -77,8 +77,6 @@ pub struct Network {
     /// Directed links currently observed inside a partition window, for
     /// partition start/end event edges.
     partitioned: BTreeSet<(NodeId, NodeId)>,
-    /// Optional fabric label (see [`Network::set_namespace`]).
-    namespace: Option<String>,
     next_id: u64,
 }
 
@@ -118,7 +116,6 @@ impl NetInstruments {
 impl std::fmt::Debug for Network {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Network")
-            .field("namespace", &self.namespace)
             .field("nodes", &self.nodes.len())
             .field("links", &self.links.len())
             .field("in_flight", &self.queue.len())
@@ -143,33 +140,7 @@ impl Network {
             obs,
             ins,
             partitioned: BTreeSet::new(),
-            namespace: None,
             next_id: 0,
-        }
-    }
-
-    /// Labels this fabric with a namespace. A sharded deployment runs one
-    /// `Network` per shard, each with the same node names (`farm-fog`,
-    /// `cloud`, …); the namespace keeps the fabrics distinguishable in
-    /// diagnostics and lets [`Network::scoped`] mint globally unique node
-    /// ids for cross-fabric wiring (e.g. the aggregation tier's
-    /// `shard0:farm-fog`). Purely a label: routing, faults and instruments
-    /// are unaffected, so an unlabelled fabric behaves byte-identically.
-    pub fn set_namespace(&mut self, namespace: impl Into<String>) {
-        self.namespace = Some(namespace.into());
-    }
-
-    /// The fabric's namespace label, if one was set.
-    pub fn namespace(&self) -> Option<&str> {
-        self.namespace.as_deref()
-    }
-
-    /// A node id qualified by this fabric's namespace
-    /// (`<namespace>:<id>`), or the bare id on an unlabelled fabric.
-    pub fn scoped(&self, id: &str) -> NodeId {
-        match &self.namespace {
-            Some(ns) => NodeId::from(format!("{ns}:{id}").as_str()),
-            None => NodeId::from(id),
         }
     }
 

@@ -2,17 +2,18 @@
 //! E4 — Sybil NDVI attack and spatial defense; E12 — behavioral baseline vs
 //! point detectors on actuator takeover.
 
+use std::collections::BTreeSet;
+
 use swamp_net::link::LinkSpec;
 use swamp_net::message::Message;
 use swamp_net::network::Network;
 use swamp_net::sdn::{FlowAction, FlowMatch};
 use swamp_security::attacks::{DosFlooder, SensorTamper, SybilSwarm, TamperMode};
-use swamp_security::behavior::{
-    actuator_takeover_sequence, normal_irrigation_cycle, BehaviorDetector, MarkovBaseline,
-};
 use swamp_security::detect::{spatial_outliers, RateGuard, ZScoreDetector};
 use swamp_sim::{SimDuration, SimRng, SimTime};
+use swamp_workload::{Label, Pilot};
 
+use super::baseline::{e16_run_pilot, e16_spec, E16_DEVICES, E16_ROUNDS};
 use crate::report::{fmt_f, fmt_pct, Report};
 
 /// E2 results: telemetry delivery under DoS.
@@ -346,9 +347,10 @@ pub fn e4_sybil(seed: u64) -> E4Result {
 /// E12 results: behavioral baseline vs point detector on takeovers.
 #[derive(Clone, Debug)]
 pub struct E12Result {
-    /// Behavioral detector: (takeover detection rate, false-alarm rate).
+    /// Behavioral baseline: (share of takeover victims flagged, share of
+    /// honest devices flagged).
     pub behavioral: (f64, f64),
-    /// Point (rate-based) detector on the same windows.
+    /// Message-rate guard on the same record stream, same two shares.
     pub point: (f64, f64),
 }
 
@@ -373,56 +375,60 @@ impl E12Result {
     }
 }
 
-/// Runs E12. The takeover emits the same *volume* of events as normal
-/// operation (so a rate detector sees nothing) but in a causally impossible
-/// order (so the sequence baseline collapses).
+/// Runs E12: the actuator-takeover slice of the CBEC E16 run. The
+/// overlay forces refill jumps on its victims without adding a single
+/// message, so a guard that watches arrival rates has nothing to see,
+/// while the streaming baseline meets transitions the irrigation cycle
+/// never contains.
 pub fn e12_behavior(seed: u64) -> E12Result {
-    let mut rng = SimRng::seed_from(seed ^ 0xE12);
-
-    // Train on noisy normal cycles.
-    let noisy_cycle = |rng: &mut SimRng| {
-        let mut seq = normal_irrigation_cycle();
-        // Occasionally repeat a soil:rising reading (sensor chatter).
-        if rng.chance(0.3) {
-            seq.insert(6, "soil:rising".to_owned());
-        }
-        seq
+    let (row, _) = e16_run_pilot(seed, Pilot::Cbec, E16_DEVICES, E16_ROUNDS);
+    let spec = e16_spec(Pilot::Cbec, seed, E16_DEVICES, E16_ROUNDS);
+    let w = spec.compile();
+    let records = || {
+        w.batches
+            .iter()
+            .flat_map(|b| b.records.iter().map(move |r| (b.at, r)))
     };
-    let mut baseline = MarkovBaseline::new(0.1);
-    for _ in 0..300 {
-        baseline.train(&noisy_cycle(&mut rng));
-    }
-    let holdout: Vec<Vec<String>> = (0..60).map(|_| noisy_cycle(&mut rng)).collect();
-    let det = BehaviorDetector::calibrate(baseline, &holdout, 0.3);
+    let victims: BTreeSet<&str> = records()
+        .filter(|(_, r)| r.label == Label::Takeover)
+        .map(|(_, r)| r.device.as_str())
+        .collect();
+    let honest: BTreeSet<&str> = w
+        .devices
+        .iter()
+        .filter(|d| !w.attack_devices.contains(*d))
+        .map(String::as_str)
+        .collect();
 
-    let trials = 100;
-    // Behavioral detector.
-    let mut b_tp = 0;
-    let mut b_fp = 0;
-    // Point detector: alerts when a window has more events than the normal
-    // max (rate-style evidence only).
-    let normal_max_len = holdout.iter().map(Vec::len).max().unwrap_or(0);
-    let mut p_tp = 0;
-    let mut p_fp = 0;
-    for _ in 0..trials {
-        let normal = noisy_cycle(&mut rng);
-        let attack = actuator_takeover_sequence();
-        if det.is_anomalous(&normal) {
-            b_fp += 1;
-        }
-        if det.is_anomalous(&attack) {
-            b_tp += 1;
-        }
-        if normal.len() > normal_max_len {
-            p_fp += 1;
-        }
-        if attack.len() > normal_max_len {
-            p_tp += 1;
+    // The rate guard is calibrated on the honest devices' arrival rate:
+    // one-day windows cancel CBEC's day/night reporting skew, and no
+    // alert fires below a mean honest device-day of messages.
+    let day = SimDuration::from_days(1);
+    let days = (spec.step * spec.rounds as u64).as_secs() / day.as_secs();
+    let honest_records = records()
+        .filter(|(_, r)| honest.contains(r.device.as_str()))
+        .count() as u64;
+    let per_device_day = honest_records / (honest.len() as u64 * days);
+    let mut guard = RateGuard::new(day, 2.0, per_device_day);
+    let mut alarmed = BTreeSet::new();
+    for (at, r) in records() {
+        if guard.observe(&r.device, at).is_anomalous() {
+            alarmed.insert(r.device.as_str());
         }
     }
+
+    let share = |hit: usize, of: usize| hit as f64 / of as f64;
+    let (caught, planted) = row
+        .caught
+        .get(&Label::Takeover)
+        .copied()
+        .unwrap_or_default();
     E12Result {
-        behavioral: (b_tp as f64 / trials as f64, b_fp as f64 / trials as f64),
-        point: (p_tp as f64 / trials as f64, p_fp as f64 / trials as f64),
+        behavioral: (share(caught, planted), share(row.fp, honest.len())),
+        point: (
+            share(alarmed.intersection(&victims).count(), victims.len()),
+            share(alarmed.intersection(&honest).count(), honest.len()),
+        ),
     }
 }
 
@@ -499,6 +505,7 @@ mod tests {
             "rate-only detector should miss same-volume takeovers: {}",
             r.point.0
         );
+        assert_eq!(r.point.1, 0.0, "rate guard alarmed on an honest device");
         assert!(r.report().to_string().contains("markov-sequence"));
     }
 }

@@ -7,7 +7,7 @@ use swamp_codec::ngsi::Entity;
 use swamp_core::platform::{DeploymentConfig, Platform};
 use swamp_crypto::aead::{NonceSequence, SecretKey, SEAL_OVERHEAD};
 use swamp_fog::availability::{AvailabilityTracker, OutageSchedule};
-use swamp_fog::sync::{CloudStore, DropPolicy, FogSync};
+use swamp_fog::sync::{CloudStore, FogSync};
 use swamp_net::link::LinkSpec;
 use swamp_net::lpwan::{LpwanConfig, LpwanRadio, TxDecision};
 use swamp_net::network::Network;
@@ -137,7 +137,6 @@ pub fn e5_fog_availability(seed: u64) -> E5Result {
         net.set_link_up(&"fog".into(), &"cloud".into(), false);
         let mut sync = FogSync::builder("fog", "cloud")
             .capacity(capacity)
-            .drop_policy(DropPolicy::Oldest)
             .base_timeout(SimDuration::from_secs(30))
             .backoff(1.0, SimDuration::from_secs(30))
             .jitter(0.0)

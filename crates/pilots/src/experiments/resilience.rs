@@ -126,7 +126,6 @@ fn run_cell(seed: u64, config: DeploymentConfig, loss: f64) -> (E13Row, ObsRepor
     let mut platform = Platform::builder(config)
         .seed(seed)
         .sync_base_timeout(SimDuration::from_secs(60))
-        .sync_backoff(2.0, SimDuration::from_secs(480))
         .sync_jitter(0.1)
         .fault_plan(plan)
         .uplink_outages(&schedule)

@@ -8,9 +8,8 @@
 //!
 //! "Never" runs the flat pre-segment layout (threshold `None`, no
 //! `compact_history` calls), so it doubles as the behavioral baseline
-//! from before the columnar read path landed. `SHARD_DIFF_SEED`
-//! overrides the default seed — ci.sh runs the suite twice (42, 1337),
-//! making the equivalence a property of the seed family.
+//! from before the columnar read path landed. The suite runs at both
+//! [`SEEDS`].
 
 use swamp_codec::ngsi::{Attribute, Entity};
 use swamp_core::query::QueryRequest;
@@ -27,16 +26,9 @@ const DEVICES: usize = 30;
 /// inside the first frozen segment of every deep series.
 const PRUNE_AFTER_ROUND: u64 = 5;
 
-/// The seed under test: `SHARD_DIFF_SEED` if set (ci.sh sets 42 and 1337),
-/// else 42.
-fn diff_seed() -> u64 {
-    match std::env::var("SHARD_DIFF_SEED") {
-        Ok(s) => s
-            .parse()
-            .unwrap_or_else(|_| panic!("SHARD_DIFF_SEED must be a u64, got {s:?}")),
-        Err(_) => 42,
-    }
-}
+/// Equivalence must hold as a property of the seed family, not of one
+/// lucky constant.
+const SEEDS: [u64; 2] = [42, 1337];
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Cadence {
@@ -221,36 +213,37 @@ fn run_cell(seed: u64, shards: usize, cadence: Cadence) -> Cell {
 
 #[test]
 fn compaction_cadence_and_shard_count_are_observationally_free() {
-    let seed = diff_seed();
-    let baseline = run_cell(seed, 1, Cadence::Never).doc;
-    assert!(
-        baseline.contains("water_flow"),
-        "the battery must actually read data back"
-    );
-    for shards in SHARD_COUNTS {
-        for cadence in [Cadence::Never, Cadence::EveryRound, Cadence::Every64] {
-            let cell = run_cell(seed, shards, cadence);
-            assert_eq!(
-                cell.doc, baseline,
-                "seed {seed}: query battery diverged at {shards} shards / {cadence:?}"
-            );
-            let at = format!("seed {seed}: {shards} shards / {cadence:?}");
-            if cadence == Cadence::Never {
-                // The flat layout has no segments to freeze, skip or
-                // answer from.
-                assert_eq!(cell.segments, 0, "{at}: flat layout froze segments");
-                assert_eq!(cell.pruned, 0, "{at}: flat layout pruned segments");
-                assert_eq!(cell.summarized, 0, "{at}: flat layout read summaries");
-            } else {
-                // The summary path must engage, or the differential is
-                // vacuous: windowed reads skip outside segments and
-                // envelope reads fold interior segments undecoded.
-                assert!(cell.segments > 0, "{at}: froze no segments");
-                assert!(cell.pruned > 0, "{at}: no window pruned a segment");
-                assert!(
-                    cell.summarized > 0,
-                    "{at}: no Extremes read was served from a frozen summary"
+    for seed in SEEDS {
+        let baseline = run_cell(seed, 1, Cadence::Never).doc;
+        assert!(
+            baseline.contains("water_flow"),
+            "the battery must actually read data back"
+        );
+        for shards in SHARD_COUNTS {
+            for cadence in [Cadence::Never, Cadence::EveryRound, Cadence::Every64] {
+                let cell = run_cell(seed, shards, cadence);
+                assert_eq!(
+                    cell.doc, baseline,
+                    "seed {seed}: query battery diverged at {shards} shards / {cadence:?}"
                 );
+                let at = format!("seed {seed}: {shards} shards / {cadence:?}");
+                if cadence == Cadence::Never {
+                    // The flat layout has no segments to freeze, skip or
+                    // answer from.
+                    assert_eq!(cell.segments, 0, "{at}: flat layout froze segments");
+                    assert_eq!(cell.pruned, 0, "{at}: flat layout pruned segments");
+                    assert_eq!(cell.summarized, 0, "{at}: flat layout read summaries");
+                } else {
+                    // The summary path must engage, or the differential is
+                    // vacuous: windowed reads skip outside segments and
+                    // envelope reads fold interior segments undecoded.
+                    assert!(cell.segments > 0, "{at}: froze no segments");
+                    assert!(cell.pruned > 0, "{at}: no window pruned a segment");
+                    assert!(
+                        cell.summarized > 0,
+                        "{at}: no Extremes read was served from a frozen summary"
+                    );
+                }
             }
         }
     }

@@ -16,10 +16,7 @@
 //! The workload runs on the E14 lossless configuration (datacenter
 //! uplink, retry timeout above the ack round trip), so replication
 //! counters are workload-determined: any divergence is a routing or
-//! merge bug, never channel noise. `SHARD_DIFF_SEED` overrides the
-//! default seed — ci.sh runs the suite twice with different values, so
-//! the equivalence is checked as a property of the seed family, not one
-//! lucky constant.
+//! merge bug, never channel noise. Every test runs at both [`SEEDS`].
 
 use std::collections::BTreeMap;
 
@@ -33,49 +30,43 @@ use swamp_sim::{SimDuration, SimRng, SimTime};
 const SHARD_COUNTS: [usize; 3] = [1, 3, 8];
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 
-/// The seed under test: `SHARD_DIFF_SEED` if set (ci.sh sets 42 and 1337),
-/// else 42.
-fn diff_seed() -> u64 {
-    match std::env::var("SHARD_DIFF_SEED") {
-        Ok(s) => s
-            .parse()
-            .unwrap_or_else(|_| panic!("SHARD_DIFF_SEED must be a u64, got {s:?}")),
-        Err(_) => 42,
-    }
-}
+/// Equivalence must hold as a property of the seed family, not of one
+/// lucky constant.
+const SEEDS: [u64; 2] = [42, 1337];
 
 #[test]
 fn n_shard_equals_single_shard_at_every_worker_count() {
-    let seed = diff_seed();
-    let devices = 300;
-    let rounds = 6;
-    let (baseline, base_sp) = e14_run_cell(seed, 1, devices, rounds, 1);
-    // The workload must actually exercise the pipeline.
-    assert_eq!(
-        baseline.records.len(),
-        devices * rounds,
-        "baseline run must fully replicate"
-    );
-    assert!(!baseline.history.is_empty());
-    assert!(baseline.counters.contains_key("ingest.accepted"));
-    assert_eq!(base_sp.shard_count(), 1);
+    for seed in SEEDS {
+        let devices = 300;
+        let rounds = 6;
+        let (baseline, base_sp) = e14_run_cell(seed, 1, devices, rounds, 1);
+        // The workload must actually exercise the pipeline.
+        assert_eq!(
+            baseline.records.len(),
+            devices * rounds,
+            "baseline run must fully replicate"
+        );
+        assert!(!baseline.history.is_empty());
+        assert!(baseline.counters.contains_key("ingest.accepted"));
+        assert_eq!(base_sp.shard_count(), 1);
 
-    for shards in SHARD_COUNTS {
-        for workers in WORKER_COUNTS {
-            let (fp, sp) = e14_run_cell(seed, shards, devices, rounds, workers);
-            assert_eq!(sp.shard_count(), shards);
-            assert_eq!(
-                fp.history, baseline.history,
-                "seed {seed}: merged history diverged at {shards} shards / {workers} workers"
-            );
-            assert_eq!(
-                fp.records, baseline.records,
-                "seed {seed}: cloud-applied record set diverged at {shards} shards / {workers} workers"
-            );
-            assert_eq!(
-                fp.counters, baseline.counters,
-                "seed {seed}: summed ingest./sync./cloud. counters diverged at {shards} shards / {workers} workers"
-            );
+        for shards in SHARD_COUNTS {
+            for workers in WORKER_COUNTS {
+                let (fp, sp) = e14_run_cell(seed, shards, devices, rounds, workers);
+                assert_eq!(sp.shard_count(), shards);
+                assert_eq!(
+                    fp.history, baseline.history,
+                    "seed {seed}: merged history diverged at {shards} shards / {workers} workers"
+                );
+                assert_eq!(
+                    fp.records, baseline.records,
+                    "seed {seed}: cloud-applied record set diverged at {shards} shards / {workers} workers"
+                );
+                assert_eq!(
+                    fp.counters, baseline.counters,
+                    "seed {seed}: summed ingest./sync./cloud. counters diverged at {shards} shards / {workers} workers"
+                );
+            }
         }
     }
 }
@@ -85,44 +76,45 @@ fn cloud_dedup_is_workload_determined() {
     // On the lossless differential configuration nothing is ever lost or
     // retransmitted, so the dedup stats are fully determined by the
     // workload — identical at every shard count, with zero duplicates.
-    let seed = diff_seed();
-    let devices = 120;
-    let rounds = 4;
-    let mut stats: Vec<(usize, BTreeMap<String, u64>)> = Vec::new();
-    for shards in SHARD_COUNTS {
-        let (fp, _) = e14_run_cell(seed, shards, devices, rounds, 1);
-        let dedup: BTreeMap<String, u64> = fp
-            .counters
-            .iter()
-            .filter(|(name, _)| name.starts_with("cloud.") || name.starts_with("sync."))
-            .map(|(name, v)| (name.clone(), *v))
-            .collect();
-        stats.push((shards, dedup));
-    }
-    // Each update is applied once by its shard's cloud replica and once
-    // by the cross-shard aggregate store, and the merged snapshot sums
-    // both tiers' `cloud.accepted`.
-    let expected = 2 * (devices * rounds) as u64;
-    for (shards, dedup) in &stats {
-        assert_eq!(
-            dedup.get("cloud.accepted"),
-            Some(&expected),
-            "{shards} shards: every update applied exactly once per tier"
-        );
-        assert_eq!(
-            dedup.get("cloud.duplicates").copied().unwrap_or(0),
-            0,
-            "{shards} shards: lossless run must see no duplicates"
-        );
-        assert_eq!(
-            dedup.get("sync.retransmissions").copied().unwrap_or(0),
-            0,
-            "{shards} shards: lossless run must not retransmit"
-        );
-        assert_eq!(
-            dedup, &stats[0].1,
-            "{shards} shards: dedup stats diverged from 1-shard baseline"
-        );
+    for seed in SEEDS {
+        let devices = 120;
+        let rounds = 4;
+        let mut stats: Vec<(usize, BTreeMap<String, u64>)> = Vec::new();
+        for shards in SHARD_COUNTS {
+            let (fp, _) = e14_run_cell(seed, shards, devices, rounds, 1);
+            let dedup: BTreeMap<String, u64> = fp
+                .counters
+                .iter()
+                .filter(|(name, _)| name.starts_with("cloud.") || name.starts_with("sync."))
+                .map(|(name, v)| (name.clone(), *v))
+                .collect();
+            stats.push((shards, dedup));
+        }
+        // Each update is applied once by its shard's cloud replica and once
+        // by the cross-shard aggregate store, and the merged snapshot sums
+        // both tiers' `cloud.accepted`.
+        let expected = 2 * (devices * rounds) as u64;
+        for (shards, dedup) in &stats {
+            assert_eq!(
+                dedup.get("cloud.accepted"),
+                Some(&expected),
+                "{shards} shards: every update applied exactly once per tier"
+            );
+            assert_eq!(
+                dedup.get("cloud.duplicates").copied().unwrap_or(0),
+                0,
+                "{shards} shards: lossless run must see no duplicates"
+            );
+            assert_eq!(
+                dedup.get("sync.retransmissions").copied().unwrap_or(0),
+                0,
+                "{shards} shards: lossless run must not retransmit"
+            );
+            assert_eq!(
+                dedup, &stats[0].1,
+                "{shards} shards: dedup stats diverged from 1-shard baseline"
+            );
+        }
     }
 }
 
@@ -163,31 +155,33 @@ fn labelled_export(seed: u64, workers: usize) -> String {
 
 #[test]
 fn same_seed_runs_are_byte_identical_serial_and_parallel() {
-    let seed = diff_seed();
-    let first = labelled_export(seed, 1);
-    for workers in WORKER_COUNTS {
-        let replay = labelled_export(seed, workers);
-        assert_eq!(
-            first, replay,
-            "seed {seed}: {workers}-worker run must export byte-identical labelled obs"
-        );
+    for seed in SEEDS {
+        let first = labelled_export(seed, 1);
+        for workers in WORKER_COUNTS {
+            let replay = labelled_export(seed, workers);
+            assert_eq!(
+                first, replay,
+                "seed {seed}: {workers}-worker run must export byte-identical labelled obs"
+            );
+        }
+        // And the export is non-trivial: one report per shard plus the merged
+        // roll-up.
+        assert_eq!(first.matches("\"label\"").count(), 4);
+        // Different seeds must not collapse onto the same export (guards
+        // against the export accidentally ignoring the run).
+        assert_ne!(first, labelled_export(seed ^ 0x5eed, 1));
     }
-    // And the export is non-trivial: one report per shard plus the merged
-    // roll-up.
-    assert_eq!(first.matches("\"label\"").count(), 4);
-    // Different seeds must not collapse onto the same export (guards
-    // against the export accidentally ignoring the run).
-    assert_ne!(first, labelled_export(seed ^ 0x5eed, 1));
 }
 
 #[test]
 fn run_fingerprints_are_reproducible() {
-    let seed = diff_seed();
-    let (a, _) = e14_run_cell(seed, 8, 150, 3, 1);
-    let (b, _) = e14_run_cell(seed, 8, 150, 3, 8);
-    let same: (RunFingerprint, RunFingerprint) = (a, b);
-    assert_eq!(
-        same.0, same.1,
-        "seed {seed}: fingerprint must be a pure function of (seed, config), not the schedule"
-    );
+    for seed in SEEDS {
+        let (a, _) = e14_run_cell(seed, 8, 150, 3, 1);
+        let (b, _) = e14_run_cell(seed, 8, 150, 3, 8);
+        let same: (RunFingerprint, RunFingerprint) = (a, b);
+        assert_eq!(
+            same.0, same.1,
+            "seed {seed}: fingerprint must be a pure function of (seed, config), not the schedule"
+        );
+    }
 }

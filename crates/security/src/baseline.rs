@@ -3,9 +3,8 @@
 //!
 //! The paper calls behavioral baselining — "correlating the expected
 //! sequence of events of an agricultural application" — the most
-//! relevant security challenge. [`crate::behavior`] proves the idea on
-//! offline windows; [`BehaviorBank`] promotes it to the data path: it
-//! is fed one observation per accepted record from
+//! relevant security challenge. [`BehaviorBank`] answers it on the
+//! data path: it is fed one observation per accepted record from
 //! `Platform::ingest_entities`, learns a per-device first-order symbol
 //! model during a training phase, calibrates a per-device score
 //! threshold on a held-out phase, and then flags devices whose rolling
@@ -61,8 +60,22 @@ pub const JUMP_QUANTUM: f64 = 0.03;
 /// Symbol alphabet size: 5 delta classes × day/night.
 const ALPHABET: usize = 10;
 
-/// Hard cap on the rolling scoring window (ring is inline).
-const MAX_WINDOW: usize = 16;
+/// Attribute carrying the behavioral signal; the platform feeds the
+/// bank only this attribute's values.
+const SIGNAL_ATTR: &str = "moisture_vwc";
+
+/// Rolling scoring window, in transitions (the ring is inline).
+const WINDOW: usize = 6;
+
+/// Consecutive sub-threshold windows required before flagging.
+const STRIKES: u32 = 3;
+
+/// Observations an untrained (post-training) device may emit before
+/// being flagged as Sybil-suspect.
+const GRACE: u32 = 4;
+
+/// Smoothing mass for transition probabilities.
+const ALPHA: f64 = 0.5;
 
 /// Day is 06:00–18:00 of the simulated day (same convention as the
 /// workload generator — the clock, not delivery time, decides).
@@ -91,9 +104,6 @@ fn symbol(delta: f64, day: bool) -> u8 {
 /// `train_until == SimTime::MAX` trains forever and never flags.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BaselineConfig {
-    /// Attribute carrying the behavioral signal; the platform feeds
-    /// the bank only this attribute's values.
-    pub signal_attr: String,
     /// Observations with timestamps before this train the per-device
     /// transition model.
     pub train_until: SimTime,
@@ -103,28 +113,14 @@ pub struct BaselineConfig {
     /// Profile-error margin subtracted below the calibration minimum
     /// (log-probability units); see [`BaselineConfig::margin_for`].
     pub margin: f64,
-    /// Rolling window length in transitions (clamped to 2..=16).
-    pub window: usize,
-    /// Consecutive sub-threshold windows required before flagging.
-    pub strikes: u32,
-    /// Observations an untrained (post-training) device may emit
-    /// before being flagged as Sybil-suspect.
-    pub grace: u32,
-    /// Laplace smoothing mass for transition probabilities.
-    pub alpha: f64,
 }
 
 impl Default for BaselineConfig {
     fn default() -> Self {
         BaselineConfig {
-            signal_attr: "moisture_vwc".to_owned(),
             train_until: SimTime::MAX,
             calibrate_until: SimTime::MAX,
             margin: 1.0,
-            window: 6,
-            strikes: 3,
-            grace: 4,
-            alpha: 0.5,
         }
     }
 }
@@ -183,7 +179,7 @@ pub enum BaselineVerdict {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FlagKind {
     /// Rolling transition score stayed below the calibrated threshold
-    /// for `strikes` consecutive windows.
+    /// for three consecutive windows.
     Anomalous,
     /// Device appeared after the training horizon and kept emitting.
     Untrained,
@@ -219,9 +215,9 @@ struct DeviceState {
     trained: u32,
     counts: [u16; ALPHABET * ALPHABET],
     row_totals: [u32; ALPHABET],
-    ring: [f64; MAX_WINDOW],
-    ring_len: u8,
-    ring_pos: u8,
+    ring: [f64; WINDOW],
+    ring_len: usize,
+    ring_pos: usize,
     ring_sum: f64,
     calib_min: f64,
     threshold: f64,
@@ -239,7 +235,7 @@ impl DeviceState {
             trained: 0,
             counts: [0; ALPHABET * ALPHABET],
             row_totals: [0; ALPHABET],
-            ring: [0.0; MAX_WINDOW],
+            ring: [0.0; WINDOW],
             ring_len: 0,
             ring_pos: 0,
             ring_sum: 0.0,
@@ -259,27 +255,26 @@ impl DeviceState {
     /// at that cap. Backing off to the unigram keeps honest one-off
     /// surprises cheap while a chain through never-trained symbols
     /// scores deeply negative at every step.
-    fn log_prob(&self, prev: u8, next: u8, alpha: f64) -> f64 {
+    fn log_prob(&self, prev: u8, next: u8) -> f64 {
         let c = self.counts[prev as usize * ALPHABET + next as usize] as f64;
         let row = self.row_totals[prev as usize] as f64;
         let total = self.trained as f64;
         let unigram = (self.row_totals[next as usize] as f64 + 1.0) / (total + ALPHABET as f64);
-        ((c + alpha * unigram) / (row + alpha)).ln()
+        ((c + ALPHA * unigram) / (row + ALPHA)).ln()
     }
 
     /// Pushes one transition log-probability into the rolling window;
     /// returns the rolling mean once the window is full.
-    fn push_score(&mut self, lp: f64, window: usize) -> Option<f64> {
-        let w = window as u8;
-        if self.ring_len == w {
-            self.ring_sum -= self.ring[self.ring_pos as usize];
+    fn push_score(&mut self, lp: f64) -> Option<f64> {
+        if self.ring_len == WINDOW {
+            self.ring_sum -= self.ring[self.ring_pos];
         } else {
             self.ring_len += 1;
         }
-        self.ring[self.ring_pos as usize] = lp;
+        self.ring[self.ring_pos] = lp;
         self.ring_sum += lp;
-        self.ring_pos = (self.ring_pos + 1) % w;
-        (self.ring_len == w).then(|| self.ring_sum / window as f64)
+        self.ring_pos = (self.ring_pos + 1) % WINDOW;
+        (self.ring_len == WINDOW).then(|| self.ring_sum / WINDOW as f64)
     }
 }
 
@@ -326,7 +321,6 @@ pub struct BehaviorBank {
     config: BaselineConfig,
     devices: BTreeMap<String, DeviceState>,
     flags: BTreeMap<String, BaselineFlag>,
-    window: usize,
     obs: Obs,
     ins: BaselineInstruments,
 }
@@ -342,12 +336,10 @@ impl BehaviorBank {
     pub fn new(config: BaselineConfig) -> Self {
         let mut obs = Obs::new();
         let ins = BaselineInstruments::register(&mut obs);
-        let window = config.window.clamp(2, MAX_WINDOW);
         BehaviorBank {
             config,
             devices: BTreeMap::new(),
             flags: BTreeMap::new(),
-            window,
             obs,
             ins,
         }
@@ -358,10 +350,9 @@ impl BehaviorBank {
         &self.config
     }
 
-    /// Attribute name the platform should feed (`moisture_vwc` by
-    /// default).
+    /// Attribute name the platform should feed (`moisture_vwc`).
     pub fn signal_attr(&self) -> &str {
-        &self.config.signal_attr
+        SIGNAL_ATTR
     }
 
     /// Snapshot of the `security.baseline.*` instruments.
@@ -378,31 +369,6 @@ impl BehaviorBank {
     /// All raised flags, keyed by device id (at most one per device).
     pub fn flags(&self) -> &BTreeMap<String, BaselineFlag> {
         &self.flags
-    }
-
-    /// Flagged device ids, sorted.
-    pub fn flagged(&self) -> Vec<&str> {
-        self.flags.keys().map(String::as_str).collect()
-    }
-
-    /// Devices currently tracked.
-    pub fn device_count(&self) -> usize {
-        self.devices.len()
-    }
-
-    /// Per-device scoring diagnostics: `(trained transitions,
-    /// calibration minimum, frozen threshold, current rolling score)`.
-    /// The threshold is NaN before the device's first detection-phase
-    /// observation; the rolling score is NaN until the window fills.
-    pub fn device_stats(&self, device: &str) -> Option<(u32, f64, f64, f64)> {
-        self.devices.get(device).map(|s| {
-            let rolling = if s.ring_len as usize == self.window {
-                s.ring_sum / self.window as f64
-            } else {
-                f64::NAN
-            };
-            (s.trained, s.calib_min, s.threshold, rolling)
-        })
     }
 
     /// Feeds one observation of the behavioral signal. O(1), no
@@ -458,10 +424,10 @@ impl BehaviorBank {
         }
 
         // Post-training. Devices with no trained model are
-        // Sybil-suspect after `grace` observations.
+        // Sybil-suspect after `GRACE` observations.
         if state.trained == 0 {
             if state.first_at >= self.config.train_until
-                && state.observed >= self.config.grace
+                && state.observed >= GRACE
                 && !self.flags.contains_key(device)
             {
                 self.raise_flag(at, device, FlagKind::Untrained);
@@ -476,9 +442,9 @@ impl BehaviorBank {
                 BaselineVerdict::Normal
             };
         };
-        let lp = state.log_prob(p, sym, self.config.alpha);
+        let lp = state.log_prob(p, sym);
         self.obs.inc(self.ins.scored);
-        let rolling = state.push_score(lp, self.window);
+        let rolling = state.push_score(lp);
 
         if calibrating {
             if let Some(score) = rolling {
@@ -505,7 +471,7 @@ impl BehaviorBank {
         if score < state.threshold {
             self.obs.inc(self.ins.anomalous);
             state.strikes = state.strikes.saturating_add(1);
-            if state.strikes >= self.config.strikes && !self.flags.contains_key(device) {
+            if state.strikes >= STRIKES && !self.flags.contains_key(device) {
                 self.raise_flag(at, device, FlagKind::Anomalous);
             }
             BaselineVerdict::Anomalous

@@ -5,7 +5,7 @@
 //! detection, message-rate guarding (DoS), sequence-gap/replay detection,
 //! and spatial cross-validation against neighboring sensors (tamper and
 //! Sybil evidence). The sequence-of-events baseline the paper calls "the
-//! most relevant challenge" lives in [`crate::behavior`].
+//! most relevant challenge" lives in [`crate::baseline`].
 
 use std::collections::BTreeMap;
 
@@ -317,24 +317,21 @@ impl SeqMonitor {
 
     /// Observes a device's sequence number.
     pub fn observe(&mut self, device: &str, seq: u64) -> SeqEvent {
-        match self.last_seq.get(device).copied() {
-            None => {
-                self.last_seq.insert(device.to_owned(), seq);
-                SeqEvent::InOrder
-            }
-            Some(last) if seq == last + 1 => {
-                self.last_seq.insert(device.to_owned(), seq);
-                SeqEvent::InOrder
-            }
-            Some(last) if seq > last + 1 => {
-                self.last_seq.insert(device.to_owned(), seq);
-                self.gaps += 1;
-                SeqEvent::Gap(seq - last - 1)
-            }
-            Some(_) => {
-                self.replays += 1;
-                SeqEvent::ReplayOrDuplicate
-            }
+        let Some(last) = self.last_seq.get_mut(device) else {
+            self.last_seq.insert(device.to_owned(), seq);
+            return SeqEvent::InOrder;
+        };
+        if seq <= *last {
+            self.replays += 1;
+            return SeqEvent::ReplayOrDuplicate;
+        }
+        let skipped = seq - *last - 1;
+        *last = seq;
+        if skipped == 0 {
+            SeqEvent::InOrder
+        } else {
+            self.gaps += 1;
+            SeqEvent::Gap(skipped)
         }
     }
 

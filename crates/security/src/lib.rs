@@ -11,7 +11,7 @@
 //! | Blockchain device lifecycle + smart contracts | [`ledger`] |
 //! | DoS, tampering, Sybil, eavesdropping, replay, rogue nodes | [`attacks`] |
 //! | Anomaly detection / avoid fake data | [`detect`], [`pipeline`] |
-//! | "expected sequence of events" behavioral baseline | [`behavior`] (windowed), [`baseline`] (streaming) |
+//! | "expected sequence of events" behavioral baseline | [`baseline`] |
 //! | Partial crop profiles and detector margins | [`profile`] |
 //!
 //! Confidentiality primitives (the "state of the practice cryptography")
@@ -39,7 +39,6 @@ pub mod access;
 pub mod anonymize;
 pub mod attacks;
 pub mod baseline;
-pub mod behavior;
 pub mod detect;
 pub mod identity;
 pub mod ledger;
@@ -48,7 +47,6 @@ pub mod profile;
 
 pub use access::{Action, Decision, Pdp, Policy, Resource};
 pub use baseline::{BaselineConfig, BaselineFlag, BaselineVerdict, BehaviorBank, FlagKind};
-pub use behavior::{BehaviorDetector, MarkovBaseline};
 pub use detect::{CusumDetector, RangeValidator, RateGuard, SeqMonitor, Verdict, ZScoreDetector};
 pub use identity::{AuthError, IdentityProvider, Token, TokenInfo};
 pub use ledger::{DeviceContract, Ledger, LifecycleEvent, LifecycleKind};

@@ -66,6 +66,16 @@ struct StreamDetectors {
     cusum: CusumDetector,
 }
 
+/// Everything the bank holds about one device, admitted on first sight
+/// and found by `&str` afterwards.
+#[derive(Clone, Debug, Default)]
+struct DeviceEntry {
+    /// Rolling alert weight (warning = 1, alert = 3).
+    score: u32,
+    /// This device's streams by quantity name.
+    streams: BTreeMap<String, StreamDetectors>,
+}
+
 /// Per-device, per-quantity detection with aggregated alerting.
 ///
 /// # Example
@@ -84,10 +94,8 @@ struct StreamDetectors {
 pub struct DetectorBank {
     /// Physical ranges per quantity name.
     ranges: BTreeMap<String, RangeValidator>,
-    streams: BTreeMap<(String, String), StreamDetectors>,
+    devices: BTreeMap<String, DeviceEntry>,
     alerts: Vec<Alert>,
-    /// Rolling per-device alert weights (warning = 1, alert = 3).
-    device_score: BTreeMap<String, u32>,
     obs: Obs,
     ins: BankInstruments,
 }
@@ -125,9 +133,8 @@ impl DetectorBank {
         let ins = BankInstruments::register(&mut obs);
         DetectorBank {
             ranges: BTreeMap::new(),
-            streams: BTreeMap::new(),
+            devices: BTreeMap::new(),
             alerts: Vec::new(),
-            device_score: BTreeMap::new(),
             obs,
             ins,
         }
@@ -162,7 +169,7 @@ impl DetectorBank {
 
     /// Current recommendation for a device.
     pub fn recommendation(&self, device: &str) -> Recommendation {
-        match self.device_score.get(device).copied().unwrap_or(0) {
+        match self.devices.get(device).map_or(0, |d| d.score) {
             0 => Recommendation::Trust,
             1..=2 => Recommendation::Watch,
             _ => Recommendation::Quarantine,
@@ -171,16 +178,18 @@ impl DetectorBank {
 
     /// Devices currently recommended for quarantine.
     pub fn quarantined(&self) -> Vec<&str> {
-        self.device_score
+        self.devices
             .iter()
-            .filter(|(_, &s)| s >= 3)
-            .map(|(d, _)| d.as_str())
+            .filter(|(_, d)| d.score >= 3)
+            .map(|(id, _)| id.as_str())
             .collect()
     }
 
     /// Clears a device's score after manual review.
     pub fn clear_device(&mut self, device: &str) {
-        self.device_score.remove(device);
+        if let Some(d) = self.devices.get_mut(device) {
+            d.score = 0;
+        }
     }
 
     fn raise(
@@ -192,7 +201,7 @@ impl DetectorBank {
         severity: Severity,
         value: Option<f64>,
     ) {
-        let score = self.device_score.entry(device.to_owned()).or_insert(0);
+        let score = &mut self.devices.entry(device.to_owned()).or_default().score;
         let before = *score;
         *score += match severity {
             Severity::Warning => 1,
@@ -254,11 +263,22 @@ impl DetectorBank {
                 return Verdict::Anomalous(Severity::Alert);
             }
         }
-        let key = (device.to_owned(), quantity.to_owned());
-        let stream = self.streams.entry(key).or_insert_with(|| StreamDetectors {
-            zscore: ZScoreDetector::for_slow_signal(),
-            cusum: CusumDetector::for_slow_signal(),
-        });
+        // Owned keys are built only for a device or a quantity seen for
+        // the first time; afterwards both lookups borrow the caller's.
+        let entry = match self.devices.get_mut(device) {
+            Some(entry) => entry,
+            None => self.devices.entry(device.to_owned()).or_default(),
+        };
+        let stream = match entry.streams.get_mut(quantity) {
+            Some(stream) => stream,
+            None => entry
+                .streams
+                .entry(quantity.to_owned())
+                .or_insert(StreamDetectors {
+                    zscore: ZScoreDetector::for_slow_signal(),
+                    cusum: CusumDetector::for_slow_signal(),
+                }),
+        };
         let z = stream.zscore.observe(value);
         let c = stream.cusum.observe(value);
         let verdict = match (z, c) {

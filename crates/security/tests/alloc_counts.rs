@@ -1,0 +1,91 @@
+//! Allocation-count proof for the per-frame detector tables.
+//!
+//! Every sealed frame passes `SeqMonitor::observe` once and
+//! `DetectorBank::observe_value` once per numeric attribute. Both tables
+//! are keyed by device id; once a device (and each of its quantities)
+//! has been admitted, looking it up borrows the caller's `&str` — an
+//! in-order, in-range frame touches the heap exactly zero times.
+//!
+//! Everything runs inside one `#[test]` so concurrent test threads cannot
+//! pollute the shared counter (pattern from
+//! `crates/obs/tests/alloc_counts.rs`).
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use swamp_security::detect::{RangeValidator, SeqEvent, SeqMonitor};
+use swamp_security::pipeline::DetectorBank;
+use swamp_sim::SimTime;
+
+struct CountingAlloc;
+
+static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+const DEVICES: usize = 64;
+const QUANTITIES: [(&str, f64); 3] = [
+    ("moisture_vwc", 0.25),
+    ("battery_fraction", 0.9),
+    ("rh_mean_pct", 55.0),
+];
+
+/// One frame per device: the next sequence number, then one steady
+/// in-range value per quantity. Returns the allocations it performed.
+fn pass(seq: &mut SeqMonitor, bank: &mut DetectorBank, ids: &[String], round: u64) -> u64 {
+    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    for id in ids {
+        assert_eq!(seq.observe(id, round), SeqEvent::InOrder);
+        for (quantity, value) in QUANTITIES {
+            let verdict = bank.observe_value(SimTime::from_secs(round), id, quantity, value);
+            assert!(!verdict.is_anomalous());
+        }
+    }
+    ALLOC_CALLS.load(Ordering::Relaxed) - before
+}
+
+#[test]
+fn admitted_devices_are_observed_without_allocating() {
+    let ids: Vec<String> = (0..DEVICES).map(|i| format!("probe-{i:03}")).collect();
+    let mut seq = SeqMonitor::new();
+    let mut bank = DetectorBank::new();
+    bank.configure_quantity("moisture_vwc", RangeValidator::soil_moisture());
+    bank.configure_quantity("battery_fraction", RangeValidator::new(0.0, 1.0));
+    bank.configure_quantity("rh_mean_pct", RangeValidator::new(0.0, 100.0));
+
+    let admission = pass(&mut seq, &mut bank, &ids, 0);
+    assert!(admission > 0, "the warm-up pass owns the table keys");
+
+    // The counter is process-wide and the libtest harness may allocate on
+    // its own threads inside a window; a table that allocated per lookup
+    // would do so in every window, harness noise is transient.
+    let steady = (1..=3)
+        .map(|round| pass(&mut seq, &mut bank, &ids, round))
+        .min()
+        .unwrap_or(u64::MAX);
+    assert_eq!(
+        steady,
+        0,
+        "{steady} allocations in the cleanest pass over {DEVICES} admitted devices \
+         ({:.1} per frame)",
+        steady as f64 / DEVICES as f64
+    );
+    assert!(bank.alerts().is_empty());
+}

@@ -234,33 +234,3 @@ fn tamper_ramp_is_still_caught_through_a_lossy_path() {
         "{honest_false} honest devices flagged alongside the tamper victims"
     );
 }
-
-// Proptest twin (registry-dependent; see the workspace Cargo.toml note
-// on restoring the proptest dependency).
-#[cfg(feature = "proptest-tests")]
-mod proptest_twin {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        #[test]
-        fn arbitrary_schedules_never_panic_or_double_alert(
-            seed in 0u64..1_000_000,
-            severity in 0.0f64..0.5,
-        ) {
-            let streams = honest_streams(seed);
-            let mut plan = FaultPlan::new(seed ^ 0xfa57);
-            plan.set_default_faults(FaultSpec::degraded(severity)).unwrap();
-            let schedule = faulted_schedule(&streams, &mut plan);
-            let mut bank = BehaviorBank::new(phased_config());
-            for (_arrival, device, sampled_at, value) in &schedule {
-                bank.ingest(*sampled_at, device, *value);
-            }
-            let snap = bank.observe();
-            prop_assert_eq!(
-                snap.counter("security.baseline.flagged").unwrap_or(0),
-                bank.flags().len() as u64
-            );
-        }
-    }
-}

@@ -6,7 +6,6 @@
 
 use proptest::prelude::*;
 use swamp_security::anonymize::{k_anonymize, Pseudonymizer, YieldRecord};
-use swamp_security::behavior::MarkovBaseline;
 use swamp_security::identity::IdentityProvider;
 use swamp_security::ledger::{Ledger, LifecycleEvent, LifecycleKind};
 use swamp_sim::{SimDuration, SimTime};
@@ -103,25 +102,6 @@ proptest! {
             prop_assert!(orig.yield_t_ha <= anon.yield_range.1 + 1e-9);
             prop_assert!(!anon.pseudonym.contains("farm-"));
         }
-    }
-
-    /// Markov scores are always finite, and training on a sequence never
-    /// lowers that sequence's own score.
-    #[test]
-    fn markov_scores_finite_and_training_helps(
-        seq in prop::collection::vec("[a-e]", 2..12),
-        noise in prop::collection::vec("[a-e]", 2..12),
-    ) {
-        let mut b = MarkovBaseline::new(0.5);
-        b.train(&noise);
-        let before = b.score_window(&seq);
-        prop_assert!(before.is_finite());
-        for _ in 0..5 {
-            b.train(&seq);
-        }
-        let after = b.score_window(&seq);
-        prop_assert!(after.is_finite());
-        prop_assert!(after >= before - 1e-9, "training on seq lowered its score");
     }
 
     /// Issued tokens always validate until expiry and never after; forged

@@ -114,9 +114,8 @@ pub struct ShardedPlatform {
 
 impl ShardedPlatform {
     /// Builds `builder.shard_count()` platform shards plus the aggregation
-    /// tier. Shard `i` gets the derived seed [`shard_seed`]`(base, i)`,
-    /// the fabric namespace `shard<i>`, and a clone of the builder's fault
-    /// plan and outage schedule.
+    /// tier. Shard `i` gets the derived seed [`shard_seed`]`(base, i)` and
+    /// a clone of the builder's fault plan and outage schedule.
     ///
     /// Takes the builder by reference: every shard is cloned from the same
     /// intact configuration through [`PlatformBuilder::build_shard`], and

@@ -1,8 +1,6 @@
 //! Always-on property tests for the `device_id → shard` routing function
 //! (ISSUE 5 satellite: totality, stability under re-registration, and
-//! balance over 10k random ids — in plain CI, not gated behind
-//! `proptest-tests`). A proptest twin at the bottom re-states the same
-//! properties for environments where the registry is reachable.
+//! balance over 10k random ids), seeded through `SimRng`.
 
 use swamp_core::platform::{DeploymentConfig, Platform};
 use swamp_core::shard::{route_device, route_entity, routing_key, DEVICE_URN_PREFIX};
@@ -110,25 +108,4 @@ fn routing_key_distinguishes_realistic_fleets() {
     keys.sort_unstable();
     keys.dedup();
     assert_eq!(keys.len(), ids.len(), "routing keys collided");
-}
-
-/// Proptest twin (registry-dependent; see the workspace Cargo.toml note on
-/// restoring the proptest dependency).
-#[cfg(feature = "proptest-tests")]
-mod proptest_twin {
-    use proptest::prelude::*;
-    use swamp_core::shard::{route_device, route_entity, DEVICE_URN_PREFIX};
-
-    proptest! {
-        #[test]
-        fn total_and_stable(id in ".{0,64}", n in 1usize..64) {
-            let a = route_device(&id, n);
-            prop_assert!(a < n);
-            prop_assert_eq!(a, route_device(&id, n));
-            prop_assert_eq!(
-                route_entity(&format!("{DEVICE_URN_PREFIX}{id}"), n),
-                a
-            );
-        }
-    }
 }

@@ -38,31 +38,16 @@ use swamp_codec::ngsi::Entity;
 use swamp_fog::sync::UpdateRecord;
 use swamp_sim::SimTime;
 
-/// What the indexer watches for. Defaults match the pilot fleet: water
-/// consumption is the `water_flow` attribute (liters per report), the
-/// alert floor is volumetric soil moisture below 10%.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ViewConfig {
-    /// Numeric attribute summed into per-entity/farm consumption totals.
-    pub consumption_attr: String,
-    /// Numeric attribute checked against the alert floor.
-    pub alert_attr: String,
-    /// Alert when `alert_attr` falls strictly below this value.
-    pub alert_below: f64,
-    /// How many entries [`ViewSnapshot::top_consumers`] returns.
-    pub top_k: usize,
-}
-
-impl Default for ViewConfig {
-    fn default() -> Self {
-        ViewConfig {
-            consumption_attr: "water_flow".to_owned(),
-            alert_attr: "moisture_vwc".to_owned(),
-            alert_below: 0.10,
-            top_k: 5,
-        }
-    }
-}
+/// Numeric attribute summed into per-entity/farm consumption totals:
+/// the pilot fleet's water flow, liters per report.
+const CONSUMPTION_ATTR: &str = "water_flow";
+/// Numeric attribute checked against the alert floor.
+const ALERT_ATTR: &str = "moisture_vwc";
+/// Alert when [`ALERT_ATTR`] falls strictly below this value (10 %
+/// volumetric soil moisture).
+const ALERT_BELOW: f64 = 0.10;
+/// How many entries [`ViewSnapshot::top_consumers`] returns.
+const TOP_K: usize = 5;
 
 /// Per-entity accumulator — the unit of cross-shard merging.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -99,7 +84,6 @@ pub fn farm_of(entity_id: &str) -> &str {
 /// Cursor-driven incremental indexer; see the crate docs.
 #[derive(Clone, Debug, Default)]
 pub struct ViewIndexer {
-    config: ViewConfig,
     cursor: usize,
     entities: BTreeMap<String, EntityAccum>,
     applied: u64,
@@ -107,17 +91,9 @@ pub struct ViewIndexer {
 }
 
 impl ViewIndexer {
-    /// An indexer with the default [`ViewConfig`].
+    /// An empty indexer with its cursor at the start of the run.
     pub fn new() -> Self {
         ViewIndexer::default()
-    }
-
-    /// An indexer with an explicit configuration.
-    pub fn with_config(config: ViewConfig) -> Self {
-        ViewIndexer {
-            config,
-            ..ViewIndexer::default()
-        }
     }
 
     /// The read position: how many applied records have been folded in.
@@ -171,12 +147,12 @@ impl ViewIndexer {
             .and_then(|j| Entity::from_json(&j).ok());
         match entity {
             Some(e) => {
-                if let Some(v) = e.number(&self.config.consumption_attr) {
+                if let Some(v) = e.number(CONSUMPTION_ATTR) {
                     acc.consumption += v;
                 }
-                if let Some(v) = e.number(&self.config.alert_attr) {
+                if let Some(v) = e.number(ALERT_ATTR) {
                     acc.last_alert_value = Some(v);
-                    if v < self.config.alert_below {
+                    if v < ALERT_BELOW {
                         acc.low_events += 1;
                     }
                 }
@@ -188,7 +164,6 @@ impl ViewIndexer {
     /// Materializes the current view state for merging/serving.
     pub fn snapshot(&self) -> ViewSnapshot {
         ViewSnapshot {
-            config: self.config.clone(),
             entities: self.entities.clone(),
             applied: self.applied,
             malformed: self.malformed,
@@ -196,14 +171,12 @@ impl ViewIndexer {
     }
 }
 
-/// A point-in-time copy of the indexer state: per-entity accumulators
-/// plus the config that produced them. Snapshots from sibling shards
-/// merge with [`ViewSnapshot::merge`]; derived views are computed on
-/// demand and are bit-stable in the shard count (crate docs).
+/// A point-in-time copy of the indexer state: the per-entity
+/// accumulators. Snapshots from sibling shards merge with
+/// [`ViewSnapshot::merge`]; derived views are computed on demand and are
+/// bit-stable in the shard count (crate docs).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ViewSnapshot {
-    /// The configuration the views were folded under.
-    pub config: ViewConfig,
     /// Per-entity state, keyed by entity id.
     pub entities: BTreeMap<String, EntityAccum>,
     /// Records applied across all entities.
@@ -260,7 +233,7 @@ impl ViewSnapshot {
         farms.into_values().collect()
     }
 
-    /// The `top_k` heaviest water consumers: sorted by total descending,
+    /// The five heaviest water consumers: sorted by total descending,
     /// ties broken by entity id ascending (total ordering — stable across
     /// shard counts and merge orders).
     pub fn top_consumers(&self) -> Vec<TopConsumer> {
@@ -278,7 +251,7 @@ impl ViewSnapshot {
                 .total_cmp(&a.consumption)
                 .then_with(|| a.entity.cmp(&b.entity))
         });
-        all.truncate(self.config.top_k);
+        all.truncate(TOP_K);
         all
     }
 
@@ -290,10 +263,7 @@ impl ViewSnapshot {
         let mut low_events = 0;
         for (id, acc) in &self.entities {
             low_events += acc.low_events;
-            if acc
-                .last_alert_value
-                .is_some_and(|v| v < self.config.alert_below)
-            {
+            if acc.last_alert_value.is_some_and(|v| v < ALERT_BELOW) {
                 low_now.push(id.clone());
             }
         }
@@ -515,19 +485,27 @@ mod tests {
 
     #[test]
     fn top_consumers_orders_and_breaks_ties_deterministically() {
-        let mut idx = ViewIndexer::with_config(ViewConfig {
-            top_k: 3,
-            ..ViewConfig::default()
-        });
+        let mut idx = ViewIndexer::new();
         idx.catch_up(&[
             rec(1, "urn:s:f:b", &[("water_flow", 5.0)]),
             rec(2, "urn:s:f:a", &[("water_flow", 5.0)]),
             rec(3, "urn:s:f:c", &[("water_flow", 9.0)]),
             rec(4, "urn:s:f:d", &[("water_flow", 1.0)]),
+            rec(5, "urn:s:f:e", &[("water_flow", 7.0)]),
+            rec(6, "urn:s:f:g", &[("water_flow", 2.0)]),
         ]);
         let top = idx.snapshot().top_consumers();
         let ids: Vec<&str> = top.iter().map(|t| t.entity.as_str()).collect();
-        assert_eq!(ids, vec!["urn:s:f:c", "urn:s:f:a", "urn:s:f:b"]);
+        assert_eq!(
+            ids,
+            [
+                "urn:s:f:c",
+                "urn:s:f:e",
+                "urn:s:f:a",
+                "urn:s:f:b",
+                "urn:s:f:g"
+            ]
+        );
     }
 
     #[test]

@@ -1,8 +1,6 @@
 //! Always-on property suite for the workload compiler: determinism,
 //! declared arrival-rate bounds, drone-window geometry and partition
-//! conservation, at fixed seeds. The seed-quantified twin lives at the
-//! bottom behind the `proptest-tests` feature (see the workspace
-//! Cargo.toml note on restoring the proptest dependency).
+//! conservation, at fixed seeds.
 
 use std::collections::BTreeMap;
 
@@ -188,45 +186,4 @@ fn sybil_identities_ride_on_top_of_the_honest_fleet() {
         honest_records,
         "the overlay must not disturb honest traffic"
     );
-}
-
-// Proptest twin (registry-dependent; see the workspace Cargo.toml note
-// on restoring the proptest dependency).
-#[cfg(feature = "proptest-tests")]
-mod proptest_twin {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        #[test]
-        fn compile_is_deterministic(seed in 0u64..1_000_000, devices in 1usize..48, rounds in 1usize..120) {
-            for pilot in Pilot::all() {
-                let spec = WorkloadSpec::new(pilot, seed, devices, rounds);
-                prop_assert_eq!(spec.compile().stream_digest(), spec.compile().stream_digest());
-            }
-        }
-
-        #[test]
-        fn every_pilot_conserves_offered_records(seed in 0u64..1_000_000, devices in 1usize..48) {
-            for pilot in Pilot::all() {
-                let w = WorkloadSpec::new(pilot, seed, devices, 100).compile();
-                prop_assert_eq!(w.generated, w.offered);
-            }
-        }
-
-        #[test]
-        fn guaspari_windows_never_overlap(seed in 0u64..1_000_000, devices in 8usize..64) {
-            let w = WorkloadSpec::new(Pilot::Guaspari, seed, devices, 240).compile();
-            let mut per_node: BTreeMap<usize, Vec<(SimTime, SimTime)>> = BTreeMap::new();
-            for cw in &w.contact_windows {
-                per_node.entry(cw.node).or_default().push((cw.start, cw.end));
-            }
-            for (_, mut ws) in per_node {
-                ws.sort_unstable();
-                for pair in ws.windows(2) {
-                    prop_assert!(pair[0].1 <= pair[1].0);
-                }
-            }
-        }
-    }
 }

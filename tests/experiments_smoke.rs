@@ -1,6 +1,6 @@
 //! Smoke + determinism tests over the whole experiment harness: every
-//! report regenerates, is non-empty, and is bit-identical across runs with
-//! the same seed.
+//! report regenerates, is non-empty, is bit-identical across runs with the
+//! same seed, and is the table EXPERIMENTS.md prints.
 
 use swamp::pilots::experiments::run_all;
 
@@ -24,6 +24,17 @@ fn all_reports_generate_and_are_nonempty() {
         "E16",
     ] {
         assert!(all_titles.contains(id), "missing {id}");
+    }
+    // EXPERIMENTS.md interleaves prose with these tables: every rendered
+    // line must occur in it, in report order.
+    let mut doc = include_str!("../EXPERIMENTS.md").lines();
+    for report in &reports {
+        for line in report.to_string().lines().filter(|l| !l.is_empty()) {
+            assert!(
+                doc.any(|d| d == line),
+                "EXPERIMENTS.md is stale: no line after the previous match equals\n{line}"
+            );
+        }
     }
 }
 

@@ -4,7 +4,7 @@
 //! drains its store-and-forward backlog during its short docking contacts.
 
 use swamp::fog::mobile::{ContactPlan, LinkTransition, MobileLinkDriver};
-use swamp::fog::sync::{CloudStore, DropPolicy, FogSync};
+use swamp::fog::sync::{CloudStore, FogSync};
 use swamp::net::link::LinkSpec;
 use swamp::net::network::Network;
 use swamp::sensors::probes::NdviCamera;
@@ -22,7 +22,6 @@ fn drone_surveys_offline_and_syncs_at_contacts() {
     let mut driver = MobileLinkDriver::new(plan);
     let mut sync = FogSync::builder("drone", "farm-fog")
         .capacity(10_000)
-        .drop_policy(DropPolicy::Oldest)
         .base_timeout(SimDuration::from_secs(30))
         .backoff(1.0, SimDuration::from_secs(30))
         .jitter(0.0)
