@@ -5,7 +5,7 @@
 //! `swamp-security`, which hashes serialized JSON.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Maximum nesting depth accepted by the parser; guards against stack
 /// exhaustion from adversarial inputs (the platform parses messages from
@@ -132,7 +132,7 @@ impl Json {
     /// Serializes with no extra whitespace.
     pub fn to_compact_string(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out);
+        self.write_compact(&mut out);
         out
     }
 
@@ -143,7 +143,9 @@ impl Json {
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Appends the compact serialization to `out` — what
+    /// [`Json::to_compact_string`] returns, without the fresh `String`.
+    pub(crate) fn write_compact(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
@@ -156,7 +158,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    item.write(out);
+                    item.write_compact(out);
                 }
                 out.push(']');
             }
@@ -168,7 +170,7 @@ impl Json {
                     }
                     write_escaped(k, out);
                     out.push(':');
-                    v.write(out);
+                    v.write_compact(out);
                 }
                 out.push('}');
             }
@@ -205,7 +207,7 @@ impl Json {
                 push_indent(out, indent);
                 out.push('}');
             }
-            other => other.write(out),
+            other => other.write_compact(out),
         }
     }
 }
@@ -258,7 +260,10 @@ fn push_indent(out: &mut String, indent: usize) {
     }
 }
 
-fn write_number(n: f64, out: &mut String) {
+/// Appends a JSON number: the one number format of the wire (shared by
+/// the tree writer above and the streaming entity writer in
+/// [`crate::ngsi`]).
+pub(crate) fn write_number(n: f64, out: &mut String) {
     if !n.is_finite() {
         // JSON has no NaN/inf. Emitting them would produce an unparseable
         // document, a worse failure than the information loss of `null`
@@ -271,29 +276,50 @@ fn write_number(n: f64, out: &mut String) {
         // print as `-0` (the std formatter would).
         out.push('0');
     } else {
-        // Shortest roundtrip representation from the std formatter;
-        // integral values already print without a fractional part.
-        out.push_str(&format!("{n}"));
+        // Shortest roundtrip representation from the std formatter,
+        // written straight into `out`; integral values already print
+        // without a fractional part.
+        write_display(out, n);
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+/// Formats `value` into `out` in place. `fmt::Write` for `String` cannot
+/// fail, so the `fmt::Result` carries nothing to handle.
+fn write_display(out: &mut String, value: impl fmt::Display) {
+    let written = write!(out, "{value}");
+    debug_assert!(written.is_ok(), "fmt::Write for String is infallible");
+}
+
+/// Whether `b` must be escaped inside a JSON string (every such byte is
+/// ASCII, so a byte scan finds exactly the chars that need escaping).
+fn needs_escape(b: u8) -> bool {
+    b < 0x20 || b == b'"' || b == b'\\'
+}
+
+/// Appends `s` as a quoted JSON string. The common case — nothing to
+/// escape — is one `push_str`; otherwise clean runs are copied whole
+/// between the escapes.
+pub(crate) fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if u32::from(c) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", u32::from(c)));
-            }
-            c => out.push(c),
+    let mut clean_from = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !needs_escape(b) {
+            continue;
+        }
+        out.push_str(&s[clean_from..i]);
+        clean_from = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0C => out.push_str("\\f"),
+            _ => write_display(out, format_args!("\\u{b:04x}")),
         }
     }
+    out.push_str(&s[clean_from..]);
     out.push('"');
 }
 

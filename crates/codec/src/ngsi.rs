@@ -5,11 +5,20 @@
 //! angular position, owner), each with optional metadata and a timestamp.
 //! SWAMP reproduces that model: [`Entity`] round-trips losslessly through
 //! [`Json`], which is what travels over the simulated network.
+//!
+//! The wire form has one definition and two writers that tests hold
+//! byte-identical: [`Entity::to_json`] builds the [`Json`] tree for
+//! consumers that want a tree (ledgers, reports, tests), and
+//! [`Entity::write_compact`] streams the same bytes into a caller-owned
+//! buffer for the platform's write path, which only ever wanted bytes.
+//! Decoding mirrors it: [`Entity::from_json_owned`] moves the parsed
+//! strings into the entity, and [`Entity::from_json`] is that decoder
+//! over a clone for callers that keep their tree.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::json::Json;
+use crate::json::{write_escaped, write_number, Json};
 
 /// A globally unique entity identifier (e.g. `urn:swamp:matopiba:probe:07`).
 ///
@@ -168,11 +177,19 @@ impl AttrValue {
     }
 
     /// Decodes a value from JSON, inferring the most specific variant.
+    /// Clones `j` and consumes the clone; a caller that owns the tree should
+    /// call [`AttrValue::from_json_owned`].
     pub fn from_json(j: &Json) -> AttrValue {
+        AttrValue::from_json_owned(j.clone())
+    }
+
+    /// Consuming [`AttrValue::from_json`]: text and structured payloads
+    /// move out of `j` instead of being copied.
+    pub fn from_json_owned(j: Json) -> AttrValue {
         match j {
-            Json::Number(n) => AttrValue::Number(*n),
-            Json::String(s) => AttrValue::Text(s.clone()),
-            Json::Bool(b) => AttrValue::Flag(*b),
+            Json::Number(n) => AttrValue::Number(n),
+            Json::String(s) => AttrValue::Text(s),
+            Json::Bool(b) => AttrValue::Flag(b),
             Json::Object(o) if o.get("type").and_then(Json::as_str) == Some("geo:point") => {
                 let lat = o.get("lat").and_then(Json::as_f64).unwrap_or(0.0);
                 let lon = o.get("lon").and_then(Json::as_f64).unwrap_or(0.0);
@@ -181,7 +198,22 @@ impl AttrValue {
             Json::Array(items) if items.iter().all(|i| i.as_f64().is_some()) => {
                 AttrValue::NumberList(items.iter().filter_map(Json::as_f64).collect())
             }
-            other => AttrValue::Structured(other.clone()),
+            other => AttrValue::Structured(other),
+        }
+    }
+
+    /// Streams the bytes of `self.to_json()`. Scalars are written in
+    /// place; the three rare structured variants go through the tree, so
+    /// their shape has one definition.
+    fn write_compact(&self, out: &mut String) {
+        match self {
+            AttrValue::Number(n) => write_number(*n, out),
+            AttrValue::Text(s) => write_escaped(s, out),
+            AttrValue::Flag(b) => out.push_str(if *b { "true" } else { "false" }),
+            AttrValue::Structured(j) => j.write_compact(out),
+            AttrValue::GeoPoint(..) | AttrValue::NumberList(_) => {
+                self.to_json().write_compact(out);
+            }
         }
     }
 }
@@ -250,7 +282,10 @@ impl Attribute {
         let mut obj = BTreeMap::new();
         obj.insert("value".to_owned(), self.value.to_json());
         if let Some(ts) = self.observed_at_ms {
-            obj.insert("observedAt".to_owned(), Json::Number(ts as f64));
+            obj.insert(
+                "observedAt".to_owned(),
+                Json::Number(observed_at_number(ts)),
+            );
         }
         if !self.metadata.is_empty() {
             obj.insert(
@@ -266,31 +301,80 @@ impl Attribute {
         Json::Object(obj)
     }
 
-    /// Decodes from the JSON produced by [`Attribute::to_json`].
+    /// Decodes from the JSON produced by [`Attribute::to_json`]. Clones `j`
+    /// and consumes the clone; a caller that owns the tree should call
+    /// [`Attribute::from_json_owned`].
     ///
     /// # Errors
     /// Returns [`EntityCodecError`] if the `value` field is missing or
     /// metadata values are not strings.
     pub fn from_json(j: &Json) -> Result<Attribute, EntityCodecError> {
-        let value = j
-            .get("value")
+        Attribute::from_json_owned(j.clone())
+    }
+
+    /// Consuming [`Attribute::from_json`]: the value and the metadata
+    /// strings move out of `j`.
+    ///
+    /// # Errors
+    /// As [`Attribute::from_json`].
+    pub fn from_json_owned(j: Json) -> Result<Attribute, EntityCodecError> {
+        let mut fields = match j {
+            Json::Object(fields) => fields,
+            _ => BTreeMap::new(),
+        };
+        let value = fields
+            .remove("value")
             .ok_or_else(|| EntityCodecError::missing("value"))?;
-        let observed_at_ms = j.get("observedAt").and_then(Json::as_f64).map(|f| f as u64);
+        let observed_at_ms = fields
+            .get("observedAt")
+            .and_then(Json::as_f64)
+            .map(|f| f as u64);
         let mut metadata = BTreeMap::new();
-        if let Some(meta) = j.get("metadata").and_then(Json::as_object) {
+        if let Some(Json::Object(meta)) = fields.remove("metadata") {
             for (k, v) in meta {
-                let s = v
-                    .as_str()
-                    .ok_or_else(|| EntityCodecError::bad("metadata values must be strings"))?;
-                metadata.insert(k.clone(), s.to_owned());
+                let Json::String(s) = v else {
+                    return Err(EntityCodecError::bad("metadata values must be strings"));
+                };
+                metadata.insert(k, s);
             }
         }
         Ok(Attribute {
-            value: AttrValue::from_json(value),
+            value: AttrValue::from_json_owned(value),
             observed_at_ms,
             metadata,
         })
     }
+
+    /// Streams the bytes of `self.to_json()`: keys in the tree's sorted
+    /// order (`metadata`, `observedAt`, `value`), absent ones omitted.
+    fn write_compact(&self, out: &mut String) {
+        out.push('{');
+        if !self.metadata.is_empty() {
+            out.push_str("\"metadata\":{");
+            for (i, (k, v)) in self.metadata.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_escaped(k, out);
+                out.push(':');
+                write_escaped(v, out);
+            }
+            out.push_str("},");
+        }
+        if let Some(ts) = self.observed_at_ms {
+            out.push_str("\"observedAt\":");
+            write_number(observed_at_number(ts), out);
+            out.push(',');
+        }
+        out.push_str("\"value\":");
+        self.value.write_compact(out);
+        out.push('}');
+    }
+}
+
+/// `observedAt` on the wire: sim epoch-milliseconds as a JSON number.
+fn observed_at_number(ts: u64) -> f64 {
+    ts as f64
 }
 
 /// An NGSI-like context entity: id + type + attribute map.
@@ -384,15 +468,19 @@ impl Entity {
     }
 
     /// Merges another entity's attributes into this one (NGSI "update":
-    /// incoming attributes overwrite same-named existing ones).
+    /// incoming attributes overwrite same-named existing ones; the id and
+    /// the type stay this entity's). `other`'s attributes move in, so
+    /// overwriting an attribute this entity already has allocates nothing
+    /// (the map keeps its own key); a caller that keeps `other` passes a
+    /// clone.
     ///
     /// # Panics
     /// Panics in debug builds if ids differ — merging across entities is a
     /// logic error.
-    pub fn merge_from(&mut self, other: &Entity) {
-        debug_assert_eq!(self.id, other.id, "merge_from across different entities");
-        for (k, v) in &other.attributes {
-            self.attributes.insert(k.clone(), v.clone());
+    pub fn merge_owned(&mut self, other: Entity) {
+        debug_assert_eq!(self.id, other.id, "merge_owned across different entities");
+        for (k, v) in other.attributes {
+            self.attributes.insert(k, v);
         }
     }
 
@@ -410,26 +498,41 @@ impl Entity {
         Json::Object(obj)
     }
 
-    /// Decodes from the JSON produced by [`Entity::to_json`].
+    /// Decodes from the JSON produced by [`Entity::to_json`]. This borrowing
+    /// form costs a deep clone of the whole tree on top of the decode (it
+    /// clones `j` and consumes the clone); a caller that owns the tree and
+    /// is done with it should call [`Entity::from_json_owned`], as the
+    /// platform's ingest path does.
     ///
     /// # Errors
     /// Returns [`EntityCodecError`] if required fields are missing or of the
     /// wrong shape.
     pub fn from_json(j: &Json) -> Result<Entity, EntityCodecError> {
-        let id = j
-            .get("id")
-            .and_then(Json::as_str)
-            .ok_or_else(|| EntityCodecError::missing("id"))?;
+        Entity::from_json_owned(j.clone())
+    }
+
+    /// Consuming [`Entity::from_json`] — the decoder itself: the id, the
+    /// type, attribute names and text values move out of the parsed tree
+    /// instead of being copied out of a tree the caller then drops.
+    ///
+    /// # Errors
+    /// As [`Entity::from_json`].
+    pub fn from_json_owned(j: Json) -> Result<Entity, EntityCodecError> {
+        let mut fields = match j {
+            Json::Object(fields) => fields,
+            _ => BTreeMap::new(),
+        };
+        let Some(Json::String(id)) = fields.remove("id") else {
+            return Err(EntityCodecError::missing("id"));
+        };
         let id = EntityId::try_new(id).map_err(|e| EntityCodecError::bad(&e.to_string()))?;
-        let entity_type = j
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or_else(|| EntityCodecError::missing("type"))?
-            .to_owned();
+        let Some(Json::String(entity_type)) = fields.remove("type") else {
+            return Err(EntityCodecError::missing("type"));
+        };
         let mut attributes = BTreeMap::new();
-        if let Some(attrs) = j.get("attrs").and_then(Json::as_object) {
+        if let Some(Json::Object(attrs)) = fields.remove("attrs") {
             for (name, aj) in attrs {
-                attributes.insert(name.clone(), Attribute::from_json(aj)?);
+                attributes.insert(name, Attribute::from_json_owned(aj)?);
             }
         }
         Ok(Entity {
@@ -437,6 +540,37 @@ impl Entity {
             entity_type,
             attributes,
         })
+    }
+
+    /// Appends the wire form to `out`: byte for byte what
+    /// `self.to_json().to_compact_string()` returns, without building the
+    /// tree. This is the serialiser of the platform's write path (sealed
+    /// device frames, fog→cloud sync payloads); keys appear in the tree's
+    /// sorted order (`attrs`, `id`, `type`; attribute names ascending).
+    ///
+    /// ```
+    /// use swamp_codec::ngsi::Entity;
+    /// let mut probe = Entity::new("urn:p1", "SoilProbe");
+    /// probe.set("moisture_vwc", 0.25);
+    /// let mut wire = String::new();
+    /// probe.write_compact(&mut wire);
+    /// assert_eq!(wire, probe.to_json().to_compact_string());
+    /// ```
+    pub fn write_compact(&self, out: &mut String) {
+        out.push_str("{\"attrs\":{");
+        for (i, (name, attr)) in self.attributes.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_escaped(name, out);
+            out.push(':');
+            attr.write_compact(out);
+        }
+        out.push_str("},\"id\":");
+        write_escaped(self.id.as_str(), out);
+        out.push_str(",\"type\":");
+        write_escaped(&self.entity_type, out);
+        out.push('}');
     }
 }
 
@@ -530,7 +664,7 @@ mod tests {
         let mut b = Entity::new("urn:x", "T");
         b.set("k2", 20.0);
         b.set("k3", 3.0);
-        a.merge_from(&b);
+        a.merge_owned(b);
         assert_eq!(a.number("k1"), Some(1.0));
         assert_eq!(a.number("k2"), Some(20.0));
         assert_eq!(a.number("k3"), Some(3.0));

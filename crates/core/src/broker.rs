@@ -207,13 +207,17 @@ impl ContextBroker {
     /// Returns the names of attributes that changed value — the same
     /// (shared) set delivered to subscribers.
     pub fn upsert(&mut self, now: SimTime, update: Entity) -> Arc<[String]> {
-        self.upsert_one(now, update)
+        self.upsert_one(now, update, true)
+            .1
+            .unwrap_or_else(|| Arc::from(Vec::new()))
     }
 
     /// Upserts a batch of entities, amortizing routing-index lookups across
     /// the burst. Observationally equivalent to calling
     /// [`ContextBroker::upsert`] on each element in order; returns how many
-    /// updates changed at least one attribute.
+    /// updates changed at least one attribute. Unlike `upsert` it has no
+    /// use for the changed names itself, so an update nobody is subscribed
+    /// to never builds them.
     pub fn upsert_batch(
         &mut self,
         now: SimTime,
@@ -221,47 +225,75 @@ impl ContextBroker {
     ) -> usize {
         let mut changed_updates = 0;
         for update in updates {
-            if !self.upsert_one(now, update).is_empty() {
+            if self.upsert_one(now, update, false).0 > 0 {
                 changed_updates += 1;
             }
         }
         changed_updates
     }
 
-    fn upsert_one(&mut self, now: SimTime, update: Entity) -> Arc<[String]> {
+    /// Applies one update, consuming it: a known entity takes the update's
+    /// attributes by move (no key or value is copied), a new one is stored
+    /// as it arrived. Returns how many attributes changed value, and their
+    /// names when someone needs them — the caller (`want_names`) or a
+    /// candidate subscription.
+    fn upsert_one(
+        &mut self,
+        now: SimTime,
+        update: Entity,
+        want_names: bool,
+    ) -> (usize, Option<Arc<[String]>>) {
         self.updates += 1;
-        let id = update.id().clone();
-        let changed: Vec<String> = match self.entities.get(&id) {
-            None => update.attributes().map(|(n, _)| n.to_owned()).collect(),
-            Some(existing) => update
-                .attributes()
-                .filter(|(name, attr)| existing.attribute(name) != Some(*attr))
-                .map(|(n, _)| n.to_owned())
-                .collect(),
+        let any_listener = want_names || !self.subs_any_type.is_empty();
+        let subs_by_type = &self.subs_by_type;
+        // Fan-out below routes by the *stored* entity's type, which a merge
+        // never changes, so that type (the update's own only on first sight)
+        // decides whether a typed subscription can be listening.
+        let listened = |routed_type: &str| {
+            any_listener
+                || subs_by_type
+                    .get(routed_type)
+                    .is_some_and(|bucket| !bucket.is_empty())
         };
-        let snapshot: Arc<Entity> = match self.entities.get_mut(&id) {
+        let mut changed_count = 0;
+        let mut names: Vec<String> = Vec::new();
+        let (snapshot, need_names): (Arc<Entity>, bool) = match self.entities.get_mut(update.id()) {
             Some(existing) => {
-                if !changed.is_empty() {
+                let need_names = listened(existing.entity_type());
+                for (name, attr) in update.attributes() {
+                    if existing.attribute(name) != Some(attr) {
+                        changed_count += 1;
+                        if need_names {
+                            names.push(name.to_owned());
+                        }
+                    }
+                }
+                if changed_count > 0 {
                     // Copy-on-write: clones the stored entity only if an
                     // earlier snapshot is still alive in some queue.
-                    Arc::make_mut(existing).merge_from(&update);
+                    Arc::make_mut(existing).merge_owned(update);
                 }
-                Arc::clone(existing)
+                (Arc::clone(existing), need_names)
             }
             None => {
+                let need_names = listened(update.entity_type());
+                changed_count = update.len();
+                if need_names {
+                    names.extend(update.attributes().map(|(name, _)| name.to_owned()));
+                }
                 let arc = Arc::new(update);
                 self.entity_type_index
                     .entry(arc.entity_type().to_owned())
                     .or_default()
-                    .insert(id.clone());
-                self.entities.insert(id, Arc::clone(&arc));
-                arc
+                    .insert(arc.id().clone());
+                self.entities.insert(arc.id().clone(), Arc::clone(&arc));
+                (arc, need_names)
             }
         };
-        if changed.is_empty() {
-            return Arc::from(changed);
+        if changed_count == 0 || !need_names {
+            return (changed_count, None);
         }
-        let changed: Arc<[String]> = Arc::from(changed);
+        let changed: Arc<[String]> = Arc::from(names);
 
         // Route to candidate subscriptions only: the type bucket plus the
         // type-agnostic bucket, merged in ascending id order so fan-out
@@ -310,7 +342,7 @@ impl ContextBroker {
                 }
             }
         }
-        changed
+        (changed_count, Some(changed))
     }
 
     /// Looks up an entity by id.
@@ -608,6 +640,19 @@ mod tests {
                     e.set("angle_deg", 45.0);
                     e
                 },
+                // Same id under another type: the stored type routes, so
+                // the probe's subscriber hears this one...
+                {
+                    let mut e = Entity::new("urn:p2", "Valve");
+                    e.set("moisture_vwc", 0.9);
+                    e
+                },
+                // ...and not this one (stored as a CenterPivot).
+                {
+                    let mut e = Entity::new("urn:pivot", "SoilProbe");
+                    e.set("angle_deg", 50.0);
+                    e
+                },
             ]
         };
         let mut looped = ContextBroker::new();
@@ -629,6 +674,10 @@ mod tests {
 
         let nl = looped.take_notifications(sub_l).unwrap();
         let nb = batched.take_notifications(sub_b).unwrap();
+        // p1, p2, p1 again, then p2 under the mismatched type.
+        assert_eq!(nl.len(), 4);
+        assert_eq!(nl[3].entity.entity_type(), "SoilProbe");
+        assert_eq!(nl[3].entity.number("moisture_vwc"), Some(0.9));
         assert_eq!(nl.len(), nb.len());
         for (a, b) in nl.iter().zip(&nb) {
             assert_eq!(a.entity, b.entity);

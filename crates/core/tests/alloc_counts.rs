@@ -7,6 +7,13 @@
 //! history append must allocate nothing at all (interned series key,
 //! in-order push within capacity).
 //!
+//! The same allocator then budgets a record's whole write path through an
+//! assembled [`Platform`] — allocations per accepted record for
+//! `ingest_entities`, the pumps that replicate it, `device_publish`, and a
+//! sealed frame pumped end to end (DESIGN.md §6 has the per-leg table).
+//! The counts repeat exactly for a seed, so each budget is an equality-
+//! grade gate on a box whose wall clock is not.
+//!
 //! Everything runs inside one `#[test]` so concurrent test threads cannot
 //! pollute the shared counter.
 
@@ -14,9 +21,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use swamp_codec::ngsi::Entity;
-use swamp_core::broker::{ContextBroker, SubscriptionFilter};
+use swamp_core::broker::{ContextBroker, Notification, SubscriptionFilter, SubscriptionId};
 use swamp_core::history::HistoryStore;
-use swamp_sim::SimTime;
+use swamp_core::platform::{DeploymentConfig, Platform};
+use swamp_net::link::LinkSpec;
+use swamp_sensors::device::DeviceKind;
+use swamp_sim::{SimDuration, SimTime};
 
 struct CountingAlloc;
 
@@ -79,6 +89,131 @@ fn fanout_allocs(subs: usize, rounds: usize) -> u64 {
         }
     });
     calls
+}
+
+/// Fleet size of the write-path budgets: one `sync_round` batch.
+const DEVICES: usize = 256;
+
+/// Allocations per accepted record on each leg of the write path, in a
+/// steady round (the third) of a FarmFog platform over a lossless uplink.
+struct WritePath {
+    /// `Platform::ingest_entities`, per record of the batch.
+    ingest: f64,
+    /// The pumps that transmit, apply and ack that batch, per record.
+    replicate: f64,
+}
+
+fn fleet_round(round: u64) -> Vec<Entity> {
+    (0..DEVICES)
+        .map(|i| {
+            let mut e = Entity::new(format!("urn:swamp:device:probe-{i}"), "SoilProbe");
+            e.set(
+                "moisture_vwc",
+                0.2 + round as f64 * 0.001 + i as f64 * 0.00001,
+            );
+            e.set("seq", round as f64);
+            e
+        })
+        .collect()
+}
+
+fn lossless_platform() -> Platform {
+    Platform::builder(DeploymentConfig::FarmFog)
+        .seed(42)
+        .uplink_spec(LinkSpec::cloud_backbone())
+        .build()
+}
+
+/// Sixteen pumps a second apart — enough to transmit a 256-record round,
+/// apply it at the cloud and get every ack back — draining the subscriber
+/// (if any) after each pump as a consumer would.
+fn pump_and_drain(
+    p: &mut Platform,
+    now: &mut SimTime,
+    sub: Option<SubscriptionId>,
+    drained: &mut Vec<Notification>,
+) {
+    for _ in 0..16 {
+        *now += SimDuration::from_secs(1);
+        p.pump(*now);
+        if let Some(sub) = sub {
+            p.context.drain_notifications_into(sub, drained).unwrap();
+            drained.clear();
+        }
+    }
+}
+
+fn write_path_allocs(with_subscriber: bool) -> WritePath {
+    let mut p = lossless_platform();
+    let sub = with_subscriber.then(|| {
+        p.context
+            .subscribe(SubscriptionFilter::for_type("SoilProbe"))
+    });
+    let mut drained = Vec::new();
+    let mut now = SimTime::from_secs(60);
+    let mut measured = None;
+    for round in 0..3u64 {
+        let batch = fleet_round(round);
+        now += SimDuration::from_secs(600);
+        let (ingest, applied) = alloc_calls(|| p.ingest_entities(now, batch));
+        assert_eq!(applied, DEVICES);
+        let (replicate, ()) = alloc_calls(|| pump_and_drain(&mut p, &mut now, sub, &mut drained));
+        assert_eq!(
+            p.cloud_replica().unwrap().record_count(),
+            (round as usize + 1) * DEVICES
+        );
+        measured = Some(WritePath {
+            ingest: ingest as f64 / DEVICES as f64,
+            replicate: replicate as f64 / DEVICES as f64,
+        });
+    }
+    let snap = p.observe();
+    assert_eq!(snap.gauge("sync.pending").unwrap(), Some(0.0));
+    assert_eq!(snap.counter("sync.retransmissions").unwrap(), 0);
+    measured.expect("three rounds ran")
+}
+
+/// Allocations per `device_publish` call and per sealed frame the pumps
+/// then accept (validate, ingest with one subscriber, replicate, ack), in
+/// the third round of a registered fleet over the lossy field radio.
+fn sealed_path_allocs() -> (f64, f64) {
+    let mut p = lossless_platform();
+    let ids: Vec<String> = (0..DEVICES).map(|i| format!("probe-{i}")).collect();
+    for id in &ids {
+        p.register_device(SimTime::ZERO, id, DeviceKind::SoilProbe, "owner:bench")
+            .unwrap();
+    }
+    let sub = p
+        .context
+        .subscribe(SubscriptionFilter::for_type("SoilProbe"));
+    let mut drained = Vec::new();
+    let mut now = SimTime::from_secs(60);
+    let mut measured = (0.0, 0.0);
+    for round in 0..3u64 {
+        let batch = fleet_round(round);
+        now += SimDuration::from_secs(600);
+        let (publish, ()) = alloc_calls(|| {
+            for (id, entity) in ids.iter().zip(&batch) {
+                p.device_publish(now, id, entity).unwrap();
+            }
+        });
+        let before = p.observe().counter("ingest.accepted").unwrap();
+        let (pumped, ()) =
+            alloc_calls(|| pump_and_drain(&mut p, &mut now, Some(sub), &mut drained));
+        let accepted = p.observe().counter("ingest.accepted").unwrap() - before;
+        assert!(accepted as usize > DEVICES * 9 / 10, "radio lost too much");
+        measured = (
+            publish as f64 / DEVICES as f64,
+            pumped as f64 / accepted as f64,
+        );
+    }
+    let snap = p.observe();
+    assert_eq!(snap.gauge("sync.pending").unwrap(), Some(0.0));
+    assert_eq!(
+        p.cloud_replica().unwrap().record_count() as u64,
+        snap.counter("ingest.accepted").unwrap()
+    );
+    measured
 }
 
 #[test]
@@ -147,4 +282,50 @@ fn hot_paths_do_not_allocate_per_subscriber_or_per_append() {
          expected ~1 sample vector per series; owned key clones crept back in"
     );
     drop(dump);
+
+    // --- A record's write path through an assembled platform, per
+    // accepted record (parent commit: 29.66 / 29.66 / 10.52 / 33.39 /
+    // 67.32). What is left, and who owns it:
+    // - ingest, 2 + table growth: the exact-size sync payload and the
+    //   record key, both kept by the uplink engine until the ack;
+    // - with a subscriber, 4 more: the changed-name strings, their Vec and
+    //   the shared `Arc<[String]>` every notification of the update holds;
+    // - replicate, 2 + per-pump constants: the encoded wire buffer (it
+    //   becomes the cloud record's payload) and the key the cloud run keeps;
+    // - device_publish, 3: the sealed frame, its `telemetry/<id>` topic
+    //   and the sender's `NodeId`, all owned by the in-flight message;
+    // - a sealed frame pumped: the above plus the AEAD plaintext and the
+    //   JSON tree `validate_frame` parses (one allocation per container,
+    //   key and string — the decoded entity then takes them by move).
+    let quiet = write_path_allocs(false);
+    let watched = write_path_allocs(true);
+    let (publish, sealed) = sealed_path_allocs();
+    eprintln!(
+        "allocations per record: ingest {:.2} (subscribed {:.2}), replicate {:.2} \
+         (subscribed {:.2}), device_publish {:.2}, sealed frame pumped {:.2}",
+        quiet.ingest, watched.ingest, quiet.replicate, watched.replicate, publish, sealed
+    );
+    assert!(
+        quiet.ingest <= 3.0,
+        "ingest_entities allocated {:.2} times per record with no subscriber (budget 3)",
+        quiet.ingest
+    );
+    assert!(
+        watched.ingest <= 7.0,
+        "ingest_entities allocated {:.2} times per record with one subscriber (budget 7)",
+        watched.ingest
+    );
+    assert!(
+        quiet.replicate <= 3.0 && watched.replicate <= 3.0,
+        "transmit + apply + ack allocated {:.2} times per record (budget 3)",
+        quiet.replicate.max(watched.replicate)
+    );
+    assert!(
+        publish <= 3.0,
+        "device_publish allocated {publish:.2} times per call (budget 3)"
+    );
+    assert!(
+        sealed <= 30.0,
+        "a sealed frame pumped end to end allocated {sealed:.2} times (budget 30)"
+    );
 }

@@ -4,8 +4,16 @@
 //! from a pilot master secret. The keystore is the platform-side registry:
 //! it derives, rotates and revokes device keys, and hands out the
 //! [`SecretKey`] used to open frames from a given device.
+//!
+//! Derivation (an HKDF over a formatted label) runs once per device and
+//! epoch: the first [`Keystore::device_key`] after [`Keystore::provision`]
+//! or [`Keystore::rotate`] derives the key and keeps it in the device's
+//! record, and every later per-frame lookup is a map lookup and a 64-byte
+//! copy. Provisioning itself derives nothing, so registering a fleet costs
+//! no key schedule for devices that never send.
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use crate::aead::SecretKey;
 
@@ -45,6 +53,10 @@ impl std::error::Error for KeystoreError {}
 struct DeviceRecord {
     epoch: KeyEpoch,
     revoked: bool,
+    /// `derive(device_id, epoch)`, filled by the first lookup of this
+    /// epoch; `rotate` empties it. (`OnceLock`, not `OnceCell`: the
+    /// platform that owns the keystore must stay `Sync`.)
+    key: OnceLock<SecretKey>,
 }
 
 /// Platform-side key registry, rooted in a pilot master secret.
@@ -77,9 +89,10 @@ impl Keystore {
     pub fn provision(&mut self, device_id: &str) {
         self.devices
             .entry(device_id.to_owned())
-            .or_insert(DeviceRecord {
+            .or_insert_with(|| DeviceRecord {
                 epoch: KeyEpoch(0),
                 revoked: false,
+                key: OnceLock::new(),
             });
     }
 
@@ -88,7 +101,10 @@ impl Keystore {
         self.devices.values().filter(|d| !d.revoked).count()
     }
 
-    /// Looks up the current key for a device.
+    /// Looks up the current key for a device: a copy of the key derived
+    /// by the first lookup since the device was provisioned or last
+    /// rotated. Unknown and revoked devices are refused before any key is
+    /// derived or touched.
     ///
     /// # Errors
     /// [`KeystoreError::UnknownDevice`] if never provisioned,
@@ -101,8 +117,11 @@ impl Keystore {
         if rec.revoked {
             return Err(KeystoreError::Revoked(device_id.to_owned()));
         }
+        let key = rec
+            .key
+            .get_or_init(|| derive_key(&self.master, device_id, rec.epoch));
         Ok(DeviceKey {
-            key: self.derive(device_id, rec.epoch),
+            key: key.clone(),
             epoch: rec.epoch,
         })
     }
@@ -110,8 +129,7 @@ impl Keystore {
     /// Derives the key a device itself would hold for a given epoch; used by
     /// the simulator to give the device side its copy.
     pub fn derive(&self, device_id: &str, epoch: KeyEpoch) -> SecretKey {
-        let label = format!("device:{device_id}:epoch:{}", epoch.0);
-        SecretKey::derive(&self.master, &label)
+        derive_key(&self.master, device_id, epoch)
     }
 
     /// Rotates a device to the next epoch, returning the new epoch.
@@ -127,6 +145,7 @@ impl Keystore {
             return Err(KeystoreError::Revoked(device_id.to_owned()));
         }
         rec.epoch = KeyEpoch(rec.epoch.0 + 1);
+        rec.key = OnceLock::new();
         Ok(rec.epoch)
     }
 
@@ -141,6 +160,11 @@ impl Keystore {
     pub fn is_revoked(&self, device_id: &str) -> bool {
         self.devices.get(device_id).is_some_and(|r| r.revoked)
     }
+}
+
+fn derive_key(master: &[u8], device_id: &str, epoch: KeyEpoch) -> SecretKey {
+    let label = format!("device:{device_id}:epoch:{}", epoch.0);
+    SecretKey::derive(master, &label)
 }
 
 #[cfg(test)]
@@ -235,6 +259,52 @@ mod tests {
         k2.provision("d");
         let frame = k1.device_key("d").unwrap().key.seal(&[0u8; 12], b"", b"m");
         assert!(k2.device_key("d").unwrap().key.open(b"", &frame).is_err());
+    }
+
+    /// The cached key is the derived key at every point it can change.
+    #[test]
+    fn cached_key_tracks_derivation() {
+        let same = |a: &SecretKey, b: &SecretKey| {
+            let frame = a.seal(&[9u8; 12], b"aad", b"probe");
+            b.open(b"aad", &frame).is_ok() && frame == b.seal(&[9u8; 12], b"aad", b"probe")
+        };
+        let mut ks = Keystore::new(b"m");
+        ks.provision("d");
+        let epoch0 = ks.device_key("d").unwrap();
+        assert!(same(&epoch0.key, &ks.derive("d", KeyEpoch(0))));
+
+        ks.rotate("d").unwrap();
+        ks.rotate("d").unwrap();
+        let epoch2 = ks.device_key("d").unwrap();
+        assert_eq!(epoch2.epoch, KeyEpoch(2));
+        assert!(same(&epoch2.key, &ks.derive("d", KeyEpoch(2))));
+        assert!(!same(&epoch2.key, &ks.derive("d", KeyEpoch(1))));
+        // A frame sealed before the rotations no longer opens.
+        let stale = epoch0.key.seal(&[0u8; 12], b"", b"stale");
+        assert!(epoch2.key.open(b"", &stale).is_err());
+
+        // Re-provisioning is a no-op for the key as well as the epoch.
+        ks.provision("d");
+        let again = ks.device_key("d").unwrap();
+        assert_eq!(again.epoch, KeyEpoch(2));
+        assert!(same(&again.key, &ks.derive("d", KeyEpoch(2))));
+
+        // A revoked device's key is never handed out, cached or not —
+        // and one revoked before its first lookup is never even derived.
+        ks.revoke("d");
+        assert!(matches!(ks.device_key("d"), Err(KeystoreError::Revoked(_))));
+        assert!(matches!(ks.rotate("d"), Err(KeystoreError::Revoked(_))));
+        ks.provision("never-sent");
+        ks.revoke("never-sent");
+        assert!(ks.device_key("never-sent").is_err());
+        assert!(ks.devices["never-sent"].key.get().is_none());
+        // Provisioning and rotating derive nothing; the lookup does, once.
+        ks.provision("lazy");
+        assert!(ks.devices["lazy"].key.get().is_none());
+        ks.device_key("lazy").unwrap();
+        assert!(ks.devices["lazy"].key.get().is_some());
+        ks.rotate("lazy").unwrap();
+        assert!(ks.devices["lazy"].key.get().is_none());
     }
 
     #[test]

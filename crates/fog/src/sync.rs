@@ -695,7 +695,7 @@ impl FogSync {
                 continue; // unreachable: planned from the live table
             };
             let msg = Message::new(SYNC_TOPIC, encode_record(&p.record));
-            match net.send(now, self.node.clone(), self.cloud.clone(), msg) {
+            match net.send(now, &self.node, &self.cloud, msg) {
                 Ok(_) => {
                     self.obs.inc(self.ins.transmissions);
                     if prior_attempts > 0 {
@@ -903,6 +903,35 @@ struct ReorderBuffer {
     held: BTreeMap<NodeId, BTreeMap<u64, (UpdateRecord, SimTime)>>,
 }
 
+/// Which of one source's sequence numbers the cloud has applied: every seq
+/// below `next`, plus the members of `ahead` (arrivals beyond a gap). An
+/// in-order stream keeps `ahead` empty, so the table stays one word per
+/// source however long the run; it grows only with records that overtook
+/// a retransmission still in flight, and shrinks when the gap fills.
+#[derive(Clone, Debug, Default)]
+struct SeenSeqs {
+    next: u64,
+    ahead: BTreeSet<u64>,
+}
+
+impl SeenSeqs {
+    /// Marks `seq` applied; `false` if it already was.
+    fn insert(&mut self, seq: u64) -> bool {
+        if seq < self.next {
+            return false;
+        }
+        // `u64::MAX` can never fall below a watermark; it lives in `ahead`.
+        if seq > self.next || seq == u64::MAX {
+            return self.ahead.insert(seq);
+        }
+        self.next += 1;
+        while self.next < u64::MAX && self.ahead.remove(&self.next) {
+            self.next += 1;
+        }
+        true
+    }
+}
+
 /// Typed handles for the cloud store's instruments (`cloud.*`).
 #[derive(Clone, Debug)]
 struct CloudInstruments {
@@ -926,15 +955,21 @@ impl CloudInstruments {
 
 /// Cloud-side receiving store: deduplicates per source by sequence number
 /// and sends batched acks.
+///
+/// Every accepted record is stored once, in the append-only run
+/// [`CloudStore::history`]; [`CloudStore::latest`] is an index into that
+/// run, and the dedup table is a per-source watermark, so nothing on the
+/// accept path grows with the length of an in-order stream except the run
+/// itself.
 #[derive(Clone, Debug)]
 pub struct CloudStore {
     node: NodeId,
-    /// Latest payload per key.
-    latest: BTreeMap<String, UpdateRecord>,
+    /// Position in `history` of the latest record per key.
+    latest: BTreeMap<String, usize>,
     /// Full history (append order of acceptance).
     history: Vec<UpdateRecord>,
-    /// Accepted seqs per source node (two fogs may both start at seq 0).
-    seen_seqs: BTreeMap<NodeId, BTreeSet<u64>>,
+    /// Applied seqs per source node (two fogs may both start at seq 0).
+    seen_seqs: BTreeMap<NodeId, SeenSeqs>,
     /// Cursor into `history`: records before it were already handed out by
     /// [`CloudStore::drain_new`] to a downstream applier.
     drained: usize,
@@ -1002,9 +1037,10 @@ impl CloudStore {
         self.obs.set_enabled(enabled);
     }
 
-    /// Latest payload for a key.
+    /// Latest payload for a key: the most recently accepted record that
+    /// carries it.
     pub fn latest(&self, key: &str) -> Option<&UpdateRecord> {
-        self.latest.get(key)
+        self.latest.get(key).and_then(|&at| self.history.get(at))
     }
 
     /// Full accepted history in arrival order.
@@ -1093,7 +1129,7 @@ impl CloudStore {
             if d.message.topic != SYNC_TOPIC {
                 continue;
             }
-            if let Some(record) = decode_record(&d.message.payload) {
+            if let Some(record) = decode_record(d.message.payload) {
                 acks.entry(d.src.clone()).or_default().push(record.seq);
                 if self.apply_record(now, &d.src, record) {
                     accepted += 1;
@@ -1126,16 +1162,26 @@ impl CloudStore {
     /// records in process — the scale-out tier appending shard replicas
     /// into its aggregate store — and so have nothing to decode or ack.
     pub fn apply_record(&mut self, now: SimTime, source: &NodeId, record: UpdateRecord) -> bool {
-        if !self
-            .seen_seqs
-            .entry(source.clone())
-            .or_default()
-            .insert(record.seq)
-        {
+        let fresh = match self.seen_seqs.get_mut(source) {
+            Some(seen) => seen.insert(record.seq),
+            None => {
+                let mut seen = SeenSeqs::default();
+                seen.insert(record.seq);
+                self.seen_seqs.insert(source.clone(), seen);
+                true
+            }
+        };
+        if !fresh {
             self.obs.inc(self.ins.duplicates);
             return false;
         }
-        self.latest.insert(record.key.clone(), record.clone());
+        let at = self.history.len();
+        match self.latest.get_mut(record.key.as_str()) {
+            Some(latest) => *latest = at,
+            None => {
+                self.latest.insert(record.key.clone(), at);
+            }
+        }
         if let Some(reorder) = &mut self.reorder {
             reorder
                 .held
@@ -1166,7 +1212,12 @@ fn encode_record(r: &UpdateRecord) -> Vec<u8> {
     out
 }
 
-fn decode_record(bytes: &[u8]) -> Option<UpdateRecord> {
+/// Decodes a record out of the wire buffer it arrived in: the key is
+/// copied out, then the header is cut off in place and the same buffer
+/// becomes the record's payload. The payload keeps the wire buffer's
+/// capacity, so each stored record carries `18 + key.len()` spare bytes
+/// (46 for a device URN) in exchange for not being copied again.
+fn decode_record(mut bytes: Vec<u8>) -> Option<UpdateRecord> {
     if bytes.len() < 18 {
         return None;
     }
@@ -1179,11 +1230,11 @@ fn decode_record(bytes: &[u8]) -> Option<UpdateRecord> {
     let key = std::str::from_utf8(&bytes[18..18 + key_len])
         .ok()?
         .to_owned();
-    let payload = bytes[18 + key_len..].to_vec();
+    bytes.drain(..18 + key_len);
     Some(UpdateRecord {
         seq,
         key,
-        payload,
+        payload: bytes,
         created_at: SimTime::from_millis(created_ms),
     })
 }
@@ -1273,9 +1324,48 @@ mod tests {
             payload: vec![1, 2, 3, 255],
             created_at: SimTime::from_secs(99),
         };
-        assert_eq!(decode_record(&encode_record(&r)), Some(r));
-        assert_eq!(decode_record(b"short"), None);
+        assert_eq!(decode_record(encode_record(&r)), Some(r));
+        assert_eq!(decode_record(b"short".to_vec()), None);
         assert_eq!(decode_acks(&encode_acks(&[1, 2, 3])), vec![1, 2, 3]);
+    }
+
+    /// The sync wire format, byte for byte: seq and creation time as
+    /// big-endian u64s, a big-endian u16 key length, the key, the payload.
+    #[test]
+    fn record_wire_bytes_are_pinned() {
+        let r = UpdateRecord {
+            seq: 0x0102,
+            key: "urn:é".into(),
+            payload: b"{\"v\":1}".to_vec(),
+            created_at: SimTime::from_millis(0x0a0b0c),
+        };
+        let wire = encode_record(&r);
+        assert_eq!(
+            wire,
+            [
+                &[0, 0, 0, 0, 0, 0, 1, 2][..],
+                &[0, 0, 0, 0, 0, 0x0a, 0x0b, 0x0c],
+                &[0, 6],
+                "urn:é".as_bytes(),
+                b"{\"v\":1}",
+            ]
+            .concat()
+        );
+        assert_eq!(decode_record(wire.clone()), Some(r));
+        // Truncated inside the key, or a key that is not UTF-8: refused.
+        assert_eq!(decode_record(wire[..20].to_vec()), None);
+        let mut bad = wire;
+        bad[22] = 0xff;
+        assert_eq!(decode_record(bad), None);
+        // An empty key and an empty payload are a valid 18-byte record.
+        let empty = UpdateRecord {
+            seq: 0,
+            key: String::new(),
+            payload: Vec::new(),
+            created_at: SimTime::ZERO,
+        };
+        assert_eq!(encode_record(&empty).len(), 18);
+        assert_eq!(decode_record(encode_record(&empty)), Some(empty));
     }
 
     #[test]
@@ -1549,6 +1639,93 @@ mod tests {
         assert_eq!(dup_aged.duplicate, 1);
         let stray = sync.process_ack(now, &encode_acks(&[total + 7])).unwrap();
         assert_eq!(stray.unknown, 1);
+    }
+
+    /// The watermark dedup decides exactly as the set of every seq ever
+    /// applied did, at every step of seeded schedules that advance,
+    /// jump ahead, fill gaps late, replay old seqs — and leave one gap
+    /// open for good.
+    #[test]
+    fn dedup_watermark_matches_a_reference_set() {
+        const NEVER_ARRIVES: u64 = 5_000;
+        for seed in [1u64, 42, 1337] {
+            let mut rng = SimRng::seed_from(seed);
+            let mut seen = SeenSeqs::default();
+            let mut reference = BTreeSet::new();
+            let mut skipped: Vec<u64> = Vec::new();
+            let mut frontier = 0u64;
+            for step in 0..40_000 {
+                let seq = match rng.below(16) {
+                    // In order, now and then leaving a gap behind.
+                    0..=8 => {
+                        frontier += 1;
+                        if rng.chance(0.05) {
+                            skipped.push(frontier);
+                            frontier += 1;
+                        }
+                        frontier
+                    }
+                    // Far ahead of everything seen so far.
+                    9 => frontier + 1 + rng.below(64),
+                    // A gap fills late (a retransmission lands).
+                    10 | 11 => match skipped.pop() {
+                        Some(seq) => seq,
+                        None => continue,
+                    },
+                    // Duplicates: anywhere in the past, or just behind.
+                    12 | 13 => rng.below(frontier + 1),
+                    _ => frontier.saturating_sub(rng.below(32)),
+                };
+                if seq == NEVER_ARRIVES {
+                    continue;
+                }
+                assert_eq!(
+                    seen.insert(seq),
+                    reference.insert(seq),
+                    "seed {seed}, step {step}, seq {seq}"
+                );
+                assert_eq!(seen.next + seen.ahead.len() as u64, reference.len() as u64);
+            }
+            assert!(frontier > NEVER_ARRIVES, "the schedule passed the open gap");
+            assert!(
+                seen.next <= NEVER_ARRIVES,
+                "nothing may be presumed applied past a gap that never filled"
+            );
+        }
+        // The top of the range neither overflows nor is presumed applied.
+        let mut seen = SeenSeqs {
+            next: u64::MAX - 1,
+            ahead: BTreeSet::new(),
+        };
+        assert!(seen.insert(u64::MAX));
+        assert!(seen.insert(u64::MAX - 1));
+        assert!(!seen.insert(u64::MAX));
+        assert!(!seen.insert(u64::MAX - 1));
+        assert_eq!(seen.next, u64::MAX);
+    }
+
+    #[test]
+    fn dedup_table_stays_one_word_on_an_in_order_stream() {
+        let mut store = CloudStore::new("cloud");
+        let source = NodeId::new("fog");
+        let record = |seq: u64| UpdateRecord {
+            seq,
+            key: format!("k{}", seq % 100),
+            payload: vec![],
+            created_at: SimTime::ZERO,
+        };
+        for seq in 0..100_000 {
+            assert!(store.apply_record(SimTime::ZERO, &source, record(seq)));
+        }
+        let seen = &store.seen_seqs[&source];
+        assert_eq!((seen.next, seen.ahead.len()), (100_000, 0));
+        assert!(!store.apply_record(SimTime::ZERO, &source, record(99_999)));
+        assert!(!store.apply_record(SimTime::ZERO, &source, record(0)));
+        assert_eq!(store.duplicates(), 2);
+        assert_eq!(store.record_count(), 100_000);
+        // `latest` indexes the one stored copy: the newest arrival per key.
+        assert_eq!(store.latest("k7").unwrap().seq, 99_907);
+        assert_eq!(store.latest.len(), 100);
     }
 
     #[test]

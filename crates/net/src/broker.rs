@@ -323,7 +323,7 @@ mod tests {
         net.advance_to(SimTime::from_secs(1));
         let msgs = net.drain(&n("app1"));
         assert_eq!(msgs.len(), 2);
-        let topics: Vec<_> = msgs.iter().map(|d| d.message.topic.as_str()).collect();
+        let topics: Vec<_> = msgs.iter().map(|d| &*d.message.topic).collect();
         assert!(topics.contains(&"status/pivot"));
         assert!(topics.contains(&"status/pump"));
     }

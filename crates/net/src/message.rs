@@ -1,6 +1,7 @@
 //! Node identifiers and the message/delivery types that travel through the
 //! simulated network.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -46,6 +47,14 @@ impl From<&str> for NodeId {
     }
 }
 
+/// Lets a holder of a `NodeId` address a send with `&id`: the clone is a
+/// reference-count bump, not the allocation `&str` → `NodeId` costs.
+impl From<&NodeId> for NodeId {
+    fn from(id: &NodeId) -> Self {
+        id.clone()
+    }
+}
+
 impl AsRef<str> for NodeId {
     fn as_ref(&self) -> &str {
         &self.0
@@ -65,15 +74,17 @@ impl fmt::Display for MsgId {
 /// A message handed to the network for transmission.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Message {
-    /// Application topic (MQTT-style slash-separated path).
-    pub topic: String,
+    /// Application topic (MQTT-style slash-separated path). A constant
+    /// topic (`&'static str`) is borrowed for the message's whole journey;
+    /// a computed one (`String`) is owned — neither is copied again.
+    pub topic: Cow<'static, str>,
     /// Opaque payload bytes (often sealed JSON).
     pub payload: Vec<u8>,
 }
 
 impl Message {
     /// Creates a message.
-    pub fn new(topic: impl Into<String>, payload: impl Into<Vec<u8>>) -> Self {
+    pub fn new(topic: impl Into<Cow<'static, str>>, payload: impl Into<Vec<u8>>) -> Self {
         Message {
             topic: topic.into(),
             payload: payload.into(),

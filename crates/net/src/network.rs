@@ -64,8 +64,13 @@ impl std::error::Error for SendError {}
 /// assert_eq!(d.message.topic, "t/soil");
 /// ```
 pub struct Network {
-    nodes: BTreeSet<NodeId>,
-    links: BTreeMap<(NodeId, NodeId), Link>,
+    /// Registered nodes and their index (registration order), the compact
+    /// name links are keyed by.
+    nodes: BTreeMap<NodeId, usize>,
+    /// Directed links by `(source, destination)` node index: a send finds
+    /// its link with the two lookups that check its endpoints, and builds
+    /// no owned `(NodeId, NodeId)` key.
+    links: BTreeMap<(usize, usize), Link>,
     queue: EventQueue<Delivery>,
     inboxes: BTreeMap<NodeId, VecDeque<Delivery>>,
     taps: Vec<((NodeId, NodeId), Vec<Delivery>)>,
@@ -129,7 +134,7 @@ impl Network {
         let mut obs = Obs::new();
         let ins = NetInstruments::register(&mut obs);
         Network {
-            nodes: BTreeSet::new(),
+            nodes: BTreeMap::new(),
             links: BTreeMap::new(),
             queue: EventQueue::new(),
             inboxes: BTreeMap::new(),
@@ -147,14 +152,15 @@ impl Network {
     /// Registers a node. Idempotent.
     pub fn add_node(&mut self, id: impl Into<NodeId>) -> NodeId {
         let id = id.into();
-        self.nodes.insert(id.clone());
+        let next = self.nodes.len();
+        self.nodes.entry(id.clone()).or_insert(next);
         self.inboxes.entry(id.clone()).or_default();
         id
     }
 
     /// Whether a node is registered.
     pub fn has_node(&self, id: &NodeId) -> bool {
-        self.nodes.contains(id)
+        self.nodes.contains_key(id)
     }
 
     /// Connects two nodes bidirectionally with the same spec.
@@ -175,27 +181,36 @@ impl Network {
     pub fn connect_directed(&mut self, a: impl Into<NodeId>, b: impl Into<NodeId>, spec: LinkSpec) {
         let a = a.into();
         let b = b.into();
-        assert!(self.nodes.contains(&a), "unknown node {a}");
-        assert!(self.nodes.contains(&b), "unknown node {b}");
-        self.links.insert((a, b), Link::new(spec));
+        assert!(self.nodes.contains_key(&a), "unknown node {a}");
+        assert!(self.nodes.contains_key(&b), "unknown node {b}");
+        if let Some(key) = self.link_key(&a, &b) {
+            self.links.insert(key, Link::new(spec));
+        }
+    }
+
+    /// The link-table key of `a → b`, if both nodes are registered.
+    fn link_key(&self, a: &NodeId, b: &NodeId) -> Option<(usize, usize)> {
+        Some((*self.nodes.get(a)?, *self.nodes.get(b)?))
     }
 
     /// Sets both directions of the `a ↔ b` link up or down.
     ///
     /// Used for the Internet-disconnection scenarios of experiment E5.
     pub fn set_link_up(&mut self, a: &NodeId, b: &NodeId, up: bool) {
-        if let Some(l) = self.links.get_mut(&(a.clone(), b.clone())) {
-            l.set_up(up);
-        }
-        if let Some(l) = self.links.get_mut(&(b.clone(), a.clone())) {
-            l.set_up(up);
+        let Some((a, b)) = self.link_key(a, b) else {
+            return;
+        };
+        for key in [(a, b), (b, a)] {
+            if let Some(l) = self.links.get_mut(&key) {
+                l.set_up(up);
+            }
         }
     }
 
     /// Whether the directed link `a → b` exists and is up.
     pub fn link_up(&self, a: &NodeId, b: &NodeId) -> bool {
-        self.links
-            .get(&(a.clone(), b.clone()))
+        self.link_key(a, b)
+            .and_then(|key| self.links.get(&key))
             .is_some_and(Link::is_up)
     }
 
@@ -277,12 +292,12 @@ impl Network {
         dst: NodeId,
         message: Message,
     ) -> Result<MsgId, SendError> {
-        if !self.nodes.contains(&src) {
+        let Some(&from) = self.nodes.get(&src) else {
             return Err(SendError::UnknownNode(src));
-        }
-        if !self.nodes.contains(&dst) {
+        };
+        let Some(&to) = self.nodes.get(&dst) else {
             return Err(SendError::UnknownNode(dst));
-        }
+        };
         let size = message.wire_size();
         self.obs.inc(self.ins.offered);
 
@@ -294,7 +309,7 @@ impl Network {
             return Err(SendError::Denied);
         }
 
-        if !self.links.contains_key(&(src.clone(), dst.clone())) {
+        if !self.links.contains_key(&(from, to)) {
             return Err(SendError::NoRoute(src, dst));
         }
 
@@ -318,7 +333,8 @@ impl Network {
         // Fault injection: the plan rules first (partitions are absolute;
         // injected loss is on top of the link's own loss process), then the
         // link model decides the fate of whatever the plan let through.
-        let extra_delays = match &mut self.fault_plan {
+        // Without a plan there is one copy and no extra delay.
+        let planned_delays = match &mut self.fault_plan {
             Some(plan) => match plan.sample(now, &src, &dst) {
                 FaultOutcome::Partitioned => {
                     self.obs.inc(self.ins.fault_partitioned);
@@ -343,12 +359,17 @@ impl Network {
                     delays
                 }
             },
-            None => vec![SimDuration::ZERO],
+            None => Vec::new(),
+        };
+        let extra_delays: &[SimDuration] = if planned_delays.is_empty() {
+            &[SimDuration::ZERO]
+        } else {
+            &planned_delays
         };
 
         // Re-borrow the link (checked before fault sampling; the fault arm
         // above needed `&mut self`, so the borrow could not be held across).
-        let Some(link) = self.links.get(&(src.clone(), dst.clone())) else {
+        let Some(link) = self.links.get(&(from, to)) else {
             return Err(SendError::NoRoute(src, dst));
         };
         match link.offer(size, &mut self.rng) {
@@ -364,11 +385,21 @@ impl Network {
                 );
                 // One scheduled copy per fault-plan delay entry: the first is
                 // the primary copy, the rest are injected wire duplicates
-                // (same MsgId — they are echoes of one transmission).
+                // (same MsgId — they are echoes of one transmission). The
+                // message moves into the last copy scheduled, so the usual
+                // single copy is never cloned and each echo costs one clone.
+                let mut message = Some(message);
+                let last = extra_delays.len() - 1;
                 for (i, extra) in extra_delays.iter().enumerate() {
                     if i > 0 {
                         self.obs.inc(self.ins.fault_duplicated);
                     }
+                    let copy = if i == last {
+                        message.take()
+                    } else {
+                        message.clone()
+                    };
+                    let Some(message) = copy else { break };
                     let total = delay + *extra;
                     self.queue.schedule(
                         now + total,
@@ -376,7 +407,7 @@ impl Network {
                             id,
                             src: src.clone(),
                             dst: dst.clone(),
-                            message: message.clone(),
+                            message,
                             sent_at: now,
                             delivered_at: now + total,
                         },
@@ -401,10 +432,11 @@ impl Network {
     pub fn advance_to(&mut self, horizon: SimTime) {
         while let Some((_, delivery)) = self.queue.pop_until(horizon) {
             self.obs.inc(self.ins.delivered);
-            self.inboxes
-                .entry(delivery.dst.clone())
-                .or_default()
-                .push_back(delivery);
+            // `send` admits only registered destinations and `add_node`
+            // gives each an inbox, so the lookup cannot miss.
+            if let Some(inbox) = self.inboxes.get_mut(&delivery.dst) {
+                inbox.push_back(delivery);
+            }
         }
     }
 
@@ -698,9 +730,16 @@ mod tests {
         .unwrap();
         net.install_fault_plan(plan);
 
-        for _ in 0..400 {
-            net.send(SimTime::ZERO, "a", "b", Message::new("t", vec![]))
+        for i in 0..400u64 {
+            let id = net
+                .send(
+                    SimTime::ZERO,
+                    "a",
+                    "b",
+                    Message::new("t", i.to_be_bytes().to_vec()),
+                )
                 .unwrap();
+            assert_eq!(id, MsgId(i));
         }
         net.advance_to(SimTime::from_secs(30));
         let snap = net.observe();
@@ -713,6 +752,14 @@ mod tests {
             net.observe().counter("net.delivered").unwrap(),
             400 - dropped + duplicated
         );
+        // The primary copy and its echo both carry the message sent: the
+        // original moves into one of them, the other is a clone.
+        let delivered = net.drain(&n("b"));
+        assert_eq!(delivered.len() as u64, 400 - dropped + duplicated);
+        for d in delivered {
+            assert_eq!(d.message.topic, "t");
+            assert_eq!(d.message.payload, d.id.0.to_be_bytes());
+        }
     }
 
     #[test]

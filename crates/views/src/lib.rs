@@ -144,7 +144,7 @@ impl ViewIndexer {
         let entity = std::str::from_utf8(&rec.payload)
             .ok()
             .and_then(|s| Json::parse(s).ok())
-            .and_then(|j| Entity::from_json(&j).ok());
+            .and_then(|j| Entity::from_json_owned(j).ok());
         match entity {
             Some(e) => {
                 if let Some(v) = e.number(CONSUMPTION_ATTR) {

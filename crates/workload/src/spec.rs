@@ -291,13 +291,16 @@ impl CompiledWorkload {
     /// the same spec produce the same digest, bit for bit.
     pub fn stream_digest(&self) -> u64 {
         let mut h = Fnv::new();
+        let mut wire = String::new();
         for batch in &self.batches {
             h.write(&batch.at.as_millis().to_le_bytes());
             for r in &batch.records {
                 h.write(r.device.as_bytes());
                 h.write(&[0xff, r.label.as_byte()]);
                 h.write(&r.sampled_at.as_millis().to_le_bytes());
-                h.write(r.entity.to_json().to_compact_string().as_bytes());
+                wire.clear();
+                r.entity.write_compact(&mut wire);
+                h.write(wire.as_bytes());
                 h.write(&[0xfe]);
             }
         }
