@@ -145,6 +145,10 @@ pub struct Platform {
     /// The chunk of entities [`Platform::ingest_entities`] is working on;
     /// empty between calls, its capacity (`INGEST_CHUNK`) kept.
     ingest_chunk: Vec<Entity>,
+    /// The deliveries [`Platform::pump`] is routing; empty between pumps,
+    /// its capacity kept, so a pump that receives a window of acks or
+    /// relayed frames allocates nothing window-sized.
+    inbox: Vec<Delivery>,
     /// The one store-and-forward engine over the farm↔cloud uplink; its
     /// role follows `config`: fog→cloud replication of accepted context
     /// (FarmFog), or the gateway relaying sealed frames (CloudOnly).
@@ -221,7 +225,7 @@ impl PlatformInstruments {
 /// stages at a time. Small enough that a chunk and what the stages touch
 /// for it stay cache-resident and that ingest's working memory does not
 /// grow with the fleet; large enough that each stage runs long enough to
-/// keep its own tables hot. One `sync_round` batch, as it happens.
+/// keep its own tables hot.
 const INGEST_CHUNK: usize = 256;
 
 /// Node names used by the platform topology.
@@ -497,6 +501,7 @@ impl PlatformBuilder {
             node_id,
             wire_scratch: String::new(),
             ingest_chunk: Vec::with_capacity(INGEST_CHUNK),
+            inbox: Vec::new(),
             uplink,
             cloud_store,
             views: ViewIndexer::new(),
@@ -792,11 +797,16 @@ impl Platform {
 
         let fog = self.config == DeploymentConfig::FarmFog;
 
+        // Both drains of a pump go through one kept buffer, taken locally
+        // because routing a delivery needs `&mut self`.
+        let mut inbox = std::mem::take(&mut self.inbox);
+
         // CloudOnly: the gateway store-and-forwards farm traffic to the
         // cloud through the retry/ack engine (the old fire-and-forget
         // relay lost frames to uplink loss with no retransmission).
         if !fog {
-            for d in self.net.drain(&self.farm_id) {
+            self.net.drain_into(&self.farm_id, &mut inbox);
+            for d in inbox.drain(..) {
                 if d.message.topic == ACK_TOPIC {
                     if self.uplink.process_ack(now, &d.message.payload).is_err() {
                         self.obs.inc(self.ins.relay_malformed_ack);
@@ -810,27 +820,24 @@ impl Platform {
                     self.obs.inc(self.ins.relay_refused);
                 }
             }
-            self.uplink.sync_round(&mut self.net, now, 256);
+            self.uplink.sync_round(&mut self.net, now, usize::MAX);
             self.net.advance_to(now);
         }
 
         // One drain of the platform node's inbox, routed by topic: sealed
-        // telemetry to validation, relayed records to the relay store
-        // (CloudOnly), ack payloads to the retry engine (FarmFog — these
-        // used to be discarded by the telemetry filter here, leaving every
-        // record to retransmit until the cloud's duplicate path re-acked
-        // it).
-        let deliveries = self.net.drain(&self.node_id);
+        // telemetry to validation, ack payloads to the retry engine
+        // (FarmFog — these used to be discarded by the telemetry filter
+        // here, leaving every record to retransmit until the cloud's
+        // duplicate path re-acked it). Relayed records (CloudOnly) stay in
+        // the buffer for the relay store below, which skips the rest.
+        self.net.drain_into(&self.node_id, &mut inbox);
         let mut batch: Vec<Entity> = Vec::new();
-        let mut relayed: Vec<Delivery> = Vec::new();
-        for d in deliveries {
+        for d in &inbox {
             if let Some(device_id) = d.message.topic.strip_prefix("telemetry/") {
                 match self.validate_frame(now, device_id, &d.message.payload) {
                     Ok(entity) => batch.push(entity),
                     Err(e) => self.count_rejection(&e),
                 }
-            } else if d.message.topic == SYNC_TOPIC {
-                relayed.push(d);
             } else if d.message.topic == ACK_TOPIC
                 && fog
                 && self.uplink.process_ack(now, &d.message.payload).is_err()
@@ -844,20 +851,16 @@ impl Platform {
         if !fog {
             let store = &mut self.cloud_store;
             let dup_before = store.duplicates();
-            store.process_deliveries(&mut self.net, now, relayed);
+            store.process_deliveries(&mut self.net, now, inbox.drain(..));
             let dup_delta = store.duplicates() - dup_before;
             if dup_delta > 0 {
                 self.obs.add(self.ins.relay_duplicates_discarded, dup_delta);
             }
-            let frames: Vec<(String, Vec<u8>)> = store
-                .drain_ready(now)
-                .into_iter()
-                .map(|r| (r.key, r.payload))
-                .collect();
+            let frames = store.drain_ready(now);
             self.net.advance_to(now);
-            for (key, payload) in frames {
-                if let Some(device_id) = key.strip_prefix("telemetry/") {
-                    match self.validate_frame(now, device_id, &payload) {
+            for frame in frames {
+                if let Some(device_id) = frame.key.strip_prefix("telemetry/") {
+                    match self.validate_frame(now, device_id, &frame.payload) {
                         Ok(entity) => batch.push(entity),
                         Err(e) => self.count_rejection(&e),
                     }
@@ -865,14 +868,18 @@ impl Platform {
             }
         }
 
+        inbox.clear();
+        self.inbox = inbox;
+
         let ingested = self.ingest_entities(now, batch);
 
-        // Fog→cloud replication: one round out, and the cloud applies and
-        // acks what earlier rounds delivered. Every link has latency, so
-        // nothing sent at `now` arrives at `now`: the acks come back
+        // Fog→cloud replication: one round out — as much as the engine's
+        // in-flight window admits, no per-pump cap — and the cloud applies
+        // and acks what earlier rounds delivered. Every link has latency,
+        // so nothing sent at `now` arrives at `now`: the acks come back
         // through the topic router above on a later pump.
         if fog {
-            self.uplink.sync_round(&mut self.net, now, 256);
+            self.uplink.sync_round(&mut self.net, now, usize::MAX);
             self.cloud_store.process(&mut self.net, now);
         }
         ingested

@@ -10,7 +10,9 @@
 //! The same allocator then budgets a record's whole write path through an
 //! assembled [`Platform`] — allocations per accepted record for
 //! `ingest_entities`, the pumps that replicate it, `device_publish`, and a
-//! sealed frame pumped end to end (DESIGN.md §6 has the per-leg table).
+//! sealed frame pumped end to end (DESIGN.md §6 has the per-leg table) —
+//! and holds a pump that moves a full uplink window to the same per-record
+//! price with no window-sized scratch allocation.
 //! The counts repeat exactly for a seed, so each budget is an equality-
 //! grade gate on a box whose wall clock is not.
 //!
@@ -18,12 +20,13 @@
 //! pollute the shared counter.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use swamp_codec::ngsi::Entity;
 use swamp_core::broker::{ContextBroker, Notification, SubscriptionFilter, SubscriptionId};
 use swamp_core::history::HistoryStore;
 use swamp_core::platform::{DeploymentConfig, Platform};
+use swamp_fog::sync::DEFAULT_WINDOW;
 use swamp_net::link::LinkSpec;
 use swamp_sensors::device::DeviceKind;
 use swamp_sim::{SimDuration, SimTime};
@@ -31,10 +34,14 @@ use swamp_sim::{SimDuration, SimTime};
 struct CountingAlloc;
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+/// Largest single fresh allocation (not a `realloc`: a long-lived run
+/// growing in place is not scratch) since the last reset, in bytes.
+static LARGEST_FRESH: AtomicUsize = AtomicUsize::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        LARGEST_FRESH.fetch_max(layout.size(), Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
@@ -91,7 +98,8 @@ fn fanout_allocs(subs: usize, rounds: usize) -> u64 {
     calls
 }
 
-/// Fleet size of the write-path budgets: one `sync_round` batch.
+/// Fleet size of the write-path budgets: one ingest chunk, a sixteenth of
+/// the uplink window.
 const DEVICES: usize = 256;
 
 /// Allocations per accepted record on each leg of the write path, in a
@@ -101,10 +109,12 @@ struct WritePath {
     ingest: f64,
     /// The pumps that transmit, apply and ack that batch, per record.
     replicate: f64,
+    /// The largest single fresh allocation those pumps made, in bytes.
+    largest_pump_alloc: usize,
 }
 
-fn fleet_round(round: u64) -> Vec<Entity> {
-    (0..DEVICES)
+fn fleet_round(round: u64, devices: usize) -> Vec<Entity> {
+    (0..devices)
         .map(|i| {
             let mut e = Entity::new(format!("urn:swamp:device:probe-{i}"), "SoilProbe");
             e.set(
@@ -124,9 +134,9 @@ fn lossless_platform() -> Platform {
         .build()
 }
 
-/// Sixteen pumps a second apart — enough to transmit a 256-record round,
-/// apply it at the cloud and get every ack back — draining the subscriber
-/// (if any) after each pump as a consumer would.
+/// Sixteen pumps a second apart — enough to transmit a round of up to one
+/// window, apply it at the cloud and get every ack back — draining the
+/// subscriber (if any) after each pump as a consumer would.
 fn pump_and_drain(
     p: &mut Platform,
     now: &mut SimTime,
@@ -143,7 +153,7 @@ fn pump_and_drain(
     }
 }
 
-fn write_path_allocs(with_subscriber: bool) -> WritePath {
+fn write_path_allocs(with_subscriber: bool, devices: usize) -> WritePath {
     let mut p = lossless_platform();
     let sub = with_subscriber.then(|| {
         p.context
@@ -153,18 +163,20 @@ fn write_path_allocs(with_subscriber: bool) -> WritePath {
     let mut now = SimTime::from_secs(60);
     let mut measured = None;
     for round in 0..3u64 {
-        let batch = fleet_round(round);
+        let batch = fleet_round(round, devices);
         now += SimDuration::from_secs(600);
         let (ingest, applied) = alloc_calls(|| p.ingest_entities(now, batch));
-        assert_eq!(applied, DEVICES);
+        assert_eq!(applied, devices);
+        LARGEST_FRESH.store(0, Ordering::Relaxed);
         let (replicate, ()) = alloc_calls(|| pump_and_drain(&mut p, &mut now, sub, &mut drained));
         assert_eq!(
             p.cloud_replica().unwrap().record_count(),
-            (round as usize + 1) * DEVICES
+            (round as usize + 1) * devices
         );
         measured = Some(WritePath {
-            ingest: ingest as f64 / DEVICES as f64,
-            replicate: replicate as f64 / DEVICES as f64,
+            ingest: ingest as f64 / devices as f64,
+            replicate: replicate as f64 / devices as f64,
+            largest_pump_alloc: LARGEST_FRESH.load(Ordering::Relaxed),
         });
     }
     let snap = p.observe();
@@ -190,7 +202,7 @@ fn sealed_path_allocs() -> (f64, f64) {
     let mut now = SimTime::from_secs(60);
     let mut measured = (0.0, 0.0);
     for round in 0..3u64 {
-        let batch = fleet_round(round);
+        let batch = fleet_round(round, DEVICES);
         now += SimDuration::from_secs(600);
         let (publish, ()) = alloc_calls(|| {
             for (id, entity) in ids.iter().zip(&batch) {
@@ -290,20 +302,33 @@ fn hot_paths_do_not_allocate_per_subscriber_or_per_append() {
     //   record key, both kept by the uplink engine until the ack;
     // - with a subscriber, 4 more: the changed-name strings, their Vec and
     //   the shared `Arc<[String]>` every notification of the update holds;
-    // - replicate, 2 + per-pump constants: the encoded wire buffer (it
-    //   becomes the cloud record's payload) and the key the cloud run keeps;
+    // - replicate, 2 + table growth + one ack payload per pump: the encoded
+    //   wire buffer (it becomes the cloud record's payload) and the key the
+    //   cloud run keeps;
     // - device_publish, 3: the sealed frame, its `telemetry/<id>` topic
     //   and the sender's `NodeId`, all owned by the in-flight message;
     // - a sealed frame pumped: the above plus the AEAD plaintext and the
     //   JSON tree `validate_frame` parses (one allocation per container,
     //   key and string — the decoded entity then takes them by move).
-    let quiet = write_path_allocs(false);
-    let watched = write_path_allocs(true);
+    let quiet = write_path_allocs(false, DEVICES);
+    let watched = write_path_allocs(true, DEVICES);
+    let window = write_path_allocs(false, DEFAULT_WINDOW);
+    let half_window = write_path_allocs(false, DEFAULT_WINDOW / 2);
     let (publish, sealed) = sealed_path_allocs();
     eprintln!(
         "allocations per record: ingest {:.2} (subscribed {:.2}), replicate {:.2} \
-         (subscribed {:.2}), device_publish {:.2}, sealed frame pumped {:.2}",
-        quiet.ingest, watched.ingest, quiet.replicate, watched.replicate, publish, sealed
+         (subscribed {:.2}; a full window {:.3}, largest {} B; half a window {:.3}, \
+         largest {} B), device_publish {:.2}, sealed frame pumped {:.2}",
+        quiet.ingest,
+        watched.ingest,
+        quiet.replicate,
+        watched.replicate,
+        window.replicate,
+        window.largest_pump_alloc,
+        half_window.replicate,
+        half_window.largest_pump_alloc,
+        publish,
+        sealed
     );
     assert!(
         quiet.ingest <= 3.0,
@@ -319,6 +344,33 @@ fn hot_paths_do_not_allocate_per_subscriber_or_per_append() {
         quiet.replicate <= 3.0 && watched.replicate <= 3.0,
         "transmit + apply + ack allocated {:.2} times per record (budget 3)",
         quiet.replicate.max(watched.replicate)
+    );
+    // A pump that moves a whole window of records pays the same per
+    // record, and nothing that grows with how many it moved: twice the
+    // records cost twice the allocations up to a per-round constant, and no
+    // single allocation is window × `Delivery`-sized scratch (425 984 bytes
+    // at 4 096, past the allocator's 128 KiB mmap threshold — the
+    // page-fault mechanism of DESIGN.md §18's `cliff.*` rows). The largest
+    // is the ack payload, 8 bytes per record.
+    assert!(
+        window.replicate <= quiet.replicate,
+        "a full window replicated at {:.3} allocations per record, a 256-record round at {:.3}",
+        window.replicate,
+        quiet.replicate
+    );
+    let beyond_per_record =
+        (window.replicate - half_window.replicate).abs() * DEFAULT_WINDOW as f64;
+    assert!(
+        beyond_per_record <= 64.0,
+        "{:.3} allocations per record to replicate a window, {:.3} for half of one: \
+         {beyond_per_record:.0} allocations of a window's are not per record",
+        window.replicate,
+        half_window.replicate
+    );
+    assert!(
+        window.largest_pump_alloc < 128 * 1024,
+        "a pump moving a full window made one allocation of {} bytes",
+        window.largest_pump_alloc
     );
     assert!(
         publish <= 3.0,

@@ -8,8 +8,10 @@
 //!
 //! - [`sync`] — store-and-forward fog→cloud replication with bounded
 //!   buffers, an ack/retransmit engine (exponential backoff with jitter,
-//!   bounded in-flight window, degraded-mode state machine), and an
-//!   idempotent cloud store.
+//!   degraded-mode state machine) whose in-flight window
+//!   ([`sync::DEFAULT_WINDOW`]) is the one limit on throughput — a
+//!   backlog drains a window per ack round trip — and an idempotent
+//!   cloud store.
 //! - [`availability`] — interval-level availability accounting and outage
 //!   schedules for the disconnection experiments (E5).
 //! - [`mobile`] — contact-plan-driven connectivity for drone/pivot fog

@@ -14,10 +14,22 @@
 //! retransmission of a record is scheduled `min(base · factor^k, cap)`
 //! after the previous attempt, de-synchronized by a multiplicative jitter
 //! drawn from the engine's own seeded RNG (so runs stay reproducible).
-//! At most `max_in_flight` records may be awaiting acknowledgement; new
-//! records queue behind the window. Acks release records exactly once —
-//! late or duplicated acks are suppressed and counted, never double-advance
-//! [`SyncStats`].
+//! Acks release records exactly once — late or duplicated acks are
+//! suppressed and counted, never double-advance [`SyncStats`].
+//!
+//! ## Flow control
+//!
+//! The in-flight window ([`DEFAULT_WINDOW`] records unless the builder
+//! says otherwise) is the engine's one limit on throughput: at most that
+//! many records await acknowledgement at once. A sync round first
+//! retransmits the records whose retry timer expired — they keep the
+//! window slots they already hold — then admits never-transmitted records
+//! in enqueue order until the window is full; whatever is left waits in
+//! the ready queue for an ack to free a slot, so a backlog drains at one
+//! window per ack round trip. The `batch` argument of
+//! [`FogSync::sync_round`] is a further per-call cap for drivers that pace
+//! themselves (a drone's contact window, a replayed leg); the platform
+//! passes none.
 //!
 //! ## Degraded-mode state machine
 //!
@@ -67,6 +79,32 @@ pub const ACK_TOPIC: &str = "fog/sync/ack";
 /// Longest encodable record key, in bytes (the wire format uses a 16-bit
 /// length prefix).
 pub const MAX_KEY_LEN: usize = u16::MAX as usize;
+
+/// Default in-flight window: how many records may await acknowledgement
+/// at once, and so how many a backlogged engine moves per ack round trip.
+///
+/// Static, and sized from a measured sweep rather than adapted at run
+/// time: the simulated links do not queue, so loss is the only congestion
+/// signal there is, and the retry engine already answers it with backoff.
+/// The sweep, on the reference benchmark (seed 42, deterministic):
+/// `fleet_wide` is 50 000 records per round over a lossless uplink, pumps
+/// 1 s apart, an ack round trip of two pumps; `storm_lossy` is 10 % loss
+/// and scheduled partitions.
+///
+/// | window | `fleet_wide` lag p50 / p95 (sim-s) | pumps per 50 000-record round | `storm_lossy` lag p95 | its retransmissions |
+/// |---|---|---|---|---|
+/// | 1 024 | 50 / 94 | 98 | 500 | 36 269 |
+/// | 2 048 | 26 / 48 | 50 | 240 | 36 921 |
+/// | 4 096 | 14 / 24 | 26 | 120 | 33 011 |
+/// | 8 192 | 8 / 12 | 14 | 140 | 46 557 |
+///
+/// Up to 4 096 the CPU cost per record does not move beyond run-to-run
+/// spread. Past it a timer expiry retransmits twice the stranded window
+/// into the same outage (more retransmissions for a worse tail), and a
+/// round's wire copies (a window × ~300 B) stop being cache-resident:
+/// the first round's cost per record rises ≈ 17 %. DESIGN.md §13 has the
+/// full table with the wall-clock columns.
+pub const DEFAULT_WINDOW: usize = 4096;
 
 /// Consecutive strike rounds before the uplink is graded `Degraded`.
 const DEGRADED_AFTER: u32 = 2;
@@ -311,7 +349,7 @@ impl FogSyncBuilder {
             backoff_factor: 2.0,
             max_backoff: SimDuration::from_secs(480),
             jitter: 0.1,
-            max_in_flight: 1024,
+            max_in_flight: DEFAULT_WINDOW,
             seed: 0x666f675f73796e63, // "fog_sync"
         }
     }
@@ -354,8 +392,9 @@ impl FogSyncBuilder {
         self
     }
 
-    /// Maximum records awaiting acknowledgement at once (clamped to ≥ 1).
-    /// Default 1024.
+    /// The in-flight window: maximum records awaiting acknowledgement at
+    /// once (clamped to ≥ 1), which is also what a backlogged engine
+    /// transmits per ack round trip. Default [`DEFAULT_WINDOW`].
     pub fn max_in_flight(mut self, window: usize) -> Self {
         self.max_in_flight = window.max(1);
         self
@@ -403,7 +442,8 @@ impl FogSyncBuilder {
 }
 
 /// Fog-side sync engine: bounded buffer + ack/retransmit with exponential
-/// backoff, a bounded in-flight window, and a degraded-mode state machine.
+/// backoff, an in-flight window that is its one limit on throughput (see
+/// the module's *Flow control* section), and a degraded-mode state machine.
 ///
 /// # Example
 /// ```
@@ -593,10 +633,14 @@ impl FogSync {
         SimDuration::from_millis(ms as u64)
     }
 
-    /// Runs one sync round at `now`: transmits new records (subject to the
-    /// in-flight window) and retransmits records whose retry timer expired,
-    /// up to `batch` transmissions. Feeds the degraded-mode state machine.
-    /// Returns how many messages were handed to the network.
+    /// Runs one sync round at `now`: retransmits records whose retry timer
+    /// expired (they keep the window slots they hold) and admits
+    /// never-transmitted records in enqueue order until the in-flight
+    /// window is full. `batch` caps the round's transmissions further, for
+    /// drivers that pace themselves; `usize::MAX` leaves the window as the
+    /// only limit, which is how the platform's pump calls it. Feeds the
+    /// degraded-mode state machine. Returns how many messages were handed
+    /// to the network.
     ///
     /// Cost: O(transmissions + timer fires) — the round never scans the
     /// backlog. Due retransmissions come off the timer wheel, new records
@@ -976,6 +1020,12 @@ pub struct CloudStore {
     /// In-order release state, present when built with
     /// [`CloudStore::in_order`].
     reorder: Option<ReorderBuffer>,
+    /// Call-scoped scratch, kept warm so a call that applies a full window
+    /// allocates nothing window-sized: the deliveries [`CloudStore::process`]
+    /// drained, and the seqs to ack per source (a source's entry stays,
+    /// emptied, between calls).
+    inbox: Vec<Delivery>,
+    acks: BTreeMap<NodeId, Vec<u64>>,
     obs: Obs,
     ins: CloudInstruments,
 }
@@ -992,6 +1042,8 @@ impl CloudStore {
             seen_seqs: BTreeMap::new(),
             drained: 0,
             reorder: None,
+            inbox: Vec::new(),
+            acks: BTreeMap::new(),
             obs,
             ins,
         }
@@ -1108,8 +1160,11 @@ impl CloudStore {
     /// duplicates, whose earlier ack may have been lost. Returns the number
     /// of new records accepted.
     pub fn process(&mut self, net: &mut Network, now: SimTime) -> usize {
-        let deliveries = net.drain(&self.node);
-        self.process_deliveries(net, now, deliveries)
+        let mut inbox = std::mem::take(&mut self.inbox);
+        net.drain_into(&self.node, &mut inbox);
+        let accepted = self.process_deliveries(net, now, inbox.drain(..));
+        self.inbox = inbox;
+        accepted
     }
 
     /// Processes an already-drained batch of deliveries — for callers that
@@ -1124,33 +1179,43 @@ impl CloudStore {
         deliveries: impl IntoIterator<Item = Delivery>,
     ) -> usize {
         let mut accepted = 0;
-        let mut acks: BTreeMap<NodeId, Vec<u64>> = BTreeMap::new();
+        let mut acks = std::mem::take(&mut self.acks);
         for d in deliveries {
             if d.message.topic != SYNC_TOPIC {
                 continue;
             }
             if let Some(record) = decode_record(d.message.payload) {
-                acks.entry(d.src.clone()).or_default().push(record.seq);
+                match acks.get_mut(&d.src) {
+                    Some(seqs) => seqs.push(record.seq),
+                    None => {
+                        acks.insert(d.src.clone(), vec![record.seq]);
+                    }
+                }
                 if self.apply_record(now, &d.src, record) {
                     accepted += 1;
                 }
             }
         }
-        for (fog, seqs) in acks {
+        for (fog, seqs) in &mut acks {
+            if seqs.is_empty() {
+                continue;
+            }
             // Ack sends may race a partition window; the fog's retry engine
             // covers the loss, so a refused ack send is counted, not fatal.
             if net
                 .send(
                     now,
-                    self.node.clone(),
+                    &self.node,
                     fog,
-                    Message::new(ACK_TOPIC, encode_acks(&seqs)),
+                    Message::new(ACK_TOPIC, encode_acks(seqs)),
                 )
                 .is_err()
             {
                 self.obs.inc(self.ins.acks_refused);
             }
+            seqs.clear();
         }
+        self.acks = acks;
         accepted
     }
 

@@ -3,23 +3,22 @@
 //! records how many entries (timer fires, stale ready heads, ready-queue
 //! pops) each round examined. A lossless drain under a retry timeout
 //! longer than the whole run fires no timer and leaves no stale head, so
-//! a round may examine at most the `batch` records it transmits — any
-//! per-round rescan of the backlog shows up as a `max` in the tens of
-//! thousands and a `Σ scanned` quadratic in the backlog, on any machine.
+//! a round may examine at most the window of records it transmits (the
+//! rounds are uncapped, as the platform's are) — any per-round rescan of
+//! the backlog shows up as a `max` in the tens of thousands and a
+//! `Σ scanned` quadratic in the backlog, on any machine.
 //!
 //! The link is the zero-loss backbone (`farm_lan` drops 1 in 10 000) and
 //! the backoff cap is raised with the base timeout (the default 480 s cap
 //! would clamp it and fire every acked record's stale timer mid-drain).
 
-use swamp_fog::sync::{CloudStore, FogSync};
+use swamp_fog::sync::{CloudStore, FogSync, DEFAULT_WINDOW};
 use swamp_net::link::LinkSpec;
 use swamp_net::network::Network;
 use swamp_sim::{SimDuration, SimTime};
 
 const BACKLOG: usize = 100_000;
-/// Transmissions per sync round (the platform's pump batch).
-const BATCH: usize = 256;
-/// Longer than the whole drain (≈ 800 s of sim time), so no timer fires.
+/// Longer than the whole drain (≈ 50 s of sim time), so no timer fires.
 const RETRY_TIMEOUT: SimDuration = SimDuration::from_secs(3600);
 
 #[test]
@@ -40,7 +39,8 @@ fn lossless_drain_examines_each_record_once() {
             .expect("under capacity");
     }
 
-    let round_budget = (BACKLOG / BATCH + 16) * 3;
+    // One window per round, each acked before the next.
+    let round_budget = BACKLOG.div_ceil(DEFAULT_WINDOW);
     let mut rounds = 0;
     let mut now = SimTime::ZERO;
     while sync.pending() > 0 {
@@ -49,7 +49,7 @@ fn lossless_drain_examines_each_record_once() {
             "drain stalled: {} of {BACKLOG} records still pending after {rounds} rounds",
             sync.pending()
         );
-        sync.sync_round(&mut net, now, BATCH);
+        sync.sync_round(&mut net, now, usize::MAX);
         now += SimDuration::from_secs(1);
         net.advance_to(now);
         cloud.process(&mut net, now);
@@ -71,9 +71,9 @@ fn lossless_drain_examines_each_record_once() {
         .stats;
     assert_eq!(scanned.count(), rounds as u64, "one sample per round");
     assert!(
-        scanned.max() <= BATCH as f64,
-        "a round examined {} entries for a batch of {BATCH}: per-round work \
-         must track transmissions, not backlog depth",
+        scanned.max() <= DEFAULT_WINDOW as f64,
+        "a round examined {} entries for a window of {DEFAULT_WINDOW}: per-round \
+         work must track transmissions, not backlog depth",
         scanned.max()
     );
     let total = scanned.mean() * scanned.count() as f64;

@@ -447,9 +447,17 @@ impl Network {
 
     /// Drains every delivered message for a node.
     pub fn drain(&mut self, node: &NodeId) -> Vec<Delivery> {
-        match self.inboxes.get_mut(node) {
-            Some(q) => q.drain(..).collect(),
-            None => Vec::new(),
+        let mut out = Vec::new();
+        self.drain_into(node, &mut out);
+        out
+    }
+
+    /// Drains every delivered message for a node onto the end of `out` —
+    /// for callers that drain every pump and keep one buffer warm, so an
+    /// inbox a window deep costs no fresh window-sized allocation.
+    pub fn drain_into(&mut self, node: &NodeId, out: &mut Vec<Delivery>) {
+        if let Some(q) = self.inboxes.get_mut(node) {
+            out.extend(q.drain(..));
         }
     }
 
@@ -793,5 +801,34 @@ mod tests {
         let mut net = basic_net();
         assert!(net.drain(&n("ghost")).is_empty());
         assert_eq!(net.inbox_len(&n("ghost")), 0);
+    }
+
+    #[test]
+    fn drain_into_appends_in_order_and_keeps_the_buffer() {
+        let mut net = basic_net();
+        let mut out = Vec::new();
+        for round in 0..2u8 {
+            for i in 0..4u8 {
+                net.send(net.now(), "a", "b", Message::new("t", vec![round, i]))
+                    .unwrap();
+            }
+            net.advance_to(net.now() + SimDuration::from_secs(1));
+            net.drain_into(&n("b"), &mut out);
+            assert_eq!(net.inbox_len(&n("b")), 0);
+        }
+        let payloads: Vec<&[u8]> = out.iter().map(|d| &d.message.payload[..]).collect();
+        let expected = [
+            [0, 0],
+            [0, 1],
+            [0, 2],
+            [0, 3],
+            [1, 0],
+            [1, 1],
+            [1, 2],
+            [1, 3],
+        ];
+        assert_eq!(payloads, expected);
+        net.drain_into(&n("ghost"), &mut out);
+        assert_eq!(out.len(), 8);
     }
 }

@@ -377,11 +377,10 @@ impl BehaviorBank {
     /// or replayed record can never double-alert.
     pub fn ingest(&mut self, at: SimTime, device: &str, value: f64) -> BaselineVerdict {
         self.obs.inc(self.ins.observed);
-        if !self.devices.contains_key(device) {
-            self.admit(at, device);
-        }
-        let Some(state) = self.devices.get_mut(device) else {
-            return BaselineVerdict::Skipped;
+        // One descent for a known device; only admission pays a second.
+        let state = match self.devices.get_mut(device) {
+            Some(state) => state,
+            None => Self::admit(&mut self.devices, at, device),
         };
         if state.observed > 0 && at <= state.last_at {
             self.obs.inc(self.ins.out_of_order);
@@ -482,8 +481,14 @@ impl BehaviorBank {
     }
 
     /// Admits a new device (the only allocation on the ingest path).
-    fn admit(&mut self, at: SimTime, device: &str) {
-        self.devices.insert(device.to_owned(), DeviceState::new(at));
+    fn admit<'a>(
+        devices: &'a mut BTreeMap<String, DeviceState>,
+        at: SimTime,
+        device: &str,
+    ) -> &'a mut DeviceState {
+        devices
+            .entry(device.to_owned())
+            .or_insert_with(|| DeviceState::new(at))
     }
 
     /// Raises the one-per-device flag and its instruments/event.
