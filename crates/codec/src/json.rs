@@ -229,11 +229,19 @@ impl From<f64> for Json {
     }
 }
 impl From<i64> for Json {
+    #[expect(
+        clippy::as_conversions,
+        reason = "JSON numbers are f64 by definition; producers (sim ms, counters) stay below 2^53, where the conversion is exact"
+    )]
     fn from(n: i64) -> Json {
         Json::Number(n as f64)
     }
 }
 impl From<u64> for Json {
+    #[expect(
+        clippy::as_conversions,
+        reason = "JSON numbers are f64 by definition; producers (sim ms, counters) stay below 2^53, where the conversion is exact"
+    )]
     fn from(n: u64) -> Json {
         Json::Number(n as f64)
     }

@@ -33,6 +33,10 @@
 //! assert_eq!(back, e);
 //! ```
 
+// Wire formats must not truncate silently: `From`/`try_from`, or an
+// `#[expect]` that says why the cast is exact.
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
+
 pub mod json;
 pub mod ngsi;
 

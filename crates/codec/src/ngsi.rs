@@ -33,6 +33,7 @@ impl EntityId {
     /// # Panics
     /// Panics if `id` is empty or has surrounding whitespace; use
     /// [`EntityId::try_new`] for fallible construction.
+    #[expect(clippy::expect_used, reason = "documented under # Panics")]
     pub fn new(id: impl Into<String>) -> Self {
         Self::try_new(id).expect("invalid entity id")
     }
@@ -325,6 +326,10 @@ impl Attribute {
         let value = fields
             .remove("value")
             .ok_or_else(|| EntityCodecError::missing("value"))?;
+        #[expect(
+            clippy::as_conversions,
+            reason = "`as` from f64 saturates, never panics: an out-of-range observedAt clamps instead of killing ingest"
+        )]
         let observed_at_ms = fields
             .get("observedAt")
             .and_then(Json::as_f64)
@@ -373,6 +378,10 @@ impl Attribute {
 }
 
 /// `observedAt` on the wire: sim epoch-milliseconds as a JSON number.
+#[expect(
+    clippy::as_conversions,
+    reason = "exact below 2^53 ms, far beyond any sim horizon"
+)]
 fn observed_at_number(ts: u64) -> f64 {
     ts as f64
 }

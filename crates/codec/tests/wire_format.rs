@@ -7,6 +7,10 @@
 //! numbers, control characters, quotes, non-ASCII, metadata, timestamps),
 //! and literal golden strings pin the bytes themselves — so the two
 //! writers cannot drift apart, and cannot drift together either.
+//!
+//! The same generator drives the JSON layer's own properties: arbitrary
+//! value trees survive both writers, and the parser returns — `Ok` or
+//! `Err`, never a panic — on token soup and on damaged documents.
 
 use swamp_codec::json::Json;
 use swamp_codec::ngsi::{AttrValue, Attribute, Entity};
@@ -159,6 +163,69 @@ fn streaming_writer_matches_tree_writer_and_round_trips() {
         exact > 2_000,
         "only {exact} entities were exactly decodable"
     );
+}
+
+/// A JSON value tree at most `depth` containers deep, finite numbers only
+/// (JSON has no NaN/inf; the writers emit `null` for them).
+fn json(rng: &mut SimRng, depth: u32) -> Json {
+    match rng.below(if depth == 0 { 4 } else { 6 }) {
+        0 => Json::Null,
+        1 => Json::Bool(rng.chance(0.5)),
+        2 => Json::Number(rng.uniform_range(-1e12, 1e12)),
+        3 => Json::String(text(rng, 12)),
+        4 => Json::Array((0..rng.below(6)).map(|_| json(rng, depth - 1)).collect()),
+        _ => Json::object((0..rng.below(6)).map(|_| (text(rng, 8), json(rng, depth - 1)))),
+    }
+}
+
+#[test]
+fn json_values_round_trip_through_both_writers() {
+    let mut rng = SimRng::seed_from(0x6a73_6f6e); // "json"
+    for _ in 0..2_000 {
+        let v = json(&mut rng, 4);
+        assert_eq!(Json::parse(&v.to_compact_string()).as_ref(), Ok(&v));
+        assert_eq!(Json::parse(&v.to_pretty_string()).as_ref(), Ok(&v));
+    }
+}
+
+/// Pieces a JSON parser has a branch for, whole and broken.
+const TOKENS: &[&str] = &[
+    "{", "}", "[", "]", ":", ",", "\"", "\\", "\\u", "\\ud83d", "\\udca7", "\\n", "\\x", "00e9",
+    "-", "0", "17", ".", "e", "E+", "1e999", "true", "fals", "null", "nul", " ", "\n", "\t", "a",
+    "é", "💧", "\u{0}", "\u{1f}",
+];
+
+#[test]
+fn parser_never_panics() {
+    let mut rng = SimRng::seed_from(0x736f_7570); // "soup"
+    let mut accepted = 0;
+    for _ in 0..20_000 {
+        let soup: String = (0..rng.below(24)).map(|_| *rng.pick(TOKENS)).collect();
+        accepted += u32::from(Json::parse(&soup).is_ok());
+    }
+    assert!(
+        accepted > 100,
+        "only {accepted} soups parsed: the alphabet is off"
+    );
+}
+
+#[test]
+fn parser_never_panics_on_bytes() {
+    let mut rng = SimRng::seed_from(0x6279_7465); // "byte"
+    let mut parsed = 0;
+    for _ in 0..4_000 {
+        // A valid document, then cut short, or with a few bytes overwritten.
+        let mut bytes = json(&mut rng, 3).to_compact_string().into_bytes();
+        bytes.truncate(1 + rng.below(bytes.len() as u64) as usize);
+        for _ in 0..rng.below(3) {
+            let at = rng.below(bytes.len() as u64) as usize;
+            bytes[at] = rng.next_u64() as u8;
+        }
+        if let Ok(s) = std::str::from_utf8(&bytes) {
+            parsed += u32::from(Json::parse(s).is_ok());
+        }
+    }
+    assert!(parsed > 0, "no damaged document stayed parseable");
 }
 
 #[test]

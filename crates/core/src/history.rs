@@ -610,6 +610,7 @@ impl HistoryStore {
     /// # Panics
     /// Panics past 2^32 distinct series (the 32-bit id space; a simulated
     /// deployment is orders of magnitude smaller).
+    #[expect(clippy::expect_used, reason = "documented under # Panics")]
     pub fn intern(&mut self, entity: &str, attr: &str) -> SeriesId {
         if let Some(id) = self.series_id(entity, attr) {
             return id;

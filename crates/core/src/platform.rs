@@ -406,6 +406,7 @@ impl PlatformBuilder {
     /// partitions already scheduled on the uplink pair in a supplied
     /// [`PlatformBuilder::fault_plan`] (both sources are caller-authored
     /// configuration, so the overlap is a configuration bug).
+    #[expect(clippy::expect_used, reason = "documented under # Panics")]
     pub fn build(self) -> Platform {
         let PlatformBuilder {
             seed,
@@ -554,11 +555,6 @@ impl Platform {
     /// rejected until an operator re-enables it.
     pub fn set_auto_quarantine(&mut self, on: bool) {
         self.auto_quarantine = on;
-    }
-
-    /// The node where ingestion and decisions run.
-    pub fn platform_node(&self) -> NodeId {
-        self.node_id.clone()
     }
 
     /// The farm-side node devices connect to.

@@ -16,6 +16,11 @@
 //! The counts repeat exactly for a seed, so each budget is an equality-
 //! grade gate on a box whose wall clock is not.
 //!
+//! The read path gets the same treatment: the summary-served
+//! [`QueryRequest`]s (`Extremes`, `Aggregate`, `Last`) through
+//! [`Platform::query`] allocate nothing, however many frozen segments the
+//! window prunes, summarises or decodes.
+//!
 //! Everything runs inside one `#[test]` so concurrent test threads cannot
 //! pollute the shared counter.
 
@@ -26,6 +31,7 @@ use swamp_codec::ngsi::Entity;
 use swamp_core::broker::{ContextBroker, Notification, SubscriptionFilter, SubscriptionId};
 use swamp_core::history::HistoryStore;
 use swamp_core::platform::{DeploymentConfig, Platform};
+use swamp_core::query::{QueryRequest, QueryResponse};
 use swamp_fog::sync::DEFAULT_WINDOW;
 use swamp_net::link::LinkSpec;
 use swamp_sensors::device::DeviceKind;
@@ -179,6 +185,13 @@ fn write_path_allocs(with_subscriber: bool, devices: usize) -> WritePath {
             largest_pump_alloc: LARGEST_FRESH.load(Ordering::Relaxed),
         });
     }
+    // With nothing left to move, a pump allocates nothing at all: whatever
+    // a pump allocates it allocates per record, inside the budgets above.
+    let (quiet, ()) = alloc_calls(|| pump_and_drain(&mut p, &mut now, sub, &mut drained));
+    assert_eq!(
+        quiet, 0,
+        "sixteen pumps with nothing to move allocated {quiet} times"
+    );
     let snap = p.observe();
     assert_eq!(snap.gauge("sync.pending").unwrap(), Some(0.0));
     assert_eq!(snap.counter("sync.retransmissions").unwrap(), 0);
@@ -226,6 +239,79 @@ fn sealed_path_allocs() -> (f64, f64) {
         snap.counter("ingest.accepted").unwrap()
     );
     measured
+}
+
+/// Samples per frozen segment of the read-path store.
+const SEGMENT: u64 = 16;
+
+/// Allocations made by the summary-served queries over one series
+/// `segments` frozen segments deep, through [`Platform::query`]: a narrow
+/// window (every segment but one pruned), a wide one that cuts through
+/// its two edge segments (those decoded, the interior summarised or
+/// decoded by kind) and the latest sample. Each request runs once to warm
+/// up and is then counted over eight calls.
+fn query_allocs(segments: u64) -> u64 {
+    const ENTITY: &str = "urn:swamp:device:probe-0";
+    const ATTR: &str = "moisture_vwc";
+    let mut p = Platform::builder(DeploymentConfig::CloudOnly)
+        .seed(42)
+        .history_segment_threshold(Some(SEGMENT as usize))
+        .build();
+    let samples = segments * SEGMENT;
+    for i in 0..samples {
+        let mut e = Entity::new(ENTITY, "SoilProbe");
+        e.set(ATTR, 0.2 + (i % 97) as f64 * 0.001);
+        assert_eq!(p.ingest_entities(SimTime::from_secs(i), vec![e]), 1);
+    }
+    let series = || (ENTITY.to_owned(), ATTR.to_owned());
+    let (entity, attr) = series();
+    let mut requests = vec![QueryRequest::Last { entity, attr }];
+    for (from, to) in [
+        (SEGMENT + 2, SEGMENT + 6),
+        (SEGMENT / 2, samples - SEGMENT / 2),
+    ] {
+        let (from, to) = (SimTime::from_secs(from), SimTime::from_secs(to));
+        let (entity, attr) = series();
+        requests.push(QueryRequest::Extremes {
+            entity,
+            attr,
+            from,
+            to,
+        });
+        let (entity, attr) = series();
+        requests.push(QueryRequest::Aggregate {
+            entity,
+            attr,
+            from,
+            to,
+        });
+    }
+    let before = p.observe();
+    let mut total = 0;
+    for req in &requests {
+        assert!(!matches!(
+            p.query(req),
+            QueryResponse::Sample(None)
+                | QueryResponse::Extremes(None)
+                | QueryResponse::Aggregate(None)
+        ));
+        let (calls, ()) = alloc_calls(|| {
+            for _ in 0..8 {
+                std::hint::black_box(p.query(req));
+            }
+        });
+        total += calls;
+    }
+    // The windows did the three kinds of segment work the budget is about,
+    // in proportion to the depth of the store. Each request ran nine
+    // times: both narrow ones prune every segment but one, the wide
+    // `Extremes` summarises the interior, the wide `Aggregate` decodes it.
+    let after = p.observe();
+    let grew = |name: &str| after.counter(name).unwrap() - before.counter(name).unwrap();
+    assert!(grew("query.segments_pruned") >= 9 * 2 * (segments - 1));
+    assert!(grew("query.segments_summarized") >= 9 * (segments - 2));
+    assert!(grew("query.segments_decoded") >= 9 * segments);
+    total
 }
 
 #[test]
@@ -380,4 +466,18 @@ fn hot_paths_do_not_allocate_per_subscriber_or_per_append() {
         sealed <= 30.0,
         "a sealed frame pumped end to end allocated {sealed:.2} times (budget 30)"
     );
+
+    // --- The read path. A summary-served query owns nothing it returns
+    // (`Option` of a few numbers) and scans segments in place, so it
+    // allocates nothing at any depth. A scan that decodes each segment
+    // into a scratch vector before folding it (`seg.iter().collect()` in
+    // `Series::for_each_in_window`) turns the 0 into 120 at 4 segments and
+    // 6 168 at 256.
+    for segments in [4, 256] {
+        let calls = query_allocs(segments);
+        assert_eq!(
+            calls, 0,
+            "Extremes/Aggregate/Last over {segments} frozen segments allocated {calls} times"
+        );
+    }
 }

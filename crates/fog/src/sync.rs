@@ -1263,6 +1263,7 @@ impl CloudStore {
 /// Encodes a record. Infallible: key length was validated against
 /// [`MAX_KEY_LEN`] at enqueue time (the 16-bit length prefix cannot
 /// truncate).
+#[deny(clippy::as_conversions)]
 fn encode_record(r: &UpdateRecord) -> Vec<u8> {
     let key_bytes = r.key.as_bytes();
     // `min(MAX_KEY_LEN)` bounds the length to u16::MAX, so the fallback
@@ -1282,6 +1283,7 @@ fn encode_record(r: &UpdateRecord) -> Vec<u8> {
 /// becomes the record's payload. The payload keeps the wire buffer's
 /// capacity, so each stored record carries `18 + key.len()` spare bytes
 /// (46 for a device URN) in exchange for not being copied again.
+#[deny(clippy::as_conversions)]
 fn decode_record(mut bytes: Vec<u8>) -> Option<UpdateRecord> {
     if bytes.len() < 18 {
         return None;
@@ -1304,6 +1306,7 @@ fn decode_record(mut bytes: Vec<u8>) -> Option<UpdateRecord> {
     })
 }
 
+#[deny(clippy::as_conversions)]
 fn encode_acks(seqs: &[u64]) -> Vec<u8> {
     let mut out = Vec::with_capacity(seqs.len() * 8);
     for s in seqs {

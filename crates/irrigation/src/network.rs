@@ -144,11 +144,6 @@ impl DistributionNetwork {
         FarmId(self.farms.len() - 1)
     }
 
-    /// Number of farms.
-    pub fn farm_count(&self) -> usize {
-        self.farms.len()
-    }
-
     /// Updates a farm's demand (telemetered daily from the pilot).
     pub fn set_demand(&mut self, farm: FarmId, demand_m3: f64) {
         assert!(demand_m3 >= 0.0);

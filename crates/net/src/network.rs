@@ -158,11 +158,6 @@ impl Network {
         id
     }
 
-    /// Whether a node is registered.
-    pub fn has_node(&self, id: &NodeId) -> bool {
-        self.nodes.contains_key(id)
-    }
-
     /// Connects two nodes bidirectionally with the same spec.
     ///
     /// # Panics
@@ -228,12 +223,6 @@ impl Network {
     /// Read access to the installed fault plan.
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
         self.fault_plan.as_ref()
-    }
-
-    /// Mutable access to the installed fault plan (to add partitions or
-    /// change specs mid-scenario).
-    pub fn fault_plan_mut(&mut self) -> Option<&mut FaultPlan> {
-        self.fault_plan.as_mut()
     }
 
     /// Mutable access to the SDN flow table (the controller's handle).

@@ -44,8 +44,6 @@
 //! assert!(snap.counter("net.snet").is_err(), "typos are loud");
 //! ```
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
-
 use std::collections::BTreeMap;
 
 use swamp_sim::stats::{Histogram, OnlineStats};

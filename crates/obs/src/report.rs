@@ -152,11 +152,6 @@ impl ObsSnapshot {
         *self.counters.entry(name.to_owned()).or_insert(0) += value;
     }
 
-    /// Inserts a gauge entry (overwrites).
-    pub fn put_gauge(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_owned(), Some(value));
-    }
-
     /// Inserts a registered-but-possibly-unset gauge entry.
     pub(crate) fn put_gauge_opt(&mut self, name: &str, value: Option<f64>) {
         self.gauges.insert(name.to_owned(), value);

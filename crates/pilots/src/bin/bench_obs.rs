@@ -59,6 +59,10 @@ fn run_variant(devices: usize, muted: bool) -> (u64, f64) {
                 e
             })
             .collect();
+        #[expect(
+            clippy::disallowed_types,
+            reason = "wall-clock bench harness for obs overhead; its output only reaches stdout, never a committed table"
+        )]
         let start = std::time::Instant::now();
         updates += platform.ingest_entities(t, batch) as u64;
         platform.pump(t);

@@ -113,6 +113,10 @@ fn dos_scenario(seed: u64, attack_rate: f64, mitigate: bool) -> (f64, usize) {
         // Each probe publishes once.
         for (i, p) in probes.iter().enumerate() {
             let at = t0 + SimDuration::from_millis(100 + i as u64 * 37);
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "E2 DoS flood: sends are expected to be refused; delivery is measured at the broker, not the sender"
+            )]
             let _ = net.send(
                 at,
                 p.as_str(),

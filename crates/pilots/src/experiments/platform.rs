@@ -96,6 +96,10 @@ pub fn e5_fog_availability(seed: u64) -> E5Result {
                 let mut e = Entity::new("urn:swamp:device:probe-1", "SoilProbe");
                 e.set("moisture_vwc", 0.2 + (h as f64 * 0.001));
                 e.set("seq", h as f64);
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "E5 publishes over a deliberately lossy link; refusals are the measured quantity, delivery is counted at the broker"
+                )]
                 let _ = platform.device_publish(t, "probe-1", &e);
                 platform.pump(t + SimDuration::from_mins(30));
                 tracker.record(platform.service_point());
@@ -143,6 +147,10 @@ pub fn e5_fog_availability(seed: u64) -> E5Result {
             .build();
         let mut cloud = CloudStore::new("cloud");
         for i in 0..1000u64 {
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "E5 buffer ablation overflows the buffer on purpose; the drop policy under overflow is what it measures"
+            )]
             let _ = sync.enqueue(SimTime::from_secs(i), &format!("k{i}"), vec![0u8; 16]);
         }
         net.set_link_up(&"fog".into(), &"cloud".into(), true);

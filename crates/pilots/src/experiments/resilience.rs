@@ -156,6 +156,10 @@ fn run_cell(seed: u64, config: DeploymentConfig, loss: f64) -> (E13Row, ObsRepor
                     let mut e = Entity::new(format!("urn:swamp:device:{dev}"), "SoilProbe");
                     e.set("moisture_vwc", 0.2 + seq as f64 * 1e-4);
                     e.set("seq", seq as f64);
+                    #[expect(
+                        clippy::let_underscore_must_use,
+                        reason = "E13 publishes during injected outages; refusals are expected and the recovery curve is the measured quantity"
+                    )]
                     let _ = p.device_publish(t, dev, &e);
                     seq += 1;
                 }

@@ -99,14 +99,6 @@ impl SeasonOutcome {
         self.zones.iter().map(|z| z.relative_yield).sum::<f64>() / self.zones.len() as f64
     }
 
-    /// Mean irrigation depth over zones, mm.
-    pub fn mean_irrigation_mm(&self) -> f64 {
-        if self.zones.is_empty() {
-            return 0.0;
-        }
-        self.zones.iter().map(|z| z.irrigation_mm).sum::<f64>() / self.zones.len() as f64
-    }
-
     /// Guaspari wine-quality score (mean over zones), 0–100.
     pub fn wine_quality(&self) -> f64 {
         if self.zones.is_empty() {

@@ -251,6 +251,7 @@ impl Ledger {
     /// # Panics
     /// Never in practice: the genesis block is created in [`Ledger::default`]
     /// and blocks are never removed, so the chain tail is always present.
+    #[expect(clippy::expect_used, reason = "documented under # Panics")]
     pub fn append(
         &mut self,
         authority: &str,

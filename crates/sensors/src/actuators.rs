@@ -234,11 +234,6 @@ impl CenterPivot {
         self.running
     }
 
-    /// Water depth applied per pass in a sector at its configured speed, mm.
-    pub fn sector_depth_mm(&self, sector: usize) -> f64 {
-        self.base_depth_mm / self.sector_speeds[sector]
-    }
-
     /// Installs a VRI plan: one speed fraction per sector.
     ///
     /// # Errors

@@ -33,10 +33,6 @@
 //! a 1-shard run produce identical merged history, identical
 //! cloud-applied record sets and identical summed ingest/sync counters.
 
-// The scale-out tier must not panic on reachable errors; remaining
-// `expect`s document invariants.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
-
 pub mod pool;
 
 pub use swamp_core::shard::shard_seed;

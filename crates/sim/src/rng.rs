@@ -79,11 +79,6 @@ impl SimRng {
         result
     }
 
-    /// Next raw 32 bits.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform float in `[0, 1)` with 53 bits of precision.
     pub fn uniform_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)

@@ -28,8 +28,6 @@
 //!
 //! [`CloudStore::history`]: swamp_fog::sync::CloudStore::history
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
-
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
