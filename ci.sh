@@ -45,10 +45,12 @@ cargo test -q
 echo "== bench-guard: obs overhead <= 5% (bench_obs --check)"
 cargo run --release -q -p swamp-pilots --bin bench_obs -- --check 100 1000 > /dev/null
 
-# Includes the three differential suites (shard, detector, compaction),
-# each of which runs its grid at seeds 42 and 1337.
-echo "== cargo test --workspace -q"
-cargo test --workspace -q
+# Every member crate's tests, including the three differential suites
+# (shard, detector, compaction), each of which runs its grid at seeds 42
+# and 1337. The root package `swamp` is excluded: tier-1 `cargo test -q`
+# above already ran its tests (experiments_smoke among them).
+echo "== cargo test --workspace --exclude swamp -q"
+cargo test --workspace --exclude swamp -q
 
 # Wall-clock cost has one instrument: the reference benchmark
 # (BENCHMARK.json, benchmark/). check.sh lints and unit-tests the harness;

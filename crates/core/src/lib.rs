@@ -16,11 +16,12 @@
 //!   screening with optional auto-quarantine) + context + history + fog
 //!   replication, in the cloud-only and farm-fog deployment configurations
 //!   the paper describes.
-//! - [`service`] — the irrigation decision service: broker subscriptions →
-//!   per-zone policy decisions, holding zones whose probes are
-//!   quarantined.
 //! - [`shard`] — the stable `device_id → shard` routing function used by
 //!   the scale-out tier (`swamp-shard`).
+//!
+//! The platform does not make irrigation decisions: the paper's "smart
+//! algorithms" run in the season simulator (`swamp_pilots::season`, E1),
+//! which decides on field truth rather than on the platform's view.
 //!
 //! ## Example: a tiny deployment
 //!
@@ -48,7 +49,6 @@ pub mod history;
 pub mod platform;
 pub mod query;
 pub mod registry;
-pub mod service;
 pub mod shard;
 
 pub use broker::{ContextBroker, Notification, SubscriptionFilter, SubscriptionId};
@@ -58,5 +58,4 @@ pub use history::{HistoryStore, Sample, WindowAggregate};
 pub use platform::{DeploymentConfig, Fallback, IngestError, Platform, PlatformBuilder};
 pub use query::{QueryRequest, QueryResponse, SeriesEntry};
 pub use registry::{DeviceRecord, DeviceRegistry};
-pub use service::{IrrigationService, ManagedZone, ZoneDecision};
 pub use shard::{route_device, route_entity, routing_key, shard_seed, ShardIndex};

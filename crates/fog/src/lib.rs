@@ -14,10 +14,14 @@
 //!   cloud store.
 //! - [`availability`] — interval-level availability accounting and outage
 //!   schedules for the disconnection experiments (E5).
-//! - [`mobile`] — contact-plan-driven connectivity for drone/pivot fog
-//!   nodes.
 //! - [`timer_wheel`] — hierarchical timer wheel backing the sync engine's
 //!   O(due-timers) retry scheduling.
+//!
+//! Mobile (drone) fog nodes have no module of their own: the Guaspari
+//! profile of `swamp_workload` delivers each probe's buffered backlog
+//! only inside its drone's contact windows (`ContactWindow`), and a
+//! drone that runs this engine behind such a link is
+//! `tests/mobile_fog.rs`.
 //!
 //! ## Example: buffering through an outage
 //!
@@ -37,14 +41,12 @@
 //! ```
 
 pub mod availability;
-pub mod mobile;
 pub mod sync;
 // Slot math feeds the retry scheduler: no silently truncating casts.
 #[cfg_attr(not(test), deny(clippy::as_conversions))]
 pub mod timer_wheel;
 
 pub use availability::{AvailabilityTracker, OutageSchedule, ServedBy};
-pub use mobile::{ContactPlan, MobileLinkDriver};
 pub use sync::{
     AckOutcome, CloudStore, DegradedMode, FogSync, FogSyncBuilder, SyncError, SyncStats,
 };

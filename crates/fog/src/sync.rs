@@ -58,9 +58,10 @@
 //! records wait in a FIFO ready queue, and retry deadlines sit in a
 //! hierarchical [`TimerWheel`]. Wheel
 //! entries are invalidated lazily — a `(seq, attempts)` generation check
-//! when they fire — rather than deleted eagerly on ack, and the
-//! duplicate-ack dedup set is a bounded sliding window (watermark +
-//! recent set) so memory stays O(window) on week-long runs. See
+//! when they fire — rather than deleted eagerly on ack. Ack
+//! classification needs no table of its own: seqs are dense, so a seq
+//! below the next one to assign that is no longer buffered was released
+//! or evicted already (a duplicate), and any other is unknown. See
 //! DESIGN.md §13 for the data-structure walkthrough.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -184,10 +185,10 @@ impl std::fmt::Display for DegradedMode {
 pub struct AckOutcome {
     /// Buffered records released (first ack for each).
     pub released: usize,
-    /// Acks for records already released (suppressed).
+    /// Acks for records this engine no longer buffers — already released,
+    /// or evicted from a full buffer before their ack arrived (suppressed).
     pub duplicate: usize,
-    /// Acks for sequence numbers this engine never had in its buffer
-    /// (e.g. records evicted from a full buffer before their ack arrived).
+    /// Acks for sequence numbers this engine never assigned.
     pub unknown: usize,
     /// Ack messages whose payload failed to decode (inbox drains only).
     pub malformed: usize,
@@ -232,7 +233,8 @@ pub struct SyncStats {
     pub retransmissions: u64,
     /// Updates confirmed by the cloud.
     pub acked: u64,
-    /// Acks that arrived for already-released records (suppressed).
+    /// Acks that arrived for records no longer buffered — released or
+    /// evicted (suppressed).
     pub duplicate_acks: u64,
     /// Retry timers that expired awaiting an ack.
     pub timeouts: u64,
@@ -288,14 +290,6 @@ struct FlightState {
     /// When the next retransmission is due.
     next_retry: SimTime,
 }
-
-/// How many released seqs the duplicate-ack window remembers exactly.
-/// Seqs that age out fall below the watermark and are still classified as
-/// duplicates — the window trades a vanishingly rare misclassification
-/// (an ack for a seq released > 65 536 releases ago that was never
-/// actually released would read as duplicate instead of unknown) for
-/// O(window) memory on week-long runs.
-const RELEASED_WINDOW: usize = 65_536;
 
 /// A buffered update plus its transmission state, keyed by seq in the
 /// engine's record table.
@@ -426,8 +420,6 @@ impl FogSyncBuilder {
             ready: VecDeque::new(),
             wheel: TimerWheel::new(SimTime::ZERO),
             in_flight_count: 0,
-            released_recent: BTreeSet::new(),
-            released_floor: 0,
             next_seq: 0,
             strikes: 0,
             mode: DegradedMode::Connected,
@@ -477,11 +469,8 @@ pub struct FogSync {
     wheel: TimerWheel<(u64, u32)>,
     /// Records with a live flight state (awaiting an ack).
     in_flight_count: usize,
-    /// The most recent released seqs, bounded by [`RELEASED_WINDOW`].
-    released_recent: BTreeSet<u64>,
-    /// Seqs below this watermark are treated as released (their exact
-    /// membership aged out of `released_recent`).
-    released_floor: u64,
+    /// The seq the next enqueued record gets. Every seq below it that is
+    /// not in `records` was released or evicted.
     next_seq: u64,
     /// Consecutive strike rounds (timeouts / refused sends) without an ack.
     strikes: u32,
@@ -817,27 +806,6 @@ impl FogSync {
         sent
     }
 
-    /// Whether `seq` was already released: either still in the recent
-    /// window, or below the watermark (released so long ago its exact
-    /// membership aged out).
-    fn was_released(&self, seq: u64) -> bool {
-        seq < self.released_floor || self.released_recent.contains(&seq)
-    }
-
-    /// Records a release in the bounded dedup window, aging the oldest
-    /// entry into the watermark once the window is full.
-    fn mark_released(&mut self, seq: u64) {
-        if seq < self.released_floor {
-            return;
-        }
-        self.released_recent.insert(seq);
-        while self.released_recent.len() > RELEASED_WINDOW {
-            if let Some(oldest) = self.released_recent.pop_first() {
-                self.released_floor = oldest + 1;
-            }
-        }
-    }
-
     /// Processes an ack payload from the cloud at `now`, releasing
     /// confirmed records exactly once. Any released record resets the
     /// degraded-mode state machine to `Connected`.
@@ -845,7 +813,9 @@ impl FogSync {
     /// Each release is a keyed remove from the record table — amortized
     /// O(1) in backlog depth. The released record's ready-queue or
     /// timer-wheel entry is left behind and discarded lazily when it
-    /// surfaces.
+    /// surfaces. A seq no longer in the table is a duplicate if this
+    /// engine assigned it (it was released or evicted before), and
+    /// unknown otherwise.
     ///
     /// # Errors
     /// [`SyncError::MalformedAck`] if the payload is not a whole number of
@@ -864,9 +834,8 @@ impl FogSync {
                     self.in_flight_count -= 1;
                 }
                 self.obs.inc(self.ins.acked);
-                self.mark_released(seq);
                 outcome.released += 1;
-            } else if self.was_released(seq) {
+            } else if seq < self.next_seq {
                 self.obs.inc(self.ins.duplicate_acks);
                 outcome.duplicate += 1;
             } else {
@@ -1004,7 +973,9 @@ impl CloudInstruments {
 /// [`CloudStore::history`]; [`CloudStore::latest`] is an index into that
 /// run, and the dedup table is a per-source watermark, so nothing on the
 /// accept path grows with the length of an in-order stream except the run
-/// itself.
+/// itself. A store built with [`CloudStore::in_order`] keeps no run at
+/// all: it holds each record only until [`CloudStore::drain_ready`] hands
+/// it out.
 #[derive(Clone, Debug)]
 pub struct CloudStore {
     node: NodeId,
@@ -1057,7 +1028,9 @@ impl CloudStore {
     /// stream forever). Consumers that replay-check or order-check the
     /// stream (e.g. a per-device sequence monitor behind a gateway relay)
     /// need this: retransmitted records routinely overtake each other on
-    /// a lossy uplink.
+    /// a lossy uplink. Such a store is a relay, not a replica: a record
+    /// leaves it when released, so [`CloudStore::history`],
+    /// [`CloudStore::latest`] and [`CloudStore::drain_new`] stay empty.
     pub fn in_order(node: impl Into<NodeId>, max_hold: SimDuration) -> Self {
         let mut store = CloudStore::new(node);
         store.reorder = Some(ReorderBuffer {
@@ -1068,7 +1041,9 @@ impl CloudStore {
         store
     }
 
-    /// Unique records accepted.
+    /// Records in the applied run: the unique records accepted (always 0
+    /// on an in-order store, which keeps nothing after release; its
+    /// acceptances are the `cloud.accepted` counter).
     pub fn record_count(&self) -> usize {
         self.history.len()
     }
@@ -1120,8 +1095,6 @@ impl CloudStore {
         let Some(reorder) = &mut self.reorder else {
             return self.drain_new().to_vec();
         };
-        // Keep the plain drain cursor coherent even in in-order mode.
-        self.drained = self.history.len();
         let mut out = Vec::new();
         for (source, held) in &mut reorder.held {
             let next = reorder.next.entry(source.clone()).or_insert(0);
@@ -1240,6 +1213,15 @@ impl CloudStore {
             self.obs.inc(self.ins.duplicates);
             return false;
         }
+        self.obs.inc(self.ins.accepted);
+        if let Some(reorder) = &mut self.reorder {
+            reorder
+                .held
+                .entry(source.clone())
+                .or_default()
+                .insert(record.seq, (record, now));
+            return true;
+        }
         let at = self.history.len();
         match self.latest.get_mut(record.key.as_str()) {
             Some(latest) => *latest = at,
@@ -1247,15 +1229,7 @@ impl CloudStore {
                 self.latest.insert(record.key.clone(), at);
             }
         }
-        if let Some(reorder) = &mut self.reorder {
-            reorder
-                .held
-                .entry(source.clone())
-                .or_default()
-                .insert(record.seq, (record.clone(), now));
-        }
         self.history.push(record);
-        self.obs.inc(self.ins.accepted);
         true
     }
 }
@@ -1538,7 +1512,7 @@ mod tests {
         assert_eq!(ready.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![0]);
         assert_eq!(store.held_back(), 2);
         // All three were accepted (and acked) regardless of release order.
-        assert_eq!(store.record_count(), 3);
+        assert_eq!(store.observe().counter("cloud.accepted").unwrap(), 3);
 
         // The gap fills: the whole contiguous run releases, in seq order.
         let t2 = SimTime::from_secs(5);
@@ -1549,6 +1523,30 @@ mod tests {
             vec![1, 2, 3]
         );
         assert_eq!(store.held_back(), 0);
+    }
+
+    #[test]
+    fn in_order_store_keeps_nothing_after_release() {
+        const N: u64 = 500;
+        let mut net = Network::new(1);
+        net.add_node("fog");
+        net.add_node("cloud");
+        net.connect("fog", "cloud", LinkSpec::farm_lan());
+        let mut store = CloudStore::in_order("cloud", SimDuration::from_secs(600));
+
+        // Relayed in reverse order, so every record but the last waits in
+        // the reorder buffer first.
+        let t = SimTime::from_secs(1);
+        store.process_deliveries(&mut net, t, (0..N).rev().map(|s| sync_delivery(s, t)));
+        let released = store.drain_ready(t);
+        assert_eq!(
+            released.iter().map(|r| r.seq).collect::<Vec<_>>(),
+            (0..N).collect::<Vec<_>>()
+        );
+        assert_eq!(store.observe().counter("cloud.accepted").unwrap(), N);
+        assert_eq!(store.held_back(), 0);
+        assert_eq!(store.record_count(), 0, "a released frame is not retained");
+        assert!(store.latest("k0").is_none());
     }
 
     #[test]
@@ -1665,9 +1663,11 @@ mod tests {
     }
 
     #[test]
-    fn released_window_stays_bounded_over_a_deep_drain() {
-        // Regression: the duplicate-ack dedup window must not retain one
-        // seq per released record — a 1M-record drain keeps O(window).
+    fn acks_classify_without_a_released_set_over_a_deep_drain() {
+        // A 1M-record drain leaves nothing behind but the record table
+        // (empty) and the seq counter, and still classifies every ack:
+        // each assigned seq is a duplicate once released, however long
+        // ago, and a seq the engine never assigned is unknown.
         let total: u64 = 1_000_000;
         let mut sync = FogSync::builder("fog", "cloud")
             .capacity(total as usize)
@@ -1688,25 +1688,37 @@ mod tests {
         }
         assert_eq!(released, total as usize);
         assert_eq!(sync.pending(), 0);
-        assert!(
-            sync.released_recent.len() <= RELEASED_WINDOW,
-            "dedup window leaked: {} retained seqs",
-            sync.released_recent.len()
-        );
-        assert_eq!(
-            sync.released_floor,
-            total - RELEASED_WINDOW as u64,
-            "watermark advanced past the aged-out releases"
-        );
-        // Classification across the watermark: recent seqs are exact
-        // duplicates, aged-out seqs fall below the floor (still duplicate),
-        // and a seq the engine never saw is unknown.
-        let dup_recent = sync.process_ack(now, &encode_acks(&[total - 1])).unwrap();
-        assert_eq!(dup_recent.duplicate, 1);
-        let dup_aged = sync.process_ack(now, &encode_acks(&[0])).unwrap();
-        assert_eq!(dup_aged.duplicate, 1);
-        let stray = sync.process_ack(now, &encode_acks(&[total + 7])).unwrap();
+        for old in [0, total / 2, total - 1] {
+            let again = sync.process_ack(now, &encode_acks(&[old])).unwrap();
+            assert_eq!(again.duplicate, 1, "seq {old}");
+        }
+        let stray = sync.process_ack(now, &encode_acks(&[total])).unwrap();
         assert_eq!(stray.unknown, 1);
+        assert_eq!(sync.stats().duplicate_acks, 3);
+    }
+
+    #[test]
+    fn ack_for_a_record_evicted_before_its_ack_is_a_duplicate() {
+        let (mut net, _, mut cloud) = setup(0.0);
+        let mut sync = FogSync::builder("fog", "cloud").capacity(2).build();
+        sync.enqueue(SimTime::ZERO, "k0", b"a".to_vec()).unwrap();
+        sync.sync_round(&mut net, SimTime::ZERO, 8);
+        net.advance_to(SimTime::from_secs(1));
+        cloud.process(&mut net, SimTime::from_secs(1));
+        // Seq 0 is in flight and its ack is on the wire when two more
+        // records overflow the 2-record buffer and evict it.
+        sync.enqueue(SimTime::from_secs(1), "k1", b"b".to_vec())
+            .unwrap();
+        sync.enqueue(SimTime::from_secs(1), "k2", b"c".to_vec())
+            .unwrap();
+        assert_eq!(sync.stats().dropped, 1);
+        assert_eq!(sync.in_flight(), 0);
+        net.advance_to(SimTime::from_secs(2));
+        let outcome = sync.poll_acks(&mut net, SimTime::from_secs(2));
+        assert_eq!(outcome.duplicate, 1, "{outcome:?}");
+        assert_eq!(outcome.unknown, 0);
+        assert_eq!(sync.stats().duplicate_acks, 1);
+        assert_eq!(sync.stats().acked, 0);
     }
 
     /// The watermark dedup decides exactly as the set of every seq ever

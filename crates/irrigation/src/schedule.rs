@@ -47,12 +47,9 @@ pub type DepthMm = f64;
 
 /// A scheduling policy. Object-safe so pilots can mix policies per zone.
 ///
-/// `Send + Sync` is a supertrait: boxed policies live inside
-/// `swamp_core::service::IrrigationService`, which the scale-out worker
-/// pool moves across threads. Every policy is plain owned data, so the
-/// bound costs implementors nothing — it exists so the compile-time
-/// Send/Sync audit (`crates/shard/tests/send_sync.rs`) holds for the whole
-/// platform stack.
+/// `Send + Sync` is a supertrait, so a boxed policy never keeps whatever
+/// holds it from crossing threads. Every policy is plain owned data, so
+/// the bound costs implementors nothing.
 pub trait IrrigationPolicy: Send + Sync {
     /// Decides today's application depth for a zone.
     fn decide(&mut self, view: &ZoneView) -> DepthMm;

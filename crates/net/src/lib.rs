@@ -9,55 +9,26 @@
 //! - [`link`] — per-link latency/jitter/loss/bandwidth models with presets
 //!   for the SWAMP deployment tiers.
 //! - [`lpwan`] — LoRa-class airtime and regulatory duty-cycle limiting.
-//! - [`frag`] — 6LoWPAN-style fragmentation/reassembly for small radio MTUs.
 //! - [`network`] — the event-driven fabric: inboxes, taps (eavesdroppers),
 //!   partitions (Internet disconnection), and metrics.
 //! - [`fault`] — deterministic fault injection: seeded per-link
 //!   drop/duplicate/reorder/delay processes and scheduled partitions.
-//! - [`broker`] — an MQTT-style pub/sub broker with `+`/`#` wildcards and
-//!   retained messages.
 //! - [`sdn`] — an SDN flow table giving the security layer the paper's
 //!   "centralized view": allow/deny/rate-limit rules with per-rule counters.
 //!
+//! Pub/sub is not a network concern here: it runs through the platform's
+//! context broker (`swamp_core::broker`). 6LoWPAN fragmentation is not
+//! reproduced — a frame is one message on its link.
+//!
 //! Everything is seeded and virtual-time-driven; no wall clock, no threads.
-//!
-//! ## Example: field probe → broker → application
-//!
-//! ```
-//! use swamp_net::broker::Broker;
-//! use swamp_net::link::LinkSpec;
-//! use swamp_net::message::Message;
-//! use swamp_net::network::Network;
-//! use swamp_sim::SimTime;
-//!
-//! let mut net = Network::new(7);
-//! for node in ["probe", "broker", "app"] {
-//!     net.add_node(node);
-//! }
-//! net.connect("probe", "broker", LinkSpec::lpwan_field());
-//! net.connect("app", "broker", LinkSpec::farm_lan());
-//!
-//! let mut broker = Broker::new("broker");
-//! broker.subscribe("telemetry/#", "app");
-//!
-//! net.send(SimTime::ZERO, "probe", "broker",
-//!          Message::new("telemetry/soil/probe-1", b"vwc=0.23".to_vec())).unwrap();
-//! net.advance_to(SimTime::from_secs(30));
-//! broker.process(&mut net);
-//! net.advance_to(SimTime::from_secs(60));
-//! # let _ = net.poll(&"app".into());
-//! ```
 
-pub mod broker;
 pub mod fault;
-pub mod frag;
 pub mod link;
 pub mod lpwan;
 pub mod message;
 pub mod network;
 pub mod sdn;
 
-pub use broker::{topic_matches, Broker};
 pub use fault::{FaultConfigError, FaultPlan, FaultSpec};
 pub use link::LinkSpec;
 pub use message::{Delivery, Message, MsgId, NodeId};

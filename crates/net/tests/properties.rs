@@ -1,63 +1,10 @@
 //! Seeded property loops for the network substrate: each test draws its
 //! inputs from a fixed [`SimRng`] stream, so a failure reproduces exactly.
 
-use swamp_net::broker::topic_matches;
-use swamp_net::frag::{fragment, Reassembler};
 use swamp_net::lpwan::{LpwanConfig, LpwanRadio, TxDecision};
 use swamp_sim::{SimDuration, SimRng, SimTime};
 
 const CASES: usize = 256;
-
-/// Fragmentation followed by shuffled reassembly is the identity, for any
-/// payload and MTU.
-#[test]
-fn fragment_reassemble_roundtrip() {
-    let mut rng = SimRng::seed_from(0x0E70_0001);
-    for case in 0..CASES {
-        let payload: Vec<u8> = (0..rng.below(2048)).map(|_| rng.next_u64() as u8).collect();
-        let mtu = 1 + rng.below(255) as usize;
-        let tag = case as u16;
-        let mut frags = fragment(tag, &payload, mtu);
-        rng.shuffle(&mut frags);
-        let mut r = Reassembler::new(SimDuration::from_secs(60));
-        let mut out = None;
-        for f in frags {
-            if let Some(done) = r.push(SimTime::ZERO, f) {
-                out = Some(done);
-            }
-        }
-        assert_eq!(out, Some(payload), "mtu {mtu}");
-    }
-}
-
-/// A concrete topic always matches itself, the `#` wildcard, a per-level
-/// `+` expansion and a trailing-`#` prefix.
-#[test]
-fn topic_matching_identities() {
-    const ALPHABET: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789";
-    let mut rng = SimRng::seed_from(0x0E70_0002);
-    for _ in 0..CASES {
-        let levels: Vec<String> = (0..1 + rng.below(4))
-            .map(|_| {
-                (0..1 + rng.below(6))
-                    .map(|_| char::from(*rng.pick(ALPHABET).expect("non-empty alphabet")))
-                    .collect()
-            })
-            .collect();
-        let topic = levels.join("/");
-        assert!(topic_matches(&topic, &topic));
-        assert!(topic_matches("#", &topic));
-        for i in 0..levels.len() {
-            let mut pattern = levels.clone();
-            pattern[i] = "+".to_owned();
-            assert!(topic_matches(&pattern.join("/"), &topic));
-        }
-        let mut prefix = levels.clone();
-        let last = prefix.len() - 1;
-        prefix[last] = "#".to_owned();
-        assert!(topic_matches(&prefix.join("/"), &topic));
-    }
-}
 
 /// Duty cycle is never exceeded: over any request pattern, granted
 /// airtime within the sliding hour stays within budget (+1 frame).

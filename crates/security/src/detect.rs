@@ -294,8 +294,6 @@ impl RateGuard {
 #[derive(Clone, Debug, Default)]
 pub struct SeqMonitor {
     last_seq: BTreeMap<String, u64>,
-    gaps: u64,
-    replays: u64,
 }
 
 /// What a sequence observation revealed.
@@ -322,7 +320,6 @@ impl SeqMonitor {
             return SeqEvent::InOrder;
         };
         if seq <= *last {
-            self.replays += 1;
             return SeqEvent::ReplayOrDuplicate;
         }
         let skipped = seq - *last - 1;
@@ -330,14 +327,8 @@ impl SeqMonitor {
         if skipped == 0 {
             SeqEvent::InOrder
         } else {
-            self.gaps += 1;
             SeqEvent::Gap(skipped)
         }
-    }
-
-    /// `(gap events, replay/duplicate events)` so far.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.gaps, self.replays)
     }
 }
 
@@ -486,7 +477,6 @@ mod tests {
         assert_eq!(m.observe("d", 3), SeqEvent::ReplayOrDuplicate);
         assert_eq!(m.observe("d", 5), SeqEvent::ReplayOrDuplicate);
         assert_eq!(m.observe("d", 6), SeqEvent::InOrder);
-        assert_eq!(m.stats(), (1, 2));
         // Independent per device.
         assert_eq!(m.observe("e", 100), SeqEvent::InOrder);
     }

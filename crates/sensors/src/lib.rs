@@ -1,8 +1,8 @@
 //! # swamp-sensors — field device models for the SWAMP platform
 //!
-//! The pilots' hardware — soil probes, agro-met stations, flow meters, NDVI
-//! drones, valves, pumps and center pivots — simulated with the properties
-//! the platform actually has to cope with:
+//! The pilots' hardware — soil probes, agro-met stations, flow meters,
+//! valves, pumps and center pivots — simulated with the properties the
+//! platform actually has to cope with:
 //!
 //! - [`device`] — device identity, kind and health.
 //! - [`probes`] — sensing models with bias/noise/drift and stuck-at
@@ -10,11 +10,13 @@
 //! - [`actuators`] — valves with actuation latency, pumps with energy
 //!   metering, and the center-pivot machine with per-sector variable-rate
 //!   control (the MATOPIBA VRI mechanism).
-//! - [`power`] — battery/energy accounting, including the cost of security
-//!   operations (the paper's "security mechanisms have to be energy
-//!   efficient").
-//! - [`firmware`] — the sample/encode/energy loop producing NGSI entity
-//!   updates, whose rhythm the behavioral anomaly detectors baseline.
+//!
+//! The emission rhythm of a device fleet — the cadence the behavioral
+//! baseline learns — comes from `swamp_workload::WorkloadSpec`, not from a
+//! per-device runtime here. Device energy is not modelled, so the paper's
+//! "security mechanisms have to be energy efficient" is not reproduced;
+//! what crypto costs a device is measured in frame bytes and LPWAN
+//! duty-cycle budget instead (E8).
 //!
 //! ## Example
 //!
@@ -30,12 +32,8 @@
 
 pub mod actuators;
 pub mod device;
-pub mod firmware;
-pub mod power;
 pub mod probes;
 
 pub use actuators::{CenterPivot, Pump, Valve};
 pub use device::{DeviceHealth, DeviceId, DeviceKind};
-pub use firmware::{DeviceFirmware, TelemetryFrame};
-pub use power::Battery;
-pub use probes::{NdviCamera, Reading, SensorNoise, SoilMoistureProbe, WeatherStation};
+pub use probes::{Reading, SensorNoise, SoilMoistureProbe, WeatherStation};

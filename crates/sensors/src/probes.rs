@@ -1,5 +1,5 @@
-//! Sensing device models: soil-moisture probes, weather stations, flow
-//! meters and the drone NDVI camera.
+//! Sensing device models: soil-moisture probes, weather stations and flow
+//! meters.
 //!
 //! Each sensor samples a *true* physical value (from `swamp-agro`) and
 //! returns an imperfect reading: calibration bias, Gaussian noise, slow
@@ -236,76 +236,6 @@ impl FlowMeter {
     }
 }
 
-/// A drone-mounted NDVI camera surveying management zones.
-///
-/// The drone visits zones in order; each overflight yields one NDVI sample
-/// per zone with optical noise. Its identity can be spoofed by the Sybil
-/// attacker in `swamp-security` — which is exactly the scenario the paper
-/// warns about.
-#[derive(Clone, Debug)]
-pub struct NdviCamera {
-    id: DeviceId,
-    noise: SensorNoise,
-}
-
-impl NdviCamera {
-    /// Creates a camera with typical radiometric noise.
-    pub fn new(id: impl Into<DeviceId>) -> Self {
-        NdviCamera {
-            id: id.into(),
-            noise: SensorNoise::good(0.02),
-        }
-    }
-
-    /// The camera's device id.
-    pub fn id(&self) -> &DeviceId {
-        &self.id
-    }
-
-    /// Surveys all zones, returning one reading per zone (quantity
-    /// `"ndvi_zone_<k>"`).
-    pub fn survey(
-        &self,
-        true_ndvi_per_zone: &[f64],
-        at: SimTime,
-        rng: &mut SimRng,
-    ) -> Vec<Reading> {
-        true_ndvi_per_zone
-            .iter()
-            .enumerate()
-            .map(|(zone, &truth)| Reading {
-                device: self.id.clone(),
-                quantity: zone_quantity(zone),
-                value: self.noise.apply(truth, at, rng).clamp(-1.0, 1.0),
-                at,
-            })
-            .collect()
-    }
-}
-
-/// Static names for per-zone NDVI quantities (up to 16 zones, the VRI max).
-pub fn zone_quantity(zone: usize) -> &'static str {
-    const NAMES: [&str; 16] = [
-        "ndvi_zone_0",
-        "ndvi_zone_1",
-        "ndvi_zone_2",
-        "ndvi_zone_3",
-        "ndvi_zone_4",
-        "ndvi_zone_5",
-        "ndvi_zone_6",
-        "ndvi_zone_7",
-        "ndvi_zone_8",
-        "ndvi_zone_9",
-        "ndvi_zone_10",
-        "ndvi_zone_11",
-        "ndvi_zone_12",
-        "ndvi_zone_13",
-        "ndvi_zone_14",
-        "ndvi_zone_15",
-    ];
-    NAMES.get(zone).copied().unwrap_or("ndvi_zone_other")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -430,24 +360,6 @@ mod tests {
         assert!((fm.total_m3() - measured).abs() < 1e-9);
         // 1000 m3 true, ±1.5% noise: total within 2%.
         assert!((fm.total_m3() - 1000.0).abs() < 20.0, "{}", fm.total_m3());
-    }
-
-    #[test]
-    fn ndvi_survey_per_zone() {
-        let cam = NdviCamera::new("drone-1");
-        let truth = [0.8, 0.6, 0.3];
-        let readings = cam.survey(&truth, SimTime::from_hours(10), &mut rng());
-        assert_eq!(readings.len(), 3);
-        for (i, r) in readings.iter().enumerate() {
-            assert_eq!(r.quantity, zone_quantity(i));
-            assert!((r.value - truth[i]).abs() < 0.1);
-        }
-    }
-
-    #[test]
-    fn zone_quantity_saturates() {
-        assert_eq!(zone_quantity(3), "ndvi_zone_3");
-        assert_eq!(zone_quantity(99), "ndvi_zone_other");
     }
 
     #[test]

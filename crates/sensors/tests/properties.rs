@@ -2,7 +2,6 @@
 //! inputs from a fixed [`SimRng`] stream, so a failure reproduces exactly.
 
 use swamp_sensors::actuators::{CenterPivot, Pump};
-use swamp_sensors::power::Battery;
 use swamp_sensors::probes::{SensorNoise, SoilMoistureProbe};
 use swamp_sim::{SimDuration, SimRng, SimTime};
 
@@ -11,30 +10,6 @@ const CASES: usize = 256;
 /// Uniform integer in `[lo, hi)`.
 fn int_in(rng: &mut SimRng, lo: u64, hi: u64) -> u64 {
     lo + rng.below(hi - lo)
-}
-
-/// Battery charge stays in [0, capacity] under any interleaving of
-/// spends and time advances.
-#[test]
-fn battery_charge_bounded() {
-    let mut rng = SimRng::seed_from(0x5E50_0001);
-    for _ in 0..CASES {
-        let capacity = rng.uniform_range(10.0, 100_000.0);
-        let mut b = Battery::new(capacity, rng.uniform_range(0.0, 5.0))
-            .with_solar(rng.uniform_range(0.0, 10.0));
-        let mut t = SimTime::ZERO;
-        for _ in 0..int_in(&mut rng, 1, 50) {
-            let amount = rng.uniform_range(0.0, 5_000.0);
-            if rng.chance(0.5) {
-                // Refusal on an empty battery is part of the contract.
-                let _refused = b.spend(amount);
-            } else {
-                t += SimDuration::from_secs_f64(amount);
-                b.advance_to(t);
-            }
-            assert!((0.0..=1.0).contains(&b.fraction()), "{}", b.fraction());
-        }
-    }
 }
 
 /// Probe readings are always inside the physical VWC range and within

@@ -18,7 +18,6 @@ use swamp_core::broker::ContextBroker;
 use swamp_core::history::HistoryStore;
 use swamp_core::platform::{Platform, PlatformBuilder};
 use swamp_core::registry::DeviceRegistry;
-use swamp_core::service::IrrigationService;
 use swamp_fog::sync::{CloudStore, FogSync};
 use swamp_net::network::Network;
 use swamp_obs::Obs;
@@ -42,7 +41,6 @@ const _: () = {
     assert_send::<ContextBroker>();
     assert_send::<HistoryStore>();
     assert_send::<DeviceRegistry>();
-    assert_send::<IrrigationService>();
     assert_send::<Obs>();
     // Sync is not required by the pool (each worker owns its chunk
     // exclusively) but it documents that shared `&Platform` reads — e.g.
@@ -55,7 +53,6 @@ const _: () = {
     assert_sync::<ContextBroker>();
     assert_sync::<HistoryStore>();
     assert_sync::<DeviceRegistry>();
-    assert_sync::<IrrigationService>();
     assert_sync::<Obs>();
 };
 
