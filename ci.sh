@@ -38,6 +38,15 @@ cargo build --release
 echo "== tier-1: cargo test -q"
 cargo test -q
 
+# The examples drive the platform end to end through the public API
+# (fog_failover is the only end-to-end CloudOnly run outside the tests); each
+# runs once, output discarded, so a panic fails CI. All six finish in
+# well under a second.
+echo "== examples: run each once (release)"
+for example in examples/*.rs; do
+    cargo run --release -q --example "$(basename "$example" .rs)" > /dev/null
+done
+
 # Observability must stay effectively free on the ingest+pump hot path:
 # bench_obs times the same workload with instrumentation live vs muted
 # (best-of-3 interleaved) and --check fails the build if the aggregate

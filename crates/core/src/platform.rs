@@ -38,7 +38,7 @@ use swamp_net::network::Network;
 use swamp_obs::{Counter, Level, Obs, ObsSnapshot, Span};
 use swamp_security::access::{Action, Decision, Pdp, Resource};
 use swamp_security::baseline::{BaselineConfig, BehaviorBank};
-use swamp_security::detect::{RangeValidator, SeqEvent, SeqMonitor};
+use swamp_security::detect::{RangeValidator, SeqMonitor};
 use swamp_security::identity::{AuthError, IdentityProvider, Token};
 use swamp_security::pipeline::{DetectorBank, Recommendation};
 use swamp_sensors::device::DeviceKind;
@@ -156,7 +156,9 @@ pub struct Platform {
     /// The cloud-side receiver for `uplink`: the replica of applied
     /// context (FarmFog, exposed by [`Platform::cloud_replica`]), or the
     /// in-order deduplicator of relayed frames (CloudOnly — sealed frames
-    /// in transit, not replicated context, so never exposed).
+    /// in transit, not replicated context, so never exposed). Either way
+    /// its one per-source seq watermark, raised by the floor each record
+    /// carries, both deduplicates and (CloudOnly) releases.
     cloud_store: CloudStore,
     /// Incremental materialized views (farm rollups, top-K, alerts):
     /// tails the cloud replica's applied-record run behind its own
@@ -463,14 +465,10 @@ impl PlatformBuilder {
             // In-order release: relayed frames feed the per-device
             // sequence monitor, which rejects any frame that arrives
             // behind one it has already seen — and retransmissions on
-            // a lossy uplink reorder freely. The hold cap only kicks
-            // in for seqs the gateway's bounded buffer dropped before
-            // transmitting (everything else retries until acked), so
-            // a generous hour bounds the stall without ever rejecting
-            // a live record.
-            DeploymentConfig::CloudOnly => {
-                CloudStore::in_order(nodes::CLOUD, SimDuration::from_hours(1))
-            }
+            // a lossy uplink reorder freely. A seq the gateway's bounded
+            // buffer evicted is released past as soon as a record
+            // carrying the gateway's raised floor lands.
+            DeploymentConfig::CloudOnly => CloudStore::in_order(nodes::CLOUD),
         };
 
         let mut detectors = DetectorBank::new();
@@ -843,7 +841,10 @@ impl Platform {
         }
 
         // CloudOnly: store/dedup the relayed records, ack the gateway, and
-        // ingest the sealed frames they carry.
+        // ingest the sealed frames they carry in gateway-seq order. A frame
+        // is released once every earlier seq has landed or fallen below
+        // the gateway's floor (evicted there), so an eviction stalls the
+        // stream for no longer than the next record to land.
         if !fog {
             let store = &mut self.cloud_store;
             let dup_before = store.duplicates();
@@ -852,7 +853,7 @@ impl Platform {
             if dup_delta > 0 {
                 self.obs.add(self.ins.relay_duplicates_discarded, dup_delta);
             }
-            let frames = store.drain_ready(now);
+            let frames = store.drain_ready();
             self.net.advance_to(now);
             for frame in frames {
                 if let Some(device_id) = frame.key.strip_prefix("telemetry/") {
@@ -942,7 +943,7 @@ impl Platform {
 
         // Replay detection on the firmware sequence number.
         if let Some(seq) = entity.number("seq") {
-            if let SeqEvent::ReplayOrDuplicate = self.seq.observe(device_id, seq as u64) {
+            if !self.seq.observe(device_id, seq as u64) {
                 return Err(IngestError::Replay(device_id.to_owned()));
             }
         }

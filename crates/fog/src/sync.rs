@@ -8,6 +8,19 @@
 //! deduplicating per source by sequence number so retransmissions and
 //! injected wire duplicates are idempotent.
 //!
+//! ## One watermark per source
+//!
+//! Every record on the wire carries the sender's *floor*: the lowest seq
+//! it still buffers (or the next seq it will assign, when it buffers
+//! nothing). Every seq below the floor was acked or evicted, so it will
+//! never be transmitted again. The receiver keeps one watermark per
+//! source — every seq below it applied or given up by the sender, plus
+//! the applied seqs above it — and raises it to each floor it reads. That
+//! one watermark deduplicates, and on an in-order (relay) store it also
+//! releases: a record leaves once every seq below it is applied or given
+//! up, so a seq the sender evicted stalls the stream for one round trip,
+//! not for a timer.
+//!
 //! ## Retry engine
 //!
 //! Each transmitted record carries a per-record retry timer. The k-th
@@ -721,13 +734,19 @@ impl FogSync {
 
         // 3. Transmit. Backoff schedules (and their jitter RNG draws)
         // happen per successful send, in planned (seq) order.
+        // Nothing leaves the table during the round, so one floor holds
+        // for all of its sends.
+        let floor = self
+            .records
+            .first_key_value()
+            .map_or(self.next_seq, |(&seq, _)| seq);
         let mut sent = 0;
         let mut refused_at = None;
         for (i, &(seq, prior_attempts)) in planned.iter().enumerate() {
             let Some(p) = self.records.get(&seq) else {
                 continue; // unreachable: planned from the live table
             };
-            let msg = Message::new(SYNC_TOPIC, encode_record(&p.record));
+            let msg = Message::new(SYNC_TOPIC, encode_record(&p.record, floor));
             match net.send(now, &self.node, &self.cloud, msg) {
                 Ok(_) => {
                     self.obs.inc(self.ins.transmissions);
@@ -900,27 +919,13 @@ impl FogSync {
     }
 }
 
-/// Per-source reorder state for [`CloudStore::drain_ready`]: records are
-/// held back until every smaller sequence number has been released, so a
-/// downstream consumer sees each source's stream in send order even though
-/// retransmissions arrive out of order.
-#[derive(Clone, Debug)]
-struct ReorderBuffer {
-    /// Safety valve: a held record older than this releases anyway (its
-    /// gap can only be a record the *sender* dropped pre-transmission —
-    /// the ack protocol retries everything else until it lands).
-    max_hold: SimDuration,
-    /// Next sequence number to release, per source.
-    next: BTreeMap<NodeId, u64>,
-    /// Accepted records awaiting release: seq → (record, held since).
-    held: BTreeMap<NodeId, BTreeMap<u64, (UpdateRecord, SimTime)>>,
-}
-
-/// Which of one source's sequence numbers the cloud has applied: every seq
-/// below `next`, plus the members of `ahead` (arrivals beyond a gap). An
-/// in-order stream keeps `ahead` empty, so the table stays one word per
-/// source however long the run; it grows only with records that overtook
-/// a retransmission still in flight, and shrinks when the gap fills.
+/// Which of one source's sequence numbers are settled: every seq below
+/// `next` (applied, or given up by the sender), plus the members of
+/// `ahead` (applied beyond a gap). An in-order stream keeps `ahead` empty,
+/// so the table stays one word per source however long the run; it grows
+/// only with records that overtook a seq still missing, and empties when
+/// the gap fills or the sender's floor passes it (the sender acked or
+/// evicted the missing seq).
 #[derive(Clone, Debug, Default)]
 struct SeenSeqs {
     next: u64,
@@ -928,7 +933,7 @@ struct SeenSeqs {
 }
 
 impl SeenSeqs {
-    /// Marks `seq` applied; `false` if it already was.
+    /// Marks `seq` applied; `false` if it already was settled.
     fn insert(&mut self, seq: u64) -> bool {
         if seq < self.next {
             return false;
@@ -938,10 +943,24 @@ impl SeenSeqs {
             return self.ahead.insert(seq);
         }
         self.next += 1;
+        self.absorb_ahead();
+        true
+    }
+
+    /// Settles every seq below the sender's `floor`: the sender will never
+    /// transmit one again.
+    fn raise_floor(&mut self, floor: u64) {
+        if floor > self.next {
+            self.next = floor;
+            self.ahead = self.ahead.split_off(&floor);
+            self.absorb_ahead();
+        }
+    }
+
+    fn absorb_ahead(&mut self) {
         while self.next < u64::MAX && self.ahead.remove(&self.next) {
             self.next += 1;
         }
-        true
     }
 }
 
@@ -983,14 +1002,18 @@ pub struct CloudStore {
     latest: BTreeMap<String, usize>,
     /// Full history (append order of acceptance).
     history: Vec<UpdateRecord>,
-    /// Applied seqs per source node (two fogs may both start at seq 0).
+    /// Settled seqs per source node (two fogs may both start at seq 0).
     seen_seqs: BTreeMap<NodeId, SeenSeqs>,
     /// Cursor into `history`: records before it were already handed out by
     /// [`CloudStore::drain_new`] to a downstream applier.
     drained: usize,
-    /// In-order release state, present when built with
-    /// [`CloudStore::in_order`].
-    reorder: Option<ReorderBuffer>,
+    /// In-order stores only ([`CloudStore::in_order`]): accepted records
+    /// at or above their source's watermark, waiting for the seqs below
+    /// them to settle.
+    held: Option<BTreeMap<NodeId, BTreeMap<u64, UpdateRecord>>>,
+    /// Records released from `held`, in per-source seq order, awaiting
+    /// [`CloudStore::drain_ready`].
+    released: Vec<UpdateRecord>,
     /// Call-scoped scratch, kept warm so a call that applies a full window
     /// allocates nothing window-sized: the deliveries [`CloudStore::process`]
     /// drained, and the seqs to ack per source (a source's entry stays,
@@ -1012,7 +1035,8 @@ impl CloudStore {
             history: Vec::new(),
             seen_seqs: BTreeMap::new(),
             drained: 0,
-            reorder: None,
+            held: None,
+            released: Vec::new(),
             inbox: Vec::new(),
             acks: BTreeMap::new(),
             obs,
@@ -1021,23 +1045,20 @@ impl CloudStore {
     }
 
     /// Creates a store whose [`CloudStore::drain_ready`] releases each
-    /// source's records in sequence order, holding out-of-order arrivals
-    /// until the gap before them fills (or `max_hold` elapses — the
-    /// safety valve for sequence numbers the sender's bounded buffer
-    /// dropped before ever transmitting, which would otherwise stall the
-    /// stream forever). Consumers that replay-check or order-check the
-    /// stream (e.g. a per-device sequence monitor behind a gateway relay)
-    /// need this: retransmitted records routinely overtake each other on
-    /// a lossy uplink. Such a store is a relay, not a replica: a record
-    /// leaves it when released, so [`CloudStore::history`],
-    /// [`CloudStore::latest`] and [`CloudStore::drain_new`] stay empty.
-    pub fn in_order(node: impl Into<NodeId>, max_hold: SimDuration) -> Self {
+    /// source's records in sequence order. A record is held until every
+    /// smaller seq of its source is settled: applied, or below a floor the
+    /// sender stated (acked or evicted there, so never sent again). A seq
+    /// the sender's bounded buffer evicted therefore stalls the stream
+    /// only until the next record carrying the raised floor lands.
+    /// Consumers that replay-check or order-check the stream (e.g. a
+    /// per-device sequence monitor behind a gateway relay) need this:
+    /// retransmitted records routinely overtake each other on a lossy
+    /// uplink. Such a store is a relay, not a replica: a record leaves it
+    /// when released, so [`CloudStore::history`], [`CloudStore::latest`]
+    /// and [`CloudStore::drain_new`] stay empty.
+    pub fn in_order(node: impl Into<NodeId>) -> Self {
         let mut store = CloudStore::new(node);
-        store.reorder = Some(ReorderBuffer {
-            max_hold,
-            next: BTreeMap::new(),
-            held: BTreeMap::new(),
-        });
+        store.held = Some(BTreeMap::new());
         store
     }
 
@@ -1076,8 +1097,7 @@ impl CloudStore {
     }
 
     /// Records accepted since the last `drain_new` call, advancing the
-    /// store's one built-in read cursor — [`CloudStore::drain_ready`] on a
-    /// plain store is this call. Readers that must not disturb that
+    /// store's one built-in read cursor. Readers that must not disturb that
     /// cursor (view indexers, the scale-out tier's shard merge) keep
     /// their own position into [`CloudStore::history`] instead.
     pub fn drain_new(&mut self) -> &[UpdateRecord] {
@@ -1086,46 +1106,11 @@ impl CloudStore {
         &self.history[from..]
     }
 
-    /// Records ready for an order-sensitive consumer. On a store built
-    /// with [`CloudStore::in_order`], returns newly accepted records in
-    /// per-source sequence order, holding back any record whose
-    /// predecessors have not yet arrived; on a plain store this is
-    /// [`CloudStore::drain_new`] in arrival order.
-    pub fn drain_ready(&mut self, now: SimTime) -> Vec<UpdateRecord> {
-        let Some(reorder) = &mut self.reorder else {
-            return self.drain_new().to_vec();
-        };
-        let mut out = Vec::new();
-        for (source, held) in &mut reorder.held {
-            let next = reorder.next.entry(source.clone()).or_insert(0);
-            loop {
-                if let Some((record, _)) = held.remove(next) {
-                    out.push(record);
-                    *next += 1;
-                    continue;
-                }
-                // Gap at `next`. Only skip it if the oldest held record
-                // has waited past the safety valve: the sender retries
-                // every accepted record until acked, so a persistent gap
-                // means the sender itself dropped that sequence number.
-                match held.iter().next() {
-                    Some((&seq, &(_, held_since))) if now - held_since >= reorder.max_hold => {
-                        *next = seq;
-                    }
-                    _ => break,
-                }
-            }
-        }
-        out
-    }
-
-    /// Records currently held back by the in-order release buffer
-    /// (always 0 on a plain store).
-    pub fn held_back(&self) -> usize {
-        self.reorder
-            .as_ref()
-            .map(|r| r.held.values().map(BTreeMap::len).sum())
-            .unwrap_or(0)
+    /// Records a store built with [`CloudStore::in_order`] released since
+    /// the last call, in per-source sequence order. A plain store releases
+    /// nothing: its records are read through [`CloudStore::drain_new`].
+    pub fn drain_ready(&mut self) -> Vec<UpdateRecord> {
+        std::mem::take(&mut self.released)
     }
 
     /// Drains the cloud inbox, storing records and sending one batched ack
@@ -1144,7 +1129,8 @@ impl CloudStore {
     /// share the cloud node's inbox with other consumers and therefore
     /// drain once and route by topic themselves. Non-[`SYNC_TOPIC`]
     /// deliveries are skipped. Same storage/ack semantics as
-    /// [`CloudStore::process`].
+    /// [`CloudStore::process`]; each record's floor settles its source's
+    /// seqs below it before the record is applied.
     pub fn process_deliveries(
         &mut self,
         net: &mut Network,
@@ -1157,14 +1143,14 @@ impl CloudStore {
             if d.message.topic != SYNC_TOPIC {
                 continue;
             }
-            if let Some(record) = decode_record(d.message.payload) {
+            if let Some((record, floor)) = decode_record(d.message.payload) {
                 match acks.get_mut(&d.src) {
                     Some(seqs) => seqs.push(record.seq),
                     None => {
                         acks.insert(d.src.clone(), vec![record.seq]);
                     }
                 }
-                if self.apply_record(now, &d.src, record) {
+                if self.apply(&d.src, floor, record) {
                     accepted += 1;
                 }
             }
@@ -1199,28 +1185,44 @@ impl CloudStore {
     /// [`CloudStore::process_deliveries`], for appliers that already hold
     /// records in process — the scale-out tier appending shard replicas
     /// into its aggregate store — and so have nothing to decode or ack.
-    pub fn apply_record(&mut self, now: SimTime, source: &NodeId, record: UpdateRecord) -> bool {
-        let fresh = match self.seen_seqs.get_mut(source) {
-            Some(seen) => seen.insert(record.seq),
-            None => {
-                let mut seen = SeenSeqs::default();
-                seen.insert(record.seq);
-                self.seen_seqs.insert(source.clone(), seen);
-                true
-            }
+    pub fn apply_record(&mut self, source: &NodeId, record: UpdateRecord) -> bool {
+        self.apply(source, 0, record)
+    }
+
+    /// [`CloudStore::apply_record`] after settling every seq of `source`
+    /// below the sender's `floor`; an in-order store then releases what
+    /// the watermark passed.
+    fn apply(&mut self, source: &NodeId, floor: u64, record: UpdateRecord) -> bool {
+        let seen = match self.seen_seqs.get_mut(source) {
+            Some(seen) => seen,
+            None => self.seen_seqs.entry(source.clone()).or_default(),
         };
-        if !fresh {
+        seen.raise_floor(floor);
+        let fresh = seen.insert(record.seq);
+        let settled = seen.next;
+        if fresh {
+            self.obs.inc(self.ins.accepted);
+        } else {
             self.obs.inc(self.ins.duplicates);
-            return false;
         }
-        self.obs.inc(self.ins.accepted);
-        if let Some(reorder) = &mut self.reorder {
-            reorder
-                .held
-                .entry(source.clone())
-                .or_default()
-                .insert(record.seq, (record, now));
-            return true;
+        if let Some(held) = &mut self.held {
+            let held = match held.get_mut(source) {
+                Some(held) => held,
+                None => held.entry(source.clone()).or_default(),
+            };
+            if fresh {
+                held.insert(record.seq, record);
+            }
+            while let Some(first) = held.first_entry() {
+                if *first.key() >= settled {
+                    break;
+                }
+                self.released.push(first.remove());
+            }
+            return fresh;
+        }
+        if !fresh {
+            return false;
         }
         let at = self.history.len();
         match self.latest.get_mut(record.key.as_str()) {
@@ -1234,17 +1236,18 @@ impl CloudStore {
     }
 }
 
-/// Encodes a record. Infallible: key length was validated against
-/// [`MAX_KEY_LEN`] at enqueue time (the 16-bit length prefix cannot
-/// truncate).
+/// Encodes a record with the sender's current `floor`. Infallible: key
+/// length was validated against [`MAX_KEY_LEN`] at enqueue time (the
+/// 16-bit length prefix cannot truncate).
 #[deny(clippy::as_conversions)]
-fn encode_record(r: &UpdateRecord) -> Vec<u8> {
+fn encode_record(r: &UpdateRecord, floor: u64) -> Vec<u8> {
     let key_bytes = r.key.as_bytes();
     // `min(MAX_KEY_LEN)` bounds the length to u16::MAX, so the fallback
     // arm is unreachable; `try_from` keeps the conversion visibly lossless.
     let key_len = u16::try_from(key_bytes.len().min(MAX_KEY_LEN)).unwrap_or(u16::MAX);
-    let mut out = Vec::with_capacity(8 + 8 + 2 + key_bytes.len() + r.payload.len());
+    let mut out = Vec::with_capacity(8 + 8 + 8 + 2 + key_bytes.len() + r.payload.len());
     out.extend_from_slice(&r.seq.to_be_bytes());
+    out.extend_from_slice(&floor.to_be_bytes());
     out.extend_from_slice(&r.created_at.as_millis().to_be_bytes());
     out.extend_from_slice(&key_len.to_be_bytes());
     out.extend_from_slice(&key_bytes[..usize::from(key_len)]);
@@ -1252,32 +1255,35 @@ fn encode_record(r: &UpdateRecord) -> Vec<u8> {
     out
 }
 
-/// Decodes a record out of the wire buffer it arrived in: the key is
-/// copied out, then the header is cut off in place and the same buffer
-/// becomes the record's payload. The payload keeps the wire buffer's
-/// capacity, so each stored record carries `18 + key.len()` spare bytes
-/// (46 for a device URN) in exchange for not being copied again.
+/// Decodes a record and its sender floor (the 26-byte header is seq,
+/// floor and creation time as big-endian u64s, then a big-endian u16 key
+/// length) out of the wire buffer it arrived in: the key is copied out,
+/// then the header is cut off in place and the same buffer becomes the
+/// record's payload. The payload keeps the wire buffer's capacity, so
+/// each stored record carries `26 + key.len()` spare bytes (54 for a
+/// device URN) in exchange for not being copied again.
 #[deny(clippy::as_conversions)]
-fn decode_record(mut bytes: Vec<u8>) -> Option<UpdateRecord> {
-    if bytes.len() < 18 {
+fn decode_record(mut bytes: Vec<u8>) -> Option<(UpdateRecord, u64)> {
+    if bytes.len() < 26 {
         return None;
     }
     let seq = u64::from_be_bytes(bytes[0..8].try_into().ok()?);
-    let created_ms = u64::from_be_bytes(bytes[8..16].try_into().ok()?);
-    let key_len = usize::from(u16::from_be_bytes(bytes[16..18].try_into().ok()?));
-    if bytes.len() < 18 + key_len {
+    let floor = u64::from_be_bytes(bytes[8..16].try_into().ok()?);
+    let created_ms = u64::from_be_bytes(bytes[16..24].try_into().ok()?);
+    let key_len = usize::from(u16::from_be_bytes(bytes[24..26].try_into().ok()?));
+    let end = 26 + key_len;
+    if bytes.len() < end {
         return None;
     }
-    let key = std::str::from_utf8(&bytes[18..18 + key_len])
-        .ok()?
-        .to_owned();
-    bytes.drain(..18 + key_len);
-    Some(UpdateRecord {
+    let key = std::str::from_utf8(&bytes[26..end]).ok()?.to_owned();
+    bytes.drain(..end);
+    let record = UpdateRecord {
         seq,
         key,
         payload: bytes,
         created_at: SimTime::from_millis(created_ms),
-    })
+    };
+    Some((record, floor))
 }
 
 #[deny(clippy::as_conversions)]
@@ -1287,22 +1293,6 @@ fn encode_acks(seqs: &[u64]) -> Vec<u8> {
         out.extend_from_slice(&s.to_be_bytes());
     }
     out
-}
-
-/// Decodes a validated ack payload (callers check `len % 8 == 0`); a
-/// trailing partial chunk would be silently ignored by `chunks_exact`.
-/// The hot path ([`FogSync::process_ack`]) walks the chunks in place
-/// instead of materializing this vector; kept for the codec tests.
-#[cfg(test)]
-fn decode_acks(bytes: &[u8]) -> Vec<u64> {
-    bytes
-        .chunks_exact(8)
-        .map(|c| {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(c);
-            u64::from_be_bytes(b)
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -1358,21 +1348,9 @@ mod tests {
         now
     }
 
-    #[test]
-    fn record_codec_roundtrip() {
-        let r = UpdateRecord {
-            seq: 42,
-            key: "urn:swamp:probe:7".into(),
-            payload: vec![1, 2, 3, 255],
-            created_at: SimTime::from_secs(99),
-        };
-        assert_eq!(decode_record(encode_record(&r)), Some(r));
-        assert_eq!(decode_record(b"short".to_vec()), None);
-        assert_eq!(decode_acks(&encode_acks(&[1, 2, 3])), vec![1, 2, 3]);
-    }
-
-    /// The sync wire format, byte for byte: seq and creation time as
-    /// big-endian u64s, a big-endian u16 key length, the key, the payload.
+    /// The sync wire format, byte for byte: seq, sender floor and creation
+    /// time as big-endian u64s, a big-endian u16 key length, the key, the
+    /// payload.
     #[test]
     fn record_wire_bytes_are_pinned() {
         let r = UpdateRecord {
@@ -1381,11 +1359,12 @@ mod tests {
             payload: b"{\"v\":1}".to_vec(),
             created_at: SimTime::from_millis(0x0a0b0c),
         };
-        let wire = encode_record(&r);
+        let wire = encode_record(&r, 0xf0f1);
         assert_eq!(
             wire,
             [
                 &[0, 0, 0, 0, 0, 0, 1, 2][..],
+                &[0, 0, 0, 0, 0, 0, 0xf0, 0xf1],
                 &[0, 0, 0, 0, 0, 0x0a, 0x0b, 0x0c],
                 &[0, 6],
                 "urn:é".as_bytes(),
@@ -1393,21 +1372,23 @@ mod tests {
             ]
             .concat()
         );
-        assert_eq!(decode_record(wire.clone()), Some(r));
-        // Truncated inside the key, or a key that is not UTF-8: refused.
-        assert_eq!(decode_record(wire[..20].to_vec()), None);
+        assert_eq!(decode_record(wire.clone()), Some((r, 0xf0f1)));
+        // Truncated in the header or inside the key, or a key that is not
+        // UTF-8: refused.
+        assert_eq!(decode_record(wire[..25].to_vec()), None);
+        assert_eq!(decode_record(wire[..28].to_vec()), None);
         let mut bad = wire;
-        bad[22] = 0xff;
+        bad[30] = 0xff;
         assert_eq!(decode_record(bad), None);
-        // An empty key and an empty payload are a valid 18-byte record.
+        // An empty key and an empty payload are a valid 26-byte record.
         let empty = UpdateRecord {
             seq: 0,
             key: String::new(),
             payload: Vec::new(),
             created_at: SimTime::ZERO,
         };
-        assert_eq!(encode_record(&empty).len(), 18);
-        assert_eq!(decode_record(encode_record(&empty)), Some(empty));
+        assert_eq!(encode_record(&empty, 0).len(), 26);
+        assert_eq!(decode_record(encode_record(&empty, 0)), Some((empty, 0)));
     }
 
     #[test]
@@ -1480,7 +1461,7 @@ mod tests {
         assert_eq!(cloud.duplicates(), 1);
     }
 
-    fn sync_delivery(seq: u64, now: SimTime) -> Delivery {
+    fn sync_delivery(seq: u64, floor: u64, now: SimTime) -> Delivery {
         let record = UpdateRecord {
             seq,
             key: format!("k{seq}"),
@@ -1491,96 +1472,76 @@ mod tests {
             id: swamp_net::message::MsgId(seq),
             src: "fog".into(),
             dst: "cloud".into(),
-            message: Message::new(SYNC_TOPIC, encode_record(&record)),
+            message: Message::new(SYNC_TOPIC, encode_record(&record, floor)),
             sent_at: now,
             delivered_at: now,
         }
     }
 
-    #[test]
-    fn in_order_store_holds_gaps_until_they_fill() {
+    /// An in-order (relay) store and the network its acks leave on.
+    fn relay() -> (Network, CloudStore) {
         let mut net = Network::new(1);
         net.add_node("fog");
         net.add_node("cloud");
         net.connect("fog", "cloud", LinkSpec::farm_lan());
-        let mut store = CloudStore::in_order("cloud", SimDuration::from_secs(600));
+        (net, CloudStore::in_order("cloud"))
+    }
 
-        // Seqs 0, 2, 3 arrive; 1 is still in flight (retransmitting).
+    fn seqs(records: &[UpdateRecord]) -> Vec<u64> {
+        records.iter().map(|r| r.seq).collect()
+    }
+
+    #[test]
+    fn in_order_store_holds_gaps_until_they_fill_or_the_floor_passes() {
+        let (mut net, mut store) = relay();
         let t = SimTime::from_secs(1);
-        store.process_deliveries(&mut net, t, [0, 2, 3].map(|s| sync_delivery(s, t)));
-        let ready = store.drain_ready(t);
-        assert_eq!(ready.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![0]);
-        assert_eq!(store.held_back(), 2);
+
+        // Seqs 0, 2, 3 arrive; 1 is still in flight (retransmitting), so
+        // the sender's floor stays at 1.
+        store.process_deliveries(&mut net, t, [0, 2, 3].map(|s| sync_delivery(s, 0, t)));
+        assert_eq!(seqs(&store.drain_ready()), [0]);
         // All three were accepted (and acked) regardless of release order.
         assert_eq!(store.observe().counter("cloud.accepted").unwrap(), 3);
-
-        // The gap fills: the whole contiguous run releases, in seq order.
-        let t2 = SimTime::from_secs(5);
-        store.process_deliveries(&mut net, t2, [sync_delivery(1, t2)]);
-        let ready = store.drain_ready(t2);
-        assert_eq!(
-            ready.iter().map(|r| r.seq).collect::<Vec<_>>(),
-            vec![1, 2, 3]
+        store.process_deliveries(&mut net, t, [sync_delivery(3, 1, t)]);
+        assert!(
+            store.drain_ready().is_empty(),
+            "a floor at the gap releases nothing"
         );
-        assert_eq!(store.held_back(), 0);
+        // The gap fills: the whole contiguous run releases, in seq order.
+        store.process_deliveries(&mut net, t, [sync_delivery(1, 1, t)]);
+        assert_eq!(seqs(&store.drain_ready()), [1, 2, 3]);
+
+        // Seqs 5 and 7 land while 4 and 6 are still buffered upstream.
+        store.process_deliveries(&mut net, t, [7, 5].map(|s| sync_delivery(s, 4, t)));
+        assert!(store.drain_ready().is_empty());
+        // The sender evicts 4 and says so with its next record: the
+        // stream releases up to the gap at 6 at once, with no timer.
+        store.process_deliveries(&mut net, t, [sync_delivery(8, 6, t)]);
+        assert_eq!(seqs(&store.drain_ready()), [5]);
+        // 6 is evicted too; the next floor settles it and the rest flows.
+        // A late copy of an evicted seq is a duplicate, never released.
+        let late = [sync_delivery(9, 9, t), sync_delivery(4, 4, t)];
+        store.process_deliveries(&mut net, t, late);
+        assert_eq!(seqs(&store.drain_ready()), [7, 8, 9]);
+        assert_eq!(store.duplicates(), 2);
+        let seen = &store.seen_seqs[&NodeId::new("fog")];
+        assert_eq!((seen.next, seen.ahead.len()), (10, 0));
     }
 
     #[test]
     fn in_order_store_keeps_nothing_after_release() {
         const N: u64 = 500;
-        let mut net = Network::new(1);
-        net.add_node("fog");
-        net.add_node("cloud");
-        net.connect("fog", "cloud", LinkSpec::farm_lan());
-        let mut store = CloudStore::in_order("cloud", SimDuration::from_secs(600));
+        let (mut net, mut store) = relay();
 
-        // Relayed in reverse order, so every record but the last waits in
-        // the reorder buffer first.
+        // Relayed in reverse order, so every record but the last is held
+        // first.
         let t = SimTime::from_secs(1);
-        store.process_deliveries(&mut net, t, (0..N).rev().map(|s| sync_delivery(s, t)));
-        let released = store.drain_ready(t);
-        assert_eq!(
-            released.iter().map(|r| r.seq).collect::<Vec<_>>(),
-            (0..N).collect::<Vec<_>>()
-        );
+        store.process_deliveries(&mut net, t, (0..N).rev().map(|s| sync_delivery(s, 0, t)));
+        assert_eq!(seqs(&store.drain_ready()), (0..N).collect::<Vec<_>>());
         assert_eq!(store.observe().counter("cloud.accepted").unwrap(), N);
-        assert_eq!(store.held_back(), 0);
+        assert!(store.held.as_ref().unwrap()[&NodeId::new("fog")].is_empty());
         assert_eq!(store.record_count(), 0, "a released frame is not retained");
         assert!(store.latest("k0").is_none());
-    }
-
-    #[test]
-    fn in_order_store_skips_a_dead_gap_after_max_hold() {
-        let mut net = Network::new(1);
-        net.add_node("fog");
-        net.add_node("cloud");
-        net.connect("fog", "cloud", LinkSpec::farm_lan());
-        let mut store = CloudStore::in_order("cloud", SimDuration::from_secs(600));
-
-        // Seq 0 never arrives (dropped at the sender pre-transmission).
-        let t = SimTime::from_secs(1);
-        store.process_deliveries(&mut net, t, [1, 2].map(|s| sync_delivery(s, t)));
-        assert!(store.drain_ready(t).is_empty());
-        assert!(store.drain_ready(SimTime::from_secs(500)).is_empty());
-        // Past the hold cap the stream unblocks in order.
-        let ready = store.drain_ready(SimTime::from_secs(700));
-        assert_eq!(ready.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![1, 2]);
-    }
-
-    #[test]
-    fn plain_store_drain_ready_is_arrival_order() {
-        let mut net = Network::new(1);
-        net.add_node("fog");
-        net.add_node("cloud");
-        net.connect("fog", "cloud", LinkSpec::farm_lan());
-        let mut store = CloudStore::new("cloud");
-        let t = SimTime::from_secs(1);
-        store.process_deliveries(&mut net, t, [2, 0].map(|s| sync_delivery(s, t)));
-        let ready = store.drain_ready(t);
-        assert_eq!(ready.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![2, 0]);
-        assert_eq!(store.held_back(), 0);
-        // The cursor advanced: nothing is double-released.
-        assert!(store.drain_ready(t).is_empty());
     }
 
     #[test]
@@ -1722,9 +1683,10 @@ mod tests {
     }
 
     /// The watermark dedup decides exactly as the set of every seq ever
-    /// applied did, at every step of seeded schedules that advance,
-    /// jump ahead, fill gaps late, replay old seqs — and leave one gap
-    /// open for good.
+    /// applied or given up did, at every step of seeded schedules that
+    /// advance, jump ahead, fill gaps late, replay old seqs and raise the
+    /// sender's floor now and then — one gap is never filled, so only a
+    /// floor can close it.
     #[test]
     fn dedup_watermark_matches_a_reference_set() {
         const NEVER_ARRIVES: u64 = 5_000;
@@ -1734,7 +1696,21 @@ mod tests {
             let mut reference = BTreeSet::new();
             let mut skipped: Vec<u64> = Vec::new();
             let mut frontier = 0u64;
+            let mut highest = 0u64;
+            let mut floor = 0u64;
             for step in 0..40_000 {
+                // The sender's floor trails its frontier: everything below
+                // it was acked or evicted there.
+                if rng.chance(0.01) {
+                    let raised = floor.max(frontier.saturating_sub(rng.below(256)));
+                    seen.raise_floor(raised);
+                    reference.extend(floor..raised);
+                    floor = raised;
+                    assert_eq!(seen.next + seen.ahead.len() as u64, reference.len() as u64);
+                    if floor > NEVER_ARRIVES {
+                        assert!(seen.next > NEVER_ARRIVES, "seed {seed}, step {step}");
+                    }
+                }
                 let seq = match rng.below(16) {
                     // In order, now and then leaving a gap behind.
                     0..=8 => {
@@ -1759,18 +1735,25 @@ mod tests {
                 if seq == NEVER_ARRIVES {
                     continue;
                 }
+                highest = highest.max(seq);
                 assert_eq!(
                     seen.insert(seq),
                     reference.insert(seq),
                     "seed {seed}, step {step}, seq {seq}"
                 );
                 assert_eq!(seen.next + seen.ahead.len() as u64, reference.len() as u64);
+                if floor <= NEVER_ARRIVES {
+                    assert!(
+                        seen.next <= NEVER_ARRIVES,
+                        "nothing may be settled past a gap no floor has passed"
+                    );
+                }
             }
-            assert!(frontier > NEVER_ARRIVES, "the schedule passed the open gap");
-            assert!(
-                seen.next <= NEVER_ARRIVES,
-                "nothing may be presumed applied past a gap that never filled"
-            );
+            assert!(floor > NEVER_ARRIVES, "a floor passed the open gap");
+            // The stream quiesces: the sender buffers nothing, so its floor
+            // is its next seq, and nothing is left ahead of the watermark.
+            seen.raise_floor(highest + 1);
+            assert_eq!((seen.next, seen.ahead.len()), (highest + 1, 0));
         }
         // The top of the range neither overflows nor is presumed applied.
         let mut seen = SeenSeqs {
@@ -1795,12 +1778,12 @@ mod tests {
             created_at: SimTime::ZERO,
         };
         for seq in 0..100_000 {
-            assert!(store.apply_record(SimTime::ZERO, &source, record(seq)));
+            assert!(store.apply_record(&source, record(seq)));
         }
         let seen = &store.seen_seqs[&source];
         assert_eq!((seen.next, seen.ahead.len()), (100_000, 0));
-        assert!(!store.apply_record(SimTime::ZERO, &source, record(99_999)));
-        assert!(!store.apply_record(SimTime::ZERO, &source, record(0)));
+        assert!(!store.apply_record(&source, record(99_999)));
+        assert!(!store.apply_record(&source, record(0)));
         assert_eq!(store.duplicates(), 2);
         assert_eq!(store.record_count(), 100_000);
         // `latest` indexes the one stored copy: the newest arrival per key.

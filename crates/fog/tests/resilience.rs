@@ -1,10 +1,12 @@
 //! Seeded fault-plan fuzzing of the fog→cloud retry engine: under random
 //! loss, duplication, reordering and scheduled partitions, every enqueued
-//! record must reach the cloud store **exactly once** (eventual delivery,
-//! idempotent apply), and the engine must end reconnected with an empty
-//! buffer — paced by a small window and per-round cap, and at the default
-//! window with uncapped rounds (how the platform drives it), where the
-//! window is the one limit and must hold after every round.
+//! record the bounded buffer did not evict must reach the cloud store
+//! **exactly once** (eventual delivery, idempotent apply), and the engine
+//! must end reconnected with an empty buffer — paced by a small window and
+//! per-round cap, at the default window with uncapped rounds (how the
+//! platform drives it), where the window is the one limit and must hold
+//! after every round, and under capacity pressure, where records trickle
+//! in faster than a faulty uplink drains them.
 
 use std::collections::BTreeSet;
 
@@ -16,20 +18,26 @@ use swamp_sim::{SimDuration, SimRng, SimTime};
 
 const RECORDS: u64 = 200;
 
-/// How a scenario paces its engine: backlog size, in-flight window, and
-/// the `batch` argument of every `sync_round`.
+/// How a scenario paces its engine: backlog size, in-flight window, the
+/// `batch` argument of every `sync_round`, buffer capacity, and how many
+/// records are enqueued before each round.
 #[derive(Clone, Copy)]
 struct Pacing {
     records: u64,
     window: usize,
     batch: usize,
+    capacity: usize,
+    per_round: u64,
 }
 
-/// A standalone driver's pacing: a 64-record window, 64 per round.
+/// A standalone driver's pacing: a 64-record window, 64 per round, the
+/// whole backlog enqueued up front into a buffer that holds it.
 const PACED: Pacing = Pacing {
     records: RECORDS,
     window: 64,
     batch: 64,
+    capacity: 20_000,
+    per_round: RECORDS,
 };
 
 /// The platform's: the default window, no per-round cap, and a backlog
@@ -38,12 +46,27 @@ const WINDOW_RATE: Pacing = Pacing {
     records: 3 * DEFAULT_WINDOW as u64,
     window: DEFAULT_WINDOW,
     batch: usize::MAX,
+    capacity: 20_000,
+    per_round: 3 * DEFAULT_WINDOW as u64,
+};
+
+/// Capacity pressure: four records arrive per round into a 24-record
+/// buffer, so retransmission backlogs and partitions evict records —
+/// some never transmitted, some in flight.
+const SQUEEZED: Pacing = Pacing {
+    records: RECORDS,
+    window: 64,
+    batch: 64,
+    capacity: 24,
+    per_round: 4,
 };
 
 struct Outcome {
     pending: usize,
     stored: usize,
     unique_seqs: usize,
+    acked: u64,
+    dropped: u64,
     duplicates_discarded: u64,
     retransmissions: u64,
     mode: DegradedMode,
@@ -82,7 +105,7 @@ fn run_scenario(
     }
 
     let mut sync = FogSync::builder("fog", "cloud")
-        .capacity(20_000)
+        .capacity(pacing.capacity)
         .base_timeout(SimDuration::from_secs(20))
         .backoff(2.0, SimDuration::from_secs(120))
         .jitter(0.2)
@@ -91,18 +114,15 @@ fn run_scenario(
         .build();
     let mut store = CloudStore::new("cloud");
 
-    // Created evenly over the 200 s before the scenario starts.
-    for i in 0..pacing.records {
-        sync.enqueue(
-            SimTime::from_millis(i * RECORDS * 1000 / pacing.records),
-            &format!("k{i:04}"),
-            i.to_be_bytes().to_vec(),
-        )
-        .expect("capacity exceeds the record count");
-    }
-
     let mut now = SimTime::from_secs(RECORDS);
+    let mut enqueued = 0;
     for round in 0..2_000 {
+        let until = pacing.records.min(enqueued + pacing.per_round);
+        for i in enqueued..until {
+            sync.enqueue(now, &format!("k{i:04}"), i.to_be_bytes().to_vec())
+                .expect("short key");
+        }
+        enqueued = until;
         sync.sync_round(&mut net, now, pacing.batch);
         assert!(
             sync.in_flight() <= pacing.window,
@@ -117,7 +137,7 @@ fn run_scenario(
         net.advance_to(now);
         sync.poll_acks(&mut net, now);
         now += SimDuration::from_secs(6);
-        if sync.pending() == 0 {
+        if enqueued == pacing.records && sync.pending() == 0 {
             break;
         }
     }
@@ -127,6 +147,8 @@ fn run_scenario(
         pending: sync.pending(),
         stored: store.record_count(),
         unique_seqs: unique.len(),
+        acked: sync.stats().acked,
+        dropped: sync.stats().dropped,
         duplicates_discarded: store.duplicates(),
         retransmissions: sync.stats().retransmissions,
         mode: sync.mode(),
@@ -148,8 +170,15 @@ fn exactly_once_under_seeded_fault_plans() {
         (42, 0.15, false, WINDOW_RATE),
         (1337, 0.30, true, WINDOW_RATE),
     ];
-    for (case, (seed, fault_rate, with_partition, pacing)) in fuzzed.chain(window_rate).enumerate()
-    {
+    // Capacity pressure: loss, duplication and reordering, with and
+    // without the partition.
+    let squeezed = [
+        (7, 0.10, true, SQUEEZED),
+        (42, 0.30, false, SQUEEZED),
+        (1337, 0.35, true, SQUEEZED),
+    ];
+    let cases = fuzzed.chain(window_rate).chain(squeezed);
+    for (case, (seed, fault_rate, with_partition, pacing)) in cases.enumerate() {
         let o = run_scenario(
             seed,
             LinkSpec::rural_internet(),
@@ -161,13 +190,28 @@ fn exactly_once_under_seeded_fault_plans() {
             o.pending, 0,
             "case {case} (seed {seed}, rate {fault_rate:.3}): backlog must drain"
         );
+        // Every record the buffer kept was acked, so applied; an evicted
+        // one may have been applied before its eviction, or never.
         assert_eq!(
-            o.stored, pacing.records as usize,
-            "case {case}: every record delivered exactly once"
+            o.acked + o.dropped,
+            pacing.records,
+            "case {case}: every record is acked or evicted"
+        );
+        assert!(
+            o.stored as u64 >= pacing.records - o.dropped,
+            "case {case}: {} applied, {} enqueued, {} evicted",
+            o.stored,
+            pacing.records,
+            o.dropped
         );
         assert_eq!(
-            o.unique_seqs, pacing.records as usize,
+            o.unique_seqs, o.stored,
             "case {case}: no sequence number applied twice"
+        );
+        assert_eq!(
+            o.dropped > 0,
+            pacing.capacity < pacing.records as usize,
+            "case {case}: only capacity pressure evicts"
         );
         assert_eq!(
             o.mode,

@@ -290,21 +290,10 @@ impl RateGuard {
     }
 }
 
-/// Sequence-number gap/replay detector per device.
+/// Sequence-number replay detector per device.
 #[derive(Clone, Debug, Default)]
 pub struct SeqMonitor {
     last_seq: BTreeMap<String, u64>,
-}
-
-/// What a sequence observation revealed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SeqEvent {
-    /// Expected next number.
-    InOrder,
-    /// Jumped forward by the contained count (lost messages or reset).
-    Gap(u64),
-    /// Sequence number at or below the last seen: replay or duplicate.
-    ReplayOrDuplicate,
 }
 
 impl SeqMonitor {
@@ -313,22 +302,19 @@ impl SeqMonitor {
         SeqMonitor::default()
     }
 
-    /// Observes a device's sequence number.
-    pub fn observe(&mut self, device: &str, seq: u64) -> SeqEvent {
+    /// Observes a device's sequence number: `true` if it is fresh (above
+    /// every number seen from the device, gaps allowed), `false` for a
+    /// replay or duplicate (at or below the last seen).
+    pub fn observe(&mut self, device: &str, seq: u64) -> bool {
         let Some(last) = self.last_seq.get_mut(device) else {
             self.last_seq.insert(device.to_owned(), seq);
-            return SeqEvent::InOrder;
+            return true;
         };
         if seq <= *last {
-            return SeqEvent::ReplayOrDuplicate;
+            return false;
         }
-        let skipped = seq - *last - 1;
         *last = seq;
-        if skipped == 0 {
-            SeqEvent::InOrder
-        } else {
-            SeqEvent::Gap(skipped)
-        }
+        true
     }
 }
 
@@ -469,16 +455,16 @@ mod tests {
     }
 
     #[test]
-    fn seq_monitor_detects_gaps_and_replays() {
+    fn seq_monitor_detects_replays_and_allows_gaps() {
         let mut m = SeqMonitor::new();
-        assert_eq!(m.observe("d", 0), SeqEvent::InOrder);
-        assert_eq!(m.observe("d", 1), SeqEvent::InOrder);
-        assert_eq!(m.observe("d", 5), SeqEvent::Gap(3));
-        assert_eq!(m.observe("d", 3), SeqEvent::ReplayOrDuplicate);
-        assert_eq!(m.observe("d", 5), SeqEvent::ReplayOrDuplicate);
-        assert_eq!(m.observe("d", 6), SeqEvent::InOrder);
+        assert!(m.observe("d", 0));
+        assert!(m.observe("d", 1));
+        assert!(m.observe("d", 5), "a gap is fresh");
+        assert!(!m.observe("d", 3), "behind the last seen");
+        assert!(!m.observe("d", 5), "the last seen again");
+        assert!(m.observe("d", 6));
         // Independent per device.
-        assert_eq!(m.observe("e", 100), SeqEvent::InOrder);
+        assert!(m.observe("e", 100));
     }
 
     #[test]

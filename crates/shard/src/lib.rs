@@ -267,8 +267,8 @@ impl ShardedPlatform {
     /// order. The replica's applied history is append-only, so a cursor
     /// per shard picks up exactly the records applied since the last
     /// pass; when the pass returns the aggregate holds everything the
-    /// shards have applied.
-    pub fn aggregate(&mut self, now: SimTime) {
+    /// shards have applied. Applying is untimed, so `_now` is not read.
+    pub fn aggregate(&mut self, _now: SimTime) {
         for (idx, shard) in self.shards.iter().enumerate() {
             let Some(replica) = shard.cloud_replica() else {
                 continue;
@@ -276,7 +276,7 @@ impl ShardedPlatform {
             let history = replica.history();
             for record in &history[self.forwarded_upto[idx].min(history.len())..] {
                 self.agg_store
-                    .apply_record(now, &self.sources[idx], record.clone());
+                    .apply_record(&self.sources[idx], record.clone());
             }
             self.forwarded_upto[idx] = history.len();
         }

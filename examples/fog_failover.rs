@@ -6,7 +6,7 @@
 
 use swamp::codec::ngsi::Entity;
 use swamp::core::platform::{DeploymentConfig, Platform};
-use swamp::fog::availability::{AvailabilityTracker, OutageSchedule, ServedBy};
+use swamp::fog::availability::{AvailabilityTracker, OutageSchedule};
 use swamp::sensors::device::DeviceKind;
 use swamp::sim::{SimDuration, SimTime};
 
@@ -50,8 +50,9 @@ fn run(config: DeploymentConfig, label: &str) {
         "availability: {:.1}%  (cloud-served {cloud} h, fog-served {fog} h, unserved {unserved} h)",
         tracker.availability() * 100.0
     );
-    let ingested = platform.observe().counter("ingest.accepted").unwrap();
-    println!("telemetry ingested at the platform: {ingested}");
+    let snap = platform.observe();
+    let ingested = snap.counter("ingest.accepted").unwrap();
+    println!("telemetry ingested at the platform: {ingested} of 36 published");
     if let Some(replica) = platform.cloud_replica() {
         println!(
             "cloud replica after reconnect: {} records ({} duplicates discarded)",
@@ -59,7 +60,10 @@ fn run(config: DeploymentConfig, label: &str) {
             replica.duplicates()
         );
     } else {
-        println!("cloud-only: whatever the outage swallowed is gone");
+        println!(
+            "cloud-only: the gateway buffered through the outage ({} relay duplicates discarded)",
+            snap.counter("relay.duplicates_discarded").unwrap()
+        );
     }
     println!();
 }
@@ -68,5 +72,4 @@ fn main() {
     println!("12-hour Internet outage, hourly irrigation decisions, 36-hour window\n");
     run(DeploymentConfig::CloudOnly, "cloud-only deployment");
     run(DeploymentConfig::FarmFog, "farm-fog deployment");
-    let _ = ServedBy::Fog; // (referenced for doc purposes)
 }
