@@ -18,7 +18,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 # `Result`, no `unsafe` (hence no `static mut` shared between workers),
 # and — through crates/clippy.toml — no wall clock. The two wire-format
 # scopes additionally deny `clippy::as_conversions` in source
-# (crates/codec/src/lib.rs, crates/fog/src/{lib,sync}.rs). What a lint
+# (crates/codec/src/lib.rs, crates/fog/src/sync.rs). What a lint
 # cannot see is measured instead: allocation budgets by the alloc_counts
 # suites, hash-order and worker-order leaks by the byte-identity suites,
 # layering by tests/workspace_layering.rs (DESIGN.md §10 has the table).

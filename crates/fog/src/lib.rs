@@ -14,8 +14,6 @@
 //!   cloud store.
 //! - [`availability`] — interval-level availability accounting and outage
 //!   schedules for the disconnection experiments (E5).
-//! - [`timer_wheel`] — hierarchical timer wheel backing the sync engine's
-//!   O(due-timers) retry scheduling.
 //!
 //! Mobile (drone) fog nodes have no module of their own: the Guaspari
 //! profile of `swamp_workload` delivers each probe's buffered backlog
@@ -42,9 +40,6 @@
 
 pub mod availability;
 pub mod sync;
-// Slot math feeds the retry scheduler: no silently truncating casts.
-#[cfg_attr(not(test), deny(clippy::as_conversions))]
-pub mod timer_wheel;
 
 pub use availability::{AvailabilityTracker, OutageSchedule, ServedBy};
 pub use sync::{

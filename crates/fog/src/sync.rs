@@ -25,8 +25,10 @@
 //!
 //! Each transmitted record carries a per-record retry timer. The k-th
 //! retransmission of a record is scheduled `min(base · factor^k, cap)`
-//! after the previous attempt, de-synchronized by a multiplicative jitter
-//! drawn from the engine's own seeded RNG (so runs stay reproducible).
+//! after the previous attempt (the cap bounds the growth, never the base:
+//! a base above the cap is waited in full), de-synchronized by a
+//! multiplicative jitter drawn from the engine's own seeded RNG (so runs
+//! stay reproducible).
 //! Acks release records exactly once — late or duplicated acks are
 //! suppressed and counted, never double-advance [`SyncStats`].
 //!
@@ -37,9 +39,9 @@
 //! many records await acknowledgement at once. A sync round first
 //! retransmits the records whose retry timer expired — they keep the
 //! window slots they already hold — then admits never-transmitted records
-//! in enqueue order until the window is full; whatever is left waits in
-//! the ready queue for an ack to free a slot, so a backlog drains at one
-//! window per ack round trip. The `batch` argument of
+//! in enqueue order until the window is full; whatever is left waits
+//! behind the admission cursor for an ack to free a slot, so a backlog
+//! drains at one window per ack round trip. The `batch` argument of
 //! [`FogSync::sync_round`] is a further per-call cap for drivers that pace
 //! themselves (a drone's contact window, a replayed leg); the platform
 //! passes none.
@@ -65,21 +67,26 @@
 //!
 //! ## Complexity
 //!
-//! The engine is indexed so one sync round costs O(transmissions +
-//! due timers) and one ack costs amortized O(1), independent of backlog
-//! depth: the backlog lives in a seq-keyed record table, never-transmitted
-//! records wait in a FIFO ready queue, and retry deadlines sit in a
-//! hierarchical [`TimerWheel`]. Wheel
-//! entries are invalidated lazily — a `(seq, attempts)` generation check
-//! when they fire — rather than deleted eagerly on ack. Ack
-//! classification needs no table of its own: seqs are dense, so a seq
+//! Three indexes, each with one exact invariant, make one sync round cost
+//! O((transmissions + due timers) · log) and one ack O(log), independent
+//! of backlog depth:
+//!
+//! - the record table, keyed by seq, holds the backlog;
+//! - the admission cursor splits it: every buffered seq below it is in
+//!   flight, every one at or above it was never transmitted (admission is
+//!   strictly in seq order, and a refused send leaves a suffix);
+//! - the deadline heap holds exactly one `(next_retry, seq)` per in-flight
+//!   record, so the due records are the top of it and the window's
+//!   occupancy is its length. A send re-keys the entry; an ack or an
+//!   eviction removes it.
+//!
+//! Ack classification needs no table of its own: seqs are dense, so a seq
 //! below the next one to assign that is no longer buffered was released
 //! or evicted already (a duplicate), and any other is unknown. See
 //! DESIGN.md §13 for the data-structure walkthrough.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
-use crate::timer_wheel::TimerWheel;
 use swamp_net::message::{Delivery, Message, NodeId};
 use swamp_net::network::{Network, SendError};
 use swamp_obs::{Counter, Gauge, Hist, Level, Obs, ObsSnapshot, Span};
@@ -268,9 +275,9 @@ struct SyncInstruments {
     in_flight: Gauge,
     mode: Gauge,
     retry_interval_ms: Hist,
-    /// Entries examined per round (timer fires, incl. stale, + ready-queue
-    /// pops): the witness that per-round work tracks transmissions + due
-    /// timers, not backlog depth.
+    /// Records examined per round (due deadlines + records admitted): the
+    /// witness that per-round work tracks transmissions + due timers, not
+    /// backlog depth. Nothing stale exists to examine.
     round_scanned: Hist,
     round_span: Span,
 }
@@ -300,8 +307,105 @@ impl SyncInstruments {
 struct FlightState {
     /// Transmissions so far (≥ 1 once in flight).
     attempts: u32,
-    /// When the next retransmission is due.
-    next_retry: SimTime,
+    /// The slot addressing this record's retry deadline in [`Deadlines`].
+    slot: usize,
+}
+
+/// Exactly one `(next_retry, seq)` per in-flight record, in a binary
+/// min-heap. Each entry is addressed by a slot its record's
+/// [`FlightState`] holds, so a send re-keys it and an ack or eviction
+/// removes it in O(log W) without a search. The vectors are sized by the
+/// window and reused: rounds and acks allocate nothing once warm, where a
+/// B-tree allocates a node per ~8 records it grows by.
+#[derive(Clone, Debug, Default)]
+struct Deadlines {
+    /// `(next_retry, seq, slot)` entries in heap order (seqs are unique,
+    /// so the slot never decides a comparison).
+    heap: Vec<(SimTime, u64, usize)>,
+    /// Each occupied slot's position in `heap`.
+    at: Vec<usize>,
+    /// Slots free for the next insert.
+    vacant: Vec<usize>,
+}
+
+impl Deadlines {
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// Adds an entry and returns the slot that addresses it.
+    fn insert(&mut self, next_retry: SimTime, seq: u64) -> usize {
+        let slot = self.vacant.pop().unwrap_or(self.at.len());
+        if slot == self.at.len() {
+            self.at.push(0);
+        }
+        self.heap.push((next_retry, seq, slot));
+        self.restore(self.heap.len() - 1);
+        slot
+    }
+
+    /// Moves the entry at `slot` to a new deadline.
+    fn rekey(&mut self, slot: usize, next_retry: SimTime) {
+        if let Some(&i) = self.at.get(slot) {
+            self.heap[i].0 = next_retry;
+            self.restore(i);
+        }
+    }
+
+    /// Removes the entry at `slot`.
+    fn remove(&mut self, slot: usize) {
+        let Some(&i) = self.at.get(slot) else {
+            return;
+        };
+        self.heap.swap_remove(i);
+        self.vacant.push(slot);
+        if i < self.heap.len() {
+            self.restore(i);
+        }
+    }
+
+    /// Appends the seq of every entry due at `now`, in no particular
+    /// order. In heap order an entry not yet due has none due below it,
+    /// so the walk visits the due entries and at most their children.
+    fn due_into(&self, now: SimTime, out: &mut Vec<u64>) {
+        fn walk(heap: &[(SimTime, u64, usize)], i: usize, now: SimTime, out: &mut Vec<u64>) {
+            if let Some(&(next_retry, seq, _)) = heap.get(i) {
+                if next_retry <= now {
+                    out.push(seq);
+                    walk(heap, 2 * i + 1, now, out);
+                    walk(heap, 2 * i + 2, now, out);
+                }
+            }
+        }
+        walk(&self.heap, 0, now, out);
+    }
+
+    /// Sifts the entry at heap position `i` up or down until heap order
+    /// holds again, keeping `at` in step.
+    fn restore(&mut self, mut i: usize) {
+        let entry = self.heap[i];
+        while i > 0 && entry < self.heap[(i - 1) / 2] {
+            self.place(i, self.heap[(i - 1) / 2]);
+            i = (i - 1) / 2;
+        }
+        loop {
+            let mut child = 2 * i + 1;
+            if child + 1 < self.heap.len() && self.heap[child + 1] < self.heap[child] {
+                child += 1;
+            }
+            if child >= self.heap.len() || entry < self.heap[child] {
+                break;
+            }
+            self.place(i, self.heap[child]);
+            i = child;
+        }
+        self.place(i, entry);
+    }
+
+    fn place(&mut self, i: usize, entry: (SimTime, u64, usize)) {
+        self.heap[i] = entry;
+        self.at[entry.2] = i;
+    }
 }
 
 /// A buffered update plus its transmission state, keyed by seq in the
@@ -374,9 +478,9 @@ impl FogSyncBuilder {
     }
 
     /// Exponential backoff: each retry waits `factor` times longer than the
-    /// previous one (clamped to ≥ 1), never beyond `cap`. Default ×2,
-    /// capped at 480 s. A factor of 1 gives the classic constant-interval
-    /// retransmit.
+    /// previous one (clamped to ≥ 1), never beyond `cap` or the base
+    /// timeout, whichever is longer. Default ×2, capped at 480 s. A factor
+    /// of 1 gives the classic constant-interval retransmit.
     pub fn backoff(mut self, factor: f64, cap: SimDuration) -> Self {
         self.backoff_factor = if factor.is_finite() {
             factor.max(1.0)
@@ -430,16 +534,13 @@ impl FogSyncBuilder {
             max_in_flight: self.max_in_flight,
             rng: SimRng::seed_from(self.seed),
             records: BTreeMap::new(),
-            ready: VecDeque::new(),
-            wheel: TimerWheel::new(SimTime::ZERO),
-            in_flight_count: 0,
+            next_admit: 0,
+            deadlines: Deadlines::default(),
             next_seq: 0,
             strikes: 0,
             mode: DegradedMode::Connected,
             mode_since: SimTime::ZERO,
-            fired: Vec::new(),
             due: Vec::new(),
-            planned: Vec::new(),
             obs,
             ins,
         }
@@ -472,16 +573,11 @@ pub struct FogSync {
     /// Backlog, keyed by seq (ascending iteration = enqueue order); release
     /// by ack is a keyed remove.
     records: BTreeMap<u64, PendingRecord>,
-    /// Never-transmitted seqs in enqueue (= seq) order. Entries whose
-    /// record was released or evicted before its first transmission are
-    /// dropped lazily when they reach the front.
-    ready: VecDeque<u64>,
-    /// Retry deadlines as `(seq, attempts)` entries. An entry is live iff
-    /// its record is still in flight with the same attempt count — the
-    /// generation check applied when it fires; nothing is eagerly deleted.
-    wheel: TimerWheel<(u64, u32)>,
-    /// Records with a live flight state (awaiting an ack).
-    in_flight_count: usize,
+    /// Admission cursor: buffered seqs below it are in flight, those at or
+    /// above it were never transmitted (`records.range(next_admit..)`).
+    next_admit: u64,
+    /// Exactly one `(next_retry, seq)` per in-flight record.
+    deadlines: Deadlines,
     /// The seq the next enqueued record gets. Every seq below it that is
     /// not in `records` was released or evicted.
     next_seq: u64,
@@ -489,11 +585,9 @@ pub struct FogSync {
     strikes: u32,
     mode: DegradedMode,
     mode_since: SimTime,
-    /// Round-scoped scratch, kept warm so steady-state rounds allocate
-    /// nothing (see the fog alloc_counts suite).
-    fired: Vec<(SimTime, (u64, u32))>,
-    due: Vec<(u64, u32)>,
-    planned: Vec<(u64, u32)>,
+    /// Round-scoped scratch for the due seqs, kept warm so steady-state
+    /// rounds allocate nothing (see the fog alloc_counts suite).
+    due: Vec<u64>,
     obs: Obs,
     ins: SyncInstruments,
 }
@@ -512,7 +606,7 @@ impl FogSync {
 
     /// Records currently awaiting acknowledgement.
     pub fn in_flight(&self) -> usize {
-        self.in_flight_count
+        self.deadlines.len()
     }
 
     /// Counters, materialized from the engine's typed `swamp-obs` handles.
@@ -562,12 +656,10 @@ impl FogSync {
             return Err(SyncError::KeyTooLong { len: key.len() });
         }
         if self.records.len() >= self.capacity {
-            // Evict the oldest (lowest-seq) record. Its ready-queue or
-            // timer-wheel entry goes stale and is dropped lazily the next
-            // time it surfaces.
+            // Evict the oldest (lowest-seq) record, with its deadline.
             if let Some((_, old)) = self.records.pop_first() {
-                if old.flight.is_some() {
-                    self.in_flight_count -= 1;
+                if let Some(f) = old.flight {
+                    self.deadlines.remove(f.slot);
                 }
                 self.obs.inc(self.ins.dropped);
             }
@@ -586,7 +678,6 @@ impl FogSync {
                 flight: None,
             },
         );
-        self.ready.push_back(seq);
         self.obs.inc(self.ins.enqueued);
         Ok(seq)
     }
@@ -617,10 +708,11 @@ impl FogSync {
     }
 
     /// The retry interval for a record that has been transmitted `attempts`
-    /// times: `min(base · factor^(attempts−1), cap)`, jittered.
+    /// times: `min(base · factor^(attempts−1), max(cap, base))`, jittered.
+    /// The cap bounds the growth, never the base.
     fn retry_interval(&mut self, attempts: u32) -> SimDuration {
         let base_ms = self.base_timeout.as_millis() as f64;
-        let cap_ms = self.max_backoff.as_millis().max(1) as f64;
+        let cap_ms = self.max_backoff.max(self.base_timeout).as_millis().max(1) as f64;
         let exp = attempts.saturating_sub(1).min(48);
         let mut ms = base_ms * self.backoff_factor.powi(exp as i32);
         if !ms.is_finite() || ms > cap_ms {
@@ -644,170 +736,83 @@ impl FogSync {
     /// degraded-mode state machine. Returns how many messages were handed
     /// to the network.
     ///
-    /// Cost: O(transmissions + timer fires) — the round never scans the
-    /// backlog. Due retransmissions come off the timer wheel, new records
-    /// off the ready queue; both carry stale entries (released, evicted or
-    /// re-scheduled records) that are discarded on surfacing via a
-    /// `(seq, attempts)` generation check against the record table.
+    /// Cost: O((transmissions + due timers) · log) — the round never scans
+    /// the backlog. Due retransmissions are the top of the deadline heap,
+    /// new records the table from the admission cursor on; neither holds
+    /// an entry that is not live.
     pub fn sync_round(&mut self, net: &mut Network, now: SimTime, batch: usize) -> usize {
         let token = self.obs.enter(self.ins.round_span);
-        // Scratch vectors are engine fields so steady-state rounds don't
-        // allocate; taken locally to keep the borrow checker happy.
-        let mut fired = std::mem::take(&mut self.fired);
+        // The scratch vector is an engine field so steady-state rounds
+        // don't allocate; taken locally to keep the borrow checker happy.
         let mut due = std::mem::take(&mut self.due);
-        let mut planned = std::mem::take(&mut self.planned);
-
-        // 1. Collect expired retry timers. The wheel yields every entry
-        // whose deadline passed; the generation check keeps exactly those
-        // still describing a live flight.
-        self.wheel.advance_into(now, &mut fired);
-        let mut scanned = fired.len() as u64;
-        for &(_, (seq, attempts)) in &fired {
-            if let Some(p) = self.records.get(&seq) {
-                if let Some(f) = p.flight {
-                    if f.attempts == attempts {
-                        if now >= f.next_retry {
-                            due.push((seq, f.attempts));
-                        } else {
-                            // Defensive (non-monotone clock): not actually
-                            // due yet, keep the deadline armed.
-                            self.wheel.schedule(f.next_retry, (seq, f.attempts));
-                        }
-                    }
-                }
-            }
-        }
-        // The wheel fires in slot order; rounds transmit in seq order.
+        self.deadlines.due_into(now, &mut due);
         due.sort_unstable();
+        let mut scanned = due.len();
+        due.truncate(batch);
+        let expired = due.len();
 
-        // 2. Plan up to `batch` transmissions in ascending seq order,
-        // merging due retransmissions with ready-queue admissions. Window
-        // accounting: retransmits occupy existing window slots; only first
-        // transmissions consume new ones.
-        let mut window_used = self.in_flight_count;
-        let mut expired = 0u64;
-        let mut due_idx = 0;
-        loop {
-            if planned.len() >= batch {
-                break;
-            }
-            // Next admissible new record: skip stale ready heads (records
-            // released or evicted before their first transmission).
-            let next_new = if window_used < self.max_in_flight {
-                loop {
-                    match self.ready.front() {
-                        Some(&seq) => match self.records.get(&seq) {
-                            Some(p) if p.flight.is_none() => break Some(seq),
-                            _ => {
-                                self.ready.pop_front();
-                                scanned += 1;
-                            }
-                        },
-                        None => break None,
-                    }
-                }
-            } else {
-                None
-            };
-            match (due.get(due_idx).copied(), next_new) {
-                (Some((dseq, datt)), Some(nseq)) if dseq < nseq => {
-                    planned.push((dseq, datt));
-                    expired += 1;
-                    due_idx += 1;
-                }
-                (Some((dseq, datt)), None) => {
-                    planned.push((dseq, datt));
-                    expired += 1;
-                    due_idx += 1;
-                }
-                (_, Some(nseq)) => {
-                    planned.push((nseq, 0));
-                    window_used += 1;
-                    self.ready.pop_front();
-                    scanned += 1;
-                }
-                (None, None) => break,
-            }
-        }
-        self.obs.add(self.ins.timeouts, expired);
-        self.obs.record(self.ins.round_scanned, scanned as f64);
-
-        // 3. Transmit. Backoff schedules (and their jitter RNG draws)
-        // happen per successful send, in planned (seq) order.
-        // Nothing leaves the table during the round, so one floor holds
-        // for all of its sends.
+        // Every in-flight seq lies below the admission cursor, so the due
+        // retransmissions, then admissions while the window has room, are
+        // one ascending seq order. Backoff schedules (and their jitter RNG
+        // draws) happen per successful send, in that order. Nothing leaves
+        // the table during the round, so one floor holds for all of its
+        // sends.
         let floor = self
             .records
             .first_key_value()
             .map_or(self.next_seq, |(&seq, _)| seq);
+        let mut due_seqs = due.iter();
         let mut sent = 0;
-        let mut refused_at = None;
-        for (i, &(seq, prior_attempts)) in planned.iter().enumerate() {
-            let Some(p) = self.records.get(&seq) else {
-                continue; // unreachable: planned from the live table
-            };
-            let msg = Message::new(SYNC_TOPIC, encode_record(&p.record, floor));
-            match net.send(now, &self.node, &self.cloud, msg) {
-                Ok(_) => {
-                    self.obs.inc(self.ins.transmissions);
-                    if prior_attempts > 0 {
-                        self.obs.inc(self.ins.retransmissions);
-                    }
-                    let attempts = prior_attempts + 1;
-                    let next_retry = now.saturating_add(self.retry_interval(attempts));
-                    if let Some(p) = self.records.get_mut(&seq) {
-                        if p.flight.is_none() {
-                            self.in_flight_count += 1;
+        let mut refused = false;
+        while sent < batch {
+            let seq = match due_seqs.next() {
+                Some(&seq) => seq,
+                None if self.deadlines.len() < self.max_in_flight => {
+                    match self.records.range(self.next_admit..).next() {
+                        Some((&seq, _)) => {
+                            scanned += 1;
+                            seq
                         }
-                        p.flight = Some(FlightState {
-                            attempts,
-                            next_retry,
-                        });
-                    }
-                    // The previous deadline's entry (if any) went stale the
-                    // moment `attempts` advanced.
-                    self.wheel.schedule(next_retry, (seq, attempts));
-                    sent += 1;
-                }
-                Err(_) => {
-                    // No route / denied: a synchronous refusal. Stop the
-                    // round and let the state machine register the strike.
-                    refused_at = Some(i);
-                    break;
-                }
-            }
-        }
-
-        // 4. Re-arm what was planned (or due) but not sent, so nothing is
-        // lost: unsent new records return to the ready-queue front in
-        // order; unsent due records keep their already-passed deadline and
-        // surface again next round.
-        let refused = refused_at.is_some();
-        if let Some(start) = refused_at {
-            for &(seq, prior_attempts) in planned[start..].iter().rev() {
-                if prior_attempts == 0 {
-                    self.ready.push_front(seq);
-                } else if let Some(p) = self.records.get(&seq) {
-                    if let Some(f) = p.flight {
-                        self.wheel.schedule(f.next_retry, (seq, f.attempts));
+                        None => break,
                     }
                 }
+                None => break,
+            };
+            let Some(p) = self.records.get(&seq) else {
+                break; // unreachable: both sources index the live table
+            };
+            let prior = p.flight;
+            let msg = Message::new(SYNC_TOPIC, encode_record(&p.record, floor));
+            if net.send(now, &self.node, &self.cloud, msg).is_err() {
+                // No route / denied: a synchronous refusal. Stop the round
+                // and let the state machine register the strike. What was
+                // not sent keeps its deadline, or stays above the cursor.
+                refused = true;
+                break;
             }
-        }
-        for &(seq, _) in &due[due_idx..] {
-            if let Some(p) = self.records.get(&seq) {
-                if let Some(f) = p.flight {
-                    self.wheel.schedule(f.next_retry, (seq, f.attempts));
+            self.obs.inc(self.ins.transmissions);
+            let attempts = prior.map_or(1, |f| f.attempts + 1);
+            let next_retry = now.saturating_add(self.retry_interval(attempts));
+            let slot = match prior {
+                Some(f) => {
+                    self.obs.inc(self.ins.retransmissions);
+                    self.deadlines.rekey(f.slot, next_retry);
+                    f.slot
                 }
+                None => {
+                    self.next_admit = seq + 1;
+                    self.deadlines.insert(next_retry, seq)
+                }
+            };
+            if let Some(p) = self.records.get_mut(&seq) {
+                p.flight = Some(FlightState { attempts, slot });
             }
+            sent += 1;
         }
-
-        fired.clear();
+        self.obs.add(self.ins.timeouts, expired as u64);
+        self.obs.record(self.ins.round_scanned, scanned as f64);
         due.clear();
-        planned.clear();
-        self.fired = fired;
         self.due = due;
-        self.planned = planned;
 
         if expired > 0 || refused {
             self.strikes = self.strikes.saturating_add(1);
@@ -829,10 +834,9 @@ impl FogSync {
     /// confirmed records exactly once. Any released record resets the
     /// degraded-mode state machine to `Connected`.
     ///
-    /// Each release is a keyed remove from the record table — amortized
-    /// O(1) in backlog depth. The released record's ready-queue or
-    /// timer-wheel entry is left behind and discarded lazily when it
-    /// surfaces. A seq no longer in the table is a duplicate if this
+    /// Each release is a keyed remove from the record table, O(log B) in
+    /// backlog depth, plus the removal of its deadline, O(log W) in the
+    /// window. A seq no longer in the table is a duplicate if this
     /// engine assigned it (it was released or evicted before), and
     /// unknown otherwise.
     ///
@@ -849,8 +853,8 @@ impl FogSync {
             b.copy_from_slice(chunk);
             let seq = u64::from_be_bytes(b);
             if let Some(p) = self.records.remove(&seq) {
-                if p.flight.is_some() {
-                    self.in_flight_count -= 1;
+                if let Some(f) = p.flight {
+                    self.deadlines.remove(f.slot);
                 }
                 self.obs.inc(self.ins.acked);
                 outcome.released += 1;
@@ -909,7 +913,7 @@ impl FogSync {
     fn refresh_gauges(&mut self) {
         self.obs.set(self.ins.pending, self.records.len() as f64);
         self.obs
-            .set(self.ins.in_flight, self.in_flight_count as f64);
+            .set(self.ins.in_flight, self.deadlines.len() as f64);
         let mode = match self.mode {
             DegradedMode::Connected => 0.0,
             DegradedMode::Degraded => 1.0,
@@ -1885,6 +1889,171 @@ mod tests {
                 "due at +{expect_gap}s"
             );
         }
+    }
+
+    /// A base timeout above the backoff cap is waited in full: the cap
+    /// bounds the growth, never the first interval. (A `Platform` cannot
+    /// set the cap, so its `sync_base_timeout` would otherwise stop at it.)
+    #[test]
+    fn base_timeout_above_the_cap_is_not_clamped() {
+        let (mut net, _, _) = setup(0.0);
+        let mut sync = FogSync::builder("fog", "cloud")
+            .base_timeout(SimDuration::from_secs(3600))
+            .jitter(0.0)
+            .build();
+        sync.enqueue(SimTime::ZERO, "k", vec![]).unwrap();
+        assert_eq!(sync.sync_round(&mut net, SimTime::ZERO, 8), 1);
+        for secs in [480, 3599] {
+            let at = SimTime::from_secs(secs);
+            assert_eq!(sync.sync_round(&mut net, at, 8), 0, "retried at {secs} s");
+        }
+        assert_eq!(sync.sync_round(&mut net, SimTime::from_secs(3600), 8), 1);
+        // Doubling is capped at the base: the next retry is 3600 s later.
+        assert_eq!(sync.sync_round(&mut net, SimTime::from_secs(7199), 8), 0);
+        assert_eq!(sync.sync_round(&mut net, SimTime::from_secs(7200), 8), 1);
+    }
+
+    /// The deadline heap and the admission cursor against a scan of the
+    /// record table, under loss, duplication, reordering, a partition, an
+    /// SDN rate limit that refuses sends mid-round, buffer evictions and
+    /// capped and uncapped rounds. Before each round the scan names the
+    /// due records; the round must send exactly those in seq order, then
+    /// never-transmitted ones while the window has room, up to its cap,
+    /// stopping only at a refusal. After every call the heap must hold
+    /// exactly one `(next_retry, seq)` per in-flight record, in heap order,
+    /// each at the slot its record names — dropping the removal from
+    /// `process_ack`, or from the evicting `enqueue`, fails it.
+    #[test]
+    fn deadline_index_matches_a_scan_of_the_record_table() {
+        use swamp_net::sdn::{FlowAction, FlowMatch};
+        use swamp_net::{FaultPlan, FaultSpec};
+        const WINDOW: usize = 12;
+        const CAPACITY: usize = 24;
+
+        // The deadline the heap holds for an in-flight record.
+        fn deadline(sync: &FogSync, f: FlightState) -> SimTime {
+            sync.deadlines.heap[sync.deadlines.at[f.slot]].0
+        }
+
+        fn check(sync: &FogSync, at: &str) {
+            let heap = &sync.deadlines.heap;
+            for i in 1..heap.len() {
+                assert!(heap[(i - 1) / 2] < heap[i], "{at}: heap order at {i}");
+            }
+            let mut in_flight = 0;
+            for (&seq, p) in &sync.records {
+                let below = seq < sync.next_admit;
+                assert_eq!(p.flight.is_some(), below, "{at}: cursor at seq {seq}");
+                if let Some(f) = p.flight {
+                    let (_, held, slot) = heap[sync.deadlines.at[f.slot]];
+                    assert_eq!((held, slot), (seq, f.slot), "{at}: entry of {seq}");
+                    in_flight += 1;
+                }
+            }
+            assert_eq!(
+                heap.len(),
+                in_flight,
+                "{at}: one entry per in-flight record"
+            );
+        }
+
+        // Timeouts, refused rounds, in-flight evictions, cap cuts.
+        let mut covered = [0u64; 4];
+        for seed in [1u64, 42, 1337] {
+            for capped in [false, true] {
+                let mut net = Network::new(seed);
+                net.add_node("fog");
+                net.add_node("cloud");
+                net.connect("fog", "cloud", LinkSpec::rural_internet());
+                let mut plan = FaultPlan::new(seed);
+                plan.set_link_faults("fog", "cloud", FaultSpec::degraded(0.25))
+                    .unwrap();
+                plan.add_partition(
+                    "fog",
+                    "cloud",
+                    SimTime::from_secs(300),
+                    SimTime::from_secs(700),
+                )
+                .unwrap();
+                net.install_fault_plan(plan);
+                let limit = FlowAction::RateLimit {
+                    per_sec: 0.8,
+                    burst: 6.0,
+                };
+                net.flow_table_mut()
+                    .install(10, FlowMatch::from_src("fog"), limit);
+                let tap = net.add_tap("fog", "cloud");
+                let mut sync = FogSync::builder("fog", "cloud")
+                    .capacity(CAPACITY)
+                    .base_timeout(SimDuration::from_secs(20))
+                    .backoff(2.0, SimDuration::from_secs(120))
+                    .jitter(0.2)
+                    .max_in_flight(WINDOW)
+                    .seed(seed)
+                    .build();
+                let mut cloud = CloudStore::new("cloud");
+                let mut now = SimTime::ZERO;
+                for round in 0..300usize {
+                    let at = format!("seed {seed}, capped {capped}, round {round}");
+                    for i in 0..if round < 200 { 4u8 } else { 0 } {
+                        let evicts_in_flight = sync.records.len() >= CAPACITY
+                            && sync
+                                .records
+                                .values()
+                                .next()
+                                .is_some_and(|p| p.flight.is_some());
+                        covered[2] += u64::from(evicts_in_flight);
+                        sync.enqueue(now, &format!("k{round}.{i}"), vec![i])
+                            .unwrap();
+                        check(&sync, &at);
+                    }
+
+                    let batch = if capped { 1 + round % 5 } else { usize::MAX };
+                    let mut due: Vec<u64> = sync
+                        .records
+                        .iter()
+                        .filter(|(_, p)| p.flight.is_some_and(|f| deadline(&sync, f) <= now))
+                        .map(|(&seq, _)| seq)
+                        .collect();
+                    covered[0] += due.len() as u64;
+                    covered[3] += u64::from(due.len() > batch);
+                    due.truncate(batch);
+                    let room = (WINDOW - sync.in_flight()).min(batch - due.len());
+                    let fresh = sync.records.iter().filter(|(_, p)| p.flight.is_none());
+                    let plan: Vec<u64> = due
+                        .iter()
+                        .copied()
+                        .chain(fresh.map(|(&seq, _)| seq).take(room))
+                        .collect();
+
+                    let tapped = net.tap_captures(tap).len();
+                    let denied = net.observe().counter("net.sdn_dropped").unwrap();
+                    let timeouts = sync.stats().timeouts;
+                    let sent = sync.sync_round(&mut net, now, batch);
+                    check(&sync, &at);
+                    let wire: Vec<u64> = net.tap_captures(tap)[tapped..]
+                        .iter()
+                        .map(|d| u64::from_be_bytes(d.message.payload[..8].try_into().unwrap()))
+                        .collect();
+                    assert_eq!(wire, plan[..sent], "{at}: the round's sends");
+                    let refused = net.observe().counter("net.sdn_dropped").unwrap() > denied;
+                    assert_eq!(refused, sent < plan.len(), "{at}: only a refusal cuts");
+                    covered[1] += u64::from(refused);
+                    assert_eq!(sync.stats().timeouts - timeouts, due.len() as u64, "{at}");
+
+                    now += SimDuration::from_secs(2);
+                    net.advance_to(now);
+                    cloud.process(&mut net, now);
+                    now += SimDuration::from_secs(2);
+                    net.advance_to(now);
+                    sync.poll_acks(&mut net, now);
+                    check(&sync, &at);
+                    now += SimDuration::from_secs(6);
+                }
+                assert_eq!(sync.pending(), 0, "seed {seed}, capped {capped}: drained");
+            }
+        }
+        assert!(covered.iter().all(|&n| n > 0), "{covered:?}");
     }
 
     #[test]

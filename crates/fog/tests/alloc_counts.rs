@@ -1,10 +1,10 @@
 //! Allocation-count proof for the sync engine's steady state.
 //!
 //! The indexed round/ack machinery keeps its working set in reusable
-//! structures — the record table, the ready queue, the timer wheel's
-//! slots and the round-scoped scratch vectors — so a quiet sync round
-//! (nothing due, nothing new, empty inbox) must allocate exactly zero
-//! times once those are warm. A counting global allocator verifies it.
+//! structures — the record table, the deadline set and the round-scoped
+//! scratch vector — so a quiet sync round (nothing due, nothing new,
+//! empty inbox) must allocate exactly zero times once those are warm. A
+//! counting global allocator verifies it.
 //!
 //! Everything runs inside one `#[test]` so concurrent test threads cannot
 //! pollute the shared counter (pattern from
@@ -59,9 +59,9 @@ fn steady_state_sync_round_is_zero_alloc() {
         .build();
     let mut cloud = CloudStore::new("cloud");
 
-    // Warmup: run a real drain so the wheel slots, ready queue, scratch
-    // vectors and obs plumbing all reach their steady capacity, then park
-    // a handful of records in flight with a far-off retry deadline.
+    // Warmup: run a real drain so the scratch vector and obs plumbing
+    // reach their steady capacity, then park a handful of records in
+    // flight with a far-off retry deadline.
     let mut now = SimTime::ZERO;
     for i in 0..256 {
         sync.enqueue(now, "probe", vec![i as u8]).unwrap();
@@ -91,8 +91,8 @@ fn steady_state_sync_round_is_zero_alloc() {
         let (calls, ()) = alloc_calls(|| {
             for _ in 0..10_000u64 {
                 now += SimDuration::from_millis(10);
-                // Quiet round: timers far in the future, ready queue
-                // empty, nothing to transmit — and an empty-inbox poll.
+                // Quiet round: timers far in the future, nothing left to
+                // admit, nothing to transmit — and an empty-inbox poll.
                 let sent = sync.sync_round(&mut net, now, 64);
                 assert_eq!(sent, 0);
                 let outcome = sync.poll_acks(&mut net, now);
