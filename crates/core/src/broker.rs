@@ -18,15 +18,17 @@
 //!   most once per upsert and only while an earlier snapshot is still held
 //!   by an undrained notification. Notifications are immutable snapshots —
 //!   never views of live broker state.
-//! - **Indexed routing**: subscriptions are bucketed by watched entity type
-//!   (plus a bucket for type-agnostic filters), so an upsert only tests
-//!   candidate subscriptions instead of scanning all of them; a secondary
-//!   type→entity-id index backs [`ContextBroker::entities_of_type`].
-//! - **Batched upserts**: [`ContextBroker::upsert_batch`] amortizes index
-//!   lookups across a burst of updates, observationally equivalent to a
-//!   loop of [`ContextBroker::upsert`].
+//! - **One subscription table**: subscriptions live in one id-ordered map,
+//!   each with its filter and its queue, and a changed upsert scans it with
+//!   [`SubscriptionFilter::matches`]. No workload registers more than one
+//!   subscription, so a per-type routing index would cost more to keep
+//!   than the scan it saves (DESIGN.md §6 names the workload that would
+//!   justify one).
+//! - **Names only when heard**: [`ContextBroker::upsert_batch`] is a loop
+//!   of [`ContextBroker::upsert`] that builds an update's changed-name set
+//!   only when a subscription could hear it.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use swamp_codec::ngsi::{Entity, EntityId};
@@ -61,7 +63,9 @@ impl SubscriptionFilter {
         }
     }
 
-    fn matches(&self, entity: &Entity, changed: &[String]) -> bool {
+    /// Whether an upsert of `entity` that changed `changed` fires this
+    /// subscription.
+    pub fn matches(&self, entity: &Entity, changed: &[String]) -> bool {
         if let Some(t) = &self.entity_type {
             if entity.entity_type() != t {
                 return false;
@@ -132,18 +136,18 @@ impl std::error::Error for UnknownSubscription {}
 #[derive(Debug, Default)]
 pub struct ContextBroker {
     entities: BTreeMap<EntityId, Arc<Entity>>,
-    /// Secondary index: entity type → ids of stored entities of that type.
-    entity_type_index: BTreeMap<String, BTreeSet<EntityId>>,
-    subscriptions: BTreeMap<SubscriptionId, SubscriptionFilter>,
-    /// Routing index: entity type → subscription ids filtering on that type
-    /// (each Vec sorted ascending — ids are allocated monotonically).
-    subs_by_type: BTreeMap<String, Vec<SubscriptionId>>,
-    /// Subscriptions with no entity-type filter (sorted ascending).
-    subs_any_type: Vec<SubscriptionId>,
-    queues: BTreeMap<SubscriptionId, Vec<Notification>>,
+    /// Every live subscription in id order, which is the fan-out order.
+    subscriptions: BTreeMap<SubscriptionId, Subscription>,
     next_sub: u64,
     updates: u64,
     notifications: u64,
+}
+
+/// A registered subscription: what it watches and what it has not drained.
+#[derive(Debug)]
+struct Subscription {
+    filter: SubscriptionFilter,
+    queue: Vec<Notification>,
 }
 
 impl ContextBroker {
@@ -171,35 +175,20 @@ impl ContextBroker {
     pub fn subscribe(&mut self, filter: SubscriptionFilter) -> SubscriptionId {
         let id = SubscriptionId(self.next_sub);
         self.next_sub += 1;
-        // Ids grow monotonically, so pushing keeps the routing lists sorted.
-        match &filter.entity_type {
-            Some(t) => self.subs_by_type.entry(t.clone()).or_default().push(id),
-            None => self.subs_any_type.push(id),
-        }
-        self.subscriptions.insert(id, filter);
-        self.queues.insert(id, Vec::new());
+        self.subscriptions.insert(
+            id,
+            Subscription {
+                filter,
+                queue: Vec::new(),
+            },
+        );
         id
     }
 
     /// Cancels a subscription, discarding undelivered notifications.
     /// Returns whether the subscription existed.
     pub fn unsubscribe(&mut self, id: SubscriptionId) -> bool {
-        let Some(filter) = self.subscriptions.remove(&id) else {
-            return false;
-        };
-        match &filter.entity_type {
-            Some(t) => {
-                if let Some(bucket) = self.subs_by_type.get_mut(t) {
-                    bucket.retain(|s| *s != id);
-                    if bucket.is_empty() {
-                        self.subs_by_type.remove(t);
-                    }
-                }
-            }
-            None => self.subs_any_type.retain(|s| *s != id),
-        }
-        self.queues.remove(&id);
-        true
+        self.subscriptions.remove(&id).is_some()
     }
 
     /// Upserts an entity: existing attributes are merged (NGSI update
@@ -212,8 +201,7 @@ impl ContextBroker {
             .unwrap_or_else(|| Arc::from(Vec::new()))
     }
 
-    /// Upserts a batch of entities, amortizing routing-index lookups across
-    /// the burst. Observationally equivalent to calling
+    /// Upserts a batch of entities. Observationally equivalent to calling
     /// [`ContextBroker::upsert`] on each element in order; returns how many
     /// updates changed at least one attribute. Unlike `upsert` it has no
     /// use for the changed names itself, so an update nobody is subscribed
@@ -236,7 +224,7 @@ impl ContextBroker {
     /// attributes by move (no key or value is copied), a new one is stored
     /// as it arrived. Returns how many attributes changed value, and their
     /// names when someone needs them — the caller (`want_names`) or a
-    /// candidate subscription.
+    /// subscription whose type filter admits the entity.
     fn upsert_one(
         &mut self,
         now: SimTime,
@@ -244,16 +232,18 @@ impl ContextBroker {
         want_names: bool,
     ) -> (usize, Option<Arc<[String]>>) {
         self.updates += 1;
-        let any_listener = want_names || !self.subs_any_type.is_empty();
-        let subs_by_type = &self.subs_by_type;
-        // Fan-out below routes by the *stored* entity's type, which a merge
+        let subscriptions = &self.subscriptions;
+        // Fan-out below matches the *stored* entity's type, which a merge
         // never changes, so that type (the update's own only on first sight)
-        // decides whether a typed subscription can be listening.
-        let listened = |routed_type: &str| {
-            any_listener
-                || subs_by_type
-                    .get(routed_type)
-                    .is_some_and(|bucket| !bucket.is_empty())
+        // decides whether a subscription can be listening.
+        let listened = |stored_type: &str| {
+            want_names
+                || subscriptions.values().any(|sub| {
+                    sub.filter
+                        .entity_type
+                        .as_deref()
+                        .is_none_or(|t| t == stored_type)
+                })
         };
         let mut changed_count = 0;
         let mut names: Vec<String> = Vec::new();
@@ -282,10 +272,6 @@ impl ContextBroker {
                     names.extend(update.attributes().map(|(name, _)| name.to_owned()));
                 }
                 let arc = Arc::new(update);
-                self.entity_type_index
-                    .entry(arc.entity_type().to_owned())
-                    .or_default()
-                    .insert(arc.id().clone());
                 self.entities.insert(arc.id().clone(), Arc::clone(&arc));
                 (arc, need_names)
             }
@@ -295,51 +281,15 @@ impl ContextBroker {
         }
         let changed: Arc<[String]> = Arc::from(names);
 
-        // Route to candidate subscriptions only: the type bucket plus the
-        // type-agnostic bucket, merged in ascending id order so fan-out
-        // order matches the pre-index behavior (all subscriptions, id order).
-        let typed: &[SubscriptionId] = self
-            .subs_by_type
-            .get(snapshot.entity_type())
-            .map_or(&[], Vec::as_slice);
-        let any: &[SubscriptionId] = &self.subs_any_type;
-        let (mut i, mut j) = (0, 0);
-        loop {
-            let sub_id = match (typed.get(i), any.get(j)) {
-                (Some(&a), Some(&b)) => {
-                    if a < b {
-                        i += 1;
-                        a
-                    } else {
-                        j += 1;
-                        b
-                    }
-                }
-                (Some(&a), None) => {
-                    i += 1;
-                    a
-                }
-                (None, Some(&b)) => {
-                    j += 1;
-                    b
-                }
-                (None, None) => break,
-            };
-            // Unsubscribe removes ids from both indexes, so an indexed sub
-            // always resolves; a stale entry is simply skipped.
-            let Some(filter) = self.subscriptions.get(&sub_id) else {
-                continue;
-            };
-            if filter.matches(&snapshot, &changed) {
+        for (&sub_id, sub) in &mut self.subscriptions {
+            if sub.filter.matches(&snapshot, &changed) {
                 self.notifications += 1;
-                if let Some(queue) = self.queues.get_mut(&sub_id) {
-                    queue.push(Notification {
-                        subscription: sub_id,
-                        entity: Arc::clone(&snapshot),
-                        changed_attrs: Arc::clone(&changed),
-                        at: now,
-                    });
-                }
+                sub.queue.push(Notification {
+                    subscription: sub_id,
+                    entity: Arc::clone(&snapshot),
+                    changed_attrs: Arc::clone(&changed),
+                    at: now,
+                });
             }
         }
         (changed_count, Some(changed))
@@ -356,35 +306,9 @@ impl ContextBroker {
         self.entities.get(id).cloned()
     }
 
-    /// All entities of a type, in id order (served by the type index — no
-    /// full-store scan).
-    pub fn entities_of_type<'a>(
-        &'a self,
-        entity_type: &'a str,
-    ) -> impl Iterator<Item = &'a Entity> + 'a {
-        self.entity_type_index
-            .get(entity_type)
-            .into_iter()
-            .flatten()
-            // Removal prunes the type index, so every indexed id resolves;
-            // filter_map keeps the iterator total without a panic path.
-            .filter_map(|id| self.entities.get(id).map(Arc::as_ref))
-    }
-
     /// Removes an entity; returns whether it existed.
     pub fn remove(&mut self, id: &EntityId) -> bool {
-        match self.entities.remove(id) {
-            Some(entity) => {
-                if let Some(ids) = self.entity_type_index.get_mut(entity.entity_type()) {
-                    ids.remove(id);
-                    if ids.is_empty() {
-                        self.entity_type_index.remove(entity.entity_type());
-                    }
-                }
-                true
-            }
-            None => false,
-        }
+        self.entities.remove(id).is_some()
     }
 
     /// Takes (drains) the pending notifications of a subscription.
@@ -397,7 +321,9 @@ impl ContextBroker {
     /// [`ContextBroker::drain_notifications_into`], which recycles both the
     /// caller's and the broker's buffers.
     pub fn take_notifications(&mut self, id: SubscriptionId) -> Option<Vec<Notification>> {
-        self.queues.get_mut(&id).map(std::mem::take)
+        self.subscriptions
+            .get_mut(&id)
+            .map(|sub| std::mem::take(&mut sub.queue))
     }
 
     /// Drains pending notifications into `out` (appending, preserving
@@ -414,7 +340,11 @@ impl ContextBroker {
         id: SubscriptionId,
         out: &mut Vec<Notification>,
     ) -> Result<usize, UnknownSubscription> {
-        let queue = self.queues.get_mut(&id).ok_or(UnknownSubscription(id))?;
+        let queue = &mut self
+            .subscriptions
+            .get_mut(&id)
+            .ok_or(UnknownSubscription(id))?
+            .queue;
         let n = queue.len();
         out.append(queue);
         Ok(n)
@@ -422,7 +352,7 @@ impl ContextBroker {
 
     /// Pending notification count for a subscription (0 if unknown).
     pub fn pending_notifications(&self, id: SubscriptionId) -> usize {
-        self.queues.get(&id).map_or(0, Vec::len)
+        self.subscriptions.get(&id).map_or(0, |sub| sub.queue.len())
     }
 }
 
@@ -524,32 +454,13 @@ mod tests {
     }
 
     #[test]
-    fn entities_of_type_query() {
-        let mut b = ContextBroker::new();
-        b.upsert(SimTime::ZERO, probe("urn:p1", 0.1));
-        b.upsert(SimTime::ZERO, probe("urn:p2", 0.2));
-        let mut pivot = Entity::new("urn:pivot", "CenterPivot");
-        pivot.set("angle_deg", 0.0);
-        b.upsert(SimTime::ZERO, pivot);
-        assert_eq!(b.entities_of_type("SoilProbe").count(), 2);
-        assert_eq!(b.entities_of_type("CenterPivot").count(), 1);
-        assert_eq!(b.entities_of_type("Ghost").count(), 0);
-        // Id order, as before the type index.
-        let ids: Vec<&str> = b
-            .entities_of_type("SoilProbe")
-            .map(|e| e.id().as_str())
-            .collect();
-        assert_eq!(ids, ["urn:p1", "urn:p2"]);
-    }
-
-    #[test]
     fn remove_entity() {
         let mut b = ContextBroker::new();
         b.upsert(SimTime::ZERO, probe("urn:p1", 0.1));
         assert!(b.remove(&"urn:p1".into()));
         assert!(!b.remove(&"urn:p1".into()));
         assert_eq!(b.entity_count(), 0);
-        assert_eq!(b.entities_of_type("SoilProbe").count(), 0);
+        assert_eq!(b.entity(&"urn:p1".into()), None);
     }
 
     #[test]
