@@ -4,6 +4,7 @@
 //! both for reproducible tests and for the hash-chained ledger in
 //! `swamp-security`, which hashes serialized JSON.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 
@@ -57,16 +58,10 @@ impl Json {
     /// Returns [`ParseJsonError`] on malformed input, trailing garbage, or
     /// nesting deeper than [`MAX_DEPTH`].
     pub fn parse(input: &str) -> Result<Json, ParseJsonError> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser::new(input);
         p.skip_ws();
         let v = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after value"));
-        }
+        p.finish()?;
         Ok(v)
     }
 
@@ -331,12 +326,23 @@ pub(crate) fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
-struct Parser<'a> {
+/// The one JSON grammar: [`Json::parse`] builds a tree with it, and
+/// `Entity::read_compact` walks the same tokens straight into an entity.
+pub(crate) struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
+    pub(crate) fn new(text: &'a str) -> Parser<'a> {
+        Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+        }
+    }
+
     fn err(&self, msg: &str) -> ParseJsonError {
         ParseJsonError {
             offset: self.pos,
@@ -344,7 +350,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
+    pub(crate) fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
@@ -354,7 +360,7 @@ impl<'a> Parser<'a> {
         Some(b)
     }
 
-    fn skip_ws(&mut self) {
+    pub(crate) fn skip_ws(&mut self) {
         while let Some(b) = self.peek() {
             if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
                 self.pos += 1;
@@ -362,6 +368,15 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
+    }
+
+    /// Accepts trailing whitespace and then requires the end of input.
+    pub(crate) fn finish(&mut self) -> Result<(), ParseJsonError> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters after value"));
+        }
+        Ok(())
     }
 
     fn expect(&mut self, b: u8) -> Result<(), ParseJsonError> {
@@ -382,7 +397,8 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, ParseJsonError> {
+    /// Parses the value at the cursor, `depth` containers deep.
+    pub(crate) fn value(&mut self, depth: usize) -> Result<Json, ParseJsonError> {
         if depth > MAX_DEPTH {
             return Err(self.err("nesting too deep"));
         }
@@ -391,9 +407,17 @@ impl<'a> Parser<'a> {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::String(self.string()?)),
+            Some(b'"') => Ok(Json::String(self.string()?.into_owned())),
             Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
+            Some(b'{') => {
+                let mut map = BTreeMap::new();
+                self.members(depth, |p, key| {
+                    let value = p.value(depth + 1)?;
+                    map.insert(key.into_owned(), value);
+                    Ok(())
+                })?;
+                Ok(Json::Object(map))
+            }
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             Some(c) => Err(self.err(&format!("unexpected character '{}'", char::from(c)))),
         }
@@ -419,13 +443,22 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Json, ParseJsonError> {
+    /// Walks the object at the cursor, `depth` containers deep: for each
+    /// member, in input order, `member` gets the key with the cursor on the
+    /// value, and must consume that value (at `depth + 1`).
+    pub(crate) fn members(
+        &mut self,
+        depth: usize,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), ParseJsonError>,
+    ) -> Result<(), ParseJsonError> {
+        if depth > MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
         self.expect(b'{')?;
-        let mut map = BTreeMap::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Object(map));
+            return Ok(());
         }
         loop {
             self.skip_ws();
@@ -436,79 +469,92 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value(depth + 1)?;
-            map.insert(key, value);
+            member(self, key)?;
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
-                Some(b'}') => return Ok(Json::Object(map)),
+                Some(b'}') => return Ok(()),
                 _ => return Err(self.err("expected ',' or '}' in object")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, ParseJsonError> {
+    /// Parses the string at the cursor. One without escapes is borrowed
+    /// from the input; otherwise the clean runs between escapes are copied
+    /// whole. (The input is a `&str`, so a run cut at an ASCII delimiter
+    /// is always whole UTF-8.)
+    fn string(&mut self) -> Result<Cow<'a, str>, ParseJsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut owned: Option<String> = None;
         loop {
-            match self.bump() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{08}'),
-                    Some(b'f') => out.push('\u{0C}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let cp = self.hex4()?;
-                        let c = if (0xD800..0xDC00).contains(&cp) {
-                            // High surrogate: require a following \uXXXX low
-                            // surrogate and combine.
-                            if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
-                                return Err(self.err("unpaired surrogate"));
-                            }
-                            let low = self.hex4()?;
-                            if !(0xDC00..0xE000).contains(&low) {
-                                return Err(self.err("invalid low surrogate"));
-                            }
-                            let combined = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
-                            char::from_u32(combined)
-                                .ok_or_else(|| self.err("invalid surrogate pair"))?
-                        } else if (0xDC00..0xE000).contains(&cp) {
-                            return Err(self.err("unpaired low surrogate"));
-                        } else {
-                            char::from_u32(cp).ok_or_else(|| self.err("invalid codepoint"))?
-                        };
-                        out.push(c);
-                    }
-                    _ => return Err(self.err("invalid escape sequence")),
-                },
-                Some(b) if b < 0x20 => {
-                    return Err(self.err("raw control character in string"));
-                }
-                Some(b) => {
-                    // Re-assemble UTF-8 multibyte sequences from the input.
-                    if b < 0x80 {
-                        out.push(char::from(b));
-                    } else {
-                        let len = utf8_len(b).ok_or_else(|| self.err("invalid UTF-8 lead byte"))?;
-                        let start = self.pos - 1;
-                        let end = start + len;
-                        if end > self.bytes.len() {
-                            return Err(self.err("truncated UTF-8 sequence"));
+            let start = self.pos;
+            let run = self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20);
+            let Some(len) = run else {
+                self.pos = self.bytes.len();
+                return Err(self.err("unterminated string"));
+            };
+            let end = start + len;
+            let clean = self
+                .text
+                .get(start..end)
+                .ok_or_else(|| self.err("invalid UTF-8 sequence"))?;
+            self.pos = end + 1;
+            match self.bytes[end] {
+                b'"' => {
+                    return Ok(match owned {
+                        None => Cow::Borrowed(clean),
+                        Some(mut out) => {
+                            out.push_str(clean);
+                            Cow::Owned(out)
                         }
-                        let s = std::str::from_utf8(&self.bytes[start..end])
-                            .map_err(|_| self.err("invalid UTF-8 sequence"))?;
-                        out.push_str(s);
-                        self.pos = end;
-                    }
+                    })
                 }
+                b'\\' => {
+                    let out = owned.get_or_insert_with(String::new);
+                    out.push_str(clean);
+                    let c = self.escape()?;
+                    out.push(c);
+                }
+                _ => return Err(self.err("raw control character in string")),
             }
         }
+    }
+
+    /// Decodes the escape after a backslash.
+    fn escape(&mut self) -> Result<char, ParseJsonError> {
+        Ok(match self.bump() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{08}',
+            Some(b'f') => '\u{0C}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                let cp = self.hex4()?;
+                if (0xD800..0xDC00).contains(&cp) {
+                    // High surrogate: require a following \uXXXX low
+                    // surrogate and combine.
+                    if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
+                        return Err(self.err("unpaired surrogate"));
+                    }
+                    let low = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&low) {
+                        return Err(self.err("invalid low surrogate"));
+                    }
+                    let combined = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
+                    char::from_u32(combined).ok_or_else(|| self.err("invalid surrogate pair"))?
+                } else if (0xDC00..0xE000).contains(&cp) {
+                    return Err(self.err("unpaired low surrogate"));
+                } else {
+                    char::from_u32(cp).ok_or_else(|| self.err("invalid codepoint"))?
+                }
+            }
+            _ => return Err(self.err("invalid escape sequence")),
+        })
     }
 
     fn hex4(&mut self) -> Result<u32, ParseJsonError> {
@@ -566,22 +612,15 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid utf-8 in number"))?;
+        let text = self
+            .text
+            .get(start..self.pos)
+            .ok_or_else(|| self.err("invalid utf-8 in number"))?;
         let n: f64 = text.parse().map_err(|_| self.err("number out of range"))?;
         if !n.is_finite() {
             return Err(self.err("number overflows f64"));
         }
         Ok(Json::Number(n))
-    }
-}
-
-fn utf8_len(lead: u8) -> Option<usize> {
-    match lead {
-        0xC0..=0xDF => Some(2),
-        0xE0..=0xEF => Some(3),
-        0xF0..=0xF7 => Some(4),
-        _ => None,
     }
 }
 

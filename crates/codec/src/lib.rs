@@ -12,10 +12,10 @@
 //! The wire form is compact JSON with sorted keys. A tree consumer builds
 //! it with [`ngsi::Entity::to_json`]; the platform's write path, which
 //! only wants the bytes, streams the identical text into a reused buffer
-//! with [`ngsi::Entity::write_compact`] and decodes with the consuming
-//! [`ngsi::Entity::from_json_owned`], so a record's strings are written
-//! once and then moved. `tests/wire_format.rs` holds the two writers
-//! byte-identical and pins golden strings.
+//! with [`ngsi::Entity::write_compact`] and decodes the bytes with its
+//! dual [`ngsi::Entity::read_compact`], which builds no tree.
+//! `tests/wire_format.rs` holds the two writers byte-identical, the two
+//! decoders equal on every input, and pins golden strings.
 //!
 //! ## Example
 //!

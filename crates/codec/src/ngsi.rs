@@ -12,13 +12,15 @@
 //! [`Entity::write_compact`] streams the same bytes into a caller-owned
 //! buffer for the platform's write path, which only ever wanted bytes.
 //! Decoding mirrors it: [`Entity::from_json_owned`] moves the parsed
-//! strings into the entity, and [`Entity::from_json`] is that decoder
-//! over a clone for callers that keep their tree.
+//! strings into the entity, [`Entity::from_json`] is that decoder over a
+//! clone for callers that keep their tree, and [`Entity::read_compact`]
+//! reads the bytes straight into an entity for the platform's ingest path,
+//! accepting exactly what the tree decoder accepts.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::json::{write_escaped, write_number, Json};
+use crate::json::{write_escaped, write_number, Json, ParseJsonError, Parser};
 
 /// A globally unique entity identifier (e.g. `urn:swamp:matopiba:probe:07`).
 ///
@@ -323,31 +325,63 @@ impl Attribute {
             Json::Object(fields) => fields,
             _ => BTreeMap::new(),
         };
-        let value = fields
-            .remove("value")
-            .ok_or_else(|| EntityCodecError::missing("value"))?;
-        #[expect(
-            clippy::as_conversions,
-            reason = "`as` from f64 saturates, never panics: an out-of-range observedAt clamps instead of killing ingest"
-        )]
-        let observed_at_ms = fields
-            .get("observedAt")
-            .and_then(Json::as_f64)
-            .map(|f| f as u64);
-        let mut metadata = BTreeMap::new();
-        if let Some(Json::Object(meta)) = fields.remove("metadata") {
+        let observed_at_ms = fields.get("observedAt").and_then(observed_at_ms);
+        Attribute::from_fields(
+            fields.remove("value"),
+            observed_at_ms,
+            fields.remove("metadata"),
+        )
+    }
+
+    /// The decoder proper, over the (last) value of each known field:
+    /// shared by the tree decoder above and [`Entity::read_compact`].
+    fn from_fields(
+        value: Option<Json>,
+        observed_at_ms: Option<u64>,
+        metadata: Option<Json>,
+    ) -> Result<Attribute, EntityCodecError> {
+        let value = value.ok_or_else(|| EntityCodecError::missing("value"))?;
+        let mut strings = BTreeMap::new();
+        if let Some(Json::Object(meta)) = metadata {
             for (k, v) in meta {
                 let Json::String(s) = v else {
                     return Err(EntityCodecError::bad("metadata values must be strings"));
                 };
-                metadata.insert(k, s);
+                strings.insert(k, s);
             }
         }
         Ok(Attribute {
             value: AttrValue::from_json_owned(value),
             observed_at_ms,
-            metadata,
+            metadata: strings,
         })
+    }
+
+    /// Reads the attribute at the parser's cursor, `depth` containers deep,
+    /// as [`Attribute::from_json_owned`] would decode its tree: the last of
+    /// a repeated field wins, unknown fields are skipped. A malformed
+    /// document is the outer error; a well-formed one that is not an
+    /// attribute is the inner one, so a later duplicate can replace it.
+    fn read(
+        p: &mut Parser<'_>,
+        depth: usize,
+    ) -> Result<Result<Attribute, EntityCodecError>, ParseJsonError> {
+        if p.peek() != Some(b'{') {
+            p.value(depth)?;
+            return Ok(Err(EntityCodecError::missing("value")));
+        }
+        let (mut value, mut observed, mut metadata) = (None, None, None);
+        p.members(depth, |p, key| {
+            let field = p.value(depth + 1)?;
+            match &*key {
+                "value" => value = Some(field),
+                "observedAt" => observed = observed_at_ms(&field),
+                "metadata" => metadata = Some(field),
+                _ => {}
+            }
+            Ok(())
+        })?;
+        Ok(Attribute::from_fields(value, observed, metadata))
     }
 
     /// Streams the bytes of `self.to_json()`: keys in the tree's sorted
@@ -375,6 +409,15 @@ impl Attribute {
         self.value.write_compact(out);
         out.push('}');
     }
+}
+
+/// `observedAt` from the wire, if it is a number.
+#[expect(
+    clippy::as_conversions,
+    reason = "`as` from f64 saturates, never panics: an out-of-range observedAt clamps instead of killing ingest"
+)]
+fn observed_at_ms(j: &Json) -> Option<u64> {
+    j.as_f64().map(|f| f as u64)
 }
 
 /// `observedAt` on the wire: sim epoch-milliseconds as a JSON number.
@@ -510,8 +553,9 @@ impl Entity {
     /// Decodes from the JSON produced by [`Entity::to_json`]. This borrowing
     /// form costs a deep clone of the whole tree on top of the decode (it
     /// clones `j` and consumes the clone); a caller that owns the tree and
-    /// is done with it should call [`Entity::from_json_owned`], as the
-    /// platform's ingest path does.
+    /// is done with it should call [`Entity::from_json_owned`], and one
+    /// that holds the bytes [`Entity::read_compact`], as the platform's
+    /// ingest path does.
     ///
     /// # Errors
     /// Returns [`EntityCodecError`] if required fields are missing or of the
@@ -531,18 +575,92 @@ impl Entity {
             Json::Object(fields) => fields,
             _ => BTreeMap::new(),
         };
-        let Some(Json::String(id)) = fields.remove("id") else {
-            return Err(EntityCodecError::missing("id"));
-        };
-        let id = EntityId::try_new(id).map_err(|e| EntityCodecError::bad(&e.to_string()))?;
-        let Some(Json::String(entity_type)) = fields.remove("type") else {
-            return Err(EntityCodecError::missing("type"));
-        };
+        let (id, entity_type) = id_and_type(fields.remove("id"), fields.remove("type"))?;
         let mut attributes = BTreeMap::new();
         if let Some(Json::Object(attrs)) = fields.remove("attrs") {
             for (name, aj) in attrs {
                 attributes.insert(name, Attribute::from_json_owned(aj)?);
             }
+        }
+        Ok(Entity {
+            id,
+            entity_type,
+            attributes,
+        })
+    }
+
+    /// Decodes the wire form straight from its bytes — the dual of
+    /// [`Entity::write_compact`], and the decoder of the platform's ingest
+    /// path. It accepts exactly the byte strings that `from_utf8`,
+    /// [`Json::parse`] and [`Entity::from_json_owned`] accept together,
+    /// and returns the same entity, without building the tree: it walks
+    /// the entity and attribute objects with the JSON parser's own lexer,
+    /// and parses only attribute values (and unknown fields) as values.
+    /// As in the tree, the last of a repeated key wins — an invalid
+    /// attribute a later duplicate replaces is no error — a non-object
+    /// `attrs` is ignored, and [`crate::json::MAX_DEPTH`] holds.
+    ///
+    /// ```
+    /// use swamp_codec::ngsi::Entity;
+    /// let mut probe = Entity::new("urn:p1", "SoilProbe");
+    /// probe.set("moisture_vwc", 0.25);
+    /// let mut wire = String::new();
+    /// probe.write_compact(&mut wire);
+    /// assert_eq!(Entity::read_compact(wire.as_bytes()), Ok(probe));
+    /// ```
+    ///
+    /// # Errors
+    /// As [`Entity::from_json`], and for bytes that are not UTF-8 or not
+    /// one JSON document.
+    pub fn read_compact(bytes: &[u8]) -> Result<Entity, EntityCodecError> {
+        let text = std::str::from_utf8(bytes)
+            .map_err(|_| EntityCodecError::bad("payload is not UTF-8"))?;
+        let mut p = Parser::new(text);
+        p.skip_ws();
+        if p.peek() != Some(b'{') {
+            // Whatever else it is, a non-object has no `id`.
+            return Err(EntityCodecError::missing("id"));
+        }
+        let (mut id, mut entity_type) = (None, None);
+        let mut attributes = BTreeMap::new();
+        // The attributes whose last value failed to decode, by name.
+        let mut failed = BTreeMap::new();
+        p.members(0, |p, key| {
+            match &*key {
+                "id" => id = Some(p.value(1)?),
+                "type" => entity_type = Some(p.value(1)?),
+                "attrs" => {
+                    attributes.clear();
+                    failed.clear();
+                    if p.peek() != Some(b'{') {
+                        p.value(1)?;
+                        return Ok(());
+                    }
+                    p.members(1, |p, name| {
+                        match Attribute::read(p, 2)? {
+                            Ok(attr) => {
+                                failed.remove(&*name);
+                                attributes.insert(name.into_owned(), attr);
+                            }
+                            Err(e) => {
+                                attributes.remove(&*name);
+                                failed.insert(name.into_owned(), e);
+                            }
+                        }
+                        Ok(())
+                    })?;
+                }
+                _ => {
+                    p.value(1)?;
+                }
+            }
+            Ok(())
+        })
+        .and_then(|()| p.finish())
+        .map_err(EntityCodecError::parse)?;
+        let (id, entity_type) = id_and_type(id, entity_type)?;
+        if let Some(e) = failed.into_values().next() {
+            return Err(e);
         }
         Ok(Entity {
             id,
@@ -583,6 +701,21 @@ impl Entity {
     }
 }
 
+/// The (last) `id` and `type` fields of an entity, checked.
+fn id_and_type(
+    id: Option<Json>,
+    entity_type: Option<Json>,
+) -> Result<(EntityId, String), EntityCodecError> {
+    let Some(Json::String(id)) = id else {
+        return Err(EntityCodecError::missing("id"));
+    };
+    let id = EntityId::try_new(id).map_err(|e| EntityCodecError::bad(&e.to_string()))?;
+    let Some(Json::String(entity_type)) = entity_type else {
+        return Err(EntityCodecError::missing("type"));
+    };
+    Ok((id, entity_type))
+}
+
 /// Error from [`Entity::from_json`] / [`Attribute::from_json`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EntityCodecError(String);
@@ -593,6 +726,9 @@ impl EntityCodecError {
     }
     fn bad(msg: &str) -> Self {
         EntityCodecError(msg.to_owned())
+    }
+    fn parse(e: ParseJsonError) -> Self {
+        EntityCodecError(e.to_string())
     }
 }
 

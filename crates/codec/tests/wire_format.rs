@@ -8,11 +8,20 @@
 //! and literal golden strings pin the bytes themselves — so the two
 //! writers cannot drift apart, and cannot drift together either.
 //!
+//! Decoding has two paths too: [`Entity::read_compact`] reads the bytes
+//! straight into an entity on the platform's ingest path, and
+//! `from_utf8` → [`Json::parse`] → [`Entity::from_json_owned`] is the tree
+//! path it replaced there. The same generator holds them equal — `Ok` and
+//! `Err` alike, and the same entity when `Ok` — on the canonical wire, on
+//! the same entities written with whitespace, reordered and escaped keys
+//! and invalid decoy duplicates, on every truncation and on seeded byte
+//! flips, and on hand-written edge cases.
+//!
 //! The same generator drives the JSON layer's own properties: arbitrary
 //! value trees survive both writers, and the parser returns — `Ok` or
 //! `Err`, never a panic — on token soup and on damaged documents.
 
-use swamp_codec::json::Json;
+use swamp_codec::json::{Json, MAX_DEPTH};
 use swamp_codec::ngsi::{AttrValue, Attribute, Entity};
 
 /// The seeded generator behind the loop below. The codec is substrate —
@@ -153,6 +162,9 @@ fn streaming_writer_matches_tree_writer_and_round_trips() {
         let owned = Entity::from_json_owned(tree).expect("the wire form decodes");
         // NaN never equals itself; compare the decoders by their bytes.
         assert_eq!(compact(&owned), compact(&borrowed));
+        // A decoded entity holds no NaN (the wire carries `null`), so the
+        // reader is held to equality.
+        assert_eq!(Entity::read_compact(wire.as_bytes()), Ok(owned.clone()));
         if round_trips {
             assert_eq!(owned, e);
             exact += 1;
@@ -257,6 +269,347 @@ fn consuming_and_borrowing_decoders_refuse_the_same_documents() {
     assert_eq!(e.attribute("a"), Some(&Attribute::new(1.0)));
     let no_attrs = Json::parse(r#"{"id":"x","type":"T","attrs":[1]}"#).unwrap();
     assert!(Entity::from_json_owned(no_attrs).unwrap().is_empty());
+}
+
+/// The tree path the reader must match: `from_utf8`, then [`Json::parse`],
+/// then [`Entity::from_json_owned`].
+fn tree_decode(bytes: &[u8]) -> Option<Entity> {
+    let text = std::str::from_utf8(bytes).ok()?;
+    Entity::from_json_owned(Json::parse(text).ok()?).ok()
+}
+
+/// Asserts that [`Entity::read_compact`] and the tree path agree on
+/// `bytes` — both refuse it, or both return the same entity — and
+/// returns that entity.
+fn decoders_agree(bytes: &[u8]) -> Option<Entity> {
+    let tree = tree_decode(bytes);
+    let read = Entity::read_compact(bytes);
+    assert_eq!(
+        read.as_ref().ok(),
+        tree.as_ref(),
+        "{:?}: the reader said {read:?}",
+        String::from_utf8_lossy(bytes)
+    );
+    tree
+}
+
+/// Whitespace the grammar allows between two tokens, often none.
+fn ws(rng: &mut SimRng, out: &mut String) {
+    while rng.chance(0.25) {
+        out.push(*rng.pick(&[' ', '\n', '\t', '\r']));
+    }
+}
+
+/// `s` as a JSON string with escapes the canonical writer never emits:
+/// `\/`, and `\uXXXX` (in either case, as a surrogate pair beyond the
+/// BMP) for any character.
+fn noisy_string(rng: &mut SimRng, s: &str, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '/' if rng.chance(0.5) => out.push_str("\\/"),
+            c if u32::from(c) < 0x20 || rng.chance(0.2) => {
+                for unit in c.encode_utf16(&mut [0u16; 2]) {
+                    if rng.chance(0.5) {
+                        out.push_str(&format!("\\u{unit:04x}"));
+                    } else {
+                        out.push_str(&format!("\\u{unit:04X}"));
+                    }
+                }
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// Values that, in place of some member, would make an entity invalid or
+/// different: each replaced by the real member written after it.
+const DECOYS: &[&str] = &[
+    "{}",
+    "7",
+    "null",
+    "\"t\"",
+    "\" padded\"",
+    "[1,\"a\"]",
+    "{\"u\":5}",
+    "{\"a\":{}}",
+    "{\"b\":{\"value\":2}}",
+    "{\"metadata\":{\"u\":5},\"value\":1}",
+];
+
+/// Writes `j` as a non-canonical document that decodes to the same value:
+/// whitespace between tokens, members in random order, noisy escapes,
+/// exponent-form numbers, a decoy copy before some members, and unknown
+/// members where the entity decoder skips them (`depth` counts objects
+/// from the entity: 0 is the entity, 2 an attribute).
+fn noisy(rng: &mut SimRng, j: &Json, depth: u32, out: &mut String) {
+    match j {
+        Json::Object(map) => {
+            let mut members: Vec<(&str, Option<&Json>)> = Vec::new();
+            for (k, v) in map {
+                if rng.chance(0.15) {
+                    members.push((k, None));
+                }
+                members.push((k, Some(v)));
+            }
+            // Shuffle, keeping each decoy ahead of its real member.
+            for i in (1..members.len()).rev() {
+                let at = rng.below(i as u64 + 1) as usize;
+                members.swap(i, at);
+            }
+            for i in 0..members.len() {
+                if members[i].1.is_none() {
+                    let key = members[i].0;
+                    let real = members.iter().position(|m| m.0 == key && m.1.is_some());
+                    if let Some(real) = real.filter(|&r| r < i) {
+                        members.swap(i, real);
+                    }
+                }
+            }
+            let unknown = Json::String(text(rng, 4));
+            if (depth == 0 || depth == 2) && rng.chance(0.3) {
+                let at = rng.below(members.len() as u64 + 1) as usize;
+                members.insert(at, ("zz-unknown", Some(&unknown)));
+            }
+            out.push('{');
+            for (i, (k, v)) in members.into_iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                ws(rng, out);
+                noisy_string(rng, k, out);
+                ws(rng, out);
+                out.push(':');
+                ws(rng, out);
+                match v {
+                    Some(v) => noisy(rng, v, depth + 1, out),
+                    None => {
+                        let decoy: &&str = rng.pick(DECOYS);
+                        out.push_str(decoy);
+                    }
+                }
+                ws(rng, out);
+            }
+            out.push('}');
+        }
+        Json::Array(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                ws(rng, out);
+                noisy(rng, item, depth + 1, out);
+                ws(rng, out);
+            }
+            out.push(']');
+        }
+        Json::String(s) => noisy_string(rng, s, out),
+        Json::Number(n) if n.is_finite() && rng.chance(0.3) => out.push_str(&format!("{n:e}")),
+        other => out.push_str(&other.to_compact_string()),
+    }
+}
+
+#[test]
+fn reader_matches_the_tree_decoder_on_noisy_and_damaged_input() {
+    let mut rng = SimRng::seed_from(0x7265_6164); // "read"
+    let (mut noisy_ok, mut damaged_ok, mut damaged) = (0, 0, 0);
+    for i in 0..4_000 {
+        let (e, _) = entity(&mut rng);
+        let wire = compact(&e);
+        let canonical = decoders_agree(wire.as_bytes()).expect("the wire form decodes");
+
+        // The same entity, written every way the grammar allows.
+        let mut doc = String::new();
+        ws(&mut rng, &mut doc);
+        noisy(&mut rng, &e.to_json(), 0, &mut doc);
+        ws(&mut rng, &mut doc);
+        let decoded = decoders_agree(doc.as_bytes());
+        assert_eq!(decoded.as_ref(), Some(&canonical), "{doc}");
+        noisy_ok += 1;
+
+        // Damage: every truncation of the first entities, then seeded flips
+        // of one byte (to any value: invalid UTF-8 included) everywhere.
+        // (A noisy document cut inside its trailing whitespace still
+        // decodes; the canonical wire has none.)
+        let source = if rng.chance(0.5) {
+            wire.as_bytes()
+        } else {
+            doc.as_bytes()
+        };
+        if i < 100 {
+            for len in 0..source.len() {
+                let decoded = decoders_agree(&source[..len]);
+                assert!(
+                    decoded.is_none() || source == doc.as_bytes(),
+                    "prefix {len}"
+                );
+            }
+        }
+        for _ in 0..8 {
+            let mut bytes = source.to_vec();
+            let at = rng.below(bytes.len() as u64) as usize;
+            bytes[at] = rng.next_u64() as u8;
+            damaged += 1;
+            damaged_ok += u32::from(decoders_agree(&bytes).is_some());
+        }
+    }
+    assert_eq!(noisy_ok, 4_000);
+    // Flips inside string and number tokens leave documents decodable;
+    // flips of structure do not. Both kinds must occur.
+    assert!(
+        damaged_ok > damaged / 10 && damaged_ok < damaged * 9 / 10,
+        "{damaged_ok} of {damaged} damaged documents decoded"
+    );
+}
+
+/// The tree's rules, case by case: the last of a repeated key wins at
+/// every level (so an invalid copy a later one replaces is no error), a
+/// non-object `attrs` or `metadata` is ignored, unknown keys are skipped,
+/// and every string form of a key or value is the same string.
+#[test]
+fn reader_follows_the_tree_on_duplicates_shapes_and_escapes() {
+    let accepts = |doc: &str| -> Entity {
+        decoders_agree(doc.as_bytes()).unwrap_or_else(|| panic!("refused {doc}"))
+    };
+    let refuses = |doc: &str| assert!(decoders_agree(doc.as_bytes()).is_none(), "{doc}");
+
+    let mut one = Entity::new("urn:x", "T");
+    one.set("a", 1.0);
+    for doc in [
+        r#"{"attrs":{"a":{"value":1}},"id":"urn:x","type":"T"}"#,
+        // Whitespace everywhere, keys in any order, unknown keys skipped.
+        " \t{ \"type\" : \"T\" ,\r\n\"zz\":[{}], \"id\":\"urn:x\",\"attrs\":{\"a\":{\"unit\":3,\"value\":1}} }\n",
+        // Escaped keys and values are the same strings.
+        r#"{"\u0061ttrs":{"\u0061":{"v\u0061lue":1}},"i\u0064":"urn\u003ax","type":"\u0054"}"#,
+        // Repeated `id`, `type`, `attrs`, attribute, `value`, `metadata`:
+        // the last wins, and the invalid copies it replaces are no error.
+        r#"{"id":7,"type":null,"attrs":{"b":{}},"attrs":{"a":{"value":"x"},"a":{},"a":{"value":1}},"id":" pad","id":"urn:x","type":"T"}"#,
+        r#"{"attrs":{"a":{"metadata":{"u":5},"value":[1,"a"],"metadata":3,"value":1}},"id":"urn:x","type":"T"}"#,
+        r#"{"attrs":{"b":{"value":2}},"attrs":{"a":{"value":1}},"id":"urn:x","type":"T"}"#,
+        r#"{"attrs":{"a":{"metadata":{"u":5},"metadata":{},"value":1}},"id":"urn:x","type":"T"}"#,
+        // A non-numeric timestamp is no timestamp.
+        r#"{"attrs":{"a":{"observedAt":"t","value":1}},"id":"urn:x","type":"T"}"#,
+    ] {
+        assert_eq!(accepts(doc), one, "{doc}");
+    }
+    // The last copy wins when it is the invalid one, too.
+    refuses(r#"{"attrs":{"a":{"value":1},"a":{}},"id":"urn:x","type":"T"}"#);
+    refuses(r#"{"attrs":{"a":{"value":1}},"attrs":{"a":7},"id":"urn:x","type":"T"}"#);
+    refuses(
+        r#"{"attrs":{"a":{"metadata":{},"value":1,"metadata":{"u":5}}},"id":"urn:x","type":"T"}"#,
+    );
+    refuses(r#"{"attrs":{"a":{"metadata":{"u":"v","u":5},"value":1}},"id":"urn:x","type":"T"}"#);
+    refuses(r#"{"attrs":{},"id":"urn:x","id":7,"type":"T"}"#);
+    // A non-object `attrs` (or a later one replacing an object) is ignored.
+    for attrs in ["[1]", "7", "null", "\"a\""] {
+        let doc = format!(r#"{{"attrs":{{"a":{{}}}},"attrs":{attrs},"id":"urn:x","type":"T"}}"#);
+        assert!(accepts(&doc).is_empty(), "{doc}");
+    }
+    let mut meta = Entity::new("urn:x", "T");
+    meta.set_attribute("a", Attribute::new(1.0).with_meta("u", "v"));
+    assert_eq!(
+        accepts(
+            r#"{"attrs":{"a":{"metadata":{"u":5,"u":"v"},"value":1}},"id":"urn:x","type":"T"}"#
+        ),
+        meta
+    );
+
+    // Every value shape decodes as the tree decodes it.
+    for value in [
+        r#"{"lat":-12.15,"lon":-45,"type":"geo:point"}"#,
+        r#"{"type":"geo:point"}"#,
+        r#"{"type":"geo:point","lat":"x","type":"other"}"#,
+        "[1,2.5e-7,-0]",
+        "[]",
+        r#"[1,"a",null]"#,
+        r#"{"z":[true,null],"a":"b","a":"c"}"#,
+        "null",
+        "true",
+        r#""say \"hi\"\\\n\u0001é💧\ud83d\udca7""#,
+    ] {
+        let doc = format!(r#"{{"attrs":{{"v":{{"value":{value}}}}},"id":"urn:x","type":"T"}}"#);
+        let e = accepts(&doc);
+        let expect = AttrValue::from_json_owned(Json::parse(value).unwrap());
+        assert_eq!(e.attribute("v").map(|a| &a.value), Some(&expect), "{value}");
+    }
+
+    // Strings: surrogate pairs, non-ASCII, and what the grammar refuses.
+    let probe = accepts(r#"{"attrs":{},"id":"urn:💧-\ud83d\udca7-稻","type":"солома"}"#);
+    assert_eq!(probe.id().as_str(), "urn:💧-💧-稻");
+    assert_eq!(probe.entity_type(), "солома");
+    for bad in [
+        r#"{"attrs":{},"id":"urn:\ud83d","type":"T"}"#,
+        r#"{"attrs":{},"id":"urn:\udca7","type":"T"}"#,
+        r#"{"attrs":{},"id":"urn:\ud83dA","type":"T"}"#,
+        r#"{"attrs":{},"id":"urn:\q","type":"T"}"#,
+        r#"{"attrs":{},"id":"urn:\u12","type":"T"}"#,
+        "{\"attrs\":{},\"id\":\"urn:\u{1}\",\"type\":\"T\"}",
+        r#"{"attrs":{},"id":"urn:x","type":"T"} x"#,
+        r#"{"attrs":{},"id":"urn:x","type":"T",}"#,
+        r#"["id","urn:x"]"#,
+        "",
+    ] {
+        refuses(bad);
+    }
+    // Bytes that are not UTF-8, inside a string and outside one.
+    let good = br#"{"attrs":{},"id":"urn:x","type":"T"}"#;
+    for (at, junk) in [
+        (17, &[0xFF][..]),
+        (17, &[0xC0, 0xAF]),
+        (17, &[0xED, 0xA0, 0x80]),
+        (17, &[0xE2, 0x82]),
+        (17, &[0xF0, 0x9F, 0x92]),
+        (0, &[0xEF, 0xBB]),
+        (good.len(), &[0x80]),
+    ] {
+        let mut bytes = good.to_vec();
+        bytes.splice(at..at, junk.iter().copied());
+        if let Ok(text) = std::str::from_utf8(&bytes) {
+            panic!("{text:?} is UTF-8");
+        }
+        assert!(decoders_agree(&bytes).is_none());
+    }
+}
+
+/// [`MAX_DEPTH`] holds wherever a value can nest: in an attribute value
+/// (three containers below the entity), in an unknown key, in `id`.
+#[test]
+fn reader_enforces_max_depth_where_the_tree_does() {
+    let nest = |k: usize| "[".repeat(k) + &"]".repeat(k);
+    for (template, top) in [
+        (
+            r#"{"attrs":{"a":{"value":NEST}},"id":"urn:x","type":"T"}"#,
+            3,
+        ),
+        (
+            r#"{"attrs":{"a":{"zz":NEST,"value":1}},"id":"urn:x","type":"T"}"#,
+            3,
+        ),
+        (r#"{"zz":NEST,"attrs":{},"id":"urn:x","type":"T"}"#, 1),
+        (r#"{"attrs":{},"id":NEST,"id":"urn:x","type":"T"}"#, 1),
+        (
+            r#"{"attrs":{"a":{"metadata":NEST,"metadata":{},"value":1}},"id":"urn:x","type":"T"}"#,
+            3,
+        ),
+    ] {
+        // The innermost of `k` arrays opened at depth `top` sits at
+        // `top + k - 1`: accepted at MAX_DEPTH, refused at MAX_DEPTH + 1.
+        let at_limit = MAX_DEPTH + 1 - top;
+        let doc = template.replace("NEST", &nest(at_limit));
+        assert!(
+            decoders_agree(doc.as_bytes()).is_some(),
+            "{template} at MAX_DEPTH"
+        );
+        let doc = template.replace("NEST", &nest(at_limit + 1));
+        assert!(
+            decoders_agree(doc.as_bytes()).is_none(),
+            "{template} past MAX_DEPTH"
+        );
+    }
 }
 
 /// One literal per [`AttrValue`] variant, plus the attribute envelope.

@@ -25,7 +25,6 @@
 //! injected at build time with [`PlatformBuilder::fault_plan`] and
 //! [`PlatformBuilder::uplink_outages`].
 
-use swamp_codec::json::Json;
 use swamp_codec::ngsi::Entity;
 use swamp_crypto::aead::NonceSequence;
 use swamp_crypto::keystore::Keystore;
@@ -142,6 +141,9 @@ pub struct Platform {
     /// Serialisation scratch of the write path: each entity's wire form
     /// is streamed here, then copied out at its exact size.
     wire_scratch: String,
+    /// Decryption scratch of the read path: each authenticated frame's
+    /// plaintext lands here and is read into its entity in place.
+    plaintext: Vec<u8>,
     /// The chunk of entities [`Platform::ingest_entities`] is working on;
     /// empty between calls, its capacity (`INGEST_CHUNK`) kept.
     ingest_chunk: Vec<Entity>,
@@ -499,6 +501,7 @@ impl PlatformBuilder {
             farm_id,
             node_id,
             wire_scratch: String::new(),
+            plaintext: Vec::new(),
             ingest_chunk: Vec::with_capacity(INGEST_CHUNK),
             inbox: Vec::new(),
             uplink,
@@ -930,15 +933,10 @@ impl Platform {
             .keystore
             .device_key(device_id)
             .map_err(|_| IngestError::AuthenticationFailed(device_id.to_owned()))?;
-        let plaintext = key
-            .key
-            .open(device_id.as_bytes(), sealed)
+        key.key
+            .open_into(device_id.as_bytes(), sealed, &mut self.plaintext)
             .map_err(|_| IngestError::AuthenticationFailed(device_id.to_owned()))?;
-        let text = std::str::from_utf8(&plaintext)
-            .map_err(|_| IngestError::MalformedPayload(device_id.to_owned()))?;
-        let json =
-            Json::parse(text).map_err(|_| IngestError::MalformedPayload(device_id.to_owned()))?;
-        let entity = Entity::from_json_owned(json)
+        let entity = Entity::read_compact(&self.plaintext)
             .map_err(|_| IngestError::MalformedPayload(device_id.to_owned()))?;
 
         // Replay detection on the firmware sequence number.
@@ -1305,8 +1303,7 @@ mod tests {
         // The cloud holds a decodable latest state: the replicated payload
         // parses back into the very entity the fog's context serves.
         let latest = replica.latest("urn:swamp:device:probe-1").unwrap();
-        let json = Json::parse(std::str::from_utf8(&latest.payload).unwrap()).unwrap();
-        let at_cloud = Entity::from_json(&json).unwrap();
+        let at_cloud = Entity::read_compact(&latest.payload).unwrap();
         let at_fog = p
             .context
             .entity(&"urn:swamp:device:probe-1".into())

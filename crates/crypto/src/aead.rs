@@ -30,11 +30,12 @@ impl std::fmt::Display for OpenError {
 impl std::error::Error for OpenError {}
 
 /// A 256-bit symmetric key from which independent encryption and MAC keys
-/// are derived via HKDF.
+/// are derived via HKDF. The MAC key is kept keyed — both HMAC pads
+/// already compressed — so a frame's tag costs only its own bytes.
 #[derive(Clone)]
 pub struct SecretKey {
     enc_key: [u8; KEY_LEN],
-    mac_key: [u8; KEY_LEN],
+    mac: HmacSha256,
 }
 
 impl std::fmt::Debug for SecretKey {
@@ -51,10 +52,11 @@ impl SecretKey {
     pub fn derive(ikm: &[u8], label: &str) -> Self {
         let okm = hkdf(b"swamp-aead-v1", ikm, label.as_bytes(), KEY_LEN * 2);
         let mut enc_key = [0u8; KEY_LEN];
-        let mut mac_key = [0u8; KEY_LEN];
         enc_key.copy_from_slice(&okm[..KEY_LEN]);
-        mac_key.copy_from_slice(&okm[KEY_LEN..]);
-        SecretKey { enc_key, mac_key }
+        SecretKey {
+            enc_key,
+            mac: HmacSha256::new(&okm[KEY_LEN..]),
+        }
     }
 
     /// Encrypts and authenticates `plaintext` with the given unique `nonce`
@@ -73,17 +75,32 @@ impl SecretKey {
         out
     }
 
-    /// Verifies and decrypts a frame produced by [`SecretKey::seal`].
+    /// Verifies and decrypts a frame produced by [`SecretKey::seal`] into a
+    /// fresh buffer: [`SecretKey::open_into`] for callers that keep none.
+    ///
+    /// # Errors
+    /// As [`SecretKey::open_into`].
+    pub fn open(&self, aad: &[u8], frame: &[u8]) -> Result<Vec<u8>, OpenError> {
+        let mut plaintext = Vec::new();
+        self.open_into(aad, frame, &mut plaintext)?;
+        Ok(plaintext)
+    }
+
+    /// Verifies a frame produced by [`SecretKey::seal`] and decrypts it into
+    /// `out`, replacing what `out` held and reusing its capacity. The tag
+    /// is checked before a byte is decrypted, and on any error `out` is
+    /// left empty, so unauthenticated plaintext is never exposed.
     ///
     /// # Errors
     /// Returns [`OpenError`] if the frame is truncated, the tag does not
     /// verify, or the AAD differs from the one used at seal time.
-    pub fn open(&self, aad: &[u8], frame: &[u8]) -> Result<Vec<u8>, OpenError> {
-        if frame.len() < SEAL_OVERHEAD {
+    pub fn open_into(&self, aad: &[u8], frame: &[u8], out: &mut Vec<u8>) -> Result<(), OpenError> {
+        out.clear();
+        let Some(ct_len) = frame.len().checked_sub(SEAL_OVERHEAD) else {
             return Err(OpenError);
-        }
+        };
         let (nonce_bytes, rest) = frame.split_at(NONCE_LEN);
-        let (ciphertext, tag) = rest.split_at(rest.len() - DIGEST_LEN);
+        let (ciphertext, tag) = rest.split_at(ct_len);
         let mut nonce = [0u8; NONCE_LEN];
         nonce.copy_from_slice(nonce_bytes);
 
@@ -92,13 +109,13 @@ impl SecretKey {
             return Err(OpenError);
         }
 
-        let mut plaintext = ciphertext.to_vec();
-        ChaCha20::new(&self.enc_key, &nonce).apply_keystream(1, &mut plaintext);
-        Ok(plaintext)
+        out.extend_from_slice(ciphertext);
+        ChaCha20::new(&self.enc_key, &nonce).apply_keystream(1, out);
+        Ok(())
     }
 
     fn tag(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], ciphertext: &[u8]) -> [u8; DIGEST_LEN] {
-        let mut mac = HmacSha256::new(&self.mac_key);
+        let mut mac = self.mac.clone();
         // Unambiguous framing: lengths prefixed so (aad, ct) pairs can't collide.
         mac.update(&(aad.len() as u64).to_be_bytes());
         mac.update(aad);
@@ -220,6 +237,91 @@ mod tests {
         let frame = k.seal(&[5u8; NONCE_LEN], b"", b"hello");
         for len in 0..SEAL_OVERHEAD {
             assert_eq!(k.open(b"", &frame[..len]), Err(OpenError), "len {len}");
+        }
+    }
+
+    /// The sealed bytes of one fixed frame, pinned: key schedule, nonce
+    /// layout, tag framing and cipher together, so no speed-up of any of
+    /// them can change the wire.
+    #[test]
+    fn sealed_bytes_known_answer() {
+        let k = SecretKey::derive(b"pilot shared secret", "link:probe-07");
+        let nonce = [0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 42];
+        let frame = k.seal(&nonce, b"probe-07", PIN_PLAINTEXT);
+        assert_eq!(
+            crate::sha256::to_hex(&frame),
+            "00000007000000000000002a0e019069a68cf7e4d3ac701f493d7616fe23ac8c\
+             a4275496e8517eb8dab146b035188b7d3c0724c766449fe425df5ec49c1f8bc0\
+             f10bcdda66311ecf526303db2aed75931073d30c36b7727f3abca17f99f61f53\
+             e653e7703f5d488e6a1afb0b73419dc9d0aeb28f2bfa2e7db76723bfb1dd641e\
+             d85b4d4596c394eee76dcfe543aa7afe37e886872b4c482ed0ee8cb6b8021e7d\
+             fa8c7431d16253a07ad8e8dfefe5d1148a"
+        );
+        let empty = SecretKey::derive(b"", "").seal(&[0u8; NONCE_LEN], b"", b"");
+        assert_eq!(
+            crate::sha256::to_hex(&empty),
+            "000000000000000000000000277a503a9091e4520cc9f115cf863c865b2651f1\
+             b5e66ae65a3f3f51a6960e1c"
+        );
+    }
+
+    const PIN_PLAINTEXT: &[u8] = br#"{"attrs":{"moisture_vwc":{"observedAt":3600000,"value":0.23},"seq":{"value":42}},"id":"urn:swamp:device:probe-07","type":"SoilProbe"}"#;
+
+    #[test]
+    fn open_into_equals_open_and_reuses_the_buffer() {
+        let k = key();
+        let mut out = Vec::new();
+        for len in [0, 1, 63, 64, 65, PIN_PLAINTEXT.len()] {
+            let frame = k.seal(&[len as u8; NONCE_LEN], b"aad", &PIN_PLAINTEXT[..len]);
+            k.open_into(b"aad", &frame, &mut out).unwrap();
+            assert_eq!(out, k.open(b"aad", &frame).unwrap());
+            assert_eq!(out, &PIN_PLAINTEXT[..len]);
+        }
+        // The largest frame left its capacity; a smaller one reuses it.
+        let capacity = out.capacity();
+        let ptr = out.as_ptr();
+        let frame = k.seal(&[7u8; NONCE_LEN], b"aad", b"short");
+        k.open_into(b"aad", &frame, &mut out).unwrap();
+        assert_eq!(out, b"short");
+        assert_eq!((out.capacity(), out.as_ptr()), (capacity, ptr));
+    }
+
+    /// Every single-bit flip of the nonce, ciphertext, tag or AAD is
+    /// refused, and the refusal leaves the output buffer empty even when
+    /// it held a previous frame's plaintext.
+    #[test]
+    fn every_bit_flip_is_refused_and_exposes_nothing() {
+        let k = key();
+        let aad = b"probe-07";
+        let frame = k.seal(&[3u8; NONCE_LEN], aad, PIN_PLAINTEXT);
+        let mut out = Vec::new();
+        let mut refused = 0;
+        for byte in 0..frame.len() {
+            for bit in 0..8 {
+                let mut bad = frame.clone();
+                bad[byte] ^= 1 << bit;
+                k.open_into(aad, &frame, &mut out).unwrap();
+                assert_eq!(k.open_into(aad, &bad, &mut out), Err(OpenError));
+                assert!(out.is_empty(), "byte {byte} bit {bit}");
+                refused += 1;
+            }
+        }
+        for byte in 0..aad.len() {
+            for bit in 0..8 {
+                let mut bad_aad = *aad;
+                bad_aad[byte] ^= 1 << bit;
+                k.open_into(aad, &frame, &mut out).unwrap();
+                assert_eq!(k.open_into(&bad_aad, &frame, &mut out), Err(OpenError));
+                assert!(out.is_empty(), "aad byte {byte} bit {bit}");
+                refused += 1;
+            }
+        }
+        assert_eq!(refused, (frame.len() + aad.len()) * 8);
+        // Truncation too, at every length.
+        for len in 0..frame.len() {
+            k.open_into(aad, &frame, &mut out).unwrap();
+            assert_eq!(k.open_into(aad, &frame[..len], &mut out), Err(OpenError));
+            assert!(out.is_empty(), "len {len}");
         }
     }
 

@@ -22,10 +22,17 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; DIGEST_LEN] {
 }
 
 /// Incremental HMAC-SHA256.
+///
+/// Keying compresses both pads once, each into a hasher of its own: a
+/// keyed MAC that is cloned per message (as [`crate::aead::SecretKey`]
+/// does) pays only for the message and one outer block, never for its key
+/// again; a one-off MAC does the same compressions as hashing the pads
+/// inline.
 #[derive(Clone, Debug)]
 pub struct HmacSha256 {
     inner: Sha256,
-    outer_key: [u8; BLOCK_LEN],
+    /// The outer pad's chaining value: a hasher fed exactly that block.
+    outer: Sha256,
 }
 
 impl HmacSha256 {
@@ -48,7 +55,9 @@ impl HmacSha256 {
 
         let mut inner = Sha256::new();
         inner.update(&inner_key);
-        HmacSha256 { inner, outer_key }
+        let mut outer = Sha256::new();
+        outer.update(&outer_key);
+        HmacSha256 { inner, outer }
     }
 
     /// Absorbs more message bytes.
@@ -59,8 +68,7 @@ impl HmacSha256 {
     /// Finishes and returns the 32-byte tag.
     pub fn finalize(self) -> [u8; DIGEST_LEN] {
         let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.outer_key);
+        let mut outer = self.outer;
         outer.update(&inner_digest);
         outer.finalize()
     }

@@ -8,9 +8,10 @@
 //! Derivation (an HKDF over a formatted label) runs once per device and
 //! epoch: the first [`Keystore::device_key`] after [`Keystore::provision`]
 //! or [`Keystore::rotate`] derives the key and keeps it in the device's
-//! record, and every later per-frame lookup is a map lookup and a 64-byte
-//! copy. Provisioning itself derives nothing, so registering a fleet costs
-//! no key schedule for devices that never send.
+//! record, and every later per-frame lookup is a map lookup and a copy of
+//! the key (256 bytes: the cipher key and the two keyed hashers).
+//! Provisioning itself derives nothing, so registering a fleet costs no
+//! key schedule for devices that never send.
 
 use std::collections::BTreeMap;
 use std::sync::OnceLock;

@@ -107,31 +107,27 @@ impl Sha256 {
     /// Finishes and returns the digest, consuming the hasher.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 8-byte big-endian bit length.
-        self.update_padding(&[0x80]);
-        while self.buffer_len != 56 {
-            self.update_padding(&[0]);
+        // Padding: 0x80, zeros, 8-byte big-endian bit length — written in
+        // place; a tail too long for the length spills into one more block.
+        // (`update` leaves `buffer_len < BLOCK_LEN`.)
+        let mut len = self.buffer_len;
+        self.buffer[len] = 0x80;
+        len += 1;
+        if len > BLOCK_LEN - 8 {
+            self.buffer[len..].fill(0);
+            let block = self.buffer;
+            self.compress(&block);
+            len = 0;
         }
-        self.update_padding(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buffer_len, 0);
+        self.buffer[len..BLOCK_LEN - 8].fill(0);
+        self.buffer[BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_be_bytes());
+        let block = self.buffer;
+        self.compress(&block);
         let mut out = [0u8; DIGEST_LEN];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
         }
         out
-    }
-
-    /// update() without counting toward the message length (for padding).
-    fn update_padding(&mut self, data: &[u8]) {
-        for &b in data {
-            self.buffer[self.buffer_len] = b;
-            self.buffer_len += 1;
-            if self.buffer_len == BLOCK_LEN {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
-            }
-        }
     }
 
     fn compress(&mut self, block: &[u8; BLOCK_LEN]) {

@@ -50,5 +50,5 @@ pub use baseline::{BaselineConfig, BaselineFlag, BaselineVerdict, BehaviorBank, 
 pub use detect::{CusumDetector, RangeValidator, RateGuard, SeqMonitor, Verdict, ZScoreDetector};
 pub use identity::{AuthError, IdentityProvider, Token, TokenInfo};
 pub use ledger::{DeviceContract, Ledger, LifecycleEvent, LifecycleKind};
-pub use pipeline::{Alert, DetectorBank, Recommendation};
+pub use pipeline::{DetectorBank, Recommendation};
 pub use profile::{CropProfile, CropProfiler};

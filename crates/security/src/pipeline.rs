@@ -6,9 +6,10 @@
 //! range yet statistically abnormal, or drifting too slowly for any one
 //! sample to stand out) and decide *what to do*: log, alert the
 //! operator, or quarantine the device. [`DetectorBank`] wires the point
-//! detectors from [`crate::detect`] per quantity, per device, aggregates
-//! their findings into [`Alert`]s with per-device severity scoring, and
-//! turns the score into a [`Recommendation`]. Frame sequence numbers are
+//! detectors from [`crate::detect`] per quantity, per device, scores
+//! their findings per device (each one counted on `security.*` and
+//! reported as a `security.alert` event), and turns the score into a
+//! [`Recommendation`]. Frame sequence numbers are
 //! not evidence here: the platform's ingest path owns the one
 //! [`crate::detect::SeqMonitor`] and rejects replays outright.
 
@@ -28,23 +29,6 @@ pub enum Evidence {
     PointAnomaly,
     /// Accumulated drift (CUSUM).
     Drift,
-}
-
-/// One alert raised by the pipeline.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Alert {
-    /// Device the alert concerns.
-    pub device: String,
-    /// Measured quantity ("moisture_vwc"…).
-    pub quantity: String,
-    /// Evidence class.
-    pub evidence: Evidence,
-    /// Severity at raise time.
-    pub severity: Severity,
-    /// The offending value, if any.
-    pub value: Option<f64>,
-    /// When it was raised.
-    pub at: SimTime,
 }
 
 /// What the pipeline recommends for a device.
@@ -95,7 +79,6 @@ pub struct DetectorBank {
     /// Physical ranges per quantity name.
     ranges: BTreeMap<String, RangeValidator>,
     devices: BTreeMap<String, DeviceEntry>,
-    alerts: Vec<Alert>,
     obs: Obs,
     ins: BankInstruments,
 }
@@ -134,7 +117,6 @@ impl DetectorBank {
         DetectorBank {
             ranges: BTreeMap::new(),
             devices: BTreeMap::new(),
-            alerts: Vec::new(),
             obs,
             ins,
         }
@@ -155,16 +137,6 @@ impl DetectorBank {
     /// Registers the physical range for a quantity (applies to all devices).
     pub fn configure_quantity(&mut self, quantity: &str, range: RangeValidator) {
         self.ranges.insert(quantity.to_owned(), range);
-    }
-
-    /// All alerts raised so far.
-    pub fn alerts(&self) -> &[Alert] {
-        &self.alerts
-    }
-
-    /// Drains the alert log (for forwarding to an operator console).
-    pub fn take_alerts(&mut self) -> Vec<Alert> {
-        std::mem::take(&mut self.alerts)
     }
 
     /// Current recommendation for a device.
@@ -192,15 +164,10 @@ impl DetectorBank {
         }
     }
 
-    fn raise(
-        &mut self,
-        at: SimTime,
-        device: &str,
-        quantity: &str,
-        evidence: Evidence,
-        severity: Severity,
-        value: Option<f64>,
-    ) {
+    /// Scores one finding against its device and reports it through the
+    /// bounded instruments only: the `security.*` counters and the
+    /// `security.alert` event ring. Nothing per alert is kept.
+    fn raise(&mut self, device: &str, quantity: &str, evidence: Evidence, severity: Severity) {
         let score = &mut self.devices.entry(device.to_owned()).or_default().score;
         let before = *score;
         *score += match severity {
@@ -229,22 +196,14 @@ impl DetectorBank {
             self.obs
                 .event(Level::Error, "security.quarantine_recommended", device);
         }
-
-        self.alerts.push(Alert {
-            device: device.to_owned(),
-            quantity: quantity.to_owned(),
-            evidence,
-            severity,
-            value,
-            at,
-        });
     }
 
     /// Feeds one measured value through range + z-score + CUSUM detectors.
-    /// Returns the strongest verdict.
+    /// Returns the strongest verdict. The detectors are order-based: the
+    /// observation time is accepted for the caller's record and not read.
     pub fn observe_value(
         &mut self,
-        at: SimTime,
+        _at: SimTime,
         device: &str,
         quantity: &str,
         value: f64,
@@ -252,14 +211,7 @@ impl DetectorBank {
         // Range first: an impossible value must not train the baselines.
         if let Some(range) = self.ranges.get(quantity) {
             if range.check(value).is_anomalous() {
-                self.raise(
-                    at,
-                    device,
-                    quantity,
-                    Evidence::OutOfRange,
-                    Severity::Alert,
-                    Some(value),
-                );
+                self.raise(device, quantity, Evidence::OutOfRange, Severity::Alert);
                 return Verdict::Anomalous(Severity::Alert);
             }
         }
@@ -291,7 +243,7 @@ impl DetectorBank {
             } else {
                 Evidence::PointAnomaly
             };
-            self.raise(at, device, quantity, evidence, severity, Some(value));
+            self.raise(device, quantity, evidence, severity);
         }
         verdict
     }
@@ -317,7 +269,7 @@ mod tests {
             b.observe_value(SimTime::from_secs(i), "p", "moisture_vwc", v);
         }
         assert_eq!(b.recommendation("p"), Recommendation::Trust);
-        assert!(b.alerts().is_empty());
+        assert_eq!(b.observe().counter("security.alerts_raised").unwrap(), 0);
     }
 
     #[test]
@@ -326,7 +278,7 @@ mod tests {
         let v = b.observe_value(SimTime::ZERO, "p", "moisture_vwc", 1.5);
         assert!(v.is_anomalous());
         assert_eq!(b.recommendation("p"), Recommendation::Quarantine);
-        assert_eq!(b.alerts()[0].evidence, Evidence::OutOfRange);
+        assert_eq!(b.observe().counter("security.out_of_range").unwrap(), 1);
         assert_eq!(b.quarantined(), vec!["p"]);
     }
 
@@ -393,10 +345,12 @@ mod tests {
             }
         }
         assert!(caught, "drift must be caught");
-        assert!(b
-            .alerts()
-            .iter()
-            .any(|a| a.evidence == Evidence::Drift || a.evidence == Evidence::PointAnomaly));
+        let snap = b.observe();
+        assert!(
+            snap.counter("security.drift").unwrap()
+                + snap.counter("security.point_anomaly").unwrap()
+                > 0
+        );
     }
 
     #[test]
@@ -422,11 +376,10 @@ mod tests {
     }
 
     #[test]
-    fn clear_restores_trust_and_take_alerts_drains() {
+    fn clear_restores_trust() {
         let mut b = bank();
         b.observe_value(SimTime::ZERO, "p", "moisture_vwc", 2.0);
-        assert_eq!(b.take_alerts().len(), 1);
-        assert!(b.alerts().is_empty());
+        assert_eq!(b.recommendation("p"), Recommendation::Quarantine);
         b.clear_device("p");
         assert_eq!(b.recommendation("p"), Recommendation::Trust);
     }

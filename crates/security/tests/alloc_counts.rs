@@ -1,17 +1,20 @@
-//! Allocation-count proof for the per-frame detector tables.
+//! Allocation-count proofs for the per-frame detector tables.
 //!
 //! Every sealed frame passes `SeqMonitor::observe` once and
 //! `DetectorBank::observe_value` once per numeric attribute. Both tables
 //! are keyed by device id; once a device (and each of its quantities)
 //! has been admitted, looking it up borrows the caller's `&str` — an
-//! in-order, in-range frame touches the heap exactly zero times.
+//! in-order, in-range frame touches the heap exactly zero times. And an
+//! alert keeps nothing per alert: a storm of them leaves the bank's live
+//! heap where its first thousand left it (the counters and the bounded
+//! event ring are all that record it).
 //!
-//! Everything runs inside one `#[test]` so concurrent test threads cannot
-//! pollute the shared counter (pattern from
-//! `crates/obs/tests/alloc_counts.rs`).
+//! The tests take one lock so a concurrent test thread cannot pollute
+//! the shared counters (pattern from `crates/obs/tests/alloc_counts.rs`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use swamp_security::detect::{RangeValidator, SeqMonitor};
 use swamp_security::pipeline::DetectorBank;
@@ -20,19 +23,30 @@ use swamp_sim::SimTime;
 struct CountingAlloc;
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+/// Bytes allocated and not yet freed, process-wide.
+static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
+/// Held by each test for its whole body.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn size(bytes: usize) -> i64 {
+    i64::try_from(bytes).unwrap_or(i64::MAX)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(size(layout.size()), Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(size(layout.size()), Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(size(new_size) - size(layout.size()), Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -63,6 +77,7 @@ fn pass(seq: &mut SeqMonitor, bank: &mut DetectorBank, ids: &[String], round: u6
 
 #[test]
 fn admitted_devices_are_observed_without_allocating() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let ids: Vec<String> = (0..DEVICES).map(|i| format!("probe-{i:03}")).collect();
     let mut seq = SeqMonitor::new();
     let mut bank = DetectorBank::new();
@@ -87,5 +102,38 @@ fn admitted_devices_are_observed_without_allocating() {
          ({:.1} per frame)",
         steady as f64 / DEVICES as f64
     );
-    assert!(bank.alerts().is_empty());
+    assert_eq!(bank.observe().counter("security.alerts_raised").unwrap(), 0);
+}
+
+/// Raises `n` out-of-range alerts across eight devices, returning the
+/// process's live heap bytes afterwards.
+fn storm(bank: &mut DetectorBank, n: u64) -> i64 {
+    for i in 0..n {
+        let device = format!("probe-{}", i % 8);
+        let verdict = bank.observe_value(SimTime::from_secs(i), &device, "moisture_vwc", 1.5);
+        assert!(verdict.is_anomalous());
+    }
+    LIVE_BYTES.load(Ordering::Relaxed)
+}
+
+/// An alert storm is counted, not kept: after 1 000 warm-up alerts (every
+/// device admitted, the event ring full) 10 000 more leave the live heap
+/// flat. A bank that logged each alert (an `Alert` with its device and
+/// quantity strings) would grow by about a megabyte here.
+#[test]
+fn alert_storm_keeps_live_bytes_flat() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let mut bank = DetectorBank::new();
+    bank.configure_quantity("moisture_vwc", RangeValidator::soil_moisture());
+    let warm = storm(&mut bank, 1_000);
+    let stormed = storm(&mut bank, 10_000);
+    assert_eq!(
+        bank.observe().counter("security.alerts_raised").unwrap(),
+        11_000
+    );
+    assert!(
+        stormed - warm <= 4_096,
+        "10 000 alerts after warm-up grew the live heap by {} bytes",
+        stormed - warm
+    );
 }

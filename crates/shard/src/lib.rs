@@ -88,7 +88,6 @@ impl ShardInstruments {
 /// ```
 pub struct ShardedPlatform {
     shards: Vec<Platform>,
-    seeds: Vec<u64>,
     workers: usize,
     /// Test seam for the merge-barrier ordering test: wall-clock
     /// milliseconds to delay each shard's parallel pump by (never
@@ -122,12 +121,7 @@ impl ShardedPlatform {
         let base_seed = builder.configured_seed();
         let config = builder.deployment();
 
-        let mut shards = Vec::with_capacity(n);
-        let mut seeds = Vec::with_capacity(n);
-        for i in 0..n {
-            shards.push(builder.build_shard(i));
-            seeds.push(shard_seed(base_seed, i));
-        }
+        let shards: Vec<Platform> = (0..n).map(|i| builder.build_shard(i)).collect();
 
         let mut obs = Obs::new();
         let ins = ShardInstruments::register(&mut obs);
@@ -135,7 +129,6 @@ impl ShardedPlatform {
 
         ShardedPlatform {
             shards,
-            seeds,
             workers: builder.worker_count(),
             stagger_ms: Vec::new(),
             agg_store: CloudStore::new("cloud-agg"),
@@ -345,7 +338,7 @@ impl ShardedPlatform {
             .iter()
             .enumerate()
             .map(|(i, shard)| {
-                ObsReport::new(&format!("{base}/shard{i}"), self.seeds[i], shard.observe())
+                ObsReport::new(&format!("{base}/shard{i}"), shard.seed(), shard.observe())
             })
             .collect();
         reports.push(ObsReport::new(

@@ -129,22 +129,22 @@ impl ViewIndexer {
 
     fn apply(&mut self, rec: &UpdateRecord) {
         self.applied += 1;
-        let acc = self
-            .entities
-            .entry(rec.key.clone())
-            .or_insert_with(|| EntityAccum {
-                farm: farm_of(&rec.key).to_owned(),
-                ..EntityAccum::default()
-            });
+        // The key is cloned, and its farm derived, on first sight only.
+        let acc = match self.entities.get_mut(&rec.key) {
+            Some(acc) => acc,
+            None => self
+                .entities
+                .entry(rec.key.clone())
+                .or_insert_with(|| EntityAccum {
+                    farm: farm_of(&rec.key).to_owned(),
+                    ..EntityAccum::default()
+                }),
+        };
         acc.records += 1;
         acc.last_seq = rec.seq;
         acc.last_at = rec.created_at;
-        let entity = std::str::from_utf8(&rec.payload)
-            .ok()
-            .and_then(|s| Json::parse(s).ok())
-            .and_then(|j| Entity::from_json_owned(j).ok());
-        match entity {
-            Some(e) => {
+        match Entity::read_compact(&rec.payload) {
+            Ok(e) => {
                 if let Some(v) = e.number(CONSUMPTION_ATTR) {
                     acc.consumption += v;
                 }
@@ -155,7 +155,7 @@ impl ViewIndexer {
                     }
                 }
             }
-            None => self.malformed += 1,
+            Err(_) => self.malformed += 1,
         }
     }
 
