@@ -55,7 +55,7 @@ pub use broker::{ContextBroker, Notification, SubscriptionFilter, SubscriptionId
 pub use drive::Drive;
 pub use error::Error;
 pub use history::{HistoryStore, Sample, WindowAggregate};
-pub use platform::{DeploymentConfig, Fallback, IngestError, Platform, PlatformBuilder};
+pub use platform::{DeploymentConfig, IngestError, Platform, PlatformBuilder};
 pub use query::{QueryRequest, QueryResponse, SeriesEntry};
 pub use registry::{DeviceRecord, DeviceRegistry};
 pub use shard::{route_device, route_entity, routing_key, shard_seed, ShardIndex};

@@ -20,9 +20,9 @@
 //!   fire-and-forget relay, which silently lost frames to uplink loss).
 //!
 //! The engine's [`DegradedMode`] is surfaced through
-//! [`Platform::degraded_mode`] and [`Platform::active_fallback`], and
-//! deterministic faults (loss/duplication/reordering/partitions) can be
-//! injected at build time with [`PlatformBuilder::fault_plan`] and
+//! [`Platform::degraded_mode`], and deterministic faults
+//! (loss/duplication/reordering/partitions) can be injected at build time
+//! with [`PlatformBuilder::fault_plan`] and
 //! [`PlatformBuilder::uplink_outages`].
 
 use swamp_codec::ngsi::Entity;
@@ -37,7 +37,7 @@ use swamp_net::network::Network;
 use swamp_obs::{Counter, Level, Obs, ObsSnapshot, Span};
 use swamp_security::access::{Action, Decision, Pdp, Resource};
 use swamp_security::baseline::{BaselineConfig, BehaviorBank};
-use swamp_security::detect::{RangeValidator, SeqMonitor};
+use swamp_security::detect::RangeValidator;
 use swamp_security::identity::{AuthError, IdentityProvider, Token};
 use swamp_security::pipeline::{DetectorBank, Recommendation};
 use swamp_sensors::device::DeviceKind;
@@ -71,7 +71,9 @@ pub enum IngestError {
     AuthenticationFailed(String),
     /// Payload did not parse as an entity.
     MalformedPayload(String),
-    /// Sequence number replayed or duplicated.
+    /// Sequence number missing, negative or not a whole number, or not
+    /// above the last one admitted from the device (replayed or
+    /// duplicated).
     Replay(String),
 }
 
@@ -88,19 +90,6 @@ impl std::fmt::Display for IngestError {
     }
 }
 impl std::error::Error for IngestError {}
-
-/// The degraded-behavior fallback a deployment is currently exercising,
-/// per the paper's requirement that the platform keep functioning "even in
-/// case of Internet disconnections using local components".
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Fallback {
-    /// CloudOnly: the gateway is buffering sealed frames until the uplink
-    /// recovers; decisions are stalled.
-    GatewayBuffering,
-    /// FarmFog: irrigation decisions continue at the fog node; cloud
-    /// replication is catching up in the background.
-    LocalControl,
-}
 
 /// The assembled platform.
 pub struct Platform {
@@ -131,7 +120,6 @@ pub struct Platform {
     /// [`PlatformBuilder::baseline`].
     pub behavior: BehaviorBank,
     auto_quarantine: bool,
-    seq: SeqMonitor,
     device_nonces: std::collections::BTreeMap<String, NonceSequence>,
     /// The topology's node ids, made once: the cloud, the farm-side node
     /// devices talk to, and the node ingestion runs on (one of the two).
@@ -182,7 +170,6 @@ struct PlatformInstruments {
     rejected_malformed: Counter,
     rejected_replay: Counter,
     quarantined: Counter,
-    quarantine_failed: Counter,
     replication_refused: Counter,
     sync_malformed_ack: Counter,
     relay_malformed_ack: Counter,
@@ -207,7 +194,6 @@ impl PlatformInstruments {
             rejected_malformed: obs.counter("ingest.rejected_malformed"),
             rejected_replay: obs.counter("ingest.rejected_replay"),
             quarantined: obs.counter("ingest.quarantined"),
-            quarantine_failed: obs.counter("ingest.quarantine_failed"),
             replication_refused: obs.counter("ingest.replication_refused"),
             sync_malformed_ack: obs.counter("sync.malformed_ack"),
             relay_malformed_ack: obs.counter("relay.malformed_ack"),
@@ -464,12 +450,12 @@ impl PlatformBuilder {
             .build();
         let cloud_store = match config {
             DeploymentConfig::FarmFog => CloudStore::new(nodes::CLOUD),
-            // In-order release: relayed frames feed the per-device
-            // sequence monitor, which rejects any frame that arrives
-            // behind one it has already seen — and retransmissions on
-            // a lossy uplink reorder freely. A seq the gateway's bounded
-            // buffer evicted is released past as soon as a record
-            // carrying the gateway's raised floor lands.
+            // In-order release: relayed frames meet the replay floor in
+            // each device's registry row, which rejects any frame that
+            // arrives behind one it has already admitted — and
+            // retransmissions on a lossy uplink reorder freely. A seq the
+            // gateway's bounded buffer evicted is released past as soon as
+            // a record carrying the gateway's raised floor lands.
             DeploymentConfig::CloudOnly => CloudStore::in_order(nodes::CLOUD),
         };
 
@@ -495,7 +481,6 @@ impl PlatformBuilder {
             detectors,
             behavior: BehaviorBank::new(baseline),
             auto_quarantine: false,
-            seq: SeqMonitor::new(),
             device_nonces: std::collections::BTreeMap::new(),
             cloud_id,
             farm_id,
@@ -693,19 +678,6 @@ impl Platform {
         self.uplink.mode()
     }
 
-    /// The fallback behavior currently active, if the uplink engine has
-    /// left `Connected`: the CloudOnly gateway buffers, a FarmFog node
-    /// keeps deciding locally.
-    pub fn active_fallback(&self) -> Option<Fallback> {
-        if self.degraded_mode() == DegradedMode::Connected {
-            return None;
-        }
-        Some(match self.config {
-            DeploymentConfig::CloudOnly => Fallback::GatewayBuffering,
-            DeploymentConfig::FarmFog => Fallback::LocalControl,
-        })
-    }
-
     /// Registers a field device: network node + link, key provisioning and
     /// registry entry.
     ///
@@ -831,9 +803,8 @@ impl Platform {
         let mut batch: Vec<Entity> = Vec::new();
         for d in &inbox {
             if let Some(device_id) = d.message.topic.strip_prefix("telemetry/") {
-                match self.validate_frame(now, device_id, &d.message.payload) {
-                    Ok(entity) => batch.push(entity),
-                    Err(e) => self.count_rejection(&e),
+                if let Ok(entity) = self.validate_frame(now, device_id, &d.message.payload) {
+                    batch.push(entity);
                 }
             } else if d.message.topic == ACK_TOPIC
                 && fog
@@ -860,9 +831,8 @@ impl Platform {
             self.net.advance_to(now);
             for frame in frames {
                 if let Some(device_id) = frame.key.strip_prefix("telemetry/") {
-                    match self.validate_frame(now, device_id, &frame.payload) {
-                        Ok(entity) => batch.push(entity),
-                        Err(e) => self.count_rejection(&e),
+                    if let Ok(entity) = self.validate_frame(now, device_id, &frame.payload) {
+                        batch.push(entity);
                     }
                 }
             }
@@ -883,16 +853,6 @@ impl Platform {
             self.cloud_store.process(&mut self.net, now);
         }
         ingested
-    }
-
-    fn count_rejection(&mut self, e: &IngestError) {
-        let handle = match e {
-            IngestError::UnregisteredDevice(_) => self.ins.rejected_unregistered,
-            IngestError::AuthenticationFailed(_) => self.ins.rejected_auth,
-            IngestError::MalformedPayload(_) => self.ins.rejected_malformed,
-            IngestError::Replay(_) => self.ins.rejected_replay,
-        };
-        self.obs.inc(handle);
     }
 
     /// The secure ingestion path for one sealed frame: validation followed
@@ -916,7 +876,8 @@ impl Platform {
     /// Runs the defensive half of ingestion for one sealed frame — registry
     /// check, authenticated decryption, payload decode, replay detection
     /// and the anomaly pipeline — returning the validated entity update
-    /// without applying it.
+    /// without applying it. A rejection is counted here, on the
+    /// `ingest.rejected_*` counter of its kind.
     ///
     /// # Errors
     /// [`IngestError`] describing which defense rejected the frame.
@@ -926,9 +887,31 @@ impl Platform {
         device_id: &str,
         sealed: &[u8],
     ) -> Result<Entity, IngestError> {
-        if !self.registry.is_active(device_id) {
-            return Err(IngestError::UnregisteredDevice(device_id.to_owned()));
+        let verdict = self.admit_frame(now, device_id, sealed);
+        if let Err(e) = &verdict {
+            self.obs.inc(match e {
+                IngestError::UnregisteredDevice(_) => self.ins.rejected_unregistered,
+                IngestError::AuthenticationFailed(_) => self.ins.rejected_auth,
+                IngestError::MalformedPayload(_) => self.ins.rejected_malformed,
+                IngestError::Replay(_) => self.ins.rejected_replay,
+            });
         }
+        verdict
+    }
+
+    /// [`Platform::validate_frame`]'s checks, uncounted. The device's
+    /// registry row is looked up once and serves the enabled check, the
+    /// replay floor and auto-quarantine.
+    fn admit_frame(
+        &mut self,
+        now: SimTime,
+        device_id: &str,
+        sealed: &[u8],
+    ) -> Result<Entity, IngestError> {
+        let row = match self.registry.get_mut(device_id) {
+            Some(row) if row.enabled => row,
+            _ => return Err(IngestError::UnregisteredDevice(device_id.to_owned())),
+        };
         let key = self
             .keystore
             .device_key(device_id)
@@ -939,11 +922,14 @@ impl Platform {
         let entity = Entity::read_compact(&self.plaintext)
             .map_err(|_| IngestError::MalformedPayload(device_id.to_owned()))?;
 
-        // Replay detection on the firmware sequence number.
-        if let Some(seq) = entity.number("seq") {
-            if !self.seq.observe(device_id, seq as u64) {
-                return Err(IngestError::Replay(device_id.to_owned()));
-            }
+        // Replay detection on the firmware sequence number: a frame must
+        // carry a whole, non-negative `seq` above the last one admitted, or
+        // it could be captured and re-ingested at will.
+        let seq = entity
+            .number("seq")
+            .filter(|seq| *seq >= 0.0 && seq.fract() == 0.0);
+        if !seq.is_some_and(|seq| row.admit_seq(seq as u64)) {
+            return Err(IngestError::Replay(device_id.to_owned()));
         }
 
         // Detection pipeline: every numeric attribute is screened before it
@@ -959,20 +945,9 @@ impl Platform {
         if self.auto_quarantine
             && self.detectors.recommendation(device_id) == Recommendation::Quarantine
         {
-            // `is_active` above proved the device is registered, so the
-            // disable cannot miss; if the registry ever disagrees, count it
-            // rather than silently dropping the quarantine.
-            match self.registry.set_enabled(device_id, false) {
-                Ok(()) => {
-                    self.obs.inc(self.ins.quarantined);
-                    self.obs.event(Level::Warn, "ingest.quarantine", device_id);
-                }
-                Err(_) => {
-                    self.obs.inc(self.ins.quarantine_failed);
-                    self.obs
-                        .event(Level::Error, "ingest.quarantine_failed", device_id);
-                }
-            }
+            row.enabled = false;
+            self.obs.inc(self.ins.quarantined);
+            self.obs.event(Level::Warn, "ingest.quarantine", device_id);
         }
         Ok(entity)
     }
@@ -1258,6 +1233,64 @@ mod tests {
     }
 
     #[test]
+    fn frame_without_a_whole_seq_is_refused_as_a_replay() {
+        let mut p = fog_platform();
+        let key = p.keystore.device_key("probe-1").unwrap().key;
+        let mut seqless = Entity::new("urn:swamp:device:probe-1", "SoilProbe");
+        seqless.set("moisture_vwc", 0.2);
+        let mut frames = vec![seqless];
+        frames.extend([-1.0, 2.5].map(|seq| telemetry("probe-1", seq, 0.2)));
+        for (i, entity) in frames.iter().enumerate() {
+            let sealed = key.seal(
+                &[3u8; 12],
+                b"probe-1",
+                entity.to_json().to_compact_string().as_bytes(),
+            );
+            // Each twice: without a provable seq, the capture replays.
+            for t in 0..2 {
+                let err = p
+                    .ingest_frame(SimTime::from_secs(t), "probe-1", &sealed)
+                    .unwrap_err();
+                assert!(matches!(err, IngestError::Replay(_)), "frame {i}: {err}");
+            }
+        }
+        let snap = p.observe();
+        assert_eq!(snap.counter("ingest.rejected_replay").unwrap(), 6);
+        assert_eq!(snap.counter("ingest.accepted").unwrap(), 0);
+        // The refusals left the floor unset: the device's first whole seq
+        // is still fresh.
+        let sealed = key.seal(
+            &[4u8; 12],
+            b"probe-1",
+            telemetry("probe-1", 0.0, 0.2)
+                .to_json()
+                .to_compact_string()
+                .as_bytes(),
+        );
+        p.ingest_frame(SimTime::from_secs(5), "probe-1", &sealed)
+            .unwrap();
+    }
+
+    #[test]
+    fn ingest_frame_counts_its_rejection() {
+        let mut p = fog_platform();
+        let key = p.keystore.device_key("probe-1").unwrap().key;
+        let sealed = key.seal(
+            &[1u8; 12],
+            b"probe-1",
+            telemetry("probe-1", 5.0, 0.2)
+                .to_json()
+                .to_compact_string()
+                .as_bytes(),
+        );
+        p.ingest_frame(SimTime::ZERO, "probe-1", &sealed).unwrap();
+        assert!(p
+            .ingest_frame(SimTime::from_secs(10), "probe-1", &sealed)
+            .is_err());
+        assert_eq!(p.observe().counter("ingest.rejected_replay").unwrap(), 1);
+    }
+
+    #[test]
     fn malformed_payload_rejected() {
         let mut p = fog_platform();
         let key = p.keystore.device_key("probe-1").unwrap().key;
@@ -1397,7 +1430,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(p.degraded_mode(), DegradedMode::Connected);
-        assert_eq!(p.active_fallback(), None);
 
         p.set_internet(false);
         p.ingest_entities(SimTime::from_secs(1), [telemetry("probe-1", 0.0, 0.25)]);
@@ -1406,7 +1438,6 @@ mod tests {
             p.pump(SimTime::from_secs(1 + i * 60));
         }
         assert_ne!(p.degraded_mode(), DegradedMode::Connected);
-        assert_eq!(p.active_fallback(), Some(Fallback::LocalControl));
         // The fog keeps serving decisions locally throughout.
         assert_eq!(p.service_point(), Some(ServedBy::Fog));
 
@@ -1416,7 +1447,6 @@ mod tests {
             p.pump(SimTime::from_secs(400 + i * 60));
         }
         assert_eq!(p.degraded_mode(), DegradedMode::Connected);
-        assert_eq!(p.active_fallback(), None);
         assert_eq!(p.cloud_replica().unwrap().record_count(), 1);
     }
 

@@ -19,6 +19,21 @@ pub struct DeviceRecord {
     pub registered_at: SimTime,
     /// Whether telemetry from it is currently accepted.
     pub enabled: bool,
+    /// The last frame sequence number admitted from it: the replay floor.
+    last_seq: Option<u64>,
+}
+
+impl DeviceRecord {
+    /// Admits a frame sequence number: `true` if it is fresh (the first
+    /// seen, or above the last admitted; gaps allowed), `false` for a
+    /// replay or duplicate (at or below the last admitted).
+    pub(crate) fn admit_seq(&mut self, seq: u64) -> bool {
+        if self.last_seq.is_some_and(|last| seq <= last) {
+            return false;
+        }
+        self.last_seq = Some(seq);
+        true
+    }
 }
 
 /// Registry errors.
@@ -75,6 +90,7 @@ impl DeviceRegistry {
                 owner: owner.to_owned(),
                 registered_at: now,
                 enabled: true,
+                last_seq: None,
             },
         );
         Ok(())
@@ -83,6 +99,11 @@ impl DeviceRegistry {
     /// Looks up a device.
     pub fn get(&self, id: &str) -> Option<&DeviceRecord> {
         self.devices.get(id)
+    }
+
+    /// Looks up a device's row for admission to update in place.
+    pub(crate) fn get_mut(&mut self, id: &str) -> Option<&mut DeviceRecord> {
+        self.devices.get_mut(id)
     }
 
     /// Whether a device exists and is enabled.
@@ -174,6 +195,24 @@ mod tests {
             r.set_enabled("ghost", true),
             Err(RegistryError::Unknown("ghost".into()))
         );
+    }
+
+    #[test]
+    fn seq_floor_detects_replays_and_allows_gaps() {
+        let mut r = DeviceRegistry::new();
+        for id in ["d", "e"] {
+            r.register(id, DeviceKind::SoilProbe, "o", SimTime::ZERO)
+                .unwrap();
+        }
+        let mut admit = |id: &str, seq: u64| r.get_mut(id).unwrap().admit_seq(seq);
+        assert!(admit("d", 0));
+        assert!(admit("d", 1));
+        assert!(admit("d", 5), "a gap is fresh");
+        assert!(!admit("d", 3), "behind the last seen");
+        assert!(!admit("d", 5), "the last seen again");
+        assert!(admit("d", 6));
+        // Independent per device.
+        assert!(admit("e", 100));
     }
 
     #[test]

@@ -10,9 +10,12 @@
 //! The same allocator then budgets a record's whole write path through an
 //! assembled [`Platform`] — allocations per accepted record for
 //! `ingest_entities`, the pumps that replicate it, `device_publish`, and a
-//! sealed frame pumped end to end (DESIGN.md §6 has the per-leg table) —
-//! and holds a pump that moves a full uplink window to the same per-record
-//! price with no window-sized scratch allocation.
+//! sealed frame pumped end to end (DESIGN.md §6 has the per-leg table),
+//! in a steady round and in the first round, which also pays for every
+//! table's first sight of each device and key — and holds a pump that
+//! moves a full uplink window to the same per-record price with no
+//! window-sized scratch allocation. A burst of frames from fresh
+//! unregistered ids leaves the live heap where its warm-up left it.
 //! The counts repeat exactly for a seed, so each budget is an equality-
 //! grade gate on a box whose wall clock is not.
 //!
@@ -25,12 +28,12 @@
 //! pollute the shared counter.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 
 use swamp_codec::ngsi::Entity;
 use swamp_core::broker::{ContextBroker, Notification, SubscriptionFilter, SubscriptionId};
 use swamp_core::history::HistoryStore;
-use swamp_core::platform::{DeploymentConfig, Platform};
+use swamp_core::platform::{DeploymentConfig, IngestError, Platform};
 use swamp_core::query::{QueryRequest, QueryResponse};
 use swamp_fog::sync::DEFAULT_WINDOW;
 use swamp_net::link::LinkSpec;
@@ -43,20 +46,29 @@ static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
 /// Largest single fresh allocation (not a `realloc`: a long-lived run
 /// growing in place is not scratch) since the last reset, in bytes.
 static LARGEST_FRESH: AtomicUsize = AtomicUsize::new(0);
+/// Bytes allocated and not yet freed, process-wide.
+static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
+
+fn size(bytes: usize) -> i64 {
+    i64::try_from(bytes).unwrap_or(i64::MAX)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
         LARGEST_FRESH.fetch_max(layout.size(), Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(size(layout.size()), Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(size(layout.size()), Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(size(new_size) - size(layout.size()), Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -108,8 +120,8 @@ fn fanout_allocs(subs: usize, rounds: usize) -> u64 {
 /// the uplink window.
 const DEVICES: usize = 256;
 
-/// Allocations per accepted record on each leg of the write path, in a
-/// steady round (the third) of a FarmFog platform over a lossless uplink.
+/// Allocations per accepted record on each leg of the write path, in one
+/// round of a FarmFog platform over a lossless uplink.
 struct WritePath {
     /// `Platform::ingest_entities`, per record of the batch.
     ingest: f64,
@@ -159,7 +171,9 @@ fn pump_and_drain(
     }
 }
 
-fn write_path_allocs(with_subscriber: bool, devices: usize) -> WritePath {
+/// The write path's legs in the first round (every device and key seen
+/// for the first time) and in a steady round (the third).
+fn write_path_allocs(with_subscriber: bool, devices: usize) -> (WritePath, WritePath) {
     let mut p = lossless_platform();
     let sub = with_subscriber.then(|| {
         p.context
@@ -167,7 +181,7 @@ fn write_path_allocs(with_subscriber: bool, devices: usize) -> WritePath {
     });
     let mut drained = Vec::new();
     let mut now = SimTime::from_secs(60);
-    let mut measured = None;
+    let (mut first, mut steady) = (None, None);
     for round in 0..3u64 {
         let batch = fleet_round(round, devices);
         now += SimDuration::from_secs(600);
@@ -179,11 +193,16 @@ fn write_path_allocs(with_subscriber: bool, devices: usize) -> WritePath {
             p.cloud_replica().unwrap().record_count(),
             (round as usize + 1) * devices
         );
-        measured = Some(WritePath {
+        let leg = WritePath {
             ingest: ingest as f64 / devices as f64,
             replicate: replicate as f64 / devices as f64,
             largest_pump_alloc: LARGEST_FRESH.load(Ordering::Relaxed),
-        });
+        };
+        if round == 0 {
+            first = Some(leg);
+        } else {
+            steady = Some(leg);
+        }
     }
     // With nothing left to move, a pump allocates nothing at all: whatever
     // a pump allocates it allocates per record, inside the budgets above.
@@ -195,13 +214,26 @@ fn write_path_allocs(with_subscriber: bool, devices: usize) -> WritePath {
     let snap = p.observe();
     assert_eq!(snap.gauge("sync.pending").unwrap(), Some(0.0));
     assert_eq!(snap.counter("sync.retransmissions").unwrap(), 0);
-    measured.expect("three rounds ran")
+    (
+        first.expect("round 0 ran"),
+        steady.expect("three rounds ran"),
+    )
 }
 
 /// Allocations per `device_publish` call and per sealed frame the pumps
-/// then accept (validate, ingest with one subscriber, replicate, ack), in
-/// the third round of a registered fleet over the lossy field radio.
-fn sealed_path_allocs() -> (f64, f64) {
+/// then accept (validate, ingest with one subscriber, replicate, ack), for
+/// a registered fleet over the lossy field radio.
+struct SealedPath {
+    /// `device_publish`, per call, in the third round.
+    publish: f64,
+    /// A sealed frame pumped, in the first round: each device's first
+    /// frame, so every table that keys devices or entities sees it first.
+    first_sight: f64,
+    /// A sealed frame pumped, in the third round.
+    steady: f64,
+}
+
+fn sealed_path_allocs() -> SealedPath {
     let mut p = lossless_platform();
     let ids: Vec<String> = (0..DEVICES).map(|i| format!("probe-{i}")).collect();
     for id in &ids {
@@ -213,7 +245,11 @@ fn sealed_path_allocs() -> (f64, f64) {
         .subscribe(SubscriptionFilter::for_type("SoilProbe"));
     let mut drained = Vec::new();
     let mut now = SimTime::from_secs(60);
-    let mut measured = (0.0, 0.0);
+    let mut measured = SealedPath {
+        publish: 0.0,
+        first_sight: 0.0,
+        steady: 0.0,
+    };
     for round in 0..3u64 {
         let batch = fleet_round(round, DEVICES);
         now += SimDuration::from_secs(600);
@@ -227,10 +263,12 @@ fn sealed_path_allocs() -> (f64, f64) {
             alloc_calls(|| pump_and_drain(&mut p, &mut now, Some(sub), &mut drained));
         let accepted = p.observe().counter("ingest.accepted").unwrap() - before;
         assert!(accepted as usize > DEVICES * 9 / 10, "radio lost too much");
-        measured = (
-            publish as f64 / DEVICES as f64,
-            pumped as f64 / accepted as f64,
-        );
+        let pumped = pumped as f64 / accepted as f64;
+        if round == 0 {
+            measured.first_sight = pumped;
+        }
+        measured.publish = publish as f64 / DEVICES as f64;
+        measured.steady = pumped;
     }
     let snap = p.observe();
     assert_eq!(snap.gauge("sync.pending").unwrap(), Some(0.0));
@@ -239,6 +277,20 @@ fn sealed_path_allocs() -> (f64, f64) {
         snap.counter("ingest.accepted").unwrap()
     );
     measured
+}
+
+/// Offers `n` frames from fresh unregistered ids, numbered from `from`,
+/// to [`Platform::ingest_frame`], returning the process's live heap bytes
+/// afterwards. The registry refuses each before its bytes are read.
+fn rogue_burst(p: &mut Platform, from: u64, n: u64) -> i64 {
+    let frame = [0x5a; 64];
+    for i in from..from + n {
+        let err = p
+            .ingest_frame(SimTime::from_secs(i), &format!("rogue-{i}"), &frame)
+            .unwrap_err();
+        assert!(matches!(err, IngestError::UnregisteredDevice(_)));
+    }
+    LIVE_BYTES.load(Ordering::Relaxed)
 }
 
 /// Samples per frozen segment of the read-path store.
@@ -403,15 +455,20 @@ fn hot_paths_do_not_allocate_per_subscriber_or_per_append() {
     //   the tree decode in `validate_frame` reads "a sealed frame pumped
     //   end to end allocated 22.22 times (budget 14)"; opening into a fresh
     //   `Vec` per frame reads "… 14.22 times (budget 14)".
-    let quiet = write_path_allocs(false, DEVICES);
-    let watched = write_path_allocs(true, DEVICES);
-    let window = write_path_allocs(false, DEFAULT_WINDOW);
-    let half_window = write_path_allocs(false, DEFAULT_WINDOW / 2);
-    let (publish, sealed) = sealed_path_allocs();
+    let (first, quiet) = write_path_allocs(false, DEVICES);
+    let (_, watched) = write_path_allocs(true, DEVICES);
+    let (_, window) = write_path_allocs(false, DEFAULT_WINDOW);
+    let (_, half_window) = write_path_allocs(false, DEFAULT_WINDOW / 2);
+    let SealedPath {
+        publish,
+        first_sight,
+        steady: sealed,
+    } = sealed_path_allocs();
     eprintln!(
         "allocations per record: ingest {:.2} (subscribed {:.2}), replicate {:.2} \
          (subscribed {:.2}; a full window {:.3}, largest {} B; half a window {:.3}, \
-         largest {} B), device_publish {:.2}, sealed frame pumped {:.2}",
+         largest {} B), device_publish {:.2}, sealed frame pumped {:.2}; \
+         first sight: ingest {:.2}, replicate {:.2}, sealed frame pumped {:.2}",
         quiet.ingest,
         watched.ingest,
         quiet.replicate,
@@ -421,7 +478,10 @@ fn hot_paths_do_not_allocate_per_subscriber_or_per_append() {
         half_window.replicate,
         half_window.largest_pump_alloc,
         publish,
-        sealed
+        sealed,
+        first.ingest,
+        first.replicate,
+        first_sight
     );
     assert!(
         quiet.ingest <= 3.0,
@@ -472,6 +532,38 @@ fn hot_paths_do_not_allocate_per_subscriber_or_per_append() {
     assert!(
         sealed <= 14.0,
         "a sealed frame pumped end to end allocated {sealed:.2} times (budget 14)"
+    );
+    // First sight adds what each table keeps per new key, once: the
+    // cloud run's key only (a per-key `latest` index beside the run read
+    // 3.38), and for a sealed frame the detector tables' device and
+    // quantity keys, the history series and the broker entity (a
+    // string-keyed replay map beside the registry row read 28.1; that and
+    // `latest` together 29.24).
+    assert!(
+        first.replicate <= 2.5,
+        "replicating a round of first-seen keys allocated {:.2} times per record (budget 2.5)",
+        first.replicate
+    );
+    assert!(
+        first_sight <= 27.5,
+        "a device's first sealed frame pumped end to end allocated {first_sight:.2} times \
+         (budget 27.5)"
+    );
+
+    // --- Frames from ids the registry has never seen are refused before
+    // anything is keyed by them: after a warm-up of 1 000, 10 000 more
+    // from fresh ids leave the live heap flat, and each is counted where
+    // the refusal is decided.
+    let mut p = lossless_platform();
+    let warm = rogue_burst(&mut p, 0, 1_000);
+    let before = p.observe().counter("ingest.rejected_unregistered").unwrap();
+    let burst = rogue_burst(&mut p, 1_000, 10_000);
+    let refused = p.observe().counter("ingest.rejected_unregistered").unwrap() - before;
+    assert_eq!(refused, 10_000);
+    assert!(
+        burst - warm <= 4_096,
+        "10 000 frames from fresh unregistered ids grew the live heap by {} bytes",
+        burst - warm
     );
 
     // --- The read path. A summary-served query owns nothing it returns

@@ -993,17 +993,14 @@ impl CloudInstruments {
 /// and sends batched acks.
 ///
 /// Every accepted record is stored once, in the append-only run
-/// [`CloudStore::history`]; [`CloudStore::latest`] is an index into that
-/// run, and the dedup table is a per-source watermark, so nothing on the
-/// accept path grows with the length of an in-order stream except the run
-/// itself. A store built with [`CloudStore::in_order`] keeps no run at
-/// all: it holds each record only until [`CloudStore::drain_ready`] hands
-/// it out.
+/// [`CloudStore::history`], and the dedup table is a per-source watermark,
+/// so nothing on the accept path grows with the length of an in-order
+/// stream except the run itself. A store built with
+/// [`CloudStore::in_order`] keeps no run at all: it holds each record only
+/// until [`CloudStore::drain_ready`] hands it out.
 #[derive(Clone, Debug)]
 pub struct CloudStore {
     node: NodeId,
-    /// Position in `history` of the latest record per key.
-    latest: BTreeMap<String, usize>,
     /// Full history (append order of acceptance).
     history: Vec<UpdateRecord>,
     /// Settled seqs per source node (two fogs may both start at seq 0).
@@ -1035,7 +1032,6 @@ impl CloudStore {
         let ins = CloudInstruments::register(&mut obs);
         CloudStore {
             node: node.into(),
-            latest: BTreeMap::new(),
             history: Vec::new(),
             seen_seqs: BTreeMap::new(),
             drained: 0,
@@ -1055,7 +1051,7 @@ impl CloudStore {
     /// the sender's bounded buffer evicted therefore stalls the stream
     /// only until the next record carrying the raised floor lands.
     /// Consumers that replay-check or order-check the stream (e.g. a
-    /// per-device sequence monitor behind a gateway relay) need this:
+    /// per-device replay floor behind a gateway relay) need this:
     /// retransmitted records routinely overtake each other on a lossy
     /// uplink. Such a store is a relay, not a replica: a record leaves it
     /// when released, so [`CloudStore::history`], [`CloudStore::latest`]
@@ -1090,9 +1086,9 @@ impl CloudStore {
     }
 
     /// Latest payload for a key: the most recently accepted record that
-    /// carries it.
+    /// carries it, found by scanning [`CloudStore::history`] newest first.
     pub fn latest(&self, key: &str) -> Option<&UpdateRecord> {
-        self.latest.get(key).and_then(|&at| self.history.get(at))
+        self.history.iter().rev().find(|r| r.key == key)
     }
 
     /// Full accepted history in arrival order.
@@ -1225,18 +1221,10 @@ impl CloudStore {
             }
             return fresh;
         }
-        if !fresh {
-            return false;
+        if fresh {
+            self.history.push(record);
         }
-        let at = self.history.len();
-        match self.latest.get_mut(record.key.as_str()) {
-            Some(latest) => *latest = at,
-            None => {
-                self.latest.insert(record.key.clone(), at);
-            }
-        }
-        self.history.push(record);
-        true
+        fresh
     }
 }
 
@@ -1790,9 +1778,8 @@ mod tests {
         assert!(!store.apply_record(&source, record(0)));
         assert_eq!(store.duplicates(), 2);
         assert_eq!(store.record_count(), 100_000);
-        // `latest` indexes the one stored copy: the newest arrival per key.
+        // `latest` reads the one stored copy: the newest arrival per key.
         assert_eq!(store.latest("k7").unwrap().seq, 99_907);
-        assert_eq!(store.latest.len(), 100);
     }
 
     #[test]

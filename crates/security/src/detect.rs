@@ -2,10 +2,11 @@
 //!
 //! These are the building blocks the platform combines per quantity and per
 //! device: physical range validation, rolling z-score, CUSUM drift
-//! detection, message-rate guarding (DoS), sequence-gap/replay detection,
-//! and spatial cross-validation against neighboring sensors (tamper and
-//! Sybil evidence). The sequence-of-events baseline the paper calls "the
-//! most relevant challenge" lives in [`crate::baseline`].
+//! detection, message-rate guarding (DoS), and spatial cross-validation
+//! against neighboring sensors (tamper and Sybil evidence). Replay
+//! detection is not here: the platform keeps each device's replay floor
+//! in its registry row. The sequence-of-events baseline the paper calls
+//! "the most relevant challenge" lives in [`crate::baseline`].
 
 use std::collections::BTreeMap;
 
@@ -290,34 +291,6 @@ impl RateGuard {
     }
 }
 
-/// Sequence-number replay detector per device.
-#[derive(Clone, Debug, Default)]
-pub struct SeqMonitor {
-    last_seq: BTreeMap<String, u64>,
-}
-
-impl SeqMonitor {
-    /// Creates an empty monitor.
-    pub fn new() -> Self {
-        SeqMonitor::default()
-    }
-
-    /// Observes a device's sequence number: `true` if it is fresh (above
-    /// every number seen from the device, gaps allowed), `false` for a
-    /// replay or duplicate (at or below the last seen).
-    pub fn observe(&mut self, device: &str, seq: u64) -> bool {
-        let Some(last) = self.last_seq.get_mut(device) else {
-            self.last_seq.insert(device.to_owned(), seq);
-            return true;
-        };
-        if seq <= *last {
-            return false;
-        }
-        *last = seq;
-        true
-    }
-}
-
 /// Spatial cross-validation: compares each sensor's value against the
 /// median of its peers measuring the same quantity. A sensor (or colluding
 /// Sybil swarm) far from the robust consensus is flagged.
@@ -452,19 +425,6 @@ mod tests {
             }
             now += SimDuration::from_secs(10);
         }
-    }
-
-    #[test]
-    fn seq_monitor_detects_replays_and_allows_gaps() {
-        let mut m = SeqMonitor::new();
-        assert!(m.observe("d", 0));
-        assert!(m.observe("d", 1));
-        assert!(m.observe("d", 5), "a gap is fresh");
-        assert!(!m.observe("d", 3), "behind the last seen");
-        assert!(!m.observe("d", 5), "the last seen again");
-        assert!(m.observe("d", 6));
-        // Independent per device.
-        assert!(m.observe("e", 100));
     }
 
     #[test]

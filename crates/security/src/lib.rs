@@ -47,7 +47,7 @@ pub mod profile;
 
 pub use access::{Action, Decision, Pdp, Policy, Resource};
 pub use baseline::{BaselineConfig, BaselineFlag, BaselineVerdict, BehaviorBank, FlagKind};
-pub use detect::{CusumDetector, RangeValidator, RateGuard, SeqMonitor, Verdict, ZScoreDetector};
+pub use detect::{CusumDetector, RangeValidator, RateGuard, Verdict, ZScoreDetector};
 pub use identity::{AuthError, IdentityProvider, Token, TokenInfo};
 pub use ledger::{DeviceContract, Ledger, LifecycleEvent, LifecycleKind};
 pub use pipeline::{DetectorBank, Recommendation};

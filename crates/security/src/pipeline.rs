@@ -10,8 +10,8 @@
 //! their findings per device (each one counted on `security.*` and
 //! reported as a `security.alert` event), and turns the score into a
 //! [`Recommendation`]. Frame sequence numbers are
-//! not evidence here: the platform's ingest path owns the one
-//! [`crate::detect::SeqMonitor`] and rejects replays outright.
+//! not evidence here: the platform's ingest path keeps each device's
+//! replay floor in its registry row and rejects replays outright.
 
 use std::collections::BTreeMap;
 

@@ -1,13 +1,14 @@
 //! Allocation-count proofs for the per-frame detector tables.
 //!
-//! Every sealed frame passes `SeqMonitor::observe` once and
-//! `DetectorBank::observe_value` once per numeric attribute. Both tables
-//! are keyed by device id; once a device (and each of its quantities)
-//! has been admitted, looking it up borrows the caller's `&str` — an
-//! in-order, in-range frame touches the heap exactly zero times. And an
-//! alert keeps nothing per alert: a storm of them leaves the bank's live
-//! heap where its first thousand left it (the counters and the bounded
-//! event ring are all that record it).
+//! Every sealed frame passes `DetectorBank::observe_value` once per
+//! numeric attribute. Its tables are keyed by device id; once a device
+//! (and each of its quantities) has been admitted, looking it up borrows
+//! the caller's `&str` — an in-range frame touches the heap exactly zero
+//! times. (The frame's replay check lives in the device's registry row,
+//! and `crates/core/tests/alloc_counts.rs` budgets it inside the sealed
+//! frame's leg.) And an alert keeps nothing per alert: a storm of them
+//! leaves the bank's live heap where its first thousand left it (the
+//! counters and the bounded event ring are all that record it).
 //!
 //! The tests take one lock so a concurrent test thread cannot pollute
 //! the shared counters (pattern from `crates/obs/tests/alloc_counts.rs`).
@@ -16,7 +17,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use swamp_security::detect::{RangeValidator, SeqMonitor};
+use swamp_security::detect::RangeValidator;
 use swamp_security::pipeline::DetectorBank;
 use swamp_sim::SimTime;
 
@@ -61,12 +62,11 @@ const QUANTITIES: [(&str, f64); 3] = [
     ("rh_mean_pct", 55.0),
 ];
 
-/// One frame per device: the next sequence number, then one steady
-/// in-range value per quantity. Returns the allocations it performed.
-fn pass(seq: &mut SeqMonitor, bank: &mut DetectorBank, ids: &[String], round: u64) -> u64 {
+/// One frame per device: one steady in-range value per quantity.
+/// Returns the allocations it performed.
+fn pass(bank: &mut DetectorBank, ids: &[String], round: u64) -> u64 {
     let before = ALLOC_CALLS.load(Ordering::Relaxed);
     for id in ids {
-        assert!(seq.observe(id, round));
         for (quantity, value) in QUANTITIES {
             let verdict = bank.observe_value(SimTime::from_secs(round), id, quantity, value);
             assert!(!verdict.is_anomalous());
@@ -79,20 +79,19 @@ fn pass(seq: &mut SeqMonitor, bank: &mut DetectorBank, ids: &[String], round: u6
 fn admitted_devices_are_observed_without_allocating() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let ids: Vec<String> = (0..DEVICES).map(|i| format!("probe-{i:03}")).collect();
-    let mut seq = SeqMonitor::new();
     let mut bank = DetectorBank::new();
     bank.configure_quantity("moisture_vwc", RangeValidator::soil_moisture());
     bank.configure_quantity("battery_fraction", RangeValidator::new(0.0, 1.0));
     bank.configure_quantity("rh_mean_pct", RangeValidator::new(0.0, 100.0));
 
-    let admission = pass(&mut seq, &mut bank, &ids, 0);
+    let admission = pass(&mut bank, &ids, 0);
     assert!(admission > 0, "the warm-up pass owns the table keys");
 
     // The counter is process-wide and the libtest harness may allocate on
     // its own threads inside a window; a table that allocated per lookup
     // would do so in every window, harness noise is transient.
     let steady = (1..=3)
-        .map(|round| pass(&mut seq, &mut bank, &ids, round))
+        .map(|round| pass(&mut bank, &ids, round))
         .min()
         .unwrap_or(u64::MAX);
     assert_eq!(
