@@ -1,19 +1,22 @@
-//! Authenticated encryption: ChaCha20 + HMAC-SHA256, encrypt-then-MAC.
+//! Authenticated encryption: the ChaCha20-Poly1305 AEAD of RFC 8439 §2.8.
 //!
 //! This is the "state of the practice cryptography" the paper mandates for
-//! confidentiality of farm data. We compose the two from-scratch primitives
-//! in this crate rather than implementing Poly1305, trading a little speed
-//! for a much smaller trusted codebase; the security argument
-//! (encrypt-then-MAC with independent keys) is standard.
+//! confidentiality of farm data, and the construction TLS 1.3 and WireGuard
+//! use. Each frame takes a one-time Poly1305 key from ChaCha20 block 0 and
+//! encrypts with the keystream from block 1 on; the tag covers
+//! `aad ‖ pad16 ‖ ciphertext ‖ pad16 ‖ le64(aad.len) ‖ le64(ct.len)`.
 //!
-//! The sealed frame layout is: `nonce (12) || ciphertext || tag (32)`.
+//! The sealed frame layout is: `nonce (12) || ciphertext || tag (16)`.
+//! A nonce must never repeat under one key: a repeat reuses the keystream
+//! *and* the one-time key, which exposes both plaintexts and lets the tag
+//! be forged. [`NonceSequence`] is the one nonce source the network uses.
 
 use crate::chacha20::{ChaCha20, KEY_LEN, NONCE_LEN};
-use crate::hmac::{constant_time_eq, hkdf, HmacSha256};
-use crate::sha256::DIGEST_LEN;
+use crate::hmac::{constant_time_eq, hkdf};
+use crate::poly1305::{self, Poly1305, TAG_LEN};
 
 /// Overhead added by [`SecretKey::seal`]: nonce plus tag.
-pub const SEAL_OVERHEAD: usize = NONCE_LEN + DIGEST_LEN;
+pub const SEAL_OVERHEAD: usize = NONCE_LEN + TAG_LEN;
 
 /// Error returned when opening a sealed frame fails.
 ///
@@ -29,13 +32,10 @@ impl std::fmt::Display for OpenError {
 }
 impl std::error::Error for OpenError {}
 
-/// A 256-bit symmetric key from which independent encryption and MAC keys
-/// are derived via HKDF. The MAC key is kept keyed — both HMAC pads
-/// already compressed — so a frame's tag costs only its own bytes.
+/// A 256-bit ChaCha20-Poly1305 key, derived via HKDF.
 #[derive(Clone)]
 pub struct SecretKey {
-    enc_key: [u8; KEY_LEN],
-    mac: HmacSha256,
+    key: [u8; KEY_LEN],
 }
 
 impl std::fmt::Debug for SecretKey {
@@ -50,27 +50,30 @@ impl SecretKey {
     /// The label separates uses (e.g. `"link:probe-07"` vs `"token-signing"`)
     /// so a leaked key in one context cannot be replayed in another.
     pub fn derive(ikm: &[u8], label: &str) -> Self {
-        let okm = hkdf(b"swamp-aead-v1", ikm, label.as_bytes(), KEY_LEN * 2);
-        let mut enc_key = [0u8; KEY_LEN];
-        enc_key.copy_from_slice(&okm[..KEY_LEN]);
-        SecretKey {
-            enc_key,
-            mac: HmacSha256::new(&okm[KEY_LEN..]),
-        }
+        let okm = hkdf(b"swamp-aead-v1", ikm, label.as_bytes(), KEY_LEN);
+        let mut key = [0u8; KEY_LEN];
+        key.copy_from_slice(&okm);
+        SecretKey { key }
     }
 
     /// Encrypts and authenticates `plaintext` with the given unique `nonce`
     /// and additional authenticated data `aad`.
     ///
     /// The caller is responsible for nonce uniqueness per key; the network
-    /// layer uses a per-device message counter.
+    /// layer uses a per-device message counter ([`NonceSequence`]). Both
+    /// confidentiality and integrity rest on it: the one-time Poly1305 key
+    /// is a function of the nonce, so a repeated nonce lets an attacker
+    /// who saw both frames forge tags. With unique nonces a forgery
+    /// succeeds with probability at most 8⌈L/16⌉ / 2¹⁰⁶ per attempt for an
+    /// L-byte authenticated input (Bernstein 2005): about 2⁻⁹⁹ for a
+    /// telemetry frame.
     pub fn seal(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
+        let cipher = ChaCha20::new(&self.key, nonce);
         let mut out = Vec::with_capacity(plaintext.len() + SEAL_OVERHEAD);
         out.extend_from_slice(nonce);
-        let ct_start = out.len();
         out.extend_from_slice(plaintext);
-        ChaCha20::new(&self.enc_key, nonce).apply_keystream(1, &mut out[ct_start..]);
-        let tag = self.tag(nonce, aad, &out[ct_start..]);
+        cipher.apply_keystream(1, &mut out[NONCE_LEN..]);
+        let tag = tag(&cipher, aad, &out[NONCE_LEN..]);
         out.extend_from_slice(&tag);
         out
     }
@@ -100,29 +103,40 @@ impl SecretKey {
             return Err(OpenError);
         };
         let (nonce_bytes, rest) = frame.split_at(NONCE_LEN);
-        let (ciphertext, tag) = rest.split_at(ct_len);
+        let (ciphertext, tag_bytes) = rest.split_at(ct_len);
         let mut nonce = [0u8; NONCE_LEN];
         nonce.copy_from_slice(nonce_bytes);
 
-        let expected = self.tag(&nonce, aad, ciphertext);
-        if !constant_time_eq(&expected, tag) {
+        let cipher = ChaCha20::new(&self.key, &nonce);
+        if !constant_time_eq(&tag(&cipher, aad, ciphertext), tag_bytes) {
             return Err(OpenError);
         }
 
         out.extend_from_slice(ciphertext);
-        ChaCha20::new(&self.enc_key, &nonce).apply_keystream(1, out);
+        cipher.apply_keystream(1, out);
         Ok(())
     }
+}
 
-    fn tag(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], ciphertext: &[u8]) -> [u8; DIGEST_LEN] {
-        let mut mac = self.mac.clone();
-        // Unambiguous framing: lengths prefixed so (aad, ct) pairs can't collide.
-        mac.update(&(aad.len() as u64).to_be_bytes());
-        mac.update(aad);
-        mac.update(nonce);
-        mac.update(ciphertext);
-        mac.finalize()
-    }
+/// The RFC 8439 §2.6 one-time Poly1305 key: the first 32 bytes of
+/// ChaCha20 block 0 under the frame's key and nonce.
+fn one_time_key(cipher: &ChaCha20) -> [u8; poly1305::KEY_LEN] {
+    let block = cipher.block(0);
+    let mut key = [0u8; poly1305::KEY_LEN];
+    key.copy_from_slice(&block[..poly1305::KEY_LEN]);
+    key
+}
+
+/// The RFC 8439 §2.8 tag over `aad` and `ciphertext`.
+fn tag(cipher: &ChaCha20, aad: &[u8], ciphertext: &[u8]) -> [u8; TAG_LEN] {
+    let mut mac = Poly1305::new(&one_time_key(cipher));
+    mac.update(aad);
+    mac.pad16();
+    mac.update(ciphertext);
+    mac.pad16();
+    mac.update(&(aad.len() as u64).to_le_bytes());
+    mac.update(&(ciphertext.len() as u64).to_le_bytes());
+    mac.finalize()
 }
 
 /// A monotonically increasing nonce source for one key.
@@ -242,27 +256,75 @@ mod tests {
 
     /// The sealed bytes of one fixed frame, pinned: key schedule, nonce
     /// layout, tag framing and cipher together, so no speed-up of any of
-    /// them can change the wire.
+    /// them can change the wire. The nonce and ciphertext are the bytes the
+    /// HMAC-tagged frame carried before the AEAD became RFC 8439's (the
+    /// key derivation's first HKDF block and the cipher are unchanged);
+    /// only the 16-byte Poly1305 tag is new.
     #[test]
     fn sealed_bytes_known_answer() {
         let k = SecretKey::derive(b"pilot shared secret", "link:probe-07");
         let nonce = [0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 42];
         let frame = k.seal(&nonce, b"probe-07", PIN_PLAINTEXT);
+        let (body, tag) = frame.split_at(frame.len() - TAG_LEN);
         assert_eq!(
-            crate::sha256::to_hex(&frame),
+            crate::sha256::to_hex(body),
             "00000007000000000000002a0e019069a68cf7e4d3ac701f493d7616fe23ac8c\
              a4275496e8517eb8dab146b035188b7d3c0724c766449fe425df5ec49c1f8bc0\
              f10bcdda66311ecf526303db2aed75931073d30c36b7727f3abca17f99f61f53\
              e653e7703f5d488e6a1afb0b73419dc9d0aeb28f2bfa2e7db76723bfb1dd641e\
-             d85b4d4596c394eee76dcfe543aa7afe37e886872b4c482ed0ee8cb6b8021e7d\
-             fa8c7431d16253a07ad8e8dfefe5d1148a"
+             d85b4d4596c394eee76dcfe543aa7afe37"
+        );
+        assert_eq!(
+            crate::sha256::to_hex(tag),
+            "e24117ec27d8124422be7f1a97ba02b1"
         );
         let empty = SecretKey::derive(b"", "").seal(&[0u8; NONCE_LEN], b"", b"");
         assert_eq!(
             crate::sha256::to_hex(&empty),
-            "000000000000000000000000277a503a9091e4520cc9f115cf863c865b2651f1\
-             b5e66ae65a3f3f51a6960e1c"
+            "0000000000000000000000002eafae1488facd05529a82e05f09544c"
         );
+    }
+
+    fn rfc_key() -> SecretKey {
+        SecretKey {
+            key: std::array::from_fn(|i| 0x80 + i as u8),
+        }
+    }
+
+    // RFC 8439 §2.6.2: the one-time Poly1305 key from ChaCha20 block 0.
+    #[test]
+    fn rfc8439_one_time_key_vector() {
+        let nonce = [0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7];
+        let cipher = ChaCha20::new(&rfc_key().key, &nonce);
+        assert_eq!(
+            crate::sha256::to_hex(&one_time_key(&cipher)),
+            "8ad5a08b905f81cc815040274ab29471a833b637e3fd0da508dbb8e2fdd1a646"
+        );
+    }
+
+    // RFC 8439 §2.8.2: the AEAD end to end, and it opens again.
+    #[test]
+    fn rfc8439_aead_vector() {
+        let k = rfc_key();
+        let nonce = [
+            0x07, 0, 0, 0, 0x40, 0x41, 0x42, 0x43, 0x44, 0x45, 0x46, 0x47,
+        ];
+        let aad = [
+            0x50, 0x51, 0x52, 0x53, 0xc0, 0xc1, 0xc2, 0xc3, 0xc4, 0xc5, 0xc6, 0xc7,
+        ];
+        let plaintext = b"Ladies and Gentlemen of the class of '99: \
+If I could offer you only one tip for the future, sunscreen would be it.";
+        let frame = k.seal(&nonce, &aad, plaintext);
+        assert_eq!(
+            crate::sha256::to_hex(&frame),
+            "070000004041424344454647\
+             d31a8d34648e60db7b86afbc53ef7ec2a4aded51296e08fea9e2b5a736ee62d6\
+             3dbea45e8ca9671282fafb69da92728b1a71de0a9e060b2905d6a5b67ecd3b36\
+             92ddbd7f2d778b8c9803aee328091b58fab324e4fad675945585808b4831d7bc\
+             3ff4def08e4b7a9de576d26586cec64b6116\
+             1ae10b594f09e26a7e902ecbd0600691"
+        );
+        assert_eq!(k.open(&aad, &frame).unwrap(), plaintext);
     }
 
     const PIN_PLAINTEXT: &[u8] = br#"{"attrs":{"moisture_vwc":{"observedAt":3600000,"value":0.23},"seq":{"value":42}},"id":"urn:swamp:device:probe-07","type":"SoilProbe"}"#;

@@ -65,7 +65,7 @@ impl ChaCha20 {
     }
 
     /// Produces one 64-byte keystream block.
-    fn block(&self, counter: u32) -> [u8; 64] {
+    pub(crate) fn block(&self, counter: u32) -> [u8; 64] {
         // "expand 32-byte k" constant.
         let mut state = [
             0x61707865u32,

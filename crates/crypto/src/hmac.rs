@@ -24,9 +24,9 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; DIGEST_LEN] {
 /// Incremental HMAC-SHA256.
 ///
 /// Keying compresses both pads once, each into a hasher of its own: a
-/// keyed MAC that is cloned per message (as [`crate::aead::SecretKey`]
-/// does) pays only for the message and one outer block, never for its key
-/// again; a one-off MAC does the same compressions as hashing the pads
+/// keyed MAC that is cloned per message pays only for the message and one
+/// outer block, never for its key again; a one-off MAC (HKDF, token and
+/// ledger signatures) does the same compressions as hashing the pads
 /// inline.
 #[derive(Clone, Debug)]
 pub struct HmacSha256 {

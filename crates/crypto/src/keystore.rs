@@ -9,7 +9,7 @@
 //! epoch: the first [`Keystore::device_key`] after [`Keystore::provision`]
 //! or [`Keystore::rotate`] derives the key and keeps it in the device's
 //! record, and every later per-frame lookup is a map lookup and a copy of
-//! the key (256 bytes: the cipher key and the two keyed hashers).
+//! the 32-byte key.
 //! Provisioning itself derives nothing, so registering a fleet costs no
 //! key schedule for devices that never send.
 

@@ -10,8 +10,9 @@
 //! - [`hmac`] — HMAC-SHA256 (RFC 2104), HKDF (RFC 5869), constant-time
 //!   comparison.
 //! - [`chacha20`] — the ChaCha20 stream cipher (RFC 8439).
-//! - [`aead`] — authenticated encryption (encrypt-then-MAC composition) and
-//!   nonce management: what device links actually use.
+//! - [`poly1305`] — the Poly1305 one-time authenticator (RFC 8439).
+//! - [`aead`] — the ChaCha20-Poly1305 AEAD (RFC 8439) and nonce
+//!   management: what device links actually use.
 //! - [`keystore`] — per-device key derivation, rotation and revocation.
 //!
 //! **Scope note:** these implementations are written for clarity and
@@ -37,6 +38,7 @@ pub mod aead;
 pub mod chacha20;
 pub mod hmac;
 pub mod keystore;
+pub mod poly1305;
 pub mod sha256;
 
 pub use aead::{NonceSequence, OpenError, SecretKey};

@@ -742,7 +742,7 @@ mod tests {
     fn e8_overhead_shrinks_with_payload() {
         let r = e8_crypto(42);
         assert_eq!(r.rows.len(), 4);
-        // Constant 44-byte overhead: relative cost falls with size.
+        // Constant 28-byte overhead: relative cost falls with size.
         assert!(r.rows[0].2 > r.rows[3].2);
         for row in &r.rows {
             assert_eq!(row.1, row.0 + SEAL_OVERHEAD);
