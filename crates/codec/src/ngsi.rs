@@ -429,7 +429,7 @@ fn observed_at_number(ts: u64) -> f64 {
     ts as f64
 }
 
-/// An NGSI-like context entity: id + type + attribute map.
+/// An NGSI-like context entity: id + type + attributes, kept in name order.
 ///
 /// # Example
 /// ```
@@ -442,7 +442,52 @@ fn observed_at_number(ts: u64) -> f64 {
 pub struct Entity {
     id: EntityId,
     entity_type: String,
-    attributes: BTreeMap<String, Attribute>,
+    attributes: Attributes,
+}
+
+/// An entity's attributes: one vector sorted by name, names unique, looked
+/// up by binary search. An entity carries one to three attributes, which a
+/// vector holds in about a third of the bytes of the eleven-slot node a
+/// `BTreeMap` allocates on its first insert, in the same order and with
+/// the same equality; `Debug` prints them as a map.
+#[derive(Clone, Default, PartialEq)]
+struct Attributes(Vec<(String, Attribute)>);
+
+impl Attributes {
+    fn find(&self, name: &str) -> Result<usize, usize> {
+        self.0.binary_search_by(|(k, _)| k.as_str().cmp(name))
+    }
+
+    fn get(&self, name: &str) -> Option<&Attribute> {
+        self.find(name)
+            .ok()
+            .and_then(|i| self.0.get(i))
+            .map(|(_, a)| a)
+    }
+
+    /// Inserts or replaces; a replaced attribute keeps its stored name.
+    fn insert(&mut self, name: String, attr: Attribute) {
+        match self.find(&name) {
+            Ok(i) => {
+                if let Some((_, slot)) = self.0.get_mut(i) {
+                    *slot = attr;
+                }
+            }
+            Err(i) => self.0.insert(i, (name, attr)),
+        }
+    }
+
+    fn remove(&mut self, name: &str) -> Option<Attribute> {
+        self.find(name).ok().map(|i| self.0.remove(i).1)
+    }
+}
+
+impl fmt::Debug for Attributes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map()
+            .entries(self.0.iter().map(|(k, v)| (k, v)))
+            .finish()
+    }
 }
 
 impl Entity {
@@ -454,7 +499,7 @@ impl Entity {
         Entity {
             id: id.into(),
             entity_type: entity_type.into(),
-            attributes: BTreeMap::new(),
+            attributes: Attributes::default(),
         }
     }
 
@@ -506,32 +551,32 @@ impl Entity {
 
     /// Iterates attributes in name order.
     pub fn attributes(&self) -> impl Iterator<Item = (&str, &Attribute)> {
-        self.attributes.iter().map(|(k, v)| (k.as_str(), v))
+        self.attributes.0.iter().map(|(k, v)| (k.as_str(), v))
     }
 
     /// Number of attributes.
     pub fn len(&self) -> usize {
-        self.attributes.len()
+        self.attributes.0.len()
     }
 
     /// Whether the entity has no attributes.
     pub fn is_empty(&self) -> bool {
-        self.attributes.is_empty()
+        self.attributes.0.is_empty()
     }
 
     /// Merges another entity's attributes into this one (NGSI "update":
     /// incoming attributes overwrite same-named existing ones; the id and
     /// the type stay this entity's). `other`'s attributes move in, so
     /// overwriting an attribute this entity already has allocates nothing
-    /// (the map keeps its own key); a caller that keeps `other` passes a
-    /// clone.
+    /// (the entity keeps its own name string); a caller that keeps `other`
+    /// passes a clone.
     ///
     /// # Panics
     /// Panics in debug builds if ids differ — merging across entities is a
     /// logic error.
     pub fn merge_owned(&mut self, other: Entity) {
         debug_assert_eq!(self.id, other.id, "merge_owned across different entities");
-        for (k, v) in other.attributes {
+        for (k, v) in other.attributes.0 {
             self.attributes.insert(k, v);
         }
     }
@@ -542,9 +587,8 @@ impl Entity {
         obj.insert("id".to_owned(), Json::String(self.id.as_str().to_owned()));
         obj.insert("type".to_owned(), Json::String(self.entity_type.clone()));
         let attrs: BTreeMap<String, Json> = self
-            .attributes
-            .iter()
-            .map(|(k, v)| (k.clone(), v.to_json()))
+            .attributes()
+            .map(|(k, v)| (k.to_owned(), v.to_json()))
             .collect();
         obj.insert("attrs".to_owned(), Json::Object(attrs));
         Json::Object(obj)
@@ -576,7 +620,7 @@ impl Entity {
             _ => BTreeMap::new(),
         };
         let (id, entity_type) = id_and_type(fields.remove("id"), fields.remove("type"))?;
-        let mut attributes = BTreeMap::new();
+        let mut attributes = Attributes::default();
         if let Some(Json::Object(attrs)) = fields.remove("attrs") {
             for (name, aj) in attrs {
                 attributes.insert(name, Attribute::from_json_owned(aj)?);
@@ -622,7 +666,7 @@ impl Entity {
             return Err(EntityCodecError::missing("id"));
         }
         let (mut id, mut entity_type) = (None, None);
-        let mut attributes = BTreeMap::new();
+        let mut attributes = Attributes::default();
         // The attributes whose last value failed to decode, by name.
         let mut failed = BTreeMap::new();
         p.members(0, |p, key| {
@@ -630,7 +674,7 @@ impl Entity {
                 "id" => id = Some(p.value(1)?),
                 "type" => entity_type = Some(p.value(1)?),
                 "attrs" => {
-                    attributes.clear();
+                    attributes.0.clear();
                     failed.clear();
                     if p.peek() != Some(b'{') {
                         p.value(1)?;
@@ -643,7 +687,7 @@ impl Entity {
                                 attributes.insert(name.into_owned(), attr);
                             }
                             Err(e) => {
-                                attributes.remove(&*name);
+                                attributes.remove(&name);
                                 failed.insert(name.into_owned(), e);
                             }
                         }
@@ -685,7 +729,7 @@ impl Entity {
     /// ```
     pub fn write_compact(&self, out: &mut String) {
         out.push_str("{\"attrs\":{");
-        for (i, (name, attr)) in self.attributes.iter().enumerate() {
+        for (i, (name, attr)) in self.attributes().enumerate() {
             if i > 0 {
                 out.push(',');
             }

@@ -17,9 +17,17 @@
 //! and invalid decoy duplicates, on every truncation and on seeded byte
 //! flips, and on hand-written edge cases.
 //!
+//! An entity keeps its attributes in a name-sorted vector; a seeded model
+//! test holds it to a `BTreeMap` reference over random edits and
+//! duplicate-key decodes: order, lookups, length, equality, wire bytes and
+//! `Debug` output alike.
+//!
 //! The same generator drives the JSON layer's own properties: arbitrary
 //! value trees survive both writers, and the parser returns — `Ok` or
 //! `Err`, never a panic — on token soup and on damaged documents.
+
+use std::collections::BTreeMap;
+use std::fmt;
 
 use swamp_codec::json::{Json, MAX_DEPTH};
 use swamp_codec::ngsi::{AttrValue, Attribute, Entity};
@@ -674,4 +682,168 @@ fn golden_wire_strings() {
     let mut out = String::from("prefix:");
     Entity::new("urn:x", "T").write_compact(&mut out);
     assert_eq!(out, r#"prefix:{"attrs":{},"id":"urn:x","type":"T"}"#);
+}
+
+/// Attribute names that share prefixes, differ only in case, or are empty:
+/// the orderings a sorted layout can get wrong.
+const MODEL_NAMES: &[&str] = &[
+    "",
+    "a",
+    "A",
+    "ab",
+    "aB",
+    "Ab",
+    "abc",
+    "b",
+    "moisture",
+    "Moisture",
+    "moisture_vwc",
+    "moisture_vwc_2",
+    "seq",
+    "é",
+    "e",
+];
+
+/// A finite-valued attribute (NaN would make `==` meaningless).
+fn model_attr(rng: &mut SimRng) -> Attribute {
+    let mut attr = Attribute::new(match rng.below(3) {
+        0 => AttrValue::Number(rng.uniform_range(-10.0, 10.0)),
+        1 => AttrValue::Text(text(rng, 4)),
+        _ => AttrValue::Flag(rng.chance(0.5)),
+    });
+    if rng.chance(0.3) {
+        attr = attr.observed_at(rng.below(1_000));
+    }
+    if rng.chance(0.2) {
+        attr = attr.with_meta(*rng.pick(MODEL_NAMES), "m");
+    }
+    attr
+}
+
+/// Holds `e` to the reference map `model` in every observable way.
+fn assert_matches_model(e: &Entity, model: &BTreeMap<String, Attribute>) {
+    let got: Vec<(&str, &Attribute)> = e.attributes().collect();
+    let want: Vec<(&str, &Attribute)> = model.iter().map(|(k, a)| (k.as_str(), a)).collect();
+    assert_eq!(got, want);
+    assert_eq!(e.len(), model.len());
+    assert_eq!(e.is_empty(), model.is_empty());
+    for name in MODEL_NAMES {
+        let attr = model.get(*name);
+        assert_eq!(e.attribute(name), attr, "{name:?}");
+        let value = attr.map(|a| &a.value);
+        assert_eq!(e.number(name), value.and_then(AttrValue::as_number));
+        assert_eq!(e.text(name), value.and_then(AttrValue::as_text));
+        assert_eq!(e.flag(name), value.and_then(AttrValue::as_flag));
+    }
+    // Equal to the same attributes inserted in reverse order; unequal
+    // once one of them is gone.
+    let mut rebuilt = Entity::new(e.id().clone(), e.entity_type());
+    for (k, a) in model.iter().rev() {
+        rebuilt.set_attribute(k.as_str(), a.clone());
+    }
+    assert_eq!(e, &rebuilt);
+    if let Some(first) = model.keys().next() {
+        rebuilt.remove(first);
+        assert_ne!(e, &rebuilt);
+    }
+    let tree = Json::object([
+        (
+            "attrs".to_owned(),
+            Json::Object(
+                model
+                    .iter()
+                    .map(|(k, a)| (k.clone(), a.to_json()))
+                    .collect(),
+            ),
+        ),
+        ("id".to_owned(), Json::String(e.id().as_str().to_owned())),
+        ("type".to_owned(), Json::String(e.entity_type().to_owned())),
+    ]);
+    assert_eq!(compact(e), tree.to_compact_string());
+    let reference = MapEntity(e, model);
+    assert_eq!(format!("{e:?}"), format!("{reference:?}"));
+    assert_eq!(format!("{e:#?}"), format!("{reference:#?}"));
+}
+
+/// `Debug` of an entity whose attributes are the map: what the derived
+/// `Debug` printed when `Entity` held a `BTreeMap`.
+struct MapEntity<'a>(&'a Entity, &'a BTreeMap<String, Attribute>);
+
+impl fmt::Debug for MapEntity<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Entity")
+            .field("id", self.0.id())
+            .field("entity_type", &self.0.entity_type())
+            .field("attributes", self.1)
+            .finish()
+    }
+}
+
+/// The wire form of `attrs` in order, duplicate names and all, as one
+/// entity document.
+fn duplicate_key_wire(attrs: &[(String, Attribute)]) -> String {
+    let members: Vec<String> = attrs
+        .iter()
+        .map(|(k, a)| {
+            format!(
+                "{}:{}",
+                Json::String(k.clone()).to_compact_string(),
+                a.to_json().to_compact_string()
+            )
+        })
+        .collect();
+    format!(
+        r#"{{"attrs":{{{}}},"id":"urn:model","type":"Probe"}}"#,
+        members.join(",")
+    )
+}
+
+#[test]
+fn sorted_attributes_match_a_map_model() {
+    let mut rng = SimRng::seed_from(0x006d_6f64_656c); // "model"
+    let mut ops = [0u32; 5];
+    for _ in 0..300 {
+        let mut e = Entity::new("urn:model", "Probe");
+        let mut model: BTreeMap<String, Attribute> = BTreeMap::new();
+        for _ in 0..rng.below(24) {
+            let name = (*rng.pick(MODEL_NAMES)).to_owned();
+            let op = rng.below(5);
+            ops[op as usize] += 1;
+            match op {
+                0 => {
+                    let value = AttrValue::Number(rng.uniform_range(-1.0, 1.0));
+                    model.insert(name.clone(), Attribute::new(value.clone()));
+                    e.set(name, value);
+                }
+                1 => {
+                    let attr = model_attr(&mut rng);
+                    model.insert(name.clone(), attr.clone());
+                    e.set_attribute(name, attr);
+                }
+                2 => assert_eq!(e.remove(&name), model.remove(&name)),
+                3 => {
+                    let mut other = Entity::new("urn:model", "Probe");
+                    for _ in 0..rng.below(5) {
+                        let (name, attr) = (*rng.pick(MODEL_NAMES), model_attr(&mut rng));
+                        model.insert(name.to_owned(), attr.clone());
+                        other.set_attribute(name, attr);
+                    }
+                    e.merge_owned(other);
+                }
+                _ => {
+                    // A decoded document replaces the entity: the last of
+                    // each repeated name wins, as in the map.
+                    let attrs: Vec<(String, Attribute)> = (0..rng.below(8))
+                        .map(|_| ((*rng.pick(MODEL_NAMES)).to_owned(), model_attr(&mut rng)))
+                        .collect();
+                    model = attrs.iter().cloned().collect();
+                    let wire = duplicate_key_wire(&attrs);
+                    e = Entity::read_compact(wire.as_bytes()).expect("a valid document");
+                    assert_eq!(decoders_agree(wire.as_bytes()).as_ref(), Some(&e));
+                }
+            }
+            assert_matches_model(&e, &model);
+        }
+    }
+    assert!(ops.iter().all(|&n| n > 400), "{ops:?}");
 }

@@ -171,6 +171,7 @@ struct PlatformInstruments {
     rejected_replay: Counter,
     quarantined: Counter,
     replication_refused: Counter,
+    non_finite: Counter,
     sync_malformed_ack: Counter,
     relay_malformed_ack: Counter,
     relay_refused: Counter,
@@ -195,6 +196,7 @@ impl PlatformInstruments {
             rejected_replay: obs.counter("ingest.rejected_replay"),
             quarantined: obs.counter("ingest.quarantined"),
             replication_refused: obs.counter("ingest.replication_refused"),
+            non_finite: obs.counter("ingest.non_finite"),
             sync_malformed_ack: obs.counter("sync.malformed_ack"),
             relay_malformed_ack: obs.counter("relay.malformed_ack"),
             relay_refused: obs.counter("relay.refused"),
@@ -971,6 +973,11 @@ impl Platform {
     /// history and context still take it — rather than of the whole batch;
     /// device URNs cannot produce one.
     ///
+    /// A NaN or infinite number travels as `null` on the wire, which the
+    /// cloud's views skip, so the history and the baseline skip it too
+    /// (counted on `ingest.non_finite` per value): fog and cloud keep the
+    /// same samples. The entity itself still reaches the broker.
+    ///
     /// Returns the number of updates applied.
     pub fn ingest_entities(
         &mut self,
@@ -991,6 +998,10 @@ impl Platform {
             for entity in &self.ingest_chunk {
                 for (name, attr) in entity.attributes() {
                     if let Some(v) = attr.value.as_number() {
+                        if !v.is_finite() {
+                            self.obs.inc(self.ins.non_finite);
+                            continue;
+                        }
                         let at = attr.observed_at_ms.map(SimTime::from_millis).unwrap_or(now);
                         self.history.append(entity.id().as_str(), name, at, v);
                         if name == self.behavior.signal_attr() {
@@ -1350,6 +1361,57 @@ mod tests {
         assert_eq!(snap.gauge("sync.pending").unwrap(), Some(0.0));
         assert!(snap.counter("sync.acked").unwrap() >= 1);
         assert_eq!(snap.gauge("sync.in_flight").unwrap(), Some(0.0));
+    }
+
+    #[test]
+    fn non_finite_numbers_stay_out_of_the_history_as_out_of_the_cloud_views() {
+        let mut p = Platform::builder(DeploymentConfig::FarmFog)
+            .seed(42)
+            .build();
+        let id = "urn:swamp:device:probe-1";
+        for (i, vwc) in [0.2, f64::NAN, f64::INFINITY].into_iter().enumerate() {
+            let at = SimTime::from_secs(60 * (i as u64 + 1));
+            assert_eq!(
+                p.ingest_entities(at, [telemetry("probe-1", i as f64, vwc)]),
+                1
+            );
+        }
+        for i in 1..10 {
+            p.pump(SimTime::from_secs(300 + i * 120));
+        }
+        assert_eq!(p.cloud_replica().unwrap().record_count(), 3);
+        // The cloud's view of the series skips the two `null`s the wire
+        // carried; the fog's history holds the same one sample.
+        let QueryResponse::Views(views) = p.query(&QueryRequest::Views) else {
+            panic!("views answer views");
+        };
+        let at_cloud = &views.entities[id];
+        assert_eq!(at_cloud.records, 3);
+        assert_eq!(at_cloud.last_alert_value, Some(0.2));
+        let range = |attr: &str| QueryRequest::Range {
+            entity: id.to_owned(),
+            attr: attr.to_owned(),
+            from: SimTime::ZERO,
+            to: SimTime::from_secs(3_600),
+        };
+        let QueryResponse::Samples(at_fog) = p.query(&range("moisture_vwc")) else {
+            panic!("a range answers samples");
+        };
+        let values: Vec<f64> = at_fog.iter().map(|s| s.value).collect();
+        assert_eq!(values, [0.2]);
+        assert_eq!(
+            p.query(&QueryRequest::Last {
+                entity: id.to_owned(),
+                attr: "moisture_vwc".to_owned(),
+            }),
+            QueryResponse::Sample(at_fog.first().copied())
+        );
+        // The finite attribute of the same updates is kept every time.
+        let QueryResponse::Samples(seq) = p.query(&range("seq")) else {
+            panic!("a range answers samples");
+        };
+        assert_eq!(seq.len(), 3);
+        assert_eq!(p.observe().counter("ingest.non_finite").unwrap(), 2);
     }
 
     #[test]

@@ -19,6 +19,11 @@
 //! The counts repeat exactly for a seed, so each budget is an equality-
 //! grade gate on a box whose wall clock is not.
 //!
+//! Live heap bytes get budgets of their own: what one two-attribute probe
+//! [`Entity`] owns, what each table keeps per device or record (DESIGN.md
+//! §6's per-owner table), and what an assembled [`Platform`] holds per
+//! device after a first fleet round and per record after a steady one.
+//!
 //! The read path gets the same treatment: the summary-served
 //! [`QueryRequest`]s (`Extremes`, `Aggregate`, `Last`) through
 //! [`Platform::query`] allocate nothing, however many frozen segments the
@@ -35,8 +40,10 @@ use swamp_core::broker::{ContextBroker, Notification, SubscriptionFilter, Subscr
 use swamp_core::history::HistoryStore;
 use swamp_core::platform::{DeploymentConfig, IngestError, Platform};
 use swamp_core::query::{QueryRequest, QueryResponse};
-use swamp_fog::sync::DEFAULT_WINDOW;
+use swamp_fog::sync::{CloudStore, FogSync, UpdateRecord, DEFAULT_WINDOW};
 use swamp_net::link::LinkSpec;
+use swamp_net::NodeId;
+use swamp_security::baseline::{BaselineConfig, BehaviorBank};
 use swamp_sensors::device::DeviceKind;
 use swamp_sim::{SimDuration, SimTime};
 
@@ -80,6 +87,15 @@ fn alloc_calls<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOC_CALLS.load(Ordering::Relaxed);
     let r = f();
     (ALLOC_CALLS.load(Ordering::Relaxed) - before, r)
+}
+
+/// Live heap bytes `f` leaves behind (its result still alive), per unit of
+/// `per`.
+fn live_bytes<R>(per: usize, f: impl FnOnce() -> R) -> (f64, R) {
+    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    let r = f();
+    let grew = LIVE_BYTES.load(Ordering::Relaxed) - before;
+    (grew as f64 / per as f64, r)
 }
 
 /// Allocations for `rounds` upsert+drain cycles against `subs` subscribers,
@@ -129,6 +145,9 @@ struct WritePath {
     replicate: f64,
     /// The largest single fresh allocation those pumps made, in bytes.
     largest_pump_alloc: usize,
+    /// Live heap bytes the platform gained over the round (the batch
+    /// built, ingested and replicated), per record.
+    live: f64,
 }
 
 fn fleet_round(round: u64, devices: usize) -> Vec<Entity> {
@@ -183,12 +202,14 @@ fn write_path_allocs(with_subscriber: bool, devices: usize) -> (WritePath, Write
     let mut now = SimTime::from_secs(60);
     let (mut first, mut steady) = (None, None);
     for round in 0..3u64 {
+        let live_before = LIVE_BYTES.load(Ordering::Relaxed);
         let batch = fleet_round(round, devices);
         now += SimDuration::from_secs(600);
         let (ingest, applied) = alloc_calls(|| p.ingest_entities(now, batch));
         assert_eq!(applied, devices);
         LARGEST_FRESH.store(0, Ordering::Relaxed);
         let (replicate, ()) = alloc_calls(|| pump_and_drain(&mut p, &mut now, sub, &mut drained));
+        let live = LIVE_BYTES.load(Ordering::Relaxed) - live_before;
         assert_eq!(
             p.cloud_replica().unwrap().record_count(),
             (round as usize + 1) * devices
@@ -197,6 +218,7 @@ fn write_path_allocs(with_subscriber: bool, devices: usize) -> (WritePath, Write
             ingest: ingest as f64 / devices as f64,
             replicate: replicate as f64 / devices as f64,
             largest_pump_alloc: LARGEST_FRESH.load(Ordering::Relaxed),
+            live: live as f64 / devices as f64,
         };
         if round == 0 {
             first = Some(leg);
@@ -277,6 +299,95 @@ fn sealed_path_allocs() -> SealedPath {
         snap.counter("ingest.accepted").unwrap()
     );
     measured
+}
+
+/// Devices per table in the per-owner live-bytes measurements: a window's
+/// worth, so hash-table growth is amortised over many keys.
+const OWNERS: usize = DEFAULT_WINDOW;
+
+/// Live heap bytes per device (per record for the two sync tables) that
+/// each owner on the write path keeps for a fleet of [`OWNERS`]
+/// two-attribute probes, each table measured on its own.
+struct OwnerBytes {
+    /// One probe `Entity`: its inline bytes and everything it owns.
+    entity: f64,
+    /// The broker's row for a device, beyond the entity it shares out.
+    broker_row: f64,
+    /// The device's two history series, one sample each.
+    history: f64,
+    /// The behavioral baseline's state for the device, after one sample.
+    baseline: f64,
+    /// A record in the fog's uplink backlog, payload included.
+    sync_record: f64,
+    /// A record in the cloud run, key and payload included.
+    cloud_record: f64,
+}
+
+fn owner_live_bytes() -> OwnerBytes {
+    let now = SimTime::from_secs(60);
+    let (entity, batch) = live_bytes(OWNERS, || fleet_round(0, OWNERS));
+    let wires: Vec<(String, Vec<u8>)> = batch
+        .iter()
+        .map(|e| {
+            let mut wire = String::new();
+            e.write_compact(&mut wire);
+            (e.id().as_str().to_owned(), wire.into_bytes())
+        })
+        .collect();
+
+    let mut history = HistoryStore::new();
+    let (history_bytes, ()) = live_bytes(OWNERS, || {
+        for e in &batch {
+            for (name, attr) in e.attributes() {
+                let v = attr.value.as_number().unwrap();
+                history.append(e.id().as_str(), name, now, v);
+            }
+        }
+    });
+    let mut baseline = BehaviorBank::new(BaselineConfig::default());
+    let signal = baseline.signal_attr().to_owned();
+    let (baseline_bytes, ()) = live_bytes(OWNERS, || {
+        for e in &batch {
+            baseline.ingest(now, e.id().as_str(), e.number(&signal).unwrap());
+        }
+    });
+    // The broker keeps the entity itself, moved into an `Arc`: the batch's
+    // buffer gives back the inline bytes the `Arc` takes, so what the
+    // upserts add is the row beyond the entity.
+    let mut broker = ContextBroker::new();
+    let (broker_row, ()) = live_bytes(OWNERS, || {
+        for e in batch {
+            broker.upsert(now, e);
+        }
+    });
+
+    let mut sync = FogSync::builder("fog", "cloud").build();
+    let (sync_record, ()) = live_bytes(OWNERS, || {
+        for (key, payload) in &wires {
+            sync.enqueue(now, key, payload.clone()).unwrap();
+        }
+    });
+    let mut cloud = CloudStore::new("cloud");
+    let fog = NodeId::from("fog");
+    let (cloud_record, ()) = live_bytes(OWNERS, || {
+        for (seq, (key, payload)) in (1..).zip(&wires) {
+            let record = UpdateRecord {
+                seq,
+                key: key.clone(),
+                payload: payload.clone(),
+                created_at: now,
+            };
+            assert!(cloud.apply_record(&fog, record));
+        }
+    });
+    OwnerBytes {
+        entity,
+        broker_row,
+        history: history_bytes,
+        baseline: baseline_bytes,
+        sync_record,
+        cloud_record,
+    }
 }
 
 /// Offers `n` frames from fresh unregistered ids, numbered from `from`,
@@ -448,7 +559,7 @@ fn hot_paths_do_not_allocate_per_subscriber_or_per_append() {
     // - a sealed frame pumped, 14: the subscribed ingest and the replicate
     //   legs above (≈ 8.2) plus the five allocations the decoded entity
     //   owns — its id, its type, its two attribute names and its
-    //   attribute map's one node. The plaintext is opened into a buffer
+    //   attribute vector. The plaintext is opened into a buffer
     //   the platform keeps, and `Entity::read_compact` builds no tree
     //   (27.22 before both: a fresh plaintext, and a JSON tree of one
     //   allocation per container, key and string growth step). Restoring
@@ -457,7 +568,7 @@ fn hot_paths_do_not_allocate_per_subscriber_or_per_append() {
     //   `Vec` per frame reads "… 14.22 times (budget 14)".
     let (first, quiet) = write_path_allocs(false, DEVICES);
     let (_, watched) = write_path_allocs(true, DEVICES);
-    let (_, window) = write_path_allocs(false, DEFAULT_WINDOW);
+    let (window_first, window) = write_path_allocs(false, DEFAULT_WINDOW);
     let (_, half_window) = write_path_allocs(false, DEFAULT_WINDOW / 2);
     let SealedPath {
         publish,
@@ -548,6 +659,43 @@ fn hot_paths_do_not_allocate_per_subscriber_or_per_append() {
         first_sight <= 27.5,
         "a device's first sealed frame pumped end to end allocated {first_sight:.2} times \
          (budget 27.5)"
+    );
+
+    // --- Live heap bytes per owner (DESIGN.md §6's table), and what the
+    // platform holds per device after a first round of a window-sized
+    // fleet and per record after a steady round. The counts repeat
+    // exactly; each budget is the measured figure plus at most 5 %.
+    let owners = owner_live_bytes();
+    eprintln!(
+        "live bytes: entity {:.1}, broker row {:.1}, history {:.1}, baseline {:.1}, \
+         sync record {:.1}, cloud record {:.1}; platform per device after a first round \
+         {:.1}, per record after a steady round {:.1}",
+        owners.entity,
+        owners.broker_row,
+        owners.history,
+        owners.baseline,
+        owners.sync_record,
+        owners.cloud_record,
+        window_first.live,
+        window.live
+    );
+    // An entity that keeps its attributes in a `BTreeMap`, whose first
+    // insert allocates a whole eleven-slot node, reads 1 214 here.
+    assert!(
+        owners.entity <= 640.0,
+        "a two-attribute probe entity holds {:.1} live bytes (budget 640)",
+        owners.entity
+    );
+    // Measured 2 528.8 and 329.4 (3 216.8 and 329.4 with the map).
+    assert!(
+        window_first.live <= 2_650.0,
+        "the platform holds {:.1} live bytes per device after a first round (budget 2 650)",
+        window_first.live
+    );
+    assert!(
+        window.live <= 345.0,
+        "the platform gains {:.1} live bytes per record in a steady round (budget 345)",
+        window.live
     );
 
     // --- Frames from ids the registry has never seen are refused before
