@@ -39,8 +39,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use swamp_sim::stats::OnlineStats;
-use swamp_sim::SimTime;
+use swamp_sim::{SimDuration, SimTime};
 
 /// Dense identifier of one (entity, attribute) series, assigned by the
 /// interner on first append and stable for the store's lifetime.
@@ -55,12 +54,18 @@ pub struct Sample {
     pub value: f64,
 }
 
-/// Aggregates over a query window.
+/// Aggregates over a query window, folded over its values in time order
+/// on every storage layout — so flat, segmented and compacted stores
+/// answer bit-identically.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WindowAggregate {
     /// Samples in the window.
     pub count: u64,
-    /// Mean value.
+    /// Mean value: the in-order sum divided by `count`. Where that sum is
+    /// not finite (NaN, ±∞, overflow) or a value's magnitude exceeds
+    /// `f64::MAX / 4`, it is the running mean `m += (v - m) / n` over the
+    /// same values instead, which keeps the answers of those windows
+    /// (NaN, ±∞, a mean of `f64::MAX`) stable.
     pub mean: f64,
     /// Minimum value.
     pub min: f64,
@@ -163,6 +168,79 @@ impl Extremes {
             }
         }
         self.count += seg.count() as u64;
+    }
+}
+
+/// The in-order fold behind [`WindowAggregate`]: count, sum, min, max and
+/// last value. Count, min and max fold as `swamp_sim::stats::OnlineStats`
+/// folds them (`f64::min`/`f64::max` seeded with ±∞); the mean is
+/// `sum / count`, one division per window.
+struct Fold {
+    count: u64,
+    sum: f64,
+    min: f64,
+    max: f64,
+    last: f64,
+}
+
+impl Fold {
+    const EMPTY: Fold = Fold {
+        count: 0,
+        sum: 0.0,
+        min: f64::INFINITY,
+        max: f64::NEG_INFINITY,
+        last: 0.0,
+    };
+
+    /// Values at most this large in magnitude cannot overflow the running
+    /// mean's `v - mean` term, so there `sum / count` and the running mean
+    /// differ only by rounding.
+    const SUM_SAFE: f64 = f64::MAX / 4.0;
+
+    fn push(&mut self, v: f64) {
+        self.count += 1;
+        self.sum += v;
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+        self.last = v;
+    }
+
+    /// Folds a segment's value column in, in time order — no timestamp
+    /// decode.
+    fn push_column(&mut self, values: &[f64]) {
+        let Some(&last) = values.last() else {
+            return;
+        };
+        for &v in values {
+            self.sum += v;
+            self.min = self.min.min(v);
+            self.max = self.max.max(v);
+        }
+        self.count += values.len() as u64;
+        self.last = last;
+    }
+
+    /// The window's aggregate; `None` if nothing was folded. When the sum
+    /// is not finite (NaN, ±∞ or an overflow) or a value is large enough
+    /// for the running mean to overflow, the mean is `running_mean()`, the
+    /// per-sample running mean over the same values.
+    fn finish(&self, running_mean: impl FnOnce() -> f64) -> Option<WindowAggregate> {
+        if self.count == 0 {
+            return None;
+        }
+        let summable =
+            self.sum.is_finite() && self.min >= -Self::SUM_SAFE && self.max <= Self::SUM_SAFE;
+        Some(WindowAggregate {
+            count: self.count,
+            mean: if summable {
+                self.sum / self.count as f64
+            } else {
+                running_mean()
+            },
+            min: self.min,
+            max: self.max,
+            last: self.last,
+        })
     }
 }
 
@@ -319,6 +397,24 @@ impl Iterator for SegmentIter<'_> {
     }
 }
 
+/// What [`Series::walk_window`] hands its visitor.
+enum Piece<'a> {
+    /// A frozen segment wholly inside the window, not decoded.
+    Whole(&'a Segment),
+    /// One in-window sample of an edge segment or of the tail.
+    Sample(Sample),
+}
+
+/// Segment counts of one [`Series::walk_window`] call.
+struct Walk {
+    /// Segments skipped via their summary.
+    pruned: u64,
+    /// Segments wholly inside the window, handed over undecoded.
+    whole: u64,
+    /// Segments straddling a window edge, decoded and filtered.
+    edge: u64,
+}
+
 /// One series: frozen segments (ascending in time, touching at most at
 /// boundary timestamps) plus the mutable sorted tail.
 #[derive(Debug, Default)]
@@ -377,82 +473,66 @@ impl Series {
         out
     }
 
-    /// Visits every sample with `from <= at < to` in time order, pruning
-    /// frozen segments via their summaries. Returns
-    /// `(segments_pruned, segments_decoded)`.
-    fn for_each_in_window(
-        &self,
+    /// The window walker behind every windowed read: visits `[from, to)`
+    /// in time order, pruning frozen segments via their summaries. A
+    /// segment wholly inside the window is handed over undecoded
+    /// ([`Piece::Whole`]); edge segments and the tail are handed over
+    /// sample by sample, filtered to the window.
+    fn walk_window<'a>(
+        &'a self,
         from: SimTime,
         to: SimTime,
-        f: &mut dyn FnMut(Sample),
-    ) -> (u64, u64) {
+        mut visit: impl FnMut(Piece<'a>),
+    ) -> Walk {
         // Segments are time-ordered, so the overlap run is contiguous:
         // binary-search past everything ending before the window, stop at
         // the first segment starting at/after its end.
         let lo = self.segments.partition_point(|s| s.last_at < from);
         let mut hi = lo;
+        let mut whole = 0u64;
         for seg in &self.segments[lo..] {
             if seg.first_at >= to {
                 break;
             }
             hi += 1;
             if seg.first_at >= from && seg.last_at < to {
-                // Fully inside the window: no per-sample filtering.
-                for s in seg.iter() {
-                    f(s);
-                }
+                whole += 1;
+                visit(Piece::Whole(seg));
             } else {
                 for s in seg.iter() {
                     if s.at >= from && s.at < to {
-                        f(s);
+                        visit(Piece::Sample(s));
                     }
                 }
             }
         }
-        let pruned = (lo + (self.segments.len() - hi)) as u64;
         let t_lo = self.tail.partition_point(|s| s.at < from);
         let t_hi = self.tail.partition_point(|s| s.at < to);
         for s in &self.tail[t_lo..t_hi] {
-            f(*s);
+            visit(Piece::Sample(*s));
         }
-        (pruned, (hi - lo) as u64)
+        Walk {
+            pruned: (lo + (self.segments.len() - hi)) as u64,
+            whole,
+            edge: (hi - lo) as u64 - whole,
+        }
     }
 
-    /// Count/min/max over `[from, to)`. Segments wholly inside the window
-    /// fold in via their summary — **no decode** — so on a deep frozen
-    /// series this touches O(segments) summaries plus at most two partial
-    /// segments, where the flat layout walks every in-window sample.
-    /// Returns `(extremes, pruned, summarized, decoded)`.
-    fn extremes_in_window(&self, from: SimTime, to: SimTime) -> (Extremes, u64, u64, u64) {
-        let mut acc = Extremes::EMPTY;
-        let lo = self.segments.partition_point(|s| s.last_at < from);
-        let mut hi = lo;
-        let mut summarized = 0u64;
-        let mut decoded = 0u64;
-        for seg in &self.segments[lo..] {
-            if seg.first_at >= to {
-                break;
-            }
-            hi += 1;
-            if seg.first_at >= from && seg.last_at < to {
-                acc.push_summary(seg);
-                summarized += 1;
-            } else {
-                decoded += 1;
-                for s in seg.iter() {
-                    if s.at >= from && s.at < to {
-                        acc.push(s.value);
-                    }
-                }
-            }
-        }
-        let pruned = (lo + (self.segments.len() - hi)) as u64;
-        let t_lo = self.tail.partition_point(|s| s.at < from);
-        let t_hi = self.tail.partition_point(|s| s.at < to);
-        for s in &self.tail[t_lo..t_hi] {
-            acc.push(s.value);
-        }
-        (acc, pruned, summarized, decoded)
+    /// The running mean over `[from, to)`, step for step the one
+    /// `swamp_sim::stats::OnlineStats` computes — the mean
+    /// [`Fold::finish`] falls back to when a plain sum is unsafe.
+    fn running_mean(&self, from: SimTime, to: SimTime) -> f64 {
+        let mut n = 0u64;
+        let mut mean = 0.0;
+        let mut step = |v: f64| {
+            n += 1;
+            mean += (v - mean) / n as f64;
+        };
+        self.walk_window(from, to, |piece| match piece {
+            Piece::Whole(seg) => seg.values.iter().for_each(|&v| step(v)),
+            Piece::Sample(s) => step(s.value),
+        });
+        mean
     }
 
     /// Drops samples older than `cutoff`; returns how many were removed.
@@ -475,6 +555,67 @@ impl Series {
         removed += keep_from as u64;
         self.tail.drain(..keep_from);
         removed
+    }
+}
+
+/// [`HistoryStore::downsample`]'s state: the bucket being folded and the
+/// buckets already done.
+struct Buckets<'a> {
+    series: &'a Series,
+    from: SimTime,
+    to: SimTime,
+    bucket: SimDuration,
+    /// The current bucket, `[start, end)`.
+    start: SimTime,
+    end: SimTime,
+    acc: Fold,
+    out: Vec<(SimTime, WindowAggregate)>,
+}
+
+impl<'a> Buckets<'a> {
+    fn new(series: &'a Series, from: SimTime, to: SimTime, bucket: SimDuration) -> Self {
+        Buckets {
+            series,
+            from,
+            to,
+            bucket,
+            start: from,
+            end: from.saturating_add(bucket).min(to),
+            acc: Fold::EMPTY,
+            out: Vec::new(),
+        }
+    }
+
+    /// Makes the bucket holding `at` (in `[start, to)`) current, flushing
+    /// the one before. It jumps straight there, so the empty buckets in
+    /// between cost nothing.
+    fn seek(&mut self, at: SimTime) {
+        if at < self.end {
+            return;
+        }
+        self.flush();
+        let offset = at.as_millis() - self.from.as_millis();
+        let width = self.bucket.as_millis();
+        self.start = SimTime::from_millis(self.from.as_millis() + offset - offset % width);
+        self.end = self.start.saturating_add(self.bucket).min(self.to);
+    }
+
+    fn push(&mut self, s: Sample) {
+        self.seek(s.at);
+        self.acc.push(s.value);
+    }
+
+    fn flush(&mut self) {
+        let (series, start, end) = (self.series, self.start, self.end);
+        if let Some(agg) = self.acc.finish(|| series.running_mean(start, end)) {
+            self.out.push((start, agg));
+        }
+        self.acc = Fold::EMPTY;
+    }
+
+    fn finish(mut self) -> Vec<(SimTime, WindowAggregate)> {
+        self.flush();
+        self.out
     }
 }
 
@@ -678,8 +819,11 @@ impl HistoryStore {
         out: &mut Vec<Sample>,
     ) {
         if let Some(series) = self.series(entity, attr) {
-            let (pruned, decoded) = series.for_each_in_window(from, to, &mut |s| out.push(s));
-            self.note_scan(pruned, 0, decoded);
+            let walk = series.walk_window(from, to, |piece| match piece {
+                Piece::Whole(seg) => out.extend(seg.iter()),
+                Piece::Sample(s) => out.push(s),
+            });
+            self.note_scan(walk.pruned, 0, walk.whole + walk.edge);
         }
     }
 
@@ -703,6 +847,10 @@ impl HistoryStore {
     }
 
     /// Window aggregate over `[from, to)`; `None` if no samples fall inside.
+    ///
+    /// One in-order fold over the window's values (exactness: see
+    /// [`WindowAggregate`]). A segment wholly inside the window folds
+    /// straight from its value column; its timestamps are not decoded.
     pub fn aggregate(
         &self,
         entity: &str,
@@ -711,20 +859,13 @@ impl HistoryStore {
         to: SimTime,
     ) -> Option<WindowAggregate> {
         let series = self.series(entity, attr)?;
-        let mut stats = OnlineStats::new();
-        let mut last = None;
-        let (pruned, decoded) = series.for_each_in_window(from, to, &mut |s| {
-            stats.push(s.value);
-            last = Some(s.value);
+        let mut acc = Fold::EMPTY;
+        let walk = series.walk_window(from, to, |piece| match piece {
+            Piece::Whole(seg) => acc.push_column(&seg.values),
+            Piece::Sample(s) => acc.push(s.value),
         });
-        self.note_scan(pruned, 0, decoded);
-        Some(WindowAggregate {
-            count: stats.count(),
-            mean: stats.mean(),
-            min: stats.min(),
-            max: stats.max(),
-            last: last?,
-        })
+        self.note_scan(walk.pruned, 0, walk.whole + walk.edge);
+        acc.finish(|| series.running_mean(from, to))
     }
 
     /// Count/min/max over `[from, to)`; `None` if no samples fall inside.
@@ -735,9 +876,11 @@ impl HistoryStore {
     /// window over a deep frozen series costs O(segments) instead of the
     /// flat layout's O(samples) walk — the read-path asymmetry E15's
     /// p50/p99 gate measures. [`HistoryStore::aggregate`] cannot do this:
-    /// its mean is a sequential float fold, so it must decode every
-    /// in-window sample to stay bit-identical across layouts; count, min
-    /// and max compose exactly under any grouping (see [`Extremes`]).
+    /// its mean is an in-order float sum, which regrouped per segment
+    /// would round differently on each layout, so it still visits every
+    /// in-window value (a whole segment through its value column, without
+    /// decoding timestamps); count, min and max compose exactly under any
+    /// grouping (see [`Extremes`]).
     pub fn extremes(
         &self,
         entity: &str,
@@ -746,64 +889,49 @@ impl HistoryStore {
         to: SimTime,
     ) -> Option<Extremes> {
         let series = self.series(entity, attr)?;
-        let (acc, pruned, summarized, decoded) = series.extremes_in_window(from, to);
-        self.note_scan(pruned, summarized, decoded);
+        let mut acc = Extremes::EMPTY;
+        let walk = series.walk_window(from, to, |piece| match piece {
+            Piece::Whole(seg) => acc.push_summary(seg),
+            Piece::Sample(s) => acc.push(s.value),
+        });
+        self.note_scan(walk.pruned, walk.whole, walk.edge);
         (acc.count > 0).then_some(acc)
     }
 
     /// Downsamples a series into fixed buckets of `bucket` duration over
     /// `[from, to)`, returning one aggregate per non-empty bucket with its
     /// bucket start time — what dashboards and the analytics jobs consume.
-    ///
-    /// # Panics
-    /// Panics if `bucket` is zero.
+    /// Each bucket is folded as [`HistoryStore::aggregate`] folds a window;
+    /// a segment wholly inside one bucket folds from its value column.
+    /// Empty buckets cost nothing, and a zero `bucket` answers no buckets.
     pub fn downsample(
         &self,
         entity: &str,
         attr: &str,
         from: SimTime,
         to: SimTime,
-        bucket: swamp_sim::SimDuration,
+        bucket: SimDuration,
     ) -> Vec<(SimTime, WindowAggregate)> {
-        assert!(
-            bucket != swamp_sim::SimDuration::ZERO,
-            "bucket duration must be positive"
-        );
-        let mut out: Vec<(SimTime, WindowAggregate)> = Vec::new();
         let Some(series) = self.series(entity, attr) else {
-            return out;
+            return Vec::new();
         };
-        let mut bucket_start = from;
-        let mut bucket_end = from.saturating_add(bucket).min(to);
-        let mut stats = OnlineStats::new();
-        let mut last: Option<f64> = None;
-        let mut flush = |bs: SimTime, stats: &mut OnlineStats, last: &mut Option<f64>| {
-            if let Some(l) = last.take() {
-                out.push((
-                    bs,
-                    WindowAggregate {
-                        count: stats.count(),
-                        mean: stats.mean(),
-                        min: stats.min(),
-                        max: stats.max(),
-                        last: l,
-                    },
-                ));
+        if bucket == SimDuration::ZERO {
+            return Vec::new();
+        }
+        let mut buckets = Buckets::new(series, from, to, bucket);
+        let walk = series.walk_window(from, to, |piece| match piece {
+            Piece::Whole(seg) => {
+                buckets.seek(seg.first_at);
+                if seg.last_at < buckets.end {
+                    buckets.acc.push_column(&seg.values);
+                } else {
+                    seg.iter().for_each(|s| buckets.push(s));
+                }
             }
-            *stats = OnlineStats::new();
-        };
-        let (pruned, decoded) = series.for_each_in_window(from, to, &mut |s| {
-            while s.at >= bucket_end && bucket_end < to {
-                flush(bucket_start, &mut stats, &mut last);
-                bucket_start = bucket_end;
-                bucket_end = bucket_start.saturating_add(bucket).min(to);
-            }
-            stats.push(s.value);
-            last = Some(s.value);
+            Piece::Sample(s) => buckets.push(s),
         });
-        flush(bucket_start, &mut stats, &mut last);
-        self.note_scan(pruned, 0, decoded);
-        out
+        self.note_scan(walk.pruned, 0, walk.whole + walk.edge);
+        buckets.finish()
     }
 
     /// Dumps every series in deterministic `(entity, attr)` order, with its
@@ -846,7 +974,8 @@ impl HistoryStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swamp_sim::{SimDuration, SimRng};
+    use swamp_sim::stats::OnlineStats;
+    use swamp_sim::SimRng;
 
     fn t(h: u64) -> SimTime {
         SimTime::from_hours(h)
@@ -1015,6 +1144,22 @@ mod tests {
         assert_eq!(buckets.len(), 2);
         assert_eq!(buckets[0].0, t(0));
         assert_eq!(buckets[1].0, t(5));
+        // Two samples 10^12 ms apart read with 1 ms buckets: the walk
+        // jumps straight to each sample's bucket instead of stepping
+        // through the 10^12 empty ones between them, frozen or not.
+        let far = SimTime::from_millis(1_000_000_000_000);
+        for compact in [false, true] {
+            let mut h = HistoryStore::new();
+            h.append("e", "a", SimTime::from_millis(3), 1.0);
+            h.append("e", "a", far, 2.0);
+            if compact {
+                h.compact();
+            }
+            let to = far.saturating_add(SimDuration::from_millis(10));
+            let buckets = h.downsample("e", "a", SimTime::ZERO, to, SimDuration::from_millis(1));
+            let starts: Vec<(SimTime, f64)> = buckets.iter().map(|(at, b)| (*at, b.last)).collect();
+            assert_eq!(starts, vec![(SimTime::from_millis(3), 1.0), (far, 2.0)]);
+        }
     }
 
     #[test]
@@ -1077,13 +1222,76 @@ mod tests {
         }
     }
 
+    /// A window aggregate as bits: `count` and the bit patterns of mean,
+    /// min, max and last, so `-0.0`, NaN and rounding all compare exactly.
+    fn bits(agg: &WindowAggregate) -> [u64; 5] {
+        [
+            agg.count,
+            agg.mean.to_bits(),
+            agg.min.to_bits(),
+            agg.max.to_bits(),
+            agg.last.to_bits(),
+        ]
+    }
+
+    /// The reference fold, one value at a time: count/min/max through
+    /// `OnlineStats` (the exact bits the aggregates always had), the mean
+    /// as the in-order sum over the count, or `OnlineStats`' running mean
+    /// where the sum is not finite or a value exceeds `f64::MAX / 4`.
+    fn reference_fold(values: impl IntoIterator<Item = f64>) -> Option<[u64; 5]> {
+        let mut stats = OnlineStats::new();
+        let mut sum = 0.0;
+        let mut last = None;
+        for v in values {
+            stats.push(v);
+            sum += v;
+            last = Some(v);
+        }
+        let safe = f64::MAX / 4.0;
+        let mean = if sum.is_finite() && stats.min() >= -safe && stats.max() <= safe {
+            sum / stats.count() as f64
+        } else {
+            stats.mean()
+        };
+        Some(bits(&WindowAggregate {
+            count: stats.count(),
+            mean,
+            min: stats.min(),
+            max: stats.max(),
+            last: last?,
+        }))
+    }
+
+    /// The reference downsample: samples grouped by bucket index
+    /// `⌊(at − from) / bucket⌋`, each group folded by [`reference_fold`].
+    fn reference_buckets(
+        samples: &[Sample],
+        from: SimTime,
+        bucket: SimDuration,
+    ) -> Vec<(SimTime, [u64; 5])> {
+        let width = bucket.as_millis();
+        let index = |s: &Sample| (s.at.as_millis() - from.as_millis()) / width;
+        samples
+            .chunk_by(|a, b| index(a) == index(b))
+            .filter_map(|run| {
+                let start = SimTime::from_millis(from.as_millis() + index(&run[0]) * width);
+                Some((start, reference_fold(run.iter().map(|s| s.value))?))
+            })
+            .collect()
+    }
+
     #[test]
     fn compaction_is_observationally_free() {
         // The in-tree seeded differential: a flat store vs an
         // every-8-appends store vs an explicitly compacted store, fed an
-        // identical stream with out-of-order timestamps, must agree on
-        // every read. (The full cadence × shard matrix lives in
-        // crates/pilots/tests/compaction_differential.rs.)
+        // identical stream with out-of-order timestamps and signed zeros,
+        // must agree on every read, and every aggregate and downsample
+        // bucket must equal the reference fold over `range`'s samples bit
+        // for bit. (The full cadence × shard matrix lives in
+        // crates/pilots/tests/compaction_differential.rs.) Mutations of
+        // the column fold this catches: a whole segment that does not set
+        // `last`, a bucket jump off by one bucket, and a segment folded
+        // whole although it straddles a bucket end.
         let mut rng = SimRng::seed_from(0xE15);
         let mut flat = HistoryStore::new();
         let mut auto8 = HistoryStore::new();
@@ -1097,7 +1305,11 @@ mod tests {
             } else {
                 SimTime::from_hours(step)
             };
-            let v = rng.uniform_f64();
+            let v = match rng.below(20) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rng.uniform_f64() - 0.5,
+            };
             flat.append(&e, "m", at, v);
             auto8.append(&e, "m", at, v);
             manual.append(&e, "m", at, v);
@@ -1108,20 +1320,96 @@ mod tests {
         assert!(auto8.segment_count() > 0 && manual.segment_count() > 0);
         assert_eq!(flat.dump_sorted(), auto8.dump_sorted());
         assert_eq!(flat.dump_sorted(), manual.dump_sorted());
+        // Windows cut at and inside segments of both segmented layouts:
+        // one whole segment, both edges inside one, `to` inside one, and
+        // one-sample windows.
+        let ms = SimDuration::from_millis(1);
+        let mut windows = vec![(t(0), t(600)), (t(100), t(101)), (t(590), t(600))];
+        let summaries = auto8.segment_summaries("e0", "m");
+        for seg in summaries.iter().chain(&manual.segment_summaries("e1", "m")) {
+            let (a, b) = (seg.first_at, seg.last_at);
+            windows.push((a, b.saturating_add(ms)));
+            windows.push((a.saturating_add(ms), b));
+            windows.push((t(0), b));
+            windows.push((a, a.saturating_add(ms)));
+        }
+        // Buckets of one sample, smaller than a segment, about one
+        // segment, and spanning several.
+        let buckets = [0, 1, 7, 37, 200].map(|h| SimDuration::from_hours(h).max(ms));
         for e in ["e0", "e1", "e2", "e3", "e4"] {
-            for (from, to) in [(t(0), t(600)), (t(100), t(101)), (t(590), t(600))] {
-                assert_eq!(flat.range(e, "m", from, to), auto8.range(e, "m", from, to));
-                assert_eq!(
-                    flat.aggregate(e, "m", from, to),
-                    manual.aggregate(e, "m", from, to)
-                );
-                assert_eq!(
-                    flat.downsample(e, "m", from, to, SimDuration::from_hours(7)),
-                    auto8.downsample(e, "m", from, to, SimDuration::from_hours(7))
-                );
+            for &(from, to) in &windows {
+                let samples = flat.range(e, "m", from, to);
+                let want = reference_fold(samples.iter().map(|s| s.value));
+                for h in [&flat, &auto8, &manual] {
+                    assert_eq!(h.range(e, "m", from, to), samples);
+                    assert_eq!(
+                        h.aggregate(e, "m", from, to).as_ref().map(bits),
+                        want,
+                        "{e} [{from:?}, {to:?})"
+                    );
+                    for bucket in buckets {
+                        let got: Vec<(SimTime, [u64; 5])> = h
+                            .downsample(e, "m", from, to, bucket)
+                            .iter()
+                            .map(|(at, agg)| (*at, bits(agg)))
+                            .collect();
+                        assert_eq!(
+                            got,
+                            reference_buckets(&samples, from, bucket),
+                            "{e} [{from:?}, {to:?}) by {bucket:?}"
+                        );
+                    }
+                }
             }
             assert_eq!(flat.last(e, "m"), manual.last(e, "m"));
         }
+    }
+
+    #[test]
+    fn mean_edge_cases_keep_the_running_mean() {
+        // Where the in-order sum is not finite, or a value is large enough
+        // for the running mean to overflow, the mean is the running
+        // `OnlineStats` mean — on a flat and on segmented layouts alike.
+        let cases: [&[f64]; 7] = [
+            &[f64::MAX, f64::MAX],
+            &[f64::MAX, -f64::MAX],
+            &[1.0, f64::NAN, 2.0],
+            &[1.0, f64::INFINITY, 2.0],
+            &[f64::NEG_INFINITY, 1.0, 3.0],
+            &[f64::INFINITY, f64::NEG_INFINITY],
+            &[1e308, 1e308, -1e308],
+        ];
+        for values in cases {
+            let mut stores: [HistoryStore; 3] = std::array::from_fn(|_| HistoryStore::new());
+            stores[1].set_segment_threshold(Some(2));
+            for (i, &v) in values.iter().enumerate() {
+                for h in &mut stores {
+                    h.append("e", "a", t(i as u64), v);
+                }
+            }
+            stores[2].compact();
+            let mut running = OnlineStats::new();
+            values.iter().for_each(|&v| running.push(v));
+            let want = reference_fold(values.iter().copied());
+            for h in &stores {
+                let agg = h.aggregate("e", "a", t(0), t(10)).unwrap();
+                assert_eq!(agg.mean.to_bits(), running.mean().to_bits(), "{values:?}");
+                assert_eq!(Some(bits(&agg)), want, "{values:?}");
+                let buckets = h.downsample("e", "a", t(0), t(10), SimDuration::from_hours(10));
+                assert_eq!(buckets.len(), 1);
+                assert_eq!(bits(&buckets[0].1), bits(&agg), "{values:?}");
+            }
+        }
+        // The two overflow cases, spelled out.
+        let mean_of = |values: &[f64]| {
+            let mut h = HistoryStore::new();
+            for (i, &v) in values.iter().enumerate() {
+                h.append("e", "a", t(i as u64), v);
+            }
+            h.aggregate("e", "a", t(0), t(10)).unwrap().mean
+        };
+        assert_eq!(mean_of(&[f64::MAX, f64::MAX]), f64::MAX);
+        assert_eq!(mean_of(&[f64::MAX, -f64::MAX]), f64::NEG_INFINITY);
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub enum QueryRequest {
         from: SimTime,
         /// Window end (exclusive).
         to: SimTime,
-        /// Bucket width (must be positive).
+        /// Bucket width; a zero width answers no buckets.
         bucket: SimDuration,
     },
     /// The most recent sample of one series.

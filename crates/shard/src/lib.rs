@@ -408,6 +408,36 @@ mod tests {
     }
 
     #[test]
+    fn zero_bucket_downsample_answers_no_buckets_on_both_tiers() {
+        // A reader-supplied zero bucket reaches `HistoryStore::downsample`
+        // through `Drive::query`; it must answer, not panic the platform.
+        let downsample = |bucket| QueryRequest::Downsample {
+            entity: "urn:swamp:device:probe-1".into(),
+            attr: "moisture_vwc".into(),
+            from: SimTime::ZERO,
+            to: SimTime::from_secs(10),
+            bucket,
+        };
+        let mut single = Platform::builder(DeploymentConfig::FarmFog)
+            .seed(42)
+            .build();
+        let mut sharded = build(3, 42);
+        let tiers: [&mut dyn Drive; 2] = [&mut single, &mut sharded];
+        for tier in tiers {
+            assert_eq!(
+                tier.ingest(SimTime::from_secs(1), vec![probe_update(1, 0.0)]),
+                1
+            );
+            for (bucket, expected) in [(SimDuration::ZERO, 0), (SimDuration::from_secs(1), 1)] {
+                match tier.query(&downsample(bucket)) {
+                    QueryResponse::Buckets(b) => assert_eq!(b.len(), expected, "{bucket:?}"),
+                    other => panic!("wrong response: {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
     fn devices_route_to_owning_shard() {
         let mut sp = build(4, 7);
         let idx = sp
