@@ -1029,28 +1029,20 @@ impl Platform {
         applied
     }
 
-    /// Whether the farm↔cloud uplink is currently up.
-    pub fn internet_up(&self) -> bool {
-        self.net.link_up(&self.farm_id, &self.cloud_id)
-    }
-
-    /// Brings the farm↔cloud uplink up or down (outage scenarios).
-    pub fn set_internet(&mut self, up: bool) {
-        self.net.set_link_up(&self.farm_id, &self.cloud_id, up);
-    }
-
-    /// Whether the platform can serve its function right now, and where.
+    /// Whether the platform can serve its function at the network clock,
+    /// and where.
     ///
-    /// CloudOnly requires the uplink; FarmFog decides locally regardless,
-    /// reporting `Cloud` only when it could also reach the cloud.
+    /// CloudOnly requires the uplink, which is down exactly inside a
+    /// fault-plan partition window of the farm↔cloud pair (see
+    /// [`PlatformBuilder::uplink_outages`]); FarmFog decides locally
+    /// regardless.
     pub fn service_point(&self) -> Option<ServedBy> {
         match self.config {
             DeploymentConfig::CloudOnly => {
-                if self.internet_up() {
-                    Some(ServedBy::Cloud)
-                } else {
-                    None
-                }
+                let partitioned = self.net.fault_plan().is_some_and(|plan| {
+                    plan.is_partitioned(self.net.now(), &self.farm_id, &self.cloud_id)
+                });
+                (!partitioned).then_some(ServedBy::Cloud)
             }
             DeploymentConfig::FarmFog => Some(ServedBy::Fog),
         }
@@ -1313,18 +1305,51 @@ mod tests {
     }
 
     #[test]
-    fn fog_keeps_serving_during_outage_cloud_only_does_not() {
-        let mut fog = Platform::builder(DeploymentConfig::FarmFog).seed(1).build();
-        let mut cloud = Platform::builder(DeploymentConfig::CloudOnly)
-            .seed(1)
-            .build();
-        assert_eq!(fog.service_point(), Some(ServedBy::Fog));
-        assert_eq!(cloud.service_point(), Some(ServedBy::Cloud));
-        fog.set_internet(false);
-        cloud.set_internet(false);
-        assert_eq!(fog.service_point(), Some(ServedBy::Fog));
-        assert_eq!(cloud.service_point(), None);
-        assert!(!fog.internet_up());
+    fn service_point_and_partitions_follow_one_outage_schedule() {
+        let windows = [
+            (SimTime::from_hours(6), SimTime::from_hours(9)),
+            (
+                SimTime::from_secs(20 * 3_600 + 1_800),
+                SimTime::from_hours(32),
+            ),
+        ];
+        let mut schedule = OutageSchedule::new();
+        for (start, end) in windows {
+            schedule.add_outage(start, end);
+        }
+        let build = |config| {
+            Platform::builder(config)
+                .seed(1)
+                .uplink_outages(&schedule)
+                .build()
+        };
+        let mut fog = build(DeploymentConfig::FarmFog);
+        let mut cloud = build(DeploymentConfig::CloudOnly);
+        let mut edges_seen = 0;
+        for minute in 0..48 * 60 {
+            let now = SimTime::from_secs(minute * 60);
+            fog.pump(now);
+            cloud.pump(now);
+            let down = schedule.is_down(now);
+            assert_eq!(cloud.service_point().is_none(), down, "at {now}");
+            assert_eq!(fog.service_point(), Some(ServedBy::Fog), "at {now}");
+            let plan = cloud.net.fault_plan().expect("outages install a plan");
+            let (farm, cloud_node) = (&cloud.farm_id, &cloud.cloud_id);
+            assert_eq!(plan.is_partitioned(now, farm, cloud_node), down);
+            assert_eq!(plan.is_partitioned(now, cloud_node, farm), down);
+            // Half-open windows: down at each start, up again at each end.
+            for (start, end) in windows {
+                if now == start {
+                    assert_eq!(cloud.service_point(), None);
+                    edges_seen += 1;
+                }
+                if now == end {
+                    assert_eq!(cloud.service_point(), Some(ServedBy::Cloud));
+                    edges_seen += 1;
+                }
+            }
+        }
+        assert_eq!(edges_seen, 4);
     }
 
     #[test]
@@ -1479,10 +1504,13 @@ mod tests {
 
     #[test]
     fn degraded_mode_surfaces_through_platform() {
+        let mut outage = OutageSchedule::new();
+        outage.add_outage(SimTime::ZERO, SimTime::from_secs(400));
         let mut p = Platform::builder(DeploymentConfig::FarmFog)
             .seed(3)
             .sync_base_timeout(SimDuration::from_secs(10))
             .sync_jitter(0.0)
+            .uplink_outages(&outage)
             .build();
         p.register_device(
             SimTime::ZERO,
@@ -1493,7 +1521,6 @@ mod tests {
         .unwrap();
         assert_eq!(p.degraded_mode(), DegradedMode::Connected);
 
-        p.set_internet(false);
         p.ingest_entities(SimTime::from_secs(1), [telemetry("probe-1", 0.0, 0.25)]);
         // Each pump's refused sync round is a strike; walk into Degraded.
         for i in 1..4 {
@@ -1503,8 +1530,7 @@ mod tests {
         // The fog keeps serving decisions locally throughout.
         assert_eq!(p.service_point(), Some(ServedBy::Fog));
 
-        // Heal the uplink: replication drains and the engine reconnects.
-        p.set_internet(true);
+        // The uplink heals: replication drains and the engine reconnects.
         for i in 0..6 {
             p.pump(SimTime::from_secs(400 + i * 60));
         }

@@ -25,7 +25,6 @@ pub struct AvailabilityTracker {
     served_cloud: u64,
     served_fog: u64,
     unserved: u64,
-    last_interval_end: SimTime,
 }
 
 impl AvailabilityTracker {
@@ -40,7 +39,6 @@ impl AvailabilityTracker {
             served_cloud: 0,
             served_fog: 0,
             unserved: 0,
-            last_interval_end: SimTime::ZERO,
         }
     }
 
@@ -56,7 +54,6 @@ impl AvailabilityTracker {
             Some(ServedBy::Fog) => self.served_fog += 1,
             None => self.unserved += 1,
         }
-        self.last_interval_end += self.interval;
     }
 
     /// Total intervals recorded.
@@ -89,7 +86,9 @@ impl AvailabilityTracker {
     }
 }
 
-/// A schedule of uplink outages, for driving disconnection scenarios.
+/// A schedule of uplink outages. It takes a link down only once it becomes
+/// fault-plan partitions (`PlatformBuilder::uplink_outages` in
+/// `swamp-core`, or `swamp_net::FaultPlan::add_partitions_from`).
 #[derive(Clone, Debug, Default)]
 pub struct OutageSchedule {
     /// Sorted, non-overlapping outage windows `[start, end)`.

@@ -973,6 +973,9 @@ impl SeenSeqs {
 struct CloudInstruments {
     accepted: Counter,
     duplicates: Counter,
+    /// [`SYNC_TOPIC`] records that did not decode: neither applied nor
+    /// acked.
+    malformed: Counter,
     /// Ack sends the network refused (e.g. during a partition window); the
     /// fog's retry engine covers the loss, so a refusal is counted, never
     /// an error.
@@ -984,6 +987,7 @@ impl CloudInstruments {
         CloudInstruments {
             accepted: obs.counter("cloud.accepted"),
             duplicates: obs.counter("cloud.duplicates"),
+            malformed: obs.counter("cloud.malformed"),
             acks_refused: obs.counter("cloud.acks_refused"),
         }
     }
@@ -1075,7 +1079,7 @@ impl CloudStore {
     }
 
     /// Typed snapshot of the store's instruments (`cloud.accepted`,
-    /// `cloud.duplicates`, `cloud.acks_refused`).
+    /// `cloud.duplicates`, `cloud.malformed`, `cloud.acks_refused`).
     pub fn observe(&self) -> ObsSnapshot {
         self.obs.snapshot()
     }
@@ -1115,8 +1119,9 @@ impl CloudStore {
 
     /// Drains the cloud inbox, storing records and sending one batched ack
     /// per sync source. Every decodable record is acked — including
-    /// duplicates, whose earlier ack may have been lost. Returns the number
-    /// of new records accepted.
+    /// duplicates, whose earlier ack may have been lost; an undecodable one
+    /// is counted on `cloud.malformed` and neither applied nor acked.
+    /// Returns the number of new records accepted.
     pub fn process(&mut self, net: &mut Network, now: SimTime) -> usize {
         let mut inbox = std::mem::take(&mut self.inbox);
         net.drain_into(&self.node, &mut inbox);
@@ -1143,16 +1148,18 @@ impl CloudStore {
             if d.message.topic != SYNC_TOPIC {
                 continue;
             }
-            if let Some((record, floor)) = decode_record(d.message.payload) {
-                match acks.get_mut(&d.src) {
-                    Some(seqs) => seqs.push(record.seq),
-                    None => {
-                        acks.insert(d.src.clone(), vec![record.seq]);
-                    }
+            let Some((record, floor)) = decode_record(d.message.payload) else {
+                self.obs.inc(self.ins.malformed);
+                continue;
+            };
+            match acks.get_mut(&d.src) {
+                Some(seqs) => seqs.push(record.seq),
+                None => {
+                    acks.insert(d.src.clone(), vec![record.seq]);
                 }
-                if self.apply(&d.src, floor, record) {
-                    accepted += 1;
-                }
+            }
+            if self.apply(&d.src, floor, record) {
+                accepted += 1;
             }
         }
         for (fog, seqs) in &mut acks {
@@ -1315,6 +1322,13 @@ mod tests {
         (net, sync, CloudStore::new("cloud"))
     }
 
+    /// Partitions the fog↔cloud link over `[start, end)`.
+    fn partition_uplink(net: &mut Network, start: SimTime, end: SimTime) {
+        let mut plan = swamp_net::FaultPlan::new(11);
+        plan.add_partition("fog", "cloud", start, end).unwrap();
+        net.install_fault_plan(plan);
+    }
+
     /// Runs rounds of sync/process until quiescent or `rounds` exhausted.
     fn pump(
         net: &mut Network,
@@ -1420,7 +1434,7 @@ mod tests {
     #[test]
     fn disconnection_buffers_then_drains() {
         let (mut net, mut sync, mut cloud) = setup(0.0);
-        net.set_link_up(&"fog".into(), &"cloud".into(), false);
+        partition_uplink(&mut net, SimTime::ZERO, SimTime::from_secs(30 * 60));
         let mut now = SimTime::ZERO;
         for i in 0..30 {
             sync.enqueue(now, &format!("key-{i}"), vec![i as u8])
@@ -1430,11 +1444,10 @@ mod tests {
             net.advance_to(now);
             cloud.process(&mut net, now);
         }
-        assert_eq!(cloud.record_count(), 0, "nothing crosses a down link");
+        assert_eq!(cloud.record_count(), 0, "nothing crosses a partition");
         assert_eq!(sync.pending(), 30);
 
-        // Uplink restored: backlog drains.
-        net.set_link_up(&"fog".into(), &"cloud".into(), true);
+        // The partition window closes: backlog drains.
         pump(&mut net, &mut sync, &mut cloud, now, 50);
         assert_eq!(cloud.record_count(), 30);
         assert_eq!(sync.pending(), 0);
@@ -1468,6 +1481,33 @@ mod tests {
             sent_at: now,
             delivered_at: now,
         }
+    }
+
+    #[test]
+    fn undecodable_records_are_counted_not_applied_or_acked() {
+        let (mut net, _, mut cloud) = setup(0.0);
+        let bad = |payload: Vec<u8>| Delivery {
+            message: Message::new(SYNC_TOPIC, payload),
+            ..sync_delivery(0, 0, SimTime::ZERO)
+        };
+        // A header one byte short.
+        let short = vec![0u8; 25];
+        // A key length of 100 over 5 key bytes.
+        let mut overrun = vec![0u8; 24];
+        overrun.extend_from_slice(&100u16.to_be_bytes());
+        overrun.extend_from_slice(b"key-1");
+        // A two-byte key that is not UTF-8.
+        let mut not_utf8 = vec![0u8; 24];
+        not_utf8.extend_from_slice(&2u16.to_be_bytes());
+        not_utf8.extend_from_slice(&[0xff, 0xfe]);
+        let deliveries = [short, overrun, not_utf8].map(bad);
+
+        let accepted = cloud.process_deliveries(&mut net, SimTime::ZERO, deliveries);
+        assert_eq!(accepted, 0);
+        assert_eq!(cloud.observe().counter("cloud.malformed").unwrap(), 3);
+        assert_eq!(cloud.record_count(), 0);
+        assert_eq!(net.observe().counter("net.offered").unwrap(), 0, "no ack");
+        assert_eq!(net.in_flight(), 0);
     }
 
     /// An in-order (relay) store and the network its acks leave on.
@@ -2085,7 +2125,7 @@ mod tests {
             .backoff(1.0, SimDuration::from_secs(5))
             .jitter(0.0)
             .build();
-        net.set_link_up(&"fog".into(), &"cloud".into(), false);
+        partition_uplink(&mut net, SimTime::ZERO, SimTime::from_secs(42));
         sync.enqueue(SimTime::ZERO, "k", vec![]).unwrap();
 
         let mut now = SimTime::ZERO;
@@ -2114,9 +2154,10 @@ mod tests {
         sync.sync_round(&mut net, now, 8);
         assert_eq!(sync.mode(), DegradedMode::Offline);
 
-        // Heal: one delivered+acked record restores Connected.
-        net.set_link_up(&"fog".into(), &"cloud".into(), true);
+        // Heal at the window's end: one delivered+acked record restores
+        // Connected.
         now += SimDuration::from_secs(6);
+        assert_eq!(now, SimTime::from_secs(42));
         sync.sync_round(&mut net, now, 8);
         now += SimDuration::from_secs(1);
         net.advance_to(now);

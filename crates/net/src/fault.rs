@@ -10,11 +10,13 @@
 //! the fabric can be exercised under degraded links without touching the
 //! protocol code.
 //!
-//! Faults compose with the link model: a message first survives the link's
-//! own loss process, then the plan's. Partitions mirror the window
-//! semantics of `swamp_fog::availability::OutageSchedule` (half-open
-//! `[start, end)`, non-overlapping per link) so outage schedules written
-//! for availability accounting can drive the fault plan directly.
+//! Faults compose with the link model: the plan rules first, then a
+//! message that it lets through takes its chance with the link's own loss
+//! process. A partition window is the only way a link goes down: windows
+//! are half-open `[start, end)` and non-overlapping per link, and an outage
+//! schedule written for availability accounting
+//! (`swamp_fog::availability::OutageSchedule`) enters the plan through
+//! [`FaultPlan::add_partitions_from`].
 
 use std::collections::BTreeMap;
 
@@ -210,9 +212,7 @@ impl FaultPlan {
     }
 
     /// Schedules a partition of both directions of `a ↔ b` over
-    /// `[start, end)` — the same window semantics as
-    /// `swamp_fog::availability::OutageSchedule::add_outage`, but as a
-    /// typed error instead of a panic.
+    /// `[start, end)`. A malformed window is a typed error.
     ///
     /// # Errors
     /// [`FaultConfigError::EmptyWindow`] if `end <= start`;

@@ -101,17 +101,18 @@ pub enum TxOutcome {
     Lost,
 }
 
-/// Runtime state of a directed link: spec plus up/down status.
+/// Runtime state of a directed link. A link never goes down by itself:
+/// outages are partition windows of the network's
+/// [`FaultPlan`](crate::fault::FaultPlan).
 #[derive(Clone, Debug)]
 pub struct Link {
     spec: LinkSpec,
-    up: bool,
 }
 
 impl Link {
-    /// Creates an up link from a spec.
+    /// Creates a link from a spec.
     pub fn new(spec: LinkSpec) -> Self {
-        Link { spec, up: true }
+        Link { spec }
     }
 
     /// The static spec.
@@ -119,25 +120,11 @@ impl Link {
         &self.spec
     }
 
-    /// Whether the link is currently up.
-    pub fn is_up(&self) -> bool {
-        self.up
-    }
-
-    /// Brings the link up or down (Internet disconnection scenarios).
-    pub fn set_up(&mut self, up: bool) {
-        self.up = up;
-    }
-
     /// Samples the fate of one `bytes`-sized message.
     ///
-    /// A down link loses everything. Otherwise the message is lost with the
-    /// spec's probability, or delivered after base latency + exponential
-    /// jitter + serialization delay.
+    /// The message is lost with the spec's probability, or delivered after
+    /// base latency + exponential jitter + serialization delay.
     pub fn offer(&self, bytes: usize, rng: &mut SimRng) -> TxOutcome {
-        if !self.up {
-            return TxOutcome::Lost;
-        }
         if self.spec.loss_prob > 0.0 && rng.chance(self.spec.loss_prob) {
             return TxOutcome::Lost;
         }
@@ -185,16 +172,6 @@ mod tests {
             .count();
         let rate = lost as f64 / n as f64;
         assert!((rate - 0.2).abs() < 0.01, "observed loss {rate}");
-    }
-
-    #[test]
-    fn down_link_loses_everything() {
-        let mut link = Link::new(LinkSpec::cloud_backbone());
-        link.set_up(false);
-        let mut rng = SimRng::seed_from(3);
-        assert_eq!(link.offer(10, &mut rng), TxOutcome::Lost);
-        link.set_up(true);
-        assert!(matches!(link.offer(10, &mut rng), TxOutcome::Delivered(_)));
     }
 
     #[test]

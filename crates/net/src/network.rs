@@ -72,6 +72,8 @@ pub struct Network {
     /// no owned `(NodeId, NodeId)` key.
     links: BTreeMap<(usize, usize), Link>,
     queue: EventQueue<Delivery>,
+    /// The latest horizon [`Network::advance_to`] was called with.
+    clock: SimTime,
     inboxes: BTreeMap<NodeId, VecDeque<Delivery>>,
     taps: Vec<((NodeId, NodeId), Vec<Delivery>)>,
     flow_table: FlowTable,
@@ -137,6 +139,7 @@ impl Network {
             nodes: BTreeMap::new(),
             links: BTreeMap::new(),
             queue: EventQueue::new(),
+            clock: SimTime::ZERO,
             inboxes: BTreeMap::new(),
             taps: Vec::new(),
             flow_table: FlowTable::new(),
@@ -188,27 +191,6 @@ impl Network {
         Some((*self.nodes.get(a)?, *self.nodes.get(b)?))
     }
 
-    /// Sets both directions of the `a ↔ b` link up or down.
-    ///
-    /// Used for the Internet-disconnection scenarios of experiment E5.
-    pub fn set_link_up(&mut self, a: &NodeId, b: &NodeId, up: bool) {
-        let Some((a, b)) = self.link_key(a, b) else {
-            return;
-        };
-        for key in [(a, b), (b, a)] {
-            if let Some(l) = self.links.get_mut(&key) {
-                l.set_up(up);
-            }
-        }
-    }
-
-    /// Whether the directed link `a → b` exists and is up.
-    pub fn link_up(&self, a: &NodeId, b: &NodeId) -> bool {
-        self.link_key(a, b)
-            .and_then(|key| self.links.get(&key))
-            .is_some_and(Link::is_up)
-    }
-
     /// Installs a fault plan; every subsequent [`Network::send`] consults
     /// it. Replaces any previously installed plan.
     pub fn install_fault_plan(&mut self, plan: FaultPlan) {
@@ -251,16 +233,16 @@ impl Network {
 
     /// Offers a message for transmission at virtual time `now`.
     ///
-    /// `now` must be at or after the network clock (the time of the last
-    /// processed delivery). Returns the message id if the packet entered the
-    /// network — which still does not guarantee delivery (loss, down links).
+    /// `now` must be at or after the time of the last processed delivery.
+    /// Returns the message id if the packet entered the network — which
+    /// still does not guarantee delivery (loss, partitions).
     ///
     /// # Errors
     /// [`SendError`] if a node is unknown, there is no link, or the SDN
     /// table denies the packet.
     ///
     /// # Panics
-    /// Panics if `now` is before the network clock.
+    /// Panics if `now` is before the last processed delivery.
     pub fn send(
         &mut self,
         now: SimTime,
@@ -417,8 +399,9 @@ impl Network {
     }
 
     /// Processes all deliveries up to and including `horizon`, moving them
-    /// into the destination inboxes.
+    /// into the destination inboxes, and moves the clock to `horizon`.
     pub fn advance_to(&mut self, horizon: SimTime) {
+        self.clock = self.clock.max(horizon);
         while let Some((_, delivery)) = self.queue.pop_until(horizon) {
             self.obs.inc(self.ins.delivered);
             // `send` admits only registered destinations and `add_node`
@@ -460,9 +443,10 @@ impl Network {
         self.queue.len()
     }
 
-    /// The network clock (time of the last processed delivery).
+    /// The network clock: the latest horizon [`Network::advance_to`]
+    /// processed deliveries up to.
     pub fn now(&self) -> SimTime {
-        self.queue.now()
+        self.clock
     }
 
     /// Typed snapshot of the network's instruments (`net.offered`,
@@ -537,6 +521,8 @@ mod tests {
         assert_eq!(net.inbox_len(&n("b")), 0);
         net.advance_to(SimTime::from_millis(50));
         assert_eq!(net.inbox_len(&n("b")), 1);
+        // The clock is the horizon, not the last delivery's time.
+        assert_eq!(net.now(), SimTime::from_millis(50));
     }
 
     #[test]
@@ -560,24 +546,6 @@ mod tests {
             .unwrap();
         net.advance_to(SimTime::from_secs(1));
         assert_eq!(net.inbox_len(&n("a")), 1);
-    }
-
-    #[test]
-    fn down_link_loses_messages() {
-        let mut net = basic_net();
-        net.set_link_up(&n("a"), &n("b"), false);
-        assert!(!net.link_up(&n("a"), &n("b")));
-        net.send(SimTime::ZERO, "a", "b", Message::new("t", vec![]))
-            .unwrap();
-        net.advance_to(SimTime::from_secs(10));
-        assert_eq!(net.inbox_len(&n("b")), 0);
-        assert_eq!(net.observe().counter("net.lost").unwrap(), 1);
-
-        net.set_link_up(&n("a"), &n("b"), true);
-        net.send(net.now(), "a", "b", Message::new("t", vec![]))
-            .unwrap();
-        net.advance_to(SimTime::from_secs(20));
-        assert_eq!(net.inbox_len(&n("b")), 1);
     }
 
     #[test]

@@ -1,11 +1,9 @@
-//! Prints every experiment report (E1–E13) — the generator for
+//! Prints every experiment report (P0, E1–E16) — the generator for
 //! EXPERIMENTS.md.
 //!
 //! Usage: `cargo run -p swamp-pilots --bin experiments --release [seed]`
 
-use swamp_pilots::experiments::run_all;
-use swamp_pilots::pilots::{run_pilot, PilotSite};
-use swamp_pilots::report::{fmt_f, fmt_pct, Report};
+use swamp_pilots::experiments::{p0_pilots, run_all};
 
 fn main() {
     let seed: u64 = std::env::args()
@@ -15,31 +13,7 @@ fn main() {
     println!("# SWAMP experiment reports (seed {seed})\n");
 
     // Pilot summary first (the paper's §I).
-    let mut pilot_table = Report::new(
-        "P0: four pilots, smart policy vs conventional practice",
-        &[
-            "pilot",
-            "water_saving",
-            "energy_saving",
-            "cost_saving",
-            "yield_delta",
-            "quality_smart",
-            "quality_base",
-        ],
-    );
-    for site in PilotSite::all() {
-        let r = run_pilot(site, seed);
-        pilot_table.push_row(vec![
-            site.name().to_owned(),
-            fmt_pct(r.water_saving()),
-            fmt_pct(r.energy_saving()),
-            fmt_pct(r.cost_saving()),
-            fmt_f(r.yield_delta(), 3),
-            fmt_f(r.smart.wine_quality(), 1),
-            fmt_f(r.baseline.wine_quality(), 1),
-        ]);
-    }
-    println!("{pilot_table}");
+    println!("{}", p0_pilots(seed));
 
     for report in run_all(seed) {
         println!("{report}");

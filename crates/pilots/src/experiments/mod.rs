@@ -30,7 +30,39 @@ pub use resilience::{e13_resilience, e13_resilience_observed, E13Result, E13Row}
 pub use scale::{e14_shard_scale, E14Result, E14Row};
 pub use water::{e10_distribution, e1_water_energy};
 
-use crate::report::Report;
+use crate::pilots::{run_pilot, PilotSite};
+use crate::report::{fmt_f, fmt_pct, Report};
+
+/// P0, the pilot summary the `experiments` binary prints before
+/// [`run_all`]'s reports: each pilot's season under the smart policy
+/// against conventional practice (the paper's §I).
+pub fn p0_pilots(seed: u64) -> Report {
+    let mut table = Report::new(
+        "P0: four pilots, smart policy vs conventional practice",
+        &[
+            "pilot",
+            "water_saving",
+            "energy_saving",
+            "cost_saving",
+            "yield_delta",
+            "quality_smart",
+            "quality_base",
+        ],
+    );
+    for site in PilotSite::all() {
+        let r = run_pilot(site, seed);
+        table.push_row(vec![
+            site.name().to_owned(),
+            fmt_pct(r.water_saving()),
+            fmt_pct(r.energy_saving()),
+            fmt_pct(r.cost_saving()),
+            fmt_f(r.yield_delta(), 3),
+            fmt_f(r.smart.wine_quality(), 1),
+            fmt_f(r.baseline.wine_quality(), 1),
+        ]);
+    }
+    table
+}
 
 /// Runs every experiment and returns all reports in id order — the
 /// generator behind EXPERIMENTS.md and the `experiments` binary.

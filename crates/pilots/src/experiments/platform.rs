@@ -85,13 +85,15 @@ pub fn e5_fog_availability(seed: u64) -> E5Result {
         ];
         let mut replicated = 0.0;
         for (config, tracker) in &mut avail {
-            let mut platform = Platform::builder(*config).seed(seed).build();
+            let mut platform = Platform::builder(*config)
+                .seed(seed)
+                .uplink_outages(&schedule)
+                .build();
             platform
                 .register_device(SimTime::ZERO, "probe-1", DeviceKind::SoilProbe, "owner:e5")
                 .expect("fresh platform has no registered devices");
             for h in 0..hours {
                 let t = SimTime::from_hours(h);
-                platform.set_internet(!schedule.is_down(t));
                 // Device publishes hourly telemetry.
                 let mut e = Entity::new("urn:swamp:device:probe-1", "SoilProbe");
                 e.set("moisture_vwc", 0.2 + (h as f64 * 0.001));
@@ -104,8 +106,7 @@ pub fn e5_fog_availability(seed: u64) -> E5Result {
                 platform.pump(t + SimDuration::from_mins(30));
                 tracker.record(platform.service_point());
             }
-            // Post-outage: restore the uplink and let replication drain.
-            platform.set_internet(true);
+            // Post-outage: let replication drain.
             for extra in 0..24 {
                 platform.pump(SimTime::from_hours(hours + extra));
             }
@@ -138,7 +139,6 @@ pub fn e5_fog_availability(seed: u64) -> E5Result {
         net.add_node("fog");
         net.add_node("cloud");
         net.connect("fog", "cloud", LinkSpec::rural_internet());
-        net.set_link_up(&"fog".into(), &"cloud".into(), false);
         let mut sync = FogSync::builder("fog", "cloud")
             .capacity(capacity)
             .base_timeout(SimDuration::from_secs(30))
@@ -153,7 +153,6 @@ pub fn e5_fog_availability(seed: u64) -> E5Result {
             )]
             let _ = sync.enqueue(SimTime::from_secs(i), &format!("k{i}"), vec![0u8; 16]);
         }
-        net.set_link_up(&"fog".into(), &"cloud".into(), true);
         let mut now = SimTime::from_secs(2000);
         for _ in 0..100 {
             sync.sync_round(&mut net, now, 64);

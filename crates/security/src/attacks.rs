@@ -15,9 +15,11 @@
 //!   ("using eavesdropping, intruders may have access to private data …
 //!   and even manipulate the commodity markets").
 //! - [`ReplayAttacker`] — captures and re-injects sealed frames.
-//! - [`RogueNode`] — an unauthorized node publishing as an unregistered
-//!   device ("an unauthorized node in the network may send false
-//!   information about the crop").
+//!
+//! The rogue node ("an unauthorized node in the network may send false
+//! information about the crop") needs no model of its own: it is
+//! `Platform::device_publish` from an unregistered id, which ingestion
+//! refuses.
 
 use swamp_codec::json::Json;
 use swamp_net::message::{Message, NodeId};
@@ -282,52 +284,6 @@ impl ReplayAttacker {
     }
 }
 
-/// A rogue (unregistered) node publishing fabricated crop telemetry.
-#[derive(Clone, Debug)]
-pub struct RogueNode {
-    /// The rogue's network node.
-    pub node: NodeId,
-    /// The device identity it claims (never provisioned in the keystore).
-    pub claimed_device: String,
-}
-
-impl RogueNode {
-    /// Creates a rogue node claiming a device identity.
-    pub fn new(node: impl Into<NodeId>, claimed_device: impl Into<String>) -> Self {
-        RogueNode {
-            node: node.into(),
-            claimed_device: claimed_device.into(),
-        }
-    }
-
-    /// Publishes a fabricated plaintext telemetry message (the rogue has no
-    /// provisioned key, so it cannot produce a valid sealed frame).
-    pub fn publish_fake(
-        &self,
-        net: &mut Network,
-        now: SimTime,
-        broker: &NodeId,
-        quantity: &str,
-        value: f64,
-    ) -> Result<(), SendError> {
-        let body = Json::object([
-            ("device", Json::from(self.claimed_device.as_str())),
-            ("quantity", Json::from(quantity)),
-            ("value", Json::from(value)),
-        ]);
-        net.send(
-            now,
-            self.node.clone(),
-            broker.clone(),
-            Message::new(
-                format!("telemetry/{}", self.claimed_device),
-                body.to_compact_string().into_bytes(),
-            ),
-        )
-        .map(|_| ())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,19 +392,5 @@ mod tests {
         assert_eq!(injected, 2);
         net.advance_to(SimTime::from_secs(1));
         assert_eq!(net.inbox_len(&"gateway".into()), 2);
-    }
-
-    #[test]
-    fn rogue_node_publishes_parseable_fake() {
-        let mut net = net_with(&["rogue", "broker"]);
-        let rogue = RogueNode::new("rogue", "probe-99");
-        rogue
-            .publish_fake(&mut net, SimTime::ZERO, &"broker".into(), "ndvi", 0.95)
-            .unwrap();
-        net.advance_to(SimTime::from_secs(1));
-        let d = net.poll(&"broker".into()).unwrap();
-        let json = Json::parse(std::str::from_utf8(&d.message.payload).unwrap()).unwrap();
-        assert_eq!(json.get("device").unwrap().as_str(), Some("probe-99"));
-        assert_eq!(json.get("value").unwrap().as_f64(), Some(0.95));
     }
 }

@@ -9,7 +9,8 @@
 //! | "each owner controls their data" access control | [`access`] |
 //! | Data anonymization for governance | [`anonymize`] |
 //! | Blockchain device lifecycle + smart contracts | [`ledger`] |
-//! | DoS, tampering, Sybil, eavesdropping, replay, rogue nodes | [`attacks`] |
+//! | DoS, tampering, Sybil, eavesdropping, replay | [`attacks`] |
+//! | Rogue nodes | `swamp-core`'s `Platform::device_publish` from an unregistered id, refused at ingest |
 //! | Anomaly detection / avoid fake data | [`detect`], [`pipeline`] |
 //! | "expected sequence of events" behavioral baseline | [`baseline`] |
 //! | Partial crop profiles and detector margins | [`profile`] |

@@ -1,148 +1,14 @@
-//! Actuator models: valves, pumps and the center-pivot irrigation machine.
+//! The center-pivot irrigation machine.
 //!
-//! These are the devices the paper worries about an attacker seizing: "if an
+//! Actuators are what the paper worries about an attacker seizing: "if an
 //! attacker takes control of the actuators, the irrigation and water
-//! distribution is compromised". The models expose exactly the command
-//! surface (open/close, start/stop, sector speed plan) that the platform —
-//! or an attacker who defeats authorization — drives.
+//! distribution is compromised". The pivot exposes its command surface
+//! (start/stop, sector speed plan) to the VRI planner of `swamp-irrigation`
+//! and experiment E1.
 
-use swamp_sim::{SimDuration, SimTime};
+use swamp_sim::SimTime;
 
 use crate::device::DeviceId;
-
-/// A solenoid irrigation valve with actuation latency.
-#[derive(Clone, Debug)]
-pub struct Valve {
-    id: DeviceId,
-    open: bool,
-    /// Commanded state that takes effect at `transition_at`.
-    pending: Option<(bool, SimTime)>,
-    actuation_delay: SimDuration,
-    transitions: u64,
-}
-
-impl Valve {
-    /// Creates a closed valve with a 2-second actuation delay.
-    pub fn new(id: impl Into<DeviceId>) -> Self {
-        Valve {
-            id: id.into(),
-            open: false,
-            pending: None,
-            actuation_delay: SimDuration::from_secs(2),
-            transitions: 0,
-        }
-    }
-
-    /// The valve's device id.
-    pub fn id(&self) -> &DeviceId {
-        &self.id
-    }
-
-    /// Commands the valve at `now`; the state changes after the actuation
-    /// delay. Re-commanding supersedes a pending transition.
-    pub fn command(&mut self, now: SimTime, open: bool) {
-        if open != self.open {
-            self.pending = Some((open, now + self.actuation_delay));
-        } else {
-            self.pending = None;
-        }
-    }
-
-    /// Applies any due transition and reports the state at `now`.
-    pub fn state_at(&mut self, now: SimTime) -> bool {
-        if let Some((target, at)) = self.pending {
-            if now >= at {
-                self.open = target;
-                self.pending = None;
-                self.transitions += 1;
-            }
-        }
-        self.open
-    }
-
-    /// Lifetime transition count (wear indicator, also an anomaly signal:
-    /// an attacker toggling a valve shows up here).
-    pub fn transitions(&self) -> u64 {
-        self.transitions
-    }
-}
-
-/// An irrigation pump with flow capacity and electrical power draw.
-#[derive(Clone, Debug)]
-pub struct Pump {
-    id: DeviceId,
-    running: bool,
-    flow_m3_per_h: f64,
-    power_kw: f64,
-    energy_kwh: f64,
-    last_change: SimTime,
-}
-
-impl Pump {
-    /// Creates a stopped pump.
-    ///
-    /// # Panics
-    /// Panics if flow or power are not positive.
-    pub fn new(id: impl Into<DeviceId>, flow_m3_per_h: f64, power_kw: f64) -> Self {
-        assert!(flow_m3_per_h > 0.0 && power_kw > 0.0);
-        Pump {
-            id: id.into(),
-            running: false,
-            flow_m3_per_h,
-            power_kw,
-            energy_kwh: 0.0,
-            last_change: SimTime::ZERO,
-        }
-    }
-
-    /// The pump's device id.
-    pub fn id(&self) -> &DeviceId {
-        &self.id
-    }
-
-    /// Whether the pump is currently running.
-    pub fn is_running(&self) -> bool {
-        self.running
-    }
-
-    /// Rated flow while running, m³/h.
-    pub fn flow_m3_per_h(&self) -> f64 {
-        self.flow_m3_per_h
-    }
-
-    /// Starts or stops the pump at `now`, accruing energy for the elapsed
-    /// running interval.
-    pub fn set_running(&mut self, now: SimTime, running: bool) {
-        if self.running {
-            let dt = now.saturating_duration_since(self.last_change);
-            self.energy_kwh += self.power_kw * dt.as_hours_f64();
-        }
-        self.running = running;
-        self.last_change = now;
-    }
-
-    /// Total electrical energy consumed, kWh (including the current run up
-    /// to `now`).
-    pub fn energy_kwh(&self, now: SimTime) -> f64 {
-        let mut e = self.energy_kwh;
-        if self.running {
-            e += self.power_kw
-                * now
-                    .saturating_duration_since(self.last_change)
-                    .as_hours_f64();
-        }
-        e
-    }
-
-    /// Volume delivered over an interval while running, m³.
-    pub fn volume_over(&self, duration: SimDuration) -> f64 {
-        if self.running {
-            self.flow_m3_per_h * duration.as_hours_f64()
-        } else {
-            0.0
-        }
-    }
-}
 
 /// A center-pivot irrigation machine with per-sector variable-rate control.
 ///
@@ -343,53 +209,10 @@ impl CenterPivot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swamp_sim::SimDuration;
 
     fn t(h: u64) -> SimTime {
         SimTime::from_hours(h)
-    }
-
-    #[test]
-    fn valve_actuates_after_delay() {
-        let mut v = Valve::new("v1");
-        assert!(!v.state_at(SimTime::ZERO));
-        v.command(SimTime::ZERO, true);
-        assert!(!v.state_at(SimTime::ZERO + SimDuration::from_secs(1)));
-        assert!(v.state_at(SimTime::ZERO + SimDuration::from_secs(2)));
-        assert_eq!(v.transitions(), 1);
-    }
-
-    #[test]
-    fn valve_redundant_command_is_noop() {
-        let mut v = Valve::new("v1");
-        v.command(SimTime::ZERO, false); // already closed
-        assert!(!v.state_at(t(1)));
-        assert_eq!(v.transitions(), 0);
-    }
-
-    #[test]
-    fn valve_supersede_pending() {
-        let mut v = Valve::new("v1");
-        v.command(SimTime::ZERO, true);
-        v.command(SimTime::ZERO + SimDuration::from_secs(1), false); // cancel
-        assert!(!v.state_at(t(1)));
-        assert_eq!(v.transitions(), 0);
-    }
-
-    #[test]
-    fn pump_energy_accrues_while_running() {
-        let mut p = Pump::new("pump", 100.0, 30.0);
-        p.set_running(SimTime::ZERO, true);
-        assert!((p.energy_kwh(t(2)) - 60.0).abs() < 1e-9);
-        p.set_running(t(2), false);
-        assert!((p.energy_kwh(t(10)) - 60.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn pump_volume_only_while_running() {
-        let mut p = Pump::new("pump", 50.0, 10.0);
-        assert_eq!(p.volume_over(SimDuration::from_hours(1)), 0.0);
-        p.set_running(SimTime::ZERO, true);
-        assert!((p.volume_over(SimDuration::from_hours(2)) - 100.0).abs() < 1e-9);
     }
 
     #[test]

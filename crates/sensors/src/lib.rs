@@ -1,15 +1,18 @@
 //! # swamp-sensors — field device models for the SWAMP platform
 //!
-//! The pilots' hardware — soil probes, agro-met stations, flow meters,
-//! valves, pumps and center pivots — simulated with the properties the
-//! platform actually has to cope with:
+//! Two of the pilots' devices are simulated, each with the property the
+//! platform has to cope with:
 //!
-//! - [`device`] — device identity, kind and health.
-//! - [`probes`] — sensing models with bias/noise/drift and stuck-at
-//!   failures (the source of the paper's "partial profile" problem).
-//! - [`actuators`] — valves with actuation latency, pumps with energy
-//!   metering, and the center-pivot machine with per-sector variable-rate
-//!   control (the MATOPIBA VRI mechanism).
+//! - [`device`] — device identity, kind and health. [`DeviceKind`] names
+//!   every device class the pilots deploy; it is the registry's label,
+//!   and most kinds have no model here.
+//! - [`probes`] — the soil-moisture probe, with bias/noise/drift and
+//!   stuck-at failures.
+//! - [`actuators`] — the center-pivot machine with per-sector
+//!   variable-rate control (the MATOPIBA VRI mechanism, experiment E1).
+//!
+//! Weather stations, flow meters, valves and pumps have no model: no
+//! platform path or experiment runs one.
 //!
 //! The emission rhythm of a device fleet — the cadence the behavioral
 //! baseline learns — comes from `swamp_workload::WorkloadSpec`, not from a
@@ -34,6 +37,6 @@ pub mod actuators;
 pub mod device;
 pub mod probes;
 
-pub use actuators::{CenterPivot, Pump, Valve};
+pub use actuators::CenterPivot;
 pub use device::{DeviceHealth, DeviceId, DeviceKind};
-pub use probes::{Reading, SensorNoise, SoilMoistureProbe, WeatherStation};
+pub use probes::{Reading, SensorNoise, SoilMoistureProbe};

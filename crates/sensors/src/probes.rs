@@ -1,11 +1,10 @@
-//! Sensing device models: soil-moisture probes, weather stations and flow
-//! meters.
+//! The soil-moisture probe model.
 //!
-//! Each sensor samples a *true* physical value (from `swamp-agro`) and
-//! returns an imperfect reading: calibration bias, Gaussian noise, slow
-//! drift, and stuck-at failures. That imperfection is load-bearing — the
-//! paper's "partial profile" challenge (experiment E6) and the tamper
-//! detectors (E3) both hinge on the platform never seeing ground truth.
+//! A probe samples a *true* volumetric water content and returns an
+//! imperfect reading: calibration bias, Gaussian noise, slow drift, and
+//! stuck-at or silent failures. Only the closed-loop integration test
+//! drives a probe; the platform paths and the experiments see the
+//! readings `swamp-workload` generates, not these.
 
 use swamp_sim::{SimRng, SimTime};
 
@@ -133,109 +132,6 @@ impl SoilMoistureProbe {
     }
 }
 
-/// An agro-meteorological station: temperature, humidity, wind, solar, rain.
-#[derive(Clone, Debug)]
-pub struct WeatherStation {
-    id: DeviceId,
-    temp_noise: SensorNoise,
-    rh_noise: SensorNoise,
-}
-
-impl WeatherStation {
-    /// Creates a station with typical instrument-grade noise.
-    pub fn new(id: impl Into<DeviceId>) -> Self {
-        WeatherStation {
-            id: id.into(),
-            temp_noise: SensorNoise::good(0.3),
-            rh_noise: SensorNoise::good(2.0),
-        }
-    }
-
-    /// The station's device id.
-    pub fn id(&self) -> &DeviceId {
-        &self.id
-    }
-
-    /// Samples a day of true weather into individual readings.
-    pub fn sample_day(
-        &self,
-        day: &swamp_agro::WeatherDay,
-        at: SimTime,
-        rng: &mut SimRng,
-    ) -> Vec<Reading> {
-        let mk = |quantity, value| Reading {
-            device: self.id.clone(),
-            quantity,
-            value,
-            at,
-        };
-        vec![
-            mk("tmax_c", self.temp_noise.apply(day.tmax_c, at, rng)),
-            mk("tmin_c", self.temp_noise.apply(day.tmin_c, at, rng)),
-            mk(
-                "rh_mean_pct",
-                self.rh_noise
-                    .apply(day.rh_mean_pct, at, rng)
-                    .clamp(0.0, 100.0),
-            ),
-            mk(
-                "wind_2m",
-                (day.wind_2m + rng.normal_with(0.0, 0.2)).max(0.0),
-            ),
-            mk(
-                "solar_mj",
-                (day.solar_mj + rng.normal_with(0.0, 0.5)).max(0.0),
-            ),
-            mk(
-                "rain_mm",
-                (day.rain_mm + rng.normal_with(0.0, 0.2)).max(0.0),
-            ),
-        ]
-    }
-}
-
-/// An inline flow meter with a cumulative totalizer.
-#[derive(Clone, Debug)]
-pub struct FlowMeter {
-    id: DeviceId,
-    noise: SensorNoise,
-    total_m3: f64,
-}
-
-impl FlowMeter {
-    /// Creates a meter (±1.5% class accuracy represented as noise).
-    pub fn new(id: impl Into<DeviceId>) -> Self {
-        FlowMeter {
-            id: id.into(),
-            noise: SensorNoise::good(0.015),
-            total_m3: 0.0,
-        }
-    }
-
-    /// The meter's device id.
-    pub fn id(&self) -> &DeviceId {
-        &self.id
-    }
-
-    /// Meters a delivery of `true_m3` cubic meters, returning the measured
-    /// volume and updating the totalizer.
-    pub fn meter(&mut self, true_m3: f64, at: SimTime, rng: &mut SimRng) -> Reading {
-        let measured = (true_m3 * (1.0 + self.noise.apply(0.0, at, rng))).max(0.0);
-        self.total_m3 += measured;
-        Reading {
-            device: self.id.clone(),
-            quantity: "volume_m3",
-            value: measured,
-            at,
-        }
-    }
-
-    /// Lifetime metered volume, m³.
-    pub fn total_m3(&self) -> f64 {
-        self.total_m3
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,49 +213,6 @@ mod tests {
         let mut probe = SoilMoistureProbe::new("p", 0, SensorNoise::good(0.01));
         probe.fail_silent();
         assert!(probe.sample(0.2, SimTime::ZERO, &mut rng()).is_none());
-    }
-
-    #[test]
-    fn weather_station_covers_quantities() {
-        let station = WeatherStation::new("ws");
-        let day = swamp_agro::WeatherDay {
-            day_of_year: 100,
-            tmax_c: 25.0,
-            tmin_c: 14.0,
-            rh_mean_pct: 60.0,
-            wind_2m: 2.0,
-            solar_mj: 20.0,
-            rain_mm: 0.0,
-        };
-        let readings = station.sample_day(&day, SimTime::ZERO, &mut rng());
-        let quantities: Vec<_> = readings.iter().map(|r| r.quantity).collect();
-        assert_eq!(
-            quantities,
-            vec![
-                "tmax_c",
-                "tmin_c",
-                "rh_mean_pct",
-                "wind_2m",
-                "solar_mj",
-                "rain_mm"
-            ]
-        );
-        // Values near truth.
-        assert!((readings[0].value - 25.0).abs() < 2.0);
-        assert!(readings[5].value >= 0.0);
-    }
-
-    #[test]
-    fn flow_meter_totalizes() {
-        let mut fm = FlowMeter::new("fm");
-        let mut r = rng();
-        let mut measured = 0.0;
-        for _ in 0..100 {
-            measured += fm.meter(10.0, SimTime::ZERO, &mut r).value;
-        }
-        assert!((fm.total_m3() - measured).abs() < 1e-9);
-        // 1000 m3 true, ±1.5% noise: total within 2%.
-        assert!((fm.total_m3() - 1000.0).abs() < 20.0, "{}", fm.total_m3());
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Seeded property loops for the device models: each test draws its
 //! inputs from a fixed [`SimRng`] stream, so a failure reproduces exactly.
 
-use swamp_sensors::actuators::{CenterPivot, Pump};
+use swamp_sensors::actuators::CenterPivot;
 use swamp_sensors::probes::{SensorNoise, SoilMoistureProbe};
-use swamp_sim::{SimDuration, SimRng, SimTime};
+use swamp_sim::{SimRng, SimTime};
 
 const CASES: usize = 256;
 
@@ -81,28 +81,5 @@ fn pivot_advance_path_independent() {
             assert!((a - b).abs() < 1e-6, "{a} vs {b}");
         }
         assert!((one.angle_deg() - many.angle_deg()).abs() < 1e-6);
-    }
-}
-
-/// Pump energy equals power × running time regardless of how the
-/// interval is chopped up.
-#[test]
-fn pump_energy_additive() {
-    let mut rng = SimRng::seed_from(0x5E50_0004);
-    for _ in 0..CASES {
-        let power = rng.uniform_range(1.0, 100.0);
-        let mut p = Pump::new("pump", 50.0, power);
-        let mut t = SimTime::ZERO;
-        let mut expected = 0.0;
-        for i in 0..int_in(&mut rng, 1, 6) {
-            let hours = int_in(&mut rng, 1, 10);
-            p.set_running(t, i % 2 == 0);
-            if i % 2 == 0 {
-                expected += power * hours as f64;
-            }
-            t += SimDuration::from_hours(hours);
-        }
-        p.set_running(t, false);
-        assert!((p.energy_kwh(t) - expected).abs() < 1e-9);
     }
 }

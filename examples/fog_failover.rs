@@ -11,7 +11,14 @@ use swamp::sensors::device::DeviceKind;
 use swamp::sim::{SimDuration, SimTime};
 
 fn run(config: DeploymentConfig, label: &str) {
-    let mut platform = Platform::builder(config).seed(7).build();
+    // Internet outage from hour 6 to hour 18 of a 36-hour window.
+    let mut outage = OutageSchedule::new();
+    outage.add_outage(SimTime::from_hours(6), SimTime::from_hours(18));
+
+    let mut platform = Platform::builder(config)
+        .seed(7)
+        .uplink_outages(&outage)
+        .build();
     platform
         .register_device(
             SimTime::ZERO,
@@ -21,15 +28,9 @@ fn run(config: DeploymentConfig, label: &str) {
         )
         .unwrap();
 
-    // Internet outage from hour 6 to hour 18 of a 36-hour window.
-    let mut outage = OutageSchedule::new();
-    outage.add_outage(SimTime::from_hours(6), SimTime::from_hours(18));
-
     let mut tracker = AvailabilityTracker::new(SimDuration::from_hours(1));
     for h in 0..36u64 {
         let t = SimTime::from_hours(h);
-        platform.set_internet(!outage.is_down(t));
-
         let mut update = Entity::new("urn:swamp:device:probe-1", "SoilProbe");
         update.set("moisture_vwc", 0.25 - 0.002 * h as f64);
         update.set("seq", h as f64);
@@ -39,7 +40,6 @@ fn run(config: DeploymentConfig, label: &str) {
         tracker.record(platform.service_point());
     }
     // Outage over; let replication drain.
-    platform.set_internet(true);
     for extra in 0..12 {
         platform.pump(SimTime::from_hours(36 + extra));
     }

@@ -5,6 +5,7 @@
 use swamp::agro::soil::{SoilProperties, SoilWaterBalance, WaterFlux};
 use swamp::codec::ngsi::Entity;
 use swamp::core::platform::{DeploymentConfig, Platform};
+use swamp::fog::availability::OutageSchedule;
 use swamp::irrigation::schedule::{IrrigationPolicy, ThresholdRefill, ZoneView};
 use swamp::security::access::{Action, Decision};
 use swamp::sensors::actuators::CenterPivot;
@@ -160,11 +161,16 @@ fn four_pilots_one_platform() {
 /// (no loss, no duplication at the replica).
 #[test]
 fn outage_replication_is_lossless_and_idempotent() {
-    let mut platform = Platform::builder(DeploymentConfig::FarmFog).seed(3).build();
+    let outage_end = SimTime::from_hours(12);
+    let mut outage = OutageSchedule::new();
+    outage.add_outage(SimTime::ZERO, outage_end);
+    let mut platform = Platform::builder(DeploymentConfig::FarmFog)
+        .seed(3)
+        .uplink_outages(&outage)
+        .build();
     platform
         .register_device(SimTime::ZERO, "probe-1", DeviceKind::SoilProbe, "owner:x")
         .unwrap();
-    platform.set_internet(false);
 
     let mut accepted = 0;
     let mut seq = 0.0;
@@ -179,15 +185,15 @@ fn outage_replication_is_lossless_and_idempotent() {
         platform.pump(t);
         accepted = platform.observe().counter("ingest.accepted").unwrap();
     }
+    assert!(t < outage_end, "20 records ingest inside the outage");
 
     assert_eq!(
         platform.cloud_replica().unwrap().record_count(),
         0,
         "nothing reaches the cloud during the outage"
     );
-    platform.set_internet(true);
     for i in 0..30 {
-        platform.pump(t + SimDuration::from_mins(10 * (i + 1)));
+        platform.pump(outage_end + SimDuration::from_mins(10 * i));
     }
     let replica = platform.cloud_replica().unwrap();
     assert_eq!(replica.record_count() as u64, accepted);

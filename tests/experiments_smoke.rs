@@ -2,7 +2,7 @@
 //! report regenerates, is non-empty, is bit-identical across runs with the
 //! same seed, and is the table EXPERIMENTS.md prints.
 
-use swamp::pilots::experiments::run_all;
+use swamp::pilots::experiments::{p0_pilots, run_all};
 
 #[test]
 fn all_reports_generate_and_are_nonempty() {
@@ -26,9 +26,12 @@ fn all_reports_generate_and_are_nonempty() {
         assert!(all_titles.contains(id), "missing {id}");
     }
     // EXPERIMENTS.md interleaves prose with these tables: every rendered
-    // line must occur in it, in report order.
+    // line must occur in it, in the order the `experiments` binary prints
+    // them (the P0 pilot summary first).
+    let p0 = p0_pilots(42);
+    assert_eq!(p0.rows.len(), 4, "one row per pilot");
     let mut doc = include_str!("../EXPERIMENTS.md").lines();
-    for report in &reports {
+    for report in std::iter::once(&p0).chain(&reports) {
         for line in report.to_string().lines().filter(|l| !l.is_empty()) {
             assert!(
                 doc.any(|d| d == line),

@@ -4,6 +4,7 @@
 //! drains its store-and-forward backlog during its short docking contacts.
 
 use swamp::fog::sync::{CloudStore, FogSync};
+use swamp::net::fault::FaultPlan;
 use swamp::net::link::LinkSpec;
 use swamp::net::network::Network;
 use swamp::sim::{SimDuration, SimRng, SimTime};
@@ -15,8 +16,20 @@ fn drone_surveys_offline_and_syncs_at_contacts() {
     net.add_node("farm-fog");
     net.connect("drone", "farm-fog", LinkSpec::farm_lan());
 
-    // 15 minutes docked at the start of every 2-hour survey circuit.
+    // 15 minutes docked at the start of every 2-hour survey circuit; out of
+    // radio range, the drone↔base link is partitioned.
     let docked = |t: SimTime| t.as_millis() % (2 * 3_600_000) < 15 * 60_000;
+    let mut plan = FaultPlan::new(77);
+    for circuit in 0..6 {
+        plan.add_partition(
+            "drone",
+            "farm-fog",
+            SimTime::from_secs(circuit * 7_200 + 900),
+            SimTime::from_hours(2 * (circuit + 1)),
+        )
+        .unwrap();
+    }
+    net.install_fault_plan(plan);
     let mut sync = FogSync::builder("drone", "farm-fog")
         .capacity(10_000)
         .base_timeout(SimDuration::from_secs(30))
@@ -42,7 +55,12 @@ fn drone_surveys_offline_and_syncs_at_contacts() {
             _ => {}
         }
         was_up = Some(up);
-        net.set_link_up(&"drone".into(), &"farm-fog".into(), up);
+        assert_eq!(
+            net.fault_plan()
+                .unwrap()
+                .is_partitioned(t, &"drone".into(), &"farm-fog".into()),
+            !up
+        );
 
         if !up {
             // Out of range: surveying. One reading per zone per tick.
@@ -63,7 +81,6 @@ fn drone_surveys_offline_and_syncs_at_contacts() {
         t += SimDuration::from_mins(5);
     }
     // Final docking to flush the tail.
-    net.set_link_up(&"drone".into(), &"farm-fog".into(), true);
     for i in 0..20 {
         let at = t + SimDuration::from_mins(i);
         sync.sync_round(&mut net, at, 256);
