@@ -5,6 +5,15 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Both tracked lock files must already match their manifests: a
+# `[dependencies]` edit that would make a later build (the benchmark's
+# `run.sh` among them) rewrite `Cargo.lock` or `benchmark/Cargo.lock` in
+# the worktree fails here instead of passing silently.
+echo "== lock files up to date (cargo metadata --locked)"
+cargo metadata --locked --offline --format-version 1 > /dev/null
+cargo metadata --locked --offline --format-version 1 \
+    --manifest-path benchmark/Cargo.toml > /dev/null
+
 echo "== cargo fmt --check"
 cargo fmt --check
 

@@ -1,8 +1,7 @@
 //! A self-contained JSON (RFC 8259) value type, parser and writer.
 //!
 //! Objects use `BTreeMap` so serialization order is deterministic — important
-//! both for reproducible tests and for the hash-chained ledger in
-//! `swamp-security`, which hashes serialized JSON.
+//! for reproducible tests and for wire forms that are pinned byte for byte.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;

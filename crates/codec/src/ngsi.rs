@@ -8,7 +8,7 @@
 //!
 //! The wire form has one definition and two writers that tests hold
 //! byte-identical: [`Entity::to_json`] builds the [`Json`] tree for
-//! consumers that want a tree (ledgers, reports, tests), and
+//! consumers that want a tree (reports, tests), and
 //! [`Entity::write_compact`] streams the same bytes into a caller-owned
 //! buffer for the platform's write path, which only ever wanted bytes.
 //! Decoding mirrors it: [`Entity::from_json_owned`] moves the parsed

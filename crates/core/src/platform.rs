@@ -49,6 +49,7 @@ use crate::error::Error;
 use crate::history::HistoryStore;
 use crate::query::{QueryRequest, QueryResponse, SeriesEntry};
 use crate::registry::DeviceRegistry;
+use crate::shard::DEVICE_URN_PREFIX;
 
 /// Where the platform's decision logic runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -67,7 +68,9 @@ pub enum DeploymentConfig {
 pub enum IngestError {
     /// Device not in the registry (rogue node) or quarantined.
     UnregisteredDevice(String),
-    /// Authenticated decryption failed (wrong key, tampered frame).
+    /// Authenticated decryption failed (wrong key, tampered frame), or
+    /// the frame's entity is not the sender's own
+    /// (`urn:swamp:device:<device_id>`).
     AuthenticationFailed(String),
     /// Payload did not parse as an entity.
     MalformedPayload(String),
@@ -876,7 +879,8 @@ impl Platform {
     }
 
     /// Runs the defensive half of ingestion for one sealed frame — registry
-    /// check, authenticated decryption, payload decode, replay detection
+    /// check, authenticated decryption, payload decode, the sender check
+    /// (the entity must be the device's own), replay detection
     /// and the anomaly pipeline — returning the validated entity update
     /// without applying it. A rejection is counted here, on the
     /// `ingest.rejected_*` counter of its kind.
@@ -923,6 +927,12 @@ impl Platform {
             .map_err(|_| IngestError::AuthenticationFailed(device_id.to_owned()))?;
         let entity = Entity::read_compact(&self.plaintext)
             .map_err(|_| IngestError::MalformedPayload(device_id.to_owned()))?;
+
+        // A device's key authenticates only its own entity: a registered
+        // device must not write another owner's history or context.
+        if entity.id().as_str().strip_prefix(DEVICE_URN_PREFIX) != Some(device_id) {
+            return Err(IngestError::AuthenticationFailed(device_id.to_owned()));
+        }
 
         // Replay detection on the firmware sequence number: a frame must
         // carry a whole, non-negative `seq` above the last one admitted, or

@@ -16,6 +16,8 @@
 //! - **balanced** — over realistic id populations the max/min shard load
 //!   stays within 2× (FNV-1a mixes short ASCII ids well).
 
+use swamp_sim::Fnv1a;
+
 /// Identifier of one shard: a dense index in `0..shard_count`.
 pub type ShardIndex = usize;
 
@@ -23,20 +25,14 @@ pub type ShardIndex = usize;
 /// (`urn:swamp:device:<device_id>`).
 pub const DEVICE_URN_PREFIX: &str = "urn:swamp:device:";
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 /// The 64-bit FNV-1a digest of a device id — the stable routing key.
 ///
 /// Exposed separately from [`route_device`] so tests and diagnostics can
 /// inspect the pre-modulo key.
 pub fn routing_key(device_id: &str) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for byte in device_id.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
+    let mut hash = Fnv1a::new();
+    hash.write(device_id.as_bytes());
+    hash.finish()
 }
 
 /// Routes a device id to a shard in `0..shard_count`.

@@ -1,6 +1,7 @@
 //! HMAC-SHA256 (RFC 2104) and HKDF (RFC 5869), built on the from-scratch
 //! SHA-256 in this crate. These are the MAC and key-derivation primitives
-//! used for link security, token signing and the ledger in `swamp-security`.
+//! used for per-device link keys (HKDF, in the keystore and the AEAD), and for
+//! token signing and pseudonyms in `swamp-security`.
 
 use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
 
@@ -25,8 +26,8 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; DIGEST_LEN] {
 ///
 /// Keying compresses both pads once, each into a hasher of its own: a
 /// keyed MAC that is cloned per message pays only for the message and one
-/// outer block, never for its key again; a one-off MAC (HKDF, token and
-/// ledger signatures) does the same compressions as hashing the pads
+/// outer block, never for its key again; a one-off MAC (HKDF, token
+/// signatures, pseudonyms) does the same compressions as hashing the pads
 /// inline.
 #[derive(Clone, Debug)]
 pub struct HmacSha256 {

@@ -1,6 +1,6 @@
 //! SHA-256 (FIPS 180-4), implemented from scratch.
 //!
-//! Used by the HMAC/HKDF layers, the blockchain ledger and token signing in
+//! Used by the HMAC/HKDF layers, and by secret hashing and token ids in
 //! `swamp-security`. Verified against the official FIPS test vectors in the
 //! unit tests below.
 

@@ -683,8 +683,10 @@ impl FogSync {
     }
 
     /// Queues a batch of `(key, payload)` updates — the bulk mirror of
-    /// [`FogSync::enqueue`], used by the platform's batched ingestion path.
-    /// Validates every key before enqueuing anything. Returns how many
+    /// [`FogSync::enqueue`] for callers that hold a whole batch (the
+    /// benchmark's replay driver, tests). The platform's ingestion does not
+    /// use it: it enqueues per record, so one refused key costs only its
+    /// own record. Validates every key before enqueuing anything. Returns how many
     /// were enqueued — all of them: overflow evicts the oldest records
     /// (counted in [`SyncStats::dropped`]) rather than refusing new ones.
     ///

@@ -23,9 +23,7 @@ pub use baseline::{
     e16_baseline_detection, e16_builder, e16_config, e16_run_pilot, e16_shard_run, e16_spec,
     DetectorFingerprint, E16Result, E16Row, E16_DEVICES, E16_ROUNDS,
 };
-pub use platform::{
-    e11_platform_scale, e5_fog_availability, e6_partial_view, e7_auth, e8_crypto, e9_ledger,
-};
+pub use platform::{e11_platform_scale, e5_fog_availability, e6_partial_view, e7_auth, e8_crypto};
 pub use resilience::{e13_resilience, e13_resilience_observed, E13Result, E13Row};
 pub use scale::{e14_shard_scale, E14Result, E14Row};
 pub use water::{e10_distribution, e1_water_energy};
@@ -80,7 +78,6 @@ pub fn run_all(seed: u64) -> Vec<Report> {
     let e6 = e6_partial_view(seed);
     let e7 = e7_auth(seed);
     let e8 = e8_crypto(seed);
-    let e9 = e9_ledger(seed);
     let e10 = e10_distribution(seed);
     let e11 = e11_platform_scale(seed);
     let e12 = e12_behavior(seed);
@@ -98,7 +95,6 @@ pub fn run_all(seed: u64) -> Vec<Report> {
         e6.report(),
         e7.report(),
         e8.report(),
-        e9.report(),
         e10.report(),
         e11.report(),
         e11.ablation_report(),

@@ -1,7 +1,6 @@
 //! E5 — fog availability under Internet outages; E6 — partial
 //! observability; E7 — auth correctness/overhead; E8 — crypto overhead on
-//! constrained links; E9 — ledger growth/verification; E11 — platform
-//! scaling with device count.
+//! constrained links; E11 — platform scaling with device count.
 
 use swamp_codec::ngsi::Entity;
 use swamp_core::platform::{DeploymentConfig, Platform};
@@ -13,7 +12,6 @@ use swamp_net::lpwan::{LpwanConfig, LpwanRadio, TxDecision};
 use swamp_net::network::Network;
 use swamp_security::access::{Action, Pdp, Policy, Resource};
 use swamp_security::identity::IdentityProvider;
-use swamp_security::ledger::{Ledger, LifecycleEvent, LifecycleKind};
 use swamp_security::profile::CropProfiler;
 use swamp_sensors::device::DeviceKind;
 use swamp_sim::{SimDuration, SimRng, SimTime};
@@ -479,84 +477,6 @@ pub fn e8_crypto(seed: u64) -> E8Result {
     E8Result { rows }
 }
 
-/// E9 results.
-#[derive(Clone, Debug)]
-pub struct E9Result {
-    /// (devices, blocks, events, chain verification ok, bytes-equivalent
-    /// event count per device audited).
-    pub rows: Vec<(usize, u64, usize, bool, usize)>,
-}
-
-impl E9Result {
-    /// The table.
-    pub fn report(&self) -> Report {
-        let mut r = Report::new(
-            "E9: device-lifecycle ledger growth and verification",
-            &[
-                "devices",
-                "blocks",
-                "events",
-                "verify_ok",
-                "events_per_device",
-            ],
-        );
-        for (d, b, e, ok, per) in &self.rows {
-            r.push_row(vec![
-                d.to_string(),
-                b.to_string(),
-                e.to_string(),
-                ok.to_string(),
-                per.to_string(),
-            ]);
-        }
-        r
-    }
-}
-
-/// Runs E9: provisions fleets of devices through a full lifecycle and
-/// verifies the chain.
-pub fn e9_ledger(seed: u64) -> E9Result {
-    let mut rows = Vec::new();
-    for devices in [10usize, 50, 200] {
-        let mut ledger = Ledger::new();
-        ledger.register_authority("consortium", &seed.to_be_bytes());
-        let mut total_events = 0;
-        for batch in 0..devices / 10 {
-            let mut events = Vec::new();
-            for i in 0..10 {
-                let id = format!("dev-{}", batch * 10 + i);
-                events.push(LifecycleEvent {
-                    device_id: id.clone(),
-                    kind: LifecycleKind::Manufactured {
-                        hw_rev: "B1".into(),
-                    },
-                    at: SimTime::from_hours(batch as u64),
-                });
-                events.push(LifecycleEvent {
-                    device_id: id.clone(),
-                    kind: LifecycleKind::Provisioned {
-                        owner: "owner:pilot".into(),
-                    },
-                    at: SimTime::from_hours(batch as u64),
-                });
-                events.push(LifecycleEvent {
-                    device_id: id,
-                    kind: LifecycleKind::KeyRotated { epoch: 1 },
-                    at: SimTime::from_hours(batch as u64 + 1),
-                });
-            }
-            total_events += events.len();
-            ledger
-                .append("consortium", SimTime::from_hours(batch as u64), events)
-                .expect("consortium authority was registered above");
-        }
-        let ok = ledger.verify().is_ok();
-        let audited = ledger.device_history("dev-0").len();
-        rows.push((devices, ledger.height(), total_events, ok, audited));
-    }
-    E9Result { rows }
-}
-
 /// E11 results.
 #[derive(Clone, Debug)]
 pub struct E11Result {
@@ -748,17 +668,6 @@ mod tests {
             assert!(row.4 > row.3, "sealed airtime exceeds plain");
             assert!(row.6 <= row.5, "sealed budget is tighter");
             assert!(row.6 > 0, "still usable after sealing");
-        }
-    }
-
-    #[test]
-    fn e9_ledger_verifies_at_scale() {
-        let r = e9_ledger(42);
-        for (devices, blocks, events, ok, per_device) in &r.rows {
-            assert!(ok, "{devices} devices: chain must verify");
-            assert_eq!(*events, devices * 3);
-            assert_eq!(*per_device, 3);
-            assert_eq!(*blocks, (devices / 10) as u64 + 1); // + genesis
         }
     }
 

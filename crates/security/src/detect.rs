@@ -451,7 +451,7 @@ mod tests {
     #[test]
     fn sybil_majority_shifts_median_caveat() {
         // When Sybils OUTNUMBER honest sensors, the median moves to the
-        // swarm — documenting why identity control (keystore/ledger) must
+        // swarm — documenting why identity control (keystore/registry) must
         // back up spatial consistency.
         let values = vec![
             (0, 0.25), // honest

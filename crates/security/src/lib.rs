@@ -8,7 +8,7 @@
 //! | OAuth 2.0 authentication via FIWARE security GEs | [`identity`] |
 //! | "each owner controls their data" access control | [`access`] |
 //! | Data anonymization for governance | [`anonymize`] |
-//! | Blockchain device lifecycle + smart contracts | [`ledger`] |
+//! | Blockchain device lifecycle + smart contracts | not reproduced: a device's lifecycle is `swamp-core`'s registry row and `swamp-crypto`'s `Keystore` (DESIGN.md §1) |
 //! | DoS, tampering, Sybil, eavesdropping, replay | [`attacks`] |
 //! | Rogue nodes | `swamp-core`'s `Platform::device_publish` from an unregistered id, refused at ingest |
 //! | Anomaly detection / avoid fake data | [`detect`], [`pipeline`] |
@@ -42,7 +42,6 @@ pub mod attacks;
 pub mod baseline;
 pub mod detect;
 pub mod identity;
-pub mod ledger;
 pub mod pipeline;
 pub mod profile;
 
@@ -50,6 +49,5 @@ pub use access::{Action, Decision, Pdp, Policy, Resource};
 pub use baseline::{BaselineConfig, BaselineFlag, BaselineVerdict, BehaviorBank, FlagKind};
 pub use detect::{CusumDetector, RangeValidator, RateGuard, Verdict, ZScoreDetector};
 pub use identity::{AuthError, IdentityProvider, Token, TokenInfo};
-pub use ledger::{DeviceContract, Ledger, LifecycleEvent, LifecycleKind};
 pub use pipeline::{DetectorBank, Recommendation};
 pub use profile::{CropProfile, CropProfiler};

@@ -3,7 +3,6 @@
 
 use swamp_security::anonymize::{k_anonymize, Pseudonymizer, YieldRecord};
 use swamp_security::identity::{IdentityProvider, Token};
-use swamp_security::ledger::{Ledger, LifecycleEvent, LifecycleKind};
 use swamp_sim::{SimDuration, SimRng, SimTime};
 
 /// `1..=max_len` characters of `alphabet`.
@@ -11,57 +10,6 @@ fn word(rng: &mut SimRng, alphabet: &[u8], max_len: u64) -> String {
     (0..1 + rng.below(max_len))
         .map(|_| char::from(*rng.pick(alphabet).expect("non-empty alphabet")))
         .collect()
-}
-
-fn lifecycle_kind(rng: &mut SimRng) -> LifecycleKind {
-    match rng.below(7) {
-        0 => LifecycleKind::Manufactured {
-            hw_rev: word(rng, b"abcxyz0189", 6),
-        },
-        1 => LifecycleKind::Provisioned {
-            owner: word(rng, b"ownerxyz:", 12),
-        },
-        2 => LifecycleKind::Transferred {
-            new_owner: word(rng, b"ownerxyz:", 12),
-        },
-        3 => LifecycleKind::FirmwareUpdated {
-            version: word(rng, b"0123456789.", 8),
-        },
-        4 => LifecycleKind::KeyRotated {
-            epoch: rng.below(100) as u32,
-        },
-        5 => LifecycleKind::Revoked {
-            reason: word(rng, b"lost stolen", 16),
-        },
-        _ => LifecycleKind::Decommissioned,
-    }
-}
-
-/// Any ledger built through the API verifies; tampering with a recorded
-/// event breaks verification.
-#[test]
-fn ledger_verifies_and_tamper_is_detected() {
-    let mut rng = SimRng::seed_from(0x5EC0_0001);
-    for _ in 0..48 {
-        let mut ledger = Ledger::new();
-        ledger.register_authority("auth", b"key");
-        for i in 0..1 + rng.below(5) {
-            let at = SimTime::from_secs(i);
-            let events = (0..1 + rng.below(4))
-                .map(|_| LifecycleEvent {
-                    device_id: word(&mut rng, b"abcdefgh0123456789-", 10),
-                    kind: lifecycle_kind(&mut rng),
-                    at,
-                })
-                .collect();
-            ledger.append("auth", at, events).unwrap();
-        }
-        assert!(ledger.verify().is_ok());
-
-        // No generated id is this long, so the rewrite is a real change.
-        ledger.tamper_event_for_tests(1, "mallory-device-xyz");
-        assert!(ledger.verify().is_err());
-    }
 }
 
 /// k-anonymity always delivers min class size ≥ k when enough records

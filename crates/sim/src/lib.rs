@@ -39,5 +39,5 @@ pub mod stats;
 pub mod time;
 
 pub use event::EventQueue;
-pub use rng::SimRng;
+pub use rng::{Fnv1a, SimRng};
 pub use time::{SimDuration, SimTime};

@@ -30,6 +30,47 @@ impl fmt::Debug for SimRng {
     }
 }
 
+/// The 64-bit FNV-1a hash, fed a byte slice at a time: the one seedless
+/// string hash of the workspace (named-stream splits, device → shard
+/// routing, workload stream digests). Its output is part of every
+/// experiment's numbers, so it must never change.
+///
+/// # Example
+/// ```
+/// use swamp_sim::Fnv1a;
+/// let mut h = Fnv1a::new();
+/// h.write(b"a");
+/// assert_eq!(h.finish(), 0xaf63_dc4c_8601_ec8c);
+/// ```
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// A hasher at the FNV-1a offset basis (the digest of no bytes).
+    pub fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Folds `bytes` into the digest.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The digest of every byte written so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a::new()
+    }
+}
+
 /// SplitMix64, used to expand a 64-bit seed into the 256-bit xoshiro state.
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E3779B97F4A7C15);
@@ -58,12 +99,9 @@ impl SimRng {
     /// keeping the whole scenario reproducible from one scenario seed.
     pub fn split(&mut self, label: &str) -> SimRng {
         // Mix the label into a fresh seed drawn from this generator.
-        let mut h: u64 = 0xcbf29ce484222325; // FNV-1a offset basis
-        for b in label.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        SimRng::seed_from(self.next_u64() ^ h)
+        let mut h = Fnv1a::new();
+        h.write(label.as_bytes());
+        SimRng::seed_from(self.next_u64() ^ h.finish())
     }
 
     /// Next raw 64 bits (xoshiro256**).

@@ -19,7 +19,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use swamp_codec::ngsi::{Attribute, Entity};
-use swamp_sim::{SimDuration, SimRng, SimTime};
+use swamp_sim::{Fnv1a, SimDuration, SimRng, SimTime};
 
 use crate::signal::{is_day, MoistureSignal};
 
@@ -290,7 +290,7 @@ impl CompiledWorkload {
     /// device ids, labels and serialized entities. Two compilations of
     /// the same spec produce the same digest, bit for bit.
     pub fn stream_digest(&self) -> u64 {
-        let mut h = Fnv::new();
+        let mut h = Fnv1a::new();
         let mut wire = String::new();
         for batch in &self.batches {
             h.write(&batch.at.as_millis().to_le_bytes());
@@ -310,23 +310,6 @@ impl CompiledWorkload {
     /// Total records carrying the given label.
     pub fn label_count(&self, label: Label) -> u64 {
         self.label_counts.get(&label).copied().unwrap_or(0)
-    }
-}
-
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 

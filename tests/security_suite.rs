@@ -9,7 +9,6 @@ use swamp::crypto::keystore::KeyEpoch;
 use swamp::net::link::LinkSpec;
 use swamp::net::message::Message;
 use swamp::security::attacks::{Eavesdropper, Interception, ReplayAttacker};
-use swamp::security::ledger::{DeviceContract, Ledger, LifecycleEvent, LifecycleKind};
 use swamp::sensors::device::DeviceKind;
 use swamp::sim::{SimDuration, SimTime};
 
@@ -147,42 +146,111 @@ fn rogue_and_spoofing_nodes_are_rejected() {
     assert!(matches!(err, IngestError::AuthenticationFailed(_)));
 }
 
+/// Two registered probes; probe-2 has one admitted reading (moisture
+/// 0.20 at seq 0) in its history and broker entity.
+fn platform_with_two_probes(config: DeploymentConfig) -> Platform {
+    let mut p = Platform::builder(config).seed(99).build();
+    for id in ["probe-1", "probe-2"] {
+        p.register_device(SimTime::ZERO, id, DeviceKind::SoilProbe, "owner:farm")
+            .unwrap();
+    }
+    let mut e = Entity::new("urn:swamp:device:probe-2", "SoilProbe");
+    e.set("moisture_vwc", 0.20);
+    e.set("seq", 0.0);
+    p.device_publish(SimTime::ZERO, "probe-2", &e).unwrap();
+    for s in 1..=60 {
+        p.pump(SimTime::from_secs(s));
+    }
+    assert_eq!(probe_2_readings(&p), vec![0.20]);
+    p
+}
+
+/// Probe-2's moisture history and its broker entity's current reading.
+fn probe_2_readings(p: &Platform) -> Vec<f64> {
+    let id = "urn:swamp:device:probe-2";
+    let history: Vec<f64> = p
+        .history
+        .range(id, "moisture_vwc", SimTime::ZERO, SimTime::from_hours(1))
+        .iter()
+        .map(|s| s.value)
+        .collect();
+    let current = p
+        .context
+        .entity(&id.into())
+        .and_then(|e| e.number("moisture_vwc"));
+    assert_eq!(history.last().copied(), current);
+    history
+}
+
+/// probe-1 seals, under its own valid key, an update that claims to be
+/// probe-2 (a fresh seq and a fake reading).
+fn frame_from_probe_1_for_probe_2(p: &Platform) -> Vec<u8> {
+    let key = p.keystore.device_key("probe-1").unwrap().key;
+    let mut e = Entity::new("urn:swamp:device:probe-2", "SoilProbe");
+    e.set("moisture_vwc", 0.99);
+    e.set("seq", 5.0);
+    key.seal(
+        &[7u8; 12],
+        b"probe-1",
+        e.to_json().to_compact_string().as_bytes(),
+    )
+}
+
+/// Ownership at ingest (paper: "each owner controls their data"): a
+/// registered device's valid seal authenticates only its own entity, so
+/// probe-1 cannot write probe-2's history or context.
+#[test]
+fn sealed_frame_writes_only_its_senders_entity() {
+    let mut p = platform_with_two_probes(DeploymentConfig::FarmFog);
+    let forged = frame_from_probe_1_for_probe_2(&p);
+    let err = p
+        .ingest_frame(SimTime::from_secs(120), "probe-1", &forged)
+        .unwrap_err();
+    assert!(matches!(err, IngestError::AuthenticationFailed(_)));
+    assert_eq!(probe_2_readings(&p), vec![0.20]);
+    assert_eq!(p.observe().counter("ingest.rejected_auth").unwrap(), 1);
+
+    // The refusal left probe-1's own replay floor where it was.
+    let own = sealed_update(&p, "probe-1", 0.0, 8);
+    p.ingest_frame(SimTime::from_secs(121), "probe-1", &own)
+        .unwrap();
+}
+
+/// The same refusal on the CloudOnly path: the forged frame travels the
+/// LPWAN, is relayed by the gateway and is refused at the cloud's ingest.
+#[test]
+fn relayed_frame_writes_only_its_senders_entity() {
+    let mut p = platform_with_two_probes(DeploymentConfig::CloudOnly);
+    let forged = frame_from_probe_1_for_probe_2(&p);
+    let farm = p.farm_node();
+    p.net
+        .send(
+            SimTime::from_secs(120),
+            "probe-1",
+            &farm,
+            Message::new("telemetry/probe-1", forged),
+        )
+        .unwrap();
+    for s in 121..=240 {
+        p.pump(SimTime::from_secs(s));
+    }
+    assert_eq!(probe_2_readings(&p), vec![0.20]);
+    assert_eq!(p.observe().counter("ingest.rejected_auth").unwrap(), 1);
+}
+
 /// Key revocation (compromised device response): frames stop ingesting the
-/// moment the keystore revokes, and the ledger+contract agree.
+/// moment the keystore revokes and the registry disables the device.
 #[test]
 fn revoked_device_is_cut_off_everywhere() {
     let mut p = platform_with_probe();
     let frame = sealed_update(&p, "probe-1", 0.0, 3);
     p.ingest_frame(SimTime::ZERO, "probe-1", &frame).unwrap();
 
-    // Compromise detected: revoke key, quarantine registry entry, record on
-    // the ledger.
+    // Compromise detected: revoke key, quarantine registry entry.
     p.keystore.revoke("probe-1");
     p.registry.set_enabled("probe-1", false).unwrap();
-    let mut ledger = Ledger::new();
-    ledger.register_authority("consortium", b"k");
-    ledger
-        .append(
-            "consortium",
-            SimTime::from_secs(10),
-            vec![
-                LifecycleEvent {
-                    device_id: "probe-1".into(),
-                    kind: LifecycleKind::Provisioned {
-                        owner: "owner:farm".into(),
-                    },
-                    at: SimTime::ZERO,
-                },
-                LifecycleEvent {
-                    device_id: "probe-1".into(),
-                    kind: LifecycleKind::Revoked {
-                        reason: "compromised".into(),
-                    },
-                    at: SimTime::from_secs(10),
-                },
-            ],
-        )
-        .unwrap();
+    assert!(p.keystore.is_revoked("probe-1"));
+    assert!(p.keystore.device_key("probe-1").is_err());
 
     let frame2 = {
         // Even a frame sealed with the (stolen) old key is now rejected.
@@ -199,13 +267,34 @@ fn revoked_device_is_cut_off_everywhere() {
         .ingest_frame(SimTime::from_secs(20), "probe-1", &frame2)
         .unwrap_err();
     assert!(matches!(err, IngestError::UnregisteredDevice(_)));
+}
 
-    // The smart contract refuses the device too.
-    let state = ledger.device_state("probe-1");
-    assert!(!DeviceContract::provisioned_only()
-        .evaluate(&state)
-        .is_authorized());
-    assert!(ledger.verify().is_ok());
+/// Key rotation on the platform path: once the keystore moves a device to
+/// a new epoch, a frame sealed under the old key no longer authenticates,
+/// and the device's own next publish (sealed under the new key) is
+/// admitted.
+#[test]
+fn rotated_key_refuses_the_old_epoch_and_admits_the_new() {
+    let mut p = platform_with_probe();
+    let old = sealed_update(&p, "probe-1", 0.0, 5);
+    assert_eq!(p.keystore.rotate("probe-1").unwrap(), KeyEpoch(1));
+
+    let err = p.ingest_frame(SimTime::ZERO, "probe-1", &old).unwrap_err();
+    assert!(matches!(err, IngestError::AuthenticationFailed(_)));
+    assert_eq!(p.observe().counter("ingest.rejected_auth").unwrap(), 1);
+
+    let mut e = Entity::new("urn:swamp:device:probe-1", "SoilProbe");
+    e.set("moisture_vwc", 0.31);
+    e.set("seq", 1.0);
+    p.device_publish(SimTime::from_secs(1), "probe-1", &e)
+        .unwrap();
+    assert_eq!(p.pump(SimTime::from_secs(10)), 1);
+    assert_eq!(
+        p.context
+            .entity(&"urn:swamp:device:probe-1".into())
+            .and_then(|e| e.number("moisture_vwc")),
+        Some(0.31)
+    );
 }
 
 /// SDN quarantine: after the controller denies a source, nothing from it
