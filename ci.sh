@@ -49,7 +49,7 @@ cargo test -q
 
 # The examples drive the platform end to end through the public API
 # (fog_failover is the only end-to-end CloudOnly run outside the tests); each
-# runs once, output discarded, so a panic fails CI. All six finish in
+# runs once, output discarded, so a panic fails CI. All five finish in
 # well under a second.
 echo "== examples: run each once (release)"
 for example in examples/*.rs; do
@@ -58,8 +58,9 @@ done
 
 # Observability must stay effectively free on the ingest+pump hot path:
 # bench_obs times the same workload with instrumentation live vs muted
-# (best-of-3 interleaved) and --check fails the build if the aggregate
-# overhead exceeds 5%. Uses the release binaries built above.
+# (the median of 11 paired live/muted ratios, alternating which side runs
+# first) and --check fails the build if that aggregate overhead exceeds
+# 5%. Uses the release binaries built above.
 echo "== bench-guard: obs overhead <= 5% (bench_obs --check)"
 cargo run --release -q -p swamp-pilots --bin bench_obs -- --check 100 1000 > /dev/null
 

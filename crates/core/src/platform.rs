@@ -48,7 +48,7 @@ use crate::broker::ContextBroker;
 use crate::error::Error;
 use crate::history::HistoryStore;
 use crate::query::{QueryRequest, QueryResponse, SeriesEntry};
-use crate::registry::DeviceRegistry;
+use crate::registry::{DeviceRegistry, RegistryError};
 use crate::shard::DEVICE_URN_PREFIX;
 
 /// Where the platform's decision logic runs.
@@ -178,7 +178,6 @@ struct PlatformInstruments {
     sync_malformed_ack: Counter,
     relay_malformed_ack: Counter,
     relay_refused: Counter,
-    relay_duplicates_discarded: Counter,
     query_requests: Counter,
     query_segments_pruned: Counter,
     query_segments_summarized: Counter,
@@ -203,7 +202,6 @@ impl PlatformInstruments {
             sync_malformed_ack: obs.counter("sync.malformed_ack"),
             relay_malformed_ack: obs.counter("relay.malformed_ack"),
             relay_refused: obs.counter("relay.refused"),
-            relay_duplicates_discarded: obs.counter("relay.duplicates_discarded"),
             query_requests: obs.counter("query.requests"),
             query_segments_pruned: obs.counter("query.segments_pruned"),
             query_segments_summarized: obs.counter("query.segments_summarized"),
@@ -687,8 +685,9 @@ impl Platform {
     /// registry entry.
     ///
     /// # Errors
-    /// [`Error::Registry`] if the device id is already registered; no
-    /// platform state changes in that case.
+    /// [`Error::Registry`] if the device id is already registered, or names
+    /// the cloud or farm node (the topology holds it: connecting it would
+    /// rewire the uplink); no platform state changes in either case.
     pub fn register_device(
         &mut self,
         now: SimTime,
@@ -696,6 +695,9 @@ impl Platform {
         kind: DeviceKind,
         owner: &str,
     ) -> Result<(), Error> {
+        if device_id == self.cloud_id.as_str() || device_id == self.farm_id.as_str() {
+            return Err(RegistryError::AlreadyRegistered(device_id.to_owned()).into());
+        }
         // Registry first: it is the fallible step, and erroring before any
         // other mutation keeps registration atomic.
         self.registry.register(device_id, kind, owner, now)?;
@@ -731,15 +733,12 @@ impl Platform {
                 self.keystore
                     .derive("rogue", swamp_crypto::keystore::KeyEpoch(0))
             });
-        // Registered devices have their sequence; only a rogue sender's
-        // first frame pays for a map key.
+        // Registered devices have their sequence. An unregistered sender
+        // gets none: its frame fails at ingest whatever its nonce, and a
+        // map key per fresh id would grow without bound.
         let nonce = match self.device_nonces.get_mut(device_id) {
             Some(nonces) => nonces.next_nonce(),
-            None => self
-                .device_nonces
-                .entry(device_id.to_owned())
-                .or_insert_with(|| NonceSequence::new(9999))
-                .next_nonce(),
+            None => NonceSequence::new(9999).next_nonce(),
         };
         self.wire_scratch.clear();
         entity.write_compact(&mut self.wire_scratch);
@@ -826,12 +825,7 @@ impl Platform {
         // stream for no longer than the next record to land.
         if !fog {
             let store = &mut self.cloud_store;
-            let dup_before = store.duplicates();
             store.process_deliveries(&mut self.net, now, inbox.drain(..));
-            let dup_delta = store.duplicates() - dup_before;
-            if dup_delta > 0 {
-                self.obs.add(self.ins.relay_duplicates_discarded, dup_delta);
-            }
             let frames = store.drain_ready();
             self.net.advance_to(now);
             for frame in frames {
@@ -1186,6 +1180,64 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, Error::Registry(_)));
         assert!(err.to_string().contains("registry"));
+    }
+
+    #[test]
+    fn a_device_named_after_a_topology_node_is_refused() {
+        for config in [DeploymentConfig::FarmFog, DeploymentConfig::CloudOnly] {
+            let mut p = Platform::builder(config)
+                .seed(42)
+                .uplink_spec(LinkSpec::cloud_backbone())
+                .sync_base_timeout(SimDuration::from_secs(300))
+                .build();
+            let farm = p.farm_node();
+            for id in [nodes::CLOUD, farm.as_str()] {
+                let err = p
+                    .register_device(SimTime::ZERO, id, DeviceKind::SoilProbe, "owner:test")
+                    .unwrap_err();
+                assert!(
+                    matches!(err, Error::Registry(RegistryError::AlreadyRegistered(_))),
+                    "{config:?} {id}: {err}"
+                );
+                assert!(p.registry.get(id).is_none(), "{config:?} {id}");
+            }
+            // The uplink keeps its lossless spec: 200 records cross it and
+            // the network loses nothing. Each device's radio is swapped for
+            // the backbone too, so any loss would be the uplink's.
+            const RECORDS: u64 = 200;
+            for i in 0..RECORDS {
+                let id = format!("probe-{i}");
+                p.register_device(SimTime::ZERO, &id, DeviceKind::SoilProbe, "owner:test")
+                    .unwrap();
+                p.net
+                    .connect(id.as_str(), farm.clone(), LinkSpec::cloud_backbone());
+                p.device_publish(SimTime::ZERO, &id, &telemetry(&id, 0.0, 0.3))
+                    .unwrap();
+            }
+            let acked = |p: &Platform| p.observe().counter("sync.acked").unwrap();
+            for pump in 1..=20 {
+                p.pump(SimTime::from_secs(pump));
+                if acked(&p) == RECORDS {
+                    break;
+                }
+            }
+            assert_eq!(acked(&p), RECORDS, "{config:?}");
+            assert_eq!(p.observe().counter("net.lost").unwrap(), 0, "{config:?}");
+        }
+    }
+
+    #[test]
+    fn unregistered_publishers_leave_no_nonce_sequence() {
+        let mut p = fog_platform();
+        let sequences = p.device_nonces.len();
+        for i in 0..10_000 {
+            let id = format!("rogue-{i}");
+            // No node carries an unregistered id: the network refuses it.
+            assert!(p
+                .device_publish(SimTime::ZERO, &id, &telemetry(&id, 0.0, 0.5))
+                .is_err());
+        }
+        assert_eq!(p.device_nonces.len(), sequences);
     }
 
     #[test]

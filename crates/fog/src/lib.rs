@@ -42,6 +42,4 @@ pub mod availability;
 pub mod sync;
 
 pub use availability::{AvailabilityTracker, OutageSchedule, ServedBy};
-pub use sync::{
-    AckOutcome, CloudStore, DegradedMode, FogSync, FogSyncBuilder, SyncError, SyncStats,
-};
+pub use sync::{AckOutcome, CloudStore, DegradedMode, FogSync, FogSyncBuilder, SyncError};

@@ -30,7 +30,7 @@
 //! multiplicative jitter drawn from the engine's own seeded RNG (so runs
 //! stay reproducible).
 //! Acks release records exactly once — late or duplicated acks are
-//! suppressed and counted, never double-advance [`SyncStats`].
+//! suppressed and counted on `sync.duplicate_acks`, never double-advance.
 //!
 //! ## Flow control
 //!
@@ -234,30 +234,6 @@ pub struct UpdateRecord {
     pub payload: Vec<u8>,
     /// When the update was created at the fog.
     pub created_at: SimTime,
-}
-
-/// Counters for a sync endpoint.
-///
-/// Since the observability redesign this is a *view* materialized by
-/// [`FogSync::stats`] from the engine's typed `swamp-obs` handles, not the
-/// backing store itself.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SyncStats {
-    /// Updates accepted into the buffer.
-    pub enqueued: u64,
-    /// Updates dropped by the bounded buffer.
-    pub dropped: u64,
-    /// Data transmissions (including retransmits).
-    pub transmissions: u64,
-    /// Retransmissions only (a subset of `transmissions`).
-    pub retransmissions: u64,
-    /// Updates confirmed by the cloud.
-    pub acked: u64,
-    /// Acks that arrived for records no longer buffered — released or
-    /// evicted (suppressed).
-    pub duplicate_acks: u64,
-    /// Retry timers that expired awaiting an ack.
-    pub timeouts: u64,
 }
 
 /// Typed handles for the fog engine's instruments (`sync.*`), registered
@@ -609,19 +585,6 @@ impl FogSync {
         self.deadlines.len()
     }
 
-    /// Counters, materialized from the engine's typed `swamp-obs` handles.
-    pub fn stats(&self) -> SyncStats {
-        SyncStats {
-            enqueued: self.obs.value(self.ins.enqueued),
-            dropped: self.obs.value(self.ins.dropped),
-            transmissions: self.obs.value(self.ins.transmissions),
-            retransmissions: self.obs.value(self.ins.retransmissions),
-            acked: self.obs.value(self.ins.acked),
-            duplicate_acks: self.obs.value(self.ins.duplicate_acks),
-            timeouts: self.obs.value(self.ins.timeouts),
-        }
-    }
-
     /// Typed snapshot of the engine's instruments: the `sync.*` counters,
     /// the `sync.pending` / `sync.in_flight` / `sync.mode` gauges, the
     /// `sync.retry_interval_ms` backoff histogram, the `sync.round` span
@@ -646,7 +609,7 @@ impl FogSync {
     }
 
     /// Queues one update. A full buffer evicts its oldest record (counted
-    /// in [`SyncStats::dropped`]) to favor fresh state.
+    /// on `sync.dropped`) to favor fresh state.
     ///
     /// # Errors
     /// [`SyncError::KeyTooLong`] if the key cannot be encoded (nothing is
@@ -688,7 +651,7 @@ impl FogSync {
     /// use it: it enqueues per record, so one refused key costs only its
     /// own record. Validates every key before enqueuing anything. Returns how many
     /// were enqueued — all of them: overflow evicts the oldest records
-    /// (counted in [`SyncStats::dropped`]) rather than refusing new ones.
+    /// (counted on `sync.dropped`) rather than refusing new ones.
     ///
     /// # Errors
     /// [`SyncError::KeyTooLong`] if any key cannot be encoded — in that
@@ -1075,11 +1038,6 @@ impl CloudStore {
         self.history.len()
     }
 
-    /// Duplicate transmissions discarded.
-    pub fn duplicates(&self) -> u64 {
-        self.obs.value(self.ins.duplicates)
-    }
-
     /// Typed snapshot of the store's instruments (`cloud.accepted`,
     /// `cloud.duplicates`, `cloud.malformed`, `cloud.acks_refused`).
     pub fn observe(&self) -> ObsSnapshot {
@@ -1324,6 +1282,11 @@ mod tests {
         (net, sync, CloudStore::new("cloud"))
     }
 
+    /// The value of the counter `name` in an engine's or a store's snapshot.
+    fn counter(snap: ObsSnapshot, name: &str) -> u64 {
+        snap.counter(name).unwrap()
+    }
+
     /// Partitions the fog↔cloud link over `[start, end)`.
     fn partition_uplink(net: &mut Network, start: SimTime, end: SimTime) {
         let mut plan = swamp_net::FaultPlan::new(11);
@@ -1409,7 +1372,7 @@ mod tests {
         pump(&mut net, &mut sync, &mut cloud, SimTime::ZERO, 20);
         assert_eq!(sync.pending(), 0);
         assert_eq!(cloud.record_count(), 50);
-        assert_eq!(sync.stats().acked, 50);
+        assert_eq!(counter(sync.observe(), "sync.acked"), 50);
         assert!(cloud.latest("key-7").is_some());
         assert_eq!(sync.mode(), DegradedMode::Connected);
     }
@@ -1425,9 +1388,10 @@ mod tests {
         assert_eq!(sync.pending(), 0, "all records eventually acked");
         assert_eq!(cloud.record_count(), 100);
         // Loss forces retransmissions beyond the original 100.
-        assert!(sync.stats().transmissions > 100);
+        assert!(counter(sync.observe(), "sync.transmissions") > 100);
         assert_eq!(
-            sync.stats().transmissions - sync.stats().retransmissions,
+            counter(sync.observe(), "sync.transmissions")
+                - counter(sync.observe(), "sync.retransmissions"),
             100,
             "every record was first-transmitted exactly once"
         );
@@ -1465,7 +1429,7 @@ mod tests {
         net.advance_to(SimTime::from_secs(11));
         cloud.process(&mut net, SimTime::from_secs(11));
         assert_eq!(cloud.record_count(), 1);
-        assert_eq!(cloud.duplicates(), 1);
+        assert_eq!(counter(cloud.observe(), "cloud.duplicates"), 1);
     }
 
     fn sync_delivery(seq: u64, floor: u64, now: SimTime) -> Delivery {
@@ -1557,7 +1521,7 @@ mod tests {
         let late = [sync_delivery(9, 9, t), sync_delivery(4, 4, t)];
         store.process_deliveries(&mut net, t, late);
         assert_eq!(seqs(&store.drain_ready()), [7, 8, 9]);
-        assert_eq!(store.duplicates(), 2);
+        assert_eq!(counter(store.observe(), "cloud.duplicates"), 2);
         let seen = &store.seen_seqs[&NodeId::new("fog")];
         assert_eq!((seen.next, seen.ahead.len()), (10, 0));
     }
@@ -1592,20 +1556,20 @@ mod tests {
         let now = SimTime::from_secs(2);
         let first = sync.process_ack(now, &d.message.payload).unwrap();
         assert_eq!(first.released, 1);
-        assert_eq!(sync.stats().acked, 1);
+        assert_eq!(counter(sync.observe(), "sync.acked"), 1);
 
         // The same ack replayed (e.g. an injected wire duplicate) is
-        // suppressed: stats.acked does not advance.
+        // suppressed: `sync.acked` does not advance.
         let second = sync.process_ack(now, &d.message.payload).unwrap();
         assert_eq!(second.released, 0);
         assert_eq!(second.duplicate, 1);
-        assert_eq!(sync.stats().acked, 1);
-        assert_eq!(sync.stats().duplicate_acks, 1);
+        assert_eq!(counter(sync.observe(), "sync.acked"), 1);
+        assert_eq!(counter(sync.observe(), "sync.duplicate_acks"), 1);
 
         // An ack for a seq this engine never buffered is merely unknown.
         let stray = sync.process_ack(now, &encode_acks(&[999])).unwrap();
         assert_eq!(stray.unknown, 1);
-        assert_eq!(sync.stats().acked, 1);
+        assert_eq!(counter(sync.observe(), "sync.acked"), 1);
     }
 
     #[test]
@@ -1647,7 +1611,7 @@ mod tests {
         let batch = ["k2", "k3", "k4"].map(|k| (k, vec![]));
         assert_eq!(sync.enqueue_batch(SimTime::ZERO, batch), Ok(3));
         assert_eq!(sync.pending(), 3);
-        assert_eq!(sync.stats().dropped, 2);
+        assert_eq!(counter(sync.observe(), "sync.dropped"), 2);
         // Oldest (k0, k1) gone; k2..k4 retained.
         let keys: Vec<String> = sync
             .records
@@ -1689,7 +1653,7 @@ mod tests {
         }
         let stray = sync.process_ack(now, &encode_acks(&[total])).unwrap();
         assert_eq!(stray.unknown, 1);
-        assert_eq!(sync.stats().duplicate_acks, 3);
+        assert_eq!(counter(sync.observe(), "sync.duplicate_acks"), 3);
     }
 
     #[test]
@@ -1706,14 +1670,14 @@ mod tests {
             .unwrap();
         sync.enqueue(SimTime::from_secs(1), "k2", b"c".to_vec())
             .unwrap();
-        assert_eq!(sync.stats().dropped, 1);
+        assert_eq!(counter(sync.observe(), "sync.dropped"), 1);
         assert_eq!(sync.in_flight(), 0);
         net.advance_to(SimTime::from_secs(2));
         let outcome = sync.poll_acks(&mut net, SimTime::from_secs(2));
         assert_eq!(outcome.duplicate, 1, "{outcome:?}");
         assert_eq!(outcome.unknown, 0);
-        assert_eq!(sync.stats().duplicate_acks, 1);
-        assert_eq!(sync.stats().acked, 0);
+        assert_eq!(counter(sync.observe(), "sync.duplicate_acks"), 1);
+        assert_eq!(counter(sync.observe(), "sync.acked"), 0);
     }
 
     /// The watermark dedup decides exactly as the set of every seq ever
@@ -1818,7 +1782,7 @@ mod tests {
         assert_eq!((seen.next, seen.ahead.len()), (100_000, 0));
         assert!(!store.apply_record(&source, record(99_999)));
         assert!(!store.apply_record(&source, record(0)));
-        assert_eq!(store.duplicates(), 2);
+        assert_eq!(counter(store.observe(), "cloud.duplicates"), 2);
         assert_eq!(store.record_count(), 100_000);
         // `latest` reads the one stored copy: the newest arrival per key.
         assert_eq!(store.latest("k7").unwrap().seq, 99_907);
@@ -1865,7 +1829,7 @@ mod tests {
         }
         let sent = sync.sync_round(&mut net, SimTime::ZERO, 5);
         assert_eq!(sent, 5);
-        assert_eq!(sync.stats().transmissions, 5);
+        assert_eq!(counter(sync.observe(), "sync.transmissions"), 5);
     }
 
     #[test]
@@ -1891,7 +1855,7 @@ mod tests {
         let sent = sync.sync_round(&mut net, SimTime::from_secs(10), 64);
         assert_eq!(sent, 4);
         assert_eq!(sync.in_flight(), 4);
-        assert_eq!(sync.stats().retransmissions, 4);
+        assert_eq!(counter(sync.observe(), "sync.retransmissions"), 4);
     }
 
     #[test]
@@ -2057,7 +2021,7 @@ mod tests {
 
                     let tapped = net.tap_captures(tap).len();
                     let denied = net.observe().counter("net.sdn_dropped").unwrap();
-                    let timeouts = sync.stats().timeouts;
+                    let timeouts = counter(sync.observe(), "sync.timeouts");
                     let sent = sync.sync_round(&mut net, now, batch);
                     check(&sync, &at);
                     let wire: Vec<u64> = net.tap_captures(tap)[tapped..]
@@ -2068,7 +2032,11 @@ mod tests {
                     let refused = net.observe().counter("net.sdn_dropped").unwrap() > denied;
                     assert_eq!(refused, sent < plan.len(), "{at}: only a refusal cuts");
                     covered[1] += u64::from(refused);
-                    assert_eq!(sync.stats().timeouts - timeouts, due.len() as u64, "{at}");
+                    assert_eq!(
+                        counter(sync.observe(), "sync.timeouts") - timeouts,
+                        due.len() as u64,
+                        "{at}"
+                    );
 
                     now += SimDuration::from_secs(2);
                     net.advance_to(now);
@@ -2188,10 +2156,6 @@ mod tests {
             ]
         );
         assert_eq!(snap.gauge("sync.mode").unwrap(), Some(0.0));
-        assert_eq!(
-            snap.counter("sync.timeouts").unwrap(),
-            sync.stats().timeouts
-        );
     }
 
     #[test]
@@ -2206,7 +2170,7 @@ mod tests {
         sync.enqueue(SimTime::ZERO, "a", vec![]).unwrap();
         sync.enqueue(SimTime::ZERO, "b", vec![]).unwrap();
         assert_eq!(sync.pending(), 1);
-        assert_eq!(sync.stats().dropped, 1);
+        assert_eq!(counter(sync.observe(), "sync.dropped"), 1);
     }
 
     #[test]
@@ -2228,6 +2192,6 @@ mod tests {
         net.advance_to(SimTime::from_secs(1));
         cloud.process(&mut net, SimTime::from_secs(1));
         assert_eq!(cloud.record_count(), 2);
-        assert_eq!(cloud.duplicates(), 0);
+        assert_eq!(counter(cloud.observe(), "cloud.duplicates"), 0);
     }
 }

@@ -74,7 +74,9 @@ fn lossless_drain_examines_each_record_once() {
     );
     // The summary keeps a running mean; Σ is exact after rounding.
     let total = (scanned.mean() * scanned.count() as f64).round() as u64;
-    let transmissions = sync.stats().transmissions;
+    let transmissions = snap
+        .counter("sync.transmissions")
+        .expect("registered counter");
     assert_eq!(
         total, transmissions,
         "drain examined {total} records for {transmissions} transmissions"

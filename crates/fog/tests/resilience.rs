@@ -143,14 +143,19 @@ fn run_scenario(
     }
 
     let unique: BTreeSet<u64> = store.history().iter().map(|r| r.seq).collect();
+    let counts = sync.observe();
+    let count = |name| counts.counter(name).expect("registered counter");
     Outcome {
         pending: sync.pending(),
         stored: store.record_count(),
         unique_seqs: unique.len(),
-        acked: sync.stats().acked,
-        dropped: sync.stats().dropped,
-        duplicates_discarded: store.duplicates(),
-        retransmissions: sync.stats().retransmissions,
+        acked: count("sync.acked"),
+        dropped: count("sync.dropped"),
+        duplicates_discarded: store
+            .observe()
+            .counter("cloud.duplicates")
+            .expect("registered counter"),
+        retransmissions: count("sync.retransmissions"),
         mode: sync.mode(),
     }
 }
@@ -279,7 +284,7 @@ fn backlog_after_a_partition_drains_a_window_per_round_trip() {
         }
         if let Some(trips) = &mut trips_after_release {
             *trips += 1;
-        } else if sync.stats().acked > 0 {
+        } else if sync.observe().counter("sync.acked").is_ok_and(|n| n > 0) {
             // The stranded window got through and was acked whole.
             assert_eq!(sync.pending(), BACKLOG - DEFAULT_WINDOW);
             trips_after_release = Some(0);
@@ -298,7 +303,11 @@ fn backlog_after_a_partition_drains_a_window_per_round_trip() {
     assert_eq!(store.record_count(), BACKLOG);
     let unique: BTreeSet<u64> = store.history().iter().map(|r| r.seq).collect();
     assert_eq!(unique.len(), BACKLOG, "every record applied exactly once");
-    assert_eq!(store.duplicates(), 0, "the partition delivered no copy");
+    assert_eq!(
+        store.observe().counter("cloud.duplicates").unwrap(),
+        0,
+        "the partition delivered no copy"
+    );
     assert_eq!(
         trips_after_release,
         Some((BACKLOG - DEFAULT_WINDOW).div_ceil(DEFAULT_WINDOW)),

@@ -95,7 +95,7 @@ fn dos_scenario(seed: u64, attack_rate: f64, mitigate: bool) -> (f64, usize) {
         },
     );
 
-    let mut dos = DosFlooder::new("attacker", "broker", attack_rate, 64);
+    let dos = DosFlooder::new("attacker", "broker", attack_rate, 64);
     let mut guard = RateGuard::new(SimDuration::from_secs(10), 5.0, 20);
     let mut mitigated_at_round = usize::MAX;
 
@@ -239,12 +239,12 @@ pub fn e3_tamper(seed: u64) -> E3Result {
         for run in 0..runs {
             let mut rng = SimRng::seed_from(seed ^ (run as u64) << 8);
             let mut det = ZScoreDetector::for_slow_signal();
-            let mut tamper = SensorTamper::new(TamperMode::Offset(offset));
+            let tamper = SensorTamper::new(TamperMode::Offset(offset));
             for step in 0..120 {
                 let truth = soil_truth(step);
                 let mut v = truth + rng.normal_with(0.0, 0.008);
                 if step >= 60 {
-                    v = tamper.distort(v, SimTime::from_days(step as u64 / 2));
+                    v = tamper.distort(v);
                 }
                 if det.observe(v).is_anomalous() && step >= 60 {
                     detections += 1;

@@ -187,10 +187,9 @@ fn run_cell(seed: u64, config: DeploymentConfig, loss: f64) -> (E13Row, ObsRepor
     );
 
     let snap = platform.observe();
-    let (delivered, duplicate_applies, duplicates_discarded) = match config {
+    let (delivered, duplicate_applies) = match config {
         DeploymentConfig::FarmFog => {
-            // Applied-record seqs come through the typed query surface;
-            // dedup/discard *counters* stay on the replica's own stats.
+            // Applied-record seqs come through the typed query surface.
             let seqs = match platform.query(&QueryRequest::ReplicaSeqs) {
                 QueryResponse::Seqs(seqs) => seqs,
                 other => panic!("ReplicaSeqs answered with {other:?}"),
@@ -202,7 +201,6 @@ fn run_cell(seed: u64, config: DeploymentConfig, loss: f64) -> (E13Row, ObsRepor
             (
                 unique.len() as u64,
                 store.record_count() as u64 - unique.len() as u64,
-                store.duplicates(),
             )
         }
         DeploymentConfig::CloudOnly => (
@@ -211,8 +209,6 @@ fn run_cell(seed: u64, config: DeploymentConfig, loss: f64) -> (E13Row, ObsRepor
             // replay defense at ingest.
             snap.counter("ingest.accepted").expect("registered counter"),
             snap.counter("ingest.rejected_replay")
-                .expect("registered counter"),
-            snap.counter("relay.duplicates_discarded")
                 .expect("registered counter"),
         ),
     };
@@ -230,7 +226,11 @@ fn run_cell(seed: u64, config: DeploymentConfig, loss: f64) -> (E13Row, ObsRepor
         offered: snap.counter("sync.enqueued").expect("registered counter"),
         delivered,
         duplicate_applies,
-        duplicates_discarded,
+        // Either deployment's cloud-side store (the replica, or the relay's
+        // deduplicator) counts the copies it discarded on one counter.
+        duplicates_discarded: snap
+            .counter("cloud.duplicates")
+            .expect("registered counter"),
         retransmissions: snap
             .counter("sync.retransmissions")
             .expect("registered counter"),

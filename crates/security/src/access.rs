@@ -172,8 +172,6 @@ impl Decision {
 #[derive(Clone, Debug, Default)]
 pub struct Pdp {
     policies: Vec<Policy>,
-    decisions: u64,
-    denials: u64,
 }
 
 impl Pdp {
@@ -192,26 +190,17 @@ impl Pdp {
         self.policies.len()
     }
 
-    /// `(total decisions, denials)` counters for the audit dashboard.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.decisions, self.denials)
-    }
-
     /// Decides whether `token` may perform `action` on `resource`.
     ///
     /// Order: explicit deny > ownership > explicit allow > default deny.
     /// (A deny policy can therefore fence even the owner — e.g. a consortium
     /// lock on gates during maintenance.)
-    pub fn decide(&mut self, token: &TokenInfo, resource: &Resource, action: Action) -> Decision {
-        self.decisions += 1;
+    pub fn decide(&self, token: &TokenInfo, resource: &Resource, action: Action) -> Decision {
         let mut allowed = false;
         for p in &self.policies {
             if p.matches(token, resource, action) {
                 match p.effect {
-                    Effect::Deny => {
-                        self.denials += 1;
-                        return Decision::DenyPolicy;
-                    }
+                    Effect::Deny => return Decision::DenyPolicy,
                     Effect::Allow => allowed = true,
                 }
             }
@@ -223,7 +212,6 @@ impl Pdp {
         if allowed {
             return Decision::PermitPolicy;
         }
-        self.denials += 1;
         Decision::DenyDefault
     }
 }
@@ -251,16 +239,15 @@ mod tests {
 
     #[test]
     fn default_deny() {
-        let mut pdp = Pdp::new();
+        let pdp = Pdp::new();
         let d = pdp.decide(&token("user:eve", &[]), &guaspari_probe(), Action::Read);
         assert_eq!(d, Decision::DenyDefault);
         assert!(!d.is_permit());
-        assert_eq!(pdp.stats(), (1, 1));
     }
 
     #[test]
     fn owner_always_reads_their_data() {
-        let mut pdp = Pdp::new();
+        let pdp = Pdp::new();
         let owner = token("user:maria", &["role:owner:guaspari"]);
         for action in [Action::Read, Action::Write, Action::Command, Action::Admin] {
             assert_eq!(
@@ -366,13 +353,17 @@ mod tests {
 
     #[test]
     fn counters_track() {
-        let mut pdp = Pdp::new();
+        let pdp = Pdp::new();
         let t = token("user:eve", &[]);
-        pdp.decide(&t, &guaspari_probe(), Action::Read);
-        pdp.decide(&t, &guaspari_probe(), Action::Write);
         let owner = token("user:m", &["role:owner:guaspari"]);
-        pdp.decide(&owner, &guaspari_probe(), Action::Read);
-        assert_eq!(pdp.stats(), (3, 2));
+        // The caller tallies what each call returns.
+        let decisions = [
+            pdp.decide(&t, &guaspari_probe(), Action::Read),
+            pdp.decide(&t, &guaspari_probe(), Action::Write),
+            pdp.decide(&owner, &guaspari_probe(), Action::Read),
+        ];
+        let denials = decisions.iter().filter(|d| !d.is_permit()).count();
+        assert_eq!((decisions.len(), denials), (3, 2));
         assert_eq!(pdp.policy_count(), 0);
     }
 }

@@ -23,7 +23,7 @@
 
 use swamp_codec::json::Json;
 use swamp_net::message::{Message, NodeId};
-use swamp_net::network::{Network, SendError};
+use swamp_net::network::Network;
 use swamp_sim::{SimDuration, SimRng, SimTime};
 
 /// Flooding DoS attacker: sends `rate_per_sec` junk messages to a target.
@@ -37,8 +37,6 @@ pub struct DosFlooder {
     pub rate_per_sec: f64,
     /// Payload size per message, bytes.
     pub payload_bytes: usize,
-    sent: u64,
-    blocked: u64,
 }
 
 impl DosFlooder {
@@ -58,85 +56,54 @@ impl DosFlooder {
             target: target.into(),
             rate_per_sec,
             payload_bytes,
-            sent: 0,
-            blocked: 0,
         }
     }
 
-    /// Emits the flood for the window `[from, to)`.
-    pub fn flood_window(&mut self, net: &mut Network, from: SimTime, to: SimTime) {
+    /// Emits the flood for the window `[from, to)`. The network counts
+    /// what it was offered (`net.offered`) and what its SDN flow table
+    /// blocked (`net.sdn_dropped`).
+    pub fn flood_window(&self, net: &mut Network, from: SimTime, to: SimTime) {
         let interval = SimDuration::from_secs_f64(1.0 / self.rate_per_sec)
             .as_millis()
             .max(1);
         let mut t = from;
         while t < to {
             let msg = Message::new("flood/junk", vec![0xAA; self.payload_bytes]);
-            match net.send(t, self.node.clone(), self.target.clone(), msg) {
-                Ok(_) => self.sent += 1,
-                Err(SendError::Denied) => self.blocked += 1,
-                Err(_) => self.blocked += 1,
-            }
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "a flooder ignores refusals; the network counts them"
+            )]
+            let _ = net.send(t, self.node.clone(), self.target.clone(), msg);
             t += SimDuration::from_millis(interval);
         }
     }
-
-    /// `(messages entering the network, messages blocked at the SDN)`.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.sent, self.blocked)
-    }
 }
 
-/// How a tamper attacker distorts a sensor value.
+/// How a tamper attacker distorts a sensor value. (The stealthy drift
+/// attack is `swamp-workload`'s `AttackOverlay::TamperDrift`.)
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum TamperMode {
     /// Add a constant offset.
     Offset(f64),
-    /// Multiply by a factor.
-    Scale(f64),
-    /// Replace with a fixed value.
-    Replace(f64),
-    /// Add slowly growing drift (stealthy): `rate` per day since `start`.
-    Drift {
-        /// Drift rate per day.
-        rate_per_day: f64,
-        /// When the drift started.
-        start: SimTime,
-    },
 }
 
 /// In-path sensor-value tampering (compromised device or gateway MITM).
 #[derive(Clone, Debug)]
 pub struct SensorTamper {
     mode: TamperMode,
-    tampered: u64,
 }
 
 impl SensorTamper {
     /// Creates a tamperer.
     pub fn new(mode: TamperMode) -> Self {
-        SensorTamper { mode, tampered: 0 }
+        SensorTamper { mode }
     }
 
     /// Applies the distortion to one value.
-    pub fn distort(&mut self, value: f64, now: SimTime) -> f64 {
-        self.tampered += 1;
+    pub fn distort(&self, value: f64) -> f64 {
         match self.mode {
             TamperMode::Offset(o) => value + o,
-            TamperMode::Scale(s) => value * s,
-            TamperMode::Replace(v) => v,
-            TamperMode::Drift {
-                rate_per_day,
-                start,
-            } => {
-                let days = now.saturating_duration_since(start).as_days_f64();
-                value + rate_per_day * days
-            }
         }
-    }
-
-    /// Values tampered so far.
-    pub fn count(&self) -> u64 {
-        self.tampered
     }
 }
 
@@ -304,43 +271,28 @@ mod tests {
     #[test]
     fn flooder_saturates_then_sdn_blocks() {
         let mut net = net_with(&["attacker", "broker"]);
-        let mut dos = DosFlooder::new("attacker", "broker", 100.0, 64);
+        let dos = DosFlooder::new("attacker", "broker", 100.0, 64);
+        let counts = |net: &Network| {
+            let snap = net.observe();
+            let count = |name| snap.counter(name).unwrap();
+            (count("net.offered"), count("net.sdn_dropped"))
+        };
         dos.flood_window(&mut net, SimTime::ZERO, SimTime::from_secs(2));
-        let (sent, blocked) = dos.stats();
-        assert_eq!(sent, 200);
-        assert_eq!(blocked, 0);
+        assert_eq!(counts(&net), (200, 0));
 
         // Controller installs a deny rule: the rest of the flood is blocked.
         net.flow_table_mut()
             .install(10, FlowMatch::from_src("attacker"), FlowAction::Deny);
         dos.flood_window(&mut net, SimTime::from_secs(2), SimTime::from_secs(3));
-        let (sent2, blocked2) = dos.stats();
-        assert_eq!(sent2, 200);
-        assert_eq!(blocked2, 100);
+        assert_eq!(counts(&net), (300, 100));
     }
 
     #[test]
     fn tamper_modes() {
-        let now = SimTime::from_days(10);
         assert_eq!(
-            SensorTamper::new(TamperMode::Offset(0.1)).distort(0.2, now),
+            SensorTamper::new(TamperMode::Offset(0.1)).distort(0.2),
             0.30000000000000004
         );
-        assert_eq!(
-            SensorTamper::new(TamperMode::Scale(2.0)).distort(0.2, now),
-            0.4
-        );
-        assert_eq!(
-            SensorTamper::new(TamperMode::Replace(0.9)).distort(0.2, now),
-            0.9
-        );
-        let mut drift = SensorTamper::new(TamperMode::Drift {
-            rate_per_day: 0.01,
-            start: SimTime::from_days(5),
-        });
-        let v = drift.distort(0.2, now);
-        assert!((v - 0.25).abs() < 1e-9);
-        assert_eq!(drift.count(), 1);
     }
 
     #[test]

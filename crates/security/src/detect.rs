@@ -147,7 +147,8 @@ impl ZScoreDetector {
 }
 
 /// Two-sided CUSUM drift detector: catches slow tampering that stays under
-/// the z-score radar (the stealthy `TamperMode::Drift` attack).
+/// the z-score radar (the stealthy drift attack, `swamp-workload`'s
+/// `AttackOverlay::TamperDrift`).
 #[derive(Clone, Debug)]
 pub struct CusumDetector {
     reference: OnlineStats,

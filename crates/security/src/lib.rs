@@ -7,7 +7,7 @@
 //! |---|---|
 //! | OAuth 2.0 authentication via FIWARE security GEs | [`identity`] |
 //! | "each owner controls their data" access control | [`access`] |
-//! | Data anonymization for governance | [`anonymize`] |
+//! | Data anonymization for governance | not reproduced: nothing on the platform path ran it, so it was deleted (DESIGN.md §1) |
 //! | Blockchain device lifecycle + smart contracts | not reproduced: a device's lifecycle is `swamp-core`'s registry row and `swamp-crypto`'s `Keystore` (DESIGN.md §1) |
 //! | DoS, tampering, Sybil, eavesdropping, replay | [`attacks`] |
 //! | Rogue nodes | `swamp-core`'s `Platform::device_publish` from an unregistered id, refused at ingest |
@@ -31,13 +31,12 @@
 //! let (token, _refresh) = idm.password_grant(SimTime::ZERO, "maria", "pw").unwrap();
 //! let info = idm.validate(SimTime::ZERO, &token).unwrap();
 //!
-//! let mut pdp = Pdp::new();
+//! let pdp = Pdp::new();
 //! let probe = Resource::new("urn:swamp:guaspari:probe:1", "owner:guaspari");
 //! assert!(pdp.decide(&info, &probe, Action::Read).is_permit());
 //! ```
 
 pub mod access;
-pub mod anonymize;
 pub mod attacks;
 pub mod baseline;
 pub mod detect;

@@ -53,16 +53,15 @@ fn run(config: DeploymentConfig, label: &str) {
     let snap = platform.observe();
     let ingested = snap.counter("ingest.accepted").unwrap();
     println!("telemetry ingested at the platform: {ingested} of 36 published");
+    let duplicates = snap.counter("cloud.duplicates").unwrap();
     if let Some(replica) = platform.cloud_replica() {
         println!(
-            "cloud replica after reconnect: {} records ({} duplicates discarded)",
-            replica.record_count(),
-            replica.duplicates()
+            "cloud replica after reconnect: {} records ({duplicates} duplicates discarded)",
+            replica.record_count()
         );
     } else {
         println!(
-            "cloud-only: the gateway buffered through the outage ({} relay duplicates discarded)",
-            snap.counter("relay.duplicates_discarded").unwrap()
+            "cloud-only: the gateway buffered through the outage ({duplicates} relay duplicates discarded)"
         );
     }
     println!();

@@ -100,7 +100,7 @@ fn drone_surveys_offline_and_syncs_at_contacts() {
     assert_eq!(sync.pending(), 0, "backlog fully drained");
     // Exactly once: every survey reached the base, none twice.
     assert_eq!(base.record_count() as u64, surveys, "no survey lost");
-    assert_eq!(sync.stats().acked, surveys);
+    assert_eq!(sync.observe().counter("sync.acked").unwrap(), surveys);
     // The link actually cycled: five contacts came and went in 12 h of
     // 2-hour circuits.
     assert!(ups >= 5 && downs >= 5, "{ups} up, {downs} down");
