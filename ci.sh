@@ -49,12 +49,14 @@ cargo test -q
 
 # The examples drive the platform end to end through the public API
 # (fog_failover is the only end-to-end CloudOnly run outside the tests); each
-# runs once, output discarded, so a panic fails CI. All five finish in
-# well under a second.
+# runs once, output discarded, so a panic fails CI. All four finish in
+# well under a second. The pilot binary's four seasons (MATOPIBA's VRI
+# pilot among them) get the same runtime smoke test.
 echo "== examples: run each once (release)"
 for example in examples/*.rs; do
     cargo run --release -q --example "$(basename "$example" .rs)" > /dev/null
 done
+cargo run --release -q -p swamp-pilots --bin pilot -- all > /dev/null
 
 # Observability must stay effectively free on the ingest+pump hot path:
 # bench_obs times the same workload with instrumentation live vs muted

@@ -7,12 +7,14 @@
 //!   [`schedule::FixedCalendar`] baseline the paper's introduction motivates
 //!   against, threshold refill, ET replacement (with regulated-deficit
 //!   fractions for the Guaspari pilot), and rainfed.
-//! - [`vri`] — Variable Rate Irrigation planning: per-zone prescriptions
-//!   compiled into center-pivot sector speed plans (MATOPIBA pilot).
 //! - [`source`] — water sources (canal, pumped well, desalination) with the
 //!   cost and pumping-energy physics behind the pilots' goals.
 //! - [`network`] — the CBEC canal distribution tree with greedy vs
 //!   max–min-fair allocation.
+//!
+//! How a prescription reaches the field (each zone its own depth, the
+//! maximum of a control group, or one depth for the whole field) is E1's
+//! `swamp_pilots::season::ApplicationMode`; no machine model sits between.
 //!
 //! ## Example: one smart irrigation decision
 //!
@@ -31,7 +33,6 @@
 pub mod network;
 pub mod schedule;
 pub mod source;
-pub mod vri;
 
 pub use network::{Allocation, DistributionNetwork, FarmId};
 pub use schedule::{
@@ -39,4 +40,3 @@ pub use schedule::{
     ZoneView,
 };
 pub use source::{DeliveryCost, WaterAccount, WaterSource};
-pub use vri::{compile_plan, Prescription, VriPlan};

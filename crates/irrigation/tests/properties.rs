@@ -1,14 +1,12 @@
-//! Seeded property loops for irrigation planning and policies: each test
-//! draws its inputs from a fixed [`SimRng`] stream, so a failure
-//! reproduces exactly.
+//! Seeded property loops for irrigation policies and water sources:
+//! each test draws its inputs from a fixed [`SimRng`] stream, so a
+//! failure reproduces exactly.
 
 use swamp_irrigation::schedule::{
     DeficitMaintain, EtReplacement, FixedCalendar, IrrigationPolicy, ThresholdRefill, ZoneView,
 };
 use swamp_irrigation::source::WaterSource;
-use swamp_irrigation::vri::{compile_plan, zones_to_sectors, Prescription};
-use swamp_sensors::actuators::CenterPivot;
-use swamp_sim::{SimRng, SimTime};
+use swamp_sim::SimRng;
 
 const CASES: usize = 256;
 
@@ -23,13 +21,6 @@ fn view(rng: &mut SimRng) -> ZoneView {
         forecast_rain_mm: rng.uniform_range(0.0, 20.0),
         das: rng.below(160) as u32,
     }
-}
-
-/// `n` depths drawn uniformly from `[0, max)`, `1 <= n < max_len`.
-fn depths(rng: &mut SimRng, max_len: u64, max: f64) -> Vec<f64> {
-    (0..1 + rng.below(max_len - 1))
-        .map(|_| rng.uniform_range(0.0, max))
-        .collect()
 }
 
 /// No policy ever prescribes a negative depth or a non-finite depth.
@@ -62,47 +53,6 @@ fn threshold_never_overfills() {
         let v = view(&mut rng);
         let d = ThresholdRefill::new(1.0).decide(&v);
         assert!(d <= v.depletion_mm + 1e-9, "{d} mm into {v:?}");
-    }
-}
-
-/// Any valid prescription compiles to a plan the machine accepts, and
-/// achieved depths are within the machine envelope.
-#[test]
-fn compiled_plans_are_machine_valid() {
-    let mut rng = SimRng::seed_from(0x1220_0003);
-    for _ in 0..CASES {
-        let depths = depths(&mut rng, 16, 100.0);
-        let base_depth = rng.uniform_range(2.0, 20.0);
-        let mut pivot = CenterPivot::new("p", depths.len(), 12.0, base_depth);
-        let plan = compile_plan(&pivot, &Prescription::new(depths), base_depth);
-        assert!(pivot.set_sector_speeds(plan.sector_speeds.clone()).is_ok());
-        for (i, &speed) in plan.sector_speeds.iter().enumerate() {
-            assert!((0.05..=1.0).contains(&speed));
-            if plan.nozzles_off[i] {
-                assert_eq!(plan.achieved_mm[i], 0.0);
-            } else {
-                // Achieved = base/speed, bounded by the envelope.
-                assert!(plan.achieved_mm[i] >= base_depth - 1e-9);
-                assert!(plan.achieved_mm[i] <= base_depth / 0.05 + 1e-9);
-            }
-        }
-        pivot.start(SimTime::ZERO);
-    }
-}
-
-/// zones_to_sectors preserves the value set (every sector depth comes
-/// from some zone) and the sector count.
-#[test]
-fn zone_mapping_preserves_values() {
-    let mut rng = SimRng::seed_from(0x1220_0004);
-    for _ in 0..CASES {
-        let zone_depths = depths(&mut rng, 8, 50.0);
-        let sectors = 1 + rng.below(31) as usize;
-        let rx = zones_to_sectors(&zone_depths, sectors);
-        assert_eq!(rx.sectors(), sectors);
-        for d in rx.depths_mm() {
-            assert!(zone_depths.iter().any(|z| (z - d).abs() < 1e-12));
-        }
     }
 }
 

@@ -6,10 +6,14 @@
 use swamp_pilots::experiments::{p0_pilots, run_all};
 
 fn main() {
-    let seed: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42);
+    let seed: u64 = match std::env::args().nth(1).map(|arg| arg.parse()) {
+        None => 42,
+        Some(Ok(seed)) => seed,
+        Some(Err(_)) => {
+            eprintln!("usage: experiments [seed]   (seed: an unsigned integer, default 42)");
+            std::process::exit(2);
+        }
+    };
     println!("# SWAMP experiment reports (seed {seed})\n");
 
     // Pilot summary first (the paper's §I).

@@ -37,7 +37,14 @@ fn print_report(r: &PilotReport) {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let site_arg = args.get(1).map(String::as_str).unwrap_or("all");
-    let seed: u64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(42);
+    let seed: u64 = match args.get(2).map(|arg| arg.parse()) {
+        None => 42,
+        Some(Ok(seed)) => seed,
+        Some(Err(_)) => {
+            eprintln!("usage: pilot [cbec | intercrop | guaspari | matopiba | all] [seed]   (seed: an unsigned integer, default 42)");
+            std::process::exit(2);
+        }
+    };
 
     let sites: Vec<PilotSite> = match site_arg {
         "cbec" => vec![PilotSite::Cbec],

@@ -5,6 +5,8 @@
 //! ET₀ → crop demand → irrigation decision (per policy, per zone) → soil
 //! water balance → growth accounting → water/energy/cost accounting.
 
+use std::ops::Range;
+
 use swamp_agro::crop::Crop;
 use swamp_agro::growth::{wine_quality_score, CropState};
 use swamp_agro::soil::{SoilProperties, SoilWaterBalance, WaterFlux};
@@ -122,9 +124,17 @@ pub enum ApplicationMode {
     /// zone).
     UniformMax,
     /// VRI with limited resolution: zones are controlled in `k` contiguous
-    /// groups; within each group every zone receives the group maximum.
+    /// groups whose sizes differ by at most one; within each group every
+    /// zone receives the group maximum.
     /// `Grouped(1)` ≡ `UniformMax`; `Grouped(zone count)` ≡ `PerZone`.
     Grouped(usize),
+}
+
+/// Splits `n` zones into exactly `k.clamp(1, n)` contiguous control
+/// groups whose sizes differ by at most one (larger groups last).
+fn control_groups(n: usize, k: usize) -> impl Iterator<Item = Range<usize>> {
+    let groups = k.clamp(1, n.max(1));
+    (0..groups).map(move |g| g * n / groups..(g + 1) * n / groups)
 }
 
 /// Runs one season deterministically from a seed (per-zone application).
@@ -189,11 +199,11 @@ pub fn run_season_mode(config: &SeasonConfig, seed: u64, mode: ApplicationMode) 
         let groups = match mode {
             ApplicationMode::PerZone => depths.len(),
             ApplicationMode::UniformMax => 1,
-            ApplicationMode::Grouped(k) => k.clamp(1, depths.len()),
+            ApplicationMode::Grouped(k) => k,
         };
         if groups < depths.len() {
-            let group_size = depths.len().div_ceil(groups);
-            for chunk in depths.chunks_mut(group_size) {
+            for group in control_groups(depths.len(), groups) {
+                let chunk = &mut depths[group];
                 let max = chunk.iter().copied().fold(0.0, f64::max);
                 chunk.iter_mut().for_each(|d| *d = max);
             }
@@ -248,6 +258,26 @@ mod tests {
             sowing_doy: 121, // dry-season sowing (the MATOPIBA pilot's point)
             source: WaterSource::matopiba_well(),
             policy,
+        }
+    }
+
+    #[test]
+    fn grouped_application_makes_exactly_k_balanced_groups() {
+        for k in 1..=16 {
+            let groups: Vec<Range<usize>> = control_groups(16, k).collect();
+            assert_eq!(groups.len(), k, "k = {k}: {groups:?}");
+            let mut next = 0;
+            for group in &groups {
+                assert_eq!(group.start, next, "k = {k}: {groups:?} not contiguous");
+                next = group.end;
+            }
+            assert_eq!(next, 16, "k = {k}: {groups:?} does not cover the field");
+            assert!(
+                groups
+                    .iter()
+                    .all(|g| (16 / k..=16 / k + 1).contains(&g.len())),
+                "k = {k}: {groups:?} sizes differ by more than one"
+            );
         }
     }
 

@@ -1,68 +1,6 @@
-//! Device identity and health state shared by all sensor/actuator models.
+//! The device classes the pilots deploy.
 
 use std::fmt;
-
-/// Identifies one physical device in a pilot.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct DeviceId(String);
-
-impl DeviceId {
-    /// Creates a device id.
-    ///
-    /// # Panics
-    /// Panics if `id` is empty.
-    pub fn new(id: impl Into<String>) -> Self {
-        let id = id.into();
-        assert!(!id.is_empty(), "device id must be non-empty");
-        DeviceId(id)
-    }
-
-    /// The id as a string slice.
-    pub fn as_str(&self) -> &str {
-        &self.0
-    }
-
-    /// The NGSI entity URN this device publishes as.
-    pub fn entity_urn(&self) -> String {
-        format!("urn:swamp:device:{}", self.0)
-    }
-}
-
-impl fmt::Debug for DeviceId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "DeviceId({:?})", self.0)
-    }
-}
-
-impl fmt::Display for DeviceId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl From<&str> for DeviceId {
-    fn from(s: &str) -> Self {
-        DeviceId::new(s)
-    }
-}
-
-impl AsRef<str> for DeviceId {
-    fn as_ref(&self) -> &str {
-        &self.0
-    }
-}
-
-/// Health of a field device.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DeviceHealth {
-    /// Operating normally.
-    #[default]
-    Healthy,
-    /// Producing readings, but degraded (drift/bias beyond spec).
-    Degraded,
-    /// Dead (battery exhausted or hardware failure); produces nothing.
-    Failed,
-}
 
 /// Kinds of devices deployed in the pilots.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -101,24 +39,6 @@ impl fmt::Display for DeviceKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn id_and_urn() {
-        let id = DeviceId::new("probe-07");
-        assert_eq!(id.as_str(), "probe-07");
-        assert_eq!(id.entity_urn(), "urn:swamp:device:probe-07");
-    }
-
-    #[test]
-    #[should_panic(expected = "non-empty")]
-    fn empty_id_panics() {
-        let _ = DeviceId::new("");
-    }
-
-    #[test]
-    fn health_default_is_healthy() {
-        assert_eq!(DeviceHealth::default(), DeviceHealth::Healthy);
-    }
 
     #[test]
     fn kind_display() {

@@ -8,14 +8,12 @@ use swamp::core::platform::{DeploymentConfig, Platform};
 use swamp::fog::availability::OutageSchedule;
 use swamp::irrigation::schedule::{IrrigationPolicy, ThresholdRefill, ZoneView};
 use swamp::security::access::{Action, Decision};
-use swamp::sensors::actuators::CenterPivot;
 use swamp::sensors::device::DeviceKind;
-use swamp::sensors::probes::{SensorNoise, SoilMoistureProbe};
 use swamp::sim::{SimDuration, SimRng, SimTime};
 
 /// A full closed loop: the true soil dries, the probe reports it through
-/// the platform, the scheduler decides from platform state, the pivot
-/// applies water, and the true soil recovers.
+/// the platform, the scheduler decides from platform state, the authorized
+/// pivot command applies the prescribed depth, and the true soil recovers.
 #[test]
 fn closed_loop_irrigation_through_the_platform() {
     let mut platform = Platform::builder(DeploymentConfig::FarmFog).seed(1).build();
@@ -37,10 +35,8 @@ fn closed_loop_irrigation_through_the_platform() {
         .unwrap();
 
     let mut truth = SoilWaterBalance::new(SoilProperties::loam(), 0.6, 0.5);
-    let probe = SoilMoistureProbe::new("probe-z0", 0, SensorNoise::good(0.005));
     let mut rng = SimRng::seed_from(2);
     let mut policy = ThresholdRefill::new(1.0);
-    let mut pivot = CenterPivot::new("pivot-1", 1, 12.0, 5.0);
 
     platform.idm.register_client("scheduler", "s3cret", &[]);
     platform
@@ -57,13 +53,12 @@ fn closed_loop_irrigation_through_the_platform() {
     for day in 0..30u64 {
         let t = SimTime::from_days(day);
 
-        // Device side: sample truth, publish (retry against LPWAN loss).
-        let reading = probe
-            .sample(truth.volumetric_content(), t, &mut rng)
-            .expect("healthy probe");
+        // Device side: a noisy reading of truth, published (retry against
+        // LPWAN loss).
+        let reading = truth.volumetric_content() + rng.normal_with(0.0, 0.005);
         for attempt in 0..5 {
             let mut e = Entity::new("urn:swamp:device:probe-z0", "SoilProbe");
-            e.set("moisture_vwc", reading.value);
+            e.set("moisture_vwc", reading);
             e.set("seq", (day * 5 + attempt) as f64);
             let at = t + SimDuration::from_mins(attempt * 3);
             let _ = platform.device_publish(at, "probe-z0", &e);
@@ -108,12 +103,8 @@ fn closed_loop_irrigation_through_the_platform() {
                 .authorize_command(t, &sched_token, "pivot-1")
                 .expect("valid token");
             assert_eq!(decision, Decision::PermitPolicy);
-            // One pivot pass sized to the prescription (speed ∝ 5mm/depth).
-            let speed = (5.0 / depth).clamp(0.05, 1.0);
-            pivot.set_sector_speeds(vec![speed]).unwrap();
-            pivot.start(t);
-            let applied = pivot.stop(t + SimDuration::from_hours(12));
-            applied_mm = applied[0];
+            // The pass applies the prescribed depth, as E1's per-zone VRI.
+            applied_mm = depth;
             irrigated_days += 1;
         }
 
