@@ -87,4 +87,11 @@ bash benchmark/check.sh
 echo "== benchmark: smoke run, conservation/reference/precision-recall gate (benchmark/run.sh)"
 bash benchmark/run.sh --seconds 1 --trace 0 > /dev/null
 
+# The same gate on a held-out seed: the defaults (seed 42) are what the
+# code was tuned and measured on, so conservation, the flat reference, the
+# lossless no-retransmit check and precision/recall must also hold where
+# nothing was tuned.
+echo "== benchmark: smoke run on the held-out seed 1337"
+bash benchmark/run.sh --seconds 1 --trace 0 --seed 1337 > /dev/null
+
 echo "CI OK"

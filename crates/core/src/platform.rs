@@ -453,10 +453,10 @@ impl PlatformBuilder {
             .build();
         let cloud_store = match config {
             DeploymentConfig::FarmFog => CloudStore::new(nodes::CLOUD),
-            // In-order release: relayed frames meet the replay floor in
+            // In-order release: relayed frames meet the replay window in
             // each device's registry row, which rejects any frame that
-            // arrives behind one it has already admitted — and
-            // retransmissions on a lossy uplink reorder freely. A seq the
+            // arrives 64 or more seqs behind the highest it admitted — and
+            // retransmissions on a lossy uplink reorder without bound. A seq the
             // gateway's bounded buffer evicted is released past as soon as
             // a record carrying the gateway's raised floor lands.
             DeploymentConfig::CloudOnly => CloudStore::in_order(nodes::CLOUD),
@@ -840,13 +840,17 @@ impl Platform {
         inbox.clear();
         self.inbox = inbox;
 
-        let ingested = self.ingest_entities(now, batch);
+        // The storage stage only: the round below transmits what it
+        // enqueued, after the due retransmissions, in one ascending seq
+        // order.
+        let ingested = self.store_entities(now, batch);
 
-        // Fog→cloud replication: one round out — as much as the engine's
-        // in-flight window admits, no per-pump cap — and the cloud applies
-        // and acks what earlier rounds delivered. Every link has latency,
-        // so nothing sent at `now` arrives at `now`: the acks come back
-        // through the topic router above on a later pump.
+        // Fog→cloud replication: one round out — due retransmissions, then
+        // as much as the engine's in-flight window admits, no per-pump cap
+        // — and the cloud applies and acks what earlier rounds delivered.
+        // Every link has latency, so nothing sent at `now` arrives at
+        // `now`: the acks come back through the topic router above on a
+        // later pump.
         if fog {
             self.uplink.sync_round(&mut self.net, now, usize::MAX);
             self.cloud_store.process(&mut self.net, now);
@@ -901,7 +905,7 @@ impl Platform {
 
     /// [`Platform::validate_frame`]'s checks, uncounted. The device's
     /// registry row is looked up once and serves the enabled check, the
-    /// replay floor and auto-quarantine.
+    /// replay window and auto-quarantine.
     fn admit_frame(
         &mut self,
         now: SimTime,
@@ -929,8 +933,9 @@ impl Platform {
         }
 
         // Replay detection on the firmware sequence number: a frame must
-        // carry a whole, non-negative `seq` above the last one admitted, or
-        // it could be captured and re-ingested at will.
+        // carry a whole, non-negative `seq` the device's replay window has
+        // not admitted (above the highest, or fewer than 64 below it and
+        // unseen), or it could be captured and re-ingested at will.
         let seq = entity
             .number("seq")
             .filter(|seq| *seq >= 0.0 && seq.fract() == 0.0);
@@ -958,7 +963,14 @@ impl Platform {
         Ok(entity)
     }
 
-    /// Applies a batch of *already validated* entity updates, a fixed-size
+    /// Applies a batch of *already validated* entity updates and, in
+    /// FarmFog, puts the replicated records on the uplink at once — as
+    /// many as the engine's in-flight window has room for
+    /// ([`FogSync::admit`]); the rest wait for the window to drain at a
+    /// later [`Platform::pump`]. Retransmissions, retry timers and the
+    /// degraded-mode grading stay on the pump.
+    ///
+    /// The storage stage applies the batch a fixed-size
     /// chunk (256 entities, in a reused buffer) at a time and,
     /// within a chunk, a stage at a time: history samples for the numeric
     /// attributes (and the behavioral baseline's signal); then each wire
@@ -984,6 +996,24 @@ impl Platform {
     ///
     /// Returns the number of updates applied.
     pub fn ingest_entities(
+        &mut self,
+        now: SimTime,
+        entities: impl IntoIterator<Item = Entity>,
+    ) -> usize {
+        let applied = self.store_entities(now, entities);
+        if self.config == DeploymentConfig::FarmFog {
+            // The network cannot schedule into its past: a caller's `now`
+            // behind the last pump sends at the network clock.
+            let at = now.max(self.net.now());
+            self.uplink.admit(&mut self.net, at, usize::MAX);
+        }
+        applied
+    }
+
+    /// The storage stage of [`Platform::ingest_entities`]: history,
+    /// baseline, the uplink's backlog and the broker, with nothing put on
+    /// the wire.
+    fn store_entities(
         &mut self,
         now: SimTime,
         entities: impl IntoIterator<Item = Entity>,
@@ -1297,6 +1327,38 @@ mod tests {
         assert!(matches!(err, IngestError::Replay(_)));
     }
 
+    /// Frames overtaken on the device hop are honest: a device's frames
+    /// fed in reverse order are each admitted once, inside the replay
+    /// window, and each replayed capture is still refused.
+    #[test]
+    fn reordered_frames_are_admitted_once() {
+        let mut p = fog_platform();
+        let key = p.keystore.device_key("probe-1").unwrap().key;
+        let frames: Vec<Vec<u8>> = (0..8u8)
+            .map(|seq| {
+                let entity = telemetry("probe-1", f64::from(seq), 0.2);
+                key.seal(
+                    &[seq; 12],
+                    b"probe-1",
+                    entity.to_json().to_compact_string().as_bytes(),
+                )
+            })
+            .collect();
+        for (seq, sealed) in frames.iter().enumerate().rev() {
+            let at = SimTime::from_secs(8 - seq as u64);
+            assert_eq!(p.ingest_frame(at, "probe-1", sealed), Ok(()), "seq {seq}");
+        }
+        for (seq, sealed) in frames.iter().enumerate() {
+            let err = p
+                .ingest_frame(SimTime::from_secs(10), "probe-1", sealed)
+                .unwrap_err();
+            assert!(matches!(err, IngestError::Replay(_)), "seq {seq}: {err}");
+        }
+        let snap = p.observe();
+        assert_eq!(snap.counter("ingest.accepted").unwrap(), 8);
+        assert_eq!(snap.counter("ingest.rejected_replay").unwrap(), 8);
+    }
+
     #[test]
     fn frame_without_a_whole_seq_is_refused_as_a_replay() {
         let mut p = fog_platform();
@@ -1448,6 +1510,27 @@ mod tests {
         assert_eq!(snap.gauge("sync.pending").unwrap(), Some(0.0));
         assert!(snap.counter("sync.acked").unwrap() >= 1);
         assert_eq!(snap.gauge("sync.in_flight").unwrap(), Some(0.0));
+    }
+
+    /// Records handed to `ingest_entities` between pumps are on the uplink
+    /// when the call returns, so the next pump applies them at the cloud.
+    #[test]
+    fn ingested_records_leave_at_once() {
+        let mut p = Platform::builder(DeploymentConfig::FarmFog)
+            .seed(42)
+            .uplink_spec(LinkSpec::cloud_backbone())
+            .build();
+        let batch = (0..3).map(|i| telemetry(&format!("probe-{i}"), 0.0, 0.3));
+        assert_eq!(p.ingest_entities(SimTime::from_secs(1), batch), 3);
+        let snap = p.observe();
+        assert_eq!(snap.counter("sync.transmissions").unwrap(), 3);
+        assert_eq!(snap.gauge("sync.in_flight").unwrap(), Some(3.0));
+        p.pump(SimTime::from_secs(2));
+        assert_eq!(p.cloud_replica().unwrap().record_count(), 3);
+        // A caller behind the network clock sends at the clock.
+        let late = telemetry("probe-9", 0.0, 0.3);
+        assert_eq!(p.ingest_entities(SimTime::ZERO, [late]), 1);
+        assert_eq!(p.observe().counter("sync.transmissions").unwrap(), 4);
     }
 
     #[test]
@@ -1616,8 +1699,9 @@ mod tests {
             "owner:test",
         )
         .unwrap();
-        p.ingest_entities(SimTime::from_secs(1), [telemetry("probe-1", 0.0, 0.3)]);
-        // Inside the outage window nothing replicates.
+        // Ingested inside the outage window, the record leaves at once into
+        // the partition, and nothing replicates while it lasts.
+        p.ingest_entities(SimTime::from_secs(11), [telemetry("probe-1", 0.0, 0.3)]);
         for i in 1..5 {
             p.pump(SimTime::from_secs(i * 60));
         }

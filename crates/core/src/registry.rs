@@ -19,19 +19,50 @@ pub struct DeviceRecord {
     pub registered_at: SimTime,
     /// Whether telemetry from it is currently accepted.
     pub enabled: bool,
-    /// The last frame sequence number admitted from it: the replay floor.
-    last_seq: Option<u64>,
+    /// The frame sequence numbers admitted from it: the replay window.
+    replay: ReplayWindow,
 }
 
 impl DeviceRecord {
-    /// Admits a frame sequence number: `true` if it is fresh (the first
-    /// seen, or above the last admitted; gaps allowed), `false` for a
-    /// replay or duplicate (at or below the last admitted).
+    /// Admits a frame sequence number: `true` if it is fresh, `false` for
+    /// a replay or duplicate. See [`ReplayWindow`].
     pub(crate) fn admit_seq(&mut self, seq: u64) -> bool {
-        if self.last_seq.is_some_and(|last| seq <= last) {
+        self.replay.admit(seq)
+    }
+}
+
+/// The anti-replay window of RFC 6479 over one device's frame sequence
+/// numbers: the highest seq admitted, and a bitmap of which of the 64
+/// seqs at and below it were admitted. A seq above the highest is fresh
+/// (gaps allowed); one inside the window is fresh once; one 64 or more
+/// below the highest is refused, as it can no longer be told apart from a
+/// replay. So an honest frame that a later one overtook on the device hop
+/// is still admitted, and no frame is admitted twice.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct ReplayWindow {
+    /// The highest seq admitted (meaningless while `seen` is 0).
+    top: u64,
+    /// Bit `i` set: seq `top − i` was admitted. 0 until the first admit.
+    seen: u64,
+}
+
+impl ReplayWindow {
+    fn admit(&mut self, seq: u64) -> bool {
+        if self.seen == 0 || seq > self.top {
+            let shift = seq.wrapping_sub(self.top);
+            self.seen = if self.seen == 0 || shift >= 64 {
+                1
+            } else {
+                self.seen << shift | 1
+            };
+            self.top = seq;
+            return true;
+        }
+        let behind = self.top - seq;
+        if behind >= 64 || self.seen >> behind & 1 == 1 {
             return false;
         }
-        self.last_seq = Some(seq);
+        self.seen |= 1 << behind;
         true
     }
 }
@@ -90,7 +121,7 @@ impl DeviceRegistry {
                 owner: owner.to_owned(),
                 registered_at: now,
                 enabled: true,
-                last_seq: None,
+                replay: ReplayWindow::default(),
             },
         );
         Ok(())
@@ -198,7 +229,7 @@ mod tests {
     }
 
     #[test]
-    fn seq_floor_detects_replays_and_allows_gaps() {
+    fn seq_window_detects_replays_and_admits_reordered_frames() {
         let mut r = DeviceRegistry::new();
         for id in ["d", "e"] {
             r.register(id, DeviceKind::SoilProbe, "o", SimTime::ZERO)
@@ -208,11 +239,31 @@ mod tests {
         assert!(admit("d", 0));
         assert!(admit("d", 1));
         assert!(admit("d", 5), "a gap is fresh");
-        assert!(!admit("d", 3), "behind the last seen");
-        assert!(!admit("d", 5), "the last seen again");
+        assert!(admit("d", 3), "overtaken inside the window: fresh once");
+        assert!(!admit("d", 3), "then a replay");
+        assert!(!admit("d", 5), "the highest seen again");
+        assert!(!admit("d", 0), "admitted before the highest moved");
         assert!(admit("d", 6));
-        // Independent per device.
+        assert!(admit("d", 69));
+        assert!(
+            admit("d", 6 + 64 - 1 + 1),
+            "every seq above 6 is still fresh once"
+        );
+        assert!(
+            admit("d", 7),
+            "63 behind the highest (70): inside the window"
+        );
+        assert!(!admit("d", 6), "64 behind: outside the window, refused");
+        assert!(!admit("d", 2), "far behind");
+        assert!(admit("d", 1_000), "a jump past the window clears it");
+        assert!(!admit("d", 1_000 - 64));
+        assert!(admit("d", 1_000 - 63));
+        assert!(admit("d", u64::MAX));
+        assert!(!admit("d", u64::MAX));
+        assert!(!admit("d", 0), "far behind u64::MAX");
+        // Independent per device: the first seq is fresh whatever it is.
         assert!(admit("e", 100));
+        assert!(admit("e", 99));
     }
 
     #[test]

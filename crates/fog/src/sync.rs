@@ -41,7 +41,10 @@
 //! window slots they already hold — then admits never-transmitted records
 //! in enqueue order until the window is full; whatever is left waits
 //! behind the admission cursor for an ack to free a slot, so a backlog
-//! drains at one window per ack round trip. The `batch` argument of
+//! drains at one window per ack round trip. [`FogSync::admit`] is that
+//! admission on its own, for callers that enqueue between rounds and want
+//! the records on the wire at once (the platform's ingestion); timers,
+//! retransmissions and strikes stay with the round. The `batch` argument of
 //! [`FogSync::sync_round`] is a further per-call cap for drivers that pace
 //! themselves (a drone's contact window, a replayed leg); the platform
 //! passes none.
@@ -82,7 +85,9 @@
 //!
 //! Ack classification needs no table of its own: seqs are dense, so a seq
 //! below the next one to assign that is no longer buffered was released
-//! or evicted already (a duplicate), and any other is unknown. See
+//! or evicted already (a duplicate), and any other is unknown. Acks travel
+//! as ascending `(first seq, count)` runs, so a run is classified by
+//! arithmetic beyond the records it releases. See
 //! DESIGN.md §13 for the data-structure walkthrough.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -140,7 +145,8 @@ pub enum SyncError {
         /// Actual key length in bytes.
         len: usize,
     },
-    /// An ack payload was not a whole number of 8-byte sequence numbers.
+    /// An ack payload was not a whole number of 16-byte seq runs, or a
+    /// run ran past the largest seq.
     MalformedAck {
         /// Payload length in bytes.
         len: usize,
@@ -156,7 +162,10 @@ impl std::fmt::Display for SyncError {
                 write!(f, "record key of {len} bytes exceeds {MAX_KEY_LEN}")
             }
             SyncError::MalformedAck { len } => {
-                write!(f, "ack payload of {len} bytes is not a multiple of 8")
+                write!(
+                    f,
+                    "ack payload of {len} bytes is not a whole number of seq runs"
+                )
             }
             SyncError::Send(e) => write!(f, "send refused: {e}"),
         }
@@ -246,6 +255,8 @@ struct SyncInstruments {
     retransmissions: Counter,
     acked: Counter,
     duplicate_acks: Counter,
+    /// Acked seqs this engine never assigned.
+    unknown_acks: Counter,
     timeouts: Counter,
     pending: Gauge,
     in_flight: Gauge,
@@ -267,6 +278,7 @@ impl SyncInstruments {
             retransmissions: obs.counter("sync.retransmissions"),
             acked: obs.counter("sync.acked"),
             duplicate_acks: obs.counter("sync.duplicate_acks"),
+            unknown_acks: obs.counter("sync.unknown_acks"),
             timeouts: obs.counter("sync.timeouts"),
             pending: obs.gauge("sync.pending"),
             in_flight: obs.gauge("sync.in_flight"),
@@ -382,6 +394,15 @@ impl Deadlines {
         self.heap[i] = entry;
         self.at[entry.2] = i;
     }
+}
+
+/// What one admission pass did: records examined, records sent, and
+/// whether the network refused a send (which ends the pass).
+#[derive(Clone, Copy, Debug, Default)]
+struct Admitted {
+    scanned: usize,
+    sent: usize,
+    refused: bool,
 }
 
 /// A buffered update plus its transmission state, keyed by seq in the
@@ -693,13 +714,13 @@ impl FogSync {
     }
 
     /// Runs one sync round at `now`: retransmits records whose retry timer
-    /// expired (they keep the window slots they hold) and admits
-    /// never-transmitted records in enqueue order until the in-flight
-    /// window is full. `batch` caps the round's transmissions further, for
-    /// drivers that pace themselves; `usize::MAX` leaves the window as the
-    /// only limit, which is how the platform's pump calls it. Feeds the
-    /// degraded-mode state machine. Returns how many messages were handed
-    /// to the network.
+    /// expired (they keep the window slots they hold), then
+    /// [`FogSync::admit`]s never-transmitted records in enqueue order until
+    /// the in-flight window is full. `batch` caps the round's transmissions
+    /// further, for drivers that pace themselves; `usize::MAX` leaves the
+    /// window as the only limit, which is how the platform's pump calls it.
+    /// Feeds the degraded-mode state machine. Returns how many messages
+    /// were handed to the network.
     ///
     /// Cost: O((transmissions + due timers) · log) — the round never scans
     /// the backlog. Due retransmissions are the top of the deadline heap,
@@ -722,57 +743,21 @@ impl FogSync {
         // draws) happen per successful send, in that order. Nothing leaves
         // the table during the round, so one floor holds for all of its
         // sends.
-        let floor = self
-            .records
-            .first_key_value()
-            .map_or(self.next_seq, |(&seq, _)| seq);
-        let mut due_seqs = due.iter();
+        let floor = self.floor();
         let mut sent = 0;
         let mut refused = false;
-        while sent < batch {
-            let seq = match due_seqs.next() {
-                Some(&seq) => seq,
-                None if self.deadlines.len() < self.max_in_flight => {
-                    match self.records.range(self.next_admit..).next() {
-                        Some((&seq, _)) => {
-                            scanned += 1;
-                            seq
-                        }
-                        None => break,
-                    }
-                }
-                None => break,
-            };
-            let Some(p) = self.records.get(&seq) else {
-                break; // unreachable: both sources index the live table
-            };
-            let prior = p.flight;
-            let msg = Message::new(SYNC_TOPIC, encode_record(&p.record, floor));
-            if net.send(now, &self.node, &self.cloud, msg).is_err() {
-                // No route / denied: a synchronous refusal. Stop the round
-                // and let the state machine register the strike. What was
-                // not sent keeps its deadline, or stays above the cursor.
+        for &seq in &due {
+            if !self.transmit(net, now, seq, floor) {
                 refused = true;
                 break;
             }
-            self.obs.inc(self.ins.transmissions);
-            let attempts = prior.map_or(1, |f| f.attempts + 1);
-            let next_retry = now.saturating_add(self.retry_interval(attempts));
-            let slot = match prior {
-                Some(f) => {
-                    self.obs.inc(self.ins.retransmissions);
-                    self.deadlines.rekey(f.slot, next_retry);
-                    f.slot
-                }
-                None => {
-                    self.next_admit = seq + 1;
-                    self.deadlines.insert(next_retry, seq)
-                }
-            };
-            if let Some(p) = self.records.get_mut(&seq) {
-                p.flight = Some(FlightState { attempts, slot });
-            }
             sent += 1;
+        }
+        if !refused {
+            let admitted = self.admit_from(net, now, batch - sent, floor);
+            scanned += admitted.scanned;
+            sent += admitted.sent;
+            refused = admitted.refused;
         }
         self.obs.add(self.ins.timeouts, expired as u64);
         self.obs.record(self.ins.round_scanned, scanned as f64);
@@ -795,40 +780,135 @@ impl FogSync {
         sent
     }
 
+    /// Transmits never-transmitted records at `now`, in enqueue order,
+    /// while the in-flight window has room and at most `budget` of them.
+    /// This is the admission half of [`FogSync::sync_round`], for callers
+    /// that hand the engine records between rounds and want them on the
+    /// wire at once rather than at the next round: it retransmits nothing,
+    /// fires no timer and grades no strike — a send the network refuses
+    /// stops the admission and leaves the rest above the cursor for the
+    /// next round, which registers the strike. Returns how many records
+    /// were handed to the network.
+    ///
+    /// Cost: O(admitted · log), whatever the backlog depth.
+    pub fn admit(&mut self, net: &mut Network, now: SimTime, budget: usize) -> usize {
+        let floor = self.floor();
+        let admitted = self.admit_from(net, now, budget, floor);
+        if admitted.scanned > 0 {
+            self.obs
+                .record(self.ins.round_scanned, admitted.scanned as f64);
+        }
+        // Enqueues since the last round moved `sync.pending` too.
+        self.refresh_gauges();
+        admitted.sent
+    }
+
+    /// The sender floor every record on the wire carries: the lowest
+    /// buffered seq, or the next to assign when nothing is buffered.
+    fn floor(&self) -> u64 {
+        self.records
+            .first_key_value()
+            .map_or(self.next_seq, |(&seq, _)| seq)
+    }
+
+    /// [`FogSync::admit`] with the caller's `floor`, uninstrumented.
+    fn admit_from(
+        &mut self,
+        net: &mut Network,
+        now: SimTime,
+        budget: usize,
+        floor: u64,
+    ) -> Admitted {
+        let mut admitted = Admitted::default();
+        while admitted.sent < budget && self.deadlines.len() < self.max_in_flight {
+            let Some((&seq, _)) = self.records.range(self.next_admit..).next() else {
+                break;
+            };
+            admitted.scanned += 1;
+            if !self.transmit(net, now, seq, floor) {
+                admitted.refused = true;
+                break;
+            }
+            admitted.sent += 1;
+        }
+        admitted
+    }
+
+    /// Sends the buffered record `seq` and (re)arms its retry timer: a
+    /// first transmission takes a window slot and moves the admission
+    /// cursor past it, a retransmission re-keys the slot it holds. `false`
+    /// if the network refused the send synchronously (no route, denied):
+    /// what was not sent keeps its deadline, or stays above the cursor.
+    fn transmit(&mut self, net: &mut Network, now: SimTime, seq: u64, floor: u64) -> bool {
+        let Some(p) = self.records.get(&seq) else {
+            return false; // unreachable: callers index the live table
+        };
+        let prior = p.flight;
+        let msg = Message::new(SYNC_TOPIC, encode_record(&p.record, floor));
+        if net.send(now, &self.node, &self.cloud, msg).is_err() {
+            return false;
+        }
+        self.obs.inc(self.ins.transmissions);
+        let attempts = prior.map_or(1, |f| f.attempts + 1);
+        let next_retry = now.saturating_add(self.retry_interval(attempts));
+        let slot = match prior {
+            Some(f) => {
+                self.obs.inc(self.ins.retransmissions);
+                self.deadlines.rekey(f.slot, next_retry);
+                f.slot
+            }
+            None => {
+                self.next_admit = seq + 1;
+                self.deadlines.insert(next_retry, seq)
+            }
+        };
+        if let Some(p) = self.records.get_mut(&seq) {
+            p.flight = Some(FlightState { attempts, slot });
+        }
+        true
+    }
+
     /// Processes an ack payload from the cloud at `now`, releasing
     /// confirmed records exactly once. Any released record resets the
     /// degraded-mode state machine to `Connected`.
     ///
-    /// Each release is a keyed remove from the record table, O(log B) in
-    /// backlog depth, plus the removal of its deadline, O(log W) in the
-    /// window. A seq no longer in the table is a duplicate if this
-    /// engine assigned it (it was released or evicted before), and
-    /// unknown otherwise.
+    /// The payload is a list of `(first seq, count)` runs, each two
+    /// big-endian u64s, as [`CloudStore`] sends them. Each
+    /// release is a keyed remove from the record table, O(log B) in backlog
+    /// depth, plus the removal of its deadline, O(log W) in the window;
+    /// the rest of a run is classified by arithmetic, whatever its length.
+    /// A seq no longer in the table is a duplicate if this engine assigned
+    /// it (it was released or evicted before), counted on
+    /// `sync.duplicate_acks`, and unknown otherwise, counted on
+    /// `sync.unknown_acks`.
     ///
     /// # Errors
     /// [`SyncError::MalformedAck`] if the payload is not a whole number of
-    /// 8-byte sequence numbers (nothing is released).
+    /// 16-byte runs or a run ends past `u64::MAX` (nothing is released).
     pub fn process_ack(&mut self, now: SimTime, payload: &[u8]) -> Result<AckOutcome, SyncError> {
-        if !payload.len().is_multiple_of(8) {
-            return Err(SyncError::MalformedAck { len: payload.len() });
+        let malformed = SyncError::MalformedAck { len: payload.len() };
+        if !payload.len().is_multiple_of(ACK_RUN_BYTES) || ack_runs(payload).any(|r| r.is_none()) {
+            return Err(malformed);
         }
         let mut outcome = AckOutcome::default();
-        for chunk in payload.chunks_exact(8) {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(chunk);
-            let seq = u64::from_be_bytes(b);
-            if let Some(p) = self.records.remove(&seq) {
-                if let Some(f) = p.flight {
+        for (first, end) in ack_runs(payload).flatten() {
+            let mut released = 0u64;
+            while let Some((&seq, _)) = self.records.range(first..end).next() {
+                if let Some(f) = self.records.remove(&seq).and_then(|p| p.flight) {
                     self.deadlines.remove(f.slot);
                 }
-                self.obs.inc(self.ins.acked);
-                outcome.released += 1;
-            } else if seq < self.next_seq {
-                self.obs.inc(self.ins.duplicate_acks);
-                outcome.duplicate += 1;
-            } else {
-                outcome.unknown += 1;
+                released += 1;
             }
+            // Seqs below `next_seq` were assigned here; the rest never were.
+            let assigned = end.min(self.next_seq).saturating_sub(first);
+            let duplicate = assigned - released;
+            let unknown = end - first - assigned;
+            self.obs.add(self.ins.acked, released);
+            self.obs.add(self.ins.duplicate_acks, duplicate);
+            self.obs.add(self.ins.unknown_acks, unknown);
+            outcome.released += count(released);
+            outcome.duplicate += count(duplicate);
+            outcome.unknown += count(unknown);
         }
         if outcome.released > 0 {
             self.strikes = 0;
@@ -1020,7 +1100,7 @@ impl CloudStore {
     /// the sender's bounded buffer evicted therefore stalls the stream
     /// only until the next record carrying the raised floor lands.
     /// Consumers that replay-check or order-check the stream (e.g. a
-    /// per-device replay floor behind a gateway relay) need this:
+    /// per-device replay window behind a gateway relay) need this:
     /// retransmitted records routinely overtake each other on a lossy
     /// uplink. Such a store is a relay, not a replica: a record leaves it
     /// when released, so [`CloudStore::history`], [`CloudStore::latest`]
@@ -1245,13 +1325,50 @@ fn decode_record(mut bytes: Vec<u8>) -> Option<(UpdateRecord, u64)> {
     Some((record, floor))
 }
 
+/// Bytes of one ack run on the wire: its first seq and its length, as
+/// big-endian u64s.
+const ACK_RUN_BYTES: usize = 16;
+
+/// Encodes the seqs one drain acks as ascending runs of consecutive seqs,
+/// `(first, count)` each, so a whole in-order window is one 16-byte run.
+/// Sorts `seqs` in place. A seq
+/// acked twice in the drain (a wire duplicate) starts a run of its own,
+/// so the sender counts the second ack as a duplicate, as it would have
+/// from a seq list.
 #[deny(clippy::as_conversions)]
-fn encode_acks(seqs: &[u64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(seqs.len() * 8);
-    for s in seqs {
-        out.extend_from_slice(&s.to_be_bytes());
+fn encode_acks(seqs: &mut [u64]) -> Vec<u8> {
+    seqs.sort_unstable();
+    let continues = |w: &[u64]| w[0].checked_add(1) == Some(w[1]);
+    let runs = seqs.len() - seqs.windows(2).filter(|w| continues(w)).count();
+    let mut out = Vec::with_capacity(runs * ACK_RUN_BYTES);
+    let mut start = 0;
+    for i in 1..=seqs.len() {
+        if i == seqs.len() || !continues(&seqs[i - 1..=i]) {
+            let len = u64::try_from(i - start).unwrap_or(u64::MAX);
+            out.extend_from_slice(&seqs[start].to_be_bytes());
+            out.extend_from_slice(&len.to_be_bytes());
+            start = i;
+        }
     }
     out
+}
+
+/// The `[first, end)` seq ranges of an ack payload whose length is a
+/// multiple of [`ACK_RUN_BYTES`]; `None` for a run that ends past
+/// `u64::MAX`.
+#[deny(clippy::as_conversions)]
+fn ack_runs(payload: &[u8]) -> impl Iterator<Item = Option<(u64, u64)>> + '_ {
+    payload.chunks_exact(ACK_RUN_BYTES).map(|run| {
+        let (first, len) = run.split_at(8);
+        let first = u64::from_be_bytes(first.try_into().ok()?);
+        let len = u64::from_be_bytes(len.try_into().ok()?);
+        Some((first, first.checked_add(len)?))
+    })
+}
+
+/// A seq count as an [`AckOutcome`] field (saturating on a 32-bit target).
+fn count(n: u64) -> usize {
+    usize::try_from(n).unwrap_or(usize::MAX)
 }
 
 #[cfg(test)]
@@ -1360,6 +1477,66 @@ mod tests {
         };
         assert_eq!(encode_record(&empty, 0).len(), 26);
         assert_eq!(decode_record(encode_record(&empty, 0)), Some((empty, 0)));
+    }
+
+    /// `admit` sends never-transmitted records up to the window and no
+    /// further; timers, retransmissions and strikes are the round's.
+    #[test]
+    fn admit_fills_the_window_and_leaves_timers_to_the_round() {
+        let (mut net, _, _) = setup(0.0);
+        let mut sync = FogSync::builder("fog", "cloud")
+            .base_timeout(SimDuration::from_secs(5))
+            .jitter(0.0)
+            .max_in_flight(4)
+            .build();
+        for i in 0..6 {
+            sync.enqueue(SimTime::ZERO, &format!("k{i}"), vec![])
+                .unwrap();
+        }
+        assert_eq!(
+            sync.admit(&mut net, SimTime::ZERO, 3),
+            3,
+            "the budget binds"
+        );
+        assert_eq!(
+            sync.admit(&mut net, SimTime::ZERO, usize::MAX),
+            1,
+            "the window binds"
+        );
+        assert_eq!(sync.admit(&mut net, SimTime::from_secs(60), usize::MAX), 0);
+        assert_eq!(sync.in_flight(), 4);
+        let snap = sync.observe();
+        assert_eq!(
+            counter(snap.clone(), "sync.timeouts"),
+            0,
+            "admit fires no timer"
+        );
+        assert_eq!(snap.gauge("sync.in_flight").unwrap(), Some(4.0));
+        assert_eq!(snap.gauge("sync.pending").unwrap(), Some(6.0));
+        // The round retransmits the four expired records and admits none.
+        assert_eq!(
+            sync.sync_round(&mut net, SimTime::from_secs(60), usize::MAX),
+            4
+        );
+        assert_eq!(counter(sync.observe(), "sync.retransmissions"), 4);
+        assert_eq!(sync.in_flight(), 4);
+
+        // A refused send ends the admission without a strike; the round
+        // that meets the same refusal strikes.
+        let mut unrouted = Network::new(1);
+        unrouted.add_node("fog");
+        unrouted.add_node("cloud");
+        let mut sync = FogSync::builder("fog", "cloud").build();
+        sync.enqueue(SimTime::ZERO, "k", vec![]).unwrap();
+        for _ in 0..DEGRADED_AFTER {
+            assert_eq!(sync.admit(&mut unrouted, SimTime::ZERO, usize::MAX), 0);
+        }
+        assert_eq!(sync.mode(), DegradedMode::Connected);
+        for _ in 0..DEGRADED_AFTER {
+            assert_eq!(sync.sync_round(&mut unrouted, SimTime::ZERO, usize::MAX), 0);
+        }
+        assert_eq!(sync.mode(), DegradedMode::Degraded);
+        assert_eq!(sync.in_flight(), 0);
     }
 
     #[test]
@@ -1566,19 +1743,75 @@ mod tests {
         assert_eq!(counter(sync.observe(), "sync.acked"), 1);
         assert_eq!(counter(sync.observe(), "sync.duplicate_acks"), 1);
 
-        // An ack for a seq this engine never buffered is merely unknown.
-        let stray = sync.process_ack(now, &encode_acks(&[999])).unwrap();
+        // An ack for a seq this engine never buffered is unknown, and
+        // counted as such.
+        let stray = sync.process_ack(now, &encode_acks(&mut [999])).unwrap();
         assert_eq!(stray.unknown, 1);
         assert_eq!(counter(sync.observe(), "sync.acked"), 1);
+        assert_eq!(counter(sync.observe(), "sync.unknown_acks"), 1);
     }
 
     #[test]
     fn malformed_ack_is_a_typed_error() {
         let (_, mut sync, _) = setup(0.0);
+        sync.enqueue(SimTime::ZERO, "k", vec![]).unwrap();
         assert_eq!(
             sync.process_ack(SimTime::ZERO, &[1, 2, 3]),
             Err(SyncError::MalformedAck { len: 3 })
         );
+        // An 8-byte seq is not a whole run.
+        assert_eq!(
+            sync.process_ack(SimTime::ZERO, &0u64.to_be_bytes()),
+            Err(SyncError::MalformedAck { len: 8 })
+        );
+        // A run past `u64::MAX` refuses the whole payload, the valid run
+        // before it included.
+        let mut overflow = [encode_acks(&mut [0]), encode_acks(&mut [u64::MAX])].concat();
+        overflow[24..32].copy_from_slice(&2u64.to_be_bytes());
+        assert_eq!(
+            sync.process_ack(SimTime::ZERO, &overflow),
+            Err(SyncError::MalformedAck { len: 32 })
+        );
+        assert_eq!(sync.pending(), 1, "nothing released");
+    }
+
+    /// Acks on the wire, byte for byte: ascending `(first seq, count)` runs
+    /// as big-endian u64 pairs. A full in-order window is one run, and a
+    /// seq acked twice in one drain is a run of its own.
+    #[test]
+    fn ack_runs_are_pinned() {
+        assert_eq!(
+            encode_acks(&mut [7, 3, 4, 5, 9, 4]),
+            [
+                &[0, 0, 0, 0, 0, 0, 0, 3][..],
+                &[0, 0, 0, 0, 0, 0, 0, 2],
+                &[0, 0, 0, 0, 0, 0, 0, 4],
+                &[0, 0, 0, 0, 0, 0, 0, 2],
+                &[0, 0, 0, 0, 0, 0, 0, 7],
+                &[0, 0, 0, 0, 0, 0, 0, 1],
+                &[0, 0, 0, 0, 0, 0, 0, 9],
+                &[0, 0, 0, 0, 0, 0, 0, 1],
+            ]
+            .concat()
+        );
+        let mut window: Vec<u64> = (0..DEFAULT_WINDOW as u64).rev().collect();
+        assert_eq!(encode_acks(&mut window).len(), ACK_RUN_BYTES);
+        assert!(encode_acks(&mut []).is_empty());
+        assert_eq!(encode_acks(&mut [u64::MAX]).len(), ACK_RUN_BYTES);
+
+        // Decoded, each run releases its members and classifies the rest.
+        let mut sync = FogSync::builder("fog", "cloud").build();
+        for _ in 0..6 {
+            sync.enqueue(SimTime::ZERO, "k", vec![]).unwrap();
+        }
+        let outcome = sync
+            .process_ack(SimTime::ZERO, &encode_acks(&mut [1, 2, 2, 3, 5, 6, 7]))
+            .unwrap();
+        assert_eq!(
+            (outcome.released, outcome.duplicate, outcome.unknown),
+            (4, 1, 2)
+        );
+        assert_eq!(sync.pending(), 2, "seqs 0 and 4 stay buffered");
     }
 
     #[test]
@@ -1641,17 +1874,17 @@ mod tests {
         let mut seq = 0u64;
         while seq < total {
             let hi = (seq + 4096).min(total);
-            let payload = encode_acks(&(seq..hi).collect::<Vec<u64>>());
+            let payload = encode_acks(&mut (seq..hi).collect::<Vec<u64>>());
             released += sync.process_ack(now, &payload).unwrap().released;
             seq = hi;
         }
         assert_eq!(released, total as usize);
         assert_eq!(sync.pending(), 0);
         for old in [0, total / 2, total - 1] {
-            let again = sync.process_ack(now, &encode_acks(&[old])).unwrap();
+            let again = sync.process_ack(now, &encode_acks(&mut [old])).unwrap();
             assert_eq!(again.duplicate, 1, "seq {old}");
         }
-        let stray = sync.process_ack(now, &encode_acks(&[total])).unwrap();
+        let stray = sync.process_ack(now, &encode_acks(&mut [total])).unwrap();
         assert_eq!(stray.unknown, 1);
         assert_eq!(counter(sync.observe(), "sync.duplicate_acks"), 3);
     }
@@ -1912,7 +2145,8 @@ mod tests {
     /// capped and uncapped rounds. Before each round the scan names the
     /// due records; the round must send exactly those in seq order, then
     /// never-transmitted ones while the window has room, up to its cap,
-    /// stopping only at a refusal. After every call the heap must hold
+    /// stopping only at a refusal; an `admit` between rounds must send
+    /// only never-transmitted ones. After every call the heap must hold
     /// exactly one `(next_retry, seq)` per in-flight record, in heap order,
     /// each at the slot its record names — dropping the removal from
     /// `process_ack`, or from the evicting `enqueue`, fails it.
@@ -2000,6 +2234,36 @@ mod tests {
                             .unwrap();
                         check(&sync, &at);
                     }
+                    // The seqs sent on the uplink since `tapped` captures.
+                    let wire = |net: &Network, tapped: usize| -> Vec<u64> {
+                        net.tap_captures(tap)[tapped..]
+                            .iter()
+                            .map(|d| u64::from_be_bytes(d.message.payload[..8].try_into().unwrap()))
+                            .collect()
+                    };
+
+                    // Odd rounds admit up to two fresh records between
+                    // rounds, as ingestion does: first sends only, in seq
+                    // order, and no strike.
+                    if round % 2 == 1 {
+                        let fresh: Vec<u64> = sync
+                            .records
+                            .iter()
+                            .filter(|(_, p)| p.flight.is_none())
+                            .map(|(&seq, _)| seq)
+                            .take((WINDOW - sync.in_flight()).min(2))
+                            .collect();
+                        let tapped = net.tap_captures(tap).len();
+                        let strikes = sync.strikes;
+                        let sent = sync.admit(&mut net, now, 2);
+                        check(&sync, &at);
+                        assert_eq!(
+                            wire(&net, tapped),
+                            fresh[..sent],
+                            "{at}: the admission's sends"
+                        );
+                        assert_eq!(sync.strikes, strikes, "{at}: admit grades no strike");
+                    }
 
                     let batch = if capped { 1 + round % 5 } else { usize::MAX };
                     let mut due: Vec<u64> = sync
@@ -2024,11 +2288,7 @@ mod tests {
                     let timeouts = counter(sync.observe(), "sync.timeouts");
                     let sent = sync.sync_round(&mut net, now, batch);
                     check(&sync, &at);
-                    let wire: Vec<u64> = net.tap_captures(tap)[tapped..]
-                        .iter()
-                        .map(|d| u64::from_be_bytes(d.message.payload[..8].try_into().unwrap()))
-                        .collect();
-                    assert_eq!(wire, plan[..sent], "{at}: the round's sends");
+                    assert_eq!(wire(&net, tapped), plan[..sent], "{at}: the round's sends");
                     let refused = net.observe().counter("net.sdn_dropped").unwrap() > denied;
                     assert_eq!(refused, sent < plan.len(), "{at}: only a refusal cuts");
                     covered[1] += u64::from(refused);

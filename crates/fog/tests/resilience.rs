@@ -6,7 +6,8 @@
 //! per-round cap, at the default window with uncapped rounds (how the
 //! platform drives it), where the window is the one limit and must hold
 //! after every round, and under capacity pressure, where records trickle
-//! in faster than a faulty uplink drains them.
+//! in faster than a faulty uplink drains them. Every scenario ends with
+//! the uplink conservation audit (`swamp_obs::audit_uplink`).
 
 use std::collections::BTreeSet;
 
@@ -142,8 +143,13 @@ fn run_scenario(
         }
     }
 
+    // Whatever the faults did, the counters conserve every record.
+    let mut counts = sync.observe();
+    counts.merge(&store.observe());
+    if let Err(e) = swamp_obs::audit_uplink(&counts, false) {
+        panic!("seed {seed}, rate {fault_rate:.3}: {e}");
+    }
     let unique: BTreeSet<u64> = store.history().iter().map(|r| r.seq).collect();
-    let counts = sync.observe();
     let count = |name| counts.counter(name).expect("registered counter");
     Outcome {
         pending: sync.pending(),

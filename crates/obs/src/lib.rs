@@ -48,8 +48,10 @@ use std::collections::BTreeMap;
 
 use swamp_sim::stats::{Histogram, OnlineStats};
 
+pub mod audit;
 pub mod report;
 
+pub use audit::{audit_uplink, AuditError};
 pub use report::{EventRecord, HistSnapshot, ObsError, ObsReport, ObsSnapshot, SpanSnapshot};
 
 /// Handle to a registered counter: an index into the counter slab.

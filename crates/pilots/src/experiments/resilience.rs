@@ -7,7 +7,8 @@
 //! plus a one-hour scheduled partition in the middle of the run, then
 //! measures what the retry/ack engine actually delivered: every record
 //! offered to the uplink must reach the cloud store exactly once, and
-//! the engine must reconnect after the partition heals.
+//! the engine must reconnect after the partition heals. Every cell ends
+//! with the uplink conservation audit (`swamp_obs::audit_uplink`).
 
 use swamp_codec::ngsi::Entity;
 use swamp_core::platform::{nodes, DeploymentConfig, Platform};
@@ -187,6 +188,10 @@ fn run_cell(seed: u64, config: DeploymentConfig, loss: f64) -> (E13Row, ObsRepor
     );
 
     let snap = platform.observe();
+    // The uplink conserved every record, whatever the faults did.
+    if let Err(e) = swamp_obs::audit_uplink(&snap, config == DeploymentConfig::FarmFog) {
+        panic!("E13 seed {seed}, {config:?} at {loss} loss: {e}");
+    }
     let (delivered, duplicate_applies) = match config {
         DeploymentConfig::FarmFog => {
             // Applied-record seqs come through the typed query surface.

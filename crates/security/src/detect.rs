@@ -4,7 +4,7 @@
 //! device: physical range validation, rolling z-score, CUSUM drift
 //! detection, message-rate guarding (DoS), and spatial cross-validation
 //! against neighboring sensors (tamper and Sybil evidence). Replay
-//! detection is not here: the platform keeps each device's replay floor
+//! detection is not here: the platform keeps each device's replay window
 //! in its registry row. The sequence-of-events baseline the paper calls
 //! "the most relevant challenge" lives in [`crate::baseline`].
 

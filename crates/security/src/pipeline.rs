@@ -11,7 +11,7 @@
 //! reported as a `security.alert` event), and turns the score into a
 //! [`Recommendation`]. Frame sequence numbers are
 //! not evidence here: the platform's ingest path keeps each device's
-//! replay floor in its registry row and rejects replays outright.
+//! replay window in its registry row and rejects replays outright.
 
 use std::collections::BTreeMap;
 

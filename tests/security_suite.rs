@@ -210,7 +210,7 @@ fn sealed_frame_writes_only_its_senders_entity() {
     assert_eq!(probe_2_readings(&p), vec![0.20]);
     assert_eq!(p.observe().counter("ingest.rejected_auth").unwrap(), 1);
 
-    // The refusal left probe-1's own replay floor where it was.
+    // The refusal left probe-1's own replay window where it was.
     let own = sealed_update(&p, "probe-1", 0.0, 8);
     p.ingest_frame(SimTime::from_secs(121), "probe-1", &own)
         .unwrap();
