@@ -55,11 +55,6 @@ impl CropState {
         self.crop.stage(self.das)
     }
 
-    /// Whether the season has completed.
-    pub fn is_mature(&self) -> bool {
-        self.das >= self.crop.season_days()
-    }
-
     /// Records one day: crop demand `etc_mm`, actual uptake `eta_mm`,
     /// stress coefficient `ks`.
     pub fn advance_day(&mut self, etc_mm: f64, eta_mm: f64, ks: f64) {
@@ -139,7 +134,7 @@ mod tests {
         // Simple synthetic season: ETc follows the Kc curve against a flat
         // 5 mm/day ET0; the crop receives `irrigate_fraction` of demand.
         let mut state = CropState::new(Crop::soybean());
-        while !state.is_mature() {
+        while state.das() < state.crop().season_days() {
             let etc = 5.0 * state.crop().kc(state.das());
             let eta = etc * irrigate_fraction;
             let ks = irrigate_fraction;
@@ -221,15 +216,5 @@ mod tests {
         assert!((eta - 10.0).abs() < 1e-12);
         assert!((etc - 11.0).abs() < 1e-12);
         assert_eq!(s.das(), 2);
-    }
-
-    #[test]
-    fn maturity_flag() {
-        let mut s = CropState::new(Crop::lettuce());
-        assert!(!s.is_mature());
-        for _ in 0..s.crop().season_days() {
-            s.advance_day(1.0, 1.0, 1.0);
-        }
-        assert!(s.is_mature());
     }
 }

@@ -28,7 +28,7 @@
 //! let mut weather = WeatherGenerator::new(climate, SimRng::seed_from(1));
 //! let crop = Crop::soybean();
 //! let mut soil = SoilWaterBalance::new(
-//!     SoilProperties::sandy(), crop.root_depth_ini_m, crop.depletion_fraction);
+//!     SoilProperties::loam(), crop.root_depth_ini_m, crop.depletion_fraction);
 //!
 //! let day = weather.next_day(150);
 //! let et0 = day.et0(climate.latitude_deg, climate.elevation_m);

@@ -48,16 +48,6 @@ impl SoilProperties {
         SoilProperties::new(0.27, 0.12, 0.45, 0.05)
     }
 
-    /// A sandy soil (MATOPIBA cerrado oxisols are sandy-clay but drain fast).
-    pub fn sandy() -> Self {
-        SoilProperties::new(0.16, 0.06, 0.38, 0.02)
-    }
-
-    /// A clay soil (holds more, drains slowly).
-    pub fn clay() -> Self {
-        SoilProperties::new(0.36, 0.20, 0.50, 0.12)
-    }
-
     /// Total available water for a root depth, mm (FAO-56 eq. 82).
     pub fn taw_mm(&self, root_depth_m: f64) -> f64 {
         (self.field_capacity - self.wilting_point) * root_depth_m * 1000.0

@@ -73,14 +73,6 @@ impl Json {
         Json::Object(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
     }
 
-    /// Returns the value as a bool, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Returns the value as a number, if it is one.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
@@ -116,11 +108,6 @@ impl Json {
     /// Looks up a key on an object (`None` for non-objects / missing keys).
     pub fn get(&self, key: &str) -> Option<&Json> {
         self.as_object().and_then(|o| o.get(key))
-    }
-
-    /// Whether this value is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
     }
 
     /// Serializes with no extra whitespace.
@@ -652,7 +639,7 @@ mod tests {
         assert_eq!(v.get("c").and_then(Json::as_str), Some("x"));
         let arr = v.get("a").and_then(Json::as_array).unwrap();
         assert_eq!(arr.len(), 3);
-        assert!(arr[2].get("b").unwrap().is_null());
+        assert_eq!(arr[2].get("b"), Some(&Json::Null));
     }
 
     #[test]
@@ -785,7 +772,7 @@ mod tests {
         let v = Json::parse(r#"{"n": 1.5, "s": "x", "b": true, "a": []}"#).unwrap();
         assert_eq!(v.get("n").unwrap().as_f64(), Some(1.5));
         assert_eq!(v.get("s").unwrap().as_str(), Some("x"));
-        assert_eq!(v.get("b").unwrap().as_bool(), Some(true));
+        assert_eq!(v.get("b"), Some(&Json::Bool(true)));
         assert_eq!(v.get("a").unwrap().as_array(), Some(&[][..]));
         assert_eq!(v.get("missing"), None);
         assert_eq!(Json::Null.get("k"), None);

@@ -147,22 +147,6 @@ impl AttrValue {
         }
     }
 
-    /// Geo point, if this is `GeoPoint`.
-    pub fn as_geo(&self) -> Option<(f64, f64)> {
-        match self {
-            AttrValue::GeoPoint(lat, lon) => Some((*lat, *lon)),
-            _ => None,
-        }
-    }
-
-    /// Number list, if this is `NumberList`.
-    pub fn as_number_list(&self) -> Option<&[f64]> {
-        match self {
-            AttrValue::NumberList(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// Encodes the value as JSON.
     pub fn to_json(&self) -> Json {
         match self {
@@ -820,12 +804,12 @@ mod tests {
         assert_eq!(e.text("status"), Some("active"));
         assert_eq!(e.flag("armed"), Some(true));
         assert_eq!(
-            e.attribute("location").unwrap().value.as_geo(),
-            Some((-12.15, -45.0))
+            e.attribute("location").unwrap().value,
+            AttrValue::GeoPoint(-12.15, -45.0)
         );
         assert_eq!(
-            e.attribute("zones").unwrap().value.as_number_list(),
-            Some(&[1.0, 0.8, 0.6][..])
+            e.attribute("zones").unwrap().value,
+            AttrValue::NumberList(vec![1.0, 0.8, 0.6])
         );
         assert_eq!(e.number("missing"), None);
         assert_eq!(e.number("status"), None); // wrong type

@@ -2,8 +2,10 @@
 //!
 //! Entities are upserted (attribute-merge semantics); subscriptions match
 //! on entity type and/or id prefix and optionally a watched attribute set,
-//! and produce queued [`Notification`]s that consumers poll — deterministic
-//! and free of callback re-entrancy.
+//! and produce queued [`Notification`]s that consumers drain with
+//! [`ContextBroker::drain_notifications_into`] — deterministic and free of
+//! callback re-entrancy. Neither an entity nor a subscription is ever
+//! removed: both live as long as the broker.
 //!
 //! # Hot-path design
 //!
@@ -129,8 +131,8 @@ impl std::error::Error for UnknownSubscription {}
 /// probe.set("moisture_vwc", 0.24);
 /// broker.upsert(SimTime::ZERO, probe);
 ///
-/// let notes = broker.take_notifications(sub).expect("subscribed");
-/// assert_eq!(notes.len(), 1);
+/// let mut notes = Vec::new();
+/// assert_eq!(broker.drain_notifications_into(sub, &mut notes), Ok(1));
 /// assert_eq!(&notes[0].changed_attrs[..], ["moisture_vwc".to_string()]);
 /// ```
 #[derive(Debug, Default)]
@@ -183,12 +185,6 @@ impl ContextBroker {
             },
         );
         id
-    }
-
-    /// Cancels a subscription, discarding undelivered notifications.
-    /// Returns whether the subscription existed.
-    pub fn unsubscribe(&mut self, id: SubscriptionId) -> bool {
-        self.subscriptions.remove(&id).is_some()
     }
 
     /// Upserts an entity: existing attributes are merged (NGSI update
@@ -300,41 +296,13 @@ impl ContextBroker {
         self.entities.get(id).map(Arc::as_ref)
     }
 
-    /// Looks up an entity by id as a shared snapshot (cheap to clone; the
-    /// broker copy-on-writes later updates, so the snapshot never changes).
-    pub fn entity_snapshot(&self, id: &EntityId) -> Option<Arc<Entity>> {
-        self.entities.get(id).cloned()
-    }
-
-    /// Removes an entity; returns whether it existed.
-    pub fn remove(&mut self, id: &EntityId) -> bool {
-        self.entities.remove(id).is_some()
-    }
-
-    /// Takes (drains) the pending notifications of a subscription.
-    /// `None` means the subscription is unknown (never registered or
-    /// unsubscribed) — distinct from `Some(vec![])`, "subscribed, nothing
-    /// pending".
-    ///
-    /// Transfers the queue's buffer to the caller; the broker reallocates
-    /// on the next fan-out. Hot paths that poll repeatedly should prefer
-    /// [`ContextBroker::drain_notifications_into`], which recycles both the
-    /// caller's and the broker's buffers.
-    pub fn take_notifications(&mut self, id: SubscriptionId) -> Option<Vec<Notification>> {
-        self.subscriptions
-            .get_mut(&id)
-            .map(|sub| std::mem::take(&mut sub.queue))
-    }
-
     /// Drains pending notifications into `out` (appending, preserving
-    /// delivery order) and returns how many were drained. Unlike
-    /// [`ContextBroker::take_notifications`] this keeps the queue's
-    /// allocated capacity inside the broker, so a steady
-    /// upsert→drain cycle stops allocating once warm.
+    /// delivery order) and returns how many were drained. The queue keeps
+    /// its allocated capacity inside the broker, so a steady upsert→drain
+    /// cycle stops allocating once warm.
     ///
     /// # Errors
-    /// [`UnknownSubscription`] if the id was never registered or has been
-    /// unsubscribed.
+    /// [`UnknownSubscription`] if this broker never registered the id.
     pub fn drain_notifications_into(
         &mut self,
         id: SubscriptionId,
@@ -349,11 +317,6 @@ impl ContextBroker {
         out.append(queue);
         Ok(n)
     }
-
-    /// Pending notification count for a subscription (0 if unknown).
-    pub fn pending_notifications(&self, id: SubscriptionId) -> usize {
-        self.subscriptions.get(&id).map_or(0, |sub| sub.queue.len())
-    }
 }
 
 #[cfg(test)]
@@ -364,6 +327,15 @@ mod tests {
         let mut e = Entity::new(id, "SoilProbe");
         e.set("moisture_vwc", vwc);
         e
+    }
+
+    /// The subscription's pending notifications, drained.
+    fn drain(
+        b: &mut ContextBroker,
+        sub: SubscriptionId,
+    ) -> Result<Vec<Notification>, UnknownSubscription> {
+        let mut out = Vec::new();
+        b.drain_notifications_into(sub, &mut out).map(|_| out)
     }
 
     #[test]
@@ -401,11 +373,11 @@ mod tests {
         let mut pivot = Entity::new("urn:pivot:1", "CenterPivot");
         pivot.set("angle_deg", 10.0);
         b.upsert(SimTime::ZERO, pivot);
-        let notes = b.take_notifications(sub).unwrap();
+        let notes = drain(&mut b, sub).unwrap();
         assert_eq!(notes.len(), 1);
         assert_eq!(notes[0].entity.id().as_str(), "urn:p1");
         // Queue drained (but still registered).
-        assert_eq!(b.take_notifications(sub), Some(vec![]));
+        assert_eq!(b.drain_notifications_into(sub, &mut Vec::new()), Ok(0));
     }
 
     #[test]
@@ -422,7 +394,7 @@ mod tests {
         let mut e = Entity::new("urn:swamp:guaspari:p1", "SoilProbe");
         e.set("battery_fraction", 0.8);
         b.upsert(SimTime::ZERO, e);
-        let notes = b.take_notifications(sub).unwrap();
+        let notes = drain(&mut b, sub).unwrap();
         assert_eq!(notes.len(), 1);
         assert_eq!(notes[0].entity.id().as_str(), "urn:swamp:guaspari:p1");
     }
@@ -432,35 +404,20 @@ mod tests {
         let mut b = ContextBroker::new();
         let sub = b.subscribe(SubscriptionFilter::any());
         b.upsert(SimTime::ZERO, probe("urn:p1", 0.2));
-        b.take_notifications(sub);
+        drain(&mut b, sub).unwrap();
         b.upsert(SimTime::ZERO, probe("urn:p1", 0.2)); // identical
-        assert_eq!(b.pending_notifications(sub), 0);
+        assert_eq!(b.drain_notifications_into(sub, &mut Vec::new()), Ok(0));
     }
 
     #[test]
-    fn unsubscribe_stops_notifications() {
+    fn unknown_subscription_is_not_an_empty_queue() {
         let mut b = ContextBroker::new();
         let sub = b.subscribe(SubscriptionFilter::any());
-        assert!(b.unsubscribe(sub));
-        assert!(!b.unsubscribe(sub), "double unsubscribe reports absence");
+        let never = SubscriptionId(sub.0 + 1);
         b.upsert(SimTime::ZERO, probe("urn:p1", 0.2));
-        // Unknown subscription is distinguishable from an empty queue.
-        assert_eq!(b.take_notifications(sub), None);
-        let mut buf = Vec::new();
-        assert_eq!(
-            b.drain_notifications_into(sub, &mut buf),
-            Err(UnknownSubscription(sub))
-        );
-    }
-
-    #[test]
-    fn remove_entity() {
-        let mut b = ContextBroker::new();
-        b.upsert(SimTime::ZERO, probe("urn:p1", 0.1));
-        assert!(b.remove(&"urn:p1".into()));
-        assert!(!b.remove(&"urn:p1".into()));
-        assert_eq!(b.entity_count(), 0);
-        assert_eq!(b.entity(&"urn:p1".into()), None);
+        assert_eq!(drain(&mut b, never), Err(UnknownSubscription(never)));
+        assert_eq!(drain(&mut b, sub).unwrap().len(), 1);
+        assert_eq!(drain(&mut b, sub), Ok(vec![]));
     }
 
     #[test]
@@ -479,8 +436,8 @@ mod tests {
         let s1 = b.subscribe(SubscriptionFilter::any());
         let s2 = b.subscribe(SubscriptionFilter::any());
         b.upsert(SimTime::ZERO, probe("urn:p1", 0.1));
-        assert_eq!(b.take_notifications(s1).unwrap().len(), 1);
-        assert_eq!(b.take_notifications(s2).unwrap().len(), 1);
+        assert_eq!(drain(&mut b, s1).unwrap().len(), 1);
+        assert_eq!(drain(&mut b, s2).unwrap().len(), 1);
     }
 
     #[test]
@@ -492,11 +449,10 @@ mod tests {
         b.upsert(SimTime::ZERO, probe("urn:p1", 0.1));
 
         // Draining s1 does not consume s2/s3's copies.
-        let n1 = b.take_notifications(s1).unwrap();
+        let n1 = drain(&mut b, s1).unwrap();
         assert_eq!(n1.len(), 1);
-        assert_eq!(b.pending_notifications(s2), 1);
-        let n2 = b.take_notifications(s2).unwrap();
-        let n3 = b.take_notifications(s3).unwrap();
+        let n2 = drain(&mut b, s2).unwrap();
+        let n3 = drain(&mut b, s3).unwrap();
         assert_eq!((n2.len(), n3.len()), (1, 1));
 
         // All three hold the *same* allocation — zero-copy fan-out.
@@ -504,8 +460,8 @@ mod tests {
         assert!(Arc::ptr_eq(&n1[0].entity, &n3[0].entity));
         assert!(Arc::ptr_eq(&n1[0].changed_attrs, &n2[0].changed_attrs));
         // And the stored entity is that same snapshot (no insert-path clone).
-        let stored = b.entity_snapshot(&"urn:p1".into()).unwrap();
-        assert!(Arc::ptr_eq(&stored, &n1[0].entity));
+        let stored = &b.entities[&EntityId::from("urn:p1")];
+        assert!(Arc::ptr_eq(stored, &n1[0].entity));
     }
 
     #[test]
@@ -513,7 +469,7 @@ mod tests {
         let mut b = ContextBroker::new();
         let sub = b.subscribe(SubscriptionFilter::any());
         b.upsert(SimTime::ZERO, probe("urn:p1", 0.1));
-        let old = b.take_notifications(sub).unwrap();
+        let old = drain(&mut b, sub).unwrap();
         // A later upsert copy-on-writes; the held snapshot keeps its value.
         b.upsert(SimTime::ZERO, probe("urn:p1", 0.9));
         assert_eq!(old[0].entity.number("moisture_vwc"), Some(0.1));
@@ -535,7 +491,6 @@ mod tests {
         assert_eq!(buf.len(), 2);
         assert_eq!(buf[0].entity.number("moisture_vwc"), Some(0.1));
         assert_eq!(buf[1].entity.number("moisture_vwc"), Some(0.2));
-        assert_eq!(b.pending_notifications(sub), 0);
     }
 
     #[test]
@@ -583,8 +538,8 @@ mod tests {
         assert_eq!(batched.update_count(), looped.update_count());
         assert_eq!(batched.notification_count(), looped.notification_count());
 
-        let nl = looped.take_notifications(sub_l).unwrap();
-        let nb = batched.take_notifications(sub_b).unwrap();
+        let nl = drain(&mut looped, sub_l).unwrap();
+        let nb = drain(&mut batched, sub_b).unwrap();
         // p1, p2, p1 again, then p2 under the mismatched type.
         assert_eq!(nl.len(), 4);
         assert_eq!(nl[3].entity.entity_type(), "SoilProbe");
@@ -601,19 +556,6 @@ mod tests {
     }
 
     #[test]
-    fn routing_index_tracks_unsubscribe() {
-        let mut b = ContextBroker::new();
-        let s1 = b.subscribe(SubscriptionFilter::for_type("SoilProbe"));
-        let s2 = b.subscribe(SubscriptionFilter::for_type("SoilProbe"));
-        let s3 = b.subscribe(SubscriptionFilter::any());
-        b.unsubscribe(s1);
-        b.upsert(SimTime::ZERO, probe("urn:p1", 0.1));
-        assert_eq!(b.take_notifications(s1), None);
-        assert_eq!(b.take_notifications(s2).unwrap().len(), 1);
-        assert_eq!(b.take_notifications(s3).unwrap().len(), 1);
-    }
-
-    #[test]
     fn fanout_order_is_subscription_id_order() {
         let mut b = ContextBroker::new();
         // Interleave typed and untyped subscriptions.
@@ -622,7 +564,7 @@ mod tests {
         let s_any2 = b.subscribe(SubscriptionFilter::any());
         b.upsert(SimTime::ZERO, probe("urn:p1", 0.1));
         for s in [s_any1, s_typed, s_any2] {
-            let n = b.take_notifications(s).unwrap();
+            let n = drain(&mut b, s).unwrap();
             assert_eq!(n.len(), 1);
             assert_eq!(n[0].subscription, s);
         }

@@ -20,7 +20,7 @@
 //! columnar: timestamps as zigzag-varint *delta-of-delta* bytes (regular
 //! cadences collapse to one byte per sample), values as a plain `f64`
 //! column, plus a per-segment summary — `first_at`/`last_at`, count,
-//! min/max and first/last value — so range scans and aggregates *prune*
+//! min/max and the last value — so range scans and aggregates *prune*
 //! whole segments by comparing the query window against the summary,
 //! never touching the encoded bytes. Compaction is observationally free:
 //! decoding a segment reproduces the exact samples that were frozen, so
@@ -72,27 +72,6 @@ pub struct WindowAggregate {
     /// Maximum value.
     pub max: f64,
     /// Last value in the window.
-    pub last: f64,
-}
-
-/// Summary of one frozen segment — the metadata the scan paths prune on,
-/// exposed for diagnostics and the E15 layout evidence (see
-/// [`HistoryStore::segment_summaries`]).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SegmentSummary {
-    /// Time of the first sample.
-    pub first_at: SimTime,
-    /// Time of the last sample (the segment's frozen watermark).
-    pub last_at: SimTime,
-    /// Samples in the segment.
-    pub count: usize,
-    /// Minimum value.
-    pub min: f64,
-    /// Maximum value.
-    pub max: f64,
-    /// First value.
-    pub first: f64,
-    /// Last value.
     pub last: f64,
 }
 
@@ -294,8 +273,6 @@ struct Segment {
     min: f64,
     /// Maximum value in the segment.
     max: f64,
-    /// First value in the segment.
-    first: f64,
     /// Last value in the segment.
     last: f64,
     /// Zigzag-varint delta-of-delta encoded timestamps of samples `1..`.
@@ -342,7 +319,6 @@ impl Segment {
             last_at: last.at,
             min,
             max,
-            first: first.value,
             last: last.value,
             times,
             values,
@@ -667,11 +643,6 @@ impl HistoryStore {
         self.total_samples == 0
     }
 
-    /// Number of distinct (entity, attribute) series.
-    pub fn series_count(&self) -> usize {
-        self.series.len()
-    }
-
     /// Total frozen segments across all series.
     pub fn segment_count(&self) -> usize {
         self.series.iter().map(|s| s.segments.len()).sum()
@@ -715,28 +686,6 @@ impl HistoryStore {
         self.pruned.fetch_add(pruned, Ordering::Relaxed);
         self.summarized.fetch_add(summarized, Ordering::Relaxed);
         self.decoded.fetch_add(decoded, Ordering::Relaxed);
-    }
-
-    /// Per-segment summaries of one series' frozen segments, in time
-    /// order (empty for unknown or never-compacted series). Pure
-    /// metadata: nothing is decoded.
-    pub fn segment_summaries(&self, entity: &str, attr: &str) -> Vec<SegmentSummary> {
-        self.series(entity, attr)
-            .map(|s| {
-                s.segments
-                    .iter()
-                    .map(|g| SegmentSummary {
-                        first_at: g.first_at,
-                        last_at: g.last_at,
-                        count: g.count(),
-                        min: g.min,
-                        max: g.max,
-                        first: g.first,
-                        last: g.last,
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
     }
 
     /// The interned id of a series, if it has ever been appended to.
@@ -808,16 +757,9 @@ impl HistoryStore {
             .map(|id| &self.series[id as usize])
     }
 
-    /// Samples in `[from, to)` for one series (empty if unknown), appended
-    /// into `out` — the reusable-buffer form of [`HistoryStore::range`].
-    pub fn range_into(
-        &self,
-        entity: &str,
-        attr: &str,
-        from: SimTime,
-        to: SimTime,
-        out: &mut Vec<Sample>,
-    ) {
+    /// Samples in `[from, to)` for one series (empty if unknown).
+    pub fn range(&self, entity: &str, attr: &str, from: SimTime, to: SimTime) -> Vec<Sample> {
+        let mut out = Vec::new();
         if let Some(series) = self.series(entity, attr) {
             let walk = series.walk_window(from, to, |piece| match piece {
                 Piece::Whole(seg) => out.extend(seg.iter()),
@@ -825,12 +767,6 @@ impl HistoryStore {
             });
             self.note_scan(walk.pruned, 0, walk.whole + walk.edge);
         }
-    }
-
-    /// Samples in `[from, to)` for one series (empty if unknown).
-    pub fn range(&self, entity: &str, attr: &str, from: SimTime, to: SimTime) -> Vec<Sample> {
-        let mut out = Vec::new();
-        self.range_into(entity, attr, from, to, &mut out);
         out
     }
 
@@ -988,7 +924,7 @@ mod tests {
             h.append("e", "a", t(i), i as f64);
         }
         assert_eq!(h.len(), 10);
-        assert_eq!(h.series_count(), 1);
+        assert_eq!(h.series.len(), 1);
         let r = h.range("e", "a", t(3), t(7));
         assert_eq!(r.len(), 4);
         assert_eq!(r[0].value, 3.0);
@@ -1046,7 +982,7 @@ mod tests {
         h.append("e", "a", t(2), 4.0);
         assert_eq!(h.series_id("e", "a"), Some(id_ea));
         assert_eq!(h.intern("e", "a"), id_ea);
-        assert_eq!(h.series_count(), 3);
+        assert_eq!(h.series.len(), 3);
     }
 
     #[test]
@@ -1090,7 +1026,7 @@ mod tests {
         h.append("e1", "a", t(1), 1.0);
         h.append("e2", "a", t(1), 2.0);
         h.append("e1", "b", t(1), 3.0);
-        assert_eq!(h.series_count(), 3);
+        assert_eq!(h.series.len(), 3);
         assert_eq!(h.range("e1", "a", t(0), t(2)).len(), 1);
         assert_eq!(h.last("e1", "b").unwrap().value, 3.0);
     }
@@ -1189,7 +1125,6 @@ mod tests {
         assert_eq!(seg.count(), samples.len());
         assert_eq!(seg.first_at, samples[0].at);
         assert_eq!(seg.last_at, samples[samples.len() - 1].at);
-        assert_eq!(seg.first, samples[0].value);
         assert_eq!(seg.last, samples[samples.len() - 1].value);
         assert_eq!(seg.min, -1.0);
         let decoded: Vec<Sample> = seg.iter().collect();
@@ -1325,8 +1260,11 @@ mod tests {
         // one-sample windows.
         let ms = SimDuration::from_millis(1);
         let mut windows = vec![(t(0), t(600)), (t(100), t(101)), (t(590), t(600))];
-        let summaries = auto8.segment_summaries("e0", "m");
-        for seg in summaries.iter().chain(&manual.segment_summaries("e1", "m")) {
+        let auto8_e0 = &auto8.series("e0", "m").unwrap().segments;
+        for seg in auto8_e0
+            .iter()
+            .chain(&manual.series("e1", "m").unwrap().segments)
+        {
             let (a, b) = (seg.first_at, seg.last_at);
             windows.push((a, b.saturating_add(ms)));
             windows.push((a.saturating_add(ms), b));
@@ -1435,15 +1373,11 @@ mod tests {
         assert_eq!(agg.max, 20.0);
         // The re-frozen segment's summary was recomputed from the
         // surviving samples.
-        let summaries = h.segment_summaries("e", "a");
-        assert_eq!(summaries.len(), 1);
-        assert_eq!(summaries[0].first_at, t(7));
-        assert_eq!(summaries[0].last_at, t(19));
-        assert_eq!(summaries[0].count, 13);
-        assert_eq!(summaries[0].min, 7.0);
-        assert_eq!(summaries[0].max, 19.0);
-        assert_eq!(summaries[0].first, 7.0);
-        assert_eq!(summaries[0].last, 19.0);
+        let segments = &h.series("e", "a").unwrap().segments;
+        assert_eq!(segments.len(), 1);
+        let seg = &segments[0];
+        assert_eq!((seg.first_at, seg.last_at, seg.count()), (t(7), t(19), 13));
+        assert_eq!((seg.min, seg.max, seg.last), (7.0, 19.0, 19.0));
         // Cutoff past the whole segment: it drops in O(1), tail survives.
         let removed = h.prune_before(t(20));
         assert_eq!(removed, 13);

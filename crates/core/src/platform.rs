@@ -74,9 +74,11 @@ pub enum IngestError {
     AuthenticationFailed(String),
     /// Payload did not parse as an entity.
     MalformedPayload(String),
-    /// Sequence number missing, negative or not a whole number, or not
-    /// above the last one admitted from the device (replayed or
-    /// duplicated).
+    /// The frame's `seq` is missing, negative or not a whole number; or it
+    /// is 64 or more behind the highest seq admitted from the device; or
+    /// the device's replay window already admitted it (a replay or a
+    /// duplicate). A fresh seq fewer than 64 behind the highest, from a
+    /// frame a later one overtook, is admitted once.
     Replay(String),
 }
 
@@ -1853,8 +1855,8 @@ mod tests {
             .upsert(SimTime::ZERO, telemetry("probe-1", 0.0, 0.2));
         p.idm.register_user("owner", "pw", &["owner:test"]);
         p.idm.register_user("stranger", "pw", &[]);
-        let (owner_token, _) = p.idm.password_grant(SimTime::ZERO, "owner", "pw").unwrap();
-        let (stranger_token, _) = p
+        let owner_token = p.idm.password_grant(SimTime::ZERO, "owner", "pw").unwrap();
+        let stranger_token = p
             .idm
             .password_grant(SimTime::ZERO, "stranger", "pw")
             .unwrap();
@@ -1878,7 +1880,7 @@ mod tests {
     fn command_authorization() {
         let mut p = fog_platform();
         p.idm.register_user("owner", "pw", &["owner:test"]);
-        let (token, _) = p.idm.password_grant(SimTime::ZERO, "owner", "pw").unwrap();
+        let token = p.idm.password_grant(SimTime::ZERO, "owner", "pw").unwrap();
         let d = p
             .authorize_command(SimTime::ZERO, &token, "probe-1")
             .unwrap();

@@ -137,11 +137,6 @@ impl DeviceRegistry {
         self.devices.get_mut(id)
     }
 
-    /// Whether a device exists and is enabled.
-    pub fn is_active(&self, id: &str) -> bool {
-        self.devices.get(id).is_some_and(|d| d.enabled)
-    }
-
     /// Enables/disables a device (quarantine on suspicion).
     ///
     /// # Errors
@@ -170,26 +165,22 @@ impl DeviceRegistry {
     pub fn iter(&self) -> impl Iterator<Item = (&str, &DeviceRecord)> {
         self.devices.iter().map(|(k, v)| (k.as_str(), v))
     }
-
-    /// Devices belonging to an owner.
-    pub fn by_owner<'a>(
-        &'a self,
-        owner: &'a str,
-    ) -> impl Iterator<Item = (&'a str, &'a DeviceRecord)> + 'a {
-        self.iter().filter(move |(_, r)| r.owner == owner)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn is_active(r: &DeviceRegistry, id: &str) -> bool {
+        r.get(id).is_some_and(|d| d.enabled)
+    }
+
     #[test]
     fn register_and_lookup() {
         let mut r = DeviceRegistry::new();
         r.register("p1", DeviceKind::SoilProbe, "owner:cbec", SimTime::ZERO)
             .unwrap();
-        assert!(r.is_active("p1"));
+        assert!(is_active(&r, "p1"));
         assert_eq!(r.get("p1").unwrap().kind, DeviceKind::SoilProbe);
         assert_eq!(r.len(), 1);
         assert!(!r.is_empty());
@@ -209,7 +200,7 @@ mod tests {
     #[test]
     fn unknown_not_active() {
         let r = DeviceRegistry::new();
-        assert!(!r.is_active("ghost"));
+        assert!(!is_active(&r, "ghost"));
         assert!(r.get("ghost").is_none());
     }
 
@@ -219,9 +210,9 @@ mod tests {
         r.register("p1", DeviceKind::SoilProbe, "o", SimTime::ZERO)
             .unwrap();
         r.set_enabled("p1", false).unwrap();
-        assert!(!r.is_active("p1"));
+        assert!(!is_active(&r, "p1"));
         r.set_enabled("p1", true).unwrap();
-        assert!(r.is_active("p1"));
+        assert!(is_active(&r, "p1"));
         assert_eq!(
             r.set_enabled("ghost", true),
             Err(RegistryError::Unknown("ghost".into()))
@@ -267,7 +258,7 @@ mod tests {
     }
 
     #[test]
-    fn owner_filtering() {
+    fn iter_lists_devices_in_id_order_with_their_owners() {
         let mut r = DeviceRegistry::new();
         r.register("a1", DeviceKind::SoilProbe, "owner:a", SimTime::ZERO)
             .unwrap();
@@ -275,9 +266,10 @@ mod tests {
             .unwrap();
         r.register("b1", DeviceKind::Pump, "owner:b", SimTime::ZERO)
             .unwrap();
-        assert_eq!(r.by_owner("owner:a").count(), 2);
-        assert_eq!(r.by_owner("owner:b").count(), 1);
-        assert_eq!(r.by_owner("owner:c").count(), 0);
-        assert_eq!(r.iter().count(), 3);
+        let rows: Vec<(&str, &str)> = r.iter().map(|(id, d)| (id, d.owner.as_str())).collect();
+        assert_eq!(
+            rows,
+            [("a1", "owner:a"), ("a2", "owner:a"), ("b1", "owner:b")]
+        );
     }
 }

@@ -97,11 +97,6 @@ impl Keystore {
             });
     }
 
-    /// Number of provisioned (non-revoked) devices.
-    pub fn active_devices(&self) -> usize {
-        self.devices.values().filter(|d| !d.revoked).count()
-    }
-
     /// Looks up the current key for a device: a copy of the key derived
     /// by the first lookup since the device was provisioned or last
     /// rotated. Unknown and revoked devices are refused before any key is
@@ -179,7 +174,7 @@ mod tests {
         ks.provision("d1");
         let dk = ks.device_key("d1").unwrap();
         assert_eq!(dk.epoch, KeyEpoch(0));
-        assert_eq!(ks.active_devices(), 1);
+        assert!(!ks.is_revoked("d1"));
     }
 
     #[test]
@@ -226,7 +221,6 @@ mod tests {
             Err(KeystoreError::Revoked(id)) if id == "d"
         ));
         assert_eq!(ks.rotate("d"), Err(KeystoreError::Revoked("d".into())));
-        assert_eq!(ks.active_devices(), 0);
         // Idempotent.
         ks.revoke("d");
         assert!(ks.is_revoked("d"));

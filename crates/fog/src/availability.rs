@@ -74,16 +74,6 @@ impl AvailabilityTracker {
     pub fn breakdown(&self) -> (u64, u64, u64) {
         (self.served_cloud, self.served_fog, self.unserved)
     }
-
-    /// Fraction of served intervals handled locally by the fog.
-    pub fn fog_share(&self) -> f64 {
-        let served = self.served_cloud + self.served_fog;
-        if served == 0 {
-            0.0
-        } else {
-            self.served_fog as f64 / served as f64
-        }
-    }
 }
 
 /// A schedule of uplink outages. It takes a link down only once it becomes
@@ -125,14 +115,6 @@ impl OutageSchedule {
     pub fn windows(&self) -> &[(SimTime, SimTime)] {
         &self.windows
     }
-
-    /// Total scheduled downtime.
-    pub fn total_downtime(&self) -> SimDuration {
-        self.windows
-            .iter()
-            .map(|&(s, e)| e.duration_since(s))
-            .fold(SimDuration::ZERO, |a, d| a + d)
-    }
 }
 
 #[cfg(test)]
@@ -152,14 +134,13 @@ mod tests {
         assert_eq!(t.intervals(), 10);
         assert!((t.availability() - 0.9).abs() < 1e-12);
         assert_eq!(t.breakdown(), (6, 3, 1));
-        assert!((t.fog_share() - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_tracker_is_fully_available() {
         let t = AvailabilityTracker::new(SimDuration::from_hours(1));
         assert_eq!(t.availability(), 1.0);
-        assert_eq!(t.fog_share(), 0.0);
+        assert_eq!(t.breakdown(), (0, 0, 0));
     }
 
     #[test]
@@ -172,7 +153,11 @@ mod tests {
         assert!(s.is_down(SimTime::from_hours(13)));
         assert!(!s.is_down(SimTime::from_hours(14))); // half-open
         assert!(s.is_down(SimTime::from_hours(20)));
-        assert_eq!(s.total_downtime(), SimDuration::from_hours(5));
+        let hours = |h| SimTime::from_hours(h);
+        assert_eq!(
+            s.windows(),
+            [(hours(10), hours(14)), (hours(20), hours(21))]
+        );
     }
 
     #[test]
@@ -210,6 +195,6 @@ mod tests {
         }
         assert!((cloud_only.availability() - 0.5).abs() < 1e-12);
         assert!((with_fog.availability() - 1.0).abs() < 1e-12);
-        assert!((with_fog.fog_share() - 0.5).abs() < 1e-12);
+        assert_eq!(with_fog.breakdown(), (12, 12, 0));
     }
 }

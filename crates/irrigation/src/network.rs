@@ -144,12 +144,6 @@ impl DistributionNetwork {
         FarmId(self.farms.len() - 1)
     }
 
-    /// Updates a farm's demand (telemetered daily from the pilot).
-    pub fn set_demand(&mut self, farm: FarmId, demand_m3: f64) {
-        assert!(demand_m3 >= 0.0);
-        self.farms[farm.0].demand_m3 = demand_m3;
-    }
-
     /// All current demands, indexed by farm id.
     pub fn demands(&self) -> Vec<f64> {
         self.farms.iter().map(|f| f.demand_m3).collect()
@@ -295,12 +289,16 @@ mod tests {
     /// Source(1000) → trunk(600) → {farmA(400), branch(300) → {farmB(400),
     /// farmC(200)}}; plus farmD(300) directly at the source.
     fn cbec_like() -> (DistributionNetwork, [FarmId; 4]) {
+        cbec_with_c_demand(200.0)
+    }
+
+    fn cbec_with_c_demand(c_demand_m3: f64) -> (DistributionNetwork, [FarmId; 4]) {
         let mut net = DistributionNetwork::new(1000.0);
         let trunk = net.add_junction(net.root(), 600.0);
         let branch = net.add_junction(trunk, 300.0);
         let a = net.add_farm(trunk, 400.0);
         let b = net.add_farm(branch, 400.0);
-        let c = net.add_farm(branch, 200.0);
+        let c = net.add_farm(branch, c_demand_m3);
         let d = net.add_farm(net.root(), 300.0);
         (net, [a, b, c, d])
     }
@@ -379,9 +377,8 @@ mod tests {
     }
 
     #[test]
-    fn demand_update_changes_allocation() {
-        let (mut net, [_, b, c, _]) = cbec_like();
-        net.set_demand(c, 50.0);
+    fn a_small_demand_leaves_its_branch_to_the_sibling() {
+        let (net, [_, b, c, _]) = cbec_with_c_demand(50.0);
         let alloc = net.allocate_max_min();
         // C freezes at 50, B gets the rest of the 300 branch up to demand.
         assert!((alloc.per_farm_m3[c.0] - 50.0).abs() < 1e-6);

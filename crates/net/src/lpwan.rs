@@ -121,7 +121,6 @@ pub struct LpwanRadio {
     history: std::collections::VecDeque<(SimTime, SimDuration)>,
     window: SimDuration,
     total_tx: u64,
-    total_deferred: u64,
 }
 
 impl LpwanRadio {
@@ -132,7 +131,6 @@ impl LpwanRadio {
             history: std::collections::VecDeque::new(),
             window: SimDuration::from_hours(1),
             total_tx: 0,
-            total_deferred: 0,
         }
     }
 
@@ -144,11 +142,6 @@ impl LpwanRadio {
     /// Frames transmitted so far.
     pub fn transmitted(&self) -> u64 {
         self.total_tx
-    }
-
-    /// Transmission attempts deferred by duty cycling so far.
-    pub fn deferred(&self) -> u64 {
-        self.total_deferred
     }
 
     /// Airtime consumed inside the window ending at `now`.
@@ -179,7 +172,6 @@ impl LpwanRadio {
             self.total_tx += 1;
             TxDecision::Granted { airtime }
         } else {
-            self.total_deferred += 1;
             // Earliest time enough old airtime has slid out of the window.
             let mut freed = SimDuration::ZERO;
             let need = (used + airtime).saturating_sub(budget);
@@ -280,7 +272,6 @@ mod tests {
         assert!(granted > 10, "some frames granted before cap: {granted}");
         assert!(granted < 500, "cap engaged too late: {granted}");
         assert!(until > now, "deferral must be in the future");
-        assert_eq!(radio.deferred(), 1);
         assert_eq!(radio.transmitted(), granted);
     }
 

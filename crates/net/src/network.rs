@@ -197,11 +197,6 @@ impl Network {
         self.fault_plan = Some(plan);
     }
 
-    /// Removes the installed fault plan, returning it.
-    pub fn clear_fault_plan(&mut self) -> Option<FaultPlan> {
-        self.fault_plan.take()
-    }
-
     /// Read access to the installed fault plan.
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
         self.fault_plan.as_ref()
@@ -748,9 +743,6 @@ mod tests {
         let d = net.poll(&n("b")).unwrap();
         assert!(d.latency() >= SimDuration::from_secs(2));
         assert_eq!(net.observe().counter("net.fault.dropped").unwrap(), 0);
-        // The plan can be reclaimed, leaving the links unfaulted.
-        assert!(net.clear_fault_plan().is_some());
-        assert!(net.fault_plan().is_none());
     }
 
     #[test]

@@ -182,11 +182,6 @@ impl FlowTable {
         self.rules.iter().find(|r| r.id == id).map(|r| r.stats)
     }
 
-    /// Iterates `(rule id, priority, stats)` for the controller dashboard.
-    pub fn all_stats(&self) -> impl Iterator<Item = (RuleId, i32, FlowStats)> + '_ {
-        self.rules.iter().map(|r| (r.id, r.priority, r.stats))
-    }
-
     /// Classifies one packet, updating counters and token buckets.
     ///
     /// The first matching rule (highest priority) decides; no rule ⇒ forward.
@@ -407,18 +402,14 @@ mod tests {
     }
 
     #[test]
-    fn all_stats_view() {
+    fn higher_priority_rule_absorbs_the_packet() {
         let mut t = FlowTable::new();
         let r1 = t.install(5, FlowMatch::any(), FlowAction::Allow);
         let r2 = t.install(1, FlowMatch::any(), FlowAction::Deny);
         t.classify(SimTime::ZERO, &n("a"), &n("b"), "x", 7);
-        let view: Vec<_> = t.all_stats().collect();
-        assert_eq!(view.len(), 2);
-        // Higher priority rule listed first and absorbed the packet.
-        assert_eq!(view[0].0, r1);
-        assert_eq!(view[0].2.allowed, 1);
-        assert_eq!(view[1].0, r2);
-        assert_eq!(view[1].2.dropped, 0);
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.stats(r1).unwrap().allowed, 1);
+        assert_eq!(t.stats(r2).unwrap().dropped, 0);
     }
 
     #[test]

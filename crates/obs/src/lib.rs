@@ -132,7 +132,7 @@ struct HistCell {
 }
 
 /// A span slab cell: durations in ticks, both exact moments and a
-/// fixed-bucket distribution (layout: [`span_hist_layout`]).
+/// fixed-bucket distribution (layout: `SPAN_HIST_*`).
 #[derive(Clone, Debug)]
 struct SpanCell {
     count: u64,
@@ -157,8 +157,8 @@ const SPAN_HIST_LO: f64 = 0.0;
 const SPAN_HIST_HI: f64 = 4096.0;
 const SPAN_HIST_BINS: usize = 64;
 
-/// Default bound on the event ring buffer.
-const DEFAULT_EVENT_CAPACITY: usize = 256;
+/// Bound on the event ring buffer.
+const EVENT_CAPACITY: usize = 256;
 
 /// The observability registry: dense slabs of typed instruments, a tick
 /// clock, a span stack and a bounded event ring. See the crate docs for
@@ -184,7 +184,6 @@ pub struct Obs {
     /// Monotone operation counter: advanced by every recorded operation.
     tick: u64,
     events: Vec<Event>,
-    event_capacity: usize,
     next_event_seq: u64,
     events_dropped: u64,
 }
@@ -196,7 +195,7 @@ impl Default for Obs {
 }
 
 impl Obs {
-    /// Creates an enabled registry with the default event capacity.
+    /// Creates an enabled registry.
     pub fn new() -> Self {
         Obs {
             enabled: true,
@@ -213,7 +212,6 @@ impl Obs {
             nest: BTreeMap::new(),
             tick: 0,
             events: Vec::new(),
-            event_capacity: DEFAULT_EVENT_CAPACITY,
             next_event_seq: 0,
             events_dropped: 0,
         }
@@ -236,11 +234,6 @@ impl Obs {
     /// Enables or disables recording (registration is unaffected).
     pub fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
-    }
-
-    /// Caps the event ring buffer (existing overflow entries are kept).
-    pub fn set_event_capacity(&mut self, capacity: usize) {
-        self.event_capacity = capacity.max(1);
     }
 
     // ---- registration (cold path) -------------------------------------
@@ -449,10 +442,10 @@ impl Obs {
             detail: detail.to_owned(),
         };
         self.next_event_seq += 1;
-        if self.events.len() < self.event_capacity {
+        if self.events.len() < EVENT_CAPACITY {
             self.events.push(ev);
         } else {
-            let slot = (ev.seq % self.event_capacity as u64) as usize;
+            let slot = (ev.seq % EVENT_CAPACITY as u64) as usize;
             if let Some(old) = self.events.get_mut(slot) {
                 *old = ev;
                 self.events_dropped += 1;
@@ -465,24 +458,6 @@ impl Obs {
     /// Current value of a counter (0 for a foreign handle).
     pub fn value(&self, c: Counter) -> u64 {
         self.counters.get(c.0 as usize).copied().unwrap_or(0)
-    }
-
-    /// Current value of a gauge (`None` until first set).
-    pub fn gauge_value(&self, g: Gauge) -> Option<f64> {
-        self.gauges.get(g.0 as usize).copied().flatten()
-    }
-
-    /// Exact running stats of a histogram (empty for a foreign handle).
-    pub fn hist_stats(&self, h: Hist) -> OnlineStats {
-        self.hists
-            .get(h.0 as usize)
-            .map(|c| c.stats)
-            .unwrap_or_default()
-    }
-
-    /// Times a span has been closed.
-    pub fn span_count(&self, s: Span) -> u64 {
-        self.spans.get(s.0 as usize).map(|c| c.count).unwrap_or(0)
     }
 
     // ---- export --------------------------------------------------------
@@ -539,12 +514,6 @@ impl Obs {
     }
 }
 
-/// The span histogram layout shared by all spans (documented constant, used
-/// by [`HistSnapshot`] consumers that want bucket geometry).
-pub fn span_hist_layout() -> (f64, f64, usize) {
-    (SPAN_HIST_LO, SPAN_HIST_HI, SPAN_HIST_BINS)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -575,13 +544,14 @@ mod tests {
         let mut obs = Obs::new();
         let g = obs.gauge("g");
         let h = obs.hist("h", 0.0, 10.0, 10);
-        assert_eq!(obs.gauge_value(g), None);
+        assert_eq!(obs.snapshot().gauge("g"), Ok(None));
         obs.set(g, 4.5);
         obs.record(h, 3.0);
         obs.record(h, 5.0);
-        assert_eq!(obs.gauge_value(g), Some(4.5));
-        assert_eq!(obs.hist_stats(h).count(), 2);
-        assert_eq!(obs.hist_stats(h).mean(), 4.0);
+        let snap = obs.snapshot();
+        assert_eq!(snap.gauge("g"), Ok(Some(4.5)));
+        assert_eq!(snap.summary("h").unwrap().stats.count(), 2);
+        assert_eq!(snap.summary("h").unwrap().stats.mean(), 4.0);
     }
 
     #[test]
@@ -598,11 +568,11 @@ mod tests {
         obs.exit(t_inner);
         obs.exit(t_outer);
 
-        assert_eq!(obs.span_count(outer), 1);
-        assert_eq!(obs.span_count(inner), 1);
-        // inner: enter(tick t), 2 incs, exit → duration 3 ticks.
-        assert_eq!(obs.snapshot().span("inner").unwrap().ticks.mean(), 3.0);
         let snap = obs.snapshot();
+        assert_eq!(snap.span("outer").unwrap().count, 1);
+        assert_eq!(snap.span("inner").unwrap().count, 1);
+        // inner: enter(tick t), 2 incs, exit → duration 3 ticks.
+        assert_eq!(snap.span("inner").unwrap().ticks.mean(), 3.0);
         assert_eq!(snap.span("outer").unwrap().children.get("inner"), Some(&1));
     }
 
@@ -614,27 +584,28 @@ mod tests {
         let t_outer = obs.enter(outer);
         let _leaked = obs.enter(inner); // never exited
         obs.exit(t_outer);
-        assert_eq!(obs.span_count(outer), 1);
-        assert_eq!(obs.span_count(inner), 0);
+        let count = |obs: &Obs, name| obs.snapshot().span(name).unwrap().count;
+        assert_eq!(count(&obs, "outer"), 1);
+        assert_eq!(count(&obs, "inner"), 0);
         // The stack is clean: a fresh span works.
         let t = obs.enter(outer);
         obs.exit(t);
-        assert_eq!(obs.span_count(outer), 2);
+        assert_eq!(count(&obs, "outer"), 2);
     }
 
     #[test]
     fn event_ring_is_bounded_and_counts_drops() {
         let mut obs = Obs::new();
-        obs.set_event_capacity(4);
-        for i in 0..10 {
+        let total = EVENT_CAPACITY as u64 + 6;
+        for i in 0..total {
             obs.event(Level::Info, "tick", &format!("e{i}"));
         }
         let snap = obs.snapshot();
-        assert_eq!(snap.events().len(), 4);
+        assert_eq!(snap.events().len(), EVENT_CAPACITY);
         assert_eq!(snap.events_dropped(), 6);
-        // The survivors are the newest four, in order.
+        // The survivors are the newest, in order.
         let seqs: Vec<u64> = snap.events().iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![6, 7, 8, 9]);
+        assert_eq!(seqs, (6..total).collect::<Vec<u64>>());
     }
 
     #[test]
@@ -674,6 +645,9 @@ mod tests {
         a.inc(c_b); // index out of range in `a`
         a.set(g_b, 1.0);
         assert_eq!(a.value(c_b), 0);
-        assert_eq!(a.gauge_value(g_b), None);
+        assert_eq!(
+            a.snapshot().gauge("g"),
+            Err(ObsError::UnknownGauge("g".into()))
+        );
     }
 }

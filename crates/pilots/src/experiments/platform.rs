@@ -332,13 +332,13 @@ pub fn e7_auth(_seed: u64) -> E7Result {
     ));
 
     let now = SimTime::ZERO;
-    let (maria, _) = idm
+    let maria = idm
         .password_grant(now, "maria", "pw")
         .expect("maria was registered above");
-    let (carlos, _) = idm
+    let carlos = idm
         .password_grant(now, "carlos", "pw")
         .expect("carlos was registered above");
-    let (ana, _) = idm
+    let ana = idm
         .password_grant(now, "ana", "pw")
         .expect("ana was registered above");
     let sched = idm

@@ -185,11 +185,6 @@ impl Pdp {
         self.policies.push(policy);
     }
 
-    /// Number of installed policies.
-    pub fn policy_count(&self) -> usize {
-        self.policies.len()
-    }
-
     /// Decides whether `token` may perform `action` on `resource`.
     ///
     /// Order: explicit deny > ownership > explicit allow > default deny.
@@ -364,6 +359,6 @@ mod tests {
         ];
         let denials = decisions.iter().filter(|d| !d.is_permit()).count();
         assert_eq!((decisions.len(), denials), (3, 2));
-        assert_eq!(pdp.policy_count(), 0);
+        assert!(pdp.policies.is_empty());
     }
 }

@@ -3,9 +3,11 @@
 //! The paper: "The access to the platform must be allowed only for
 //! identified and authorized users, using FIWARE security generic enablers
 //! and the OAuth 2.0 protocol." This module is the Keyrock-analogue:
-//! registered clients and users, client-credentials / password / refresh
-//! grants, HMAC-signed bearer tokens with scopes and expiry, and
-//! revocation. Token verification is constant-time.
+//! registered clients and users, client-credentials and password grants,
+//! HMAC-signed bearer tokens with scopes and expiry, and single-token
+//! revocation. Token verification is constant-time. There are no refresh
+//! tokens (optional in RFC 6749 §1.5): a client whose token expires asks
+//! for a new grant.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -57,8 +59,6 @@ pub enum AuthError {
     Expired,
     /// Token was revoked.
     Revoked,
-    /// Refresh token unknown or already rotated.
-    InvalidRefreshToken,
 }
 
 impl fmt::Display for AuthError {
@@ -70,7 +70,6 @@ impl fmt::Display for AuthError {
             AuthError::InvalidToken => f.write_str("invalid token"),
             AuthError::Expired => f.write_str("token expired"),
             AuthError::Revoked => f.write_str("token revoked"),
-            AuthError::InvalidRefreshToken => f.write_str("invalid refresh token"),
         }
     }
 }
@@ -134,7 +133,6 @@ pub struct IdentityProvider {
     clients: BTreeMap<String, ClientRecord>,
     users: BTreeMap<String, UserRecord>,
     issued: BTreeMap<String, IssuedToken>,
-    refresh: BTreeMap<String, (String, BTreeSet<Scope>)>,
     counter: u64,
 }
 
@@ -164,7 +162,6 @@ impl IdentityProvider {
             clients: BTreeMap::new(),
             users: BTreeMap::new(),
             issued: BTreeMap::new(),
-            refresh: BTreeMap::new(),
             counter: 0,
         }
     }
@@ -243,7 +240,7 @@ impl IdentityProvider {
         Ok(self.mint(format!("client:{client_id}"), granted, now))
     }
 
-    /// OAuth resource-owner-password grant (with refresh token).
+    /// OAuth resource-owner-password grant.
     ///
     /// The granted scopes are the user's roles as `role:<r>` scopes.
     ///
@@ -254,7 +251,7 @@ impl IdentityProvider {
         now: SimTime,
         username: &str,
         password: &str,
-    ) -> Result<(Token, Token), AuthError> {
+    ) -> Result<Token, AuthError> {
         let user = self
             .users
             .get(username)
@@ -263,39 +260,7 @@ impl IdentityProvider {
             return Err(AuthError::InvalidCredentials);
         }
         let scopes: BTreeSet<Scope> = user.roles.iter().map(|r| format!("role:{r}")).collect();
-        let subject = format!("user:{username}");
-        let access = self.mint(subject.clone(), scopes.clone(), now);
-        self.counter += 1;
-        let refresh_str = to_hex(&hmac_sha256(
-            &self.signing_key,
-            format!("refresh|{subject}|{}", self.counter).as_bytes(),
-        ));
-        self.refresh.insert(refresh_str.clone(), (subject, scopes));
-        Ok((access, Token(refresh_str)))
-    }
-
-    /// Refresh grant: exchanges a refresh token for a new access token.
-    /// The refresh token is rotated (single use).
-    ///
-    /// # Errors
-    /// [`AuthError::InvalidRefreshToken`] if unknown or already used.
-    pub fn refresh_grant(
-        &mut self,
-        now: SimTime,
-        refresh_token: &Token,
-    ) -> Result<(Token, Token), AuthError> {
-        let (subject, scopes) = self
-            .refresh
-            .remove(refresh_token.as_str())
-            .ok_or(AuthError::InvalidRefreshToken)?;
-        let access = self.mint(subject.clone(), scopes.clone(), now);
-        self.counter += 1;
-        let new_refresh = to_hex(&hmac_sha256(
-            &self.signing_key,
-            format!("refresh|{subject}|{}", self.counter).as_bytes(),
-        ));
-        self.refresh.insert(new_refresh.clone(), (subject, scopes));
-        Ok((access, Token(new_refresh)))
+        Ok(self.mint(format!("user:{username}"), scopes, now))
     }
 
     /// Validates a bearer token (the PEP's introspection call).
@@ -322,24 +287,6 @@ impl IdentityProvider {
         if let Some(t) = self.issued.get_mut(token.as_str()) {
             t.revoked = true;
         }
-    }
-
-    /// Revokes every token of a subject (compromised account response).
-    pub fn revoke_subject(&mut self, subject: &str) {
-        for t in self.issued.values_mut() {
-            if t.info.subject == subject {
-                t.revoked = true;
-            }
-        }
-        self.refresh.retain(|_, (s, _)| s != subject);
-    }
-
-    /// Number of currently valid (unexpired, unrevoked) tokens at `now`.
-    pub fn active_tokens(&self, now: SimTime) -> usize {
-        self.issued
-            .values()
-            .filter(|t| !t.revoked && now < t.info.expires_at)
-            .count()
     }
 }
 
@@ -391,7 +338,7 @@ mod tests {
     #[test]
     fn password_grant_carries_roles() {
         let mut i = idm();
-        let (access, _refresh) = i.password_grant(SimTime::ZERO, "maria", "grape$").unwrap();
+        let access = i.password_grant(SimTime::ZERO, "maria", "grape$").unwrap();
         let info = i.validate(SimTime::ZERO, &access).unwrap();
         assert_eq!(info.subject, "user:maria");
         assert!(info.has_scope("role:farmer"));
@@ -431,22 +378,6 @@ mod tests {
     }
 
     #[test]
-    fn revoke_subject_kills_all_tokens() {
-        let mut i = idm();
-        let t1 = i
-            .client_credentials_grant(SimTime::ZERO, "gw", "gw-secret", &[])
-            .unwrap();
-        let t2 = i
-            .client_credentials_grant(SimTime::ZERO, "gw", "gw-secret", &[])
-            .unwrap();
-        assert_eq!(i.active_tokens(SimTime::ZERO), 2);
-        i.revoke_subject("client:gw");
-        assert_eq!(i.validate(SimTime::ZERO, &t1), Err(AuthError::Revoked));
-        assert_eq!(i.validate(SimTime::ZERO, &t2), Err(AuthError::Revoked));
-        assert_eq!(i.active_tokens(SimTime::ZERO), 0);
-    }
-
-    #[test]
     fn forged_token_rejected() {
         let i = idm();
         let forged = Token("deadbeef.cafebabe".to_owned());
@@ -454,21 +385,6 @@ mod tests {
             i.validate(SimTime::ZERO, &forged),
             Err(AuthError::InvalidToken)
         );
-    }
-
-    #[test]
-    fn refresh_rotates() {
-        let mut i = idm();
-        let (_, refresh) = i.password_grant(SimTime::ZERO, "maria", "grape$").unwrap();
-        let (access2, refresh2) = i.refresh_grant(SimTime::from_secs(10), &refresh).unwrap();
-        assert!(i.validate(SimTime::from_secs(10), &access2).is_ok());
-        // Old refresh token is single-use.
-        assert_eq!(
-            i.refresh_grant(SimTime::from_secs(20), &refresh),
-            Err(AuthError::InvalidRefreshToken)
-        );
-        // New one works.
-        assert!(i.refresh_grant(SimTime::from_secs(20), &refresh2).is_ok());
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //!
 //! let mut idm = IdentityProvider::new(b"signing-key", SimDuration::from_hours(1));
 //! idm.register_user("maria", "pw", &["owner:guaspari"]);
-//! let (token, _refresh) = idm.password_grant(SimTime::ZERO, "maria", "pw").unwrap();
+//! let token = idm.password_grant(SimTime::ZERO, "maria", "pw").unwrap();
 //! let info = idm.validate(SimTime::ZERO, &token).unwrap();
 //!
 //! let pdp = Pdp::new();

@@ -7,7 +7,7 @@
 //!   in days-of-year.
 //! - [`rng::SimRng`] — a seedable, splittable xoshiro256** PRNG plus the
 //!   distributions the sensor and weather models need (uniform, normal,
-//!   exponential, Poisson, Bernoulli).
+//!   exponential, Bernoulli).
 //! - [`event::EventQueue`] — a deterministic discrete-event queue with
 //!   stable FIFO ordering among simultaneous events.
 //! - [`stats`] — online statistics (Welford mean/variance, EWMA, histograms,

@@ -155,16 +155,6 @@ impl SimRng {
         (m >> 64) as u64
     }
 
-    /// Uniform integer in the inclusive range `[lo, hi]`.
-    ///
-    /// # Panics
-    /// Panics if `lo > hi`.
-    pub fn int_range(&mut self, lo: i64, hi: i64) -> i64 {
-        assert!(lo <= hi, "invalid int range [{lo}, {hi}]");
-        let span = (hi - lo) as u64 + 1;
-        lo + self.below(span) as i64
-    }
-
     /// Bernoulli trial with success probability `p` (clamped to `[0,1]`).
     pub fn chance(&mut self, p: f64) -> bool {
         self.uniform_f64() < p.clamp(0.0, 1.0)
@@ -202,45 +192,6 @@ impl SimRng {
         );
         // Inverse CDF; 1-u avoids ln(0).
         -(1.0 - self.uniform_f64()).ln() / lambda
-    }
-
-    /// Poisson variate with the given mean.
-    ///
-    /// Uses Knuth's method for small means and a normal approximation above
-    /// 30, which is accurate enough for the traffic models that use it.
-    ///
-    /// # Panics
-    /// Panics if `mean` is negative or not finite.
-    pub fn poisson(&mut self, mean: f64) -> u64 {
-        assert!(
-            mean.is_finite() && mean >= 0.0,
-            "invalid Poisson mean {mean}"
-        );
-        if mean == 0.0 {
-            return 0;
-        }
-        if mean > 30.0 {
-            let x = self.normal_with(mean, mean.sqrt()).round();
-            return if x < 0.0 { 0 } else { x as u64 };
-        }
-        let l = (-mean).exp();
-        let mut k = 0u64;
-        let mut p = 1.0;
-        loop {
-            p *= self.uniform_f64();
-            if p <= l {
-                return k;
-            }
-            k += 1;
-        }
-    }
-
-    /// Fisher–Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            slice.swap(i, j);
-        }
     }
 
     /// Picks a uniformly random element of a non-empty slice.
@@ -311,20 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn int_range_hits_bounds() {
-        let mut r = SimRng::seed_from(77);
-        let mut saw_lo = false;
-        let mut saw_hi = false;
-        for _ in 0..10_000 {
-            let v = r.int_range(-3, 3);
-            assert!((-3..=3).contains(&v));
-            saw_lo |= v == -3;
-            saw_hi |= v == 3;
-        }
-        assert!(saw_lo && saw_hi);
-    }
-
-    #[test]
     fn normal_moments() {
         let mut r = SimRng::seed_from(11);
         let n = 200_000;
@@ -351,20 +288,6 @@ mod tests {
     }
 
     #[test]
-    fn poisson_mean_small_and_large() {
-        let mut r = SimRng::seed_from(17);
-        let n = 50_000;
-        for target in [0.5, 4.0, 50.0] {
-            let mean: f64 = (0..n).map(|_| r.poisson(target) as f64).sum::<f64>() / n as f64;
-            assert!(
-                (mean - target).abs() < target.max(1.0) * 0.05,
-                "target {target} mean {mean}"
-            );
-        }
-        assert_eq!(r.poisson(0.0), 0);
-    }
-
-    #[test]
     fn chance_extremes() {
         let mut r = SimRng::seed_from(3);
         assert!(!r.chance(0.0));
@@ -372,17 +295,6 @@ mod tests {
         // Out-of-range p is clamped rather than panicking.
         assert!(r.chance(2.0));
         assert!(!r.chance(-1.0));
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = SimRng::seed_from(21);
-        let mut v: Vec<u32> = (0..100).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(v, (0..100).collect::<Vec<_>>()); // astronomically unlikely
     }
 
     #[test]

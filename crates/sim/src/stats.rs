@@ -14,7 +14,7 @@ use std::fmt;
 ///     s.push(x);
 /// }
 /// assert_eq!(s.mean(), 5.0);
-/// assert_eq!(s.population_std_dev(), 2.0);
+/// assert!((s.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct OnlineStats {
@@ -57,15 +57,6 @@ impl OnlineStats {
         self.mean
     }
 
-    /// Population variance (divides by n; 0 if empty).
-    pub fn population_variance(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
     /// Sample variance (divides by n-1; 0 if fewer than two observations).
     pub fn sample_variance(&self) -> f64 {
         if self.n < 2 {
@@ -73,11 +64,6 @@ impl OnlineStats {
         } else {
             self.m2 / (self.n - 1) as f64
         }
-    }
-
-    /// Population standard deviation.
-    pub fn population_std_dev(&self) -> f64 {
-        self.population_variance().sqrt()
     }
 
     /// Sample standard deviation.
@@ -286,11 +272,6 @@ impl Histogram {
         }
         Some(self.hi)
     }
-
-    /// Bin counts, for rendering.
-    pub fn bin_counts(&self) -> &[u64] {
-        &self.bins
-    }
 }
 
 #[cfg(test)]
@@ -305,7 +286,7 @@ mod tests {
         }
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.population_variance() - 4.0).abs() < 1e-12);
+        assert!((s.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
     }
@@ -315,7 +296,6 @@ mod tests {
         let s = OnlineStats::new();
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.population_variance(), 0.0);
         assert_eq!(s.sample_variance(), 0.0);
     }
 
@@ -399,8 +379,7 @@ mod tests {
         assert_eq!(h.count(), 2);
         assert_eq!(h.underflow(), 1);
         assert_eq!(h.overflow(), 1);
-        assert_eq!(h.bin_counts()[0], 1);
-        assert_eq!(h.bin_counts()[9], 1);
+        assert_eq!((h.bins[0], h.bins[9]), (1, 1));
     }
 
     #[test]

@@ -52,11 +52,11 @@ fn main() {
         .idm
         .register_user("maria", "vineyard$", &["owner:demo-farm"]);
     platform.idm.register_user("eve", "whatever", &[]);
-    let (maria_token, _) = platform
+    let maria_token = platform
         .idm
         .password_grant(t, "maria", "vineyard$")
         .expect("registered user");
-    let (eve_token, _) = platform
+    let eve_token = platform
         .idm
         .password_grant(t, "eve", "whatever")
         .expect("registered user");

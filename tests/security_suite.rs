@@ -339,7 +339,7 @@ fn token_lifecycle_enforced_at_the_read_path() {
         e
     });
     p.idm.register_user("owner", "pw", &["owner:farm"]);
-    let (token, _) = p.idm.password_grant(SimTime::ZERO, "owner", "pw").unwrap();
+    let token = p.idm.password_grant(SimTime::ZERO, "owner", "pw").unwrap();
 
     assert!(p
         .authorized_read(SimTime::ZERO, &token, "urn:swamp:device:probe-1")
@@ -352,7 +352,7 @@ fn token_lifecycle_enforced_at_the_read_path() {
         .is_err());
 
     // Revoked.
-    let (token2, _) = p.idm.password_grant(SimTime::ZERO, "owner", "pw").unwrap();
+    let token2 = p.idm.password_grant(SimTime::ZERO, "owner", "pw").unwrap();
     p.idm.revoke(&token2);
     assert!(p
         .authorized_read(SimTime::ZERO, &token2, "urn:swamp:device:probe-1")
