@@ -141,8 +141,6 @@ pub struct ContextBroker {
     /// Every live subscription in id order, which is the fan-out order.
     subscriptions: BTreeMap<SubscriptionId, Subscription>,
     next_sub: u64,
-    updates: u64,
-    notifications: u64,
 }
 
 /// A registered subscription: what it watches and what it has not drained.
@@ -161,16 +159,6 @@ impl ContextBroker {
     /// Number of stored entities.
     pub fn entity_count(&self) -> usize {
         self.entities.len()
-    }
-
-    /// Total updates processed.
-    pub fn update_count(&self) -> u64 {
-        self.updates
-    }
-
-    /// Total notifications generated.
-    pub fn notification_count(&self) -> u64 {
-        self.notifications
     }
 
     /// Registers a subscription; returns its id.
@@ -227,7 +215,6 @@ impl ContextBroker {
         update: Entity,
         want_names: bool,
     ) -> (usize, Option<Arc<[String]>>) {
-        self.updates += 1;
         let subscriptions = &self.subscriptions;
         // Fan-out below matches the *stored* entity's type, which a merge
         // never changes, so that type (the update's own only on first sight)
@@ -279,7 +266,6 @@ impl ContextBroker {
 
         for (&sub_id, sub) in &mut self.subscriptions {
             if sub.filter.matches(&snapshot, &changed) {
-                self.notifications += 1;
                 sub.queue.push(Notification {
                     subscription: sub_id,
                     entity: Arc::clone(&snapshot),
@@ -421,13 +407,19 @@ mod tests {
     }
 
     #[test]
-    fn counters() {
+    fn each_changing_upsert_notifies_once() {
         let mut b = ContextBroker::new();
-        let _sub = b.subscribe(SubscriptionFilter::any());
+        let sub = b.subscribe(SubscriptionFilter::any());
         b.upsert(SimTime::ZERO, probe("urn:p1", 0.1));
         b.upsert(SimTime::ZERO, probe("urn:p1", 0.2));
-        assert_eq!(b.update_count(), 2);
-        assert_eq!(b.notification_count(), 2);
+        b.upsert(SimTime::ZERO, probe("urn:p1", 0.2));
+        let values: Vec<_> = drain(&mut b, sub)
+            .unwrap()
+            .iter()
+            .map(|n| n.entity.number("moisture_vwc"))
+            .collect();
+        assert_eq!(values, [Some(0.1), Some(0.2)]);
+        assert_eq!(b.entity_count(), 1);
     }
 
     #[test]
@@ -535,8 +527,6 @@ mod tests {
         let batch_changed = batched.upsert_batch(SimTime::from_secs(7), updates());
         assert_eq!(batch_changed, changed_updates);
         assert_eq!(batched.entity_count(), looped.entity_count());
-        assert_eq!(batched.update_count(), looped.update_count());
-        assert_eq!(batched.notification_count(), looped.notification_count());
 
         let nl = drain(&mut looped, sub_l).unwrap();
         let nb = drain(&mut batched, sub_b).unwrap();
@@ -568,6 +558,5 @@ mod tests {
             assert_eq!(n.len(), 1);
             assert_eq!(n[0].subscription, s);
         }
-        assert_eq!(b.notification_count(), 3);
     }
 }

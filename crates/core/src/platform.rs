@@ -25,9 +25,11 @@
 //! with [`PlatformBuilder::fault_plan`] and
 //! [`PlatformBuilder::uplink_outages`].
 
+use std::collections::BTreeMap;
+
 use swamp_codec::ngsi::Entity;
 use swamp_crypto::aead::NonceSequence;
-use swamp_crypto::keystore::Keystore;
+use swamp_crypto::keystore::{KeyEpoch, Keystore};
 use swamp_fog::availability::{OutageSchedule, ServedBy};
 use swamp_fog::sync::{CloudStore, DegradedMode, FogSync, ACK_TOPIC, SYNC_TOPIC};
 use swamp_net::fault::FaultPlan;
@@ -46,9 +48,9 @@ use swamp_views::ViewIndexer;
 
 use crate::broker::ContextBroker;
 use crate::error::Error;
-use crate::history::HistoryStore;
+use crate::history::{HistoryStore, SeriesId};
 use crate::query::{QueryRequest, QueryResponse, SeriesEntry};
-use crate::registry::{DeviceRegistry, RegistryError};
+use crate::registry::{DeviceRecord, DeviceRegistry, DeviceSlot, RegistryError};
 use crate::shard::DEVICE_URN_PREFIX;
 
 /// Where the platform's decision logic runs.
@@ -125,7 +127,16 @@ pub struct Platform {
     /// [`PlatformBuilder::baseline`].
     pub behavior: BehaviorBank,
     auto_quarantine: bool,
-    device_nonces: std::collections::BTreeMap<String, NonceSequence>,
+    /// Each registered device's nonce sequence, by registry slot. This is
+    /// device-side state (the sender half of its frames' AEAD nonces),
+    /// kept apart from the admission row the fog side reads.
+    nonces: Vec<NonceSequence>,
+    /// The attribute names whose history series registry rows cache, each
+    /// with the tag a row files its series of that name under. A name is
+    /// added only for a row with room, so the table holds at most
+    /// [`ROW_SERIES`] names per registered device and no device can fill
+    /// it for the others.
+    series_attrs: BTreeMap<Box<str>, u32>,
     /// The topology's node ids, made once: the cloud, the farm-side node
     /// devices talk to, and the node ingestion runs on (one of the two).
     cloud_id: NodeId,
@@ -137,9 +148,10 @@ pub struct Platform {
     /// Decryption scratch of the read path: each authenticated frame's
     /// plaintext lands here and is read into its entity in place.
     plaintext: Vec<u8>,
-    /// The chunk of entities [`Platform::ingest_entities`] is working on;
+    /// The chunk of entities [`Platform::ingest_entities`] is working on,
+    /// each with its sender's registry slot when admission resolved one;
     /// empty between calls, its capacity (`INGEST_CHUNK`) kept.
-    ingest_chunk: Vec<Entity>,
+    ingest_chunk: Vec<(Option<DeviceSlot>, Entity)>,
     /// The deliveries [`Platform::pump`] is routing; empty between pumps,
     /// its capacity kept, so a pump that receives a window of acks or
     /// relayed frames allocates nothing window-sized.
@@ -222,6 +234,16 @@ impl PlatformInstruments {
 /// grow with the fleet; large enough that each stage runs long enough to
 /// keep its own tables hot.
 const INGEST_CHUNK: usize = 256;
+
+/// How many history series one registry row caches. Telemetry carries a
+/// handful of attributes; a device's attribute past its row's room is
+/// interned by name on every append instead, so a device that invents
+/// names cannot make its row's scan long.
+const ROW_SERIES: usize = 16;
+
+/// The nonce sender id of a frame [`Platform::device_publish`] seals for
+/// an unregistered id (whose frame is refused at ingest).
+const ROGUE_SENDER: u32 = 9999;
 
 /// Node names used by the platform topology.
 pub mod nodes {
@@ -486,7 +508,8 @@ impl PlatformBuilder {
             detectors,
             behavior: BehaviorBank::new(baseline),
             auto_quarantine: false,
-            device_nonces: std::collections::BTreeMap::new(),
+            nonces: Vec::new(),
+            series_attrs: BTreeMap::new(),
             cloud_id,
             farm_id,
             node_id,
@@ -684,12 +707,14 @@ impl Platform {
     }
 
     /// Registers a field device: network node + link, key provisioning and
-    /// registry entry.
+    /// registry entry. The registry row keeps the node and the keystore
+    /// handle; the device's nonce sequence is kept by its slot.
     ///
     /// # Errors
-    /// [`Error::Registry`] if the device id is already registered, or names
-    /// the cloud or farm node (the topology holds it: connecting it would
-    /// rewire the uplink); no platform state changes in either case.
+    /// [`Error::Registry`] if the device id is empty, is already
+    /// registered, or names the cloud or farm node (the topology holds it:
+    /// connecting it would rewire the uplink); no platform state changes
+    /// in any of these cases.
     pub fn register_device(
         &mut self,
         now: SimTime,
@@ -700,47 +725,62 @@ impl Platform {
         if device_id == self.cloud_id.as_str() || device_id == self.farm_id.as_str() {
             return Err(RegistryError::AlreadyRegistered(device_id.to_owned()).into());
         }
-        // Registry first: it is the fallible step, and erroring before any
-        // other mutation keeps registration atomic.
-        self.registry.register(device_id, kind, owner, now)?;
-        self.net.add_node(device_id);
-        let farm = self.farm_node();
-        self.net.connect(device_id, farm, LinkSpec::lpwan_field());
-        self.keystore.provision(device_id);
-        self.device_nonces.insert(
-            device_id.to_owned(),
-            NonceSequence::new(self.device_nonces.len() as u32 + 1),
-        );
+        // The registry checks the id before it runs the closure: it is the
+        // fallible step, and erroring before any other mutation keeps
+        // registration atomic.
+        let slot = self.registry.register(device_id, kind, owner, now, || {
+            let node = self.net.add_node(device_id);
+            self.net
+                .connect(&node, &self.farm_id, LinkSpec::lpwan_field());
+            (node, self.keystore.provision(device_id))
+        })?;
+        // Only this method registers, and slots are dense: the device's
+        // sequence lands at its slot.
+        self.nonces
+            .push(NonceSequence::new(slot.index() as u32 + 1));
         Ok(())
     }
 
     /// Device-side publish: seals the entity with the device's provisioned
-    /// key and offers it to the network toward the farm node.
+    /// key and offers it to the network toward the farm node. A registered
+    /// device is found by one registry lookup, which yields its key
+    /// handle, nonce sequence and network node.
     ///
     /// # Errors
-    /// [`Error::Send`] if the network refuses the send synchronously.
+    /// [`Error::Registry`] ([`RegistryError::EmptyId`]) for the empty id,
+    /// which no network node carries, before anything is sealed;
+    /// [`Error::Send`] if the network refuses the send synchronously (an
+    /// id with no network node among them).
     pub fn device_publish(
         &mut self,
         now: SimTime,
         device_id: &str,
         entity: &Entity,
     ) -> Result<(), Error> {
-        let key = self
-            .keystore
-            .device_key(device_id)
+        if device_id.is_empty() {
+            return Err(RegistryError::EmptyId.into());
+        }
+        let slot = self.registry.slot(device_id);
+        let row = slot.and_then(|slot| self.registry.row(slot));
+        let key = row
+            .and_then(|row| self.keystore.key_by_handle(row.key).ok())
             .map(|dk| dk.key)
-            .unwrap_or_else(|_| {
-                // Unprovisioned device: derive a garbage key — its frames
-                // will fail authentication at ingest (rogue-node path).
-                self.keystore
-                    .derive("rogue", swamp_crypto::keystore::KeyEpoch(0))
+            .unwrap_or_else(|| {
+                // Unregistered or revoked device: derive a garbage key —
+                // its frames will fail authentication at ingest (rogue-node
+                // path).
+                self.keystore.derive("rogue", KeyEpoch(0))
             });
         // Registered devices have their sequence. An unregistered sender
         // gets none: its frame fails at ingest whatever its nonce, and a
-        // map key per fresh id would grow without bound.
-        let nonce = match self.device_nonces.get_mut(device_id) {
+        // sequence per fresh id would grow without bound.
+        let nonce = match slot.and_then(|slot| self.nonces.get_mut(slot.index())) {
             Some(nonces) => nonces.next_nonce(),
-            None => NonceSequence::new(9999).next_nonce(),
+            None => NonceSequence::new(ROGUE_SENDER).next_nonce(),
+        };
+        let src = match row.map(|row| row.node.clone()) {
+            Some(node) => node,
+            None => NodeId::from(device_id),
         };
         self.wire_scratch.clear();
         entity.write_compact(&mut self.wire_scratch);
@@ -748,7 +788,7 @@ impl Platform {
         self.net
             .send(
                 now,
-                device_id,
+                src,
                 &self.farm_id,
                 Message::new(format!("telemetry/{device_id}"), sealed),
             )
@@ -806,11 +846,13 @@ impl Platform {
         // duplicate path re-acked it). Relayed records (CloudOnly) stay in
         // the buffer for the relay store below, which skips the rest.
         self.net.drain_into(&self.node_id, &mut inbox);
-        let mut batch: Vec<Entity> = Vec::new();
+        let mut batch: Vec<(Option<DeviceSlot>, Entity)> = Vec::new();
         for d in &inbox {
             if let Some(device_id) = d.message.topic.strip_prefix("telemetry/") {
-                if let Ok(entity) = self.validate_frame(now, device_id, &d.message.payload) {
-                    batch.push(entity);
+                if let Ok((slot, entity)) =
+                    self.validate_slotted(now, device_id, &d.message.payload)
+                {
+                    batch.push((Some(slot), entity));
                 }
             } else if d.message.topic == ACK_TOPIC
                 && fog
@@ -832,8 +874,10 @@ impl Platform {
             self.net.advance_to(now);
             for frame in frames {
                 if let Some(device_id) = frame.key.strip_prefix("telemetry/") {
-                    if let Ok(entity) = self.validate_frame(now, device_id, &frame.payload) {
-                        batch.push(entity);
+                    if let Ok((slot, entity)) =
+                        self.validate_slotted(now, device_id, &frame.payload)
+                    {
+                        batch.push((Some(slot), entity));
                     }
                 }
             }
@@ -873,8 +917,8 @@ impl Platform {
         device_id: &str,
         sealed: &[u8],
     ) -> Result<(), IngestError> {
-        let entity = self.validate_frame(now, device_id, sealed)?;
-        self.ingest_entities(now, std::iter::once(entity));
+        let (slot, entity) = self.validate_slotted(now, device_id, sealed)?;
+        self.ingest_slotted(now, std::iter::once((Some(slot), entity)));
         Ok(())
     }
 
@@ -893,6 +937,19 @@ impl Platform {
         device_id: &str,
         sealed: &[u8],
     ) -> Result<Entity, IngestError> {
+        self.validate_slotted(now, device_id, sealed)
+            .map(|(_, entity)| entity)
+    }
+
+    /// [`Platform::validate_frame`], returning the sender's registry slot
+    /// beside the entity, for the storage stage to reach the device's
+    /// tables by.
+    fn validate_slotted(
+        &mut self,
+        now: SimTime,
+        device_id: &str,
+        sealed: &[u8],
+    ) -> Result<(DeviceSlot, Entity), IngestError> {
         let verdict = self.admit_frame(now, device_id, sealed);
         if let Err(e) = &verdict {
             self.obs.inc(match e {
@@ -906,21 +963,24 @@ impl Platform {
     }
 
     /// [`Platform::validate_frame`]'s checks, uncounted. The device's
-    /// registry row is looked up once and serves the enabled check, the
-    /// replay window and auto-quarantine.
+    /// registry slot is looked up once, the frame's one string-keyed
+    /// lookup, and its row serves the enabled check, the keystore handle,
+    /// the replay window, the detector handle and auto-quarantine.
     fn admit_frame(
         &mut self,
         now: SimTime,
         device_id: &str,
         sealed: &[u8],
-    ) -> Result<Entity, IngestError> {
-        let row = match self.registry.get_mut(device_id) {
+    ) -> Result<(DeviceSlot, Entity), IngestError> {
+        let unregistered = || IngestError::UnregisteredDevice(device_id.to_owned());
+        let slot = self.registry.slot(device_id).ok_or_else(unregistered)?;
+        let row = match self.registry.row_mut(slot) {
             Some(row) if row.enabled => row,
-            _ => return Err(IngestError::UnregisteredDevice(device_id.to_owned())),
+            _ => return Err(unregistered()),
         };
         let key = self
             .keystore
-            .device_key(device_id)
+            .key_by_handle(row.key)
             .map_err(|_| IngestError::AuthenticationFailed(device_id.to_owned()))?;
         key.key
             .open_into(device_id.as_bytes(), sealed, &mut self.plaintext)
@@ -947,22 +1007,25 @@ impl Platform {
 
         // Detection pipeline: every numeric attribute is screened before it
         // can influence decisions ("mechanisms to avoid fake data").
+        let detector = *row
+            .detector
+            .get_or_insert_with(|| self.detectors.admit(device_id));
         for (name, attr) in entity.attributes() {
             if name == "seq" {
                 continue;
             }
             if let Some(v) = attr.value.as_number() {
-                self.detectors.observe_value(now, device_id, name, v);
+                self.detectors.observe_by_handle(now, detector, name, v);
             }
         }
         if self.auto_quarantine
-            && self.detectors.recommendation(device_id) == Recommendation::Quarantine
+            && self.detectors.recommendation_by_handle(detector) == Recommendation::Quarantine
         {
             row.enabled = false;
             self.obs.inc(self.ins.quarantined);
             self.obs.event(Level::Warn, "ingest.quarantine", device_id);
         }
-        Ok(entity)
+        Ok((slot, entity))
     }
 
     /// Applies a batch of *already validated* entity updates and, in
@@ -1002,6 +1065,16 @@ impl Platform {
         now: SimTime,
         entities: impl IntoIterator<Item = Entity>,
     ) -> usize {
+        self.ingest_slotted(now, entities.into_iter().map(|entity| (None, entity)))
+    }
+
+    /// [`Platform::ingest_entities`] for entities that may come with their
+    /// sender's registry slot (see [`Platform::store_entities`]).
+    fn ingest_slotted(
+        &mut self,
+        now: SimTime,
+        entities: impl IntoIterator<Item = (Option<DeviceSlot>, Entity)>,
+    ) -> usize {
         let applied = self.store_entities(now, entities);
         if self.config == DeploymentConfig::FarmFog {
             // The network cannot schedule into its past: a caller's `now`
@@ -1015,10 +1088,17 @@ impl Platform {
     /// The storage stage of [`Platform::ingest_entities`]: history,
     /// baseline, the uplink's backlog and the broker, with nothing put on
     /// the wire.
+    ///
+    /// An entity that comes with its sender's registry slot (a frame
+    /// admission validated) reaches its history series and baseline state
+    /// through the handles its row keeps, taken on first sight. Any other
+    /// entity (ingested directly, or from an unregistered fleet) goes
+    /// through the history's interner and the baseline's name index, and
+    /// no row is grown for it. Both ways end in the same series and state.
     fn store_entities(
         &mut self,
         now: SimTime,
-        entities: impl IntoIterator<Item = Entity>,
+        entities: impl IntoIterator<Item = (Option<DeviceSlot>, Entity)>,
     ) -> usize {
         let token = self.obs.enter(self.ins.ingest_span);
         // Fog deployments replicate the accepted updates to the cloud.
@@ -1031,7 +1111,9 @@ impl Platform {
             if self.ingest_chunk.is_empty() {
                 break;
             }
-            for entity in &self.ingest_chunk {
+            for (slot, entity) in &self.ingest_chunk {
+                let id = entity.id().as_str();
+                let mut row = slot.and_then(|slot| self.registry.row_mut(slot));
                 for (name, attr) in entity.attributes() {
                     if let Some(v) = attr.value.as_number() {
                         if !v.is_finite() {
@@ -1039,9 +1121,30 @@ impl Platform {
                             continue;
                         }
                         let at = attr.observed_at_ms.map(SimTime::from_millis).unwrap_or(now);
-                        self.history.append(entity.id().as_str(), name, at, v);
-                        if name == self.behavior.signal_attr() {
-                            self.behavior.ingest(at, entity.id().as_str(), v);
+                        let signal = name == self.behavior.signal_attr();
+                        match row.as_deref_mut() {
+                            Some(row) => {
+                                let series = cached_series(
+                                    &mut self.history,
+                                    &mut self.series_attrs,
+                                    row,
+                                    id,
+                                    name,
+                                );
+                                self.history.append_to(series, at, v);
+                                if signal {
+                                    let baseline = *row
+                                        .baseline
+                                        .get_or_insert_with(|| self.behavior.admit(at, id));
+                                    self.behavior.ingest_by_handle(baseline, at, v);
+                                }
+                            }
+                            None => {
+                                self.history.append(id, name, at, v);
+                                if signal {
+                                    self.behavior.ingest(at, id, v);
+                                }
+                            }
                         }
                     }
                 }
@@ -1049,7 +1152,7 @@ impl Platform {
                 applied += 1;
             }
             if replicate {
-                for entity in &self.ingest_chunk {
+                for (_, entity) in &self.ingest_chunk {
                     self.wire_scratch.clear();
                     entity.write_compact(&mut self.wire_scratch);
                     let payload = self.wire_scratch.as_bytes().to_vec();
@@ -1059,7 +1162,8 @@ impl Platform {
                     }
                 }
             }
-            self.context.upsert_batch(now, self.ingest_chunk.drain(..));
+            self.context
+                .upsert_batch(now, self.ingest_chunk.drain(..).map(|(_, entity)| entity));
         }
         self.obs.exit(token);
         applied
@@ -1126,6 +1230,34 @@ impl Platform {
         let resource = Resource::new(format!("urn:swamp:device:{device_id}"), owner);
         Ok(self.pdp.decide(&info, &resource, Action::Command))
     }
+}
+
+/// The history series of attribute `name` of `row`'s entity `entity`: the
+/// id the row cached, or the interner's, cached on first sight. The row
+/// tags each cached series with its attribute's tag in `attrs`, the
+/// platform's attribute table, so it keeps no copy of a name. An attribute
+/// a full row has no place for is interned by name every time.
+fn cached_series(
+    history: &mut HistoryStore,
+    attrs: &mut BTreeMap<Box<str>, u32>,
+    row: &mut DeviceRecord,
+    entity: &str,
+    name: &str,
+) -> SeriesId {
+    let tag = attrs.get(name).copied();
+    if let Some(&(_, series)) = tag.and_then(|tag| row.series.iter().find(|(t, _)| *t == tag)) {
+        return series;
+    }
+    let series = history.intern(entity, name);
+    if row.series.len() < ROW_SERIES {
+        let tag = tag.unwrap_or_else(|| {
+            let tag = attrs.len() as u32;
+            attrs.insert(name.into(), tag);
+            tag
+        });
+        row.series.push((tag, series));
+    }
+    series
 }
 
 #[cfg(test)]
@@ -1259,9 +1391,36 @@ mod tests {
     }
 
     #[test]
+    fn the_empty_device_id_is_refused_before_any_state_changes() {
+        let mut p = fog_platform();
+        let err = p
+            .register_device(SimTime::ZERO, "", DeviceKind::SoilProbe, "owner:test")
+            .unwrap_err();
+        assert_eq!(err, Error::Registry(RegistryError::EmptyId));
+        assert_eq!(p.registry.len(), 1);
+        assert_eq!(p.nonces.len(), 1);
+        assert!(p.keystore.device_key("").is_err());
+    }
+
+    #[test]
+    fn publishing_from_the_empty_id_is_a_typed_error() {
+        let mut p = fog_platform();
+        let err = p
+            .device_publish(SimTime::ZERO, "", &telemetry("", 0.0, 0.5))
+            .unwrap_err();
+        assert_eq!(err, Error::Registry(RegistryError::EmptyId));
+        // An id without a network node is refused by the network.
+        let err = p
+            .device_publish(SimTime::ZERO, "nowhere", &telemetry("nowhere", 0.0, 0.5))
+            .unwrap_err();
+        assert!(matches!(err, Error::Send(_)), "{err}");
+        assert_eq!(p.observe().counter("net.sent").unwrap(), 0);
+    }
+
+    #[test]
     fn unregistered_publishers_leave_no_nonce_sequence() {
         let mut p = fog_platform();
-        let sequences = p.device_nonces.len();
+        let sequences = p.nonces.len();
         for i in 0..10_000 {
             let id = format!("rogue-{i}");
             // No node carries an unregistered id: the network refuses it.
@@ -1269,7 +1428,7 @@ mod tests {
                 .device_publish(SimTime::ZERO, &id, &telemetry(&id, 0.0, 0.5))
                 .is_err());
         }
-        assert_eq!(p.device_nonces.len(), sequences);
+        assert_eq!(p.nonces.len(), sequences);
     }
 
     #[test]
@@ -1327,6 +1486,58 @@ mod tests {
             .ingest_frame(SimTime::from_secs(10), "probe-1", &sealed)
             .unwrap_err();
         assert!(matches!(err, IngestError::Replay(_)));
+    }
+
+    /// A device that invents attribute names fills only its own row's
+    /// series cache: the attribute table takes at most `ROW_SERIES` names
+    /// for it, a device seen later still caches its own series, and every
+    /// value lands in its own series either way.
+    #[test]
+    fn invented_attributes_fill_only_the_inventing_row() {
+        let mut p = fog_platform();
+        p.register_device(
+            SimTime::ZERO,
+            "probe-2",
+            DeviceKind::SoilProbe,
+            "owner:test",
+        )
+        .unwrap();
+        let frame = |p: &Platform, id: &str, seq: u32, extra: &str| {
+            let mut e = telemetry(id, f64::from(seq), 0.2);
+            e.set(extra, f64::from(seq));
+            let mut nonce = [0u8; 12];
+            nonce[..4].copy_from_slice(&seq.to_le_bytes());
+            let key = p.keystore.device_key(id).unwrap().key;
+            key.seal(
+                &nonce,
+                id.as_bytes(),
+                e.to_json().to_compact_string().as_bytes(),
+            )
+        };
+        for seq in 0..2_000 {
+            let sealed = frame(&p, "probe-1", seq, &format!("x{seq}"));
+            assert_eq!(p.ingest_frame(SimTime::ZERO, "probe-1", &sealed), Ok(()));
+        }
+        let row = |p: &Platform, id: &str| p.registry.get(id).unwrap().series.len();
+        assert_eq!(row(&p, "probe-1"), ROW_SERIES);
+        assert_eq!(p.series_attrs.len(), ROW_SERIES);
+        let sealed = frame(&p, "probe-2", 0, "battery_v");
+        assert_eq!(p.ingest_frame(SimTime::ZERO, "probe-2", &sealed), Ok(()));
+        assert_eq!(row(&p, "probe-2"), 3, "moisture_vwc, seq, battery_v");
+        assert_eq!(p.series_attrs.len(), ROW_SERIES + 1);
+        let urn = |id: &str| format!("urn:swamp:device:{id}");
+        let all = |p: &Platform, id: &str, attr: &str| {
+            p.history
+                .range(&urn(id), attr, SimTime::ZERO, SimTime::from_secs(1))
+        };
+        assert_eq!(all(&p, "probe-1", "moisture_vwc").len(), 2_000);
+        for seq in [0, 13, 14, 1_999] {
+            let samples = all(&p, "probe-1", &format!("x{seq}"));
+            assert_eq!(samples.len(), 1, "x{seq}");
+            assert_eq!(samples[0].value, f64::from(seq));
+        }
+        assert_eq!(all(&p, "probe-2", "battery_v").len(), 1);
+        assert_eq!(all(&p, "probe-2", "moisture_vwc").len(), 1);
     }
 
     /// Frames overtaken on the device hop are honest: a device's frames
@@ -1778,7 +1989,7 @@ mod tests {
         let sub = p
             .context
             .subscribe(crate::broker::SubscriptionFilter::for_type("SoilProbe"));
-        let mut reference: std::collections::BTreeMap<String, Entity> = Default::default();
+        let mut reference: BTreeMap<String, Entity> = Default::default();
         let mut expected: Vec<(Entity, Vec<String>, SimTime)> = Vec::new();
         let mut got = Vec::new();
         for round in 0..3u64 {
@@ -1834,8 +2045,7 @@ mod tests {
             assert_eq!(&n.changed_attrs[..], &changed[..]);
             assert_eq!(n.at, *at);
         }
-        assert_eq!(p.context.notification_count(), expected.len() as u64);
-        assert_eq!(p.context.update_count(), 48);
+        assert_eq!(p.observe().counter("ingest.accepted").unwrap(), 48);
     }
 
     #[test]

@@ -2,11 +2,36 @@
 //! platform-facing metadata. The ingestion pipeline consults it to reject
 //! telemetry from unregistered (rogue) devices — the paper's "unauthorized
 //! node in the network may send false information about the crop".
+//!
+//! Registration hands out a dense [`DeviceSlot`]. A device's row is also
+//! where the platform keeps each per-device table's handle for it (its
+//! network node, keystore record, detector and baseline state, history
+//! series), so a frame resolves its sender by name once and reaches every
+//! later table by index.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
+use swamp_crypto::keystore::KeyHandle;
+use swamp_net::message::NodeId;
+use swamp_security::baseline::BaselineHandle;
+use swamp_security::pipeline::DetectorHandle;
 use swamp_sensors::device::DeviceKind;
 use swamp_sim::SimTime;
+
+use crate::history::SeriesId;
+
+/// A registered device's place in the registry's row table, handed out
+/// densely in registration order and valid for the registry that handed
+/// it out (rows are never removed).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct DeviceSlot(u32);
+
+impl DeviceSlot {
+    /// The slot as an index into slot-indexed tables.
+    pub(crate) fn index(self) -> usize {
+        self.0 as usize
+    }
+}
 
 /// A registered device's metadata.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -21,6 +46,20 @@ pub struct DeviceRecord {
     pub enabled: bool,
     /// The frame sequence numbers admitted from it: the replay window.
     replay: ReplayWindow,
+    /// Its network node: the id `Network::add_node` built, shared.
+    pub(crate) node: NodeId,
+    /// Its record in the platform's keystore. Only the handle: the key
+    /// itself is read through it per frame, so a revocation or rotation
+    /// in the keystore applies to the next frame.
+    pub(crate) key: KeyHandle,
+    /// Its detector-bank state, taken on its first admitted frame.
+    pub(crate) detector: Option<DetectorHandle>,
+    /// Its behavioral-baseline state, taken on its first stored sample of
+    /// the baseline's signal.
+    pub(crate) baseline: Option<BaselineHandle>,
+    /// Its entity's history series, each tagged with its attribute's
+    /// place in the platform's attribute table (no name is copied here).
+    pub(crate) series: Vec<(u32, SeriesId)>,
 }
 
 impl DeviceRecord {
@@ -74,6 +113,8 @@ pub enum RegistryError {
     AlreadyRegistered(String),
     /// No such device.
     Unknown(String),
+    /// The empty string is no device id (no network node can carry it).
+    EmptyId,
 }
 
 impl std::fmt::Display for RegistryError {
@@ -83,6 +124,7 @@ impl std::fmt::Display for RegistryError {
                 write!(f, "device {id:?} already registered")
             }
             RegistryError::Unknown(id) => write!(f, "unknown device {id:?}"),
+            RegistryError::EmptyId => write!(f, "empty device id"),
         }
     }
 }
@@ -91,7 +133,11 @@ impl std::error::Error for RegistryError {}
 /// The device registry.
 #[derive(Clone, Debug, Default)]
 pub struct DeviceRegistry {
-    devices: BTreeMap<String, DeviceRecord>,
+    /// Device id → slot. Hashed: it is looked up, never iterated for
+    /// output ([`DeviceRegistry::iter`] sorts).
+    index: HashMap<String, DeviceSlot>,
+    /// Rows by slot.
+    rows: Vec<DeviceRecord>,
 }
 
 impl DeviceRegistry {
@@ -100,41 +146,69 @@ impl DeviceRegistry {
         DeviceRegistry::default()
     }
 
-    /// Registers a device.
+    /// Registers a device and returns its slot. `attach` makes the
+    /// device's network node and keystore record, and is called only once
+    /// the id is known to be free, so a refused registration changes
+    /// nothing anywhere.
     ///
     /// # Errors
-    /// [`RegistryError::AlreadyRegistered`] on id collision.
-    pub fn register(
+    /// [`RegistryError::EmptyId`] for the empty id and
+    /// [`RegistryError::AlreadyRegistered`] on id collision; `attach` is
+    /// not called then.
+    ///
+    /// # Panics
+    /// Panics past 2^32 devices.
+    #[expect(clippy::expect_used, reason = "documented under # Panics")]
+    pub(crate) fn register(
         &mut self,
         id: &str,
         kind: DeviceKind,
         owner: &str,
         now: SimTime,
-    ) -> Result<(), RegistryError> {
-        if self.devices.contains_key(id) {
+        attach: impl FnOnce() -> (NodeId, KeyHandle),
+    ) -> Result<DeviceSlot, RegistryError> {
+        if id.is_empty() {
+            return Err(RegistryError::EmptyId);
+        }
+        if self.index.contains_key(id) {
             return Err(RegistryError::AlreadyRegistered(id.to_owned()));
         }
-        self.devices.insert(
-            id.to_owned(),
-            DeviceRecord {
-                kind,
-                owner: owner.to_owned(),
-                registered_at: now,
-                enabled: true,
-                replay: ReplayWindow::default(),
-            },
-        );
-        Ok(())
+        let slot = DeviceSlot(u32::try_from(self.rows.len()).expect("fewer than 2^32 devices"));
+        let (node, key) = attach();
+        self.rows.push(DeviceRecord {
+            kind,
+            owner: owner.to_owned(),
+            registered_at: now,
+            enabled: true,
+            replay: ReplayWindow::default(),
+            node,
+            key,
+            detector: None,
+            baseline: None,
+            series: Vec::new(),
+        });
+        self.index.insert(id.to_owned(), slot);
+        Ok(slot)
     }
 
     /// Looks up a device.
     pub fn get(&self, id: &str) -> Option<&DeviceRecord> {
-        self.devices.get(id)
+        self.slot(id).and_then(|slot| self.row(slot))
     }
 
-    /// Looks up a device's row for admission to update in place.
-    pub(crate) fn get_mut(&mut self, id: &str) -> Option<&mut DeviceRecord> {
-        self.devices.get_mut(id)
+    /// A device's slot: the one string-keyed lookup a frame pays.
+    pub(crate) fn slot(&self, id: &str) -> Option<DeviceSlot> {
+        self.index.get(id).copied()
+    }
+
+    /// The row at `slot`.
+    pub(crate) fn row(&self, slot: DeviceSlot) -> Option<&DeviceRecord> {
+        self.rows.get(slot.index())
+    }
+
+    /// The row at `slot`, to update in place.
+    pub(crate) fn row_mut(&mut self, slot: DeviceSlot) -> Option<&mut DeviceRecord> {
+        self.rows.get_mut(slot.index())
     }
 
     /// Enables/disables a device (quarantine on suspicion).
@@ -142,7 +216,10 @@ impl DeviceRegistry {
     /// # Errors
     /// [`RegistryError::Unknown`] if the device was never registered.
     pub fn set_enabled(&mut self, id: &str, enabled: bool) -> Result<(), RegistryError> {
-        match self.devices.get_mut(id) {
+        match self
+            .slot(id)
+            .and_then(|slot| self.rows.get_mut(slot.index()))
+        {
             Some(d) => {
                 d.enabled = enabled;
                 Ok(())
@@ -153,23 +230,44 @@ impl DeviceRegistry {
 
     /// Number of registered devices.
     pub fn len(&self) -> usize {
-        self.devices.len()
+        self.rows.len()
     }
 
     /// Whether the registry is empty.
     pub fn is_empty(&self) -> bool {
-        self.devices.is_empty()
+        self.rows.is_empty()
     }
 
     /// Iterates `(id, record)` in id order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &DeviceRecord)> {
-        self.devices.iter().map(|(k, v)| (k.as_str(), v))
+        let mut ids: Vec<(&str, DeviceSlot)> = self
+            .index
+            .iter()
+            .map(|(id, &slot)| (id.as_str(), slot))
+            .collect();
+        ids.sort_unstable_by_key(|&(id, _)| id);
+        ids.into_iter()
+            .filter_map(|(id, slot)| Some((id, self.row(slot)?)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Registers `id` at time zero with a node and a keystore record of
+    /// its own.
+    fn register(
+        r: &mut DeviceRegistry,
+        id: &str,
+        kind: DeviceKind,
+        owner: &str,
+    ) -> Result<DeviceSlot, RegistryError> {
+        let mut keys = swamp_crypto::keystore::Keystore::new(b"test");
+        r.register(id, kind, owner, SimTime::ZERO, || {
+            (NodeId::from(id), keys.provision(id))
+        })
+    }
 
     fn is_active(r: &DeviceRegistry, id: &str) -> bool {
         r.get(id).is_some_and(|d| d.enabled)
@@ -178,8 +276,7 @@ mod tests {
     #[test]
     fn register_and_lookup() {
         let mut r = DeviceRegistry::new();
-        r.register("p1", DeviceKind::SoilProbe, "owner:cbec", SimTime::ZERO)
-            .unwrap();
+        register(&mut r, "p1", DeviceKind::SoilProbe, "owner:cbec").unwrap();
         assert!(is_active(&r, "p1"));
         assert_eq!(r.get("p1").unwrap().kind, DeviceKind::SoilProbe);
         assert_eq!(r.len(), 1);
@@ -189,12 +286,35 @@ mod tests {
     #[test]
     fn duplicate_rejected() {
         let mut r = DeviceRegistry::new();
-        r.register("p1", DeviceKind::SoilProbe, "o", SimTime::ZERO)
-            .unwrap();
+        register(&mut r, "p1", DeviceKind::SoilProbe, "o").unwrap();
         assert_eq!(
-            r.register("p1", DeviceKind::Valve, "o", SimTime::ZERO),
+            register(&mut r, "p1", DeviceKind::Valve, "o"),
             Err(RegistryError::AlreadyRegistered("p1".into()))
         );
+    }
+
+    #[test]
+    fn empty_id_refused_and_slots_are_dense() {
+        let mut r = DeviceRegistry::new();
+        assert_eq!(
+            register(&mut r, "", DeviceKind::SoilProbe, "o"),
+            Err(RegistryError::EmptyId)
+        );
+        assert!(r.is_empty());
+        for (i, id) in ["b", "a", "c"].into_iter().enumerate() {
+            let slot = register(&mut r, id, DeviceKind::SoilProbe, "o").unwrap();
+            assert_eq!(slot.index(), i);
+            assert_eq!(r.slot(id), Some(slot));
+        }
+        assert_eq!(r.slot("d"), None);
+        // A refused id never reaches `attach`.
+        for id in ["", "a"] {
+            let refused = r.register(id, DeviceKind::Valve, "o", SimTime::ZERO, || {
+                panic!("attach ran for {id:?}")
+            });
+            assert!(refused.is_err());
+        }
+        assert_eq!(r.len(), 3);
     }
 
     #[test]
@@ -207,8 +327,7 @@ mod tests {
     #[test]
     fn quarantine_flow() {
         let mut r = DeviceRegistry::new();
-        r.register("p1", DeviceKind::SoilProbe, "o", SimTime::ZERO)
-            .unwrap();
+        register(&mut r, "p1", DeviceKind::SoilProbe, "o").unwrap();
         r.set_enabled("p1", false).unwrap();
         assert!(!is_active(&r, "p1"));
         r.set_enabled("p1", true).unwrap();
@@ -223,10 +342,12 @@ mod tests {
     fn seq_window_detects_replays_and_admits_reordered_frames() {
         let mut r = DeviceRegistry::new();
         for id in ["d", "e"] {
-            r.register(id, DeviceKind::SoilProbe, "o", SimTime::ZERO)
-                .unwrap();
+            register(&mut r, id, DeviceKind::SoilProbe, "o").unwrap();
         }
-        let mut admit = |id: &str, seq: u64| r.get_mut(id).unwrap().admit_seq(seq);
+        let mut admit = |id: &str, seq: u64| {
+            let slot = r.slot(id).unwrap();
+            r.row_mut(slot).unwrap().admit_seq(seq)
+        };
         assert!(admit("d", 0));
         assert!(admit("d", 1));
         assert!(admit("d", 5), "a gap is fresh");
@@ -260,12 +381,9 @@ mod tests {
     #[test]
     fn iter_lists_devices_in_id_order_with_their_owners() {
         let mut r = DeviceRegistry::new();
-        r.register("a1", DeviceKind::SoilProbe, "owner:a", SimTime::ZERO)
-            .unwrap();
-        r.register("a2", DeviceKind::Valve, "owner:a", SimTime::ZERO)
-            .unwrap();
-        r.register("b1", DeviceKind::Pump, "owner:b", SimTime::ZERO)
-            .unwrap();
+        register(&mut r, "a1", DeviceKind::SoilProbe, "owner:a").unwrap();
+        register(&mut r, "a2", DeviceKind::Valve, "owner:a").unwrap();
+        register(&mut r, "b1", DeviceKind::Pump, "owner:b").unwrap();
         let rows: Vec<(&str, &str)> = r.iter().map(|(id, d)| (id, d.owner.as_str())).collect();
         assert_eq!(
             rows,

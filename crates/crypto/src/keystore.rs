@@ -8,13 +8,18 @@
 //! Derivation (an HKDF over a formatted label) runs once per device and
 //! epoch: the first [`Keystore::device_key`] after [`Keystore::provision`]
 //! or [`Keystore::rotate`] derives the key and keeps it in the device's
-//! record, and every later per-frame lookup is a map lookup and a copy of
-//! the 32-byte key.
+//! record, and every later per-frame lookup is a copy of the 32-byte key.
 //! Provisioning itself derives nothing, so registering a fleet costs no
 //! key schedule for devices that never send.
+//!
+//! Records live in one dense table, addressed by the [`KeyHandle`]
+//! [`Keystore::provision`] hands out, behind one name index. A caller that
+//! keeps the handle ([`Keystore::key_by_handle`]) skips the name lookup;
+//! revocation and rotation by name act on the same record, so they take
+//! effect on its next lookup either way.
 
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use crate::aead::SecretKey;
 
@@ -50,8 +55,15 @@ impl std::fmt::Display for KeystoreError {
 }
 impl std::error::Error for KeystoreError {}
 
+/// A provisioned device's place in a [`Keystore`]'s record table, valid
+/// for the keystore that handed it out (records are never removed).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct KeyHandle(u32);
+
 #[derive(Clone, Debug)]
 struct DeviceRecord {
+    /// The device id, shared with the name index's key.
+    id: Arc<str>,
     epoch: KeyEpoch,
     revoked: bool,
     /// `derive(device_id, epoch)`, filled by the first lookup of this
@@ -73,7 +85,10 @@ struct DeviceRecord {
 #[derive(Clone, Debug)]
 pub struct Keystore {
     master: Vec<u8>,
-    devices: BTreeMap<String, DeviceRecord>,
+    /// Device id → handle: the one name index.
+    index: BTreeMap<Arc<str>, KeyHandle>,
+    /// Records by handle.
+    records: Vec<DeviceRecord>,
 }
 
 impl Keystore {
@@ -81,20 +96,37 @@ impl Keystore {
     pub fn new(master_secret: &[u8]) -> Self {
         Keystore {
             master: master_secret.to_vec(),
-            devices: BTreeMap::new(),
+            index: BTreeMap::new(),
+            records: Vec::new(),
         }
     }
 
-    /// Provisions a device at epoch 0. Re-provisioning an existing device is
-    /// a no-op (its epoch and revocation state are preserved).
-    pub fn provision(&mut self, device_id: &str) {
-        self.devices
-            .entry(device_id.to_owned())
-            .or_insert_with(|| DeviceRecord {
-                epoch: KeyEpoch(0),
-                revoked: false,
-                key: OnceLock::new(),
-            });
+    /// Provisions a device at epoch 0 and returns its handle.
+    /// Re-provisioning an existing device is a no-op (its epoch and
+    /// revocation state are preserved) that returns the same handle.
+    ///
+    /// # Panics
+    /// Panics past 2^32 provisioned devices.
+    #[expect(clippy::expect_used, reason = "documented under # Panics")]
+    pub fn provision(&mut self, device_id: &str) -> KeyHandle {
+        if let Some(&handle) = self.index.get(device_id) {
+            return handle;
+        }
+        let handle = KeyHandle(u32::try_from(self.records.len()).expect("fewer than 2^32 devices"));
+        let id: Arc<str> = Arc::from(device_id);
+        self.records.push(DeviceRecord {
+            id: Arc::clone(&id),
+            epoch: KeyEpoch(0),
+            revoked: false,
+            key: OnceLock::new(),
+        });
+        self.index.insert(id, handle);
+        handle
+    }
+
+    /// The handle of a provisioned device, if it was provisioned.
+    fn handle(&self, device_id: &str) -> Option<KeyHandle> {
+        self.index.get(device_id).copied()
     }
 
     /// Looks up the current key for a device: a copy of the key derived
@@ -106,20 +138,42 @@ impl Keystore {
     /// [`KeystoreError::UnknownDevice`] if never provisioned,
     /// [`KeystoreError::Revoked`] if revoked.
     pub fn device_key(&self, device_id: &str) -> Result<DeviceKey, KeystoreError> {
-        let rec = self
-            .devices
-            .get(device_id)
+        let handle = self
+            .handle(device_id)
             .ok_or_else(|| KeystoreError::UnknownDevice(device_id.to_owned()))?;
+        self.key_by_handle(handle)
+    }
+
+    /// [`Keystore::device_key`] for the device behind `handle`.
+    ///
+    /// # Errors
+    /// [`KeystoreError::Revoked`] if revoked, and
+    /// [`KeystoreError::UnknownDevice`] (with an empty id) for a handle
+    /// this keystore never handed out.
+    pub fn key_by_handle(&self, handle: KeyHandle) -> Result<DeviceKey, KeystoreError> {
+        let rec = self
+            .record(handle)
+            .ok_or_else(|| KeystoreError::UnknownDevice(String::new()))?;
         if rec.revoked {
-            return Err(KeystoreError::Revoked(device_id.to_owned()));
+            return Err(KeystoreError::Revoked(rec.id.to_string()));
         }
         let key = rec
             .key
-            .get_or_init(|| derive_key(&self.master, device_id, rec.epoch));
+            .get_or_init(|| derive_key(&self.master, &rec.id, rec.epoch));
         Ok(DeviceKey {
             key: key.clone(),
             epoch: rec.epoch,
         })
+    }
+
+    fn record(&self, handle: KeyHandle) -> Option<&DeviceRecord> {
+        self.records.get(handle.0 as usize)
+    }
+
+    /// The record of a provisioned device, by name.
+    fn record_mut(&mut self, device_id: &str) -> Option<&mut DeviceRecord> {
+        let handle = self.handle(device_id)?;
+        self.records.get_mut(handle.0 as usize)
     }
 
     /// Derives the key a device itself would hold for a given epoch; used by
@@ -134,8 +188,7 @@ impl Keystore {
     /// Same conditions as [`Keystore::device_key`].
     pub fn rotate(&mut self, device_id: &str) -> Result<KeyEpoch, KeystoreError> {
         let rec = self
-            .devices
-            .get_mut(device_id)
+            .record_mut(device_id)
             .ok_or_else(|| KeystoreError::UnknownDevice(device_id.to_owned()))?;
         if rec.revoked {
             return Err(KeystoreError::Revoked(device_id.to_owned()));
@@ -147,14 +200,16 @@ impl Keystore {
 
     /// Revokes a device (e.g. after compromise detection). Idempotent.
     pub fn revoke(&mut self, device_id: &str) {
-        if let Some(rec) = self.devices.get_mut(device_id) {
+        if let Some(rec) = self.record_mut(device_id) {
             rec.revoked = true;
         }
     }
 
     /// Whether the device is currently revoked.
     pub fn is_revoked(&self, device_id: &str) -> bool {
-        self.devices.get(device_id).is_some_and(|r| r.revoked)
+        self.handle(device_id)
+            .and_then(|h| self.record(h))
+            .is_some_and(|r| r.revoked)
     }
 }
 
@@ -292,14 +347,52 @@ mod tests {
         ks.provision("never-sent");
         ks.revoke("never-sent");
         assert!(ks.device_key("never-sent").is_err());
-        assert!(ks.devices["never-sent"].key.get().is_none());
+        assert!(ks.records[ks.index["never-sent"].0 as usize]
+            .key
+            .get()
+            .is_none());
         // Provisioning and rotating derive nothing; the lookup does, once.
         ks.provision("lazy");
-        assert!(ks.devices["lazy"].key.get().is_none());
+        assert!(ks.records[ks.index["lazy"].0 as usize].key.get().is_none());
         ks.device_key("lazy").unwrap();
-        assert!(ks.devices["lazy"].key.get().is_some());
+        assert!(ks.records[ks.index["lazy"].0 as usize].key.get().is_some());
         ks.rotate("lazy").unwrap();
-        assert!(ks.devices["lazy"].key.get().is_none());
+        assert!(ks.records[ks.index["lazy"].0 as usize].key.get().is_none());
+    }
+
+    /// A handle reads the same record the name does: rotation and
+    /// revocation by name apply to the next lookup by handle.
+    #[test]
+    fn handles_read_the_record_names_write() {
+        let mut ks = Keystore::new(b"m");
+        let a = ks.provision("a");
+        let b = ks.provision("b");
+        assert_ne!(a, b);
+        assert_eq!(ks.provision("a"), a, "re-provisioning keeps the handle");
+        assert_eq!(ks.handle("b"), Some(b));
+        assert_eq!(ks.handle("c"), None);
+        let frame = |k: &DeviceKey| k.key.seal(&[5u8; 12], b"", b"m");
+        assert_eq!(
+            frame(&ks.key_by_handle(a).unwrap()),
+            frame(&ks.device_key("a").unwrap())
+        );
+        ks.rotate("a").unwrap();
+        let rotated = ks.key_by_handle(a).unwrap();
+        assert_eq!(rotated.epoch, KeyEpoch(1));
+        assert!(ks
+            .derive("a", KeyEpoch(1))
+            .open(b"", &frame(&rotated))
+            .is_ok());
+        ks.revoke("a");
+        assert_eq!(
+            ks.key_by_handle(a).unwrap_err(),
+            KeystoreError::Revoked("a".into())
+        );
+        assert!(ks.key_by_handle(b).is_ok());
+        assert!(matches!(
+            ks.key_by_handle(KeyHandle(7)),
+            Err(KeystoreError::UnknownDevice(_))
+        ));
     }
 
     #[test]

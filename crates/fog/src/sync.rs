@@ -1727,7 +1727,8 @@ mod tests {
         net.advance_to(SimTime::from_secs(1));
         cloud.process(&mut net, SimTime::from_secs(1));
         net.advance_to(SimTime::from_secs(2));
-        let d = net.poll(&"fog".into()).unwrap();
+        let inbox = net.drain(&"fog".into());
+        let d = &inbox[0];
         assert_eq!(d.message.topic, ACK_TOPIC);
 
         let now = SimTime::from_secs(2);

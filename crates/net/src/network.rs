@@ -60,8 +60,8 @@ impl std::error::Error for SendError {}
 /// net.send(SimTime::ZERO, "probe", "gateway", Message::new("t/soil", b"m".to_vec()))
 ///     .unwrap();
 /// net.advance_to(SimTime::from_secs(1));
-/// let d = net.poll(&"gateway".into()).expect("delivered");
-/// assert_eq!(d.message.topic, "t/soil");
+/// let inbox = net.drain(&"gateway".into());
+/// assert_eq!(inbox[0].message.topic, "t/soil");
 /// ```
 pub struct Network {
     /// Registered nodes and their index (registration order), the compact
@@ -407,11 +407,6 @@ impl Network {
         }
     }
 
-    /// Pops the oldest delivered message for a node, if any.
-    pub fn poll(&mut self, node: &NodeId) -> Option<Delivery> {
-        self.inboxes.get_mut(node)?.pop_front()
-    }
-
     /// Drains every delivered message for a node.
     pub fn drain(&mut self, node: &NodeId) -> Vec<Delivery> {
         let mut out = Vec::new();
@@ -426,11 +421,6 @@ impl Network {
         if let Some(q) = self.inboxes.get_mut(node) {
             out.extend(q.drain(..));
         }
-    }
-
-    /// Number of messages waiting in a node's inbox.
-    pub fn inbox_len(&self, node: &NodeId) -> usize {
-        self.inboxes.get(node).map_or(0, VecDeque::len)
     }
 
     /// Messages currently in flight.
@@ -500,11 +490,13 @@ mod tests {
             .unwrap();
         assert_eq!(net.in_flight(), 1);
         net.advance_to(SimTime::from_secs(1));
-        let d = net.poll(&n("b")).unwrap();
+        let inbox = net.drain(&n("b"));
+        assert_eq!(inbox.len(), 1);
+        let d = &inbox[0];
         assert_eq!(d.id, id);
         assert_eq!(d.message.payload, b"hello");
         assert!(d.latency() >= SimDuration::from_millis(10));
-        assert!(net.poll(&n("b")).is_none());
+        assert!(net.drain(&n("b")).is_empty());
     }
 
     #[test]
@@ -513,9 +505,9 @@ mod tests {
         net.send(SimTime::ZERO, "a", "b", Message::new("t", vec![]))
             .unwrap();
         net.advance_to(SimTime::from_millis(5)); // before the 10ms latency
-        assert_eq!(net.inbox_len(&n("b")), 0);
+        assert!(net.drain(&n("b")).is_empty());
         net.advance_to(SimTime::from_millis(50));
-        assert_eq!(net.inbox_len(&n("b")), 1);
+        assert_eq!(net.drain(&n("b")).len(), 1);
         // The clock is the horizon, not the last delivery's time.
         assert_eq!(net.now(), SimTime::from_millis(50));
     }
@@ -540,7 +532,7 @@ mod tests {
         net.send(SimTime::ZERO, "b", "a", Message::new("t", vec![]))
             .unwrap();
         net.advance_to(SimTime::from_secs(1));
-        assert_eq!(net.inbox_len(&n("a")), 1);
+        assert_eq!(net.drain(&n("a")).len(), 1);
     }
 
     #[test]
@@ -657,14 +649,14 @@ mod tests {
         net.send(SimTime::ZERO, "a", "b", Message::new("t", vec![]))
             .unwrap();
         net.advance_to(SimTime::from_secs(5));
-        assert_eq!(net.inbox_len(&n("b")), 0);
+        assert!(net.drain(&n("b")).is_empty());
         assert_eq!(net.observe().counter("net.fault.partitioned").unwrap(), 1);
 
         // After the window closes the same link delivers again.
         net.send(SimTime::from_secs(10), "a", "b", Message::new("t", vec![]))
             .unwrap();
         net.advance_to(SimTime::from_secs(20));
-        assert_eq!(net.inbox_len(&n("b")), 1);
+        assert_eq!(net.drain(&n("b")).len(), 1);
 
         // The partition window shows up as a start/end event pair.
         let snap = net.observe();
@@ -740,8 +732,8 @@ mod tests {
         net.send(SimTime::ZERO, "a", "b", Message::new("t", vec![]))
             .unwrap();
         net.advance_to(SimTime::from_secs(10));
-        let d = net.poll(&n("b")).unwrap();
-        assert!(d.latency() >= SimDuration::from_secs(2));
+        let inbox = net.drain(&n("b"));
+        assert!(inbox[0].latency() >= SimDuration::from_secs(2));
         assert_eq!(net.observe().counter("net.fault.dropped").unwrap(), 0);
     }
 
@@ -749,7 +741,6 @@ mod tests {
     fn drain_unknown_node_empty() {
         let mut net = basic_net();
         assert!(net.drain(&n("ghost")).is_empty());
-        assert_eq!(net.inbox_len(&n("ghost")), 0);
     }
 
     #[test]
@@ -763,7 +754,7 @@ mod tests {
             }
             net.advance_to(net.now() + SimDuration::from_secs(1));
             net.drain_into(&n("b"), &mut out);
-            assert_eq!(net.inbox_len(&n("b")), 0);
+            assert!(net.drain(&n("b")).is_empty());
         }
         let payloads: Vec<&[u8]> = out.iter().map(|d| &d.message.payload[..]).collect();
         let expected = [

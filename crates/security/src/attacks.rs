@@ -343,6 +343,6 @@ mod tests {
         );
         assert_eq!(injected, 2);
         net.advance_to(SimTime::from_secs(1));
-        assert_eq!(net.inbox_len(&"gateway".into()), 2);
+        assert_eq!(net.drain(&"gateway".into()).len(), 2);
     }
 }

@@ -40,8 +40,16 @@
 //! one low-probability transition inside the scoring window, so the
 //! score margin widens linearly in the error measured in steady-quanta:
 //! `margin = floor + κ·e/Q_s` (see [`BaselineConfig::margin_for`]).
+//!
+//! ## Handles
+//!
+//! Device states live in one dense table, addressed by the
+//! [`BaselineHandle`] [`BehaviorBank::admit`] hands out, behind one name
+//! index; a caller that keeps the handle feeds observations by it
+//! ([`BehaviorBank::ingest_by_handle`]) without a name lookup each.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use swamp_obs::{Counter, Level, Obs, ObsSnapshot};
 use swamp_sim::SimTime;
@@ -202,11 +210,20 @@ pub struct BaselineFlag {
     pub kind: FlagKind,
 }
 
+/// A device's place in a [`BehaviorBank`]'s state table, valid for the
+/// bank that handed it out (devices are never removed).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BaselineHandle(u32);
+
 /// Per-device streaming state: transition counts (frozen when the
 /// training phase ends), the rolling window of transition
 /// log-probabilities, and the calibrated threshold.
 #[derive(Clone, Debug)]
 struct DeviceState {
+    /// The device id, shared with the name index's key.
+    id: Arc<str>,
+    /// Whether the device's one flag is raised.
+    flagged: bool,
     first_at: SimTime,
     last_at: SimTime,
     last_value: f64,
@@ -225,8 +242,10 @@ struct DeviceState {
 }
 
 impl DeviceState {
-    fn new(at: SimTime) -> Self {
+    fn new(id: Arc<str>, at: SimTime) -> Self {
         DeviceState {
+            id,
+            flagged: false,
             first_at: at,
             last_at: at,
             last_value: 0.0,
@@ -319,7 +338,10 @@ impl BaselineInstruments {
 #[derive(Clone, Debug)]
 pub struct BehaviorBank {
     config: BaselineConfig,
-    devices: BTreeMap<String, DeviceState>,
+    /// Device id → handle: the one name index.
+    index: BTreeMap<Arc<str>, BaselineHandle>,
+    /// States by handle.
+    devices: Vec<DeviceState>,
     flags: BTreeMap<String, BaselineFlag>,
     obs: Obs,
     ins: BaselineInstruments,
@@ -338,7 +360,8 @@ impl BehaviorBank {
         let ins = BaselineInstruments::register(&mut obs);
         BehaviorBank {
             config,
-            devices: BTreeMap::new(),
+            index: BTreeMap::new(),
+            devices: Vec::new(),
             flags: BTreeMap::new(),
             obs,
             ins,
@@ -371,16 +394,46 @@ impl BehaviorBank {
         &self.flags
     }
 
+    /// The handle of a device, admitting it on first sight (the only
+    /// allocation on the ingest path): `at`, its first observation's
+    /// time, places it before or after the training horizon.
+    ///
+    /// # Panics
+    /// Panics past 2^32 devices.
+    #[expect(clippy::expect_used, reason = "documented under # Panics")]
+    pub fn admit(&mut self, at: SimTime, device: &str) -> BaselineHandle {
+        if let Some(&handle) = self.index.get(device) {
+            return handle;
+        }
+        let handle =
+            BaselineHandle(u32::try_from(self.devices.len()).expect("fewer than 2^32 devices"));
+        let id: Arc<str> = Arc::from(device);
+        self.devices.push(DeviceState::new(Arc::clone(&id), at));
+        self.index.insert(id, handle);
+        handle
+    }
+
     /// Feeds one observation of the behavioral signal. O(1), no
     /// allocation after device admission; out-of-order or duplicate
     /// timestamps (per device) are counted and skipped, so a deduped
     /// or replayed record can never double-alert.
     pub fn ingest(&mut self, at: SimTime, device: &str, value: f64) -> BaselineVerdict {
+        let handle = self.admit(at, device);
+        self.ingest_by_handle(handle, at, value)
+    }
+
+    /// [`BehaviorBank::ingest`] for the device behind `handle` (see
+    /// [`BehaviorBank::admit`]). A handle this bank never handed out is
+    /// counted as observed and [`BaselineVerdict::Skipped`].
+    pub fn ingest_by_handle(
+        &mut self,
+        handle: BaselineHandle,
+        at: SimTime,
+        value: f64,
+    ) -> BaselineVerdict {
         self.obs.inc(self.ins.observed);
-        // One descent for a known device; only admission pays a second.
-        let state = match self.devices.get_mut(device) {
-            Some(state) => state,
-            None => Self::admit(&mut self.devices, at, device),
+        let Some(state) = self.devices.get_mut(handle.0 as usize) else {
+            return BaselineVerdict::Skipped;
         };
         if state.observed > 0 && at <= state.last_at {
             self.obs.inc(self.ins.out_of_order);
@@ -427,9 +480,9 @@ impl BehaviorBank {
         if state.trained == 0 {
             if state.first_at >= self.config.train_until
                 && state.observed >= GRACE
-                && !self.flags.contains_key(device)
+                && !state.flagged
             {
-                self.raise_flag(at, device, FlagKind::Untrained);
+                self.raise_flag(handle, at, FlagKind::Untrained);
             }
             return BaselineVerdict::Untrained;
         }
@@ -470,8 +523,8 @@ impl BehaviorBank {
         if score < state.threshold {
             self.obs.inc(self.ins.anomalous);
             state.strikes = state.strikes.saturating_add(1);
-            if state.strikes >= STRIKES && !self.flags.contains_key(device) {
-                self.raise_flag(at, device, FlagKind::Anomalous);
+            if state.strikes >= STRIKES && !state.flagged {
+                self.raise_flag(handle, at, FlagKind::Anomalous);
             }
             BaselineVerdict::Anomalous
         } else {
@@ -480,19 +533,11 @@ impl BehaviorBank {
         }
     }
 
-    /// Admits a new device (the only allocation on the ingest path).
-    fn admit<'a>(
-        devices: &'a mut BTreeMap<String, DeviceState>,
-        at: SimTime,
-        device: &str,
-    ) -> &'a mut DeviceState {
-        devices
-            .entry(device.to_owned())
-            .or_insert_with(|| DeviceState::new(at))
-    }
-
-    /// Raises the one-per-device flag and its instruments/event.
-    fn raise_flag(&mut self, at: SimTime, device: &str, kind: FlagKind) {
+    /// Raises a device's one flag and its instruments/event.
+    fn raise_flag(&mut self, handle: BaselineHandle, at: SimTime, kind: FlagKind) {
+        let state = &mut self.devices[handle.0 as usize];
+        state.flagged = true;
+        let device = &*state.id;
         self.obs.inc(self.ins.flagged);
         if kind == FlagKind::Untrained {
             self.obs.inc(self.ins.untrained_flagged);
@@ -628,6 +673,35 @@ mod tests {
         let mut rng = SimRng::seed_from(4);
         drive_cycle(&mut bank, "p", 0, 200, &mut rng);
         assert!(bank.flags().is_empty());
+    }
+
+    #[test]
+    fn a_handle_feeds_the_device_its_name_does() {
+        let mut by_name = BehaviorBank::new(phased());
+        let mut by_handle = BehaviorBank::new(phased());
+        let mut rng = SimRng::seed_from(8);
+        let mut sybil = None;
+        for r in 0..48 * 8 {
+            let at = SimTime::from_secs(60) + STEP * r as u64;
+            let v = 0.25 + 0.02 * (r % 7) as f64 + rng.normal_with(0.0, 0.0012);
+            for d in ["p", "q"] {
+                let h = by_handle.admit(at, d);
+                assert_eq!(
+                    by_name.ingest(at, d, v),
+                    by_handle.ingest_by_handle(h, at, v)
+                );
+            }
+            if at >= SimTime::from_days(6) {
+                let h = *sybil.get_or_insert_with(|| by_handle.admit(at, "sybil"));
+                assert_eq!(
+                    by_name.ingest(at, "sybil", v),
+                    by_handle.ingest_by_handle(h, at, v)
+                );
+            }
+        }
+        assert!(by_handle.flags().contains_key("sybil"));
+        assert_eq!(by_name.flags(), by_handle.flags());
+        assert_eq!(by_name.observe(), by_handle.observe());
     }
 
     #[test]

@@ -12,8 +12,14 @@
 //! [`Recommendation`]. Frame sequence numbers are
 //! not evidence here: the platform's ingest path keeps each device's
 //! replay window in its registry row and rejects replays outright.
+//!
+//! Devices live in one dense table, addressed by the [`DetectorHandle`]
+//! [`DetectorBank::admit`] hands out, behind one name index; a caller that
+//! keeps the handle observes by it ([`DetectorBank::observe_by_handle`])
+//! without a name lookup per value.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use swamp_obs::{Counter, Level, Obs, ObsSnapshot};
 use swamp_sim::SimTime;
@@ -50,14 +56,31 @@ struct StreamDetectors {
     cusum: CusumDetector,
 }
 
-/// Everything the bank holds about one device, admitted on first sight
-/// and found by `&str` afterwards.
-#[derive(Clone, Debug, Default)]
+/// A device's place in a [`DetectorBank`]'s device table, valid for the
+/// bank that handed it out (devices are never removed).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct DetectorHandle(u32);
+
+/// Everything the bank holds about one device, admitted on first sight.
+#[derive(Clone, Debug)]
 struct DeviceEntry {
+    /// The device id, shared with the name index's key.
+    id: Arc<str>,
     /// Rolling alert weight (warning = 1, alert = 3).
     score: u32,
-    /// This device's streams by quantity name.
-    streams: BTreeMap<String, StreamDetectors>,
+    /// This device's streams, each tagged with its quantity's place in
+    /// the bank's quantity table, sorted by tag: a device that sends many
+    /// quantities costs a binary search per value, as a map would.
+    streams: Vec<(u32, StreamDetectors)>,
+}
+
+/// A quantity the bank has configured or seen.
+#[derive(Clone, Copy, Debug)]
+struct Quantity {
+    /// Its place in the quantity table: what device streams are tagged by.
+    tag: u32,
+    /// Its physical range, if configured.
+    range: Option<RangeValidator>,
 }
 
 /// Per-device, per-quantity detection with aggregated alerting.
@@ -76,9 +99,12 @@ struct DeviceEntry {
 /// ```
 #[derive(Clone, Debug)]
 pub struct DetectorBank {
-    /// Physical ranges per quantity name.
-    ranges: BTreeMap<String, RangeValidator>,
-    devices: BTreeMap<String, DeviceEntry>,
+    /// Every quantity configured or seen, by name, with its range.
+    quantities: BTreeMap<String, Quantity>,
+    /// Device id → handle: the one name index.
+    index: BTreeMap<Arc<str>, DetectorHandle>,
+    /// Devices by handle.
+    devices: Vec<DeviceEntry>,
     obs: Obs,
     ins: BankInstruments,
 }
@@ -115,8 +141,9 @@ impl DetectorBank {
         let mut obs = Obs::new();
         let ins = BankInstruments::register(&mut obs);
         DetectorBank {
-            ranges: BTreeMap::new(),
-            devices: BTreeMap::new(),
+            quantities: BTreeMap::new(),
+            index: BTreeMap::new(),
+            devices: Vec::new(),
             obs,
             ins,
         }
@@ -136,39 +163,88 @@ impl DetectorBank {
 
     /// Registers the physical range for a quantity (applies to all devices).
     pub fn configure_quantity(&mut self, quantity: &str, range: RangeValidator) {
-        self.ranges.insert(quantity.to_owned(), range);
+        let tag = self.quantity(quantity).tag;
+        let range = Some(range);
+        self.quantities
+            .insert(quantity.to_owned(), Quantity { tag, range });
+    }
+
+    /// The quantity table's entry for `quantity`, added on first sight.
+    /// An owned key is built only then; afterwards the lookup borrows the
+    /// caller's.
+    fn quantity(&mut self, quantity: &str) -> Quantity {
+        if let Some(&q) = self.quantities.get(quantity) {
+            return q;
+        }
+        let q = Quantity {
+            tag: self.quantities.len() as u32,
+            range: None,
+        };
+        self.quantities.insert(quantity.to_owned(), q);
+        q
+    }
+
+    /// The handle of a device, admitting it (with a clean score and no
+    /// streams) on first sight.
+    ///
+    /// # Panics
+    /// Panics past 2^32 devices.
+    #[expect(clippy::expect_used, reason = "documented under # Panics")]
+    pub fn admit(&mut self, device: &str) -> DetectorHandle {
+        if let Some(&handle) = self.index.get(device) {
+            return handle;
+        }
+        let handle =
+            DetectorHandle(u32::try_from(self.devices.len()).expect("fewer than 2^32 devices"));
+        let id: Arc<str> = Arc::from(device);
+        self.devices.push(DeviceEntry {
+            id: Arc::clone(&id),
+            score: 0,
+            streams: Vec::new(),
+        });
+        self.index.insert(id, handle);
+        handle
     }
 
     /// Current recommendation for a device.
     pub fn recommendation(&self, device: &str) -> Recommendation {
-        match self.devices.get(device).map_or(0, |d| d.score) {
+        match self.index.get(device) {
+            Some(&handle) => self.recommendation_by_handle(handle),
+            None => Recommendation::Trust,
+        }
+    }
+
+    /// [`DetectorBank::recommendation`] for the device behind `handle`.
+    pub fn recommendation_by_handle(&self, handle: DetectorHandle) -> Recommendation {
+        match self.devices.get(handle.0 as usize).map_or(0, |d| d.score) {
             0 => Recommendation::Trust,
             1..=2 => Recommendation::Watch,
             _ => Recommendation::Quarantine,
         }
     }
 
-    /// Devices currently recommended for quarantine.
+    /// Devices currently recommended for quarantine, in id order.
     pub fn quarantined(&self) -> Vec<&str> {
-        self.devices
+        self.index
             .iter()
-            .filter(|(_, d)| d.score >= 3)
-            .map(|(id, _)| id.as_str())
+            .filter(|(_, h)| self.devices[h.0 as usize].score >= 3)
+            .map(|(id, _)| &**id)
             .collect()
     }
 
     /// Clears a device's score after manual review.
     pub fn clear_device(&mut self, device: &str) {
-        if let Some(d) = self.devices.get_mut(device) {
-            d.score = 0;
+        if let Some(&handle) = self.index.get(device) {
+            self.devices[handle.0 as usize].score = 0;
         }
     }
 
     /// Scores one finding against its device and reports it through the
     /// bounded instruments only: the `security.*` counters and the
     /// `security.alert` event ring. Nothing per alert is kept.
-    fn raise(&mut self, device: &str, quantity: &str, evidence: Evidence, severity: Severity) {
-        let score = &mut self.devices.entry(device.to_owned()).or_default().score;
+    fn raise(&mut self, device: usize, quantity: &str, evidence: Evidence, severity: Severity) {
+        let entry = &mut self.devices[device];
+        let score = &mut entry.score;
         let before = *score;
         *score += match severity {
             Severity::Warning => 1,
@@ -187,14 +263,15 @@ impl DetectorBank {
             Severity::Warning => Level::Warn,
             Severity::Alert => Level::Error,
         };
+        let id = &*entry.id;
         self.obs.event(
             level,
             "security.alert",
-            &format!("{device} {quantity} {evidence:?}"),
+            &format!("{id} {quantity} {evidence:?}"),
         );
         if crossed_quarantine {
             self.obs
-                .event(Level::Error, "security.quarantine_recommended", device);
+                .event(Level::Error, "security.quarantine_recommended", id);
         }
     }
 
@@ -203,34 +280,53 @@ impl DetectorBank {
     /// observation time is accepted for the caller's record and not read.
     pub fn observe_value(
         &mut self,
-        _at: SimTime,
+        at: SimTime,
         device: &str,
         quantity: &str,
         value: f64,
     ) -> Verdict {
-        // Range first: an impossible value must not train the baselines.
-        if let Some(range) = self.ranges.get(quantity) {
-            if range.check(value).is_anomalous() {
-                self.raise(device, quantity, Evidence::OutOfRange, Severity::Alert);
-                return Verdict::Anomalous(Severity::Alert);
-            }
+        let handle = self.admit(device);
+        self.observe_by_handle(at, handle, quantity, value)
+    }
+
+    /// [`DetectorBank::observe_value`] for the device behind `handle`
+    /// (see [`DetectorBank::admit`]). A handle this bank never handed out
+    /// observes nothing and reads [`Verdict::Normal`].
+    pub fn observe_by_handle(
+        &mut self,
+        _at: SimTime,
+        handle: DetectorHandle,
+        quantity: &str,
+        value: f64,
+    ) -> Verdict {
+        let device = handle.0 as usize;
+        if device >= self.devices.len() {
+            return Verdict::Normal;
         }
-        // Owned keys are built only for a device or a quantity seen for
-        // the first time; afterwards both lookups borrow the caller's.
-        let entry = match self.devices.get_mut(device) {
-            Some(entry) => entry,
-            None => self.devices.entry(device.to_owned()).or_default(),
+        let Quantity { tag, range } = self.quantity(quantity);
+        // Range first: an impossible value must not train the baselines.
+        if range.is_some_and(|range| range.check(value).is_anomalous()) {
+            self.raise(device, quantity, Evidence::OutOfRange, Severity::Alert);
+            return Verdict::Anomalous(Severity::Alert);
+        }
+        let streams = &mut self.devices[device].streams;
+        let pos = match streams.binary_search_by_key(&tag, |&(t, _)| t) {
+            Ok(pos) => pos,
+            Err(pos) => {
+                streams.insert(
+                    pos,
+                    (
+                        tag,
+                        StreamDetectors {
+                            zscore: ZScoreDetector::for_slow_signal(),
+                            cusum: CusumDetector::for_slow_signal(),
+                        },
+                    ),
+                );
+                pos
+            }
         };
-        let stream = match entry.streams.get_mut(quantity) {
-            Some(stream) => stream,
-            None => entry
-                .streams
-                .entry(quantity.to_owned())
-                .or_insert(StreamDetectors {
-                    zscore: ZScoreDetector::for_slow_signal(),
-                    cusum: CusumDetector::for_slow_signal(),
-                }),
-        };
+        let stream = &mut streams[pos].1;
         let z = stream.zscore.observe(value);
         let c = stream.cusum.observe(value);
         let verdict = match (z, c) {
@@ -373,6 +469,62 @@ mod tests {
         b.observe_value(SimTime::ZERO, "bad", "moisture_vwc", 2.0);
         assert_eq!(b.recommendation("bad"), Recommendation::Quarantine);
         assert_eq!(b.recommendation("good"), Recommendation::Trust);
+    }
+
+    #[test]
+    fn a_handle_observes_the_device_its_name_does() {
+        let mut by_name = bank();
+        let mut by_handle = bank();
+        let mut rng = SimRng::seed_from(6);
+        let handles: Vec<_> = ["z", "a", "m"].map(|d| by_handle.admit(d)).into();
+        assert_eq!(by_handle.admit("a"), handles[1]);
+        for i in 0..120 {
+            for (d, &h) in ["z", "a", "m"].iter().zip(&handles) {
+                let step = if *d == "m" && i > 100 { 0.2 } else { 0.0 };
+                let v = 0.25 + step + rng.normal_with(0.0, 0.004);
+                let at = SimTime::from_secs(i);
+                let named = by_name.observe_value(at, d, "moisture_vwc", v);
+                let handled = by_handle.observe_by_handle(at, h, "moisture_vwc", v);
+                assert_eq!(named, handled, "{d} at {i}");
+            }
+        }
+        by_handle.observe_by_handle(SimTime::ZERO, handles[0], "moisture_vwc", 7.0);
+        by_name.observe_value(SimTime::ZERO, "z", "moisture_vwc", 7.0);
+        for d in ["z", "a", "m"] {
+            assert_eq!(by_name.recommendation(d), by_handle.recommendation(d));
+        }
+        assert_eq!(by_handle.quarantined(), ["m", "z"]);
+        assert_eq!(by_name.quarantined(), by_handle.quarantined());
+        assert_eq!(by_name.observe(), by_handle.observe());
+    }
+
+    /// A device that sends thousands of invented quantity names keeps its
+    /// streams sorted by tag, so each value costs one binary search, and
+    /// its real quantity is screened as if it sent nothing else.
+    #[test]
+    fn invented_quantities_keep_each_lookup_a_binary_search() {
+        let mut flooded = bank();
+        let mut clean = bank();
+        // Another device names every 50th quantity first, so the flooding
+        // device's new streams land between tags it already holds.
+        for i in 0..100 {
+            flooded.observe_value(SimTime::ZERO, "other", &format!("q{}", i * 50), 0.1);
+        }
+        let mut rng = SimRng::seed_from(9);
+        for i in 0..5_000u32 {
+            let at = SimTime::from_secs(u64::from(i));
+            let step = if i > 4_500 { 0.2 } else { 0.0 };
+            let v = 0.25 + step + rng.normal_with(0.0, 0.004);
+            flooded.observe_value(at, "d", &format!("q{i}"), 0.1);
+            assert_eq!(
+                flooded.observe_value(at, "d", "moisture_vwc", v),
+                clean.observe_value(at, "d", "moisture_vwc", v),
+                "value {i}"
+            );
+        }
+        let streams = &flooded.devices[flooded.index["d"].0 as usize].streams;
+        assert_eq!(streams.len(), 5_001);
+        assert!(streams.windows(2).all(|w| w[0].0 < w[1].0));
     }
 
     #[test]

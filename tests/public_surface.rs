@@ -1,10 +1,11 @@
 //! Every `pub fn` has a caller. A public function under `crates/*/src`
 //! whose name appears, outside comments and string literals, only in its
-//! own definition and in its own file's trailing `mod tests` is code that
-//! nothing runs but its own unit test, and this test fails on it. A
-//! doctest is a comment here: it does not count as a caller. The callers it counts are every
-//! `.rs` file under `crates/`, `src/`, `tests/`, `examples/` and
-//! `benchmark/src`, read and never written.
+//! own definition and in unit tests (the trailing `mod tests` of any crate
+//! source, its own file's or another's) is code that nothing runs but
+//! tests, and this test fails on it. A doctest is a comment here: it does
+//! not count as a caller. The callers it counts are every `.rs` file under
+//! `crates/`, `src/`, `tests/`, `examples/` and `benchmark/src`, less the
+//! crate sources' unit test modules, read and never written.
 //!
 //! The limit: this is a name check, not a call graph. A common name
 //! (`new`, `len`, `remove`) always passes, because some other definition or
@@ -163,10 +164,10 @@ fn every_public_function_has_a_caller_outside_its_own_tests() {
     }
     files.sort();
 
-    // How often each name is spelled anywhere, and per `pub fn` of a crate
-    // source: its file, its name, and how often its own tests spell it.
+    // How often each name is spelled outside the crate sources' unit
+    // test modules, and every `pub fn` of a crate source: its file and name.
     let mut uses: HashMap<String, usize> = HashMap::new();
-    let mut defined: Vec<(&Path, &str, usize)> = Vec::new();
+    let mut defined: Vec<(&Path, &str)> = Vec::new();
     let sources: Vec<(&Path, String)> = files
         .iter()
         .map(|f| {
@@ -188,28 +189,21 @@ fn every_public_function_has_a_caller_outside_its_own_tests() {
         } else {
             code.len()
         };
-        let mut pub_fns = Vec::new();
-        let mut in_tests: HashMap<&str, usize> = HashMap::new();
-        for (at, ident) in identifiers(code) {
+        for (at, ident) in identifiers(&code[..tests_at]) {
             *uses.entry(ident.to_owned()).or_default() += 1;
             let line_so_far = code[..at].rsplit('\n').next().unwrap_or_default().trim();
-            if at >= tests_at {
-                *in_tests.entry(ident).or_default() += 1;
-            } else if crate_src && (line_so_far == "pub fn" || line_so_far == "pub const fn") {
-                pub_fns.push(ident);
+            if crate_src && (line_so_far == "pub fn" || line_so_far == "pub const fn") {
+                defined.push((rel, ident));
             }
-        }
-        for name in pub_fns {
-            defined.push((rel, name, in_tests.get(name).copied().unwrap_or(0)));
         }
     }
 
-    // Besides its own tests, a `pub fn`'s name must appear more than once:
-    // once is its definition.
+    // Outside every unit test module, a `pub fn`'s name must appear more
+    // than once: once is its definition.
     let uncalled: Vec<String> = defined
         .iter()
-        .filter(|(_, name, own_tests)| uses[*name] - own_tests <= 1)
-        .map(|(rel, name, _)| format!("{}: {name}", rel.display()))
+        .filter(|(_, name)| uses[*name] <= 1)
+        .map(|(rel, name)| format!("{}: {name}", rel.display()))
         .collect();
     assert!(
         uncalled.is_empty(),
