@@ -1,9 +1,5 @@
-//! Canopy growth, NDVI and quality models.
-//!
-//! NDVI matters to the paper twice: drones collect it for crop monitoring,
-//! and a Sybil attacker "could send fake images … leading to incorrect
-//! calculation of the NDVI". This module provides the *true* NDVI process
-//! the attackers then distort, plus the Guaspari wine-quality response to
+//! Crop water history and quality models: the FAO-33 relative yield of a
+//! season's water history, plus the Guaspari wine-quality response to
 //! regulated deficit irrigation.
 
 use crate::crop::{Crop, GrowthStage};
@@ -20,9 +16,6 @@ pub struct CropState {
     /// is véraison to harvest.
     ripening_stress: f64,
     ripening_days: u32,
-    /// Whole-season stress accumulation (drives the NDVI penalty).
-    stress_sum: f64,
-    stress_days: u32,
 }
 
 impl CropState {
@@ -35,19 +28,7 @@ impl CropState {
             etc_total: 0.0,
             ripening_stress: 0.0,
             ripening_days: 0,
-            stress_sum: 0.0,
-            stress_days: 0,
         }
-    }
-
-    /// The crop being grown.
-    pub fn crop(&self) -> &Crop {
-        &self.crop
-    }
-
-    /// Days after sowing.
-    pub fn das(&self) -> u32 {
-        self.das
     }
 
     /// Current growth stage.
@@ -64,8 +45,6 @@ impl CropState {
             self.ripening_stress += 1.0 - ks;
             self.ripening_days += 1;
         }
-        self.stress_sum += 1.0 - ks;
-        self.stress_days += 1;
         self.das += 1;
     }
 
@@ -80,26 +59,6 @@ impl CropState {
             return 1.0;
         }
         self.crop.relative_yield(self.eta_total, self.etc_total)
-    }
-
-    /// Canopy ground-cover fraction implied by the Kc curve, `[0,1]`.
-    pub fn canopy_fraction(&self) -> f64 {
-        let kc = self.crop.kc(self.das);
-        ((kc - self.crop.kc_ini) / (self.crop.kc_mid - self.crop.kc_ini)).clamp(0.0, 1.0)
-    }
-
-    /// True NDVI of the zone: bare-soil baseline rising with canopy, pulled
-    /// down by sustained water stress.
-    pub fn ndvi(&self) -> f64 {
-        const NDVI_SOIL: f64 = 0.15;
-        const NDVI_FULL: f64 = 0.88;
-        let stress_penalty = if self.stress_days > 0 {
-            0.25 * (self.stress_sum / self.stress_days as f64)
-        } else {
-            0.0
-        };
-        (NDVI_SOIL + (NDVI_FULL - NDVI_SOIL) * self.canopy_fraction() - stress_penalty)
-            .clamp(0.0, 1.0)
     }
 
     /// Mean ripening-period stress `(1 − Ks)`, `[0,1]`.
@@ -134,8 +93,8 @@ mod tests {
         // Simple synthetic season: ETc follows the Kc curve against a flat
         // 5 mm/day ET0; the crop receives `irrigate_fraction` of demand.
         let mut state = CropState::new(Crop::soybean());
-        while state.das() < state.crop().season_days() {
-            let etc = 5.0 * state.crop().kc(state.das());
+        while state.das < state.crop.season_days() {
+            let etc = 5.0 * state.crop.kc(state.das);
             let eta = etc * irrigate_fraction;
             let ks = irrigate_fraction;
             state.advance_day(etc, eta, ks);
@@ -144,55 +103,18 @@ mod tests {
     }
 
     #[test]
-    fn full_water_full_yield_high_ndvi() {
+    fn full_water_full_yield() {
         let s = run_season(1.0);
         assert!((s.relative_yield() - 1.0).abs() < 1e-9);
         assert!(s.mean_ripening_stress() < 1e-9);
-        // Fully mature canopy has senesced, but mid-season NDVI was high:
-        let mut mid = CropState::new(Crop::soybean());
-        for _ in 0..60 {
-            let etc = 5.0 * mid.crop().kc(mid.das());
-            mid.advance_day(etc, etc, 1.0);
-        }
-        assert!(mid.ndvi() > 0.8, "mid-season NDVI {}", mid.ndvi());
     }
 
     #[test]
-    fn deficit_lowers_yield_and_ndvi() {
+    fn deficit_lowers_yield() {
         let full = run_season(1.0);
         let deficit = run_season(0.6);
         assert!(deficit.relative_yield() < full.relative_yield());
         assert!(deficit.mean_ripening_stress() > 0.3);
-
-        // NDVI during stress is lower than unstressed at the same stage.
-        let mut stressed = CropState::new(Crop::soybean());
-        let mut unstressed = CropState::new(Crop::soybean());
-        for _ in 0..80 {
-            let etc_s = 5.0 * stressed.crop().kc(stressed.das());
-            stressed.advance_day(etc_s, etc_s * 0.5, 0.5);
-            let etc_u = 5.0 * unstressed.crop().kc(unstressed.das());
-            unstressed.advance_day(etc_u, etc_u, 1.0);
-        }
-        assert!(stressed.ndvi() < unstressed.ndvi());
-    }
-
-    #[test]
-    fn canopy_fraction_tracks_stages() {
-        let mut s = CropState::new(Crop::maize());
-        assert_eq!(s.canopy_fraction(), 0.0);
-        for _ in 0..70 {
-            s.advance_day(1.0, 1.0, 1.0);
-        }
-        assert!((s.canopy_fraction() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ndvi_bounded() {
-        let mut s = CropState::new(Crop::lettuce());
-        for _ in 0..200 {
-            assert!((0.0..=1.0).contains(&s.ndvi()));
-            s.advance_day(3.0, 0.0, 0.0); // worst-case stress
-        }
     }
 
     #[test]
@@ -215,6 +137,6 @@ mod tests {
         let (eta, etc) = s.et_totals();
         assert!((eta - 10.0).abs() < 1e-12);
         assert!((etc - 11.0).abs() < 1e-12);
-        assert_eq!(s.das(), 2);
+        assert_eq!(s.das, 2);
     }
 }

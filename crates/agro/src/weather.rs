@@ -196,11 +196,6 @@ impl WeatherGenerator {
         }
     }
 
-    /// The climate being generated.
-    pub fn profile(&self) -> &ClimateProfile {
-        &self.profile
-    }
-
     /// Generates the weather for a given day of year (advances the
     /// stochastic state; call with consecutive days for realistic runs).
     ///

@@ -1202,7 +1202,7 @@ impl Platform {
     ) -> Result<Entity, Option<AuthError>> {
         let info = self.idm.validate(now, token).map_err(Some)?;
         let owner = entity_id
-            .strip_prefix("urn:swamp:device:")
+            .strip_prefix(DEVICE_URN_PREFIX)
             .and_then(|d| self.registry.get(d))
             .map(|r| r.owner.clone())
             .unwrap_or_else(|| "owner:platform".to_owned());
@@ -1227,7 +1227,7 @@ impl Platform {
             .get(device_id)
             .map(|r| r.owner.clone())
             .unwrap_or_else(|| "owner:platform".to_owned());
-        let resource = Resource::new(format!("urn:swamp:device:{device_id}"), owner);
+        let resource = Resource::new(format!("{DEVICE_URN_PREFIX}{device_id}"), owner);
         Ok(self.pdp.decide(&info, &resource, Action::Command))
     }
 }

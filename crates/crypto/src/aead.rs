@@ -173,11 +173,6 @@ impl NonceSequence {
         self.counter += 1;
         nonce
     }
-
-    /// How many nonces have been issued.
-    pub fn issued(&self) -> u64 {
-        self.counter
-    }
 }
 
 #[cfg(test)]
@@ -404,7 +399,7 @@ If I could offer you only one tip for the future, sunscreen would be it.";
             assert!(seen.insert(a.next_nonce()));
             assert!(seen.insert(b.next_nonce()));
         }
-        assert_eq!(a.issued(), 100);
+        assert_eq!(a.counter, 100);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! the E5 report can show cloud-only availability collapsing during
 //! Internet outages while the fog deployment rides through them.
 
-use swamp_sim::{SimDuration, SimTime};
+use swamp_sim::SimTime;
 
 /// Where a service interval was handled.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -19,34 +19,14 @@ pub enum ServedBy {
 }
 
 /// Availability bookkeeping over fixed intervals.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct AvailabilityTracker {
-    interval: SimDuration,
     served_cloud: u64,
     served_fog: u64,
     unserved: u64,
 }
 
 impl AvailabilityTracker {
-    /// Creates a tracker with the given service interval.
-    ///
-    /// # Panics
-    /// Panics if the interval is zero.
-    pub fn new(interval: SimDuration) -> Self {
-        assert!(!interval.is_zero(), "interval must be positive");
-        AvailabilityTracker {
-            interval,
-            served_cloud: 0,
-            served_fog: 0,
-            unserved: 0,
-        }
-    }
-
-    /// The configured interval.
-    pub fn interval(&self) -> SimDuration {
-        self.interval
-    }
-
     /// Records the outcome of one interval.
     pub fn record(&mut self, outcome: Option<ServedBy>) {
         match outcome {
@@ -123,7 +103,7 @@ mod tests {
 
     #[test]
     fn availability_math() {
-        let mut t = AvailabilityTracker::new(SimDuration::from_hours(1));
+        let mut t = AvailabilityTracker::default();
         for _ in 0..6 {
             t.record(Some(ServedBy::Cloud));
         }
@@ -138,7 +118,7 @@ mod tests {
 
     #[test]
     fn empty_tracker_is_fully_available() {
-        let t = AvailabilityTracker::new(SimDuration::from_hours(1));
+        let t = AvailabilityTracker::default();
         assert_eq!(t.availability(), 1.0);
         assert_eq!(t.breakdown(), (0, 0, 0));
     }
@@ -181,8 +161,8 @@ mod tests {
         let mut schedule = OutageSchedule::new();
         schedule.add_outage(SimTime::from_hours(6), SimTime::from_hours(18));
 
-        let mut cloud_only = AvailabilityTracker::new(SimDuration::from_hours(1));
-        let mut with_fog = AvailabilityTracker::new(SimDuration::from_hours(1));
+        let mut cloud_only = AvailabilityTracker::default();
+        let mut with_fog = AvailabilityTracker::default();
         for h in 0..24 {
             let t = SimTime::from_hours(h);
             if schedule.is_down(t) {

@@ -536,7 +536,6 @@ impl FogSyncBuilder {
             next_seq: 0,
             strikes: 0,
             mode: DegradedMode::Connected,
-            mode_since: SimTime::ZERO,
             due: Vec::new(),
             obs,
             ins,
@@ -581,7 +580,6 @@ pub struct FogSync {
     /// Consecutive strike rounds (timeouts / refused sends) without an ack.
     strikes: u32,
     mode: DegradedMode,
-    mode_since: SimTime,
     /// Round-scoped scratch for the due seqs, kept warm so steady-state
     /// rounds allocate nothing (see the fog alloc_counts suite).
     due: Vec<u64>,
@@ -622,11 +620,6 @@ impl FogSync {
     /// Current uplink health as judged by the retry engine.
     pub fn mode(&self) -> DegradedMode {
         self.mode
-    }
-
-    /// When the engine entered its current mode.
-    pub fn mode_since(&self) -> SimTime {
-        self.mode_since
     }
 
     /// Queues one update. A full buffer evicts its oldest record (counted
@@ -949,7 +942,6 @@ impl FogSync {
                 &format!("{}->{} @{}ms", self.mode, mode, now.as_millis()),
             );
             self.mode = mode;
-            self.mode_since = now;
         }
     }
 
@@ -2374,8 +2366,7 @@ mod tests {
         now += SimDuration::from_secs(6);
         sync.sync_round(&mut net, now, 8);
         assert_eq!(sync.mode(), DegradedMode::Degraded);
-        let degraded_since = sync.mode_since();
-        assert_eq!(degraded_since, now);
+        let degraded_at = now;
         for _ in 0..3 {
             now += SimDuration::from_secs(6);
             sync.sync_round(&mut net, now, 8);
@@ -2384,6 +2375,7 @@ mod tests {
         now += SimDuration::from_secs(6);
         sync.sync_round(&mut net, now, 8);
         assert_eq!(sync.mode(), DegradedMode::Offline);
+        let offline_at = now;
 
         // Heal at the window's end: one delivered+acked record restores
         // Connected.
@@ -2398,22 +2390,23 @@ mod tests {
         let outcome = sync.poll_acks(&mut net, now);
         assert_eq!(outcome.released, 1);
         assert_eq!(sync.mode(), DegradedMode::Connected);
-        assert_eq!(sync.mode_since(), now);
+        let connected_at = now;
 
-        // Each transition left one sync.mode event; recovery is Info.
+        // Each transition left one sync.mode event, stamped with the time
+        // it happened; recovery is Info.
         let snap = sync.observe();
-        let transitions: Vec<String> = snap
+        let transitions: Vec<&str> = snap
             .events()
             .iter()
             .filter(|e| e.code == "sync.mode")
-            .map(|e| e.detail.split(" @").next().unwrap_or("").to_owned())
+            .map(|e| e.detail.as_str())
             .collect();
         assert_eq!(
             transitions,
             [
-                "connected->degraded",
-                "degraded->offline",
-                "offline->connected"
+                format!("connected->degraded @{}ms", degraded_at.as_millis()),
+                format!("degraded->offline @{}ms", offline_at.as_millis()),
+                format!("offline->connected @{}ms", connected_at.as_millis()),
             ]
         );
         assert_eq!(snap.gauge("sync.mode").unwrap(), Some(0.0));

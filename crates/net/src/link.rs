@@ -115,11 +115,6 @@ impl Link {
         Link { spec }
     }
 
-    /// The static spec.
-    pub fn spec(&self) -> &LinkSpec {
-        &self.spec
-    }
-
     /// Samples the fate of one `bytes`-sized message.
     ///
     /// The message is lost with the spec's probability, or delivered after

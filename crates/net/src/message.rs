@@ -115,13 +115,6 @@ pub struct Delivery {
     pub delivered_at: SimTime,
 }
 
-impl Delivery {
-    /// One-way latency experienced by this delivery.
-    pub fn latency(&self) -> swamp_sim::SimDuration {
-        self.delivered_at.saturating_duration_since(self.sent_at)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,18 +139,5 @@ mod tests {
     fn wire_size_includes_overhead() {
         let m = Message::new("a/b", vec![0u8; 10]);
         assert_eq!(m.wire_size(), 10 + 3 + 16);
-    }
-
-    #[test]
-    fn delivery_latency() {
-        let d = Delivery {
-            id: MsgId(1),
-            src: "a".into(),
-            dst: "b".into(),
-            message: Message::new("t", b"x".to_vec()),
-            sent_at: SimTime::from_secs(1),
-            delivered_at: SimTime::from_secs(3),
-        };
-        assert_eq!(d.latency().as_secs(), 2);
     }
 }

@@ -207,11 +207,6 @@ impl Network {
         &mut self.flow_table
     }
 
-    /// Read access to the SDN flow table.
-    pub fn flow_table(&self) -> &FlowTable {
-        &self.flow_table
-    }
-
     /// Installs a passive tap on the directed link `a → b`. The tap captures
     /// every transmission *offered* to the link (an eavesdropper by the
     /// fence hears the radio whether or not the gateway decodes it).
@@ -495,7 +490,9 @@ mod tests {
         let d = &inbox[0];
         assert_eq!(d.id, id);
         assert_eq!(d.message.payload, b"hello");
-        assert!(d.latency() >= SimDuration::from_millis(10));
+        assert!(
+            d.delivered_at.saturating_duration_since(d.sent_at) >= SimDuration::from_millis(10)
+        );
         assert!(net.drain(&n("b")).is_empty());
     }
 
@@ -733,7 +730,7 @@ mod tests {
             .unwrap();
         net.advance_to(SimTime::from_secs(10));
         let inbox = net.drain(&n("b"));
-        assert!(inbox[0].latency() >= SimDuration::from_secs(2));
+        assert!(inbox[0].delivered_at >= SimTime::from_secs(2));
         assert_eq!(net.observe().counter("net.fault.dropped").unwrap(), 0);
     }
 

@@ -247,16 +247,6 @@ impl ObsSnapshot {
         &self.events
     }
 
-    /// Events lost to ring overwrites.
-    pub fn events_dropped(&self) -> u64 {
-        self.events_dropped
-    }
-
-    /// Total instrumented operations across the merged registries.
-    pub fn ticks(&self) -> u64 {
-        self.ticks
-    }
-
     /// Iterates counters in lexicographic order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, v)| (k.as_str(), *v))
@@ -615,7 +605,7 @@ mod tests {
         assert_eq!(lat.stats.mean(), 25.0);
         assert_eq!(lat.p50, None, "bucket-free merge cannot keep quantiles");
         assert_eq!(merged.events().len(), 2);
-        assert_eq!(merged.ticks(), a.ticks() * 2);
+        assert_eq!(merged.ticks, a.ticks * 2);
     }
 
     #[test]

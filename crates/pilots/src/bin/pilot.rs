@@ -4,10 +4,10 @@
 //! where `<site>` is one of `cbec`, `intercrop`, `guaspari`, `matopiba`,
 //! or `all`.
 
-use swamp_pilots::pilots::{run_pilot, PilotReport, PilotSite};
+use swamp_pilots::pilots::{run_pilot, Agronomy, Pilot, PilotReport};
 
 fn print_report(r: &PilotReport) {
-    println!("=== {} ===", r.site.name());
+    println!("=== {} ===", Agronomy::of(r.pilot).display_name);
     println!(
         "{:<28} {:>12} {:>12} {:>12} {:>9} {:>9}",
         "", "water_m3", "energy_kWh", "cost_EUR", "yield", "quality"
@@ -46,20 +46,21 @@ fn main() {
         }
     };
 
-    let sites: Vec<PilotSite> = match site_arg {
-        "cbec" => vec![PilotSite::Cbec],
-        "intercrop" => vec![PilotSite::Intercrop],
-        "guaspari" => vec![PilotSite::Guaspari],
-        "matopiba" => vec![PilotSite::Matopiba],
-        "all" => PilotSite::all().to_vec(),
-        other => {
-            eprintln!("unknown pilot {other:?}; use cbec | intercrop | guaspari | matopiba | all");
-            std::process::exit(2);
-        }
+    let pilots: Vec<Pilot> = match site_arg {
+        "all" => Pilot::all().to_vec(),
+        name => match Pilot::all().into_iter().find(|p| p.name() == name) {
+            Some(pilot) => vec![pilot],
+            None => {
+                eprintln!(
+                    "unknown pilot {name:?}; use cbec | intercrop | guaspari | matopiba | all"
+                );
+                std::process::exit(2);
+            }
+        },
     };
 
     println!("SWAMP pilot season runner (seed {seed})\n");
-    for site in sites {
-        print_report(&run_pilot(site, seed));
+    for pilot in pilots {
+        print_report(&run_pilot(pilot, seed));
     }
 }

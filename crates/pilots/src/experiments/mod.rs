@@ -28,7 +28,7 @@ pub use resilience::{e13_resilience, e13_resilience_observed, E13Result, E13Row}
 pub use scale::{e14_shard_scale, E14Result, E14Row};
 pub use water::{e10_distribution, e1_water_energy};
 
-use crate::pilots::{run_pilot, PilotSite};
+use crate::pilots::{run_pilot, Agronomy, Pilot};
 use crate::report::{fmt_f, fmt_pct, Report};
 
 /// P0, the pilot summary the `experiments` binary prints before
@@ -47,10 +47,10 @@ pub fn p0_pilots(seed: u64) -> Report {
             "quality_base",
         ],
     );
-    for site in PilotSite::all() {
-        let r = run_pilot(site, seed);
+    for pilot in Pilot::all() {
+        let r = run_pilot(pilot, seed);
         table.push_row(vec![
-            site.name().to_owned(),
+            Agronomy::of(pilot).display_name.to_owned(),
             fmt_pct(r.water_saving()),
             fmt_pct(r.energy_saving()),
             fmt_pct(r.cost_saving()),

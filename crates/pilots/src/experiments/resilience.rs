@@ -41,8 +41,6 @@ pub struct E13Row {
     pub retransmissions: u64,
     /// Worst degraded-mode state observed during the partition.
     pub mode_during_outage: DegradedMode,
-    /// Engine state at the end of the run.
-    pub final_mode: DegradedMode,
     /// Seconds from partition heal until the backlog fully drained.
     pub recovery_secs: u64,
 }
@@ -240,7 +238,6 @@ fn run_cell(seed: u64, config: DeploymentConfig, loss: f64) -> (E13Row, ObsRepor
             .counter("sync.retransmissions")
             .expect("registered counter"),
         mode_during_outage: worst_outage_mode,
-        final_mode: platform.degraded_mode(),
         recovery_secs,
     };
     let label = format!("e13/{deployment}/loss{:02}", (loss * 100.0).round() as u32);

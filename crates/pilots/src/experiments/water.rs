@@ -1,15 +1,13 @@
 //! E1 — smart scheduling + VRI water/energy savings (MATOPIBA), and
 //! E10 — canal distribution optimization (CBEC).
 
-use swamp_agro::crop::Crop;
-use swamp_agro::weather::ClimateProfile;
 use swamp_irrigation::network::DistributionNetwork;
-use swamp_irrigation::schedule::{EtReplacement, FixedCalendar, IrrigationPolicy, ThresholdRefill};
-use swamp_irrigation::source::WaterSource;
+use swamp_irrigation::schedule::ThresholdRefill;
 use swamp_sim::SimRng;
 
+use crate::pilots::{Agronomy, Pilot};
 use crate::report::{fmt_f, fmt_pct, Report};
-use crate::season::{heterogeneous_zones, run_season_mode, ApplicationMode, SeasonConfig};
+use crate::season::{run_season_mode, ApplicationMode, PolicyFactory};
 
 /// One E1 configuration's season totals.
 #[derive(Clone, Debug)]
@@ -71,47 +69,24 @@ impl E1Result {
     }
 }
 
-/// Runs E1.
+/// Runs E1 on the MATOPIBA pilot's field: its conventional calendar and
+/// its ET-replacement policy, with a soil-state threshold policy between.
 pub fn e1_water_energy(seed: u64) -> E1Result {
-    let mk_config =
-        |zones: usize, policy: Box<dyn Fn() -> Box<dyn IrrigationPolicy>>| -> SeasonConfig {
-            let mut rng = SimRng::seed_from(seed ^ 0xE1);
-            SeasonConfig {
-                climate: ClimateProfile::barreiras(),
-                crop: Crop::soybean(),
-                zones: heterogeneous_zones(zones, 100.0 / zones as f64, &mut rng),
-                sowing_doy: 121,
-                source: WaterSource::matopiba_well(),
-                policy,
-            }
-        };
-
-    #[derive(Clone, Copy)]
-    enum PolicyKind {
-        Fixed,
-        Threshold,
-        Et,
-    }
-    fn factory(kind: PolicyKind) -> Box<dyn Fn() -> Box<dyn IrrigationPolicy>> {
-        match kind {
-            PolicyKind::Fixed => Box::new(|| Box::new(FixedCalendar::new(3, 25.0))),
-            PolicyKind::Threshold => Box::new(|| Box::new(ThresholdRefill::new(1.0))),
-            PolicyKind::Et => Box::new(|| Box::new(EtReplacement::new(1.0))),
-        }
-    }
+    let matopiba = Agronomy::of(Pilot::Matopiba);
+    let threshold: PolicyFactory = || Box::new(ThresholdRefill::new(1.0));
     let policies = [
-        ("fixed-calendar", PolicyKind::Fixed),
-        ("threshold-refill", PolicyKind::Threshold),
-        ("et-replacement", PolicyKind::Et),
+        ("fixed-calendar", matopiba.baseline),
+        ("threshold-refill", threshold),
+        ("et-replacement", matopiba.smart),
     ];
 
     let mut rows = Vec::new();
-    for (name, kind) in policies {
+    for (name, policy) in policies {
         for (mode, mode_name) in [
             (ApplicationMode::UniformMax, "uniform"),
             (ApplicationMode::PerZone, "VRI"),
         ] {
-            let config = mk_config(16, factory(kind));
+            let config = matopiba.season(policy, seed ^ 0xE1);
             let outcome = run_season_mode(&config, seed, mode);
             rows.push(E1Row {
                 label: format!("{name} / {mode_name}"),
@@ -128,7 +103,7 @@ pub fn e1_water_energy(seed: u64) -> E1Result {
     let ablation = [1usize, 2, 4, 8, 16]
         .iter()
         .map(|&groups| {
-            let config = mk_config(16, Box::new(|| Box::new(ThresholdRefill::new(1.0))));
+            let config = matopiba.season(threshold, seed ^ 0xE1);
             let outcome = run_season_mode(&config, seed, ApplicationMode::Grouped(groups));
             (groups, outcome.account.volume_m3)
         })

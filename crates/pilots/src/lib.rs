@@ -5,7 +5,8 @@
 //!
 //! - [`season`] — the growing-season loop (weather → ET → decision → soil →
 //!   yield → water/energy/cost accounting) over heterogeneous zones.
-//! - [`pilots`] — CBEC, Intercrop, Guaspari, MATOPIBA configurations with
+//! - [`pilots`] — the one table of the CBEC, Intercrop, Guaspari and
+//!   MATOPIBA agronomies, keyed by [`swamp_workload::Pilot`], with
 //!   smart-vs-baseline comparisons.
 //! - [`driver`] — the shared [`swamp_core::Drive`]-based round/drain loops
 //!   every harness runs on, deployment-shape agnostic.
@@ -16,8 +17,8 @@
 //! ## Example: run the MATOPIBA pilot
 //!
 //! ```
-//! use swamp_pilots::pilots::{run_pilot, PilotSite};
-//! let report = run_pilot(PilotSite::Matopiba, 42);
+//! use swamp_pilots::pilots::{run_pilot, Pilot};
+//! let report = run_pilot(Pilot::Matopiba, 42);
 //! assert!(report.water_saving() > 0.0);
 //! ```
 
@@ -27,6 +28,6 @@ pub mod pilots;
 pub mod report;
 pub mod season;
 
-pub use pilots::{run_pilot, PilotReport, PilotSite};
+pub use pilots::{run_pilot, Agronomy, PilotReport};
 pub use report::Report;
 pub use season::{run_season, SeasonConfig, SeasonOutcome};

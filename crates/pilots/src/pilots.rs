@@ -5,123 +5,106 @@
 
 use swamp_agro::crop::Crop;
 use swamp_agro::weather::ClimateProfile;
-use swamp_irrigation::schedule::{
-    DeficitMaintain, EtReplacement, FixedCalendar, IrrigationPolicy, ThresholdRefill,
-};
+use swamp_irrigation::schedule::{DeficitMaintain, EtReplacement, FixedCalendar, ThresholdRefill};
 use swamp_irrigation::source::WaterSource;
 use swamp_sim::SimRng;
+pub use swamp_workload::Pilot;
 
-use crate::season::{heterogeneous_zones, run_season, SeasonConfig, SeasonOutcome};
+use crate::season::{heterogeneous_zones, run_season, PolicyFactory, SeasonConfig, SeasonOutcome};
 
-/// Which pilot a configuration belongs to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum PilotSite {
-    /// Consorzio di Bonifica Emilia Centrale, Bologna, Italy — goal:
-    /// optimize water distribution to the farms.
-    Cbec,
-    /// Intercrop Iberica, Cartagena, Spain — goal: rational use of
-    /// expensive (desalinated) water.
-    Intercrop,
-    /// Guaspari Winery, Espírito Santo do Pinhal, Brazil — goal: wine
-    /// quality via regulated deficit irrigation.
-    Guaspari,
-    /// Rio das Pedras Farm, MATOPIBA, Brazil — goal: VRI on center pivots
-    /// for soybean; save water and pumping energy.
-    Matopiba,
+/// One pilot's agronomy: where it grows what, from which water, on which
+/// field, and the smart policy it runs against the conventional practice
+/// it improves on. [`Agronomy::of`] is the one table of the four pilots.
+#[derive(Clone, Debug)]
+pub struct Agronomy {
+    /// Human-readable name with the site's location.
+    pub display_name: &'static str,
+    /// The pilot's climate.
+    pub climate: ClimateProfile,
+    /// The pilot's primary crop.
+    pub crop: Crop,
+    /// The pilot's water source.
+    pub source: WaterSource,
+    /// Sowing day of year (season placement per pilot agronomy).
+    pub sowing_doy: u32,
+    /// Management zones in the pilot scenario, and each zone's area, ha.
+    pub layout: (usize, f64),
+    /// The pilot's smart (SWAMP) irrigation policy.
+    pub smart: PolicyFactory,
+    /// The conventional baseline practice the pilot improves on.
+    pub baseline: PolicyFactory,
 }
 
-impl PilotSite {
-    /// All four pilots.
-    pub fn all() -> [PilotSite; 4] {
-        [
-            PilotSite::Cbec,
-            PilotSite::Intercrop,
-            PilotSite::Guaspari,
-            PilotSite::Matopiba,
-        ]
-    }
-
-    /// Human-readable name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            PilotSite::Cbec => "CBEC (Bologna, IT)",
-            PilotSite::Intercrop => "Intercrop (Cartagena, ES)",
-            PilotSite::Guaspari => "Guaspari (Pinhal, BR)",
-            PilotSite::Matopiba => "MATOPIBA (Barreiras, BR)",
+impl Agronomy {
+    /// The agronomy of `pilot`.
+    pub fn of(pilot: Pilot) -> Agronomy {
+        match pilot {
+            // Consorzio di Bonifica Emilia Centrale: optimize water
+            // distribution to the farms.
+            Pilot::Cbec => Agronomy {
+                display_name: "CBEC (Bologna, IT)",
+                climate: ClimateProfile::bologna(),
+                crop: Crop::tomato(),
+                source: WaterSource::cbec_canal(),
+                sowing_doy: 105, // mid-April transplanting
+                layout: (6, 4.0),
+                // CBEC optimizes distribution; at field level a RAW threshold.
+                smart: || Box::new(ThresholdRefill::new(1.0)),
+                baseline: || Box::new(FixedCalendar::new(4, 30.0)),
+            },
+            // Intercrop Iberica: rational use of expensive (desalinated)
+            // water.
+            Pilot::Intercrop => Agronomy {
+                display_name: "Intercrop (Cartagena, ES)",
+                climate: ClimateProfile::cartagena(),
+                crop: Crop::melon(),
+                source: WaterSource::intercrop_desal(),
+                sowing_doy: 75, // spring planting
+                layout: (4, 1.5),
+                // Expensive desalinated water: slightly early trigger, exact refills.
+                smart: || Box::new(ThresholdRefill::new(0.9)),
+                baseline: || Box::new(FixedCalendar::new(2, 15.0)),
+            },
+            // Guaspari Winery: wine quality via regulated deficit
+            // irrigation.
+            Pilot::Guaspari => Agronomy {
+                display_name: "Guaspari (Pinhal, BR)",
+                climate: ClimateProfile::pinhal(),
+                crop: Crop::wine_grape(),
+                source: WaterSource::cbec_canal(),
+                sowing_doy: 30, // pruning places ripening in the dry winter
+                layout: (8, 1.0),
+                // Regulated deficit for quality.
+                smart: || Box::new(DeficitMaintain::new(0.65)),
+                baseline: || Box::new(FixedCalendar::new(5, 20.0)),
+            },
+            // Rio das Pedras Farm: VRI on center pivots for soybean; save
+            // water and pumping energy.
+            Pilot::Matopiba => Agronomy {
+                display_name: "MATOPIBA (Barreiras, BR)",
+                climate: ClimateProfile::barreiras(),
+                crop: Crop::soybean(),
+                source: WaterSource::matopiba_well(),
+                sowing_doy: 121,    // dry-season sowing under pivots
+                layout: (16, 6.25), // 100-ha pivot circle
+                // VRI pivot replaces crop ET.
+                smart: || Box::new(EtReplacement::new(1.0)),
+                baseline: || Box::new(FixedCalendar::new(3, 25.0)),
+            },
         }
     }
 
-    /// The pilot's climate.
-    pub fn climate(&self) -> ClimateProfile {
-        match self {
-            PilotSite::Cbec => ClimateProfile::bologna(),
-            PilotSite::Intercrop => ClimateProfile::cartagena(),
-            PilotSite::Guaspari => ClimateProfile::pinhal(),
-            PilotSite::Matopiba => ClimateProfile::barreiras(),
-        }
-    }
-
-    /// The pilot's primary crop.
-    pub fn crop(&self) -> Crop {
-        match self {
-            PilotSite::Cbec => Crop::tomato(),
-            PilotSite::Intercrop => Crop::melon(),
-            PilotSite::Guaspari => Crop::wine_grape(),
-            PilotSite::Matopiba => Crop::soybean(),
-        }
-    }
-
-    /// The pilot's water source.
-    pub fn source(&self) -> WaterSource {
-        match self {
-            PilotSite::Cbec => WaterSource::cbec_canal(),
-            PilotSite::Intercrop => WaterSource::intercrop_desal(),
-            PilotSite::Guaspari => WaterSource::cbec_canal(),
-            PilotSite::Matopiba => WaterSource::matopiba_well(),
-        }
-    }
-
-    /// Sowing day of year (season placement per pilot agronomy).
-    pub fn sowing_doy(&self) -> u32 {
-        match self {
-            PilotSite::Cbec => 105,     // mid-April transplanting
-            PilotSite::Intercrop => 75, // spring planting
-            PilotSite::Guaspari => 30,  // pruning places ripening in the dry winter
-            PilotSite::Matopiba => 121, // dry-season sowing under pivots
-        }
-    }
-
-    /// The pilot's smart irrigation policy.
-    pub fn smart_policy(&self) -> Box<dyn Fn() -> Box<dyn IrrigationPolicy>> {
-        match self {
-            // CBEC optimizes distribution; at field level a RAW threshold.
-            PilotSite::Cbec => Box::new(|| Box::new(ThresholdRefill::new(1.0))),
-            // Expensive desalinated water: slightly early trigger, exact refills.
-            PilotSite::Intercrop => Box::new(|| Box::new(ThresholdRefill::new(0.9))),
-            // Regulated deficit for quality.
-            PilotSite::Guaspari => Box::new(|| Box::new(DeficitMaintain::new(0.65))),
-            // VRI pivot replaces crop ET.
-            PilotSite::Matopiba => Box::new(|| Box::new(EtReplacement::new(1.0))),
-        }
-    }
-
-    /// The conventional baseline practice the pilot improves on.
-    pub fn baseline_policy(&self) -> Box<dyn Fn() -> Box<dyn IrrigationPolicy>> {
-        match self {
-            PilotSite::Cbec => Box::new(|| Box::new(FixedCalendar::new(4, 30.0))),
-            PilotSite::Intercrop => Box::new(|| Box::new(FixedCalendar::new(2, 15.0))),
-            PilotSite::Guaspari => Box::new(|| Box::new(FixedCalendar::new(5, 20.0))),
-            PilotSite::Matopiba => Box::new(|| Box::new(FixedCalendar::new(3, 25.0))),
-        }
-    }
-
-    /// Zones and per-zone area used in the pilot scenario.
-    pub fn field_layout(&self) -> (usize, f64) {
-        match self {
-            PilotSite::Cbec => (6, 4.0),
-            PilotSite::Intercrop => (4, 1.5),
-            PilotSite::Guaspari => (8, 1.0),
-            PilotSite::Matopiba => (16, 6.25), // 100-ha pivot circle
+    /// A season on this pilot's field under `policy`; `zone_seed` draws
+    /// the field's heterogeneous zones.
+    pub fn season(&self, policy: PolicyFactory, zone_seed: u64) -> SeasonConfig {
+        let (zones, area) = self.layout;
+        SeasonConfig {
+            climate: self.climate,
+            crop: self.crop.clone(),
+            zones: heterogeneous_zones(zones, area, &mut SimRng::seed_from(zone_seed)),
+            sowing_doy: self.sowing_doy,
+            source: self.source,
+            policy,
         }
     }
 }
@@ -130,7 +113,7 @@ impl PilotSite {
 #[derive(Clone, Debug)]
 pub struct PilotReport {
     /// Which pilot ran.
-    pub site: PilotSite,
+    pub pilot: Pilot,
     /// Outcome under the smart (SWAMP) policy.
     pub smart: SeasonOutcome,
     /// Outcome under conventional practice.
@@ -169,23 +152,13 @@ impl PilotReport {
 }
 
 /// Runs a pilot's smart-vs-baseline comparison.
-pub fn run_pilot(site: PilotSite, seed: u64) -> PilotReport {
-    let (zones, area) = site.field_layout();
-    let mk = |policy: Box<dyn Fn() -> Box<dyn IrrigationPolicy>>| {
-        let mut rng = SimRng::seed_from(seed ^ 0xf1e1d);
-        SeasonConfig {
-            climate: site.climate(),
-            crop: site.crop(),
-            zones: heterogeneous_zones(zones, area, &mut rng),
-            sowing_doy: site.sowing_doy(),
-            source: site.source(),
-            policy,
-        }
-    };
+pub fn run_pilot(pilot: Pilot, seed: u64) -> PilotReport {
+    let agronomy = Agronomy::of(pilot);
+    let run = |policy| run_season(&agronomy.season(policy, seed ^ 0xf1e1d), seed);
     PilotReport {
-        site,
-        smart: run_season(&mk(site.smart_policy()), seed),
-        baseline: run_season(&mk(site.baseline_policy()), seed),
+        pilot,
+        smart: run(agronomy.smart),
+        baseline: run(agronomy.baseline),
     }
 }
 
@@ -195,19 +168,19 @@ mod tests {
 
     #[test]
     fn all_pilots_run_and_save_water() {
-        for site in PilotSite::all() {
-            let report = run_pilot(site, 42);
+        for pilot in Pilot::all() {
+            let report = run_pilot(pilot, 42);
             assert!(
                 report.water_saving() > 0.0,
                 "{}: smart should beat {:.0} m3 baseline, used {:.0} m3",
-                site.name(),
+                Agronomy::of(pilot).display_name,
                 report.baseline.account.volume_m3,
                 report.smart.account.volume_m3
             );
             assert!(
                 report.yield_delta() > -0.10,
                 "{}: smart must not sacrifice much yield ({:+.2})",
-                site.name(),
+                Agronomy::of(pilot).display_name,
                 report.yield_delta()
             );
         }
@@ -215,7 +188,7 @@ mod tests {
 
     #[test]
     fn matopiba_saves_energy() {
-        let report = run_pilot(PilotSite::Matopiba, 7);
+        let report = run_pilot(Pilot::Matopiba, 7);
         assert!(
             report.energy_saving() > 0.1,
             "energy saving {:.2}",
@@ -226,7 +199,7 @@ mod tests {
 
     #[test]
     fn intercrop_cost_dominated_by_desalination() {
-        let report = run_pilot(PilotSite::Intercrop, 7);
+        let report = run_pilot(Pilot::Intercrop, 7);
         // Desalinated water ⇒ cost per m³ ~0.85: cost tracks volume.
         let expected = report.smart.account.volume_m3 * 0.85;
         assert!((report.smart.account.cost_eur - expected).abs() < 1e-6);
@@ -235,7 +208,7 @@ mod tests {
 
     #[test]
     fn guaspari_quality_improves() {
-        let report = run_pilot(PilotSite::Guaspari, 7);
+        let report = run_pilot(Pilot::Guaspari, 7);
         assert!(
             report.smart.wine_quality() > report.baseline.wine_quality(),
             "deficit quality {:.0} vs baseline {:.0}",
@@ -246,19 +219,20 @@ mod tests {
 
     #[test]
     fn pilot_metadata_is_consistent() {
-        for site in PilotSite::all() {
-            assert!(!site.name().is_empty());
-            let (zones, area) = site.field_layout();
+        for pilot in Pilot::all() {
+            let agronomy = Agronomy::of(pilot);
+            assert!(!agronomy.display_name.is_empty());
+            let (zones, area) = agronomy.layout;
             assert!(zones > 0 && area > 0.0);
-            assert!((1..=366).contains(&site.sowing_doy()));
+            assert!((1..=366).contains(&agronomy.sowing_doy));
         }
-        assert_eq!(PilotSite::all().len(), 4);
+        assert_eq!(Pilot::all().len(), 4);
     }
 
     #[test]
     fn reports_are_deterministic() {
-        let a = run_pilot(PilotSite::Cbec, 9);
-        let b = run_pilot(PilotSite::Cbec, 9);
+        let a = run_pilot(Pilot::Cbec, 9);
+        let b = run_pilot(Pilot::Cbec, 9);
         assert_eq!(a.smart.account.volume_m3, b.smart.account.volume_m3);
         assert_eq!(a.baseline.mean_yield(), b.baseline.mean_yield());
     }

@@ -51,11 +51,6 @@ impl Report {
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
-
-    /// A cell by row/column for assertions in tests.
-    pub fn cell(&self, row: usize, col: usize) -> &str {
-        &self.rows[row][col]
-    }
 }
 
 impl fmt::Display for Report {
@@ -109,7 +104,7 @@ mod tests {
         r.push_row(vec!["fixed".into(), fmt_f(2000.0, 1)]);
         assert_eq!(r.len(), 2);
         assert!(!r.is_empty());
-        assert_eq!(r.cell(0, 1), "1234.5");
+        assert_eq!(r.rows[0][1], "1234.5");
         let text = r.to_string();
         assert!(text.contains("## E0: demo"));
         assert!(text.contains("| smart"));

@@ -47,6 +47,10 @@ pub fn heterogeneous_zones(zones: usize, area_ha_each: f64, rng: &mut SimRng) ->
         .collect()
 }
 
+/// Makes a fresh irrigation policy (one per zone, so stateful policies
+/// don't leak across zones).
+pub type PolicyFactory = fn() -> Box<dyn IrrigationPolicy>;
+
 /// Configuration of one season run.
 pub struct SeasonConfig {
     /// Climate the weather generator samples.
@@ -59,9 +63,8 @@ pub struct SeasonConfig {
     pub sowing_doy: u32,
     /// Water source billing/energy model.
     pub source: WaterSource,
-    /// Irrigation policy factory (fresh policy per zone so stateful
-    /// policies don't leak across zones).
-    pub policy: Box<dyn Fn() -> Box<dyn IrrigationPolicy>>,
+    /// Irrigation policy factory.
+    pub policy: PolicyFactory,
 }
 
 /// Per-zone outcome of a season.
@@ -249,7 +252,7 @@ mod tests {
     use super::*;
     use swamp_irrigation::schedule::{EtReplacement, FixedCalendar, Rainfed, ThresholdRefill};
 
-    fn config(policy: Box<dyn Fn() -> Box<dyn IrrigationPolicy>>) -> SeasonConfig {
+    fn config(policy: PolicyFactory) -> SeasonConfig {
         let mut rng = SimRng::seed_from(1);
         SeasonConfig {
             climate: ClimateProfile::barreiras(),
@@ -283,8 +286,8 @@ mod tests {
 
     #[test]
     fn irrigated_beats_rainfed_in_dry_season() {
-        let rainfed = run_season(&config(Box::new(|| Box::new(Rainfed))), 7);
-        let smart = run_season(&config(Box::new(|| Box::new(ThresholdRefill::new(1.0)))), 7);
+        let rainfed = run_season(&config(|| Box::new(Rainfed)), 7);
+        let smart = run_season(&config(|| Box::new(ThresholdRefill::new(1.0))), 7);
         assert!(
             smart.mean_yield() > rainfed.mean_yield() + 0.2,
             "smart {:.2} vs rainfed {:.2}",
@@ -297,11 +300,8 @@ mod tests {
 
     #[test]
     fn smart_uses_less_water_than_fixed_for_similar_yield() {
-        let fixed = run_season(
-            &config(Box::new(|| Box::new(FixedCalendar::new(3, 25.0)))),
-            7,
-        );
-        let smart = run_season(&config(Box::new(|| Box::new(ThresholdRefill::new(1.0)))), 7);
+        let fixed = run_season(&config(|| Box::new(FixedCalendar::new(3, 25.0))), 7);
+        let smart = run_season(&config(|| Box::new(ThresholdRefill::new(1.0))), 7);
         assert!(
             smart.account.volume_m3 < fixed.account.volume_m3,
             "smart {:.0} m3 vs fixed {:.0} m3",
@@ -320,17 +320,17 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let a = run_season(&config(Box::new(|| Box::new(EtReplacement::new(1.0)))), 3);
-        let b = run_season(&config(Box::new(|| Box::new(EtReplacement::new(1.0)))), 3);
+        let a = run_season(&config(|| Box::new(EtReplacement::new(1.0))), 3);
+        let b = run_season(&config(|| Box::new(EtReplacement::new(1.0))), 3);
         assert_eq!(a.account.volume_m3, b.account.volume_m3);
         assert_eq!(a.mean_yield(), b.mean_yield());
-        let c = run_season(&config(Box::new(|| Box::new(EtReplacement::new(1.0)))), 4);
+        let c = run_season(&config(|| Box::new(EtReplacement::new(1.0))), 4);
         assert_ne!(a.account.volume_m3, c.account.volume_m3);
     }
 
     #[test]
     fn outcome_invariants() {
-        let o = run_season(&config(Box::new(|| Box::new(ThresholdRefill::new(1.0)))), 9);
+        let o = run_season(&config(|| Box::new(ThresholdRefill::new(1.0))), 9);
         assert_eq!(o.zones.len(), 8);
         assert_eq!(o.days, Crop::soybean().season_days());
         for z in &o.zones {
@@ -354,7 +354,7 @@ mod tests {
     #[test]
     fn deficit_irrigation_raises_wine_quality() {
         use swamp_irrigation::schedule::DeficitMaintain;
-        let mk = |policy: Box<dyn Fn() -> Box<dyn IrrigationPolicy>>| {
+        let mk = |policy: PolicyFactory| {
             let mut rng = SimRng::seed_from(3);
             SeasonConfig {
                 climate: ClimateProfile::pinhal(),
@@ -365,8 +365,8 @@ mod tests {
                 policy,
             }
         };
-        let full = run_season(&mk(Box::new(|| Box::new(EtReplacement::new(1.0)))), 5);
-        let deficit_run = run_season(&mk(Box::new(|| Box::new(DeficitMaintain::new(0.65)))), 5);
+        let full = run_season(&mk(|| Box::new(EtReplacement::new(1.0))), 5);
+        let deficit_run = run_season(&mk(|| Box::new(DeficitMaintain::new(0.65))), 5);
         assert!(
             deficit_run.wine_quality() > full.wine_quality(),
             "deficit quality {:.0} vs full {:.0}",

@@ -57,8 +57,8 @@ use swamp_sim::SimTime;
 use crate::profile::CropProfiler;
 
 /// Delta dead zone: deltas at or below this magnitude are `Steady`.
-/// Matches the workload generator's quantum (sensor noise σ ≈ 0.0012
-/// VWC keeps honest steady deltas inside it).
+/// Sized above sensor noise (σ ≈ 0.0012 VWC per sample keeps honest
+/// steady deltas inside it) and below the slowest daytime drawdown step.
 pub const STEADY_QUANTUM: f64 = 0.004;
 
 /// Jump threshold: refill events move ~0.09 VWC in one round, ET
@@ -84,13 +84,6 @@ const GRACE: u32 = 4;
 
 /// Smoothing mass for transition probabilities.
 const ALPHA: f64 = 0.5;
-
-/// Day is 06:00–18:00 of the simulated day (same convention as the
-/// workload generator — the clock, not delivery time, decides).
-fn is_day(at: SimTime) -> bool {
-    let f = at.day_fraction();
-    (0.25..0.75).contains(&f)
-}
 
 /// Quantized (delta, day) symbol in `0..ALPHABET`.
 fn symbol(delta: f64, day: bool) -> u8 {
@@ -457,7 +450,8 @@ impl BehaviorBank {
         }
 
         let delta = value - state.last_value;
-        let sym = symbol(delta, is_day(at));
+        // The observation's clock, not its delivery time, decides day.
+        let sym = symbol(delta, at.is_day());
         let prev = state.last_sym;
         state.last_sym = Some(sym);
         state.last_at = at;
@@ -576,7 +570,7 @@ mod tests {
         let mut out = Vec::new();
         for r in from..from + rounds {
             let at = SimTime::from_secs(60) + STEP * r as u64;
-            if is_day(at) {
+            if at.is_day() {
                 v -= 0.007;
                 if v < 0.17 {
                     v += 0.09;

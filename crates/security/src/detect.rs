@@ -60,11 +60,6 @@ impl RangeValidator {
         RangeValidator::new(0.0, 0.6)
     }
 
-    /// Physical bounds for NDVI.
-    pub fn ndvi() -> Self {
-        RangeValidator::new(-1.0, 1.0)
-    }
-
     /// Checks one value.
     pub fn check(&self, value: f64) -> Verdict {
         if value.is_finite() && (self.lo..=self.hi).contains(&value) {
@@ -75,43 +70,36 @@ impl RangeValidator {
     }
 }
 
-/// Rolling z-score detector with an EWMA baseline.
+/// Rolling z-score detector with an EWMA baseline, tuned for slow agro
+/// signals (soil moisture, NDVI).
 ///
-/// Flags observations more than `warn_z`/`alert_z` exponentially weighted
-/// standard deviations from the smoothed mean, after a warm-up period.
+/// Flags observations more than `WARN_Z`/`ALERT_Z` exponentially
+/// weighted standard deviations from the smoothed mean, after a warm-up
+/// period.
 #[derive(Clone, Debug)]
 pub struct ZScoreDetector {
     ewma: Ewma,
-    warmup: u32,
     seen: u32,
-    warn_z: f64,
-    alert_z: f64,
-    min_sd: f64,
 }
 
 impl ZScoreDetector {
-    /// Creates a detector; `alpha` is the EWMA smoothing factor.
-    ///
-    /// # Panics
-    /// Panics if thresholds are not `0 < warn_z <= alert_z`.
-    pub fn new(alpha: f64, warmup: u32, warn_z: f64, alert_z: f64, min_sd: f64) -> Self {
-        assert!(
-            warn_z > 0.0 && warn_z <= alert_z,
-            "need 0 < warn_z <= alert_z"
-        );
-        ZScoreDetector {
-            ewma: Ewma::new(alpha),
-            warmup,
-            seen: 0,
-            warn_z,
-            alert_z,
-            min_sd,
-        }
-    }
+    /// EWMA smoothing factor.
+    const ALPHA: f64 = 0.15;
+    /// Observations that only train the baseline.
+    const WARMUP: u32 = 10;
+    /// Distance, in standard deviations, that raises a warning.
+    const WARN_Z: f64 = 3.0;
+    /// Distance, in standard deviations, that raises an alert.
+    const ALERT_Z: f64 = 5.0;
+    /// Floor on the baseline's standard deviation.
+    const MIN_SD: f64 = 0.01;
 
-    /// Defaults tuned for slow agro signals (soil moisture, NDVI).
+    /// A fresh detector for a slow agro signal.
     pub fn for_slow_signal() -> Self {
-        ZScoreDetector::new(0.15, 10, 3.0, 5.0, 0.01)
+        ZScoreDetector {
+            ewma: Ewma::new(Self::ALPHA),
+            seen: 0,
+        }
     }
 
     /// Scores one observation and updates the baseline.
@@ -121,15 +109,15 @@ impl ZScoreDetector {
     /// baseline, so a step attack cannot teach the detector its new normal.
     pub fn observe(&mut self, value: f64) -> Verdict {
         self.seen += 1;
-        if self.seen <= self.warmup || !self.ewma.is_primed() {
+        if self.seen <= Self::WARMUP || !self.ewma.is_primed() {
             self.ewma.push(value);
             return Verdict::Normal;
         }
-        let sd = self.ewma.std_dev().max(self.min_sd);
+        let sd = self.ewma.std_dev().max(Self::MIN_SD);
         let z = (value - self.ewma.value()).abs() / sd;
-        let verdict = if z >= self.alert_z {
+        let verdict = if z >= Self::ALERT_Z {
             Verdict::Anomalous(Severity::Alert)
-        } else if z >= self.warn_z {
+        } else if z >= Self::WARN_Z {
             Verdict::Anomalous(Severity::Warning)
         } else {
             Verdict::Normal
@@ -139,58 +127,46 @@ impl ZScoreDetector {
         }
         verdict
     }
-
-    /// Current baseline mean.
-    pub fn baseline(&self) -> f64 {
-        self.ewma.value()
-    }
 }
 
-/// Two-sided CUSUM drift detector: catches slow tampering that stays under
-/// the z-score radar (the stealthy drift attack, `swamp-workload`'s
-/// `AttackOverlay::TamperDrift`).
+/// Two-sided CUSUM drift detector for slow agro signals: catches slow
+/// tampering that stays under the z-score radar (the stealthy drift
+/// attack, `swamp-workload`'s `AttackOverlay::TamperDrift`).
 #[derive(Clone, Debug)]
 pub struct CusumDetector {
     reference: OnlineStats,
-    warmup: u64,
-    /// Slack parameter k (in reference SDs).
-    k: f64,
-    /// Decision threshold h (in reference SDs).
-    h: f64,
     pos: f64,
     neg: f64,
 }
 
 impl CusumDetector {
-    /// Creates a CUSUM with slack `k` and threshold `h` (both in SD units).
-    pub fn new(warmup: u64, k: f64, h: f64) -> Self {
-        assert!(k >= 0.0 && h > 0.0);
+    /// Observations that only build the reference.
+    const WARMUP: u64 = 20;
+    /// Slack parameter k (in reference SDs).
+    const K: f64 = 0.5;
+    /// Decision threshold h (in reference SDs).
+    const H: f64 = 8.0;
+
+    /// A fresh detector for a slow agro signal.
+    pub fn for_slow_signal() -> Self {
         CusumDetector {
             reference: OnlineStats::new(),
-            warmup,
-            k,
-            h,
             pos: 0.0,
             neg: 0.0,
         }
     }
 
-    /// Defaults for slow agro signals.
-    pub fn for_slow_signal() -> Self {
-        CusumDetector::new(20, 0.5, 8.0)
-    }
-
     /// Scores one observation.
     pub fn observe(&mut self, value: f64) -> Verdict {
-        if self.reference.count() < self.warmup {
+        if self.reference.count() < Self::WARMUP {
             self.reference.push(value);
             return Verdict::Normal;
         }
         let sd = self.reference.sample_std_dev().max(1e-9);
         let z = (value - self.reference.mean()) / sd;
-        self.pos = (self.pos + z - self.k).max(0.0);
-        self.neg = (self.neg - z - self.k).max(0.0);
-        if self.pos > self.h || self.neg > self.h {
+        self.pos = (self.pos + z - Self::K).max(0.0);
+        self.neg = (self.neg - z - Self::K).max(0.0);
+        if self.pos > Self::H || self.neg > Self::H {
             Verdict::Anomalous(Severity::Alert)
         } else {
             Verdict::Normal
@@ -327,7 +303,7 @@ mod tests {
         // Sudden replace-attack value.
         assert!(d.observe(0.55).is_anomalous());
         // Baseline not poisoned by the anomaly.
-        assert!((d.baseline() - 0.25).abs() < 0.03);
+        assert!((d.ewma.value() - 0.25).abs() < 0.03);
     }
 
     #[test]

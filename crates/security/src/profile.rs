@@ -71,11 +71,6 @@ impl CropProfiler {
         CropProfiler { zones }
     }
 
-    /// Number of zones.
-    pub fn zones(&self) -> usize {
-        self.zones
-    }
-
     /// Builds a profile from `(zone, value)` readings. Unobserved zones are
     /// filled by nearest-observed-neighbor interpolation (1-D zone line,
     /// ties averaged); with no readings at all, estimates are `None`.

@@ -90,8 +90,8 @@ pub struct ShardedPlatform {
     shards: Vec<Platform>,
     workers: usize,
     /// Test seam for the merge-barrier ordering test: wall-clock
-    /// milliseconds to delay each shard's parallel pump by (never
-    /// observable in exported state). Empty in production.
+    /// milliseconds to delay each shard's step in a round (pump or ingest)
+    /// by (never observable in exported state). Empty in production.
     stagger_ms: Vec<u64>,
     agg_store: CloudStore,
     /// Shard `i`'s identity as a record source in the aggregate store
@@ -153,7 +153,7 @@ impl ShardedPlatform {
     }
 
     /// Test seam for the merge-barrier ordering test: delays shard `i`'s
-    /// parallel-mode pump by `stagger_ms[i]` wall-clock milliseconds, so a
+    /// pump and ingest by `stagger_ms[i]` wall-clock milliseconds, so a
     /// test can force shard 0 to finish last and shard N−1 first. Output
     /// must be unaffected — the delays are invisible to simulated time and
     /// to every exported snapshot.
@@ -170,11 +170,6 @@ impl ShardedPlatform {
     /// The shard a device id routes to.
     pub fn shard_of(&self, device_id: &str) -> ShardIndex {
         route_device(device_id, self.shards.len())
-    }
-
-    /// Shared access to one shard's platform.
-    pub fn shard(&self, i: ShardIndex) -> Option<&Platform> {
-        self.shards.get(i)
     }
 
     /// Mutable access to one shard's platform (fault drills, direct
@@ -239,7 +234,20 @@ impl ShardedPlatform {
         for entity in entities {
             per_shard[route_entity(entity.id().as_str(), n)].push(entity);
         }
-        pool::ingest_round(&mut self.shards, self.workers, now, per_shard)
+        pool::round(
+            &mut self.shards,
+            self.workers,
+            &self.stagger_ms,
+            per_shard,
+            |shard, batch| {
+                // An empty batch never enters the shard's ingest span.
+                if batch.is_empty() {
+                    0
+                } else {
+                    shard.ingest_entities(now, batch)
+                }
+            },
+        )
     }
 
     /// Advances every shard one round, then runs one aggregation pass.
@@ -250,7 +258,14 @@ impl ShardedPlatform {
     /// appends applied-record batches in shard-id order, so every worker
     /// count produces byte-identical fingerprints and obs exports.
     pub fn pump(&mut self, now: SimTime) -> usize {
-        let ingested = pool::pump_round(&mut self.shards, self.workers, now, &self.stagger_ms);
+        let inputs = vec![(); self.shards.len()];
+        let ingested = pool::round(
+            &mut self.shards,
+            self.workers,
+            &self.stagger_ms,
+            inputs,
+            |shard, ()| shard.pump(now),
+        );
         self.aggregate(now);
         ingested
     }

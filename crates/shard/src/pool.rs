@@ -18,105 +18,56 @@
 //!
 //! No new runtime dependency: `std::thread::scope` borrows `&mut [Platform]`
 //! chunks directly (this is what forces `Platform: Send`, pinned by the
-//! compile-time audit in `crates/shard/tests/send_sync.rs`). Per-shard
-//! ingested counts are written into disjoint chunks of a result vector and
-//! summed after the barrier, so the total is order-independent too.
+//! compile-time audit in `crates/shard/tests/send_sync.rs`). A pump and an
+//! ingest are the same fan-out (`round`) with a different per-shard
+//! input. Per-shard counts are written into disjoint chunks of a result
+//! vector and summed in shard order after the barrier, so the total is
+//! order-independent too.
 
-use swamp_codec::ngsi::Entity;
 use swamp_core::platform::Platform;
-use swamp_sim::SimTime;
 
-/// Splits `shards` into one contiguous chunk per worker and pumps every
-/// shard once at `now`, returning the summed ingested count. `stagger_ms`
-/// (test seam; normally empty) delays shard `i`'s pump by `stagger_ms[i]`
-/// wall-clock milliseconds to skew worker finish order — output must not
-/// change, which is what the merge-barrier ordering test asserts.
-pub(crate) fn pump_round(
+/// Advances every shard once: splits `shards` into one contiguous chunk
+/// per worker and runs `step(shard, input)` on each shard with its own
+/// input (`inputs[i]` goes to shard `i`: `()` for a pump, the routed batch
+/// for an ingest), returning the per-shard counts summed in shard order
+/// after the join. `stagger_ms` (test seam; normally empty) delays shard
+/// `i`'s step by `stagger_ms[i]` wall-clock milliseconds to skew worker
+/// finish order — output must not change, which is what the merge-barrier
+/// ordering test asserts.
+pub(crate) fn round<I: Send>(
     shards: &mut [Platform],
     workers: usize,
-    now: SimTime,
     stagger_ms: &[u64],
+    inputs: Vec<I>,
+    step: impl Fn(&mut Platform, I) -> usize + Sync,
 ) -> usize {
     let n = shards.len();
-    let workers = workers.clamp(1, n.max(1));
-    if workers <= 1 {
-        return shards.iter_mut().map(|s| s.pump(now)).sum();
-    }
-    let chunk = n.div_ceil(workers);
+    let chunk = n.div_ceil(workers.clamp(1, n.max(1)));
     let mut counts = vec![0usize; n];
-    std::thread::scope(|scope| {
-        for (chunk_idx, (shard_chunk, count_chunk)) in shards
-            .chunks_mut(chunk)
-            .zip(counts.chunks_mut(chunk))
-            .enumerate()
+    let run = |first: usize, shards: &mut [Platform], counts: &mut [usize], inputs: Vec<I>| {
+        for (off, ((shard, count), input)) in shards.iter_mut().zip(counts).zip(inputs).enumerate()
         {
-            scope.spawn(move || {
-                for (off, (shard, count)) in shard_chunk
-                    .iter_mut()
-                    .zip(count_chunk.iter_mut())
-                    .enumerate()
-                {
-                    sleep_stagger(stagger_ms, chunk_idx * chunk + off);
-                    *count = shard.pump(now);
-                }
-            });
+            sleep_stagger(stagger_ms, first + off);
+            *count = step(shard, input);
         }
-        // Leaving the scope joins every worker: the merge barrier.
-    });
-    counts.iter().sum()
-}
-
-/// Applies pre-partitioned entity batches (`batches[i]` targets shard `i`)
-/// across the worker pool, returning the summed applied count. Empty
-/// batches are skipped without entering the shard's ingest span, at any
-/// worker count.
-pub(crate) fn ingest_round(
-    shards: &mut [Platform],
-    workers: usize,
-    now: SimTime,
-    batches: Vec<Vec<Entity>>,
-) -> usize {
-    let n = shards.len();
-    let workers = workers.clamp(1, n.max(1));
-    if workers <= 1 {
-        return shards
-            .iter_mut()
-            .zip(batches)
-            .map(|(s, b)| {
-                if b.is_empty() {
-                    0
-                } else {
-                    s.ingest_entities(now, b)
-                }
-            })
-            .sum();
+    };
+    if chunk >= n {
+        run(0, shards, &mut counts, inputs);
+    } else {
+        let mut inputs = inputs.into_iter();
+        std::thread::scope(|scope| {
+            for (chunk_idx, (shard_chunk, count_chunk)) in shards
+                .chunks_mut(chunk)
+                .zip(counts.chunks_mut(chunk))
+                .enumerate()
+            {
+                let input_chunk: Vec<I> = inputs.by_ref().take(shard_chunk.len()).collect();
+                let run = &run;
+                scope.spawn(move || run(chunk_idx * chunk, shard_chunk, count_chunk, input_chunk));
+            }
+            // Leaving the scope joins every worker: the merge barrier.
+        });
     }
-    let chunk = n.div_ceil(workers);
-    let mut counts = vec![0usize; n];
-    let mut batches = batches;
-    std::thread::scope(|scope| {
-        let mut rest_shards: &mut [Platform] = shards;
-        let mut rest_counts: &mut [usize] = &mut counts;
-        while !rest_shards.is_empty() {
-            let take = chunk.min(rest_shards.len());
-            let (shard_chunk, shards_tail) = rest_shards.split_at_mut(take);
-            let (count_chunk, counts_tail) = rest_counts.split_at_mut(take);
-            rest_shards = shards_tail;
-            rest_counts = counts_tail;
-            let batch_chunk: Vec<Vec<Entity>> = batches.drain(..take).collect();
-            scope.spawn(move || {
-                for ((shard, count), batch) in shard_chunk
-                    .iter_mut()
-                    .zip(count_chunk.iter_mut())
-                    .zip(batch_chunk)
-                {
-                    if !batch.is_empty() {
-                        *count = shard.ingest_entities(now, batch);
-                    }
-                }
-            });
-        }
-    });
     counts.iter().sum()
 }
 

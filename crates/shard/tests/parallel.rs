@@ -1,4 +1,4 @@
-//! Merge-barrier ordering proof (ISSUE 7 satellite).
+//! Merge-barrier ordering proof.
 //!
 //! The worker count must be unobservable: whatever order the worker
 //! threads *finish* a round in, the cross-shard aggregation pass runs only
@@ -10,6 +10,12 @@
 //! and shard N−1 the fastest, inverting the natural finish order — if the
 //! merge depended on completion order at all, shard N−1's records would
 //! jump the queue and the history comparison below would fail.
+//!
+//! Pumps and ingests share one fan-out, so the stagger skews both. An
+//! ingest round is also checked on its own, before any pump: its returned
+//! count and each shard's `ingest.accepted` right after it must equal the
+//! serial schedule's, so a batch handed to the shard whose worker finished
+//! first, rather than to the shard it was routed to, fails it.
 
 use swamp_codec::ngsi::Entity;
 use swamp_core::platform::{DeploymentConfig, Platform, PlatformBuilder};
@@ -35,11 +41,14 @@ fn probe_update(i: usize, seq: f64) -> Entity {
     e
 }
 
+/// The observable fingerprint of one run: the aggregate store's record
+/// stream *in order*, the labelled export, and every round's returned
+/// counts with each shard's `ingest.accepted` right after each ingest.
+type Fingerprint = (Vec<UpdateRecord>, String, Vec<(usize, Vec<u64>)>);
+
 /// Drives a fixed seeded workload — registrations, per-round publishes,
-/// direct ingest batches — and returns the full observable fingerprint:
-/// the aggregate store's record stream *in order* plus the labelled
-/// export.
-fn run_workload(sp: &mut ShardedPlatform) -> (Vec<UpdateRecord>, String) {
+/// direct ingest batches — and returns its [`Fingerprint`].
+fn run_workload(sp: &mut ShardedPlatform) -> Fingerprint {
     let t0 = SimTime::from_secs(1);
     for i in 0..DEVICES {
         sp.register_device(
@@ -51,6 +60,7 @@ fn run_workload(sp: &mut ShardedPlatform) -> (Vec<UpdateRecord>, String) {
         .expect("registration succeeds");
     }
     let mut now = t0;
+    let mut rounds = Vec::new();
     for round in 0..12u64 {
         for i in 0..DEVICES {
             let _ = sp.device_publish(now, &format!("probe-{i}"), &probe_update(i, round as f64));
@@ -59,26 +69,31 @@ fn run_workload(sp: &mut ShardedPlatform) -> (Vec<UpdateRecord>, String) {
             let batch: Vec<Entity> = (0..DEVICES)
                 .map(|i| probe_update(i, 1000.0 + round as f64))
                 .collect();
-            sp.ingest_entities(now, batch);
+            let applied = sp.ingest_entities(now, batch);
+            let accepted = sp
+                .shards()
+                .map(|shard| shard.observe().counter("ingest.accepted").unwrap_or(0))
+                .collect();
+            rounds.push((applied, accepted));
         }
         now = now.saturating_add(SimDuration::from_secs(60));
-        sp.pump(now);
+        rounds.push((sp.pump(now), Vec::new()));
     }
     // Drain in-flight replication so the fingerprint covers every record.
     for _ in 0..20 {
         now = now.saturating_add(SimDuration::from_secs(60));
-        sp.pump(now);
+        rounds.push((sp.pump(now), Vec::new()));
     }
     let history = sp.aggregate_store().history().to_vec();
     let export = ObsReport::array_to_json_string(&sp.observe_labelled("par"));
-    (history, export)
+    (history, export, rounds)
 }
 
 #[test]
 fn skewed_parallel_rounds_merge_in_shard_id_order() {
     let mut serial = ShardedPlatform::build(&builder(42));
     assert_eq!(serial.workers(), 1);
-    let (serial_history, serial_export) = run_workload(&mut serial);
+    let (serial_history, serial_export, serial_rounds) = run_workload(&mut serial);
     assert!(
         !serial_history.is_empty(),
         "workload must replicate records to the aggregate store"
@@ -90,8 +105,12 @@ fn skewed_parallel_rounds_merge_in_shard_id_order() {
         // N−1 not at all, so workers complete in reverse shard order.
         let stagger: Vec<u64> = (0..SHARDS).map(|i| ((SHARDS - 1 - i) * 5) as u64).collect();
         parallel.set_round_stagger_for_tests(stagger);
-        let (par_history, par_export) = run_workload(&mut parallel);
+        let (par_history, par_export, par_rounds) = run_workload(&mut parallel);
 
+        assert_eq!(
+            par_rounds, serial_rounds,
+            "{workers} workers: a round's counts or a shard's accepted ingest diverged"
+        );
         assert_eq!(
             par_history.len(),
             serial_history.len(),

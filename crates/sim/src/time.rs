@@ -85,6 +85,13 @@ impl SimTime {
         (self.0 % MILLIS_PER_DAY) as f64 / MILLIS_PER_DAY as f64
     }
 
+    /// Whether this instant falls in the daytime half of the diurnal
+    /// cycle, 06:00–18:00 of the simulated day: the one day/night clock
+    /// that telemetry generation and behavioural baselining share.
+    pub fn is_day(self) -> bool {
+        (0.25..0.75).contains(&self.day_fraction())
+    }
+
     /// Elapsed duration since `earlier`.
     ///
     /// # Panics
@@ -333,6 +340,15 @@ mod tests {
         assert_eq!(SimTime::from_days(1).day_fraction(), 0.0);
         let noon = SimTime::from_days(1) + SimDuration::from_hours(12);
         assert!((noon.day_fraction() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn day_night_split_follows_the_clock() {
+        assert!(!SimTime::ZERO.is_day());
+        assert!(SimTime::from_hours(12).is_day());
+        assert!(!SimTime::from_hours(23).is_day());
+        assert!(SimTime::from_hours(6).is_day());
+        assert!(!SimTime::from_hours(18).is_day());
     }
 
     #[test]

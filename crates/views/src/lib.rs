@@ -82,9 +82,13 @@ pub fn farm_of(entity_id: &str) -> &str {
 /// Cursor-driven incremental indexer; see the crate docs.
 #[derive(Clone, Debug, Default)]
 pub struct ViewIndexer {
+    /// The read position: how many applied records have been folded in.
     cursor: usize,
     entities: BTreeMap<String, EntityAccum>,
     applied: u64,
+    /// Records whose payload failed to parse as an NGSI entity. They still
+    /// advance per-entity record counts (the update *was* applied by the
+    /// store), but contribute no attribute state.
     malformed: u64,
 }
 
@@ -92,24 +96,6 @@ impl ViewIndexer {
     /// An empty indexer with its cursor at the start of the run.
     pub fn new() -> Self {
         ViewIndexer::default()
-    }
-
-    /// The read position: how many applied records have been folded in.
-    pub fn cursor(&self) -> usize {
-        self.cursor
-    }
-
-    /// Total records applied (equals the cursor; kept as a `u64` counter
-    /// for the `view.applied` instrument).
-    pub fn applied(&self) -> u64 {
-        self.applied
-    }
-
-    /// Records whose payload failed to parse as an NGSI entity. They still
-    /// advance per-entity record counts (the update *was* applied by the
-    /// store), but contribute no attribute state.
-    pub fn malformed(&self) -> u64 {
-        self.malformed
     }
 
     /// Folds every record past the cursor into the views and advances the
@@ -390,10 +376,10 @@ mod tests {
             rec(2, "urn:s:f1:d2", &[("water_flow", 3.0)]),
         ];
         assert_eq!(idx.catch_up(&history), 2);
-        assert_eq!(idx.cursor(), 2);
+        assert_eq!(idx.cursor, 2);
         // Re-presenting the same run applies nothing.
         assert_eq!(idx.catch_up(&history), 0);
-        assert_eq!(idx.applied(), 2);
+        assert_eq!(idx.applied, 2);
         let mut longer = history.clone();
         longer.push(rec(3, "urn:s:f1:d1", &[("water_flow", 5.0)]));
         assert_eq!(idx.catch_up(&longer), 1);

@@ -46,7 +46,7 @@
 pub mod signal;
 pub mod spec;
 
-pub use signal::{is_day, MoistureSignal, JUMP_QUANTUM, STEADY_QUANTUM};
+pub use signal::MoistureSignal;
 pub use spec::{
     AttackOverlay, CompiledWorkload, ContactWindow, Label, LabeledRecord, Pilot, RoundBatch,
     WorkloadSpec,

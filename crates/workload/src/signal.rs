@@ -6,30 +6,14 @@
 //! minimal cycle a behavioral baseline can learn: evapotranspiration
 //! draws the signal down (fast by day, slowly by night), and when it
 //! crosses the refill floor inside the pilot's irrigation window the
-//! controller refills it in one jump. Quantized into delta symbols
-//! (see the constants below) the normal cycle reads
-//! `Fall… JumpUp Steady… Fall…` — a small, learnable vocabulary whose
-//! *violations* (sustained night rises, back-to-back jumps) are exactly
-//! the attack signatures `swamp_security::baseline` hunts for.
+//! controller refills it in one jump. Day and night follow
+//! [`SimTime::is_day`]. Quantized into `swamp_security::baseline`'s delta
+//! symbols the normal cycle reads `Fall… JumpUp Steady… Fall…` — a small,
+//! learnable vocabulary whose *violations* (sustained night rises,
+//! back-to-back jumps) are exactly the attack signatures the baseline
+//! hunts for.
 
 use swamp_sim::{SimRng, SimTime};
-
-/// Deltas with magnitude at or below this are "steady" — the symbol
-/// quantizer's dead zone, sized above sensor noise (σ ≈ 0.0012 VWC per
-/// sample, so a delta of two samples stays below 0.004 almost always)
-/// and below the slowest daytime drawdown step.
-pub const STEADY_QUANTUM: f64 = 0.004;
-
-/// Deltas with magnitude above this are "jumps" — refill events move
-/// ~0.09 VWC in one round; drawdown never exceeds ~0.01.
-pub const JUMP_QUANTUM: f64 = 0.03;
-
-/// Whether `at` falls in the daytime half of the diurnal cycle
-/// (06:00–18:00 of the simulated day).
-pub fn is_day(at: SimTime) -> bool {
-    let f = at.day_fraction();
-    (0.25..0.75).contains(&f)
-}
 
 /// One probe's soil-moisture state: deterministic ET drawdown plus
 /// threshold-triggered refills inside the pilot's irrigation window.
@@ -69,16 +53,16 @@ impl MoistureSignal {
     /// not bend the physics.
     pub fn advance(&mut self, at: SimTime, season_phase: f64, rng: &mut SimRng) {
         let season = 1.0 + self.season_amplitude * (std::f64::consts::TAU * season_phase).sin();
-        let draw = if is_day(at) {
+        let draw = if at.is_day() {
             self.day_drawdown
         } else {
             self.night_drawdown
         } * season;
         self.moisture -= draw;
         let in_refill_window = if self.refill_at_night {
-            !is_day(at)
+            !at.is_day()
         } else {
-            is_day(at)
+            at.is_day()
         };
         if self.moisture <= self.refill_floor && in_refill_window {
             self.moisture += self.refill_amount + rng.uniform_range(0.0, 0.01);
@@ -98,11 +82,6 @@ impl MoistureSignal {
     pub fn sense(&self, rng: &mut SimRng) -> f64 {
         (self.moisture + rng.normal_with(0.0, 0.0012)).clamp(0.01, 0.59)
     }
-
-    /// The current physical moisture (test hook).
-    pub fn moisture(&self) -> f64 {
-        self.moisture
-    }
 }
 
 #[cfg(test)]
@@ -110,32 +89,26 @@ mod tests {
     use super::*;
     use swamp_sim::SimDuration;
 
-    #[test]
-    fn day_night_split_follows_the_clock() {
-        assert!(!is_day(SimTime::ZERO));
-        assert!(is_day(SimTime::from_hours(12)));
-        assert!(!is_day(SimTime::from_hours(23)));
-        assert!(is_day(SimTime::from_hours(6)));
-        assert!(!is_day(SimTime::from_hours(18)));
-    }
+    /// A refill moves ~0.09 VWC in one round; drawdown never exceeds ~0.01.
+    const JUMP_QUANTUM: f64 = 0.03;
 
     #[test]
     fn cycle_draws_down_and_refills_in_window() {
         let mut rng = SimRng::seed_from(7);
         let mut sig = MoistureSignal::new(&mut rng, false, 0.0);
-        let start = sig.moisture();
+        let start = sig.moisture;
         let step = SimDuration::from_mins(30);
         let mut refilled = false;
         let mut prev = start;
         for r in 0..(48 * 4) {
             let at = SimTime::ZERO + step * r;
             sig.advance(at, 0.0, &mut rng);
-            if sig.moisture() > prev + JUMP_QUANTUM {
+            if sig.moisture > prev + JUMP_QUANTUM {
                 refilled = true;
-                assert!(is_day(at), "day-refill pilot must refill by day");
+                assert!(at.is_day(), "day-refill pilot must refill by day");
             }
-            prev = sig.moisture();
-            assert!((0.02..=0.58).contains(&sig.moisture()));
+            prev = sig.moisture;
+            assert!((0.02..=0.58).contains(&sig.moisture));
         }
         assert!(refilled, "four days must contain at least one refill");
     }
@@ -145,16 +118,16 @@ mod tests {
         let mut rng = SimRng::seed_from(8);
         let mut sig = MoistureSignal::new(&mut rng, true, 0.1);
         let step = SimDuration::from_mins(30);
-        let mut prev = sig.moisture();
+        let mut prev = sig.moisture;
         let mut refills = 0;
         for r in 0..(48 * 4) {
             let at = SimTime::ZERO + step * r;
             sig.advance(at, r as f64 / 192.0, &mut rng);
-            if sig.moisture() > prev + JUMP_QUANTUM {
+            if sig.moisture > prev + JUMP_QUANTUM {
                 refills += 1;
-                assert!(!is_day(at), "night-refill pilot must refill at night");
+                assert!(!at.is_day(), "night-refill pilot must refill at night");
             }
-            prev = sig.moisture();
+            prev = sig.moisture;
         }
         assert!(refills >= 1);
     }
@@ -163,12 +136,12 @@ mod tests {
     fn hijack_jumps_and_saturates() {
         let mut rng = SimRng::seed_from(9);
         let mut sig = MoistureSignal::new(&mut rng, false, 0.0);
-        let before = sig.moisture();
+        let before = sig.moisture;
         sig.hijack();
-        assert!(sig.moisture() - before > JUMP_QUANTUM);
+        assert!(sig.moisture - before > JUMP_QUANTUM);
         for _ in 0..20 {
             sig.hijack();
         }
-        assert!(sig.moisture() <= 0.55);
+        assert!(sig.moisture <= 0.55);
     }
 }

@@ -21,7 +21,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use swamp_codec::ngsi::{Attribute, Entity};
 use swamp_sim::{Fnv1a, SimDuration, SimRng, SimTime};
 
-use crate::signal::{is_day, MoistureSignal};
+use crate::signal::MoistureSignal;
 
 /// Entity type stamped on every workload record.
 pub const ENTITY_TYPE: &str = "SoilProbe";
@@ -542,10 +542,10 @@ impl<'a> Compiler<'a> {
                 }
 
                 let offer = match spec.pilot {
-                    Pilot::Cbec => is_day(at) || (r as u64 + d.phase).is_multiple_of(4),
+                    Pilot::Cbec => at.is_day() || (r as u64 + d.phase).is_multiple_of(4),
                     Pilot::Intercrop => {
                         if d.cohort == 0 {
-                            !is_day(at)
+                            !at.is_day()
                         } else {
                             (r as u64 + d.phase).is_multiple_of(2)
                         }

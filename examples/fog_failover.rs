@@ -28,7 +28,7 @@ fn run(config: DeploymentConfig, label: &str) {
         )
         .unwrap();
 
-    let mut tracker = AvailabilityTracker::new(SimDuration::from_hours(1));
+    let mut tracker = AvailabilityTracker::default();
     for h in 0..36u64 {
         let t = SimTime::from_hours(h);
         let mut update = Entity::new("urn:swamp:device:probe-1", "SoilProbe");

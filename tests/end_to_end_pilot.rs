@@ -137,12 +137,13 @@ fn closed_loop_irrigation_through_the_platform() {
 /// customization claim) — smoke-level, via the pilot runner.
 #[test]
 fn four_pilots_one_platform() {
-    use swamp::pilots::pilots::{run_pilot, PilotSite};
+    use swamp::pilots::pilots::{run_pilot, Agronomy, Pilot};
     let mut names = std::collections::BTreeSet::new();
-    for site in PilotSite::all() {
-        let report = run_pilot(site, 11);
-        names.insert(site.name());
-        assert!(report.smart.days > 100, "{}: full season ran", site.name());
+    for pilot in Pilot::all() {
+        let report = run_pilot(pilot, 11);
+        let name = Agronomy::of(pilot).display_name;
+        names.insert(name);
+        assert!(report.smart.days > 100, "{name}: full season ran");
         assert!(report.smart.account.volume_m3 < report.baseline.account.volume_m3);
     }
     assert_eq!(names.len(), 4);

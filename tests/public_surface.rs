@@ -1,18 +1,26 @@
 //! Every `pub fn` has a caller. A public function under `crates/*/src`
-//! whose name appears, outside comments and string literals, only in its
-//! own definition and in unit tests (the trailing `mod tests` of any crate
-//! source, its own file's or another's) is code that nothing runs but
-//! tests, and this test fails on it. A doctest is a comment here: it does
-//! not count as a caller. The callers it counts are every `.rs` file under
-//! `crates/`, `src/`, `tests/`, `examples/` and `benchmark/src`, less the
-//! crate sources' unit test modules, read and never written.
+//! that no code calls, outside comments, string literals and unit tests
+//! (the trailing `mod tests` of any crate source, its own file's or
+//! another's), is code that nothing runs but tests, and this test fails on
+//! it. A doctest is a comment here: it does not count as a caller. The
+//! callers it counts are every `.rs` file under `crates/`, `src/`, `tests/`,
+//! `examples/` and `benchmark/src`, less the crate sources' unit test
+//! modules, read and never written.
 //!
-//! The limit: this is a name check, not a call graph. A common name
-//! (`new`, `len`, `remove`) always passes, because some other definition or
-//! call spells it; a function that only another uncalled function calls
-//! passes too. It never flags a function that is in use. To tell a file's
-//! tests apart it also holds that every `#[cfg(test)]` in `crates/*/src` is
-//! one trailing `mod tests` that runs to the end of the file.
+//! A caller is call syntax, not a bare name: `.name(` (or `.name::<`) for a
+//! method, `Type::name` or `module::name` as a call or as a value, and for a
+//! free function also a bare `name(`. rustfmt puts a free function's `pub
+//! fn` at the start of its line and a method's inside its indented `impl`,
+//! so the indent tells the two apart. A field, a local or an unrelated
+//! identifier that shares the name is not a caller.
+//!
+//! The limit: this matches call syntax by name, not a call graph. A method
+//! that shares its name with another type's method (`new`, `len`) passes
+//! when either is called, and a function that only another uncalled
+//! function calls passes too. It never flags a function that is in use. To
+//! tell a file's tests apart it also holds that every `#[cfg(test)]` in
+//! `crates/*/src` is one trailing `mod tests` that runs to the end of the
+//! file.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -164,10 +172,12 @@ fn every_public_function_has_a_caller_outside_its_own_tests() {
     }
     files.sort();
 
-    // How often each name is spelled outside the crate sources' unit
-    // test modules, and every `pub fn` of a crate source: its file and name.
-    let mut uses: HashMap<String, usize> = HashMap::new();
-    let mut defined: Vec<(&Path, &str)> = Vec::new();
+    // How often each name is called as a method or through a path, how
+    // often bare, and every `pub fn` of a crate source: its file, its name
+    // and whether it is a free function.
+    let mut path_calls: HashMap<String, usize> = HashMap::new();
+    let mut bare_calls: HashMap<String, usize> = HashMap::new();
+    let mut defined: Vec<(&Path, &str, bool)> = Vec::new();
     let sources: Vec<(&Path, String)> = files
         .iter()
         .map(|f| {
@@ -189,21 +199,35 @@ fn every_public_function_has_a_caller_outside_its_own_tests() {
         } else {
             code.len()
         };
-        for (at, ident) in identifiers(&code[..tests_at]) {
-            *uses.entry(ident.to_owned()).or_default() += 1;
-            let line_so_far = code[..at].rsplit('\n').next().unwrap_or_default().trim();
-            if crate_src && (line_so_far == "pub fn" || line_so_far == "pub const fn") {
-                defined.push((rel, ident));
+        let code = &code[..tests_at];
+        for (at, ident) in identifiers(code) {
+            let before = &code[..at];
+            let after = code[at + ident.len()..].trim_start();
+            let called = after.starts_with('(') || after.starts_with("::<");
+            // A segment followed by `::` names a module or a type.
+            let segment = after.starts_with("::") && !called;
+            let line_so_far = before.rsplit('\n').next().unwrap_or_default();
+            if (before.ends_with("::") && !segment) || (before.ends_with('.') && called) {
+                *path_calls.entry(ident.to_owned()).or_default() += 1;
+            } else if matches!(line_so_far.trim(), "pub fn" | "pub const fn") {
+                if crate_src {
+                    defined.push((rel, ident, line_so_far.starts_with("pub")));
+                }
+            } else if called && !before.ends_with('.') && !before.trim_end().ends_with("fn") {
+                *bare_calls.entry(ident.to_owned()).or_default() += 1;
             }
         }
     }
 
-    // Outside every unit test module, a `pub fn`'s name must appear more
-    // than once: once is its definition.
+    // Outside every unit test module, a `pub fn` must be called: a method
+    // or a path through call syntax, a free function also bare.
+    let calls = |map: &HashMap<String, usize>, name: &str| map.get(name).copied().unwrap_or(0);
     let uncalled: Vec<String> = defined
         .iter()
-        .filter(|(_, name)| uses[*name] <= 1)
-        .map(|(rel, name)| format!("{}: {name}", rel.display()))
+        .filter(|(_, name, free)| {
+            calls(&path_calls, name) + if *free { calls(&bare_calls, name) } else { 0 } == 0
+        })
+        .map(|(rel, name, _)| format!("{}: {name}", rel.display()))
         .collect();
     assert!(
         uncalled.is_empty(),

@@ -45,7 +45,13 @@ fn impossible_values_auto_quarantine_the_device() {
         p.detectors.recommendation("victim"),
         Recommendation::Quarantine
     );
-    assert_eq!(p.observe().counter("ingest.quarantined").unwrap(), 1);
+    let snap = p.observe();
+    assert_eq!(snap.counter("ingest.quarantined").unwrap(), 1);
+    // The export says why: the bank's recommendation event names the device.
+    assert!(snap
+        .events()
+        .iter()
+        .any(|e| e.code == "security.quarantine_recommended" && e.detail == "victim"));
 
     // The next frame from the victim is rejected at the registry gate.
     let f = sealed(&p, "victim", 1.0, 7.5, 3);
