@@ -118,12 +118,13 @@ pub struct Platform {
     pub idm: IdentityProvider,
     /// Policy decision point.
     pub pdp: Pdp,
-    /// Anomaly-detection pipeline fed by ingestion ("avoid fake data").
+    /// The range screen every sealed frame passes ("avoid fake data").
     pub detectors: DetectorBank,
-    /// Streaming behavioral baseline ("expected sequence of events"),
-    /// fed one observation per accepted record of its signal attribute
-    /// by [`Platform::ingest_entities`]. Passive by default (see
-    /// [`BaselineConfig`]); configure phases via
+    /// Streaming behavioral baseline ("expected sequence of events"), the
+    /// one statistical detector, fed one observation per accepted record
+    /// of its signal attribute by [`Platform::ingest_entities`]. Its flags
+    /// are reported, never acted on by auto-quarantine. Passive by default
+    /// (see [`BaselineConfig`]); configure phases via
     /// [`PlatformBuilder::baseline`].
     pub behavior: BehaviorBank,
     auto_quarantine: bool,
@@ -564,9 +565,11 @@ impl Platform {
         self.seed
     }
 
-    /// Enables automatic quarantine: when the detection pipeline recommends
-    /// it, the device is disabled in the registry and further frames are
-    /// rejected until an operator re-enables it.
+    /// Enables automatic quarantine: when the range screen recommends it
+    /// (the device sent a physically impossible value), the device is
+    /// disabled in the registry and further frames are rejected until an
+    /// operator re-enables it. A behavioural-baseline flag never disables
+    /// a device.
     pub fn set_auto_quarantine(&mut self, on: bool) {
         self.auto_quarantine = on;
     }
@@ -1005,8 +1008,11 @@ impl Platform {
             return Err(IngestError::Replay(device_id.to_owned()));
         }
 
-        // Detection pipeline: every numeric attribute is screened before it
-        // can influence decisions ("mechanisms to avoid fake data").
+        // The range screen: every numeric attribute is checked against its
+        // quantity's physical range before it can influence decisions
+        // ("mechanisms to avoid fake data"). Only an impossible value is
+        // hard enough evidence to cut a device off; the behavioural
+        // baseline's flags are the operator's to act on.
         let detector = *row
             .detector
             .get_or_insert_with(|| self.detectors.admit(device_id));

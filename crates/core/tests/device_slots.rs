@@ -76,17 +76,11 @@ fn platform() -> Platform {
     p
 }
 
-/// Whether device `i` reports a level signal instead of an irrigation
-/// cycle (which the detectors come to distrust), so that the devices'
-/// recommendations differ.
-fn steady(i: usize) -> bool {
-    i % 4 == 1 && i != 5
-}
-
 /// One round of frames, sealed by `p`'s keystore: an irrigation cycle per
-/// device (a level signal for the `steady` ones), an impossible value from probe-3, an actuator takeover from
-/// probe-5 after calibration, a replay of probe-2's previous frame, a
-/// frame from the unregistered `ghost`, and a device registered late.
+/// device, an impossible moisture value from probe-3, an impossible
+/// battery reading from probe-6, an actuator takeover from probe-5 after
+/// calibration, a replay of probe-2's previous frame, a frame from the
+/// unregistered `ghost`, and a device registered late.
 struct Fleet {
     ids: Vec<String>,
     nonces: Vec<NonceSequence>,
@@ -112,9 +106,6 @@ impl Fleet {
             let v = &mut self.vwc[i];
             if i == 5 && r >= 80 {
                 *v = if *v >= 0.5 { 0.3 } else { *v + 0.045 };
-            } else if steady(i) {
-                // A drip-fed field: a level reading with a small wobble.
-                *v = 0.3 + 0.0004 * ((r % 3) as f64 - 1.0);
             } else if day {
                 *v -= 0.007;
                 if *v < 0.17 {
@@ -124,7 +115,10 @@ impl Fleet {
                 *v -= 0.001;
             }
             let vwc = if i == 3 && r == 50 { 0.95 } else { *v };
-            let battery = (i % 2 == 0).then_some(0.9 - 0.001 * r as f64);
+            let battery = match i {
+                6 if r == 70 => Some(1.7),
+                _ => (i % 2 == 0).then_some(0.9 - 0.001 * r as f64),
+            };
             let id = &self.ids[i];
             let entity = telemetry(id, r, vwc, battery);
             frames.push((id.clone(), seal(p, id, &mut self.nonces[i], &entity)));
@@ -232,25 +226,19 @@ fn the_slot_path_and_the_by_name_path_leave_the_same_state() {
         flags.get("urn:swamp:device:probe-5").map(|f| f.kind),
         Some(FlagKind::Anomalous)
     );
-    assert_eq!(
-        slotted.detectors.recommendation("probe-3"),
-        Recommendation::Quarantine
-    );
-    // The level-signal devices, and only they, are trusted on both sides:
-    // a detector handle that reached another device's state would show.
-    let trusted: Vec<&str> = fleet
+    // The two senders of an impossible value, and only they, are
+    // recommended for quarantine on both sides: a detector handle that
+    // reached another device's state would show.
+    let distrusted: Vec<&str> = fleet
         .ids
         .iter()
         .map(String::as_str)
-        .filter(|id| slotted.detectors.recommendation(id) == Recommendation::Trust)
+        .filter(|id| slotted.detectors.recommendation(id) != Recommendation::Trust)
         .collect();
-    assert_eq!(
-        trusted,
-        ["probe-1", "probe-9", "probe-13", "probe-17", "probe-21"]
-    );
+    assert_eq!(distrusted, ["probe-3", "probe-6"]);
     let quarantined = slotted.detectors.quarantined();
     assert_eq!(quarantined, named.detectors.quarantined());
-    assert!(quarantined.is_sorted(), "id order: {quarantined:?}");
+    assert_eq!(quarantined, distrusted);
     let c = counters(&slotted);
     assert_eq!(c["ingest.rejected_replay"], 1);
     assert_eq!(c["ingest.rejected_unregistered"], 1);

@@ -1,16 +1,19 @@
-//! Point anomaly detectors over telemetry streams.
+//! Point detectors over telemetry streams.
 //!
-//! These are the building blocks the platform combines per quantity and per
-//! device: physical range validation, rolling z-score, CUSUM drift
-//! detection, message-rate guarding (DoS), and spatial cross-validation
-//! against neighboring sensors (tamper and Sybil evidence). Replay
-//! detection is not here: the platform keeps each device's replay window
-//! in its registry row. The sequence-of-events baseline the paper calls
-//! "the most relevant challenge" lives in [`crate::baseline`].
+//! Physical range validation is the one the platform runs on every sealed
+//! frame, through [`crate::pipeline`]'s range screen. The rest serve the
+//! experiments: a rolling z-score (E3's drydown toy; it is not on the
+//! platform path, where it cut off honest irrigated fields), message-rate
+//! guarding (DoS), and spatial cross-validation against neighboring
+//! sensors (tamper and Sybil evidence). Replay detection is not here: the
+//! platform keeps each device's replay window in its registry row. The
+//! sequence-of-events baseline the paper calls "the most relevant
+//! challenge", the platform's one statistical detector, lives in
+//! [`crate::baseline`].
 
 use std::collections::BTreeMap;
 
-use swamp_sim::stats::{Ewma, OnlineStats};
+use swamp_sim::stats::Ewma;
 use swamp_sim::{SimDuration, SimTime};
 
 /// A detector verdict for one observation.
@@ -71,7 +74,9 @@ impl RangeValidator {
 }
 
 /// Rolling z-score detector with an EWMA baseline, tuned for slow agro
-/// signals (soil moisture, NDVI).
+/// signals (soil moisture, NDVI). Only E3 runs it, on a drydown toy
+/// signal: fed the workload's irrigation cycles it flagged 24–64 of 64
+/// honest devices per pilot, so the platform path does not run it.
 ///
 /// Flags observations more than `WARN_Z`/`ALERT_Z` exponentially
 /// weighted standard deviations from the smoothed mean, after a warm-up
@@ -126,51 +131,6 @@ impl ZScoreDetector {
             self.ewma.push(value);
         }
         verdict
-    }
-}
-
-/// Two-sided CUSUM drift detector for slow agro signals: catches slow
-/// tampering that stays under the z-score radar (the stealthy drift
-/// attack, `swamp-workload`'s `AttackOverlay::TamperDrift`).
-#[derive(Clone, Debug)]
-pub struct CusumDetector {
-    reference: OnlineStats,
-    pos: f64,
-    neg: f64,
-}
-
-impl CusumDetector {
-    /// Observations that only build the reference.
-    const WARMUP: u64 = 20;
-    /// Slack parameter k (in reference SDs).
-    const K: f64 = 0.5;
-    /// Decision threshold h (in reference SDs).
-    const H: f64 = 8.0;
-
-    /// A fresh detector for a slow agro signal.
-    pub fn for_slow_signal() -> Self {
-        CusumDetector {
-            reference: OnlineStats::new(),
-            pos: 0.0,
-            neg: 0.0,
-        }
-    }
-
-    /// Scores one observation.
-    pub fn observe(&mut self, value: f64) -> Verdict {
-        if self.reference.count() < Self::WARMUP {
-            self.reference.push(value);
-            return Verdict::Normal;
-        }
-        let sd = self.reference.sample_std_dev().max(1e-9);
-        let z = (value - self.reference.mean()) / sd;
-        self.pos = (self.pos + z - Self::K).max(0.0);
-        self.neg = (self.neg - z - Self::K).max(0.0);
-        if self.pos > Self::H || self.neg > Self::H {
-            Verdict::Anomalous(Severity::Alert)
-        } else {
-            Verdict::Normal
-        }
     }
 }
 
@@ -318,41 +278,6 @@ mod tests {
             }
         }
         assert!(false_alarms < 10, "false alarms {false_alarms}");
-    }
-
-    #[test]
-    fn cusum_catches_slow_drift() {
-        let mut d = CusumDetector::for_slow_signal();
-        let mut rng = swamp_sim::SimRng::seed_from(3);
-        // Train on a stationary signal.
-        for _ in 0..30 {
-            d.observe(0.25 + rng.normal_with(0.0, 0.01));
-        }
-        // Drift of +0.005/step: z-score per step ~0.5 SD, invisible to a
-        // 3-sigma rule, but CUSUM accumulates.
-        let mut caught_at = None;
-        for step in 0..200 {
-            let v = 0.25 + 0.005 * step as f64 + rng.normal_with(0.0, 0.01);
-            if d.observe(v).is_anomalous() {
-                caught_at = Some(step);
-                break;
-            }
-        }
-        let step = caught_at.expect("CUSUM must catch the drift");
-        assert!(step < 60, "caught too late: step {step}");
-    }
-
-    #[test]
-    fn cusum_quiet_on_stationary() {
-        let mut d = CusumDetector::for_slow_signal();
-        let mut rng = swamp_sim::SimRng::seed_from(4);
-        let mut alarms = 0;
-        for _ in 0..500 {
-            if d.observe(0.3 + rng.normal_with(0.0, 0.02)).is_anomalous() {
-                alarms += 1;
-            }
-        }
-        assert!(alarms <= 2, "alarms {alarms}");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! | Blockchain device lifecycle + smart contracts | not reproduced: a device's lifecycle is `swamp-core`'s registry row and `swamp-crypto`'s `Keystore` (DESIGN.md §1) |
 //! | DoS, tampering, Sybil, eavesdropping, replay | [`attacks`] |
 //! | Rogue nodes | `swamp-core`'s `Platform::device_publish` from an unregistered id, refused at ingest |
-//! | Anomaly detection / avoid fake data | [`detect`], [`pipeline`] |
+//! | Anomaly detection / avoid fake data | [`pipeline`]'s range screen on the sealed path; [`detect`] for the experiments |
 //! | "expected sequence of events" behavioral baseline | [`baseline`] |
 //! | Partial crop profiles and detector margins | [`profile`] |
 //!
@@ -46,7 +46,7 @@ pub mod profile;
 
 pub use access::{Action, Decision, Pdp, Policy, Resource};
 pub use baseline::{BaselineConfig, BaselineFlag, BaselineVerdict, BehaviorBank, FlagKind};
-pub use detect::{CusumDetector, RangeValidator, RateGuard, Verdict, ZScoreDetector};
+pub use detect::{RangeValidator, RateGuard, Verdict, ZScoreDetector};
 pub use identity::{AuthError, IdentityProvider, Token, TokenInfo};
 pub use pipeline::{DetectorBank, Recommendation};
 pub use profile::{CropProfile, CropProfiler};

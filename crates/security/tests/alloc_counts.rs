@@ -1,10 +1,10 @@
 //! Allocation-count proofs for the per-frame detector tables.
 //!
 //! Every sealed frame passes `DetectorBank::observe_value` once per
-//! numeric attribute. Its tables are keyed by device id; once a device
-//! (and each of its quantities) has been admitted, looking it up borrows
-//! the caller's `&str` — an in-range frame touches the heap exactly zero
-//! times. (The frame's replay check lives in the device's registry row,
+//! numeric attribute. Its device table is keyed by device id and its
+//! range table by quantity name; once a device has been admitted, both
+//! lookups borrow the caller's `&str` — an in-range frame touches the
+//! heap exactly zero times. (The frame's replay check lives in the device's registry row,
 //! and `crates/core/tests/alloc_counts.rs` budgets it inside the sealed
 //! frame's leg.) And an alert keeps nothing per alert: a storm of them
 //! leaves the bank's live heap where its first thousand left it (the

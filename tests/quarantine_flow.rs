@@ -1,12 +1,18 @@
-//! Integration: the detection pipeline feeding auto-quarantine — a
-//! compromised probe starts reporting impossible values and the platform
-//! cuts it off without operator intervention, while honest peers continue.
+//! Integration: the range screen feeding auto-quarantine — a compromised
+//! probe starts reporting impossible values and the platform cuts it off
+//! without operator intervention, while honest peers continue. A possible
+//! but abnormal value is the behavioural baseline's to flag, and the
+//! operator's to act on.
+
+mod common;
 
 use swamp::codec::ngsi::Entity;
 use swamp::core::platform::{DeploymentConfig, IngestError, Platform};
+use swamp::security::baseline::{BaselineConfig, FlagKind};
 use swamp::security::pipeline::Recommendation;
 use swamp::sensors::device::DeviceKind;
 use swamp::sim::SimTime;
+use swamp_workload::{Pilot, WorkloadSpec};
 
 fn sealed(p: &Platform, device: &str, seq: f64, vwc: f64, nonce: u8) -> Vec<u8> {
     let key = p.keystore.device_key(device).unwrap().key;
@@ -98,39 +104,49 @@ fn quarantine_off_by_default_but_alerts_still_raised() {
     assert_eq!(p.observe().counter("ingest.quarantined").unwrap(), 0);
 }
 
+/// An attacker who holds a probe pins it at 0.55, a reading soil can give:
+/// not the range screen's evidence but the behavioural baseline's. The
+/// baseline flags the device for the operator; auto-quarantine, which acts
+/// on impossible values only, leaves it and every honest peer enabled
+/// until the operator acts.
 #[test]
-fn tamper_step_attack_is_caught_and_cut_off() {
+fn pinned_value_is_flagged_for_the_operator_not_cut_off() {
+    let workload = WorkloadSpec::new(Pilot::Cbec, 42, 64, 240).compile();
     let mut p = Platform::builder(DeploymentConfig::FarmFog)
-        .seed(23)
+        .seed(42)
+        .baseline(BaselineConfig::phased(
+            SimTime::from_hours(60),
+            SimTime::from_hours(90),
+        ))
         .build();
     p.set_auto_quarantine(true);
-    p.register_device(SimTime::ZERO, "probe", DeviceKind::SoilProbe, "owner:x")
-        .unwrap();
-
-    // 60 in-range baseline frames.
-    let mut seq = 0.0;
-    for i in 0..60u64 {
-        let vwc = 0.24 + 0.002 * ((i % 7) as f64 - 3.0) / 3.0;
-        let f = sealed(&p, "probe", seq, vwc, (i % 250) as u8 + 1);
-        p.ingest_frame(SimTime::from_secs(i * 3600), "probe", &f)
-            .unwrap();
-        seq += 1.0;
-    }
-    assert_eq!(p.detectors.recommendation("probe"), Recommendation::Trust);
-
-    // The attacker pins the value to 0.55 (in range, but a huge step).
-    let mut cut_off = false;
-    for i in 60..80u64 {
-        let f = sealed(&p, "probe", seq, 0.55, (i % 250) as u8 + 1);
-        seq += 1.0;
-        match p.ingest_frame(SimTime::from_secs(i * 3600), "probe", &f) {
-            Ok(()) => {}
-            Err(IngestError::UnregisteredDevice(_)) => {
-                cut_off = true;
-                break;
-            }
-            Err(e) => panic!("unexpected {e:?}"),
+    let victim = workload.devices[0].clone();
+    let ids = common::publish_sealed(&mut p, &workload, |record, entity| {
+        if record.device == victim && record.sampled_at >= SimTime::from_hours(96) {
+            entity.set("moisture_vwc", 0.55);
         }
+    });
+
+    let flag = p.behavior.flags()[&victim];
+    assert_eq!(flag.kind, FlagKind::Anomalous);
+    assert!(
+        flag.at >= SimTime::from_hours(96),
+        "flagged at {:?}",
+        flag.at
+    );
+    let snap = p.observe();
+    assert_eq!(snap.counter("ingest.quarantined").unwrap(), 0);
+    assert_eq!(snap.counter("ingest.rejected_unregistered").unwrap(), 0);
+    for id in &ids {
+        assert!(p.registry.get(id).unwrap().enabled, "{id}");
+        assert_eq!(p.detectors.recommendation(id), Recommendation::Trust);
     }
-    assert!(cut_off, "step attack must lead to quarantine");
+
+    // The operator acts on the flag: the device's next frame is refused.
+    p.registry.set_enabled(&ids[0], false).unwrap();
+    let f = sealed(&p, &ids[0], 1e6, 0.55, 7);
+    let err = p
+        .ingest_frame(SimTime::from_hours(200), &ids[0], &f)
+        .unwrap_err();
+    assert!(matches!(err, IngestError::UnregisteredDevice(_)));
 }
