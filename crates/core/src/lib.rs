@@ -12,8 +12,8 @@
 //! - [`history`] — per-attribute time-series store (STH-Comet analogue).
 //! - [`registry`] — device registry consulted by secure ingestion.
 //! - [`platform`] — the assembled platform: simulated network + sealed
-//!   telemetry ingestion (authentication, replay protection, anomaly
-//!   screening with optional auto-quarantine) + context + history + fog
+//!   telemetry ingestion (authentication, replay protection, a range
+//!   screen that quarantines on impossible values) + context + history + fog
 //!   replication, in the cloud-only and farm-fog deployment configurations
 //!   the paper describes.
 //! - [`shard`] — the stable `device_id → shard` routing function used by

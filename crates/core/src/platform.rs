@@ -41,7 +41,7 @@ use swamp_security::access::{Action, Decision, Pdp, Resource};
 use swamp_security::baseline::{BaselineConfig, BehaviorBank};
 use swamp_security::detect::RangeValidator;
 use swamp_security::identity::{AuthError, IdentityProvider, Token};
-use swamp_security::pipeline::{DetectorBank, Recommendation};
+use swamp_security::pipeline::DetectorBank;
 use swamp_sensors::device::DeviceKind;
 use swamp_sim::{SimDuration, SimTime};
 use swamp_views::ViewIndexer;
@@ -119,15 +119,16 @@ pub struct Platform {
     /// Policy decision point.
     pub pdp: Pdp,
     /// The range screen every sealed frame passes ("avoid fake data").
-    pub detectors: DetectorBank,
+    /// It keeps no per-device state: a hit disables the sender's registry
+    /// row, and its alerts reach [`Platform::observe`].
+    detectors: DetectorBank,
     /// Streaming behavioral baseline ("expected sequence of events"), the
     /// one statistical detector, fed one observation per accepted record
     /// of its signal attribute by [`Platform::ingest_entities`]. Its flags
-    /// are reported, never acted on by auto-quarantine. Passive by default
-    /// (see [`BaselineConfig`]); configure phases via
+    /// are reported to the operator, never acted on by the platform.
+    /// Passive by default (see [`BaselineConfig`]); configure phases via
     /// [`PlatformBuilder::baseline`].
     pub behavior: BehaviorBank,
-    auto_quarantine: bool,
     /// Each registered device's nonce sequence, by registry slot. This is
     /// device-side state (the sender half of its frames' AEAD nonces),
     /// kept apart from the admission row the fog side reads.
@@ -508,7 +509,6 @@ impl PlatformBuilder {
             pdp: Pdp::new(),
             detectors,
             behavior: BehaviorBank::new(baseline),
-            auto_quarantine: false,
             nonces: Vec::new(),
             series_attrs: BTreeMap::new(),
             cloud_id,
@@ -563,15 +563,6 @@ impl Platform {
     /// [`PlatformBuilder::seed`]).
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// Enables automatic quarantine: when the range screen recommends it
-    /// (the device sent a physically impossible value), the device is
-    /// disabled in the registry and further frames are rejected until an
-    /// operator re-enables it. A behavioural-baseline flag never disables
-    /// a device.
-    pub fn set_auto_quarantine(&mut self, on: bool) {
-        self.auto_quarantine = on;
     }
 
     /// The farm-side node devices connect to.
@@ -968,7 +959,7 @@ impl Platform {
     /// [`Platform::validate_frame`]'s checks, uncounted. The device's
     /// registry slot is looked up once, the frame's one string-keyed
     /// lookup, and its row serves the enabled check, the keystore handle,
-    /// the replay window, the detector handle and auto-quarantine.
+    /// the replay window and quarantine.
     fn admit_frame(
         &mut self,
         now: SimTime,
@@ -1010,23 +1001,24 @@ impl Platform {
 
         // The range screen: every numeric attribute is checked against its
         // quantity's physical range before it can influence decisions
-        // ("mechanisms to avoid fake data"). Only an impossible value is
-        // hard enough evidence to cut a device off; the behavioural
-        // baseline's flags are the operator's to act on.
-        let detector = *row
-            .detector
-            .get_or_insert_with(|| self.detectors.admit(device_id));
+        // ("mechanisms to avoid fake data"). An impossible value is hard
+        // enough evidence to cut the device off: the frame is admitted,
+        // its row disabled, and the device's later frames refused until an
+        // operator re-enables it. The behavioural baseline's flags are the
+        // operator's to act on.
+        let mut hit = false;
         for (name, attr) in entity.attributes() {
             if name == "seq" {
                 continue;
             }
             if let Some(v) = attr.value.as_number() {
-                self.detectors.observe_by_handle(now, detector, name, v);
+                hit |= self
+                    .detectors
+                    .observe_value(now, device_id, name, v)
+                    .is_anomalous();
             }
         }
-        if self.auto_quarantine
-            && self.detectors.recommendation_by_handle(detector) == Recommendation::Quarantine
-        {
+        if hit {
             row.enabled = false;
             self.obs.inc(self.ins.quarantined);
             self.obs.event(Level::Warn, "ingest.quarantine", device_id);

@@ -3,18 +3,22 @@
 //! telemetry from unregistered (rogue) devices — the paper's "unauthorized
 //! node in the network may send false information about the crop".
 //!
+//! A device's row is the one place its trust is kept: `enabled` is cleared
+//! when the platform's range screen catches it sending a physically
+//! impossible value (or an operator disables it), and one
+//! [`DeviceRegistry::set_enabled`] call after review restores it.
+//!
 //! Registration hands out a dense [`DeviceSlot`]. A device's row is also
 //! where the platform keeps each per-device table's handle for it (its
-//! network node, keystore record, detector and baseline state, history
-//! series), so a frame resolves its sender by name once and reaches every
-//! later table by index.
+//! network node, keystore record, baseline state, history series), so a
+//! frame resolves its sender by name once and reaches every later table
+//! by index.
 
 use std::collections::HashMap;
 
 use swamp_crypto::keystore::KeyHandle;
 use swamp_net::message::NodeId;
 use swamp_security::baseline::BaselineHandle;
-use swamp_security::pipeline::DetectorHandle;
 use swamp_sensors::device::DeviceKind;
 use swamp_sim::SimTime;
 
@@ -42,7 +46,8 @@ pub struct DeviceRecord {
     pub owner: String,
     /// When it was registered.
     pub registered_at: SimTime,
-    /// Whether telemetry from it is currently accepted.
+    /// Whether telemetry from it is currently accepted: the device's one
+    /// trust bit, cleared by a range-screen hit or an operator.
     pub enabled: bool,
     /// The frame sequence numbers admitted from it: the replay window.
     replay: ReplayWindow,
@@ -52,8 +57,6 @@ pub struct DeviceRecord {
     /// itself is read through it per frame, so a revocation or rotation
     /// in the keystore applies to the next frame.
     pub(crate) key: KeyHandle,
-    /// Its detector-bank state, taken on its first admitted frame.
-    pub(crate) detector: Option<DetectorHandle>,
     /// Its behavioral-baseline state, taken on its first stored sample of
     /// the baseline's signal.
     pub(crate) baseline: Option<BaselineHandle>,
@@ -183,7 +186,6 @@ impl DeviceRegistry {
             replay: ReplayWindow::default(),
             node,
             key,
-            detector: None,
             baseline: None,
             series: Vec::new(),
         });
@@ -211,7 +213,9 @@ impl DeviceRegistry {
         self.rows.get_mut(slot.index())
     }
 
-    /// Enables/disables a device (quarantine on suspicion).
+    /// Enables/disables a device: quarantine on suspicion, or
+    /// re-admission after review (the one call that re-admits a device
+    /// the range screen cut off).
     ///
     /// # Errors
     /// [`RegistryError::Unknown`] if the device was never registered.

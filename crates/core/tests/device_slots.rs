@@ -5,11 +5,11 @@
 //! - the same sealed frames fed to two platforms of one seed, one through
 //!   `pump` (the slot path) and one through `validate_frame` +
 //!   `ingest_entities` (the by-name path), leave the same history, baseline
-//!   flags, detector recommendations and counters behind;
+//!   flags, quarantined devices and counters behind;
 //! - a warm row caches no key: revoking or rotating a device in
 //!   `p.keystore` decides its very next frame;
-//! - a device registered after a thousand other frames starts from fresh
-//!   detector and baseline state, not another device's.
+//! - a device registered after a thousand other frames starts enabled and
+//!   from fresh baseline state, not another device's.
 
 use std::collections::BTreeMap;
 
@@ -21,7 +21,6 @@ use swamp_crypto::keystore::KeyEpoch;
 use swamp_net::link::LinkSpec;
 use swamp_net::message::Message;
 use swamp_security::baseline::{BaselineConfig, FlagKind};
-use swamp_security::pipeline::Recommendation;
 use swamp_sensors::device::DeviceKind;
 use swamp_sim::{SimDuration, SimTime};
 
@@ -31,6 +30,10 @@ const STEP: SimDuration = SimDuration::from_mins(30);
 /// The round a device registered late first reports in: after the
 /// baseline's training horizon, so it is flagged untrained.
 const LATE_ROUND: u64 = 60;
+/// The round probe-3 reads an impossible moisture value in.
+const BAD_VWC_ROUND: u64 = 50;
+/// The round probe-6 reads an impossible battery fraction in.
+const BAD_BATTERY_ROUND: u64 = 70;
 
 fn telemetry(id: &str, seq: u64, vwc: f64, battery: Option<f64>) -> Entity {
     let mut e = Entity::new(format!("urn:swamp:device:{id}"), "SoilProbe");
@@ -114,9 +117,13 @@ impl Fleet {
             } else {
                 *v -= 0.001;
             }
-            let vwc = if i == 3 && r == 50 { 0.95 } else { *v };
+            let vwc = if i == 3 && r == BAD_VWC_ROUND {
+                0.95
+            } else {
+                *v
+            };
             let battery = match i {
-                6 if r == 70 => Some(1.7),
+                6 if r == BAD_BATTERY_ROUND => Some(1.7),
                 _ => (i % 2 == 0).then_some(0.9 - 0.001 * r as f64),
             };
             let id = &self.ids[i];
@@ -203,13 +210,15 @@ fn the_slot_path_and_the_by_name_path_leave_the_same_state() {
     // Every device's two or three series, the late one's included.
     assert_eq!(history.len(), (DEVICES + 1) * 2 + DEVICES / 2 + 1);
     assert_eq!(slotted.behavior.flags(), named.behavior.flags());
-    for id in &fleet.ids {
-        assert_eq!(
-            slotted.detectors.recommendation(id),
-            named.detectors.recommendation(id),
-            "{id}"
-        );
-    }
+    let disabled = |p: &Platform| -> Vec<String> {
+        fleet
+            .ids
+            .iter()
+            .filter(|id| !p.registry.get(id).unwrap().enabled)
+            .cloned()
+            .collect()
+    };
+    assert_eq!(disabled(&slotted), disabled(&named));
     assert_eq!(counters(&slotted), counters(&named));
     assert_eq!(
         slotted.cloud_replica().unwrap().record_count(),
@@ -227,24 +236,20 @@ fn the_slot_path_and_the_by_name_path_leave_the_same_state() {
         Some(FlagKind::Anomalous)
     );
     // The two senders of an impossible value, and only they, are
-    // recommended for quarantine on both sides: a detector handle that
-    // reached another device's state would show.
-    let distrusted: Vec<&str> = fleet
-        .ids
-        .iter()
-        .map(String::as_str)
-        .filter(|id| slotted.detectors.recommendation(id) != Recommendation::Trust)
-        .collect();
-    assert_eq!(distrusted, ["probe-3", "probe-6"]);
-    let quarantined = slotted.detectors.quarantined();
-    assert_eq!(quarantined, named.detectors.quarantined());
-    assert_eq!(quarantined, distrusted);
+    // quarantined on both sides: a hit that disabled another device's
+    // row would show. Each is cut off after its impossible frame, which
+    // is admitted, so every later frame of theirs is refused beside the
+    // ghost's one.
+    assert_eq!(disabled(&slotted), ["probe-3", "probe-6"]);
+    let cut_off = (ROUNDS - 1 - BAD_VWC_ROUND) + (ROUNDS - 1 - BAD_BATTERY_ROUND);
     let c = counters(&slotted);
+    assert_eq!(c["ingest.quarantined"], 2);
+    assert_eq!(c["security.alerts_raised"], 2);
     assert_eq!(c["ingest.rejected_replay"], 1);
-    assert_eq!(c["ingest.rejected_unregistered"], 1);
+    assert_eq!(c["ingest.rejected_unregistered"], 1 + cut_off);
     assert_eq!(
         c["ingest.accepted"],
-        DEVICES as u64 * ROUNDS + (ROUNDS - LATE_ROUND)
+        DEVICES as u64 * ROUNDS + (ROUNDS - LATE_ROUND) - cut_off
     );
 }
 
@@ -319,9 +324,9 @@ fn a_device_registered_late_starts_from_fresh_state() {
             SimTime::from_hours(2),
         ))
         .build();
-    p.set_auto_quarantine(false);
     // A thousand frames from 100 devices, each of which reads an
-    // impossible value: every one of them is recommended for quarantine.
+    // impossible value in its first: every one of them is quarantined
+    // there, and its nine later frames are refused.
     let mut nonces = NonceSequence::new(1);
     for i in 0..100 {
         register(&mut p, &format!("probe-{i}"));
@@ -334,15 +339,18 @@ fn a_device_registered_late_starts_from_fresh_state() {
             let mut wire = String::new();
             telemetry(&id, seq, vwc, None).write_compact(&mut wire);
             let frame = key.seal(&nonces.next_nonce(), id.as_bytes(), wire.as_bytes());
-            p.ingest_frame(SimTime::from_secs(600 * seq), &id, &frame)
-                .unwrap();
+            let admitted = p.ingest_frame(SimTime::from_secs(600 * seq), &id, &frame);
+            assert_eq!(admitted.is_ok(), seq == 0, "{id} seq {seq}");
         }
     }
-    assert_eq!(p.detectors.quarantined().len(), 100);
-    assert_eq!(p.observe().counter("ingest.accepted").unwrap(), 1_000);
+    let disabled = p.registry.iter().filter(|(_, row)| !row.enabled).count();
+    assert_eq!(disabled, 100);
+    let snap = p.observe();
+    assert_eq!(snap.counter("ingest.accepted").unwrap(), 100);
+    assert_eq!(snap.counter("ingest.rejected_unregistered").unwrap(), 900);
 
     // Registered after the baseline's training horizon, the new device
-    // reads as one the detectors trust and the baseline never trained.
+    // reads as one the platform admits and the baseline never trained.
     register(&mut p, "late");
     for seq in 0..6u64 {
         let at = SimTime::from_hours(3) + SimDuration::from_mins(10 * seq);
@@ -351,7 +359,7 @@ fn a_device_registered_late_starts_from_fresh_state() {
         telemetry("late", seq, 0.25, None).write_compact(&mut wire);
         let frame = key.seal(&nonces.next_nonce(), b"late", wire.as_bytes());
         p.ingest_frame(at, "late", &frame).unwrap();
-        assert_eq!(p.detectors.recommendation("late"), Recommendation::Trust);
+        assert!(p.registry.get("late").unwrap().enabled);
     }
     let flag = p.behavior.flags()["urn:swamp:device:late"];
     assert_eq!(flag.kind, FlagKind::Untrained);

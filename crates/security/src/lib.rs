@@ -48,5 +48,5 @@ pub use access::{Action, Decision, Pdp, Policy, Resource};
 pub use baseline::{BaselineConfig, BaselineFlag, BaselineVerdict, BehaviorBank, FlagKind};
 pub use detect::{RangeValidator, RateGuard, Verdict, ZScoreDetector};
 pub use identity::{AuthError, IdentityProvider, Token, TokenInfo};
-pub use pipeline::{DetectorBank, Recommendation};
+pub use pipeline::DetectorBank;
 pub use profile::{CropProfile, CropProfiler};

@@ -1,11 +1,12 @@
-//! Allocation-count proofs for the per-frame detector tables.
+//! Allocation-count proofs for the range screen.
 //!
 //! Every sealed frame passes `DetectorBank::observe_value` once per
-//! numeric attribute. Its device table is keyed by device id and its
-//! range table by quantity name; once a device has been admitted, both
-//! lookups borrow the caller's `&str` — an in-range frame touches the
-//! heap exactly zero times. (The frame's replay check lives in the device's registry row,
-//! and `crates/core/tests/alloc_counts.rs` budgets it inside the sealed
+//! numeric attribute. The bank keeps one table, its ranges by quantity
+//! name, and nothing per device: the lookup borrows the caller's `&str`,
+//! so an in-range frame touches the heap exactly zero times, from a
+//! device it has seen before or one it never has. (A device's trust and
+//! its replay check live in its registry row, and
+//! `crates/core/tests/alloc_counts.rs` budgets them inside the sealed
 //! frame's leg.) And an alert keeps nothing per alert: a storm of them
 //! leaves the bank's live heap where its first thousand left it (the
 //! counters and the bounded event ring are all that record it).
@@ -75,32 +76,40 @@ fn pass(bank: &mut DetectorBank, ids: &[String], round: u64) -> u64 {
     ALLOC_CALLS.load(Ordering::Relaxed) - before
 }
 
+/// `DEVICES` ids no earlier window used.
+fn fresh_ids(window: u64) -> Vec<String> {
+    (0..DEVICES)
+        .map(|i| format!("probe-{window}-{i:03}"))
+        .collect()
+}
+
 #[test]
-fn admitted_devices_are_observed_without_allocating() {
+fn devices_are_observed_without_allocating() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let ids: Vec<String> = (0..DEVICES).map(|i| format!("probe-{i:03}")).collect();
     let mut bank = DetectorBank::new();
     bank.configure_quantity("moisture_vwc", RangeValidator::soil_moisture());
     bank.configure_quantity("battery_fraction", RangeValidator::new(0.0, 1.0));
     bank.configure_quantity("rh_mean_pct", RangeValidator::new(0.0, 100.0));
 
-    let admission = pass(&mut bank, &ids, 0);
-    assert!(admission > 0, "the warm-up pass owns the table keys");
-
     // The counter is process-wide and the libtest harness may allocate on
     // its own threads inside a window; a table that allocated per lookup
-    // would do so in every window, harness noise is transient.
-    let steady = (1..=3)
-        .map(|round| pass(&mut bank, &ids, round))
-        .min()
-        .unwrap_or(u64::MAX);
-    assert_eq!(
-        steady,
-        0,
-        "{steady} allocations in the cleanest pass over {DEVICES} admitted devices \
-         ({:.1} per frame)",
-        steady as f64 / DEVICES as f64
-    );
+    // would do so in every window, harness noise is transient. Each
+    // first-sight window sends ids the bank has never seen, so a table
+    // that kept anything per device (a name index, a device row) would
+    // allocate in all three.
+    let first_sight = (1..=3).map(|w| pass(&mut bank, &fresh_ids(w), w)).min();
+    let seen = fresh_ids(3);
+    let steady = (4..=6).map(|round| pass(&mut bank, &seen, round)).min();
+    for (what, allocs) in [("never-seen", first_sight), ("seen", steady)] {
+        let allocs = allocs.unwrap_or(u64::MAX);
+        assert_eq!(
+            allocs,
+            0,
+            "{allocs} allocations in the cleanest pass over {DEVICES} {what} devices \
+             ({:.1} per frame)",
+            allocs as f64 / DEVICES as f64
+        );
+    }
     assert_eq!(bank.observe().counter("security.alerts_raised").unwrap(), 0);
 }
 

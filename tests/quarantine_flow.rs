@@ -1,23 +1,26 @@
-//! Integration: the range screen feeding auto-quarantine — a compromised
+//! Integration: the range screen quarantining a device — a compromised
 //! probe starts reporting impossible values and the platform cuts it off
-//! without operator intervention, while honest peers continue. A possible
-//! but abnormal value is the behavioural baseline's to flag, and the
-//! operator's to act on.
+//! without operator intervention, while honest peers continue; one
+//! registry call after review lets it back in. A possible but abnormal
+//! value is the behavioural baseline's to flag, and the operator's to act
+//! on.
 
 mod common;
 
 use swamp::codec::ngsi::Entity;
 use swamp::core::platform::{DeploymentConfig, IngestError, Platform};
 use swamp::security::baseline::{BaselineConfig, FlagKind};
-use swamp::security::pipeline::Recommendation;
 use swamp::sensors::device::DeviceKind;
 use swamp::sim::SimTime;
 use swamp_workload::{Pilot, WorkloadSpec};
 
-fn sealed(p: &Platform, device: &str, seq: f64, vwc: f64, nonce: u8) -> Vec<u8> {
+/// A frame from `device` carrying `seq` and each of `values`.
+fn sealed_with(p: &Platform, device: &str, seq: f64, values: &[(&str, f64)], nonce: u8) -> Vec<u8> {
     let key = p.keystore.device_key(device).unwrap().key;
     let mut e = Entity::new(format!("urn:swamp:device:{device}"), "SoilProbe");
-    e.set("moisture_vwc", vwc);
+    for &(name, value) in values {
+        e.set(name, value);
+    }
     e.set("seq", seq);
     key.seal(
         &[nonce; 12],
@@ -26,89 +29,116 @@ fn sealed(p: &Platform, device: &str, seq: f64, vwc: f64, nonce: u8) -> Vec<u8> 
     )
 }
 
-#[test]
-fn impossible_values_auto_quarantine_the_device() {
+fn sealed(p: &Platform, device: &str, seq: f64, vwc: f64, nonce: u8) -> Vec<u8> {
+    sealed_with(p, device, seq, &[("moisture_vwc", vwc)], nonce)
+}
+
+/// A platform with a `victim` and an `honest` probe, the honest one's
+/// first frame admitted.
+fn two_probes(seed: u64) -> Platform {
     let mut p = Platform::builder(DeploymentConfig::FarmFog)
-        .seed(21)
+        .seed(seed)
         .build();
-    p.set_auto_quarantine(true);
     p.register_device(SimTime::ZERO, "victim", DeviceKind::SoilProbe, "owner:x")
         .unwrap();
     p.register_device(SimTime::ZERO, "honest", DeviceKind::SoilProbe, "owner:x")
         .unwrap();
-
-    // Honest traffic flows.
     let f = sealed(&p, "honest", 0.0, 0.24, 1);
     p.ingest_frame(SimTime::ZERO, "honest", &f).unwrap();
+    p
+}
 
-    // The compromised device reports a physically impossible reading. The
-    // frame authenticates (the attacker holds the device), the value is
-    // stored once — and the device is immediately quarantined.
-    let f = sealed(&p, "victim", 0.0, 7.5, 2);
-    p.ingest_frame(SimTime::from_secs(10), "victim", &f)
-        .unwrap();
-    assert_eq!(
-        p.detectors.recommendation("victim"),
-        Recommendation::Quarantine
-    );
-    let snap = p.observe();
-    assert_eq!(snap.counter("ingest.quarantined").unwrap(), 1);
-    // The export says why: the bank's recommendation event names the device.
-    assert!(snap
-        .events()
-        .iter()
-        .any(|e| e.code == "security.quarantine_recommended" && e.detail == "victim"));
-
-    // The next frame from the victim is rejected at the registry gate.
-    let f = sealed(&p, "victim", 1.0, 7.5, 3);
-    let err = p
-        .ingest_frame(SimTime::from_secs(20), "victim", &f)
-        .unwrap_err();
-    assert!(matches!(err, IngestError::UnregisteredDevice(_)));
-
-    // The honest peer is untouched.
-    let f = sealed(&p, "honest", 1.0, 0.25, 4);
-    p.ingest_frame(SimTime::from_secs(30), "honest", &f)
-        .unwrap();
-    assert_eq!(p.detectors.recommendation("honest"), Recommendation::Trust);
-
-    // Operator review clears and re-enables the device.
-    p.detectors.clear_device("victim");
-    p.registry.set_enabled("victim", true).unwrap();
-    let f = sealed(&p, "victim", 2.0, 0.22, 5);
-    p.ingest_frame(SimTime::from_secs(40), "victim", &f)
-        .unwrap();
+fn counter(p: &Platform, name: &str) -> u64 {
+    p.observe().counter(name).unwrap()
 }
 
 #[test]
-fn quarantine_off_by_default_but_alerts_still_raised() {
-    let mut p = Platform::builder(DeploymentConfig::FarmFog)
-        .seed(22)
-        .build();
-    p.register_device(SimTime::ZERO, "d", DeviceKind::SoilProbe, "owner:x")
+fn impossible_values_auto_quarantine_the_device() {
+    // One impossible value, then two in one frame: each frame raises an
+    // alert per value and quarantines its sender once.
+    let impossible: [&[(&str, f64)]; 2] = [
+        &[("moisture_vwc", 7.5)],
+        &[("moisture_vwc", 7.5), ("battery_fraction", 1.7)],
+    ];
+    for values in impossible {
+        let mut p = two_probes(21);
+
+        // The compromised device reports a physically impossible reading.
+        // The frame authenticates (the attacker holds the device), the
+        // value is stored once — and the device is immediately quarantined.
+        let f = sealed_with(&p, "victim", 0.0, values, 2);
+        p.ingest_frame(SimTime::from_secs(10), "victim", &f)
+            .unwrap();
+        assert!(!p.registry.get("victim").unwrap().enabled, "{values:?}");
+        let snap = p.observe();
+        assert_eq!(snap.counter("ingest.quarantined").unwrap(), 1, "{values:?}");
+        assert_eq!(
+            snap.counter("security.alerts_raised").unwrap(),
+            values.len() as u64,
+            "{values:?}"
+        );
+        // The export says why: an alert per value, one quarantine event,
+        // each naming the device.
+        let events = |code: &str| {
+            snap.events()
+                .iter()
+                .filter(|e| e.code == code)
+                .map(|e| e.detail.clone())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(events("ingest.quarantine"), ["victim"], "{values:?}");
+        let alerts = events("security.alert");
+        assert_eq!(alerts.len(), values.len(), "{values:?}");
+        assert!(
+            alerts.iter().all(|a| a.starts_with("victim ")),
+            "{alerts:?}"
+        );
+
+        // The next frame from the victim is rejected at the registry gate.
+        let f = sealed(&p, "victim", 1.0, 0.22, 3);
+        let err = p
+            .ingest_frame(SimTime::from_secs(20), "victim", &f)
+            .unwrap_err();
+        assert!(matches!(err, IngestError::UnregisteredDevice(_)));
+
+        // The honest peer is untouched.
+        let f = sealed(&p, "honest", 1.0, 0.25, 4);
+        p.ingest_frame(SimTime::from_secs(30), "honest", &f)
+            .unwrap();
+        assert!(p.registry.get("honest").unwrap().enabled);
+        assert_eq!(counter(&p, "ingest.quarantined"), 1);
+    }
+}
+
+/// The operator's review is one registry call: a re-enabled device's
+/// in-range frames are admitted and leave it enabled. (A trust bit kept
+/// beside the registry row, still set from the old hit, would cut it off
+/// again at its next frame.)
+#[test]
+fn one_registry_call_re_enables_a_quarantined_device() {
+    let mut p = two_probes(23);
+    let f = sealed(&p, "victim", 0.0, 7.5, 2);
+    p.ingest_frame(SimTime::from_secs(10), "victim", &f)
         .unwrap();
-    let f = sealed(&p, "d", 0.0, 9.0, 1);
-    p.ingest_frame(SimTime::ZERO, "d", &f).unwrap();
-    // Alert exists, recommendation is quarantine, but the registry still
-    // accepts the device (operator-in-the-loop mode).
-    assert!(
-        p.detectors
-            .observe()
-            .counter("security.alerts_raised")
-            .unwrap()
-            > 0
-    );
-    assert_eq!(p.detectors.recommendation("d"), Recommendation::Quarantine);
-    let f = sealed(&p, "d", 1.0, 9.0, 2);
-    p.ingest_frame(SimTime::from_secs(5), "d", &f).unwrap();
-    assert_eq!(p.observe().counter("ingest.quarantined").unwrap(), 0);
+    assert!(!p.registry.get("victim").unwrap().enabled);
+
+    p.registry.set_enabled("victim", true).unwrap();
+    for (seq, at) in [(1.0, 40), (2.0, 50)] {
+        let f = sealed(&p, "victim", seq, 0.22, 3 + seq as u8);
+        p.ingest_frame(SimTime::from_secs(at), "victim", &f)
+            .unwrap();
+        assert!(p.registry.get("victim").unwrap().enabled, "seq {seq}");
+    }
+    assert_eq!(counter(&p, "ingest.quarantined"), 1);
+    assert_eq!(counter(&p, "ingest.rejected_unregistered"), 0);
+    assert_eq!(counter(&p, "security.alerts_raised"), 1);
 }
 
 /// An attacker who holds a probe pins it at 0.55, a reading soil can give:
 /// not the range screen's evidence but the behavioural baseline's. The
-/// baseline flags the device for the operator; auto-quarantine, which acts
-/// on impossible values only, leaves it and every honest peer enabled
-/// until the operator acts.
+/// baseline flags the device for the operator; the platform, which
+/// quarantines on impossible values only, leaves it and every honest peer
+/// enabled until the operator acts.
 #[test]
 fn pinned_value_is_flagged_for_the_operator_not_cut_off() {
     let workload = WorkloadSpec::new(Pilot::Cbec, 42, 64, 240).compile();
@@ -119,7 +149,6 @@ fn pinned_value_is_flagged_for_the_operator_not_cut_off() {
             SimTime::from_hours(90),
         ))
         .build();
-    p.set_auto_quarantine(true);
     let victim = workload.devices[0].clone();
     let ids = common::publish_sealed(&mut p, &workload, |record, entity| {
         if record.device == victim && record.sampled_at >= SimTime::from_hours(96) {
@@ -137,9 +166,9 @@ fn pinned_value_is_flagged_for_the_operator_not_cut_off() {
     let snap = p.observe();
     assert_eq!(snap.counter("ingest.quarantined").unwrap(), 0);
     assert_eq!(snap.counter("ingest.rejected_unregistered").unwrap(), 0);
+    assert_eq!(snap.counter("security.alerts_raised").unwrap(), 0);
     for id in &ids {
         assert!(p.registry.get(id).unwrap().enabled, "{id}");
-        assert_eq!(p.detectors.recommendation(id), Recommendation::Trust);
     }
 
     // The operator acts on the flag: the device's next frame is refused.
