@@ -82,6 +82,9 @@ pub enum IngestError {
     /// duplicate). A fresh seq fewer than 64 behind the highest, from a
     /// frame a later one overtook, is admitted once.
     Replay(String),
+    /// The frame carries a physically impossible value: it is refused and
+    /// its sender quarantined (counted on `ingest.quarantined`).
+    ImpossibleValue(String),
 }
 
 impl std::fmt::Display for IngestError {
@@ -93,6 +96,9 @@ impl std::fmt::Display for IngestError {
             }
             IngestError::MalformedPayload(d) => write!(f, "malformed payload from {d:?}"),
             IngestError::Replay(d) => write!(f, "replayed frame from {d:?}"),
+            IngestError::ImpossibleValue(d) => {
+                write!(f, "impossible value from {d:?}; device quarantined")
+            }
         }
     }
 }
@@ -951,6 +957,7 @@ impl Platform {
                 IngestError::AuthenticationFailed(_) => self.ins.rejected_auth,
                 IngestError::MalformedPayload(_) => self.ins.rejected_malformed,
                 IngestError::Replay(_) => self.ins.rejected_replay,
+                IngestError::ImpossibleValue(_) => self.ins.quarantined,
             });
         }
         verdict
@@ -1002,10 +1009,11 @@ impl Platform {
         // The range screen: every numeric attribute is checked against its
         // quantity's physical range before it can influence decisions
         // ("mechanisms to avoid fake data"). An impossible value is hard
-        // enough evidence to cut the device off: the frame is admitted,
-        // its row disabled, and the device's later frames refused until an
-        // operator re-enables it. The behavioural baseline's flags are the
-        // operator's to act on.
+        // enough evidence to cut the device off: the frame is refused, so
+        // the value reaches neither history, subscribers nor the replica,
+        // and the row is disabled, so the device's later frames are refused
+        // until an operator re-enables it. The behavioural baseline's flags
+        // are the operator's to act on.
         let mut hit = false;
         for (name, attr) in entity.attributes() {
             if name == "seq" {
@@ -1020,8 +1028,8 @@ impl Platform {
         }
         if hit {
             row.enabled = false;
-            self.obs.inc(self.ins.quarantined);
             self.obs.event(Level::Warn, "ingest.quarantine", device_id);
+            return Err(IngestError::ImpossibleValue(device_id.to_owned()));
         }
         Ok((slot, entity))
     }

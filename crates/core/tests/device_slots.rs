@@ -237,16 +237,16 @@ fn the_slot_path_and_the_by_name_path_leave_the_same_state() {
     );
     // The two senders of an impossible value, and only they, are
     // quarantined on both sides: a hit that disabled another device's
-    // row would show. Each is cut off after its impossible frame, which
-    // is admitted, so every later frame of theirs is refused beside the
-    // ghost's one.
+    // row would show. Each impossible frame is refused (counted on
+    // `ingest.quarantined`), and so is every later frame of theirs, beside
+    // the ghost's one.
     assert_eq!(disabled(&slotted), ["probe-3", "probe-6"]);
-    let cut_off = (ROUNDS - 1 - BAD_VWC_ROUND) + (ROUNDS - 1 - BAD_BATTERY_ROUND);
+    let cut_off = (ROUNDS - BAD_VWC_ROUND) + (ROUNDS - BAD_BATTERY_ROUND);
     let c = counters(&slotted);
     assert_eq!(c["ingest.quarantined"], 2);
     assert_eq!(c["security.alerts_raised"], 2);
     assert_eq!(c["ingest.rejected_replay"], 1);
-    assert_eq!(c["ingest.rejected_unregistered"], 1 + cut_off);
+    assert_eq!(c["ingest.rejected_unregistered"], 1 + cut_off - 2);
     assert_eq!(
         c["ingest.accepted"],
         DEVICES as u64 * ROUNDS + (ROUNDS - LATE_ROUND) - cut_off
@@ -326,7 +326,7 @@ fn a_device_registered_late_starts_from_fresh_state() {
         .build();
     // A thousand frames from 100 devices, each of which reads an
     // impossible value in its first: every one of them is quarantined
-    // there, and its nine later frames are refused.
+    // there, that frame and its nine later frames refused.
     let mut nonces = NonceSequence::new(1);
     for i in 0..100 {
         register(&mut p, &format!("probe-{i}"));
@@ -340,13 +340,18 @@ fn a_device_registered_late_starts_from_fresh_state() {
             telemetry(&id, seq, vwc, None).write_compact(&mut wire);
             let frame = key.seal(&nonces.next_nonce(), id.as_bytes(), wire.as_bytes());
             let admitted = p.ingest_frame(SimTime::from_secs(600 * seq), &id, &frame);
-            assert_eq!(admitted.is_ok(), seq == 0, "{id} seq {seq}");
+            match admitted {
+                Err(IngestError::ImpossibleValue(_)) => assert_eq!(seq, 0, "{id}"),
+                Err(IngestError::UnregisteredDevice(_)) => assert_ne!(seq, 0, "{id}"),
+                other => panic!("{id} seq {seq}: {other:?}"),
+            }
         }
     }
     let disabled = p.registry.iter().filter(|(_, row)| !row.enabled).count();
     assert_eq!(disabled, 100);
     let snap = p.observe();
-    assert_eq!(snap.counter("ingest.accepted").unwrap(), 100);
+    assert_eq!(snap.counter("ingest.accepted").unwrap(), 0);
+    assert_eq!(snap.counter("ingest.quarantined").unwrap(), 100);
     assert_eq!(snap.counter("ingest.rejected_unregistered").unwrap(), 900);
 
     // Registered after the baseline's training horizon, the new device

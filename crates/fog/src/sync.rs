@@ -71,10 +71,18 @@
 //! ## Complexity
 //!
 //! Three indexes, each with one exact invariant, make one sync round cost
-//! O((transmissions + due timers) · log) and one ack O(log), independent
-//! of backlog depth:
+//! O((transmissions + due timers) · log W) and one released record
+//! O(log W), independent of backlog depth (W is the in-flight window):
 //!
-//! - the record table, keyed by seq, holds the backlog;
+//! - the backlog is a window of slots indexed by `seq − base`, because
+//!   seqs are assigned densely and in order: an enqueue is a push, a
+//!   lookup one index, a release empties a slot, and emptied slots are
+//!   trimmed off the front, as the oldest record is on eviction. Two
+//!   bounds hold it to what it buffers. The window keeps at most W emptied
+//!   slots: past that, its live front record (one the uplink keeps
+//!   losing) moves to a small ordered side table of stragglers, so the
+//!   slot count stays within the live records plus W. And one ack payload
+//!   visits each slot at most once, whatever its runs;
 //! - the admission cursor splits it: every buffered seq below it is in
 //!   flight, every one at or above it was never transmitted (admission is
 //!   strictly in seq order, and a refused send leaves a suffix);
@@ -90,7 +98,9 @@
 //! arithmetic beyond the records it releases. See
 //! DESIGN.md §13 for the data-structure walkthrough.
 
-use std::collections::{BTreeMap, BTreeSet};
+#![deny(clippy::indexing_slicing)]
+
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use swamp_net::message::{Delivery, Message, NodeId};
 use swamp_net::network::{Network, SendError};
@@ -334,8 +344,11 @@ impl Deadlines {
 
     /// Moves the entry at `slot` to a new deadline.
     fn rekey(&mut self, slot: usize, next_retry: SimTime) {
-        if let Some(&i) = self.at.get(slot) {
-            self.heap[i].0 = next_retry;
+        let Some(&i) = self.at.get(slot) else {
+            return;
+        };
+        if let Some(entry) = self.heap.get_mut(i) {
+            entry.0 = next_retry;
             self.restore(i);
         }
     }
@@ -371,28 +384,40 @@ impl Deadlines {
     /// Sifts the entry at heap position `i` up or down until heap order
     /// holds again, keeping `at` in step.
     fn restore(&mut self, mut i: usize) {
-        let entry = self.heap[i];
-        while i > 0 && entry < self.heap[(i - 1) / 2] {
-            self.place(i, self.heap[(i - 1) / 2]);
+        let Some(&entry) = self.heap.get(i) else {
+            return;
+        };
+        while let Some(&parent) = i.checked_sub(1).and_then(|j| self.heap.get(j / 2)) {
+            if entry >= parent {
+                break;
+            }
+            self.place(i, parent);
             i = (i - 1) / 2;
         }
         loop {
-            let mut child = 2 * i + 1;
-            if child + 1 < self.heap.len() && self.heap[child + 1] < self.heap[child] {
-                child += 1;
-            }
-            if child >= self.heap.len() || entry < self.heap[child] {
+            let left = 2 * i + 1;
+            let (child, &lesser) = match (self.heap.get(left), self.heap.get(left + 1)) {
+                (Some(l), Some(r)) if r < l => (left + 1, r),
+                (Some(l), _) => (left, l),
+                (None, _) => break,
+            };
+            if entry < lesser {
                 break;
             }
-            self.place(i, self.heap[child]);
+            self.place(i, lesser);
             i = child;
         }
         self.place(i, entry);
     }
 
+    /// Puts `entry` at heap position `i` (inside the heap) and records it.
     fn place(&mut self, i: usize, entry: (SimTime, u64, usize)) {
-        self.heap[i] = entry;
-        self.at[entry.2] = i;
+        if let Some(at) = self.heap.get_mut(i) {
+            *at = entry;
+        }
+        if let Some(at) = self.at.get_mut(entry.2) {
+            *at = i;
+        }
     }
 }
 
@@ -405,13 +430,174 @@ struct Admitted {
     refused: bool,
 }
 
-/// A buffered update plus its transmission state, keyed by seq in the
-/// engine's record table.
+/// A buffered update plus its transmission state, at its seq's place in
+/// the engine's [`Backlog`].
 #[derive(Clone, Debug)]
 struct PendingRecord {
     record: UpdateRecord,
     /// `Some` once transmitted and awaiting an ack.
     flight: Option<FlightState>,
+}
+
+/// The engine's buffered records, by seq. Seqs are assigned densely and
+/// in order, so the backlog is a window of slots indexed by `seq − base`:
+/// an enqueue is a push at the back, a lookup one index, a release empties
+/// a slot, and emptied slots are trimmed off the front, so the front slot
+/// is always live. Every seq in `[base, end())` has a slot; every one
+/// below `base` is released, evicted or a straggler.
+///
+/// A live front record that is never acked would otherwise hold the
+/// window open behind it while the records after it are acked and
+/// released. So after an ack the window holds at most `max_holes` emptied
+/// slots: past that, the front record moves to `stragglers`, a small
+/// ordered side table below `base`, and the window trims up to the next
+/// live slot. The slot count therefore stays within the live records plus
+/// the in-flight window, and the lowest buffered seq (eviction, the
+/// floor) is the first straggler, else `base`, exactly as a seq-keyed
+/// table would answer.
+#[derive(Clone, Debug, Default)]
+struct Backlog {
+    /// `slots[i]` holds seq `base + i`; `None` once released.
+    slots: VecDeque<Option<PendingRecord>>,
+    /// The seq of `slots[0]`; the next seq to assign when `slots` is empty.
+    base: u64,
+    /// Live records in `slots`.
+    held: usize,
+    /// Live records below `base`, moved out of the window's front.
+    stragglers: BTreeMap<u64, PendingRecord>,
+}
+
+impl Backlog {
+    /// Buffered records.
+    fn len(&self) -> usize {
+        self.held + self.stragglers.len()
+    }
+
+    /// The seq the next pushed record gets. Every seq below it that is not
+    /// buffered was released or evicted.
+    fn end(&self) -> u64 {
+        self.base + to_u64(self.slots.len())
+    }
+
+    /// The lowest buffered seq.
+    fn first(&self) -> Option<u64> {
+        match self.stragglers.first_key_value() {
+            Some((&seq, _)) => Some(seq),
+            None => (!self.slots.is_empty()).then_some(self.base),
+        }
+    }
+
+    /// The lowest buffered seq at or above `from`.
+    fn first_from(&self, from: u64) -> Option<u64> {
+        if from < self.base {
+            if let Some((&seq, _)) = self.stragglers.range(from..).next() {
+                return Some(seq);
+            }
+        }
+        let lo = self.index(from.max(self.base))?;
+        if lo >= self.slots.len() {
+            return None;
+        }
+        let ahead = self.slots.range(lo..).position(Option::is_some)?;
+        Some(from.max(self.base) + to_u64(ahead))
+    }
+
+    fn get(&self, seq: u64) -> Option<&PendingRecord> {
+        if seq < self.base {
+            return self.stragglers.get(&seq);
+        }
+        self.slots.get(self.index(seq)?)?.as_ref()
+    }
+
+    fn get_mut(&mut self, seq: u64) -> Option<&mut PendingRecord> {
+        if seq < self.base {
+            return self.stragglers.get_mut(&seq);
+        }
+        let i = self.index(seq)?;
+        self.slots.get_mut(i)?.as_mut()
+    }
+
+    /// Buffers `record` under the next seq, [`Backlog::end`].
+    fn push(&mut self, record: PendingRecord) {
+        self.slots.push_back(Some(record));
+        self.held += 1;
+    }
+
+    /// Removes the lowest buffered record.
+    fn pop_first(&mut self) -> Option<PendingRecord> {
+        if let Some((_, p)) = self.stragglers.pop_first() {
+            return Some(p);
+        }
+        let p = self.slots.pop_front()?;
+        self.base += 1;
+        self.held -= usize::from(p.is_some());
+        self.trim();
+        p
+    }
+
+    /// Releases every buffered seq in `[from, to)`, removing each released
+    /// in-flight record's deadline. Returns the records released and the
+    /// window slots visited (each seq of the range inside the window, live
+    /// or not). The window is trimmed later, by [`Backlog::settle`], so
+    /// `base` stays put across the runs of one ack.
+    fn release(&mut self, from: u64, to: u64, deadlines: &mut Deadlines) -> (u64, u64) {
+        let mut released = 0u64;
+        let below = to.min(self.base);
+        if from < below {
+            while let Some((&seq, _)) = self.stragglers.range(from..below).next() {
+                if let Some(f) = self.stragglers.remove(&seq).and_then(|p| p.flight) {
+                    deadlines.remove(f.slot);
+                }
+                released += 1;
+            }
+        }
+        let (Some(lo), Some(hi)) = (
+            self.index(from.max(self.base)),
+            self.index(to.min(self.end()).max(self.base)),
+        ) else {
+            return (released, 0);
+        };
+        if lo >= hi {
+            return (released, 0);
+        }
+        for slot in self.slots.range_mut(lo..hi) {
+            if let Some(p) = slot.take() {
+                if let Some(f) = p.flight {
+                    deadlines.remove(f.slot);
+                }
+                self.held -= 1;
+                released += 1;
+            }
+        }
+        (released, to_u64(hi - lo))
+    }
+
+    /// Trims emptied slots off the front, then moves live front records to
+    /// the straggler table until at most `max_holes` emptied slots remain.
+    fn settle(&mut self, max_holes: usize) {
+        self.trim();
+        while self.slots.len() - self.held > max_holes {
+            if let Some(Some(p)) = self.slots.pop_front() {
+                self.stragglers.insert(self.base, p);
+                self.held -= 1;
+            }
+            self.base += 1;
+            self.trim();
+        }
+    }
+
+    /// Pops emptied slots off the front.
+    fn trim(&mut self) {
+        while self.slots.front().is_some_and(Option::is_none) {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+    }
+
+    /// The slot index of `seq` (≥ `base`), if it fits a `usize`.
+    fn index(&self, seq: u64) -> Option<usize> {
+        usize::try_from(seq - self.base).ok()
+    }
 }
 
 /// Builds a [`FogSync`] with named, defaulted retry parameters.
@@ -530,13 +716,13 @@ impl FogSyncBuilder {
             jitter: self.jitter,
             max_in_flight: self.max_in_flight,
             rng: SimRng::seed_from(self.seed),
-            records: BTreeMap::new(),
+            records: Backlog::default(),
             next_admit: 0,
             deadlines: Deadlines::default(),
-            next_seq: 0,
             strikes: 0,
             mode: DegradedMode::Connected,
             due: Vec::new(),
+            runs: Vec::new(),
             obs,
             ins,
         }
@@ -566,23 +752,25 @@ pub struct FogSync {
     jitter: f64,
     max_in_flight: usize,
     rng: SimRng,
-    /// Backlog, keyed by seq (ascending iteration = enqueue order); release
-    /// by ack is a keyed remove.
-    records: BTreeMap<u64, PendingRecord>,
+    /// The backlog: a window of slots indexed by `seq − base`, plus the
+    /// stragglers below it. Enqueue is a push, a lookup one index, and an
+    /// ack walks each slot of its runs at most once; the window holds at
+    /// most the live records plus `max_in_flight` released slots.
+    records: Backlog,
     /// Admission cursor: buffered seqs below it are in flight, those at or
-    /// above it were never transmitted (`records.range(next_admit..)`).
+    /// above it were never transmitted (`records.first_from(next_admit)`
+    /// is the next to admit; released slots in between are skipped).
     next_admit: u64,
     /// Exactly one `(next_retry, seq)` per in-flight record.
     deadlines: Deadlines,
-    /// The seq the next enqueued record gets. Every seq below it that is
-    /// not in `records` was released or evicted.
-    next_seq: u64,
     /// Consecutive strike rounds (timeouts / refused sends) without an ack.
     strikes: u32,
     mode: DegradedMode,
     /// Round-scoped scratch for the due seqs, kept warm so steady-state
     /// rounds allocate nothing (see the fog alloc_counts suite).
     due: Vec<u64>,
+    /// Ack-scoped scratch: one payload's `[first, end)` runs, sorted.
+    runs: Vec<(u64, u64)>,
     obs: Obs,
     ins: SyncInstruments,
 }
@@ -634,27 +822,23 @@ impl FogSync {
         }
         if self.records.len() >= self.capacity {
             // Evict the oldest (lowest-seq) record, with its deadline.
-            if let Some((_, old)) = self.records.pop_first() {
+            if let Some(old) = self.records.pop_first() {
                 if let Some(f) = old.flight {
                     self.deadlines.remove(f.slot);
                 }
                 self.obs.inc(self.ins.dropped);
             }
         }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.records.insert(
-            seq,
-            PendingRecord {
-                record: UpdateRecord {
-                    seq,
-                    key: key.to_owned(),
-                    payload,
-                    created_at: now,
-                },
-                flight: None,
+        let seq = self.records.end();
+        self.records.push(PendingRecord {
+            record: UpdateRecord {
+                seq,
+                key: key.to_owned(),
+                payload,
+                created_at: now,
             },
-        );
+            flight: None,
+        });
         self.obs.inc(self.ins.enqueued);
         Ok(seq)
     }
@@ -715,10 +899,10 @@ impl FogSync {
     /// Feeds the degraded-mode state machine. Returns how many messages
     /// were handed to the network.
     ///
-    /// Cost: O((transmissions + due timers) · log) — the round never scans
-    /// the backlog. Due retransmissions are the top of the deadline heap,
-    /// new records the table from the admission cursor on; neither holds
-    /// an entry that is not live.
+    /// Cost: O((transmissions + due timers) · log W) — the round never
+    /// scans the backlog. Due retransmissions are the top of the deadline
+    /// heap, new records the window from the admission cursor on, and each
+    /// is one indexed lookup.
     pub fn sync_round(&mut self, net: &mut Network, now: SimTime, batch: usize) -> usize {
         let token = self.obs.enter(self.ins.round_span);
         // The scratch vector is an engine field so steady-state rounds
@@ -783,7 +967,7 @@ impl FogSync {
     /// next round, which registers the strike. Returns how many records
     /// were handed to the network.
     ///
-    /// Cost: O(admitted · log), whatever the backlog depth.
+    /// Cost: O(admitted · log W), whatever the backlog depth.
     pub fn admit(&mut self, net: &mut Network, now: SimTime, budget: usize) -> usize {
         let floor = self.floor();
         let admitted = self.admit_from(net, now, budget, floor);
@@ -799,9 +983,7 @@ impl FogSync {
     /// The sender floor every record on the wire carries: the lowest
     /// buffered seq, or the next to assign when nothing is buffered.
     fn floor(&self) -> u64 {
-        self.records
-            .first_key_value()
-            .map_or(self.next_seq, |(&seq, _)| seq)
+        self.records.first().unwrap_or(self.records.end())
     }
 
     /// [`FogSync::admit`] with the caller's `floor`, uninstrumented.
@@ -814,9 +996,13 @@ impl FogSync {
     ) -> Admitted {
         let mut admitted = Admitted::default();
         while admitted.sent < budget && self.deadlines.len() < self.max_in_flight {
-            let Some((&seq, _)) = self.records.range(self.next_admit..).next() else {
+            // Released slots above the cursor hold nothing to send, so the
+            // cursor moves past them once.
+            let Some(seq) = self.records.first_from(self.next_admit) else {
+                self.next_admit = self.records.end();
                 break;
             };
+            self.next_admit = seq;
             admitted.scanned += 1;
             if !self.transmit(net, now, seq, floor) {
                 admitted.refused = true;
@@ -833,8 +1019,8 @@ impl FogSync {
     /// if the network refused the send synchronously (no route, denied):
     /// what was not sent keeps its deadline, or stays above the cursor.
     fn transmit(&mut self, net: &mut Network, now: SimTime, seq: u64, floor: u64) -> bool {
-        let Some(p) = self.records.get(&seq) else {
-            return false; // unreachable: callers index the live table
+        let Some(p) = self.records.get(seq) else {
+            return false; // unreachable: callers index the live backlog
         };
         let prior = p.flight;
         let msg = Message::new(SYNC_TOPIC, encode_record(&p.record, floor));
@@ -855,7 +1041,7 @@ impl FogSync {
                 self.deadlines.insert(next_retry, seq)
             }
         };
-        if let Some(p) = self.records.get_mut(&seq) {
+        if let Some(p) = self.records.get_mut(seq) {
             p.flight = Some(FlightState { attempts, slot });
         }
         true
@@ -866,34 +1052,61 @@ impl FogSync {
     /// degraded-mode state machine to `Connected`.
     ///
     /// The payload is a list of `(first seq, count)` runs, each two
-    /// big-endian u64s, as [`CloudStore`] sends them. Each
-    /// release is a keyed remove from the record table, O(log B) in backlog
-    /// depth, plus the removal of its deadline, O(log W) in the window;
-    /// the rest of a run is classified by arithmetic, whatever its length.
-    /// A seq no longer in the table is a duplicate if this engine assigned
-    /// it (it was released or evicted before), counted on
-    /// `sync.duplicate_acks`, and unknown otherwise, counted on
-    /// `sync.unknown_acks`.
+    /// big-endian u64s, as [`CloudStore`] sends them. Each release empties
+    /// one window slot, O(1), and removes its deadline, O(log W) in the
+    /// in-flight window; the rest of a run is classified by arithmetic.
+    /// The runs are taken in ascending order and each resumes where the
+    /// ones before it stopped, so one payload visits each window slot at
+    /// most once, however its runs overlap (a seq acked twice in one
+    /// drain starts a run of its own). A seq no longer buffered is a
+    /// duplicate if this engine assigned it (it was released or evicted
+    /// before), counted on `sync.duplicate_acks`, and unknown otherwise,
+    /// counted on `sync.unknown_acks`.
     ///
     /// # Errors
     /// [`SyncError::MalformedAck`] if the payload is not a whole number of
     /// 16-byte runs or a run ends past `u64::MAX` (nothing is released).
     pub fn process_ack(&mut self, now: SimTime, payload: &[u8]) -> Result<AckOutcome, SyncError> {
+        self.release_acked(now, payload)
+            .map(|(outcome, _visited)| outcome)
+    }
+
+    /// [`FogSync::process_ack`], also returning how many window slots the
+    /// payload's runs visited.
+    fn release_acked(
+        &mut self,
+        now: SimTime,
+        payload: &[u8],
+    ) -> Result<(AckOutcome, u64), SyncError> {
         let malformed = SyncError::MalformedAck { len: payload.len() };
-        if !payload.len().is_multiple_of(ACK_RUN_BYTES) || ack_runs(payload).any(|r| r.is_none()) {
+        if !payload.len().is_multiple_of(ACK_RUN_BYTES) {
             return Err(malformed);
         }
+        let mut runs = std::mem::take(&mut self.runs);
+        runs.clear();
+        for run in ack_runs(payload) {
+            let Some(run) = run else {
+                self.runs = runs;
+                return Err(malformed);
+            };
+            runs.push(run);
+        }
+        // Counts are sums over the runs, so their order decides nothing;
+        // ascending, every seq below `walked` was covered by an earlier
+        // run and is buffered no longer.
+        runs.sort_unstable();
+        let next_seq = self.records.end();
         let mut outcome = AckOutcome::default();
-        for (first, end) in ack_runs(payload).flatten() {
-            let mut released = 0u64;
-            while let Some((&seq, _)) = self.records.range(first..end).next() {
-                if let Some(f) = self.records.remove(&seq).and_then(|p| p.flight) {
-                    self.deadlines.remove(f.slot);
-                }
-                released += 1;
-            }
+        let mut walked = 0u64;
+        let mut visited = 0u64;
+        for &(first, end) in &runs {
+            let (released, visits) =
+                self.records
+                    .release(first.max(walked), end, &mut self.deadlines);
+            walked = walked.max(end);
+            visited += visits;
             // Seqs below `next_seq` were assigned here; the rest never were.
-            let assigned = end.min(self.next_seq).saturating_sub(first);
+            let assigned = end.min(next_seq).saturating_sub(first);
             let duplicate = assigned - released;
             let unknown = end - first - assigned;
             self.obs.add(self.ins.acked, released);
@@ -903,12 +1116,14 @@ impl FogSync {
             outcome.duplicate += count(duplicate);
             outcome.unknown += count(unknown);
         }
+        self.runs = runs;
+        self.records.settle(self.max_in_flight);
         if outcome.released > 0 {
             self.strikes = 0;
             self.set_mode(DegradedMode::Connected, now);
         }
         self.refresh_gauges();
-        Ok(outcome)
+        Ok((outcome, visited))
     }
 
     /// Drains the fog node's network inbox at `now`, handling ack messages.
@@ -1139,7 +1354,7 @@ impl CloudStore {
     pub fn drain_new(&mut self) -> &[UpdateRecord] {
         let from = self.drained;
         self.drained = self.history.len();
-        &self.history[from..]
+        self.history.get(from..).unwrap_or_default()
     }
 
     /// Records a store built with [`CloudStore::in_order`] released since
@@ -1281,7 +1496,7 @@ fn encode_record(r: &UpdateRecord, floor: u64) -> Vec<u8> {
     out.extend_from_slice(&floor.to_be_bytes());
     out.extend_from_slice(&r.created_at.as_millis().to_be_bytes());
     out.extend_from_slice(&key_len.to_be_bytes());
-    out.extend_from_slice(&key_bytes[..usize::from(key_len)]);
+    out.extend_from_slice(key_bytes.get(..usize::from(key_len)).unwrap_or_default());
     out.extend_from_slice(&r.payload);
     out
 }
@@ -1295,19 +1510,16 @@ fn encode_record(r: &UpdateRecord, floor: u64) -> Vec<u8> {
 /// device URN) in exchange for not being copied again.
 #[deny(clippy::as_conversions)]
 fn decode_record(mut bytes: Vec<u8>) -> Option<(UpdateRecord, u64)> {
-    if bytes.len() < 26 {
-        return None;
-    }
-    let seq = u64::from_be_bytes(bytes[0..8].try_into().ok()?);
-    let floor = u64::from_be_bytes(bytes[8..16].try_into().ok()?);
-    let created_ms = u64::from_be_bytes(bytes[16..24].try_into().ok()?);
-    let key_len = usize::from(u16::from_be_bytes(bytes[24..26].try_into().ok()?));
-    let end = 26 + key_len;
-    if bytes.len() < end {
-        return None;
-    }
-    let key = std::str::from_utf8(&bytes[26..end]).ok()?.to_owned();
-    bytes.drain(..end);
+    let (seq, rest) = bytes.split_first_chunk::<8>()?;
+    let (floor, rest) = rest.split_first_chunk::<8>()?;
+    let (created_ms, rest) = rest.split_first_chunk::<8>()?;
+    let (key_len, rest) = rest.split_first_chunk::<2>()?;
+    let key = rest.get(..usize::from(u16::from_be_bytes(*key_len)))?;
+    let key = std::str::from_utf8(key).ok()?.to_owned();
+    let (seq, floor) = (u64::from_be_bytes(*seq), u64::from_be_bytes(*floor));
+    let created_ms = u64::from_be_bytes(*created_ms);
+    // The header and key just read are in the buffer, so this is in range.
+    bytes.drain(..26 + key.len());
     let record = UpdateRecord {
         seq,
         key,
@@ -1330,16 +1542,12 @@ const ACK_RUN_BYTES: usize = 16;
 #[deny(clippy::as_conversions)]
 fn encode_acks(seqs: &mut [u64]) -> Vec<u8> {
     seqs.sort_unstable();
-    let continues = |w: &[u64]| w[0].checked_add(1) == Some(w[1]);
-    let runs = seqs.len() - seqs.windows(2).filter(|w| continues(w)).count();
-    let mut out = Vec::with_capacity(runs * ACK_RUN_BYTES);
-    let mut start = 0;
-    for i in 1..=seqs.len() {
-        if i == seqs.len() || !continues(&seqs[i - 1..=i]) {
-            let len = u64::try_from(i - start).unwrap_or(u64::MAX);
-            out.extend_from_slice(&seqs[start].to_be_bytes());
-            out.extend_from_slice(&len.to_be_bytes());
-            start = i;
+    let continues = |a: &u64, b: &u64| a.checked_add(1) == Some(*b);
+    let mut out = Vec::with_capacity(seqs.chunk_by(continues).count() * ACK_RUN_BYTES);
+    for run in seqs.chunk_by(continues) {
+        if let Some(first) = run.first() {
+            out.extend_from_slice(&first.to_be_bytes());
+            out.extend_from_slice(&to_u64(run.len()).to_be_bytes());
         }
     }
     out
@@ -1351,8 +1559,8 @@ fn encode_acks(seqs: &mut [u64]) -> Vec<u8> {
 #[deny(clippy::as_conversions)]
 fn ack_runs(payload: &[u8]) -> impl Iterator<Item = Option<(u64, u64)>> + '_ {
     payload.chunks_exact(ACK_RUN_BYTES).map(|run| {
-        let (first, len) = run.split_at(8);
-        let first = u64::from_be_bytes(first.try_into().ok()?);
+        let (first, len) = run.split_first_chunk::<8>()?;
+        let first = u64::from_be_bytes(*first);
         let len = u64::from_be_bytes(len.try_into().ok()?);
         Some((first, first.checked_add(len)?))
     })
@@ -1363,8 +1571,17 @@ fn count(n: u64) -> usize {
     usize::try_from(n).unwrap_or(usize::MAX)
 }
 
+/// A slot count as a seq distance (lossless on every supported target).
+fn to_u64(n: usize) -> u64 {
+    u64::try_from(n).unwrap_or(u64::MAX)
+}
+
 #[cfg(test)]
 mod tests {
+    #![expect(
+        clippy::indexing_slicing,
+        reason = "tests index what they just built; a panic fails the test"
+    )]
     use super::*;
     use swamp_net::link::LinkSpec;
 
@@ -1426,6 +1643,671 @@ mod tests {
             }
         }
         now
+    }
+
+    /// Every buffered record in seq order: the stragglers, then the
+    /// window's live slots.
+    fn buffered(sync: &FogSync) -> Vec<(u64, &PendingRecord)> {
+        let b = &sync.records;
+        let window = b
+            .slots
+            .iter()
+            .zip(b.base..)
+            .filter_map(|(slot, seq)| Some((seq, slot.as_ref()?)));
+        b.stragglers
+            .iter()
+            .map(|(&seq, p)| (seq, p))
+            .chain(window)
+            .collect()
+    }
+
+    /// The window's invariants after any call: a live front slot, an exact
+    /// live count, each record in its seq's slot, stragglers below `base`,
+    /// and at most `max_in_flight` released slots, so the slot count stays
+    /// within the live records plus the in-flight window.
+    fn check_window(sync: &FogSync, at: &str) {
+        let b = &sync.records;
+        assert!(
+            b.slots.front().is_none_or(Option::is_some),
+            "{at}: front slot live"
+        );
+        assert_eq!(b.held, b.slots.iter().flatten().count(), "{at}: live count");
+        for (slot, seq) in b.slots.iter().zip(b.base..) {
+            if let Some(p) = slot {
+                assert_eq!(p.record.seq, seq, "{at}: slot of {seq}");
+            }
+        }
+        assert!(
+            b.stragglers.keys().all(|&seq| seq < b.base),
+            "{at}: stragglers below base"
+        );
+        assert!(
+            b.slots.len() <= b.held + sync.max_in_flight,
+            "{at}: {} slots for {} live records",
+            b.slots.len(),
+            b.held
+        );
+    }
+
+    /// The engine as it stood with its backlog in a seq-keyed `BTreeMap`:
+    /// the reference the window is checked against. Every decision is
+    /// written out again here, on the map, in the order the engine made it
+    /// (the same instruments, RNG draws and events).
+    struct TreeSync {
+        cfg: FogSyncBuilder,
+        rng: SimRng,
+        records: BTreeMap<u64, PendingRecord>,
+        next_admit: u64,
+        deadlines: Deadlines,
+        next_seq: u64,
+        strikes: u32,
+        mode: DegradedMode,
+        obs: Obs,
+        ins: SyncInstruments,
+    }
+
+    impl TreeSync {
+        fn new(cfg: FogSyncBuilder) -> TreeSync {
+            let mut obs = Obs::new();
+            let ins = SyncInstruments::register(&mut obs);
+            TreeSync {
+                rng: SimRng::seed_from(cfg.seed),
+                cfg,
+                records: BTreeMap::new(),
+                next_admit: 0,
+                deadlines: Deadlines::default(),
+                next_seq: 0,
+                strikes: 0,
+                mode: DegradedMode::Connected,
+                obs,
+                ins,
+            }
+        }
+
+        fn floor(&self) -> u64 {
+            self.records
+                .first_key_value()
+                .map_or(self.next_seq, |(&seq, _)| seq)
+        }
+
+        fn enqueue(&mut self, now: SimTime, key: &str, payload: Vec<u8>) -> u64 {
+            if self.records.len() >= self.cfg.capacity {
+                if let Some((_, old)) = self.records.pop_first() {
+                    if let Some(f) = old.flight {
+                        self.deadlines.remove(f.slot);
+                    }
+                    self.obs.inc(self.ins.dropped);
+                }
+            }
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            let record = UpdateRecord {
+                seq,
+                key: key.to_owned(),
+                payload,
+                created_at: now,
+            };
+            let flight = None;
+            self.records.insert(seq, PendingRecord { record, flight });
+            self.obs.inc(self.ins.enqueued);
+            seq
+        }
+
+        fn retry_interval(&mut self, attempts: u32) -> SimDuration {
+            let c = &self.cfg;
+            let base_ms = c.base_timeout.as_millis() as f64;
+            let cap_ms = c.max_backoff.max(c.base_timeout).as_millis().max(1) as f64;
+            let exp = attempts.saturating_sub(1).min(48) as i32;
+            let mut ms = base_ms * c.backoff_factor.powi(exp);
+            if !ms.is_finite() || ms > cap_ms {
+                ms = cap_ms;
+            }
+            if c.jitter > 0.0 {
+                ms *= 1.0 + c.jitter * (2.0 * self.rng.uniform_f64() - 1.0);
+            }
+            let ms = ms.max(1.0);
+            self.obs.record(self.ins.retry_interval_ms, ms);
+            SimDuration::from_millis(ms as u64)
+        }
+
+        fn sync_round(&mut self, net: &mut Network, now: SimTime, batch: usize) -> usize {
+            let token = self.obs.enter(self.ins.round_span);
+            let mut due = Vec::new();
+            self.deadlines.due_into(now, &mut due);
+            due.sort_unstable();
+            let mut scanned = due.len();
+            due.truncate(batch);
+            let expired = due.len();
+            let floor = self.floor();
+            let mut sent = 0;
+            let mut refused = false;
+            for &seq in &due {
+                if !self.transmit(net, now, seq, floor) {
+                    refused = true;
+                    break;
+                }
+                sent += 1;
+            }
+            if !refused {
+                let (examined, admitted, cut) = self.admit_from(net, now, batch - sent, floor);
+                scanned += examined;
+                sent += admitted;
+                refused = cut;
+            }
+            self.obs.add(self.ins.timeouts, expired as u64);
+            self.obs.record(self.ins.round_scanned, scanned as f64);
+            if expired > 0 || refused {
+                self.strikes = self.strikes.saturating_add(1);
+                let mode = if self.strikes >= OFFLINE_AFTER {
+                    DegradedMode::Offline
+                } else if self.strikes >= DEGRADED_AFTER {
+                    DegradedMode::Degraded
+                } else {
+                    self.mode
+                };
+                self.set_mode(mode, now);
+            }
+            self.refresh_gauges();
+            self.obs.exit(token);
+            sent
+        }
+
+        fn admit(&mut self, net: &mut Network, now: SimTime, budget: usize) -> usize {
+            let floor = self.floor();
+            let (examined, admitted, _) = self.admit_from(net, now, budget, floor);
+            if examined > 0 {
+                self.obs.record(self.ins.round_scanned, examined as f64);
+            }
+            self.refresh_gauges();
+            admitted
+        }
+
+        /// `(examined, sent, refused)`.
+        fn admit_from(
+            &mut self,
+            net: &mut Network,
+            now: SimTime,
+            budget: usize,
+            floor: u64,
+        ) -> (usize, usize, bool) {
+            let (mut examined, mut sent) = (0, 0);
+            while sent < budget && self.deadlines.len() < self.cfg.max_in_flight {
+                let Some((&seq, _)) = self.records.range(self.next_admit..).next() else {
+                    break;
+                };
+                examined += 1;
+                if !self.transmit(net, now, seq, floor) {
+                    return (examined, sent, true);
+                }
+                sent += 1;
+            }
+            (examined, sent, false)
+        }
+
+        fn transmit(&mut self, net: &mut Network, now: SimTime, seq: u64, floor: u64) -> bool {
+            let p = &self.records[&seq];
+            let prior = p.flight;
+            let msg = Message::new(SYNC_TOPIC, encode_record(&p.record, floor));
+            if net.send(now, &self.cfg.node, &self.cfg.cloud, msg).is_err() {
+                return false;
+            }
+            self.obs.inc(self.ins.transmissions);
+            let attempts = prior.map_or(1, |f| f.attempts + 1);
+            let next_retry = now.saturating_add(self.retry_interval(attempts));
+            let slot = match prior {
+                Some(f) => {
+                    self.obs.inc(self.ins.retransmissions);
+                    self.deadlines.rekey(f.slot, next_retry);
+                    f.slot
+                }
+                None => {
+                    self.next_admit = seq + 1;
+                    self.deadlines.insert(next_retry, seq)
+                }
+            };
+            self.records.get_mut(&seq).unwrap().flight = Some(FlightState { attempts, slot });
+            true
+        }
+
+        fn process_ack(&mut self, now: SimTime, payload: &[u8]) -> Result<AckOutcome, SyncError> {
+            if !payload.len().is_multiple_of(ACK_RUN_BYTES)
+                || ack_runs(payload).any(|r| r.is_none())
+            {
+                return Err(SyncError::MalformedAck { len: payload.len() });
+            }
+            let mut outcome = AckOutcome::default();
+            for (first, end) in ack_runs(payload).flatten() {
+                let mut released = 0u64;
+                while let Some((&seq, _)) = self.records.range(first..end).next() {
+                    if let Some(f) = self.records.remove(&seq).and_then(|p| p.flight) {
+                        self.deadlines.remove(f.slot);
+                    }
+                    released += 1;
+                }
+                let assigned = end.min(self.next_seq).saturating_sub(first);
+                let duplicate = assigned - released;
+                let unknown = end - first - assigned;
+                self.obs.add(self.ins.acked, released);
+                self.obs.add(self.ins.duplicate_acks, duplicate);
+                self.obs.add(self.ins.unknown_acks, unknown);
+                outcome.released += count(released);
+                outcome.duplicate += count(duplicate);
+                outcome.unknown += count(unknown);
+            }
+            if outcome.released > 0 {
+                self.strikes = 0;
+                self.set_mode(DegradedMode::Connected, now);
+            }
+            self.refresh_gauges();
+            Ok(outcome)
+        }
+
+        fn poll_acks(&mut self, net: &mut Network, now: SimTime) -> AckOutcome {
+            let mut total = AckOutcome::default();
+            for d in net.drain(&self.cfg.node) {
+                if d.message.topic == ACK_TOPIC {
+                    match self.process_ack(now, &d.message.payload) {
+                        Ok(outcome) => total.absorb(outcome),
+                        Err(_) => total.malformed += 1,
+                    }
+                }
+            }
+            total
+        }
+
+        fn set_mode(&mut self, mode: DegradedMode, now: SimTime) {
+            if self.mode != mode {
+                let level = if mode == DegradedMode::Connected {
+                    Level::Info
+                } else {
+                    Level::Warn
+                };
+                let detail = format!("{}->{} @{}ms", self.mode, mode, now.as_millis());
+                self.obs.event(level, "sync.mode", &detail);
+                self.mode = mode;
+            }
+        }
+
+        fn refresh_gauges(&mut self) {
+            self.obs.set(self.ins.pending, self.records.len() as f64);
+            self.obs
+                .set(self.ins.in_flight, self.deadlines.len() as f64);
+            let mode = match self.mode {
+                DegradedMode::Connected => 0.0,
+                DegradedMode::Degraded => 1.0,
+                DegradedMode::Offline => 2.0,
+            };
+            self.obs.set(self.ins.mode, mode);
+        }
+    }
+
+    /// The engine and the reference model driven by the same calls, each on
+    /// its own identically seeded and faulted network with its own cloud
+    /// store. [`Rig::agree`] holds them equal after every call.
+    struct Rig {
+        sync: FogSync,
+        model: TreeSync,
+        nets: [Network; 2],
+        taps: [swamp_net::network::TapId; 2],
+        tapped: usize,
+        clouds: [CloudStore; 2],
+        now: SimTime,
+    }
+
+    impl Rig {
+        fn new(cfg: FogSyncBuilder, net: impl Fn() -> Network) -> Rig {
+            let mut nets = [net(), net()];
+            let taps = nets.each_mut().map(|n| n.add_tap("fog", "cloud"));
+            Rig {
+                sync: cfg.clone().build(),
+                model: TreeSync::new(cfg),
+                nets,
+                taps,
+                tapped: 0,
+                clouds: [CloudStore::new("cloud"), CloudStore::new("cloud")],
+                now: SimTime::ZERO,
+            }
+        }
+
+        /// The two sides after a call: the same transmissions (seq order
+        /// and wire bytes, floor included), instruments (every `sync.*`
+        /// counter, gauge, histogram, span and event), backlog, deadlines,
+        /// cursor and mode.
+        fn agree(&mut self, at: &str) {
+            let [wire, reference] = [0, 1].map(|i| {
+                self.nets[i].tap_captures(self.taps[i])[self.tapped..]
+                    .iter()
+                    .map(|d| d.message.payload.clone())
+                    .collect::<Vec<_>>()
+            });
+            assert_eq!(wire, reference, "{at}: transmissions");
+            self.tapped += wire.len();
+            let (sync, model) = (&self.sync, &self.model);
+            assert_eq!(
+                sync.observe().to_json_string(),
+                model.obs.snapshot().to_json_string(),
+                "{at}: instruments"
+            );
+            assert_eq!(sync.pending(), model.records.len(), "{at}: pending");
+            assert_eq!(sync.in_flight(), model.deadlines.len(), "{at}: in flight");
+            assert_eq!(sync.mode(), model.mode, "{at}: mode");
+            assert_eq!(sync.floor(), model.floor(), "{at}: floor");
+            assert_eq!(sync.records.end(), model.next_seq, "{at}: next seq");
+            let attempts = |p: &PendingRecord| p.flight.map(|f| f.attempts);
+            let ours: Vec<_> = buffered(sync)
+                .into_iter()
+                .map(|(seq, p)| (seq, attempts(p)))
+                .collect();
+            let theirs: Vec<_> = model
+                .records
+                .iter()
+                .map(|(&seq, p)| (seq, attempts(p)))
+                .collect();
+            assert_eq!(ours, theirs, "{at}: backlog");
+            let deadlines = |d: &Deadlines| {
+                let mut entries: Vec<_> = d.heap.iter().map(|&(t, seq, _)| (t, seq)).collect();
+                entries.sort_unstable();
+                entries
+            };
+            assert_eq!(
+                deadlines(&sync.deadlines),
+                deadlines(&model.deadlines),
+                "{at}: deadlines"
+            );
+            // The window's cursor may stand past released slots the map's
+            // never reached; both name the same next record to admit.
+            assert_eq!(
+                sync.records.first_from(sync.next_admit),
+                model
+                    .records
+                    .range(model.next_admit..)
+                    .next()
+                    .map(|(&s, _)| s),
+                "{at}: admission cursor"
+            );
+            check_window(sync, at);
+        }
+
+        fn enqueue(&mut self, key: &str, payload: Vec<u8>, at: &str) {
+            let seq = self.sync.enqueue(self.now, key, payload.clone()).unwrap();
+            assert_eq!(seq, self.model.enqueue(self.now, key, payload), "{at}");
+            self.agree(at);
+        }
+
+        fn round(&mut self, batch: usize, at: &str) {
+            let sent = self.sync.sync_round(&mut self.nets[0], self.now, batch);
+            let reference = self.model.sync_round(&mut self.nets[1], self.now, batch);
+            assert_eq!(sent, reference, "{at}: round");
+            self.agree(at);
+        }
+
+        fn admit(&mut self, budget: usize, at: &str) {
+            let sent = self.sync.admit(&mut self.nets[0], self.now, budget);
+            let reference = self.model.admit(&mut self.nets[1], self.now, budget);
+            assert_eq!(sent, reference, "{at}: admit");
+            self.agree(at);
+        }
+
+        /// One ack payload on both sides; returns the slots the window
+        /// visited.
+        fn ack(&mut self, payload: &[u8], at: &str) -> u64 {
+            let ours = self.sync.release_acked(self.now, payload);
+            let theirs = self.model.process_ack(self.now, payload);
+            assert_eq!(ours.clone().map(|(o, _)| o), theirs, "{at}: ack");
+            self.agree(at);
+            ours.map_or(0, |(_, visited)| visited)
+        }
+
+        /// Moves the clock `secs` on, lets the cloud take what arrived and
+        /// `keep` allows, then the clock again and the fog its acks.
+        fn exchange(&mut self, secs: u64, keep: impl Fn(&Delivery) -> bool, at: &str) {
+            self.now += SimDuration::from_secs(secs);
+            let accepted = [0, 1].map(|i| {
+                let net = &mut self.nets[i];
+                net.advance_to(self.now);
+                let mut inbox = net.drain(&NodeId::new("cloud"));
+                inbox.retain(&keep);
+                self.clouds[i].process_deliveries(net, self.now, inbox)
+            });
+            assert_eq!(accepted[0], accepted[1], "{at}: cloud");
+            self.now += SimDuration::from_secs(secs);
+            for net in &mut self.nets {
+                net.advance_to(self.now);
+            }
+            let ours = self.sync.poll_acks(&mut self.nets[0], self.now);
+            let theirs = self.model.poll_acks(&mut self.nets[1], self.now);
+            assert_eq!(ours, theirs, "{at}: poll");
+            self.agree(at);
+        }
+    }
+
+    /// An ack payload of `(first, count)` runs, in the order given.
+    fn ack_payload(runs: &[(u64, u64)]) -> Vec<u8> {
+        runs.iter()
+            .flat_map(|&(first, len)| [first.to_be_bytes(), len.to_be_bytes()])
+            .flatten()
+            .collect()
+    }
+
+    /// The uplink of the differential tests: a rural link at 25 % loss with
+    /// duplication and reordering, two partitions and an SDN rate limit
+    /// that refuses sends mid-round.
+    fn faulted_uplink(seed: u64) -> Network {
+        use swamp_net::sdn::{FlowAction, FlowMatch};
+        use swamp_net::{FaultPlan, FaultSpec};
+        let mut net = Network::new(seed);
+        net.add_node("fog");
+        net.add_node("cloud");
+        net.connect("fog", "cloud", LinkSpec::rural_internet());
+        let mut plan = FaultPlan::new(seed);
+        plan.set_link_faults("fog", "cloud", FaultSpec::degraded(0.25))
+            .unwrap();
+        for (start, end) in [(600, 1_100), (4_000, 4_300)] {
+            let (start, end) = (SimTime::from_secs(start), SimTime::from_secs(end));
+            plan.add_partition("fog", "cloud", start, end).unwrap();
+        }
+        net.install_fault_plan(plan);
+        let limit = FlowAction::RateLimit {
+            per_sec: 1.5,
+            burst: 8.0,
+        };
+        net.flow_table_mut()
+            .install(10, FlowMatch::from_src("fog"), limit);
+        net
+    }
+
+    /// The window against the seq-keyed map it replaced, on seeded
+    /// operation sequences: enqueues at and past capacity, capped and
+    /// uncapped rounds, admissions between rounds, cloud exchanges over the
+    /// faulted uplink, and ack payloads off the wire that no cloud would
+    /// send — duplicate, unknown, overlapping, unsorted and malformed runs,
+    /// and runs that release never-transmitted records. After every call
+    /// both sides agree ([`Rig::agree`]).
+    #[test]
+    fn window_matches_the_seq_keyed_table() {
+        const CAPACITY: usize = 32;
+        const WINDOW: usize = 8;
+        for seed in [42u64, 1337] {
+            let cfg = FogSync::builder("fog", "cloud")
+                .capacity(CAPACITY)
+                .base_timeout(SimDuration::from_secs(15))
+                .backoff(2.0, SimDuration::from_secs(120))
+                .jitter(0.2)
+                .max_in_flight(WINDOW)
+                .seed(seed);
+            let mut rig = Rig::new(cfg, || faulted_uplink(seed));
+            let mut rng = SimRng::seed_from(seed ^ 0x5eed);
+            // Evictions, stragglers, refused or malformed acks, acks that
+            // released something never sent.
+            let mut covered = [0u64; 4];
+            for step in 0..4_000u64 {
+                let at = format!("seed {seed}, step {step}");
+                let next_seq = rig.sync.records.end();
+                match rng.below(12) {
+                    0..=2 => {
+                        for i in 0..1 + rng.below(5) {
+                            covered[0] += u64::from(rig.sync.pending() >= CAPACITY);
+                            let payload = vec![rng.below(256) as u8; rng.below(4) as usize];
+                            rig.enqueue(&format!("k{step}.{i}"), payload, &at);
+                        }
+                    }
+                    3 | 4 => {
+                        let batch = if rng.chance(0.5) {
+                            usize::MAX
+                        } else {
+                            1 + rng.below(5) as usize
+                        };
+                        rig.round(batch, &at);
+                    }
+                    5 => rig.admit(1 + rng.below(3) as usize, &at),
+                    6..=8 => rig.exchange(1 + rng.below(3), |_| true, &at),
+                    9 => {
+                        rig.now += SimDuration::from_secs(5 + rng.below(40));
+                        for net in &mut rig.nets {
+                            net.advance_to(rig.now);
+                        }
+                    }
+                    _ => {
+                        let unsent = rig.sync.records.first_from(rig.sync.next_admit);
+                        let mut runs: Vec<(u64, u64)> = (0..1 + rng.below(4))
+                            .map(|_| match rng.below(4) {
+                                // Anywhere assigned: duplicates and releases.
+                                0 | 1 => (rng.below(next_seq + 1), rng.below(12)),
+                                // Across the next seq: part unknown.
+                                2 => (next_seq.saturating_sub(rng.below(4)), 1 + rng.below(6)),
+                                // Over the whole span, again and again.
+                                _ => (0, next_seq + rng.below(3)),
+                            })
+                            .collect();
+                        if rng.chance(0.3) {
+                            runs.push(runs[0]);
+                        }
+                        let mut payload = ack_payload(&runs);
+                        match rng.below(8) {
+                            0 => payload.truncate(payload.len() - 1 - rng.below(15) as usize),
+                            1 => payload.extend(ack_payload(&[(u64::MAX - 1, 3)])),
+                            _ => {}
+                        }
+                        let released_unsent = unsent.is_some_and(|seq| {
+                            runs.iter()
+                                .any(|&(first, len)| first <= seq && seq < first + len)
+                        });
+                        let before = rig.sync.pending();
+                        rig.ack(&payload, &at);
+                        covered[2] += u64::from(!payload.len().is_multiple_of(ACK_RUN_BYTES));
+                        covered[3] += u64::from(released_unsent && rig.sync.pending() < before);
+                    }
+                }
+                covered[1] += u64::from(!rig.sync.records.stragglers.is_empty());
+            }
+            // Quiesce: everything left reaches the cloud, and both sides
+            // end empty on the same floor.
+            for round in 0..400 {
+                if rig.sync.pending() == 0 {
+                    break;
+                }
+                let at = format!("seed {seed}, drain {round}");
+                rig.round(usize::MAX, &at);
+                rig.exchange(30, |_| true, &at);
+            }
+            assert_eq!(rig.sync.pending(), 0, "seed {seed}: drained");
+            assert!(covered.iter().all(|&n| n > 0), "seed {seed}: {covered:?}");
+        }
+    }
+
+    /// One ack payload walks each window slot at most once, whatever its
+    /// runs: 4 096 copies of one run over the whole span, sorted or not,
+    /// visit the span once and count what the model counts.
+    #[test]
+    fn one_ack_visits_each_window_slot_at_most_once() {
+        const N: u64 = 5_000;
+        let cfg = FogSync::builder("fog", "cloud")
+            .capacity(2 * N as usize)
+            .base_timeout(SimDuration::from_secs(3_600))
+            .jitter(0.0);
+        let mut rig = Rig::new(cfg, || {
+            let mut net = Network::new(3);
+            net.add_node("fog");
+            net.add_node("cloud");
+            net.connect("fog", "cloud", LinkSpec::cloud_backbone());
+            net
+        });
+        for i in 0..N {
+            rig.enqueue("k", vec![(i & 0xff) as u8], "fill");
+        }
+        rig.round(usize::MAX, "first window");
+        // Release every third seq, so the window keeps live slots and
+        // released ones side by side.
+        let thirds: Vec<(u64, u64)> = (0..N).step_by(3).map(|seq| (seq, 1)).collect();
+        rig.ack(&ack_payload(&thirds), "thirds");
+        let span = rig.sync.records.slots.len() as u64;
+        let full = (
+            rig.sync.records.base,
+            rig.sync.records.end() - rig.sync.records.base,
+        );
+        let visited = rig.ack(&ack_payload(&[full; 4_096]), "4 096 full-span runs");
+        assert!(visited <= span, "{visited} visits for {span} slots");
+        assert_eq!(rig.sync.pending(), 0);
+        assert_eq!(counter(rig.sync.observe(), "sync.acked"), N);
+        // Unsorted, overlapping runs: still one visit per slot.
+        for i in 0..N {
+            rig.enqueue("k", vec![(i & 0xff) as u8], "refill");
+        }
+        let span = rig.sync.records.slots.len() as u64;
+        let runs: Vec<(u64, u64)> = (0..4_096u64).map(|i| (N + (i * 7_919) % N, N)).collect();
+        let visited = rig.ack(&ack_payload(&runs), "4 096 unsorted runs");
+        assert!(visited <= span, "{visited} visits for {span} slots");
+    }
+
+    /// A record whose every transmission is lost does not hold the window
+    /// open: while ten capacities of later records are enqueued and acked,
+    /// the slot count stays within capacity plus the in-flight window, the
+    /// lost record stays the floor, and its eviction at last moves the
+    /// floor as the model's does.
+    #[test]
+    fn a_never_acked_record_does_not_hold_the_window_open() {
+        const CAPACITY: usize = 64;
+        const WINDOW: usize = 16;
+        const LOST: u64 = 3;
+        let cfg = FogSync::builder("fog", "cloud")
+            .capacity(CAPACITY)
+            .base_timeout(SimDuration::from_secs(5))
+            .backoff(2.0, SimDuration::from_secs(40))
+            .jitter(0.1)
+            .max_in_flight(WINDOW)
+            .seed(7);
+        let mut rig = Rig::new(cfg, || {
+            let mut net = Network::new(9);
+            net.add_node("fog");
+            net.add_node("cloud");
+            net.connect("fog", "cloud", LinkSpec::cloud_backbone());
+            net
+        });
+        let not_lost = |d: &Delivery| d.message.payload[..8] != LOST.to_be_bytes();
+        let mut straggled = false;
+        let mut round = 0;
+        while rig.sync.records.end() < 10 * CAPACITY as u64 {
+            let at = format!("round {round}");
+            for i in 0..5 {
+                rig.enqueue(&format!("k{round}.{i}"), vec![i], &at);
+            }
+            rig.round(usize::MAX, &at);
+            rig.exchange(1, not_lost, &at);
+            let slots = rig.sync.records.slots.len();
+            assert!(slots <= CAPACITY + WINDOW, "{at}: {slots} slots");
+            straggled |= rig.sync.records.stragglers.contains_key(&LOST);
+            round += 1;
+        }
+        assert!(straggled, "the lost record moved out of the window");
+        assert_eq!(rig.sync.floor(), LOST, "still buffered");
+        assert!(counter(rig.sync.observe(), "sync.retransmissions") > 0);
+        // A burst past capacity evicts it, oldest first.
+        for i in 0..CAPACITY {
+            rig.enqueue(&format!("burst{i}"), vec![], "burst");
+        }
+        assert!(counter(rig.sync.observe(), "sync.dropped") > 0);
+        assert!(rig.sync.floor() > LOST);
+        assert!(rig.sync.records.stragglers.is_empty());
     }
 
     /// The sync wire format, byte for byte: seq, sender floor and creation
@@ -1839,17 +2721,16 @@ mod tests {
         assert_eq!(sync.pending(), 3);
         assert_eq!(counter(sync.observe(), "sync.dropped"), 2);
         // Oldest (k0, k1) gone; k2..k4 retained.
-        let keys: Vec<String> = sync
-            .records
-            .values()
-            .map(|p| p.record.key.clone())
+        let keys: Vec<String> = buffered(&sync)
+            .into_iter()
+            .map(|(_, p)| p.record.key.clone())
             .collect();
         assert_eq!(keys, vec!["k2", "k3", "k4"]);
     }
 
     #[test]
     fn acks_classify_without_a_released_set_over_a_deep_drain() {
-        // A 1M-record drain leaves nothing behind but the record table
+        // A 1M-record drain leaves nothing behind but the backlog
         // (empty) and the seq counter, and still classifies every ack:
         // each assigned seq is a duplicate once released, however long
         // ago, and a seq the engine never assigned is unknown.
@@ -2133,7 +3014,7 @@ mod tests {
     }
 
     /// The deadline heap and the admission cursor against a scan of the
-    /// record table, under loss, duplication, reordering, a partition, an
+    /// backlog, under loss, duplication, reordering, a partition, an
     /// SDN rate limit that refuses sends mid-round, buffer evictions and
     /// capped and uncapped rounds. Before each round the scan names the
     /// due records; the round must send exactly those in seq order, then
@@ -2141,10 +3022,11 @@ mod tests {
     /// stopping only at a refusal; an `admit` between rounds must send
     /// only never-transmitted ones. After every call the heap must hold
     /// exactly one `(next_retry, seq)` per in-flight record, in heap order,
-    /// each at the slot its record names — dropping the removal from
+    /// each at the slot its record names, and the window must keep its
+    /// own invariants ([`check_window`]) — dropping the removal from
     /// `process_ack`, or from the evicting `enqueue`, fails it.
     #[test]
-    fn deadline_index_matches_a_scan_of_the_record_table() {
+    fn deadline_index_matches_a_scan_of_the_backlog() {
         use swamp_net::sdn::{FlowAction, FlowMatch};
         use swamp_net::{FaultPlan, FaultSpec};
         const WINDOW: usize = 12;
@@ -2156,12 +3038,13 @@ mod tests {
         }
 
         fn check(sync: &FogSync, at: &str) {
+            check_window(sync, at);
             let heap = &sync.deadlines.heap;
             for i in 1..heap.len() {
                 assert!(heap[(i - 1) / 2] < heap[i], "{at}: heap order at {i}");
             }
             let mut in_flight = 0;
-            for (&seq, p) in &sync.records {
+            for (seq, p) in buffered(sync) {
                 let below = seq < sync.next_admit;
                 assert_eq!(p.flight.is_some(), below, "{at}: cursor at seq {seq}");
                 if let Some(f) = p.flight {
@@ -2177,8 +3060,9 @@ mod tests {
             );
         }
 
-        // Timeouts, refused rounds, in-flight evictions, cap cuts.
-        let mut covered = [0u64; 4];
+        // Timeouts, refused rounds, in-flight evictions, cap cuts, rounds
+        // that end with a straggler.
+        let mut covered = [0u64; 5];
         for seed in [1u64, 42, 1337] {
             for capped in [false, true] {
                 let mut net = Network::new(seed);
@@ -2217,11 +3101,9 @@ mod tests {
                     let at = format!("seed {seed}, capped {capped}, round {round}");
                     for i in 0..if round < 200 { 4u8 } else { 0 } {
                         let evicts_in_flight = sync.records.len() >= CAPACITY
-                            && sync
-                                .records
-                                .values()
-                                .next()
-                                .is_some_and(|p| p.flight.is_some());
+                            && buffered(&sync)
+                                .first()
+                                .is_some_and(|(_, p)| p.flight.is_some());
                         covered[2] += u64::from(evicts_in_flight);
                         sync.enqueue(now, &format!("k{round}.{i}"), vec![i])
                             .unwrap();
@@ -2239,11 +3121,10 @@ mod tests {
                     // rounds, as ingestion does: first sends only, in seq
                     // order, and no strike.
                     if round % 2 == 1 {
-                        let fresh: Vec<u64> = sync
-                            .records
-                            .iter()
+                        let fresh: Vec<u64> = buffered(&sync)
+                            .into_iter()
                             .filter(|(_, p)| p.flight.is_none())
-                            .map(|(&seq, _)| seq)
+                            .map(|(seq, _)| seq)
                             .take((WINDOW - sync.in_flight()).min(2))
                             .collect();
                         let tapped = net.tap_captures(tap).len();
@@ -2259,21 +3140,22 @@ mod tests {
                     }
 
                     let batch = if capped { 1 + round % 5 } else { usize::MAX };
-                    let mut due: Vec<u64> = sync
-                        .records
-                        .iter()
+                    let mut due: Vec<u64> = buffered(&sync)
+                        .into_iter()
                         .filter(|(_, p)| p.flight.is_some_and(|f| deadline(&sync, f) <= now))
-                        .map(|(&seq, _)| seq)
+                        .map(|(seq, _)| seq)
                         .collect();
                     covered[0] += due.len() as u64;
                     covered[3] += u64::from(due.len() > batch);
                     due.truncate(batch);
                     let room = (WINDOW - sync.in_flight()).min(batch - due.len());
-                    let fresh = sync.records.iter().filter(|(_, p)| p.flight.is_none());
+                    let fresh = buffered(&sync)
+                        .into_iter()
+                        .filter(|(_, p)| p.flight.is_none());
                     let plan: Vec<u64> = due
                         .iter()
                         .copied()
-                        .chain(fresh.map(|(&seq, _)| seq).take(room))
+                        .chain(fresh.map(|(seq, _)| seq).take(room))
                         .collect();
 
                     let tapped = net.tap_captures(tap).len();
@@ -2298,6 +3180,7 @@ mod tests {
                     net.advance_to(now);
                     sync.poll_acks(&mut net, now);
                     check(&sync, &at);
+                    covered[4] += u64::from(!sync.records.stragglers.is_empty());
                     now += SimDuration::from_secs(6);
                 }
                 assert_eq!(sync.pending(), 0, "seed {seed}, capped {capped}: drained");

@@ -4,7 +4,7 @@
 
 use swamp::agro::soil::{SoilProperties, SoilWaterBalance, WaterFlux};
 use swamp::codec::ngsi::Entity;
-use swamp::core::platform::{DeploymentConfig, Platform};
+use swamp::core::platform::{DeploymentConfig, IngestError, Platform};
 use swamp::fog::OutageSchedule;
 use swamp::irrigation::network::{Allocation, DistributionNetwork};
 use swamp::sensors::device::DeviceKind;
@@ -188,7 +188,9 @@ fn max_min_weakly_dominates_greedy_for_worst_farm() {
 }
 
 /// The platform ingest path accepts exactly what a provisioned device
-/// seals — for arbitrary attribute values — and the context reflects it.
+/// seals — for arbitrary attribute values — and the context reflects it;
+/// a moisture value no soil can hold (above 0.6) refuses the whole frame
+/// instead, and the context keeps nothing of it.
 #[test]
 fn ingest_roundtrip_arbitrary_values() {
     let mut rng = SimRng::seed_from(0xC205_0004);
@@ -211,9 +213,18 @@ fn ingest_roundtrip_arbitrary_values() {
             b"probe",
             e.to_json().to_compact_string().as_bytes(),
         );
-        p.ingest_frame(SimTime::ZERO, "probe", &sealed)
-            .expect("ingest ok");
-        let stored = p.context.entity(&"urn:swamp:device:probe".into()).unwrap();
+        let admitted = p.ingest_frame(SimTime::ZERO, "probe", &sealed);
+        let stored = p.context.entity(&"urn:swamp:device:probe".into());
+        if vwc > 0.6 {
+            assert!(
+                matches!(admitted, Err(IngestError::ImpossibleValue(_))),
+                "vwc {vwc}: {admitted:?}"
+            );
+            assert!(stored.is_none(), "vwc {vwc}");
+            continue;
+        }
+        admitted.expect("ingest ok");
+        let stored = stored.unwrap();
         assert_eq!(stored.number("moisture_vwc"), Some(vwc));
         assert_eq!(stored.number("temperature_c"), Some(temp));
     }

@@ -9,6 +9,7 @@ mod common;
 
 use swamp::codec::ngsi::Entity;
 use swamp::core::platform::{DeploymentConfig, IngestError, Platform};
+use swamp::core::query::{QueryRequest, QueryResponse};
 use swamp::security::baseline::{BaselineConfig, FlagKind};
 use swamp::sensors::device::DeviceKind;
 use swamp::sim::SimTime;
@@ -55,7 +56,7 @@ fn counter(p: &Platform, name: &str) -> u64 {
 #[test]
 fn impossible_values_auto_quarantine_the_device() {
     // One impossible value, then two in one frame: each frame raises an
-    // alert per value and quarantines its sender once.
+    // alert per value, is refused, and quarantines its sender once.
     let impossible: [&[(&str, f64)]; 2] = [
         &[("moisture_vwc", 7.5)],
         &[("moisture_vwc", 7.5), ("battery_fraction", 1.7)],
@@ -64,14 +65,30 @@ fn impossible_values_auto_quarantine_the_device() {
         let mut p = two_probes(21);
 
         // The compromised device reports a physically impossible reading.
-        // The frame authenticates (the attacker holds the device), the
-        // value is stored once — and the device is immediately quarantined.
+        // The frame authenticates (the attacker holds the device), but it
+        // is refused — the value is stored nowhere — and the device is
+        // quarantined at once.
         let f = sealed_with(&p, "victim", 0.0, values, 2);
-        p.ingest_frame(SimTime::from_secs(10), "victim", &f)
-            .unwrap();
+        let err = p
+            .ingest_frame(SimTime::from_secs(10), "victim", &f)
+            .unwrap_err();
+        assert!(matches!(err, IngestError::ImpossibleValue(_)), "{err}");
         assert!(!p.registry.get("victim").unwrap().enabled, "{values:?}");
         let snap = p.observe();
         assert_eq!(snap.counter("ingest.quarantined").unwrap(), 1, "{values:?}");
+        assert_eq!(
+            snap.counter("ingest.accepted").unwrap(),
+            1,
+            "the honest frame alone"
+        );
+        let stored = p.query(&QueryRequest::Range {
+            entity: "urn:swamp:device:victim".into(),
+            attr: "moisture_vwc".into(),
+            from: SimTime::ZERO,
+            to: SimTime::from_secs(60),
+        });
+        assert_eq!(stored, QueryResponse::Samples(vec![]), "{values:?}");
+        assert_eq!(p.context.entity_count(), 1, "the honest probe alone");
         assert_eq!(
             snap.counter("security.alerts_raised").unwrap(),
             values.len() as u64,
@@ -119,7 +136,7 @@ fn one_registry_call_re_enables_a_quarantined_device() {
     let mut p = two_probes(23);
     let f = sealed(&p, "victim", 0.0, 7.5, 2);
     p.ingest_frame(SimTime::from_secs(10), "victim", &f)
-        .unwrap();
+        .unwrap_err();
     assert!(!p.registry.get("victim").unwrap().enabled);
 
     p.registry.set_enabled("victim", true).unwrap();
