@@ -7,11 +7,15 @@
 //! # Hot-path design
 //!
 //! Every accepted telemetry frame appends one sample per numeric
-//! attribute, so `append` is on the sensor→cloud critical path. Series
-//! keys are *interned*: a two-level `entity → attr → u32` map resolves
-//! borrowed `&str` keys to a dense [`SeriesId`] without allocating, and
-//! steady-state appends (series already known, in-order timestamp) land in
-//! the series' mutable tail with nothing beyond amortized vector growth.
+//! attribute, so appends are on the sensor→cloud critical path. A record's
+//! samples arrive together through [`HistoryStore::append_entity`], the
+//! one write path: it looks the entity up once in a two-level
+//! `entity → attr → series id` index with a borrowed `&str` key, then
+//! each attribute in that entity's own map, allocating key strings only
+//! on first sight of a series. Steady-state appends (series already known,
+//! in-order timestamp) land in the series' mutable tail with nothing
+//! beyond amortized vector growth. No caller holds a series handle: a
+//! sealed frame's record and any other take the same path.
 //!
 //! # Columnar segments
 //!
@@ -36,14 +40,16 @@
 //! overlapped suffix of segments back into the tail first (rare by
 //! construction: the watermark only covers explicitly compacted data).
 
+#![deny(clippy::indexing_slicing)]
+
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use swamp_sim::{SimDuration, SimTime};
 
-/// Dense identifier of one (entity, attribute) series, assigned by the
-/// interner on first append and stable for the store's lifetime.
-pub type SeriesId = u32;
+/// Dense identifier of one (entity, attribute) series, assigned on its
+/// first append and stable for the store's lifetime.
+type SeriesId = u32;
 
 /// One stored sample.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -282,12 +288,11 @@ struct Segment {
 }
 
 impl Segment {
-    /// Freezes a non-empty, time-sorted slice into a segment.
-    fn freeze(samples: &[Sample]) -> Segment {
-        debug_assert!(!samples.is_empty(), "freeze of an empty run");
-        debug_assert!(samples.windows(2).all(|w| w[0].at <= w[1].at));
-        let first = samples[0];
-        let last = samples[samples.len() - 1];
+    /// Freezes a time-sorted slice into a segment; `None` for an empty
+    /// one, which has no summary.
+    fn freeze(samples: &[Sample]) -> Option<Segment> {
+        debug_assert!(samples.is_sorted_by_key(|s| s.at));
+        let (&first, &last) = (samples.first()?, samples.last()?);
         // First-extreme-wins strict comparisons, seeded from the first
         // sample: the same fold [`Extremes::push`] applies sample-wise,
         // which makes summary folds bit-identical to decoded folds.
@@ -314,7 +319,7 @@ impl Segment {
                 prev_at = s.at.as_millis();
             }
         }
-        Segment {
+        Some(Segment {
             first_at: first.at,
             last_at: last.at,
             min,
@@ -322,7 +327,7 @@ impl Segment {
             last: last.value,
             times,
             values,
-        }
+        })
     }
 
     /// Samples in this segment.
@@ -415,11 +420,32 @@ impl Series {
     /// Tail capacity is kept so steady-state appends stay allocation-free
     /// between freezes.
     fn freeze_tail(&mut self) {
-        if self.tail.is_empty() {
-            return;
+        if let Some(seg) = Segment::freeze(&self.tail) {
+            self.segments.push(seg);
+            self.tail.clear();
         }
-        self.segments.push(Segment::freeze(&self.tail));
-        self.tail.clear();
+    }
+
+    /// Appends one sample at its time-sorted place, then freezes the tail
+    /// if it reached `threshold` samples.
+    fn append(&mut self, at: SimTime, value: f64, threshold: Option<usize>) {
+        match self.watermark() {
+            // Strictly behind frozen data: thaw the overlapped suffix.
+            // (An append *at* the watermark stays in the tail: duplicate
+            // timestamps insert after their equals, same as the flat
+            // store.)
+            Some(w) if at < w => self.insert_behind_watermark(at, value),
+            _ => match self.tail.last() {
+                Some(last) if last.at > at => {
+                    let idx = self.tail.partition_point(|s| s.at <= at);
+                    self.tail.insert(idx, Sample { at, value });
+                }
+                _ => self.tail.push(Sample { at, value }),
+            },
+        }
+        if threshold.is_some_and(|t| self.tail.len() >= t) {
+            self.freeze_tail();
+        }
     }
 
     /// Inserts a sample that lands strictly behind the frozen watermark:
@@ -428,7 +454,10 @@ impl Series {
     /// timestamps, matching the flat store's duplicate-time order).
     fn insert_behind_watermark(&mut self, at: SimTime, value: f64) {
         let keep = self.segments.partition_point(|s| s.last_at <= at);
-        let mut thawed: Vec<Sample> = self.segments[keep..]
+        let mut thawed: Vec<Sample> = self
+            .segments
+            .get(keep..)
+            .unwrap_or_default()
             .iter()
             .flat_map(Segment::iter)
             .collect();
@@ -466,7 +495,7 @@ impl Series {
         let lo = self.segments.partition_point(|s| s.last_at < from);
         let mut hi = lo;
         let mut whole = 0u64;
-        for seg in &self.segments[lo..] {
+        for seg in self.segments.get(lo..).unwrap_or_default() {
             if seg.first_at >= to {
                 break;
             }
@@ -484,7 +513,8 @@ impl Series {
         }
         let t_lo = self.tail.partition_point(|s| s.at < from);
         let t_hi = self.tail.partition_point(|s| s.at < to);
-        for s in &self.tail[t_lo..t_hi] {
+        // `get` also answers an inverted window (`from > to`) as empty.
+        for s in self.tail.get(t_lo..t_hi).unwrap_or_default() {
             visit(Piece::Sample(*s));
         }
         Walk {
@@ -517,14 +547,16 @@ impl Series {
     /// decoded, trimmed and re-frozen.
     fn prune_before(&mut self, cutoff: SimTime) -> u64 {
         let drop = self.segments.partition_point(|s| s.last_at < cutoff);
-        let mut removed: u64 = self.segments[..drop].iter().map(|s| s.count() as u64).sum();
-        self.segments.drain(..drop);
-        if let Some(seg) = self.segments.first() {
+        let mut removed: u64 = self.segments.drain(..drop).map(|s| s.count() as u64).sum();
+        if let Some(seg) = self.segments.first_mut() {
             if seg.first_at < cutoff {
                 let kept: Vec<Sample> = seg.iter().filter(|s| s.at >= cutoff).collect();
                 removed += seg.count() as u64 - kept.len() as u64;
-                // `last_at >= cutoff`, so at least the last sample survives.
-                self.segments[0] = Segment::freeze(&kept);
+                // `last_at >= cutoff`, so at least the last sample survives
+                // and the trimmed segment is never empty.
+                if let Some(trimmed) = Segment::freeze(&kept) {
+                    *seg = trimmed;
+                }
             }
         }
         let keep_from = self.tail.partition_point(|s| s.at < cutoff);
@@ -612,7 +644,8 @@ impl<'a> Buckets<'a> {
 #[derive(Debug, Default)]
 pub struct HistoryStore {
     /// Interner: entity → attribute → series id. Two-level so lookups use
-    /// borrowed `&str` keys (no tuple-of-`String` allocation per call).
+    /// borrowed `&str` keys (no tuple-of-`String` allocation per call) and
+    /// a record's samples resolve their entity once.
     index: HashMap<String, HashMap<String, SeriesId>>,
     /// Series storage, indexed by [`SeriesId`].
     series: Vec<Series>,
@@ -688,73 +721,63 @@ impl HistoryStore {
         self.decoded.fetch_add(decoded, Ordering::Relaxed);
     }
 
-    /// The interned id of a series, if it has ever been appended to.
-    /// Borrowed-key lookup: allocates nothing.
-    pub fn series_id(&self, entity: &str, attr: &str) -> Option<SeriesId> {
-        self.index.get(entity)?.get(attr).copied()
-    }
-
-    /// Interns (entity, attr), creating an empty series if new. Key strings
-    /// are only allocated here, on first sight of a series.
-    ///
-    /// # Panics
-    /// Panics past 2^32 distinct series (the 32-bit id space; a simulated
-    /// deployment is orders of magnitude smaller).
-    #[expect(clippy::expect_used, reason = "documented under # Panics")]
-    pub fn intern(&mut self, entity: &str, attr: &str) -> SeriesId {
-        if let Some(id) = self.series_id(entity, attr) {
-            return id;
-        }
-        let id = SeriesId::try_from(self.series.len()).expect("fewer than 2^32 series");
-        self.series.push(Series::default());
-        self.index
-            .entry(entity.to_owned())
-            .or_default()
-            .insert(attr.to_owned(), id);
-        id
-    }
-
     /// Appends a sample. Out-of-order appends are accepted and inserted at
     /// the binary-searched position, keeping the series sorted. Steady
     /// state (known series, in-order time) allocates nothing beyond
     /// amortized tail growth.
     pub fn append(&mut self, entity: &str, attr: &str, at: SimTime, value: f64) {
-        let id = self.intern(entity, attr);
-        self.append_to(id, at, value);
+        self.append_entity(entity, [(attr, at, value)]);
     }
 
-    /// Appends to an already-interned series — the zero-lookup fast path
-    /// for callers that cache [`SeriesId`]s.
+    /// Appends one record's samples, `(attribute, time, value)` each, to
+    /// `entity`'s series: the entity is looked up once (one hash of a
+    /// borrowed key) and each sample goes through that entity's attribute
+    /// map, as [`HistoryStore::append`] would place it. Key strings are
+    /// allocated only on first sight of a series; an entity with no sample
+    /// is not recorded at all.
     ///
     /// # Panics
-    /// Panics if `id` was not returned by this store's interner.
-    pub fn append_to(&mut self, id: SeriesId, at: SimTime, value: f64) {
-        let series = &mut self.series[id as usize];
-        match series.watermark() {
-            // Strictly behind frozen data: thaw the overlapped suffix.
-            // (An append *at* the watermark stays in the tail: duplicate
-            // timestamps insert after their equals, same as the flat
-            // store.)
-            Some(w) if at < w => series.insert_behind_watermark(at, value),
-            _ => match series.tail.last() {
-                Some(last) if last.at > at => {
-                    let idx = series.tail.partition_point(|s| s.at <= at);
-                    series.tail.insert(idx, Sample { at, value });
+    /// Panics past 2^32 distinct series (the 32-bit id space; a simulated
+    /// deployment is orders of magnitude smaller).
+    #[expect(clippy::expect_used, reason = "documented under # Panics")]
+    pub fn append_entity<'a>(
+        &mut self,
+        entity: &str,
+        samples: impl IntoIterator<Item = (&'a str, SimTime, f64)>,
+    ) {
+        let mut samples = samples.into_iter().peekable();
+        if samples.peek().is_none() {
+            return;
+        }
+        let attrs = match self.index.get_mut(entity) {
+            Some(attrs) => attrs,
+            None => self.index.entry(entity.to_owned()).or_default(),
+        };
+        for (attr, at, value) in samples {
+            let id = match attrs.get(attr) {
+                Some(&id) => id,
+                None => {
+                    let id = SeriesId::try_from(self.series.len()).expect("fewer than 2^32 series");
+                    self.series.push(Series::default());
+                    attrs.insert(attr.to_owned(), id);
+                    id
                 }
-                _ => series.tail.push(Sample { at, value }),
-            },
+            };
+            // Every id in the index was handed out above, and no series
+            // is ever removed.
+            let Some(series) = self.series.get_mut(id as usize) else {
+                continue;
+            };
+            series.append(at, value, self.segment_threshold);
+            self.total_samples += 1;
         }
-        if let Some(t) = self.segment_threshold {
-            if series.tail.len() >= t {
-                series.freeze_tail();
-            }
-        }
-        self.total_samples += 1;
     }
 
+    /// A series, if it has ever been appended to. Borrowed-key lookup:
+    /// allocates nothing.
     fn series(&self, entity: &str, attr: &str) -> Option<&Series> {
-        self.series_id(entity, attr)
-            .map(|id| &self.series[id as usize])
+        let id = *self.index.get(entity)?.get(attr)?;
+        self.series.get(id as usize)
     }
 
     /// Samples in `[from, to)` for one series (empty if unknown).
@@ -889,7 +912,9 @@ impl HistoryStore {
             .collect();
         keys.sort_unstable_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
         keys.into_iter()
-            .map(|(entity, attr, id)| (entity, attr, self.series[id as usize].materialize()))
+            .filter_map(|(entity, attr, id)| {
+                Some((entity, attr, self.series.get(id as usize)?.materialize()))
+            })
             .collect()
     }
 
@@ -909,6 +934,10 @@ impl HistoryStore {
 
 #[cfg(test)]
 mod tests {
+    #![expect(
+        clippy::indexing_slicing,
+        reason = "tests index what they just built; a panic fails the test"
+    )]
     use super::*;
     use swamp_sim::stats::OnlineStats;
     use swamp_sim::SimRng;
@@ -969,30 +998,49 @@ mod tests {
 
     #[test]
     fn series_ids_are_dense_and_stable() {
+        let id = |h: &HistoryStore, e: &str, a: &str| h.index.get(e)?.get(a).copied();
         let mut h = HistoryStore::new();
-        assert_eq!(h.series_id("e", "a"), None);
+        assert_eq!(id(&h, "e", "a"), None);
         h.append("e", "a", t(1), 1.0);
         h.append("e", "b", t(1), 2.0);
         h.append("e2", "a", t(1), 3.0);
-        let id_ea = h.series_id("e", "a").unwrap();
-        let id_eb = h.series_id("e", "b").unwrap();
-        let id_e2a = h.series_id("e2", "a").unwrap();
-        assert_eq!((id_ea, id_eb, id_e2a), (0, 1, 2));
-        // Re-appending reuses the interned id.
+        let ids = [("e", "a"), ("e", "b"), ("e2", "a")].map(|(e, a)| id(&h, e, a));
+        assert_eq!(ids, [Some(0), Some(1), Some(2)]);
+        // Re-appending reuses the series' id.
         h.append("e", "a", t(2), 4.0);
-        assert_eq!(h.series_id("e", "a"), Some(id_ea));
-        assert_eq!(h.intern("e", "a"), id_ea);
+        assert_eq!(id(&h, "e", "a"), Some(0));
         assert_eq!(h.series.len(), 3);
     }
 
+    /// One record's samples through `append_entity` land exactly where
+    /// the same samples appended one by one land, and a record with no
+    /// sample leaves no trace.
     #[test]
-    fn append_to_interned_id_fast_path() {
-        let mut h = HistoryStore::new();
-        let id = h.intern("e", "a");
-        h.append_to(id, t(1), 1.0);
-        h.append_to(id, t(2), 2.0);
-        assert_eq!(h.last("e", "a").unwrap().value, 2.0);
-        assert_eq!(h.len(), 2);
+    fn append_entity_matches_one_by_one_appends() {
+        let samples = [
+            ("a", t(2), 1.0),
+            ("b", t(2), 2.0),
+            ("a", t(1), 3.0),
+            ("a", t(2), 4.0),
+        ];
+        let mut whole = HistoryStore::new();
+        whole.append_entity("e", samples);
+        whole.append_entity("e", []);
+        whole.append_entity("ghost", []);
+        let mut single = HistoryStore::new();
+        for (attr, at, v) in samples {
+            single.append("e", attr, at, v);
+        }
+        assert_eq!(whole.dump_sorted(), single.dump_sorted());
+        assert_eq!(whole.len(), 4);
+        assert_eq!(whole.series.len(), 2);
+        assert!(!whole.index.contains_key("ghost"));
+        let values: Vec<f64> = whole
+            .range("e", "a", t(0), t(3))
+            .iter()
+            .map(|s| s.value)
+            .collect();
+        assert_eq!(values, [3.0, 1.0, 4.0]);
     }
 
     #[test]
@@ -1042,6 +1090,27 @@ mod tests {
         assert_eq!(h.len(), 4);
         assert_eq!(h.range("e", "a", t(0), t(100)).len(), 4);
         assert_eq!(h.range("e", "a", t(0), t(100))[0].value, 6.0);
+    }
+
+    /// A window whose end is before its start holds nothing, on the tail
+    /// and on frozen segments alike (the tail walk used to slice
+    /// `tail[lo..hi]` with `lo > hi` and panic).
+    #[test]
+    fn inverted_window_reads_empty() {
+        for compact in [false, true] {
+            let mut h = HistoryStore::new();
+            for i in 0..10 {
+                h.append("e", "a", t(i), i as f64);
+            }
+            if compact {
+                h.compact();
+            }
+            assert!(h.range("e", "a", t(8), t(2)).is_empty(), "{compact}");
+            assert_eq!(h.aggregate("e", "a", t(8), t(2)), None);
+            assert_eq!(h.extremes("e", "a", t(8), t(2)), None);
+            let bucket = SimDuration::from_hours(1);
+            assert!(h.downsample("e", "a", t(8), t(2), bucket).is_empty());
+        }
     }
 
     #[test]
@@ -1121,7 +1190,7 @@ mod tests {
                 value: i as f64 * 0.37 - 1.0,
             })
             .collect();
-        let seg = Segment::freeze(&samples);
+        let seg = Segment::freeze(&samples).unwrap();
         assert_eq!(seg.count(), samples.len());
         assert_eq!(seg.first_at, samples[0].at);
         assert_eq!(seg.last_at, samples[samples.len() - 1].at);
@@ -1136,7 +1205,7 @@ mod tests {
                 value: 1.0,
             })
             .collect();
-        let seg = Segment::freeze(&regular);
+        let seg = Segment::freeze(&regular).unwrap();
         assert!(
             seg.times.len() <= regular.len() + 4,
             "regular cadence should take ~1 byte/sample, got {} bytes",
@@ -1426,22 +1495,6 @@ mod tests {
             .map(|s| s.value)
             .collect();
         assert_eq!(vals, vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 5.5, 6.0, 7.0]);
-    }
-
-    #[test]
-    fn empty_series_intern_survives_compaction_and_dump() {
-        let mut h = HistoryStore::new();
-        let id = h.intern("e", "a");
-        assert_eq!(h.compact(), 0, "nothing to freeze");
-        assert_eq!(h.prune_before(t(5)), 0);
-        let dump = h.dump_sorted();
-        assert_eq!(dump.len(), 1);
-        assert_eq!((dump[0].0, dump[0].1), ("e", "a"));
-        assert!(dump[0].2.is_empty());
-        assert!(h.last("e", "a").is_none());
-        assert!(h.range("e", "a", t(0), t(10)).is_empty());
-        h.append_to(id, t(1), 1.0);
-        assert_eq!(h.len(), 1);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! with [`PlatformBuilder::fault_plan`] and
 //! [`PlatformBuilder::uplink_outages`].
 
-use std::collections::BTreeMap;
+#![deny(clippy::indexing_slicing)]
 
 use swamp_codec::ngsi::Entity;
 use swamp_crypto::aead::NonceSequence;
@@ -48,9 +48,9 @@ use swamp_views::ViewIndexer;
 
 use crate::broker::ContextBroker;
 use crate::error::Error;
-use crate::history::{HistoryStore, SeriesId};
+use crate::history::HistoryStore;
 use crate::query::{QueryRequest, QueryResponse, SeriesEntry};
-use crate::registry::{DeviceRecord, DeviceRegistry, DeviceSlot, RegistryError};
+use crate::registry::{DeviceRegistry, DeviceSlot, RegistryError};
 use crate::shard::DEVICE_URN_PREFIX;
 
 /// Where the platform's decision logic runs.
@@ -116,8 +116,10 @@ pub struct Platform {
     pub context: ContextBroker,
     /// Historical time-series store.
     pub history: HistoryStore,
-    /// Device registry.
-    pub registry: DeviceRegistry,
+    /// Device registry: each device's trust bit, replay window and
+    /// per-device table handles. Operators reach it through
+    /// [`Platform::set_device_enabled`] and [`Platform::device_enabled`].
+    registry: DeviceRegistry,
     /// Key management.
     pub keystore: Keystore,
     /// Identity provider (OAuth2-style).
@@ -139,12 +141,6 @@ pub struct Platform {
     /// device-side state (the sender half of its frames' AEAD nonces),
     /// kept apart from the admission row the fog side reads.
     nonces: Vec<NonceSequence>,
-    /// The attribute names whose history series registry rows cache, each
-    /// with the tag a row files its series of that name under. A name is
-    /// added only for a row with room, so the table holds at most
-    /// [`ROW_SERIES`] names per registered device and no device can fill
-    /// it for the others.
-    series_attrs: BTreeMap<Box<str>, u32>,
     /// The topology's node ids, made once: the cloud, the farm-side node
     /// devices talk to, and the node ingestion runs on (one of the two).
     cloud_id: NodeId,
@@ -242,12 +238,6 @@ impl PlatformInstruments {
 /// grow with the fleet; large enough that each stage runs long enough to
 /// keep its own tables hot.
 const INGEST_CHUNK: usize = 256;
-
-/// How many history series one registry row caches. Telemetry carries a
-/// handful of attributes; a device's attribute past its row's room is
-/// interned by name on every append instead, so a device that invents
-/// names cannot make its row's scan long.
-const ROW_SERIES: usize = 16;
 
 /// The nonce sender id of a frame [`Platform::device_publish`] seals for
 /// an unregistered id (whose frame is refused at ingest).
@@ -516,7 +506,6 @@ impl PlatformBuilder {
             detectors,
             behavior: BehaviorBank::new(baseline),
             nonces: Vec::new(),
-            series_attrs: BTreeMap::new(),
             cloud_id,
             farm_id,
             node_id,
@@ -739,6 +728,23 @@ impl Platform {
         self.nonces
             .push(NonceSequence::new(slot.index() as u32 + 1));
         Ok(())
+    }
+
+    /// Enables or disables a registered device: quarantine on suspicion,
+    /// or re-admission after review (the one call that re-admits a device
+    /// the range screen cut off).
+    ///
+    /// # Errors
+    /// [`Error::Registry`] ([`RegistryError::Unknown`]) if the device was
+    /// never registered.
+    pub fn set_device_enabled(&mut self, device_id: &str, enabled: bool) -> Result<(), Error> {
+        Ok(self.registry.set_enabled(device_id, enabled)?)
+    }
+
+    /// Whether telemetry from a registered device is accepted; `None` if
+    /// the device was never registered.
+    pub fn device_enabled(&self, device_id: &str) -> Option<bool> {
+        self.registry.get(device_id).map(|d| d.enabled)
     }
 
     /// Device-side publish: seals the entity with the device's provisioned
@@ -1095,12 +1101,13 @@ impl Platform {
     /// baseline, the uplink's backlog and the broker, with nothing put on
     /// the wire.
     ///
-    /// An entity that comes with its sender's registry slot (a frame
-    /// admission validated) reaches its history series and baseline state
-    /// through the handles its row keeps, taken on first sight. Any other
-    /// entity (ingested directly, or from an unregistered fleet) goes
-    /// through the history's interner and the baseline's name index, and
-    /// no row is grown for it. Both ways end in the same series and state.
+    /// Each entity's numeric attributes reach the history in one
+    /// [`HistoryStore::append_entity`] call, which resolves the entity
+    /// once. An entity that comes with its sender's registry slot (a frame
+    /// admission validated) reaches its baseline state through the handle
+    /// its row keeps, taken on first sight; any other entity (ingested
+    /// directly, or from an unregistered fleet) through the baseline's
+    /// name index. Both ways end in the same series and state.
     fn store_entities(
         &mut self,
         now: SimTime,
@@ -1119,38 +1126,33 @@ impl Platform {
             }
             for (slot, entity) in &self.ingest_chunk {
                 let id = entity.id().as_str();
-                let mut row = slot.and_then(|slot| self.registry.row_mut(slot));
-                for (name, attr) in entity.attributes() {
-                    if let Some(v) = attr.value.as_number() {
+                let signal_attr = self.behavior.signal_attr();
+                let mut signal = None;
+                self.history.append_entity(
+                    id,
+                    entity.attributes().filter_map(|(name, attr)| {
+                        let v = attr.value.as_number()?;
                         if !v.is_finite() {
                             self.obs.inc(self.ins.non_finite);
-                            continue;
+                            return None;
                         }
                         let at = attr.observed_at_ms.map(SimTime::from_millis).unwrap_or(now);
-                        let signal = name == self.behavior.signal_attr();
-                        match row.as_deref_mut() {
-                            Some(row) => {
-                                let series = cached_series(
-                                    &mut self.history,
-                                    &mut self.series_attrs,
-                                    row,
-                                    id,
-                                    name,
-                                );
-                                self.history.append_to(series, at, v);
-                                if signal {
-                                    let baseline = *row
-                                        .baseline
-                                        .get_or_insert_with(|| self.behavior.admit(at, id));
-                                    self.behavior.ingest_by_handle(baseline, at, v);
-                                }
-                            }
-                            None => {
-                                self.history.append(id, name, at, v);
-                                if signal {
-                                    self.behavior.ingest(at, id, v);
-                                }
-                            }
+                        if name == signal_attr {
+                            signal = Some((at, v));
+                        }
+                        Some((name, at, v))
+                    }),
+                );
+                if let Some((at, v)) = signal {
+                    match slot.and_then(|slot| self.registry.row_mut(slot)) {
+                        Some(row) => {
+                            let baseline = *row
+                                .baseline
+                                .get_or_insert_with(|| self.behavior.admit(at, id));
+                            self.behavior.ingest_by_handle(baseline, at, v);
+                        }
+                        None => {
+                            self.behavior.ingest(at, id, v);
                         }
                     }
                 }
@@ -1238,37 +1240,14 @@ impl Platform {
     }
 }
 
-/// The history series of attribute `name` of `row`'s entity `entity`: the
-/// id the row cached, or the interner's, cached on first sight. The row
-/// tags each cached series with its attribute's tag in `attrs`, the
-/// platform's attribute table, so it keeps no copy of a name. An attribute
-/// a full row has no place for is interned by name every time.
-fn cached_series(
-    history: &mut HistoryStore,
-    attrs: &mut BTreeMap<Box<str>, u32>,
-    row: &mut DeviceRecord,
-    entity: &str,
-    name: &str,
-) -> SeriesId {
-    let tag = attrs.get(name).copied();
-    if let Some(&(_, series)) = tag.and_then(|tag| row.series.iter().find(|(t, _)| *t == tag)) {
-        return series;
-    }
-    let series = history.intern(entity, name);
-    if row.series.len() < ROW_SERIES {
-        let tag = tag.unwrap_or_else(|| {
-            let tag = attrs.len() as u32;
-            attrs.insert(name.into(), tag);
-            tag
-        });
-        row.series.push((tag, series));
-    }
-    series
-}
-
 #[cfg(test)]
 mod tests {
+    #![expect(
+        clippy::indexing_slicing,
+        reason = "tests index what they just built; a panic fails the test"
+    )]
     use super::*;
+    use std::collections::BTreeMap;
     use swamp_codec::ngsi::Entity;
 
     fn telemetry(device: &str, seq: f64, vwc: f64) -> Entity {
@@ -1369,7 +1348,7 @@ mod tests {
                     matches!(err, Error::Registry(RegistryError::AlreadyRegistered(_))),
                     "{config:?} {id}: {err}"
                 );
-                assert!(p.registry.get(id).is_none(), "{config:?} {id}");
+                assert_eq!(p.device_enabled(id), None, "{config:?} {id}");
             }
             // The uplink keeps its lossless spec: 200 records cross it and
             // the network loses nothing. Each device's radio is swapped for
@@ -1403,7 +1382,7 @@ mod tests {
             .register_device(SimTime::ZERO, "", DeviceKind::SoilProbe, "owner:test")
             .unwrap_err();
         assert_eq!(err, Error::Registry(RegistryError::EmptyId));
-        assert_eq!(p.registry.len(), 1);
+        assert_eq!(p.device_enabled(""), None);
         assert_eq!(p.nonces.len(), 1);
         assert!(p.keystore.device_key("").is_err());
     }
@@ -1494,12 +1473,11 @@ mod tests {
         assert!(matches!(err, IngestError::Replay(_)));
     }
 
-    /// A device that invents attribute names fills only its own row's
-    /// series cache: the attribute table takes at most `ROW_SERIES` names
-    /// for it, a device seen later still caches its own series, and every
-    /// value lands in its own series either way.
+    /// A device that invents attribute names gets a series per name, each
+    /// holding exactly its values, and a device seen later keeps exactly
+    /// its own series.
     #[test]
-    fn invented_attributes_fill_only_the_inventing_row() {
+    fn invented_attributes_land_only_in_the_inventing_entity() {
         let mut p = fog_platform();
         p.register_device(
             SimTime::ZERO,
@@ -1524,14 +1502,22 @@ mod tests {
             let sealed = frame(&p, "probe-1", seq, &format!("x{seq}"));
             assert_eq!(p.ingest_frame(SimTime::ZERO, "probe-1", &sealed), Ok(()));
         }
-        let row = |p: &Platform, id: &str| p.registry.get(id).unwrap().series.len();
-        assert_eq!(row(&p, "probe-1"), ROW_SERIES);
-        assert_eq!(p.series_attrs.len(), ROW_SERIES);
         let sealed = frame(&p, "probe-2", 0, "battery_v");
         assert_eq!(p.ingest_frame(SimTime::ZERO, "probe-2", &sealed), Ok(()));
-        assert_eq!(row(&p, "probe-2"), 3, "moisture_vwc, seq, battery_v");
-        assert_eq!(p.series_attrs.len(), ROW_SERIES + 1);
         let urn = |id: &str| format!("urn:swamp:device:{id}");
+        let series_of = |p: &Platform, id: &str| {
+            let urn = urn(id);
+            let dump = p.history.dump_sorted();
+            dump.iter()
+                .filter(|(entity, _, _)| *entity == urn)
+                .map(|(_, attr, samples)| (attr.to_string(), samples.len()))
+                .collect::<Vec<_>>()
+        };
+        let probe_2 = series_of(&p, "probe-2");
+        let names: Vec<&str> = probe_2.iter().map(|(attr, _)| attr.as_str()).collect();
+        assert_eq!(names, ["battery_v", "moisture_vwc", "seq"]);
+        assert!(probe_2.iter().all(|&(_, n)| n == 1));
+        assert_eq!(series_of(&p, "probe-1").len(), 2_000 + 2);
         let all = |p: &Platform, id: &str, attr: &str| {
             p.history
                 .range(&urn(id), attr, SimTime::ZERO, SimTime::from_secs(1))

@@ -9,10 +9,13 @@
 //! [`DeviceRegistry::set_enabled`] call after review restores it.
 //!
 //! Registration hands out a dense [`DeviceSlot`]. A device's row is also
-//! where the platform keeps each per-device table's handle for it (its
-//! network node, keystore record, baseline state, history series), so a
-//! frame resolves its sender by name once and reaches every later table
-//! by index.
+//! where the platform keeps its handle into each per-device table that
+//! has a dense table (its network node, keystore record and baseline
+//! state), so a frame resolves its sender by name once and reaches those
+//! tables by index. The history needs no handle: it resolves a record's
+//! entity once per record by name.
+
+#![deny(clippy::indexing_slicing)]
 
 use std::collections::HashMap;
 
@@ -21,8 +24,6 @@ use swamp_net::message::NodeId;
 use swamp_security::baseline::BaselineHandle;
 use swamp_sensors::device::DeviceKind;
 use swamp_sim::SimTime;
-
-use crate::history::SeriesId;
 
 /// A registered device's place in the registry's row table, handed out
 /// densely in registration order and valid for the registry that handed
@@ -60,9 +61,6 @@ pub struct DeviceRecord {
     /// Its behavioral-baseline state, taken on its first stored sample of
     /// the baseline's signal.
     pub(crate) baseline: Option<BaselineHandle>,
-    /// Its entity's history series, each tagged with its attribute's
-    /// place in the platform's attribute table (no name is copied here).
-    pub(crate) series: Vec<(u32, SeriesId)>,
 }
 
 impl DeviceRecord {
@@ -136,8 +134,7 @@ impl std::error::Error for RegistryError {}
 /// The device registry.
 #[derive(Clone, Debug, Default)]
 pub struct DeviceRegistry {
-    /// Device id → slot. Hashed: it is looked up, never iterated for
-    /// output ([`DeviceRegistry::iter`] sorts).
+    /// Device id → slot. Hashed: it is looked up, never iterated.
     index: HashMap<String, DeviceSlot>,
     /// Rows by slot.
     rows: Vec<DeviceRecord>,
@@ -187,7 +184,6 @@ impl DeviceRegistry {
             node,
             key,
             baseline: None,
-            series: Vec::new(),
         });
         self.index.insert(id.to_owned(), slot);
         Ok(slot)
@@ -231,28 +227,6 @@ impl DeviceRegistry {
             None => Err(RegistryError::Unknown(id.to_owned())),
         }
     }
-
-    /// Number of registered devices.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Iterates `(id, record)` in id order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &DeviceRecord)> {
-        let mut ids: Vec<(&str, DeviceSlot)> = self
-            .index
-            .iter()
-            .map(|(id, &slot)| (id.as_str(), slot))
-            .collect();
-        ids.sort_unstable_by_key(|&(id, _)| id);
-        ids.into_iter()
-            .filter_map(|(id, slot)| Some((id, self.row(slot)?)))
-    }
 }
 
 #[cfg(test)]
@@ -283,8 +257,7 @@ mod tests {
         register(&mut r, "p1", DeviceKind::SoilProbe, "owner:cbec").unwrap();
         assert!(is_active(&r, "p1"));
         assert_eq!(r.get("p1").unwrap().kind, DeviceKind::SoilProbe);
-        assert_eq!(r.len(), 1);
-        assert!(!r.is_empty());
+        assert_eq!(r.rows.len(), 1);
     }
 
     #[test]
@@ -304,7 +277,7 @@ mod tests {
             register(&mut r, "", DeviceKind::SoilProbe, "o"),
             Err(RegistryError::EmptyId)
         );
-        assert!(r.is_empty());
+        assert!(r.rows.is_empty());
         for (i, id) in ["b", "a", "c"].into_iter().enumerate() {
             let slot = register(&mut r, id, DeviceKind::SoilProbe, "o").unwrap();
             assert_eq!(slot.index(), i);
@@ -318,7 +291,7 @@ mod tests {
             });
             assert!(refused.is_err());
         }
-        assert_eq!(r.len(), 3);
+        assert_eq!(r.rows.len(), 3);
     }
 
     #[test]
@@ -380,18 +353,5 @@ mod tests {
         // Independent per device: the first seq is fresh whatever it is.
         assert!(admit("e", 100));
         assert!(admit("e", 99));
-    }
-
-    #[test]
-    fn iter_lists_devices_in_id_order_with_their_owners() {
-        let mut r = DeviceRegistry::new();
-        register(&mut r, "a1", DeviceKind::SoilProbe, "owner:a").unwrap();
-        register(&mut r, "a2", DeviceKind::Valve, "owner:a").unwrap();
-        register(&mut r, "b1", DeviceKind::Pump, "owner:b").unwrap();
-        let rows: Vec<(&str, &str)> = r.iter().map(|(id, d)| (id, d.owner.as_str())).collect();
-        assert_eq!(
-            rows,
-            [("a1", "owner:a"), ("a2", "owner:a"), ("b1", "owner:b")]
-        );
     }
 }

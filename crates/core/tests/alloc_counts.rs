@@ -652,21 +652,22 @@ fn hot_paths_do_not_allocate_per_subscriber_or_per_append() {
     // First sight adds what each table keeps per new key, once: the
     // cloud run's key only (a per-key `latest` index beside the run read
     // 3.38 against 2.23 while this leg also encoded the wire buffer), and
-    // for a sealed frame the baseline's device name, the history series,
-    // the row's series cache and the broker entity: 24.74. The range
-    // screen keeps nothing per device (its name index and device table
-    // read 26.04; a string-keyed replay map beside the registry row read
-    // 28.1; that and `latest` together 29.24; a series cache holding its
-    // own copy of each attribute name read 30.02).
+    // for a sealed frame the baseline's device name, the history's entity
+    // and series keys and the broker entity: 22.73. The registry row keeps
+    // no history handle (a per-row cache of tagged series ids read 24.74);
+    // the range screen keeps nothing per device (its name index and device
+    // table read 26.04; a string-keyed replay map beside the registry row
+    // read 28.1; that and `latest` together 29.24; a series cache holding
+    // its own copy of each attribute name read 30.02).
     assert!(
         first.replicate <= 1.5,
         "replicating a round of first-seen keys allocated {:.2} times per record (budget 1.5)",
         first.replicate
     );
     assert!(
-        first_sight <= 25.0,
+        first_sight <= 23.0,
         "a device's first sealed frame pumped end to end allocated {first_sight:.2} times \
-         (budget 25.0)"
+         (budget 23.0)"
     );
 
     // --- Live heap bytes per owner (DESIGN.md §6's table), and what the

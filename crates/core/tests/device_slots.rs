@@ -9,7 +9,9 @@
 //! - a warm row caches no key: revoking or rotating a device in
 //!   `p.keystore` decides its very next frame;
 //! - a device registered after a thousand other frames starts enabled and
-//!   from fresh baseline state, not another device's.
+//!   from fresh baseline state, not another device's;
+//! - one device's records through both paths on one platform, interleaved,
+//!   share each history series and one baseline state.
 
 use std::collections::BTreeMap;
 
@@ -214,7 +216,7 @@ fn the_slot_path_and_the_by_name_path_leave_the_same_state() {
         fleet
             .ids
             .iter()
-            .filter(|id| !p.registry.get(id).unwrap().enabled)
+            .filter(|id| p.device_enabled(id) == Some(false))
             .cloned()
             .collect()
     };
@@ -347,7 +349,9 @@ fn a_device_registered_late_starts_from_fresh_state() {
             }
         }
     }
-    let disabled = p.registry.iter().filter(|(_, row)| !row.enabled).count();
+    let disabled = (0..100)
+        .filter(|i| p.device_enabled(&format!("probe-{i}")) == Some(false))
+        .count();
     assert_eq!(disabled, 100);
     let snap = p.observe();
     assert_eq!(snap.counter("ingest.accepted").unwrap(), 0);
@@ -364,7 +368,7 @@ fn a_device_registered_late_starts_from_fresh_state() {
         telemetry("late", seq, 0.25, None).write_compact(&mut wire);
         let frame = key.seal(&nonces.next_nonce(), b"late", wire.as_bytes());
         p.ingest_frame(at, "late", &frame).unwrap();
-        assert!(p.registry.get("late").unwrap().enabled);
+        assert_eq!(p.device_enabled("late"), Some(true));
     }
     let flag = p.behavior.flags()["urn:swamp:device:late"];
     assert_eq!(flag.kind, FlagKind::Untrained);
@@ -380,4 +384,63 @@ fn a_device_registered_late_starts_from_fresh_state() {
         panic!("a range answers samples");
     };
     assert_eq!(samples.len(), 6);
+}
+
+/// One registered device's records through both paths on one platform,
+/// interleaved and the by-name path first: its entities through
+/// `ingest_entities` and its sealed frames through `pump` (the slot path).
+/// Both reach one history series per attribute and one baseline state.
+#[test]
+fn both_paths_on_one_platform_share_each_series_and_the_baseline_state() {
+    const RECORDS: u64 = 40;
+    let mut p = Platform::builder(DeploymentConfig::FarmFog)
+        .seed(3)
+        .uplink_spec(LinkSpec::cloud_backbone())
+        .build();
+    register(&mut p, "probe-1");
+    let farm = p.farm_node();
+    let mut nonces = NonceSequence::new(1);
+    let mut last = SimTime::ZERO;
+    for seq in 0..RECORDS {
+        last = SimTime::from_secs(60 * (seq + 1));
+        let entity = telemetry("probe-1", seq, 0.25 + 0.001 * seq as f64, None);
+        if seq % 2 == 0 {
+            assert_eq!(p.ingest_entities(last, [entity]), 1, "seq {seq}");
+        } else {
+            let frame = seal(&p, "probe-1", &mut nonces, &entity);
+            let msg = Message::new("telemetry/probe-1", frame);
+            let sent = last - SimDuration::from_secs(30);
+            p.net.send(sent, "probe-1", &farm, msg).unwrap();
+            assert_eq!(p.pump(last), 1, "seq {seq}");
+        }
+    }
+    // By name, at the time of the slot path's last record: one baseline
+    // state has seen that time and skips it; a second state, kept apart
+    // for the by-name path, would take it.
+    let tie = telemetry("probe-1", RECORDS, 0.3, None);
+    assert_eq!(p.ingest_entities(last, [tie]), 1);
+
+    let QueryResponse::Series(dump) = p.query(&QueryRequest::SeriesDump) else {
+        panic!("a series dump answers series");
+    };
+    let keys: Vec<(&str, &str)> = dump
+        .iter()
+        .map(|s| (s.entity.as_str(), s.attr.as_str()))
+        .collect();
+    let urn = "urn:swamp:device:probe-1";
+    assert_eq!(keys, [(urn, "moisture_vwc"), (urn, "seq")]);
+    for series in &dump {
+        assert_eq!(series.samples.len() as u64, RECORDS + 1, "{}", series.attr);
+        assert!(series.samples.is_sorted_by_key(|s| s.at), "{}", series.attr);
+    }
+    let seqs: Vec<f64> = dump[1].samples.iter().map(|s| s.value).collect();
+    let want: Vec<f64> = (0..=RECORDS).map(|seq| seq as f64).collect();
+    assert_eq!(seqs, want, "each record once, in time order");
+
+    let c = counters(&p);
+    assert_eq!(c["ingest.accepted"], RECORDS + 1);
+    assert_eq!(c["security.baseline.observed"], RECORDS + 1);
+    assert_eq!(c["security.baseline.out_of_order"], 1);
+    assert_eq!(c["ingest.non_finite"], 0);
+    assert_eq!(p.history.len(), 2 * (RECORDS + 1));
 }

@@ -723,6 +723,7 @@ impl FogSyncBuilder {
             mode: DegradedMode::Connected,
             due: Vec::new(),
             runs: Vec::new(),
+            inbox: Vec::new(),
             obs,
             ins,
         }
@@ -771,6 +772,9 @@ pub struct FogSync {
     due: Vec<u64>,
     /// Ack-scoped scratch: one payload's `[first, end)` runs, sorted.
     runs: Vec<(u64, u64)>,
+    /// [`FogSync::poll_acks`]' scratch: the deliveries it drained, kept
+    /// warm so a poll allocates nothing per call.
+    inbox: Vec<Delivery>,
     obs: Obs,
     ins: SyncInstruments,
 }
@@ -1131,8 +1135,9 @@ impl FogSync {
     /// aborting the drain (bytes off the wire are not the caller's fault).
     pub fn poll_acks(&mut self, net: &mut Network, now: SimTime) -> AckOutcome {
         let mut total = AckOutcome::default();
-        let deliveries = net.drain(&self.node);
-        for d in deliveries {
+        let mut inbox = std::mem::take(&mut self.inbox);
+        net.drain_into(&self.node, &mut inbox);
+        for d in inbox.drain(..) {
             if d.message.topic == ACK_TOPIC {
                 match self.process_ack(now, &d.message.payload) {
                     Ok(outcome) => total.absorb(outcome),
@@ -1140,6 +1145,7 @@ impl FogSync {
                 }
             }
         }
+        self.inbox = inbox;
         total
     }
 

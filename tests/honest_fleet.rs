@@ -82,7 +82,7 @@ fn disabled(run: &Run) -> Vec<&str> {
     run.ids
         .iter()
         .map(String::as_str)
-        .filter(|id| !run.p.registry.get(id).unwrap().enabled)
+        .filter(|id| run.p.device_enabled(id) == Some(false))
         .collect()
 }
 

@@ -73,7 +73,7 @@ fn impossible_values_auto_quarantine_the_device() {
             .ingest_frame(SimTime::from_secs(10), "victim", &f)
             .unwrap_err();
         assert!(matches!(err, IngestError::ImpossibleValue(_)), "{err}");
-        assert!(!p.registry.get("victim").unwrap().enabled, "{values:?}");
+        assert_eq!(p.device_enabled("victim"), Some(false), "{values:?}");
         let snap = p.observe();
         assert_eq!(snap.counter("ingest.quarantined").unwrap(), 1, "{values:?}");
         assert_eq!(
@@ -122,7 +122,7 @@ fn impossible_values_auto_quarantine_the_device() {
         let f = sealed(&p, "honest", 1.0, 0.25, 4);
         p.ingest_frame(SimTime::from_secs(30), "honest", &f)
             .unwrap();
-        assert!(p.registry.get("honest").unwrap().enabled);
+        assert_eq!(p.device_enabled("honest"), Some(true));
         assert_eq!(counter(&p, "ingest.quarantined"), 1);
     }
 }
@@ -137,14 +137,14 @@ fn one_registry_call_re_enables_a_quarantined_device() {
     let f = sealed(&p, "victim", 0.0, 7.5, 2);
     p.ingest_frame(SimTime::from_secs(10), "victim", &f)
         .unwrap_err();
-    assert!(!p.registry.get("victim").unwrap().enabled);
+    assert_eq!(p.device_enabled("victim"), Some(false));
 
-    p.registry.set_enabled("victim", true).unwrap();
+    p.set_device_enabled("victim", true).unwrap();
     for (seq, at) in [(1.0, 40), (2.0, 50)] {
         let f = sealed(&p, "victim", seq, 0.22, 3 + seq as u8);
         p.ingest_frame(SimTime::from_secs(at), "victim", &f)
             .unwrap();
-        assert!(p.registry.get("victim").unwrap().enabled, "seq {seq}");
+        assert_eq!(p.device_enabled("victim"), Some(true), "seq {seq}");
     }
     assert_eq!(counter(&p, "ingest.quarantined"), 1);
     assert_eq!(counter(&p, "ingest.rejected_unregistered"), 0);
@@ -185,11 +185,11 @@ fn pinned_value_is_flagged_for_the_operator_not_cut_off() {
     assert_eq!(snap.counter("ingest.rejected_unregistered").unwrap(), 0);
     assert_eq!(snap.counter("security.alerts_raised").unwrap(), 0);
     for id in &ids {
-        assert!(p.registry.get(id).unwrap().enabled, "{id}");
+        assert_eq!(p.device_enabled(id), Some(true), "{id}");
     }
 
     // The operator acts on the flag: the device's next frame is refused.
-    p.registry.set_enabled(&ids[0], false).unwrap();
+    p.set_device_enabled(&ids[0], false).unwrap();
     let f = sealed(&p, &ids[0], 1e6, 0.55, 7);
     let err = p
         .ingest_frame(SimTime::from_hours(200), &ids[0], &f)

@@ -248,7 +248,7 @@ fn revoked_device_is_cut_off_everywhere() {
 
     // Compromise detected: revoke key, quarantine registry entry.
     p.keystore.revoke("probe-1");
-    p.registry.set_enabled("probe-1", false).unwrap();
+    p.set_device_enabled("probe-1", false).unwrap();
     assert!(p.keystore.is_revoked("probe-1"));
     assert!(p.keystore.device_key("probe-1").is_err());
 
